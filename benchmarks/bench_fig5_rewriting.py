@@ -66,9 +66,10 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
     assert sum(r.candidate_hits for r in priority_rows) > 0
 
     # the compiled backend's counters must flow through the same
-    # reporting seam (compiled-matching PR acceptance criterion): one
-    # repeated evaluation compiles a program, reuses it, and reports
-    # both events plus the CSR build it ran over
+    # reporting seam (compiled-matching PR acceptance criterion): a
+    # repeated evaluation binds to a process-wide kernel -- generated
+    # here or by the rewriting runs above -- and reports it, plus the
+    # CSR build it ran over
     from repro.datasets import ldbc as ldbc_dataset
     from repro.matching import PatternMatcher
 
@@ -76,7 +77,7 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
     assert compiled.count(ldbc_dataset.query_1()) > 0
     assert compiled.count(ldbc_dataset.query_1()) > 0
     info = compiled.cache_info()
-    assert info["programs"]["compiled"] > 0
+    assert info["programs"]["compiled"] + info["programs"]["hits"] >= 2
     assert info["programs"]["hits"] > 0
     assert info["csr"]["builds"] > 0
     assert info["csr"]["bytes"] > 0

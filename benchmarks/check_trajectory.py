@@ -20,7 +20,10 @@ fails (exit code 1) when the trajectory regressed:
   the interpreter on the typed-expansion workload must clear the
   stronger of the committed baseline and the 2x acceptance target.
   Single-core, pure CPU -- like the typed-expansion gate, this is *not*
-  core-aware;
+  core-aware.  The 32-variant rewrite batch may generate at most
+  ``REWRITE_BATCH_KERNEL_CEILING`` kernels (an exact count: kernels are
+  keyed on plan shape, and a batch of variants that starts compiling
+  one program per variant again fails here);
 * **candidate-batch throughput**: the batch-32 overlap speedup of the
   parallel evaluator must not drop by more than ``--max-regression``;
 * **sharded-expansion throughput**: the shard fan-out now runs compiled
@@ -52,8 +55,8 @@ fails (exit code 1) when the trajectory regressed:
   All three are deterministic counts/bytes -- *not* core-aware -- and
   the rate/ratio gates fail on a > ``--max-regression`` drop;
 * **tracing overhead** (``observability``): traced-over-untraced
-  matcher throughput with a fresh activated tracer per count (the
-  span-overhead-heavy rewrite-batch shape).  A same-machine ratio,
+  matcher throughput on the span-overhead-heavy rewrite-batch shape,
+  one fresh activated tracer per 32-count batch (a request).  A same-machine ratio,
   *not* core-aware; the floor is the stronger of the committed
   baseline and the 0.9 acceptance target -- tracing that stops being
   cheap enough to leave on fails the gate;
@@ -93,6 +96,11 @@ import json
 import pathlib
 import sys
 from typing import Iterable, List, Set, Tuple
+
+
+#: kernels the 32-variant rewrite batch may generate and ``compile()``:
+#: its variants differ in one edge type, i.e. share one plan shape
+REWRITE_BATCH_KERNEL_CEILING = 4
 
 
 def key_paths(obj: object, prefix: str = "") -> Set[str]:
@@ -230,6 +238,13 @@ def check_trajectory(
         max(dig(baseline, "compiled_match.rewrite_batch.speedup"), 2.0),
         dig(fresh, "compiled_match.rewrite_batch.speedup"),
         max_regression,
+    )
+    # an exact count, not a timing: the ceiling is absolute
+    gate.check_not_above(
+        "compiled-match rewrite-batch kernels compiled",
+        REWRITE_BATCH_KERNEL_CEILING,
+        dig(fresh, "compiled_match.program_cache.rewrite_batch.programs_compiled"),
+        0.0,
     )
     gate.check_not_below(
         "candidate-batch speedup @32",

@@ -71,7 +71,7 @@ class ExecutionContext:
         graph: PropertyGraph,
         injective: bool = True,
         typed_adjacency: bool = True,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
         matcher: Optional[PatternMatcher] = None,
         cache: Optional[QueryResultCache] = None,
         result_cache_entries: Optional[int] = DEFAULT_RESULT_CACHE_ENTRIES,

@@ -7,15 +7,21 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
 
 * vertex ids are interned to dense indexes ``0..n-1`` in ascending-vid
   order (``vid_of`` / ``ix_of``), edge ids to dense indexes in global
-  insertion order (``eid_of`` / ``eix_of``);
+  insertion order (``eid_of``);
 * the type-partitioned directional adjacency of
   :class:`~repro.core.graph.PropertyGraph` is packed per ``(edge type,
   direction)`` into CSR triples ``(indptr, edge_ix, other_ix)`` of flat
-  ``array('l')`` rows, replaying the source lists' insertion order
-  element for element (the interpreter's enumeration-order contract);
+  4-byte ``array('i')`` rows, replaying the source lists' insertion
+  order element for element (the interpreter's enumeration-order
+  contract).  The edges are grouped by type once, in the pass that
+  interns them; a segment is then a stable sort of its group by row --
+  no per-vertex accessor calls;
 * attribute predicates are interned by *predicate signature* into
   per-vertex / per-edge bitsets (``bytearray`` masks), so the inner
   matching loop tests a predicate with one index, never an object call.
+  At most :data:`MASK_CAP` masks are interned per table: a long
+  fine-grained search (one predicate constant per variant) recycles
+  them instead of growing the index without bound.
 
 The index is cached per graph beside the plan cache of
 :mod:`repro.matching.plan` (same ``WeakKeyDictionary`` registry).  A
@@ -24,10 +30,10 @@ delta log still holds the records between the index's snapshot version
 and the current one, :meth:`CSRIndex.apply_deltas` patches the packed
 image **in place** -- appends to the interning tables and flat arrays,
 row-local inserts into every built CSR segment, one-bit updates of the
-interned predicate masks and seed pools.  Because every patch mutates
-the *same* array objects the compiled kernels bound as defaults, the
-programs cached on the index stay valid across versions; only their
-derived pool memos are cleared.  The patch falls back to a full
+interned predicate masks and seed pools.  Nothing lowered is retained
+across evaluations (:mod:`repro.matching.program` re-binds the arrays on
+every call), so the next evaluation sees every patch, an empty segment
+turning non-empty included.  The patch falls back to a full
 rebuild (``csr_rebuilds``) when a delta breaks an interned-order
 invariant: a vertex id below the current maximum (the dense interning
 is ascending-vid), an edge touching an uninterned endpoint, or a ring
@@ -44,9 +50,12 @@ from __future__ import annotations
 import os
 import weakref
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from itertools import accumulate
 from itertools import count as _counter
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from operator import eq
+from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.query import QueryEdge, QueryVertex
 from repro.matching.candidates import attributes_match, vertex_candidates
@@ -65,6 +74,20 @@ __all__ = [
 #: cached graphs; unset/empty = unbounded (the historical behaviour)
 CSR_BYTES_BUDGET_ENV = "REPRO_CSR_BYTES_BUDGET"
 
+#: typecode of every dense-index array (4 bytes: two billion elements)
+_IX = "i"
+
+#: bound on the interned predicate masks of one index, per table (vertex
+#: masks with their seed pools, edge masks).  A mask costs a byte per
+#: element and a fine-grained search interns one per predicate constant
+#: it tries; a full table is dropped whole and refills from the masks
+#: still in use (nothing lowered outlives one evaluation)
+MASK_CAP = 256
+
+#: bound on the seed-restrict pool memo (one entry per seed signature
+#: and shard of every partition granularity the index is driven under)
+_RESTRICT_MEMO_ENTRIES = 64
+
 _EMPTY_COUNTERS: Dict[str, int] = {
     "csr_builds": 0,
     "csr_bytes": 0,
@@ -74,6 +97,7 @@ _EMPTY_COUNTERS: Dict[str, int] = {
     "deltas_applied": 0,
     "programs_compiled": 0,
     "program_hits": 0,
+    "program_fallbacks": 0,
 }
 
 
@@ -103,19 +127,20 @@ class CSRIndex:
         "vid_of",
         "ix_of",
         "eid_of",
-        "eix_of",
+        "_eix_of",
         "src",
         "tgt",
         "selfloop",
         "known",
         "seed_universe",
+        "_by_type",
         "_adj",
         "_vertex_masks",
         "_mask_preds",
         "_seed_pools",
+        "_restrict_pools",
         "_edge_masks",
         "_edge_mask_preds",
-        "programs",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -136,31 +161,38 @@ class CSRIndex:
         self.vid_of = array("q", vids)
         self.ix_of: Dict[int, int] = {vid: ix for ix, vid in enumerate(vids)}
         ix_of = self.ix_of
+        by_type: Dict[str, list] = defaultdict(list)
         eids: list = []
-        src = array("l")
-        tgt = array("l")
-        selfloop = bytearray()
-        self.eix_of: Dict[int, int] = {}
-        for record in graph.edges():
-            self.eix_of[record.eid] = len(eids)
-            eids.append(record.eid)
-            src.append(ix_of[record.source])
-            tgt.append(ix_of[record.target])
-            selfloop.append(1 if record.source == record.target else 0)
+        src: list = []
+        tgt: list = []
+        add_eid, add_src, add_tgt = eids.append, src.append, tgt.append
+        for eix, record in enumerate(graph.edges()):
+            add_eid(record.eid)
+            add_src(ix_of[record.source])
+            add_tgt(ix_of[record.target])
+            by_type[record.type].append(eix)
         self.eid_of = array("q", eids)
-        self.src = src
-        self.tgt = tgt
-        self.selfloop = selfloop
+        #: edge id -> dense index; only delta patches ask, so the first
+        #: one builds it (see :meth:`_edge_index`)
+        self._eix_of: Optional[Dict[int, int]] = None
+        self.selfloop = bytearray(map(eq, src, tgt))
+        self.src = array(_IX, src)
+        self.tgt = array(_IX, tgt)
+        #: edge type -> ascending edge indexes (global insertion order):
+        #: the one pass over the edges every typed segment is cut from
+        self._by_type: Dict[str, array] = {
+            type_key: array(_IX, eixs) for type_key, eixs in by_type.items()
+        }
         if self.partial:
             self.known: Optional[bytearray] = bytearray(
                 1 if vid in owned else 0 for vid in vids
             )
             self.seed_universe = array(
-                "l", (ix for ix, vid in enumerate(vids) if vid in owned)
+                _IX, (ix for ix, vid in enumerate(vids) if vid in owned)
             )
         else:
             self.known = None
-            self.seed_universe = array("l", range(len(vids)))
+            self.seed_universe = array(_IX, range(len(vids)))
         #: (type | None, "out" | "in") -> (indptr, edge_ix, other_ix)
         self._adj: Dict[Tuple[Optional[str], str], Tuple[array, array, array]] = {}
         self._vertex_masks: Dict[Hashable, bytearray] = {}
@@ -168,17 +200,21 @@ class CSRIndex:
         #: retained so a delta patch can re-evaluate single elements
         self._mask_preds: Dict[Hashable, Dict[str, Any]] = {}
         self._seed_pools: Dict[Hashable, array] = {}
+        #: (seed signature, restriction) -> clamped copy of the seed pool
+        self._restrict_pools: Dict[Hashable, array] = {}
         self._edge_masks: Dict[Hashable, bytearray] = {}
         self._edge_mask_preds: Dict[Hashable, Dict[str, Any]] = {}
-        #: (query signature, edge_order, injective) -> MatchProgram;
-        #: lives exactly as long as the arrays it is specialised over
-        self.programs: Dict[Hashable, Any] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
         if graph is None:  # pragma: no cover - cache entry dies with the graph
             raise RuntimeError("CSRIndex outlived its graph")
         return graph
+
+    def _edge_index(self) -> Dict[int, int]:
+        if self._eix_of is None:
+            self._eix_of = {eid: eix for eix, eid in enumerate(self.eid_of)}
+        return self._eix_of
 
     @property
     def num_vertices(self) -> int:
@@ -201,6 +237,8 @@ class CSRIndex:
         opposite endpoint so the inner loop never touches edge records.
         Unknown-adjacency rows of a partial graph are empty -- the
         program guards them with an explicit miss *before* scanning.
+        A type the graph does not hold gets an all-empty segment, which
+        a later delta patch fills like any other.
         """
         key = (type_key, direction)
         segment = self._adj.get(key)
@@ -212,28 +250,27 @@ class CSRIndex:
     def _build_adjacency(
         self, type_key: Optional[str], direction: str
     ) -> Tuple[array, array, array]:
-        graph = self._graph()
-        out = direction == "out"
-        endpoint = self.tgt if out else self.src
-        eix_of = self.eix_of
+        row_of, other_of = (
+            (self.src, self.tgt) if direction == "out" else (self.tgt, self.src)
+        )
+        if type_key is None:
+            eixs: Iterable[int] = range(len(self.eid_of))
+        else:
+            eixs = self._by_type.get(type_key, ())
         known = self.known
-        indptr = array("l", [0])
-        edge_ix = array("l")
-        other_ix = array("l")
-        for ix, vid in enumerate(self.vid_of):
-            if known is None or known[ix]:
-                if type_key is None:
-                    eids = graph.out_edges(vid) if out else graph.in_edges(vid)
-                elif out:
-                    eids = graph.out_edges_of_type(vid, type_key)
-                else:
-                    eids = graph.in_edges_of_type(vid, type_key)
-                for eid in eids:
-                    eix = eix_of[eid]
-                    edge_ix.append(eix)
-                    other_ix.append(endpoint[eix])
-            indptr.append(len(edge_ix))
-        return indptr, edge_ix, other_ix
+        if known is not None:
+            eixs = [eix for eix in eixs if known[row_of[eix]]]
+        # edge indexes ascend in insertion order and the sort is stable:
+        # every row replays its vertex's adjacency list element for element
+        order = sorted(eixs, key=row_of.__getitem__)
+        degree = [0] * (len(self.vid_of) + 1)
+        for row, edges in Counter(map(row_of.__getitem__, order)).items():
+            degree[row + 1] = edges
+        return (
+            array(_IX, accumulate(degree)),
+            array(_IX, order),
+            array(_IX, map(other_of.__getitem__, order)),
+        )
 
     # -- predicate masks ---------------------------------------------------------
 
@@ -244,11 +281,10 @@ class CSRIndex:
         or ``None`` when the vertex is unconstrained (nothing to test).
 
         Interned by predicate signature, so all query variants sharing a
-        constraint share one mask.  On full graphs the mask is filled
-        from the (shared) candidate cache; on a partial graph the
-        candidate indexes cover the owned range only, so the mask is
-        built by direct evaluation over owned *and* halo attributes --
-        expansion targets may land in the halo.
+        constraint share one mask.  The mask is filled from the (shared)
+        candidate cache; on a partial graph the candidate indexes cover
+        the owned range only, so the halo attributes are evaluated
+        directly on top -- expansion targets may land in the halo.
         """
         predicates = qvertex.predicates
         if not predicates:
@@ -256,20 +292,24 @@ class CSRIndex:
         sig = predicate_signature(qvertex)
         mask = self._vertex_masks.get(sig)
         if mask is None:
+            if len(self._vertex_masks) >= MASK_CAP:
+                self._vertex_masks.clear()
+                self._mask_preds.clear()
+                self._seed_pools.clear()
+                self._restrict_pools.clear()
             graph = self._graph()
             mask = bytearray(len(self.vid_of))
-            if self.partial:
-                for ix, vid in enumerate(self.vid_of):
-                    if attributes_match(graph.vertex_attributes(vid), predicates):
-                        mask[ix] = 1
+            if evalcache is not None:
+                candidates = evalcache.vertex_candidates(qvertex)
             else:
-                if evalcache is not None:
-                    candidates = evalcache.vertex_candidates(qvertex)
-                else:
-                    candidates = vertex_candidates(graph, qvertex)
-                ix_of = self.ix_of
-                for vid in candidates or ():
-                    mask[ix_of[vid]] = 1
+                candidates = vertex_candidates(graph, qvertex)
+            ix_of = self.ix_of
+            for vid in candidates or ():
+                mask[ix_of[vid]] = 1
+            if self.partial:
+                for vid, attributes in graph._halo.items():
+                    if attributes_match(attributes, predicates):
+                        mask[ix_of[vid]] = 1
             self._vertex_masks[sig] = mask
             self._mask_preds[sig] = dict(predicates)
         return mask
@@ -287,9 +327,43 @@ class CSRIndex:
             if mask is None:
                 pool = self.seed_universe
             else:
-                pool = array("l", (ix for ix in self.seed_universe if mask[ix]))
+                pool = array(_IX, (ix for ix in self.seed_universe if mask[ix]))
             self._seed_pools[sig] = pool
         return pool
+
+    def restricted_seed_pool(
+        self,
+        qvertex: QueryVertex,
+        restrict: AbstractSet[int],
+        evalcache: Optional[EvaluationCache] = None,
+    ) -> array:
+        """:meth:`seed_pool` confined to the data vertices ``restrict``
+        (the ``seed_restrict`` clamp of a shard-seeded evaluation),
+        memoised per ``(signature, restriction)`` until the next patch."""
+        if not isinstance(restrict, frozenset):
+            restrict = frozenset(restrict)
+        key = (predicate_signature(qvertex), restrict)
+        pool = self._restrict_pools.get(key)
+        if pool is None:
+            pool = self._restricted(self.seed_pool(qvertex, evalcache), restrict)
+            if len(self._restrict_pools) >= _RESTRICT_MEMO_ENTRIES:
+                self._restrict_pools.clear()
+            self._restrict_pools[key] = pool
+        return pool
+
+    def _restricted(self, base: array, restrict: frozenset) -> array:
+        if not restrict or not len(base):
+            return array(_IX)
+        vid_of = self.vid_of
+        a = bisect_left(vid_of, min(restrict))
+        b = bisect_right(vid_of, max(restrict))
+        ix_of = self.ix_of
+        if b - a == len(restrict) and all(vid in ix_of for vid in restrict):
+            # the restriction is exactly the universe's contiguous vid
+            # run [lo, hi] (every shard of the range partitioner is):
+            # clamp the pool to the index range -- a pure slice copy
+            return base[bisect_left(base, a) : bisect_right(base, b - 1)]
+        return array(_IX, (ix for ix in base if vid_of[ix] in restrict))
 
     def edge_mask(self, qedge: QueryEdge) -> Optional[bytearray]:
         """Bitset over edge indexes satisfying the edge's predicates, or
@@ -301,6 +375,9 @@ class CSRIndex:
         sig = edge_predicate_signature(qedge)
         mask = self._edge_masks.get(sig)
         if mask is None:
+            if len(self._edge_masks) >= MASK_CAP:
+                self._edge_masks.clear()
+                self._edge_mask_preds.clear()
             graph = self._graph()
             mask = bytearray(len(self.eid_of))
             for eix, eid in enumerate(self.eid_of):
@@ -324,6 +401,7 @@ class CSRIndex:
         this index does not understand.
         """
         max_vid = self.vid_of[-1] if self.vid_of else -1
+        eix_of = self._edge_index()
         new_vids: set = set()
         new_eids: set = set()
         for record in deltas:
@@ -336,7 +414,7 @@ class CSRIndex:
                 max_vid = max(max_vid, vid)
             elif kind == "e":
                 eid, source, target = record[1], record[2], record[3]
-                if eid in self.eix_of or eid in new_eids:
+                if eid in eix_of or eid in new_eids:
                     return False
                 if source not in self.ix_of and source not in new_vids:
                     return False
@@ -347,7 +425,7 @@ class CSRIndex:
                 if record[1] not in self.ix_of and record[1] not in new_vids:
                     return False
             elif kind == "ea":
-                if record[1] not in self.eix_of and record[1] not in new_eids:
+                if record[1] not in eix_of and record[1] not in new_eids:
                     return False
             else:
                 return False
@@ -358,17 +436,12 @@ class CSRIndex:
 
         Returns ``False`` (index untouched) when the run is not
         patchable; the caller falls back to a full rebuild.  On success
-        every flat array keeps its object identity, so compiled
-        programs bound over them stay valid.  The one structural event
-        programs cannot survive is a built adjacency segment going from
-        empty to non-empty -- program lowering prunes dead subtrees over
-        empty segments -- so that transition drops the cached programs;
-        otherwise only their derived restrict-pool memos are cleared.
+        every flat array keeps its object identity; only the derived
+        restrict-pool memo (slice copies of the seed pools) is cleared.
         """
         if not self._patchable(deltas):
             return False
         graph = self._graph()
-        revived_segment = False
         for record in deltas:
             kind = record[0]
             if kind == "v":
@@ -376,18 +449,14 @@ class CSRIndex:
             elif kind == "hv":
                 self._patch_add_vertex(record[1], record[2], owned=False)
             elif kind == "e":
-                revived_segment |= self._patch_add_edge(
+                self._patch_add_edge(
                     record[1], record[2], record[3], record[4], record[5]
                 )
             elif kind == "va":
                 self._patch_vertex_attr(graph, record[1], record[2])
             else:  # "ea"
                 self._patch_edge_attr(graph, record[1], record[2])
-        if revived_segment:
-            self.programs.clear()
-        else:
-            for program in self.programs.values():
-                program._restrict_pools.clear()
+        self._restrict_pools.clear()
         self.version = graph.version
         return True
 
@@ -412,17 +481,17 @@ class CSRIndex:
 
     def _patch_add_edge(
         self, eid: int, source: int, target: int, type: str, attrs: Dict[str, Any]
-    ) -> bool:
+    ) -> None:
         eix = len(self.eid_of)
         self.eid_of.append(eid)
-        self.eix_of[eid] = eix
+        self._edge_index()[eid] = eix
         six = self.ix_of[source]
         tix = self.ix_of[target]
         self.src.append(six)
         self.tgt.append(tix)
         self.selfloop.append(1 if six == tix else 0)
+        self._by_type.setdefault(type, array(_IX)).append(eix)
         known = self.known
-        revived = False
         for (type_key, direction), (indptr, edge_ix, other_ix) in self._adj.items():
             if type_key is not None and type_key != type:
                 continue
@@ -432,20 +501,17 @@ class CSRIndex:
                 row, other = tix, six
             if known is not None and not known[row]:
                 continue
-            if not edge_ix:
-                revived = True
             # new edges append at the *end* of their row, replaying the
             # graph-side insertion order the interpreter enumerates
             pos = indptr[row + 1]
-            edge_ix[pos:pos] = array("l", (eix,))
-            other_ix[pos:pos] = array("l", (other,))
+            edge_ix.insert(pos, eix)
+            other_ix.insert(pos, other)
             for j in range(row + 1, len(indptr)):
                 indptr[j] += 1
         for sig, mask in self._edge_masks.items():
             mask.append(
                 1 if attributes_match(attrs, self._edge_mask_preds[sig]) else 0
             )
-        return revived
 
     def _patch_vertex_attr(self, graph: Any, vid: int, attr: str) -> None:
         ix = self.ix_of[vid]
@@ -469,7 +535,7 @@ class CSRIndex:
                 pool.pop(pos)
 
     def _patch_edge_attr(self, graph: Any, eid: int, attr: str) -> None:
-        eix = self.eix_of[eid]
+        eix = self._edge_index()[eid]
         attrs = graph.edge(eid).attributes
         for sig, preds in self._edge_mask_preds.items():
             if attr in preds:
@@ -480,8 +546,8 @@ class CSRIndex:
     # -- accounting --------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Flat-array bytes held by this index (base tables, built
-        adjacency segments, interned masks and pools)."""
+        """Flat-array bytes held by this index (base tables, type groups,
+        built adjacency segments, interned masks and pools)."""
         total = (
             self.vid_of.itemsize * len(self.vid_of)
             + self.eid_of.itemsize * len(self.eid_of)
@@ -492,6 +558,8 @@ class CSRIndex:
         )
         if self.known is not None:
             total += len(self.known)
+        for group in self._by_type.values():
+            total += group.itemsize * len(group)
         for indptr, edge_ix, other_ix in self._adj.values():
             total += indptr.itemsize * len(indptr)
             total += edge_ix.itemsize * len(edge_ix)
@@ -524,6 +592,7 @@ class _CsrEntry:
         "touch",
         "programs_compiled",
         "program_hits",
+        "program_fallbacks",
     )
 
     def __init__(self, csr: CSRIndex) -> None:
@@ -534,8 +603,13 @@ class _CsrEntry:
         self.deltas_applied = 0
         self.evictions = 0
         self.touch = next(_TOUCH)
+        #: kernels generated and ``compile()``d for this graph (shape
+        #: misses of the process-wide kernel cache), evaluations served
+        #: by an existing kernel, and plans the lowering refused (served
+        #: by the interpreter)
         self.programs_compiled = 0
         self.program_hits = 0
+        self.program_fallbacks = 0
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -547,6 +621,7 @@ class _CsrEntry:
             "deltas_applied": self.deltas_applied,
             "programs_compiled": self.programs_compiled,
             "program_hits": self.program_hits,
+            "program_fallbacks": self.program_fallbacks,
         }
 
 

@@ -24,7 +24,6 @@ reports the shared plan/candidate cache counters next to them.
 
 from __future__ import annotations
 
-import os
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.graph import PropertyGraph
@@ -62,12 +61,6 @@ from repro.stats import (
 )
 
 
-def _compiled_default() -> bool:
-    """Opt-in default for the compiled backend (the CI matrix leg sets
-    ``REPRO_COMPILED_MATCH=1`` to run the whole suite through it)."""
-    return os.environ.get("REPRO_COMPILED_MATCH", "0") not in ("", "0")
-
-
 class PatternMatcher:
     """Evaluates :class:`~repro.core.query.GraphQuery` patterns on a graph.
 
@@ -82,15 +75,16 @@ class PatternMatcher:
     (the pre-optimisation behaviour; kept for benchmarking and as a
     correctness oracle).
 
-    ``compiled=True`` routes ``match``/``count``/``exists`` through the
-    compiled backend: plans are lowered once per ``(graph version, query
-    signature, edge_order, injective)`` into flat kernels over interned
-    CSR arrays (:mod:`repro.matching.program`), visiting exactly the
-    candidates the interpreter visits -- ``steps`` totals are identical
-    on unbounded evaluations.  ``compiled=None`` (the default) follows
-    the ``REPRO_COMPILED_MATCH`` environment switch.  The compiled mode
-    requires the typed adjacency; a ``typed_adjacency=False`` matcher
-    always interprets, keeping the oracle configuration oracle-shaped.
+    ``compiled=True`` (the default) routes ``match``/``count``/``exists``
+    through the compiled backend: the memoised plan is bound to a
+    shape-keyed kernel over interned CSR arrays
+    (:mod:`repro.matching.program`), visiting exactly the candidates
+    the interpreter visits -- ``steps`` totals are identical on
+    unbounded evaluations.  ``compiled=False`` interprets: the reference
+    semantics every differential test compares against.  The compiled
+    mode requires the typed adjacency; a ``typed_adjacency=False``
+    matcher always interprets, keeping the oracle configuration
+    oracle-shaped.
     """
 
     def __init__(
@@ -99,7 +93,7 @@ class PatternMatcher:
         injective: bool = True,
         evalcache: Optional[EvaluationCache] = None,
         typed_adjacency: bool = True,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> None:
         self.graph = graph
         self.injective = injective
@@ -107,8 +101,6 @@ class PatternMatcher:
             evalcache if evalcache is not None else shared_evaluation_cache(graph)
         )
         self.typed_adjacency = typed_adjacency
-        if compiled is None:
-            compiled = _compiled_default()
         self.compiled = bool(compiled) and typed_adjacency
         #: number of match/count/exists invocations served
         self.calls = 0
@@ -133,7 +125,7 @@ class PatternMatcher:
         programs = StatsReport(
             programs_section(flat),
             legacy=flat,
-            hints={key: "['programs']['compiled'/'hits'] or ['csr']" for key in flat},
+            hints={key: "['programs']['compiled'/'hits'/'fallbacks'] or ['csr']" for key in flat},
             surface="cache_info()['programs']",
         )
         return unified_stats(
@@ -233,9 +225,30 @@ class PatternMatcher:
         Result cardinality (Definition 2) when ``limit`` is ``None``.
         ``seed_restrict`` confines the first seed step (see :meth:`match`).
         """
+        return self._count("count", query, limit, edge_order, seed_restrict)
+
+    def exists(
+        self,
+        query: GraphQuery,
+        edge_order: Optional[Sequence[int]] = None,
+        seed_restrict: Optional[AbstractSet[int]] = None,
+    ) -> bool:
+        """``True`` when the pattern has at least one match."""
+        return self._count("exists", query, 1, edge_order, seed_restrict) > 0
+
+    def _count(
+        self,
+        op: str,
+        query: GraphQuery,
+        limit: Optional[int],
+        edge_order: Optional[Sequence[int]],
+        seed_restrict: Optional[AbstractSet[int]],
+    ) -> int:
+        """One bounded count under a ``match`` span that names the
+        public operation and the backend that served it."""
         self.calls += 1
         tracer = current_tracer()
-        with tracer.span(SPAN_MATCH, op="count") as span:
+        with tracer.span(SPAN_MATCH, op=op) as span:
             before = self.steps
             program = self._compiled_program(query, edge_order)
             if program is not None:
@@ -251,25 +264,6 @@ class PatternMatcher:
                 span.attributes["steps"] = self.steps - before
                 span.attributes["compiled"] = program is not None
             return n
-
-    def exists(
-        self,
-        query: GraphQuery,
-        edge_order: Optional[Sequence[int]] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
-    ) -> bool:
-        """``True`` when the pattern has at least one match."""
-        self.calls += 1
-        tracer = current_tracer()
-        with tracer.span(SPAN_MATCH, op="exists"):
-            program = self._compiled_program(query, edge_order)
-            if program is not None:
-                n, steps = program.run_count(self.graph, 1, seed_restrict)
-                self.steps += steps
-                return n > 0
-            for _ in self._search(query, edge_order, seed_restrict):
-                return True
-            return False
 
     # -- search core -----------------------------------------------------------
 

@@ -19,15 +19,14 @@ back in the result envelope (:meth:`Tracer.summarize` /
 Disabled tracing is the default and must stay near-free: the module
 singleton :data:`NULL_TRACER` answers ``span()`` with one shared no-op
 context manager -- no allocation, no timestamp.  ``REPRO_TRACE=1``
-flips the session default (:func:`tracing_default`), mirroring the
-``REPRO_COMPILED_MATCH`` switch.
+flips the session default (:func:`tracing_default`).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import time
+from time import perf_counter as _now
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
@@ -77,16 +76,54 @@ def tracing_default() -> bool:
 
 
 class Span:
-    """One timed node in the trace tree."""
+    """One timed node in the trace tree, and the context manager that
+    times it: :meth:`Tracer.span` hands the span itself out, so opening
+    one allocates one object.  Entry links it under the tracer's
+    innermost open span and makes it the innermost; exit hands that
+    role back and stamps the monotonic elapsed time (exceptions
+    included, so aborted requests still trace)."""
 
-    __slots__ = ("kind", "attributes", "children", "started_at", "elapsed_s")
+    __slots__ = (
+        "kind",
+        "attributes",
+        "children",
+        "started_at",
+        "elapsed_s",
+        "_tracer",
+        "_parent",
+    )
 
-    def __init__(self, kind: str, attributes: Optional[Dict[str, Any]] = None):
+    def __init__(
+        self,
+        kind: str,
+        attributes: Optional[Dict[str, Any]] = None,
+        tracer: Optional["Tracer"] = None,
+    ):
         self.kind = kind
-        self.attributes: Dict[str, Any] = dict(attributes) if attributes else {}
+        #: owned by the span: callers hand over a dict of their own
+        self.attributes: Dict[str, Any] = attributes if attributes is not None else {}
         self.children: List["Span"] = []
         self.started_at = 0.0
         self.elapsed_s = 0.0
+        self._tracer = tracer
+        self._parent: Optional["Span"] = None
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        parent = self._parent = tracer._open
+        (tracer.roots if parent is None else parent.children).append(self)
+        tracer._open = self
+        self.started_at = _now()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.elapsed_s = _now() - self.started_at
+        self._tracer._open = self._parent
+        # a closed span must not keep its tree alive through a cycle
+        self._tracer = self._parent = None
+        if exc_type is not None:
+            self.attributes.setdefault("error", exc_type.__name__)
+        return False
 
     def walk(self) -> Iterator["Span"]:
         yield self
@@ -105,39 +142,6 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.kind!r}, {self.elapsed_s:.6f}s, {len(self.children)} children)"
-
-
-class _SpanHandle:
-    """Context manager produced by :meth:`Tracer.span`; opens the span
-    on entry, pops it and stamps the monotonic elapsed time on exit
-    (exceptions included, so aborted requests still trace)."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", kind: str, attributes: Dict[str, Any]):
-        self._tracer = tracer
-        self.span = Span(kind, attributes)
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = self.span
-        if tracer._stack:
-            tracer._stack[-1].children.append(span)
-        else:
-            tracer.roots.append(span)
-        tracer._stack.append(span)
-        span.started_at = time.perf_counter()
-        return span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        span.elapsed_s = time.perf_counter() - span.started_at
-        stack = self._tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        if exc_type is not None:
-            span.attributes.setdefault("error", exc_type.__name__)
-        return False
 
 
 class _Activation:
@@ -168,20 +172,20 @@ class Tracer:
 
     enabled = True
 
-    __slots__ = ("roots", "_stack")
+    __slots__ = ("roots", "_open")
 
     def __init__(self):
         self.roots: List[Span] = []
-        self._stack: List[Span] = []
+        self._open = None
 
-    def span(self, kind: str, **attributes: Any) -> _SpanHandle:
-        return _SpanHandle(self, kind, attributes)
+    def span(self, kind: str, **attributes: Any) -> Span:
+        return Span(kind, attributes, self)
 
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost open span (no-op when no
         span is open, so callers never need to guard)."""
-        if self._stack:
-            self._stack[-1].attributes.update(attributes)
+        if self._open is not None:
+            self._open.attributes.update(attributes)
 
     def activate(self) -> _Activation:
         return _Activation(self)
@@ -201,8 +205,8 @@ class Tracer:
             span.children.append(child)
             total += child.elapsed_s
         span.elapsed_s = total
-        if self._stack:
-            self._stack[-1].children.append(span)
+        if self._open is not None:
+            self._open.children.append(span)
         else:
             self.roots.append(span)
 

@@ -2,10 +2,9 @@
 
 A :class:`~repro.service.WhyQueryService` restart (or an LRU eviction
 from its context pool) historically discarded every derived artefact --
-the plan cache, the :class:`~repro.rewrite.cache.QueryResultCache`, the
-compiled-program warmth that hangs off restored plans, and the
-slow-query log -- so the first minutes after a deploy served why-queries
-at interpreter-cold latency.  This module gives every cache owner an
+the plan cache, the :class:`~repro.rewrite.cache.QueryResultCache` and
+the slow-query log -- so the first minutes after a deploy served
+why-queries at cold latency.  This module gives every cache owner an
 explicit, versioned externalization seam:
 
 * :func:`snapshot_context` serialises a context's result-cache entries

@@ -1185,6 +1185,7 @@ class WhyQueryService:
                 "matcher_steps": matcher["steps"],
                 "programs_compiled": programs["compiled"],
                 "program_hits": programs["hits"],
+                "program_fallbacks": programs["fallbacks"],
                 "csr_builds": csr["builds"],
                 "csr_bytes": csr["bytes"],
                 "csr_patches": csr["patches"],

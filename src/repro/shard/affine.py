@@ -518,7 +518,7 @@ class SliceEvaluator:
         injective: bool = True,
         typed_adjacency: bool = True,
         fallback: Optional[object] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> None:
         if not slices:
             raise ValueError("SliceEvaluator needs at least one slice")
@@ -560,7 +560,7 @@ class SliceEvaluator:
         injective: bool = True,
         typed_adjacency: bool = True,
         fallback: Optional[object] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> "SliceEvaluator":
         """Rebuild the placed slices from their wire payloads (each slice
         builds its CSR index locally on first compiled evaluation)."""
@@ -585,7 +585,7 @@ class SliceEvaluator:
         injective: bool = True,
         typed_adjacency: bool = True,
         fallback: Optional[object] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> "SliceEvaluator":
         """All of a :class:`~repro.shard.ShardedGraph`'s slices, rebuilt
         through a full wire round-trip (the transport the workers see)."""

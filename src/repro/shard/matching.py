@@ -56,7 +56,7 @@ class ShardedMatcher:
         sharded: ShardedGraph,
         injective: bool = True,
         executor: Optional[BatchExecutor] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> None:
         if not isinstance(sharded, ShardedGraph):
             raise TypeError("ShardedMatcher requires a ShardedGraph")

@@ -66,7 +66,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -125,9 +124,12 @@ def _worker_init(
     shards: int,
     injective: bool,
     typed_adjacency: bool,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
+    barrier: Optional[object] = None,
 ) -> None:
-    """Pool initializer: rebuild the snapshot, warm one context."""
+    """Pool initializer: rebuild the snapshot, warm one context.
+    ``barrier`` is the pool's warm-up rendezvous (:func:`_worker_touch`);
+    it can only travel here, by inheritance at process start."""
     # imported lazily so the coordinator-side import of this module stays
     # cheap; the worker pays it once per process
     from repro.exec.context import ExecutionContext
@@ -144,6 +146,7 @@ def _worker_init(
             compiled=compiled,
         ),
         "queries": {},
+        "barrier": barrier,
     }
     if shards > 1:
         state["sharded"] = ShardedMatcher(
@@ -198,10 +201,16 @@ def _worker_count_shard(
     return count, tracer.summarize()
 
 
-def _worker_touch(delay_s: float) -> int:
-    """Warm-up barrier task: hold the worker long enough that the pool
-    must spawn (and initialize) every process, then report its pid."""
-    time.sleep(delay_s)
+def _worker_touch(timeout_s: float) -> int:
+    """Warm-up task: meet the pool's other workers at its barrier, then
+    report the pid.  A worker waiting there takes no second task, so as
+    many tasks as the barrier has parties complete only on that many
+    distinct, initialized processes; a pool that cannot bring them up
+    within ``timeout_s`` breaks the barrier and every task raises.
+    (An affine pool is one process and has no barrier to meet at.)"""
+    barrier = _WORKER_STATE.get("barrier")
+    if barrier is not None:
+        barrier.wait(timeout_s)  # type: ignore[attr-defined]
     return os.getpid()
 
 
@@ -209,7 +218,7 @@ def _affine_worker_init(
     payloads: List[dict],
     injective: bool,
     typed_adjacency: bool,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
 ) -> None:
     """Affine pool initializer: rebuild only the placed shards' slices
     (each slice builds its own CSR index locally when compiled)."""
@@ -328,7 +337,7 @@ class ProcessExecutor:
         typed_adjacency: bool = True,
         start_method: Optional[str] = None,
         placement: str = "full",
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -410,9 +419,10 @@ class ProcessExecutor:
                     pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
                 )
                 self._full_snapshot_bytes_version = self.graph.version
+                context = multiprocessing.get_context(self.start_method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context(self.start_method),
+                    mp_context=context,
                     initializer=_worker_init,
                     initargs=(
                         payload,
@@ -420,6 +430,7 @@ class ProcessExecutor:
                         self.injective,
                         self.typed_adjacency,
                         self.compiled,
+                        context.Barrier(self.max_workers),
                     ),
                 )
                 self._snapshot_version = self.graph.version
@@ -588,20 +599,28 @@ class ProcessExecutor:
                 shard_index, query, limit=limit, edge_order=canonical_edge_order(query)
             )
 
-    def warm_up(self, barrier_s: float = 0.05) -> List[int]:
+    def warm_up(self, timeout_s: float = 60.0) -> List[int]:
         """Force-spawn every worker; returns their (distinct) pids.
 
         ``ProcessPoolExecutor`` spawns workers on demand, so the first
         measured batch would otherwise pay process start + snapshot
-        rebuild.  Each barrier task holds its worker ``barrier_s``
-        seconds, which forces the pool to start all of them.
+        rebuild.  One task per worker meets the others at the pool's
+        barrier (:func:`_worker_touch`), which only ``max_workers``
+        distinct initialized processes can pass; if they are not all up
+        within ``timeout_s`` the pool is closed and this raises.
         """
         if self.placement_mode == "affine":
             pools = self._ensure_affine_pools()
-            futures = [pool.submit(_worker_touch, barrier_s) for pool in pools]
+            futures = [pool.submit(_worker_touch, timeout_s) for pool in pools]
             return [future.result() for future in futures]
         pool = self._ensure_pool()
-        return list(pool.map(_worker_touch, repeat(barrier_s, self.max_workers)))
+        try:
+            return list(pool.map(_worker_touch, repeat(timeout_s, self.max_workers)))
+        except threading.BrokenBarrierError as exc:
+            self.close()  # the barrier stays broken: the next use rebuilds
+            raise RuntimeError(
+                f"{self.max_workers} workers were not up within {timeout_s} s"
+            ) from exc
 
     def close(self) -> None:
         """Shut the worker pool(s) down (idempotent; pools respawn lazily)."""

@@ -19,7 +19,8 @@ needs *one* schema, so this module defines it:
                         ``vertex_candidates``, ``results``, ...)
 ``csr``                 interned CSR array accounting (``builds``, ``bytes``,
                         ``patches``, ``rebuilds``, ``evictions``)
-``programs``            compiled match kernels (``compiled``, ``hits``)
+``programs``            compiled match kernels (``compiled``, ``hits``,
+                        ``fallbacks``)
 ``pools``               worker/context pool lifecycle and payload accounting
 ``admission``           :class:`~repro.service.BudgetPool` counters
 ``deltas``              delta-sync pipeline (``applied``, ``bytes``,
@@ -124,6 +125,7 @@ def programs_section(flat: Mapping[str, int]) -> Dict[str, int]:
     return {
         "compiled": int(flat.get("programs_compiled", 0)),
         "hits": int(flat.get("program_hits", 0)),
+        "fallbacks": int(flat.get("program_fallbacks", 0)),
     }
 
 

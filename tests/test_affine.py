@@ -53,7 +53,7 @@ def affine_evaluator(graph, num_shards, injective=True):
 def assert_sharded_and_affine_agree(graph, query, num_shards, injective=True):
     """The satellite's dual assertion: the case must hold through
     ``ShardedMatcher`` directly AND through the affine slice path."""
-    reference = PatternMatcher(graph, injective=injective)
+    reference = PatternMatcher(graph, injective=injective, compiled=False)
     expected_count = reference.count(query)
     expected_matches = result_key(reference.match(query))
     sharded = ShardedMatcher(
@@ -323,12 +323,12 @@ class TestAffineProcessExecutor:
         with ProcessExecutor(
             affine_graph, max_workers=2, shards=2, placement="affine"
         ) as executor:
-            pids = executor.warm_up(barrier_s=0.05)
+            pids = executor.warm_up()
             assert len(pids) == 2
             assert len(set(pids)) == 2
 
     def test_counts_match_serial_matcher(self, affine_graph, affine_executor):
-        reference = PatternMatcher(affine_graph)
+        reference = PatternMatcher(affine_graph, compiled=False)
         queries = [
             typed_query("person", "workAt"),
             typed_query("person", "studyAt"),
@@ -346,7 +346,7 @@ class TestAffineProcessExecutor:
         assert affine_executor.run_queries([]) == []
 
     def test_count_sharded_value_identical(self, affine_graph, affine_executor):
-        reference = PatternMatcher(affine_graph)
+        reference = PatternMatcher(affine_graph, compiled=False)
         query = typed_query("person", "workAt")
         assert affine_executor.count_sharded(query) == reference.count(query)
         for limit in (1, 3, 50):
@@ -373,7 +373,7 @@ class TestAffineProcessExecutor:
         sharded = ShardedMatcher(
             GraphPartitioner(4).partition(affine_graph), executor=affine_executor
         )
-        reference = PatternMatcher(affine_graph)
+        reference = PatternMatcher(affine_graph, compiled=False)
         for query in (
             typed_query("person", "workAt"),
             typed_query("person", "missingEdgeType"),

@@ -148,7 +148,7 @@ class TestTracer:
         with pytest.raises(ValueError):
             with tracer.span("explain"):
                 raise ValueError("boom")
-        assert tracer._stack == []
+        assert tracer._open is None
         assert tracer.roots[0].attributes["error"] == "ValueError"
 
     def test_activate_installs_and_restores(self):

@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for the core data structures and
 metric invariants, plus the **randomized differential oracle suite**:
 seeded random graphs and queries run through every execution path --
-serial ``PatternMatcher`` (the oracle), the compiled CSR backend,
+the serial *interpreter* (``PatternMatcher(compiled=False)``, the oracle),
+the compiled CSR backend every other path now defaults to,
 ``ShardedMatcher`` at shard counts {1, 2, 4}, the thread-backed
 ``ParallelExecutor``, the asyncio-backed ``AsyncExecutor``, the
-shard-affine slice path and the compiled shard-affine slice path --
+interpreted shard-affine slice path and the compiled one --
 asserting count value-identity and match-set permutation-identity
 everywhere.  Seeds are fixed in-code so every failure reproduces."""
 
@@ -441,9 +442,12 @@ def assert_paths_agree(
     graph, query, injective, thread_pool, async_pool, limits=(1, 3), client=None
 ):
     """The single oracle assertion: every execution path must agree with
-    the serial matcher on counts (value-identity), match sets
+    the serial interpreter on counts (value-identity), match sets
     (permutation-identity) and bounded counts (value-identity)."""
-    oracle = PatternMatcher(graph, injective=injective)
+    # the reference is the interpreter, pinned: the default is compiled,
+    # and an unpinned oracle would compare the kernels with themselves
+    oracle = PatternMatcher(graph, injective=injective, compiled=False)
+    assert not oracle.compiled
     expected_count = oracle.count(query)
     oracle_count_steps = oracle.steps
     expected_matches = match_key(oracle.match(query))
@@ -508,11 +512,13 @@ def assert_paths_agree(
         # slice-local evaluation, coordinator fallback on misses (the
         # identical code path the affine ProcessExecutor workers run,
         # minus the process boundary; the boundary itself is covered by
-        # tests/test_affine.py)
+        # tests/test_affine.py).  Interpreted throughout: the slices'
+        # own accessors raise the misses
         affine = SliceEvaluator.for_sharded(
             sharded_graph,
             injective=injective,
-            fallback=ShardedMatcher(sharded_graph, injective=injective),
+            compiled=False,
+            fallback=ShardedMatcher(sharded_graph, injective=injective, compiled=False),
         )
         assert affine.count(query) == expected_count, context
         assert match_key(affine.match(query)) == expected_matches, context
@@ -623,10 +629,11 @@ class TestMutateBetweenQueries:
             assert_paths_agree(
                 graph, query, injective, thread_pool, async_pool, client=wire_client
             )
-            # the persistent matcher evaluates over the patched arrays
-            # and the retained programs; the kernels must still visit
-            # exactly a fresh interpreter's candidates
-            oracle = PatternMatcher(graph, injective=injective)
+            # the persistent matcher re-binds the patched arrays to the
+            # process-wide kernels; they must still visit exactly a
+            # fresh interpreter's candidates
+            oracle = PatternMatcher(graph, injective=injective, compiled=False)
+            assert not oracle.compiled
             expected = oracle.count(query)
             before = persistent.steps
             assert persistent.count(query) == expected, query.signature()

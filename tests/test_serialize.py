@@ -369,7 +369,7 @@ class TestShardWireRoundTrip:
             slice_ = shard_from_wire(
                 json.loads(json.dumps(shard_to_wire(sharded, index)))
             )
-            reference = PatternMatcher(graph, injective=False)
+            reference = PatternMatcher(graph, injective=False, compiled=False)
             rebuilt = PatternMatcher(slice_, injective=False)
             expected = reference.match(
                 q, edge_order=order, seed_restrict=slice_.vertex_ids

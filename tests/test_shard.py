@@ -228,7 +228,7 @@ class TestShardedMatcher:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_match_permutation_identical(self, tiny_graph, num_shards):
-        reference = PatternMatcher(tiny_graph)
+        reference = PatternMatcher(tiny_graph, compiled=False)
         sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
         for name, query in self.queries().items():
             if query.num_vertices == 0:
@@ -250,7 +250,7 @@ class TestShardedMatcher:
         x = q.add_vertex(predicates={"type": equals("node")})
         y = q.add_vertex(predicates={"type": equals("node")})
         q.add_edge(x, y, types={"likes"}, directions=BOTH_DIRECTIONS)
-        reference = PatternMatcher(g, injective=False)
+        reference = PatternMatcher(g, injective=False, compiled=False)
         sharded = ShardedMatcher(
             GraphPartitioner(num_shards).partition(g), injective=False
         )
@@ -258,7 +258,7 @@ class TestShardedMatcher:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_bounded_count_value_identical(self, tiny_graph, num_shards):
-        reference = PatternMatcher(tiny_graph)
+        reference = PatternMatcher(tiny_graph, compiled=False)
         sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
         query = typed_query("person", "workAt")
         for limit in (1, 2, 3, 100):
@@ -342,12 +342,33 @@ class TestProcessExecutor:
         assert process_executor.preferred_batch == 2
 
     def test_warm_up_spawns_distinct_workers(self, process_graph):
+        # no sleep to win: the two warm-up tasks meet at the pool's
+        # barrier, which one process alone can never pass
         with ProcessExecutor(process_graph, max_workers=2) as executor:
-            pids = executor.warm_up(barrier_s=0.1)
+            pids = executor.warm_up()
             assert len(set(pids)) == 2
+            # the barrier is cyclic and the workers stay: again, same pids
+            assert set(executor.warm_up()) == set(pids)
+
+    def test_warm_up_after_a_single_task_batch(self, process_graph):
+        # one task spawned one worker; warm-up must still bring the second
+        query = typed_query("person", "workAt")
+        with ProcessExecutor(process_graph, max_workers=2) as executor:
+            assert executor.run_queries([query]) == [
+                PatternMatcher(process_graph).count(query)
+            ]
+            assert len(set(executor.warm_up())) == 2
+
+    def test_warm_up_times_out_instead_of_hanging(self, process_graph):
+        with ProcessExecutor(process_graph, max_workers=2) as executor:
+            # nobody waits for the other: the barrier breaks at once
+            with pytest.raises(RuntimeError, match="not up within"):
+                executor.warm_up(timeout_s=0.0)
+            # the broken pool was closed; the next use builds a fresh one
+            assert len(set(executor.warm_up())) == 2
 
     def test_counts_match_in_process_matcher(self, process_graph, process_executor):
-        reference = PatternMatcher(process_graph)
+        reference = PatternMatcher(process_graph, compiled=False)
         queries = [
             typed_query("person", "workAt"),
             typed_query("person", "studyAt"),
@@ -365,7 +386,7 @@ class TestProcessExecutor:
         assert process_executor.run_queries([]) == []
 
     def test_count_sharded_value_identical(self, process_graph, process_executor):
-        reference = PatternMatcher(process_graph)
+        reference = PatternMatcher(process_graph, compiled=False)
         query = typed_query("person", "workAt")
         assert process_executor.count_sharded(query) == reference.count(query)
         for limit in (1, 3, 50):

@@ -35,7 +35,7 @@ def baseline_payload() -> dict:
         "compiled_match": {
             "speedup": 11.0,
             "rewrite_batch": {"speedup": 8.0},
-            "program_cache": {},
+            "program_cache": {"rewrite_batch": {"programs_compiled": 1}},
         },
         "candidate_batch": {"speedup_32": 6.0, "batches": {"32": {"serial_s": 1.0}}},
         "process_pool": {
@@ -273,6 +273,22 @@ class TestCompiledMatchGate:
         fresh["compiled_match"]["rewrite_batch"]["speedup"] = 1.0
         gate = check_trajectory(baseline, fresh)
         assert any("rewrite-batch" in f for f in gate.failures)
+
+    def test_rewrite_batch_kernel_count_has_an_absolute_ceiling(self):
+        """One program per variant again (32) fails whatever the baseline
+        recorded; a handful of shapes passes."""
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        counters = fresh["compiled_match"]["program_cache"]["rewrite_batch"]
+        counters["programs_compiled"] = 32
+        baseline["compiled_match"]["program_cache"]["rewrite_batch"][
+            "programs_compiled"
+        ] = 32  # a stale baseline cannot water the ceiling down
+        gate = check_trajectory(baseline, fresh)
+        assert any("kernels compiled" in f for f in gate.failures)
+        for allowed in (0, 4):
+            counters["programs_compiled"] = allowed
+            assert check_trajectory(baseline, fresh).failures == []
 
 
 class TestShardedExpansionGate:
