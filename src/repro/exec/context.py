@@ -187,13 +187,15 @@ class ExecutionContext:
 
         The matcher's :meth:`~repro.matching.matcher.PatternMatcher.cache_info`
         sections are extended with the query-result cache (App. B.2) under
-        ``["caches"]["results"]``.  The pre-unification top-level keys
+        ``["caches"]["results"]`` and the statistics' path(1) memo under
+        ``["caches"]["path1"]``.  The pre-unification top-level keys
         (``report["results"]``, ``report["plan"]``, ...) stay readable for
         one release behind a :class:`DeprecationWarning`.
         """
         info = self.matcher.cache_info()
         caches = dict(info["caches"])
         caches["results"] = self.cache.stats.as_dict()
+        caches["path1"] = self.statistics.memo_report()
         return unified_stats(
             caches=caches,
             csr=info["csr"],

@@ -57,7 +57,7 @@ from itertools import count as _counter
 from operator import eq
 from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.core.query import QueryEdge, QueryVertex
+from repro.core.query import Direction, QueryEdge, QueryVertex
 from repro.matching.candidates import attributes_match, vertex_candidates
 from repro.matching.evalcache import EvaluationCache, predicate_signature
 from repro.obs.tracing import SPAN_CSR_BUILD, current_tracer
@@ -386,6 +386,50 @@ class CSRIndex:
             self._edge_masks[sig] = mask
             self._edge_mask_preds[sig] = dict(predicates)
         return mask
+
+    # -- path(1) statistics ------------------------------------------------------
+
+    def path1_count(
+        self,
+        qedge: QueryEdge,
+        source: Optional[QueryVertex] = None,
+        target: Optional[QueryVertex] = None,
+        evalcache: Optional[EvaluationCache] = None,
+    ) -> int:
+        """Edges satisfying ``qedge``'s type set and predicates whose
+        endpoints satisfy ``source`` / ``target`` in at least one admitted
+        orientation: the count of the one-edge pattern under homomorphism
+        semantics (Sec. 5.2.3's path(1)).  An edge admitted by both
+        orientations, a self-loop included, counts once.  Without
+        endpoints this is the plain edge cardinality.
+
+        One pass over the admitted types' edge groups and the interned
+        masks; an absent mask (no predicates) reads as all ones.  The
+        masks are held for this call only, so a ``MASK_CAP`` recycle
+        between two of them is harmless.
+        """
+        emask = self.edge_mask(qedge)
+        masks = []
+        for qvertex in (source, target):
+            mask = None if qvertex is None else self.vertex_mask(qvertex, evalcache)
+            masks.append(b"\x01" * len(self.vid_of) if mask is None else mask)
+        smask, tmask = masks
+        if qedge.types is None:
+            groups: Iterable[Iterable[int]] = (range(len(self.eid_of)),)
+        else:
+            groups = [self._by_type.get(t, ()) for t in qedge.types]
+        forward = Direction.FORWARD in qedge.directions
+        backward = Direction.BACKWARD in qedge.directions
+        src, tgt = self.src, self.tgt
+        count = 0
+        for group in groups:
+            for eix in group if emask is None else filter(emask.__getitem__, group):
+                six, tix = src[eix], tgt[eix]
+                if (forward and smask[six] and tmask[tix]) or (
+                    backward and tmask[six] and smask[tix]
+                ):
+                    count += 1
+        return count
 
     # -- delta patching ----------------------------------------------------------
 

@@ -14,25 +14,57 @@ thesis computes query-dependent statistics on three granularities:
   vertex divides the product of their cardinalities by the number of data
   vertices admissible at the join vertex.
 
-Exact per-element statistics are cached by predicate signature, so
-repeated candidate scoring touches the graph only once per distinct
-constraint.  Vertex candidate sets come from the per-graph shared
-:class:`~repro.matching.evalcache.EvaluationCache`, so the statistics
-provider and the matcher never derive the same candidate set twice.
+Edge and path(1) statistics are one lookup on the graph's packed CSR
+image (:meth:`repro.matching.csr.CSRIndex.path1_count`), memoised by
+predicate signature so repeated candidate scoring touches the graph only
+once per distinct constraint; a write drops only the memo entries it can
+touch (``docs/delta_sync.md``).  Vertex candidate sets come from the
+per-graph shared :class:`~repro.matching.evalcache.EvaluationCache`, so
+the statistics provider and the matcher never derive the same candidate
+set twice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+import threading
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.delta import DeltaTouch, delta_touch
 from repro.core.graph import PropertyGraph
-from repro.core.query import Direction, GraphQuery, QueryEdge, QueryVertex
-from repro.matching.candidates import attributes_match
-from repro.matching.evalcache import EvaluationCache, shared_evaluation_cache
+from repro.core.query import GraphQuery, QueryEdge, QueryVertex
+from repro.matching.csr import csr_for, edge_predicate_signature
+from repro.matching.evalcache import (
+    CacheStats,
+    EvaluationCache,
+    predicate_signature,
+    shared_evaluation_cache,
+)
+
+#: bound on one provider's path(1) memo: a pooled execution context lives
+#: as long as its service and one why-so-many pass inserts ~1 400 keys.
+#: The oldest-inserted entry leaves when full
+PATH1_CAP = 4096
+
+
+def _touched(touch: DeltaTouch, key: Tuple) -> bool:
+    """Can the delta run change the count memoised under ``key``?
+    Conservative, like :func:`repro.core.delta.touch_affects_query`; the
+    types and attributes are read off the key itself."""
+    types, edge_preds, source_preds, target_preds, _directions = key
+    if touch.edges_added and (types is None or not touch.edge_types.isdisjoint(types)):
+        return True
+    if any(attr in touch.edge_attrs for attr, _ in edge_preds):
+        return True
+    return any(attr in touch.vertex_attrs for attr, _ in source_preds + target_preds)
 
 
 class GraphStatistics:
-    """Statistics provider bound to one data graph."""
+    """Statistics provider bound to one data graph.
+
+    One provider serves many request threads: memo validation, reads and
+    inserts run under a lock, the CSR lookup outside it (two threads
+    missing one key both compute -- benign).
+    """
 
     def __init__(
         self,
@@ -44,15 +76,73 @@ class GraphStatistics:
             evalcache if evalcache is not None else shared_evaluation_cache(graph)
         )
         self._version = graph.version
-        self._edge_cache: Dict[Hashable, int] = {}
-        self._path1_cache: Dict[Hashable, int] = {}
+        #: (edge types | None, edge / source / target predicate
+        #: signatures, directions) -> count
+        self._path1_cache: Dict[Tuple, int] = {}
+        self._lock = threading.Lock()
+        self.stats = CacheStats()
+        #: entries validation dropped / kept, summed over version bumps
+        self.dropped = 0
+        self.retained = 0
 
-    def _validate(self) -> None:
-        """Drop stale statistics when the graph has been mutated."""
-        if self.graph.version != self._version:
-            self._edge_cache.clear()
-            self._path1_cache.clear()
-            self._version = self.graph.version
+    def _validate_locked(self) -> None:
+        """Catch up with a mutated graph, delta-scoped: a new edge drops
+        the entries admitting its type (or any type), an attribute write
+        those whose predicates mention it.  Dropped, not patched: ``va``
+        records carry no old value and an entry is one lookup to redo.
+        No delta log (``ShardedGraph``) or an overrun ring drops all."""
+        version = self.graph.version
+        if version == self._version:
+            return
+        memo = self._path1_cache
+        deltas_since = getattr(self.graph, "deltas_since", None)
+        deltas = deltas_since(self._version) if deltas_since is not None else None
+        if deltas is None:
+            stale = list(memo)
+        else:
+            touch = delta_touch(deltas)
+            stale = [key for key in memo if _touched(touch, key)]
+        for key in stale:
+            del memo[key]
+        self.dropped += len(stale)
+        self.retained += len(memo)
+        self.stats.size = len(memo)
+        self._version = version
+
+    def _path1(
+        self,
+        qedge: QueryEdge,
+        source: Optional[QueryVertex] = None,
+        target: Optional[QueryVertex] = None,
+    ) -> int:
+        """Memoised :meth:`CSRIndex.path1_count`.  Every miss fetches the
+        index anew through :func:`csr_for` and keeps nothing of it, so
+        in-place patches and rebuilds are always seen."""
+        key = (
+            tuple(sorted(qedge.types)) if qedge.types is not None else None,
+            edge_predicate_signature(qedge),
+            predicate_signature(source) if source is not None else (),
+            predicate_signature(target) if target is not None else (),
+            tuple(sorted(d.value for d in qedge.directions)),
+        )
+        memo = self._path1_cache
+        with self._lock:
+            self._validate_locked()
+            cached = memo.get(key)
+            if cached is not None:
+                self.stats.hits += 1
+                return cached
+            self.stats.misses += 1
+            version = self._version
+        count = csr_for(self.graph).path1_count(qedge, source, target, self.evalcache)
+        with self._lock:
+            # a write validated in between would make this count stale
+            if version == self._version:
+                if len(memo) >= PATH1_CAP:
+                    del memo[next(iter(memo))]
+                memo[key] = count
+                self.stats.size = len(memo)
+        return count
 
     # -- vertex / edge statistics (Sec. 5.2.2) -------------------------------
 
@@ -66,27 +156,7 @@ class GraphStatistics:
 
         Endpoint constraints are ignored here; they belong to path(1).
         """
-        self._validate()
-        key = (
-            tuple(sorted(qedge.types)) if qedge.types is not None else None,
-            tuple(sorted((a, p.signature()) for a, p in qedge.predicates.items())),
-        )
-        cached = self._edge_cache.get(key)
-        if cached is not None:
-            return cached
-        if not qedge.predicates:
-            # pure type constraint: O(1) per-type counts, no edge scan
-            if qedge.types is None:
-                count = self.graph.num_edges
-            else:
-                count = sum(self.graph.num_edges_of_type(t) for t in qedge.types)
-        else:
-            count = 0
-            for record in self._edges_of_types(qedge.types):
-                if attributes_match(record.attributes, qedge.predicates):
-                    count += 1
-        self._edge_cache[key] = count
-        return count
+        return self._path1(qedge)
 
     # -- path statistics (Sec. 5.2.3) -------------------------------------------
 
@@ -97,42 +167,10 @@ class GraphStatistics:
         satisfy the source/target vertex predicates in at least one
         admitted orientation.
         """
-        self._validate()
         qedge = query.edge(eid)
-        source = query.vertex(qedge.source)
-        target = query.vertex(qedge.target)
-        key = (
-            tuple(sorted(qedge.types)) if qedge.types is not None else None,
-            tuple(sorted((a, p.signature()) for a, p in qedge.predicates.items())),
-            source.signature()[1],
-            target.signature()[1],
-            tuple(sorted(d.value for d in qedge.directions)),
+        return self._path1(
+            qedge, query.vertex(qedge.source), query.vertex(qedge.target)
         )
-        cached = self._path1_cache.get(key)
-        if cached is not None:
-            return cached
-
-        forward = Direction.FORWARD in qedge.directions
-        backward = Direction.BACKWARD in qedge.directions
-        count = 0
-        for record in self._edges_of_types(qedge.types):
-            if not attributes_match(record.attributes, qedge.predicates):
-                continue
-            src_attrs = self.graph.vertex_attributes(record.source)
-            tgt_attrs = self.graph.vertex_attributes(record.target)
-            hit = False
-            if forward:
-                hit = attributes_match(src_attrs, source.predicates) and (
-                    attributes_match(tgt_attrs, target.predicates)
-                )
-            if not hit and backward:
-                hit = attributes_match(src_attrs, target.predicates) and (
-                    attributes_match(tgt_attrs, source.predicates)
-                )
-            if hit:
-                count += 1
-        self._path1_cache[key] = count
-        return count
 
     def average_path1_cardinality(self, query: GraphQuery) -> float:
         """Mean path(1) cardinality over all query edges (Sec. 5.5.3)."""
@@ -171,21 +209,21 @@ class GraphStatistics:
         if query.num_vertices == 0:
             return 0.0
         estimate = 1.0
-        visited: set = set()
         for component in query.weakly_connected_components():
             estimate *= self._estimate_component(query, component)
-            visited |= component
         return estimate
 
     def _estimate_component(self, query: GraphQuery, vertices) -> float:
         in_tree: set = set()
         tree_edges: List[int] = []
         non_tree: List[int] = []
-        edges = sorted(
-            (eid for eid in query.edge_ids
-             if query.edge(eid).source in vertices),
-            key=lambda eid: -self.path1_cardinality(query, eid),
-        )
+        # one lookup per query edge and estimate
+        path1 = {
+            eid: self.path1_cardinality(query, eid)
+            for eid in query.edge_ids
+            if query.edge(eid).source in vertices
+        }
+        edges = sorted(path1, key=lambda eid: -path1[eid])
         # Greedy spanning tree preferring high-cardinality edges first so
         # the most significant joins anchor the estimate.
         root = min(vertices)
@@ -216,38 +254,28 @@ class GraphStatistics:
         joined: set = set()
         for eid in tree_edges:
             edge = query.edge(eid)
-            path1 = self.path1_cardinality(query, eid)
             if not joined:
-                estimate = float(path1)
+                estimate = float(path1[eid])
                 joined |= {edge.source, edge.target}
                 continue
             shared = edge.source if edge.source in joined else edge.target
             join_card = max(1, self.vertex_cardinality(query.vertex(shared)))
-            estimate *= path1 / join_card
+            estimate *= path1[eid] / join_card
             joined |= {edge.source, edge.target}
         for eid in non_tree:
             edge = query.edge(eid)
-            path1 = self.path1_cardinality(query, eid)
             denom = max(
                 1,
                 self.vertex_cardinality(query.vertex(edge.source))
                 * self.vertex_cardinality(query.vertex(edge.target)),
             )
-            estimate *= path1 / denom
+            estimate *= path1[eid] / denom
         # Isolated vertices of this component (no edges at all).
         for vid in vertices - in_tree:
             estimate *= self.vertex_cardinality(query.vertex(vid))
         return estimate
 
     # -- helpers -----------------------------------------------------------------
-
-    def _edges_of_types(self, types) -> Iterable:
-        if types is None:
-            yield from self.graph.edges()
-            return
-        for t in types:
-            for eid in self.graph.edges_of_type(t):
-                yield self.graph.edge(eid)
 
     @staticmethod
     def _shared_vertex(query: GraphQuery, eid_a: int, eid_b: int) -> int:
@@ -262,10 +290,14 @@ class GraphStatistics:
         """Sizes of the statistic caches (Appendix B.2 reporting).
 
         ``vertex`` reports the shared evaluation cache (candidate sets by
-        predicate signature), which this provider populates and reads.
+        predicate signature), which this provider populates and reads;
+        ``edge`` the memo entries without endpoint constraints.
         """
-        return {
-            "vertex": len(self.evalcache),
-            "edge": len(self._edge_cache),
-            "path1": len(self._path1_cache),
-        }
+        with self._lock:
+            keys = list(self._path1_cache)
+        edge = sum(1 for key in keys if not (key[2] or key[3]))
+        return {"vertex": len(self.evalcache), "edge": edge, "path1": len(keys) - edge}
+
+    def memo_report(self) -> Dict[str, float]:
+        """The path(1) memo's ``cache_report()["caches"]["path1"]`` row."""
+        return {**self.stats.as_dict(), "dropped": self.dropped, "retained": self.retained}

@@ -1089,6 +1089,7 @@ class WhyQueryService:
             caches = {
                 "results": {"hits": 0, "misses": 0},
                 "vertex_candidates": {"hits": 0, "misses": 0},
+                "path1": {"hits": 0, "misses": 0, "dropped": 0, "retained": 0},
             }
             matcher = {"calls": 0, "steps": 0}
             csr = csr_section({})
@@ -1115,10 +1116,9 @@ class WhyQueryService:
                 }
             for entry in self._pool.values():
                 report = entry.context.cache_report()
-                for layer in ("results", "vertex_candidates"):
-                    layer_stats = report["caches"][layer]
-                    caches[layer]["hits"] += int(layer_stats["hits"])
-                    caches[layer]["misses"] += int(layer_stats["misses"])
+                for layer, layer_totals in caches.items():
+                    for key in layer_totals:
+                        layer_totals[key] += int(report["caches"][layer][key])
                 matcher["calls"] += int(report["matcher"]["calls"])
                 matcher["steps"] += int(report["matcher"]["steps"])
                 for key in csr:

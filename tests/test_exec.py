@@ -78,7 +78,7 @@ class TestExecutionContext:
             "metrics",
             "matcher",
         }
-        assert set(report["caches"]) == {"plan", "vertex_candidates", "results"}
+        assert set(report["caches"]) == {"plan", "vertex_candidates", "results", "path1"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
         # the pre-unification keys stay readable behind the shim

@@ -181,3 +181,35 @@ class TestWiringDeprecation:
             warnings.simplefilter("error", DeprecationWarning)
             resolve_spine(None, ctx)
             resolve_spine(g, None)
+
+
+class TestStatisticsMemoLayer:
+    """``["caches"]["path1"]``: the one cache ``cache_report()`` used to
+    omit -- "why was this explain slow after a write" from ``stats()``."""
+
+    KEYS = {"hits", "misses", "size", "hit_rate", "dropped", "retained"}
+
+    def test_cache_report_and_service_stats_carry_the_memo(self):
+        failing = typed_query()
+        failing.vertex(1).predicates["name"] = equals("nowhere")
+        with WhyQueryService() as service:
+            g = tiny_graph()
+            service.explain(g, failing)
+            (per_graph,) = service.stats()["per_graph"]
+            layer = per_graph["cache_report"]["caches"]["path1"]
+            assert set(layer) == self.KEYS
+            assert layer["misses"] >= 1 and layer["size"] >= 1
+            assert layer["dropped"] == layer["retained"] == 0
+
+            g.add_vertex(bench_label="bench")  # nothing a statistic mentions
+            service.explain(g, failing)
+            g.add_edge(0, 2, "workAt")  # every workAt statistic
+            service.explain(g, failing)
+            stats = service.stats()
+            totals = stats["caches"]["path1"]
+            assert set(totals) == {"hits", "misses", "dropped", "retained"}
+            assert totals["retained"] >= 1 and totals["dropped"] >= 1
+            (per_graph,) = stats["per_graph"]
+            layer = per_graph["cache_report"]["caches"]["path1"]
+            assert {key: layer[key] for key in totals} == totals
+            assert json.loads(json.dumps(stats))["caches"]["path1"] == totals
