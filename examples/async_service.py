@@ -1,8 +1,8 @@
 """Async serving with admission control: a why-query burst in asyncio.
 
 A deployment-shaped tour of the service layer: one ``WhyQueryService``
-wired with an ``AsyncExecutor`` (candidate counts overlap on an event
-loop under an in-flight cap) and a ``BudgetPool`` (every request leases
+behind its async front door (``explain_async``: each request is one hop
+onto a bounded request pool) with a ``BudgetPool`` (every request leases
 its evaluation budget from a bounded global pool, so a traffic burst
 degrades to smaller searches and queued admissions instead of unbounded
 work).  A burst of concurrent ``explain_async`` requests over two hot
@@ -15,7 +15,6 @@ Run:  python examples/async_service.py
 import asyncio
 
 from repro import (
-    AsyncExecutor,
     BudgetPool,
     GraphQuery,
     PropertyGraph,
@@ -46,7 +45,7 @@ person = query.add_vertex(predicates={"type": equals("person")})
 university = query.add_vertex(predicates={"type": equals("university")})
 query.add_edge(person, university, types={"foundedBy"})
 
-# -- 2. the service: async executor + bounded budget pool --------------------
+# -- 2. the service: async front door + bounded budget pool ------------------
 
 # the pool admits ~8 full requests' worth of evaluations at a time; a
 # heavier burst queues (up to 64 waiters) instead of being rejected
@@ -56,45 +55,37 @@ BURST = 24
 
 
 async def main() -> None:
-    with AsyncExecutor(max_in_flight=32) as executor:
-        with WhyQueryService(
-            executor=executor,
-            budget_pool=pool,
-            max_async_requests=16,
-        ) as service:
-            # -- 3. a burst of concurrent requests over both graphs ----------
-            reports = await asyncio.gather(
-                *(
-                    service.explain_async(graphs[i % 2], query, explain=False)
-                    for i in range(BURST)
-                )
+    with WhyQueryService(budget_pool=pool, max_async_requests=16) as service:
+        # -- 3. a burst of concurrent requests over both graphs --------------
+        reports = await asyncio.gather(
+            *(
+                service.explain_async(graphs[i % 2], query, explain=False)
+                for i in range(BURST)
             )
+        )
 
-            first = reports[0]
-            print(f"{BURST} concurrent requests debugged")
-            print(f"problem: {first.problem.value}")
-            best = first.rewriting.best
-            print(f"best fix: {best.describe()}")
-            print()
+        first = reports[0]
+        print(f"{BURST} concurrent requests debugged")
+        print(f"problem: {first.problem.value}")
+        best = first.rewriting.best
+        print(f"best fix: {best.describe()}")
+        print()
 
-            stats = service.stats()
-            admission = stats["admission"]
-            print("service stats:")
-            print(f"  explain calls:     {stats['service']['explain_calls']}")
-            print(f"  warm contexts:     {stats['service']['contexts_live']}")
-            print(f"  result-cache hits: {stats['caches']['results']['hits']}")
-            print("admission control:")
-            print(f"  admitted:          {admission['admitted']}")
-            print(f"  queued waits:      {admission['queued_waits']}")
-            print(f"  rejected:          {admission['rejected']}")
-            print(f"  peak budget use:   {admission['peak_in_use']}/{pool.total}")
-            print(
-                f"  evaluations spent: {admission['evaluations_spent']} "
-                f"of {admission['evaluations_granted']} granted"
-            )
-            print("async executor:")
-            print(f"  counts overlapped: {stats['executor']['tasks_started']}")
-            print(f"  peak in flight:    {stats['executor']['peak_in_flight']}")
+        stats = service.stats()
+        admission = stats["admission"]
+        print("service stats:")
+        print(f"  explain calls:     {stats['service']['explain_calls']}")
+        print(f"  warm contexts:     {stats['service']['contexts_live']}")
+        print(f"  result-cache hits: {stats['caches']['results']['hits']}")
+        print("admission control:")
+        print(f"  admitted:          {admission['admitted']}")
+        print(f"  queued waits:      {admission['queued_waits']}")
+        print(f"  rejected:          {admission['rejected']}")
+        print(f"  peak budget use:   {admission['peak_in_use']}/{pool.total}")
+        print(
+            f"  evaluations spent: {admission['evaluations_spent']} "
+            f"of {admission['evaluations_granted']} granted"
+        )
 
 
 asyncio.run(main())

@@ -31,9 +31,8 @@ Execution spine
     :class:`~repro.exec.ExecutionContext` bundles the per-graph
     evaluation stack every engine shares;
     :class:`~repro.exec.CandidateEvaluator` evaluates candidate batches
-    through :class:`~repro.exec.SerialExecutor` /
-    :class:`~repro.exec.ParallelExecutor` /
-    :class:`~repro.exec.AsyncExecutor`.
+    through :class:`~repro.exec.SerialExecutor` (batch size 1) or the
+    process pool below (batch size = worker count).
 Sharding & process parallelism
     :class:`~repro.shard.GraphPartitioner` splits a graph into
     vertex-range :class:`~repro.shard.GraphShard` blocks behind the
@@ -82,11 +81,9 @@ from repro.core import (
     one_of,
 )
 from repro.exec import (
-    AsyncExecutor,
     CandidateEvaluator,
     EvaluationBudget,
     ExecutionContext,
-    ParallelExecutor,
     SerialExecutor,
     execution_context,
 )
@@ -115,11 +112,10 @@ from repro.client import (
 )
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "AdmissionRejected",
-    "AsyncExecutor",
     "AsyncWhyQueryClient",
     "BOTH_DIRECTIONS",
     "BudgetPool",
@@ -133,7 +129,6 @@ __all__ = [
     "GraphQuery",
     "GraphShard",
     "Interval",
-    "ParallelExecutor",
     "PatternMatcher",
     "Predicate",
     "ProcessExecutor",

@@ -8,30 +8,26 @@ attribute domain, preference models) so every engine constructs itself
 :class:`CandidateEvaluator` evaluates batches of independent query
 variants through a pluggable executor under a shared
 :class:`EvaluationBudget`.  Executors: :class:`SerialExecutor` (one
-task after another), :class:`ParallelExecutor` (thread pool) and
-:class:`AsyncExecutor` (asyncio event loop with an in-flight cap, the
-serving-scale strategy).
+task after another, in the calling thread) and anything else speaking
+the :class:`BatchExecutor` protocol -- the process-backed
+:class:`~repro.shard.ProcessExecutor` is the one other implementation.
 """
 
-from repro.exec.async_executor import AsyncExecutor
 from repro.exec.context import ExecutionContext, execution_context
 from repro.exec.evaluator import (
     BatchExecutor,
     CandidateEvaluator,
     EvaluatedCandidate,
     EvaluationBudget,
-    ParallelExecutor,
     SerialExecutor,
 )
 
 __all__ = [
-    "AsyncExecutor",
     "BatchExecutor",
     "CandidateEvaluator",
     "EvaluatedCandidate",
     "EvaluationBudget",
     "ExecutionContext",
-    "ParallelExecutor",
     "SerialExecutor",
     "execution_context",
 ]

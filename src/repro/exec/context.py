@@ -39,9 +39,8 @@ long-lived context survives graph mutation without serving stale counts.
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
@@ -53,7 +52,7 @@ from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import AttributeDomain
 from repro.rewrite.preference_model import RewritePreferenceModel
 from repro.rewrite.statistics import GraphStatistics
-from repro.stats import StatsReport, unified_stats
+from repro.stats import unified_stats
 
 __all__ = ["ExecutionContext", "execution_context"]
 
@@ -70,7 +69,6 @@ class ExecutionContext:
         self,
         graph: PropertyGraph,
         injective: bool = True,
-        typed_adjacency: bool = True,
         compiled: bool = True,
         matcher: Optional[PatternMatcher] = None,
         cache: Optional[QueryResultCache] = None,
@@ -84,12 +82,7 @@ class ExecutionContext:
         self.matcher = (
             matcher
             if matcher is not None
-            else PatternMatcher(
-                graph,
-                injective=injective,
-                typed_adjacency=typed_adjacency,
-                compiled=compiled,
-            )
+            else PatternMatcher(graph, injective=injective, compiled=compiled)
         )
         if self.matcher.graph is not graph:
             raise ValueError("matcher is bound to a different graph")
@@ -153,20 +146,6 @@ class ExecutionContext:
         """Cached bounded cardinality of ``query`` (the hot entry point)."""
         return self.cache.count(query, limit=limit)
 
-    async def count_async(self, query: GraphQuery, limit: Optional[int] = None) -> int:
-        """Awaitable :meth:`count` for async serving paths.
-
-        Async-native result caches (e.g. one backed by network storage,
-        exposing ``count_async``) are awaited directly; the stock
-        in-memory :class:`~repro.rewrite.cache.QueryResultCache` is
-        offloaded with :func:`asyncio.to_thread` so the event loop stays
-        responsive while the matcher runs.
-        """
-        cache = self.cache
-        if hasattr(cache, "count_async"):
-            return await cache.count_async(query, limit=limit)
-        return await asyncio.to_thread(cache.count, query, limit)
-
     def attribute_domain(self) -> AttributeDomain:
         """The value-proposal domain, refreshed if the graph was mutated.
 
@@ -182,15 +161,13 @@ class ExecutionContext:
 
     # -- reporting ------------------------------------------------------------
 
-    def cache_report(self) -> StatsReport:
+    def cache_report(self) -> Dict[str, Any]:
         """Every cache layer plus matcher effort, in the unified schema.
 
         The matcher's :meth:`~repro.matching.matcher.PatternMatcher.cache_info`
         sections are extended with the query-result cache (App. B.2) under
         ``["caches"]["results"]`` and the statistics' path(1) memo under
-        ``["caches"]["path1"]``.  The pre-unification top-level keys
-        (``report["results"]``, ``report["plan"]``, ...) stay readable for
-        one release behind a :class:`DeprecationWarning`.
+        ``["caches"]["path1"]``.
         """
         info = self.matcher.cache_info()
         caches = dict(info["caches"])
@@ -202,19 +179,6 @@ class ExecutionContext:
             programs=info["programs"],
             deltas=info["deltas"],
             extra={"matcher": info["matcher"]},
-            legacy={
-                "plan": caches["plan"],
-                "vertex_candidates": caches["vertex_candidates"],
-                "results": caches["results"],
-                "programs": info["programs"],
-            },
-            hints={
-                "plan": "['caches']['plan']",
-                "vertex_candidates": "['caches']['vertex_candidates']",
-                "results": "['caches']['results']",
-                "programs": "['programs'] and ['csr']",
-            },
-            surface="cache_report()",
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

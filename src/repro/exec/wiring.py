@@ -1,9 +1,10 @@
 """Component resolution shared by the engines' constructors.
 
-Every engine accepts the same three-way wiring choice: explicit
-components win, then the :class:`~repro.exec.context.ExecutionContext`'s
-spine, then fresh per-engine wiring.  :func:`resolve_spine` implements
-that precedence once so the engines cannot drift apart.
+Every engine accepts the same wiring choice: an
+:class:`~repro.exec.context.ExecutionContext` *is* the spine; without
+one, explicit components win over fresh per-engine wiring.
+:func:`resolve_spine` implements that precedence once so the engines
+cannot drift apart.
 
 The ``context`` argument is duck-typed (anything exposing ``graph``,
 ``matcher``, ``cache``, ``statistics``) rather than imported, which keeps
@@ -14,7 +15,6 @@ this module a leaf: it can be imported from ``repro.rewrite`` /
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Tuple
 
 from repro.core.graph import PropertyGraph
@@ -35,37 +35,30 @@ def resolve_spine(
     """Resolve ``(graph, matcher, cache, statistics)`` for one engine.
 
     Raises :class:`ValueError` when neither ``graph`` nor ``context`` is
-    given, or when both are given but disagree.
-
-    Passing individual components (``matcher`` / ``cache`` /
-    ``statistics``) alongside a ``context`` is deprecated: the context
-    *is* the spine, and overriding one layer of it silently forfeits the
-    shared caches the other layers assume.  Build a dedicated
-    ``ExecutionContext`` with the desired components instead.
+    given, when both are given but disagree, or when a component
+    (``matcher`` / ``cache`` / ``statistics``) is passed alongside a
+    ``context`` and is not the context's own: overriding one layer of
+    the spine forfeits the shared caches the other layers assume.  Wrap
+    the component in a dedicated ``ExecutionContext`` instead.
     """
     if graph is None and context is None:
         raise ValueError("either graph or context is required")
-    if context is not None and any(
-        component is not None for component in (matcher, cache, statistics)
-    ):
-        warnings.warn(
-            "passing matcher=/cache=/statistics= alongside context= is "
-            "deprecated; wire a dedicated ExecutionContext instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
     if context is not None:
         if graph is not None and graph is not context.graph:
             raise ValueError("graph and context.graph differ")
-        graph = context.graph
+        for name, component in (
+            ("matcher", matcher), ("cache", cache), ("statistics", statistics)
+        ):
+            if component is not None and component is not getattr(context, name):
+                raise ValueError(
+                    f"{name} and context are mutually exclusive; wrap the "
+                    f"{name} in its own ExecutionContext instead"
+                )
+        return context.graph, context.matcher, context.cache, context.statistics
     if matcher is None:
-        matcher = context.matcher if context is not None else PatternMatcher(graph)
+        matcher = PatternMatcher(graph)
     if cache is None:
-        cache = context.cache if context is not None else QueryResultCache(matcher)
+        cache = QueryResultCache(matcher)
     if statistics is None:
-        statistics = (
-            context.statistics
-            if context is not None
-            else GraphStatistics(graph, evalcache=matcher.evalcache)
-        )
+        statistics = GraphStatistics(graph, evalcache=matcher.evalcache)
     return graph, matcher, cache, statistics

@@ -109,7 +109,7 @@ class TraverseSearchTree:
         #: request tracer; ``None`` resolves the ambient one per search
         self.tracer = tracer
         self.threshold = threshold
-        # explicit components win, then the context's spine, then fresh wiring
+        # the context's spine, else explicit components over fresh wiring
         self.graph, self.matcher, self.cache, self.statistics = resolve_spine(
             graph, context, matcher=matcher, cache=cache, statistics=statistics
         )
@@ -134,7 +134,8 @@ class TraverseSearchTree:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         #: sibling modifications evaluated per batch; defaults to the
-        #: executor's preferred batch (1 serial, worker count parallel)
+        #: executor's preferred batch (1 serial, worker count for the
+        #: process pool)
         self.batch_size = batch_size
         #: externally managed evaluation allowance (e.g. a per-request
         #: lease carved from a service-level budget pool); when given it
@@ -249,11 +250,11 @@ class TraverseSearchTree:
                 continue
             # Unseen sibling modifications are evaluated in batches of
             # `batch_size` (truncated to the remaining budget) so a
-            # parallel executor can overlap their evaluation.  Results are
+            # process-pool executor can overlap their evaluation.  Results are
             # folded back in the re-arranged branch order and the search
             # stops between batches once a variant converged, keeping the
             # serial (batch 1) trajectory identical to the sequential
-            # formulation and the parallel one deterministic.
+            # formulation and the batched one deterministic.
             siblings: List[Tuple[Modification, GraphQuery]] = []
             batch_sigs = set()
             for op, child_query in self._ordered_expansions(

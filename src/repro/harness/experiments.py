@@ -11,7 +11,6 @@ All drivers are deterministic given their ``seed`` arguments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

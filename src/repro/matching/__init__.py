@@ -3,7 +3,6 @@ and the compiled CSR/program backend."""
 
 from repro.matching.candidates import (
     attributes_match,
-    edge_matches,
     estimate_edge_candidates,
     estimate_vertex_candidates,
     vertex_candidates,
@@ -33,7 +32,6 @@ __all__ = [
     "compiled_program",
     "csr_for",
     "csr_stats",
-    "edge_matches",
     "estimate_edge_candidates",
     "estimate_vertex_candidates",
     "plan_cache_stats",

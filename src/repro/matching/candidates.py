@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, Mapping, Optional
 
-from repro.core.graph import EdgeRecord, PropertyGraph
+from repro.core.graph import PropertyGraph
 from repro.core.predicates import Predicate, ValueSet
 from repro.core.query import QueryEdge, QueryVertex
 
@@ -36,16 +36,6 @@ def attributes_match(
 def vertex_matches(graph: PropertyGraph, vid: int, qvertex: QueryVertex) -> bool:
     """Check one data vertex against one query vertex's predicates."""
     return attributes_match(graph.vertex_attributes(vid), qvertex.predicates)
-
-
-def edge_matches(record: EdgeRecord, qedge: QueryEdge) -> bool:
-    """Check one data edge against a query edge's type set and predicates.
-
-    Direction handling is the matcher's job; this checks content only.
-    """
-    if qedge.types is not None and record.type not in qedge.types:
-        return False
-    return attributes_match(record.attributes, qedge.predicates)
 
 
 def vertex_candidates(

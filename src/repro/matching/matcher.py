@@ -24,14 +24,13 @@ reports the shared plan/candidate cache counters next to them.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import Direction, GraphQuery, QueryEdge
 from repro.core.result import ResultGraph, ResultSet
 from repro.matching.candidates import (
     attributes_match,
-    edge_matches,
     vertex_matches,
 )
 from repro.matching.csr import csr_stats
@@ -53,7 +52,6 @@ from repro.matching.program import (
 )
 from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, current_tracer
 from repro.stats import (
-    StatsReport,
     csr_section,
     deltas_section,
     programs_section,
@@ -70,21 +68,13 @@ class PatternMatcher:
     plan cache by default, so independently constructed engines reuse each
     other's derivations; pass ``evalcache`` to isolate a matcher.
 
-    ``typed_adjacency=False`` disables the type-partitioned expansion and
-    falls back to scanning all incident edges with a per-edge type test
-    (the pre-optimisation behaviour; kept for benchmarking and as a
-    correctness oracle).
-
     ``compiled=True`` (the default) routes ``match``/``count``/``exists``
     through the compiled backend: the memoised plan is bound to a
     shape-keyed kernel over interned CSR arrays
     (:mod:`repro.matching.program`), visiting exactly the candidates
     the interpreter visits -- ``steps`` totals are identical on
     unbounded evaluations.  ``compiled=False`` interprets: the reference
-    semantics every differential test compares against.  The compiled
-    mode requires the typed adjacency; a ``typed_adjacency=False``
-    matcher always interprets, keeping the oracle configuration
-    oracle-shaped.
+    semantics every differential test compares against.
     """
 
     def __init__(
@@ -92,7 +82,6 @@ class PatternMatcher:
         graph: PropertyGraph,
         injective: bool = True,
         evalcache: Optional[EvaluationCache] = None,
-        typed_adjacency: bool = True,
         compiled: bool = True,
     ) -> None:
         self.graph = graph
@@ -100,51 +89,29 @@ class PatternMatcher:
         self.evalcache = (
             evalcache if evalcache is not None else shared_evaluation_cache(graph)
         )
-        self.typed_adjacency = typed_adjacency
-        self.compiled = bool(compiled) and typed_adjacency
+        self.compiled = bool(compiled)
         #: number of match/count/exists invocations served
         self.calls = 0
         #: cumulative number of binding attempts (search effort)
         self.steps = 0
 
-    def cache_info(self) -> "StatsReport":
+    def cache_info(self) -> Dict[str, Any]:
         """Cache and compilation counters in the unified stats schema.
 
         Emits the :mod:`repro.stats` sections (``caches`` holds the
         ``plan`` and ``vertex_candidates`` layers, ``csr``/``programs``
-        the compilation counters -- zeros until a compiled run).  The
-        pre-unification keys (``cache_info()["plan"]``,
-        ``cache_info()["programs"]["programs_compiled"]``, ...) stay
-        readable for one release behind a :class:`DeprecationWarning`.
+        the compilation counters -- zeros until a compiled run).
         """
         flat = csr_stats(self.graph)
-        caches = {
-            "plan": plan_cache_stats(self.graph).as_dict(),
-            "vertex_candidates": self.evalcache.stats.as_dict(),
-        }
-        programs = StatsReport(
-            programs_section(flat),
-            legacy=flat,
-            hints={key: "['programs']['compiled'/'hits'/'fallbacks'] or ['csr']" for key in flat},
-            surface="cache_info()['programs']",
-        )
         return unified_stats(
-            caches=caches,
+            caches={
+                "plan": plan_cache_stats(self.graph).as_dict(),
+                "vertex_candidates": self.evalcache.stats.as_dict(),
+            },
             csr=csr_section(flat),
-            programs=programs,
+            programs=programs_section(flat),
             deltas=deltas_section(applied=flat.get("deltas_applied", 0)),
             extra={"matcher": {"calls": self.calls, "steps": self.steps}},
-            legacy={
-                "plan": caches["plan"],
-                "vertex_candidates": caches["vertex_candidates"],
-                "programs": programs,
-            },
-            hints={
-                "plan": "['caches']['plan']",
-                "vertex_candidates": "['caches']['vertex_candidates']",
-                "programs": "['programs'] and ['csr']",
-            },
-            surface="cache_info()",
         )
 
     # -- compiled routing -------------------------------------------------------
@@ -379,7 +346,7 @@ class PatternMatcher:
         anchor_is_source = step.anchor == qedge.source
         # the typed adjacency walk already filtered edge types, so only the
         # edge predicates remain to be checked per candidate
-        type_prefiltered = self.typed_adjacency and qedge.types is not None
+        predicates = qedge.predicates
 
         for data_eid, data_other in self._incident_candidates(
             anchor_data, anchor_is_source, qedge
@@ -387,13 +354,9 @@ class PatternMatcher:
             self.steps += 1
             if self.injective and data_eid in used_edges:
                 continue
-            record = self.graph.edge(data_eid)
-            if type_prefiltered:
-                if qedge.predicates and not attributes_match(
-                    record.attributes, qedge.predicates
-                ):
-                    continue
-            elif not edge_matches(record, qedge):
+            if predicates and not attributes_match(
+                self.graph.edge(data_eid).attributes, predicates
+            ):
                 continue
             if step.new_vid is None:
                 # Both endpoints bound: the edge must connect them.
@@ -453,11 +416,7 @@ class PatternMatcher:
         edge = graph.edge
         # sorted for deterministic enumeration order (frozenset iteration
         # varies with PYTHONHASHSEED; steps counters are reproducible records)
-        types = (
-            sorted(qedge.types)
-            if self.typed_adjacency and qedge.types is not None
-            else None
-        )
+        types = sorted(qedge.types) if qedge.types is not None else None
         if want_out:
             if types is None:
                 for eid in graph.out_edges(anchor_data):

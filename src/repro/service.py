@@ -14,23 +14,20 @@ request throws the shared evaluation state away between requests; the
   evaluation stack underneath keeps all per-call state on the stack, so
   concurrent ``explain()`` calls over the same graph are safe (CPython
   dict/counter mutation is atomic under the GIL);
-* optional batched candidate evaluation: give the service a
-  :class:`~repro.exec.evaluator.ParallelExecutor` (thread overlap) or an
-  :class:`~repro.exec.async_executor.AsyncExecutor` (event-loop overlap
-  under an in-flight cap) and every rewriting search it runs drains its
-  candidates in executor-sized batches;
+* serial candidate evaluation by default (batch size 1: the searches
+  are sequential best-first, each count decides what is generated next);
 * **CPU-parallel evaluation** with ``executor="process"``: every pooled
   graph gets its own :class:`~repro.shard.ProcessExecutor` (a warm
   worker-process pool built from a snapshot of that graph, optionally
   sharded via ``shards=N``), created with the graph's pool slot and
-  shut down on eviction -- pure-Python rewriting work finally scales
-  with cores instead of stalling on the coordinator's GIL;
+  shut down on eviction -- the searches drain worker-count-sized
+  batches, so pure-Python rewriting work scales with cores instead of
+  stalling on the coordinator's GIL;
 * a **native async front door** -- :meth:`WhyQueryService.explain_async`
   / :meth:`WhyQueryService.open_session_async` -- so an asyncio
-  deployment can keep thousands of why-queries in flight: requests
-  occupy one slot of a bounded request pool while their *candidate
-  counts* overlap on the executor's event loop without one thread per
-  count;
+  deployment can keep thousands of why-queries in flight: each request
+  is one hop onto a bounded request pool, so a burst degrades to
+  queueing instead of thousands of threads;
 * **service-level admission control**: a :class:`BudgetPool` carves a
   per-request :class:`~repro.exec.evaluator.EvaluationBudget` out of a
   bounded global evaluation pool (fair-share split across the requests
@@ -80,7 +77,6 @@ from repro.persist import (
 )
 from repro.shard.process_executor import ProcessExecutor
 from repro.stats import (
-    StatsReport,
     csr_section,
     deltas_section,
     programs_section,
@@ -577,7 +573,6 @@ class WhyQueryService:
                         max_workers=self.process_workers,
                         shards=self.shards,
                         injective=context.matcher.injective,
-                        typed_adjacency=context.matcher.typed_adjacency,
                         placement=self.placement,
                         compiled=context.matcher.compiled,
                     )
@@ -980,11 +975,9 @@ class WhyQueryService:
         The request executes on the service's bounded request pool
         (``max_async_requests`` slots), so thousands of concurrent
         ``explain_async`` calls degrade to queueing instead of thousands
-        of threads; with an :class:`~repro.exec.async_executor.AsyncExecutor`
-        wired in, the candidate counts *inside* each slot overlap on the
-        executor's event loop without one thread per count.  Admission
-        control applies exactly as in :meth:`explain` --
-        :class:`AdmissionRejected` propagates through the awaitable.
+        of threads.  Admission control applies exactly as in
+        :meth:`explain` -- :class:`AdmissionRejected` propagates through
+        the awaitable.
         """
         loop = asyncio.get_running_loop()
         with self._lock:
@@ -1056,7 +1049,7 @@ class WhyQueryService:
 
     # -- reporting ------------------------------------------------------------
 
-    def stats(self) -> StatsReport:
+    def stats(self) -> Dict[str, object]:
         """Aggregated counters over all live contexts, unified schema.
 
         Emits the :mod:`repro.stats` sections -- ``caches``/``csr``/
@@ -1068,10 +1061,7 @@ class WhyQueryService:
         counters) -- plus the
         service-specific ``service`` (throughput), ``matcher``,
         ``executor`` and ``per_graph`` keys.  This is exactly what the
-        protocol ``stats`` message serves.  The pre-unification keys
-        (``stats()["totals"]``, ``stats()["process_pools"]``,
-        ``stats()["explain_calls"]``, ...) stay readable for one release
-        behind a :class:`DeprecationWarning`.
+        protocol ``stats`` message serves.
         """
         admission = self.budget_pool.stats() if self.budget_pool else None
         executor_info = None
@@ -1176,29 +1166,6 @@ class WhyQueryService:
                 "uptime_seconds": uptime,
                 "requests_per_second": requests / uptime if uptime > 0 else 0.0,
             }
-            totals = {
-                "result_hits": caches["results"]["hits"],
-                "result_misses": caches["results"]["misses"],
-                "candidate_hits": caches["vertex_candidates"]["hits"],
-                "candidate_misses": caches["vertex_candidates"]["misses"],
-                "matcher_calls": matcher["calls"],
-                "matcher_steps": matcher["steps"],
-                "programs_compiled": programs["compiled"],
-                "program_hits": programs["hits"],
-                "program_fallbacks": programs["fallbacks"],
-                "csr_builds": csr["builds"],
-                "csr_bytes": csr["bytes"],
-                "csr_patches": csr["patches"],
-                "csr_rebuilds": csr["rebuilds"],
-                "csr_evictions": csr["evictions"],
-                "deltas_applied": deltas["applied"],
-            }
-            legacy: Dict[str, object] = dict(service)
-            legacy["totals"] = totals
-            legacy["process_pools"] = pools
-            hints = {key: f"['service'][{key!r}]" for key in service}
-            hints["totals"] = "['caches']/['csr']/['programs']/['deltas']"
-            hints["process_pools"] = "['pools']"
             return unified_stats(
                 caches=caches,
                 csr=csr,
@@ -1214,7 +1181,4 @@ class WhyQueryService:
                     "per_graph": per_graph,
                     "persistence": persistence,
                 },
-                legacy=legacy,
-                hints=hints,
-                surface="WhyQueryService.stats()",
             )

@@ -516,7 +516,6 @@ class SliceEvaluator:
         self,
         slices: Mapping[int, ShardSlice],
         injective: bool = True,
-        typed_adjacency: bool = True,
         fallback: Optional[object] = None,
         compiled: bool = True,
     ) -> None:
@@ -525,7 +524,6 @@ class SliceEvaluator:
         self.slices: Dict[int, ShardSlice] = dict(slices)
         self.num_shards = next(iter(self.slices.values())).num_shards
         self.injective = injective
-        self.typed_adjacency = typed_adjacency
         self.compiled = compiled
         #: coordinator-side resolver for missed blocks -- anything
         #: exposing ``count_shard(index, query, limit)`` and a
@@ -537,7 +535,6 @@ class SliceEvaluator:
             index: PatternMatcher(
                 slice_,
                 injective=injective,
-                typed_adjacency=typed_adjacency,
                 compiled=compiled,
             )
             for index, slice_ in self.slices.items()
@@ -558,7 +555,6 @@ class SliceEvaluator:
         cls,
         payloads: Sequence[Mapping[str, Any]],
         injective: bool = True,
-        typed_adjacency: bool = True,
         fallback: Optional[object] = None,
         compiled: bool = True,
     ) -> "SliceEvaluator":
@@ -573,7 +569,6 @@ class SliceEvaluator:
         return cls(
             slices,
             injective=injective,
-            typed_adjacency=typed_adjacency,
             fallback=fallback,
             compiled=compiled,
         )
@@ -583,7 +578,6 @@ class SliceEvaluator:
         cls,
         sharded,
         injective: bool = True,
-        typed_adjacency: bool = True,
         fallback: Optional[object] = None,
         compiled: bool = True,
     ) -> "SliceEvaluator":
@@ -595,7 +589,6 @@ class SliceEvaluator:
         return cls.from_wire_payloads(
             payloads,
             injective=injective,
-            typed_adjacency=typed_adjacency,
             fallback=fallback,
             compiled=compiled,
         )

@@ -1,12 +1,8 @@
 """Process-pool batch execution: CPU-parallel candidate evaluation.
 
-The thread-backed :class:`~repro.exec.evaluator.ParallelExecutor` and
-the asyncio-backed :class:`~repro.exec.async_executor.AsyncExecutor`
-overlap *blocking* evaluation time; pure-Python CPU work stays
-serialised under one GIL, which is exactly what why-query rewriting is
-(the ``cpu_only`` record in ``BENCH_micro_core.json`` documents the
-ceiling).  :class:`ProcessExecutor` escapes it: a pool of worker
-*processes*, each holding one long-lived
+Why-query rewriting is pure-Python CPU work, which threads in one
+interpreter serialise under the GIL.  :class:`ProcessExecutor` escapes
+it: a pool of worker *processes*, each holding one long-lived
 :class:`~repro.exec.context.ExecutionContext` warmed from a serialized
 snapshot of the coordinator's graph.
 
@@ -82,7 +78,7 @@ from repro.core.serialize import (
 )
 from repro.obs.tracing import SPAN_FALLBACK, SPAN_WORKER, Tracer, current_tracer
 from repro.shard.affine import canonical_edge_order
-from repro.stats import StatsReport, deltas_section, unified_stats
+from repro.stats import deltas_section, unified_stats
 
 T = TypeVar("T")
 
@@ -123,7 +119,6 @@ def _worker_init(
     payload: dict,
     shards: int,
     injective: bool,
-    typed_adjacency: bool,
     compiled: bool = True,
     barrier: Optional[object] = None,
 ) -> None:
@@ -142,7 +137,6 @@ def _worker_init(
         "context": ExecutionContext(
             graph,
             injective=injective,
-            typed_adjacency=typed_adjacency,
             compiled=compiled,
         ),
         "queries": {},
@@ -217,7 +211,6 @@ def _worker_touch(timeout_s: float) -> int:
 def _affine_worker_init(
     payloads: List[dict],
     injective: bool,
-    typed_adjacency: bool,
     compiled: bool = True,
 ) -> None:
     """Affine pool initializer: rebuild only the placed shards' slices
@@ -227,7 +220,6 @@ def _affine_worker_init(
     evaluator = SliceEvaluator.from_wire_payloads(
         payloads,
         injective=injective,
-        typed_adjacency=typed_adjacency,
         compiled=compiled,
     )
     _WORKER_STATE.clear()
@@ -334,7 +326,6 @@ class ProcessExecutor:
         max_workers: int = 2,
         shards: int = 1,
         injective: bool = True,
-        typed_adjacency: bool = True,
         start_method: Optional[str] = None,
         placement: str = "full",
         compiled: bool = True,
@@ -352,7 +343,6 @@ class ProcessExecutor:
         self.max_workers = max_workers
         self.shards = shards
         self.injective = injective
-        self.typed_adjacency = typed_adjacency
         self.compiled = compiled
         self.placement_mode = placement
         if start_method is None:
@@ -428,7 +418,6 @@ class ProcessExecutor:
                         payload,
                         self.shards,
                         self.injective,
-                        self.typed_adjacency,
                         self.compiled,
                         context.Barrier(self.max_workers),
                     ),
@@ -483,7 +472,6 @@ class ProcessExecutor:
                         initargs=(
                             pool_payloads,
                             self.injective,
-                            self.typed_adjacency,
                             self.compiled,
                         ),
                     )
@@ -836,13 +824,11 @@ class ProcessExecutor:
             self._full_snapshot_bytes_version = version
         return measured
 
-    def info(self) -> StatsReport:
+    def info(self) -> Dict[str, object]:
         """Lifetime counters in the unified stats schema.
 
         Pool lifecycle and payload accounting live under ``["pools"]``,
-        the delta-sync catch-up counters under ``["deltas"]``.  The
-        pre-unification flat keys (``info()["pool_live"]``, ...) stay
-        readable for one release behind a :class:`DeprecationWarning`.
+        the delta-sync catch-up counters under ``["deltas"]``.
 
         All counters are snapshotted under the pool lock -- the same
         lock the increment sites hold -- so a monitoring poll racing a
@@ -892,25 +878,11 @@ class ProcessExecutor:
                     "payload_ratio": (full / payload_max) if payload_max else 0.0,
                 }
             )
-        legacy = dict(pools)
-        if self.placement_mode == "affine":
-            legacy["worker_catchups"] = worker_catchups
-            legacy["delta_bytes"] = delta_bytes
         return unified_stats(
             pools=pools,
             deltas=deltas_section(
                 bytes=delta_bytes, worker_catchups=worker_catchups
             ),
-            legacy=legacy,
-            hints={
-                key: (
-                    "['deltas']"
-                    if key in ("worker_catchups", "delta_bytes")
-                    else f"['pools'][{key!r}]"
-                )
-                for key in legacy
-            },
-            surface="ProcessExecutor.info()",
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -33,28 +33,15 @@ Every surface emits **all seven sections** (``None``/empty when the surface
 has nothing to report there) plus surface-specific extras (``matcher``,
 ``service``, ``per_graph``), under a ``"schema"`` version tag.  The
 protocol ``stats`` message serves :meth:`WhyQueryService.stats` verbatim.
-
-Deprecation shim
-----------------
-
-The pre-unification shapes stay readable for one release: each surface
-returns a :class:`StatsReport` -- a plain ``dict`` holding the unified
-schema whose *legacy* keys (``stats()["totals"]``,
-``cache_info()["programs"]``, ``info()["pool_live"]``, ...) still resolve,
-emitting a :class:`DeprecationWarning` that names the replacement path.
-Iteration, ``dict(report)`` and JSON serialisation see only the unified
-keys.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "STATS_SCHEMA",
     "SECTIONS",
-    "StatsReport",
     "csr_section",
     "deltas_section",
     "programs_section",
@@ -66,47 +53,6 @@ STATS_SCHEMA = "repro.stats/1"
 
 #: the typed sections every surface emits
 SECTIONS = ("caches", "csr", "programs", "pools", "admission", "deltas", "metrics")
-
-
-class StatsReport(dict):
-    """Unified stats mapping with a deprecated legacy-key fallback.
-
-    Subscripting a key that only existed in the surface's pre-unification
-    shape resolves against the ``legacy`` mapping and emits a
-    :class:`DeprecationWarning` naming the unified replacement.  All dict
-    iteration/serialisation behaviour sees only the unified keys.
-    """
-
-    def __init__(
-        self,
-        data: Mapping[str, Any],
-        legacy: Optional[Mapping[str, Any]] = None,
-        hints: Optional[Mapping[str, str]] = None,
-        surface: str = "stats",
-    ) -> None:
-        super().__init__(data)
-        self._legacy = dict(legacy or {})
-        self._hints = dict(hints or {})
-        self._surface = surface
-
-    def __missing__(self, key: str) -> Any:
-        if key in self._legacy:
-            hint = self._hints.get(key, "the unified sections")
-            warnings.warn(
-                f"{self._surface}[{key!r}] is the pre-unification shape; "
-                f"read {hint} instead (repro.stats schema {STATS_SCHEMA}). "
-                "The legacy key will be removed in the next release.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._legacy[key]
-        raise KeyError(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 def csr_section(flat: Mapping[str, int]) -> Dict[str, int]:
@@ -149,24 +95,16 @@ def unified_stats(
     deltas: Optional[Mapping[str, int]] = None,
     metrics: Optional[Mapping[str, Any]] = None,
     extra: Optional[Mapping[str, Any]] = None,
-    legacy: Optional[Mapping[str, Any]] = None,
-    hints: Optional[Mapping[str, str]] = None,
-    surface: str = "stats",
-) -> StatsReport:
+) -> Dict[str, Any]:
     """Assemble one unified report; every section is always present."""
-
-    def keep(value: Any) -> Any:
-        # nested StatsReport sections keep their own legacy shim
-        return value if isinstance(value, StatsReport) else dict(value)
-
     data: Dict[str, Any] = {"schema": STATS_SCHEMA}
-    data["caches"] = keep(caches) if caches is not None else {}
-    data["csr"] = keep(csr) if csr is not None else csr_section({})
-    data["programs"] = keep(programs) if programs is not None else programs_section({})
-    data["pools"] = keep(pools) if pools is not None else None
-    data["admission"] = keep(admission) if admission is not None else None
-    data["deltas"] = keep(deltas) if deltas is not None else deltas_section()
-    data["metrics"] = keep(metrics) if metrics is not None else {}
+    data["caches"] = dict(caches) if caches is not None else {}
+    data["csr"] = dict(csr) if csr is not None else csr_section({})
+    data["programs"] = dict(programs) if programs is not None else programs_section({})
+    data["pools"] = dict(pools) if pools is not None else None
+    data["admission"] = dict(admission) if admission is not None else None
+    data["deltas"] = dict(deltas) if deltas is not None else deltas_section()
+    data["metrics"] = dict(metrics) if metrics is not None else {}
     if extra:
         data.update(extra)
-    return StatsReport(data, legacy=legacy, hints=hints, surface=surface)
+    return data

@@ -54,6 +54,27 @@ def tiny_graph() -> PropertyGraph:
     return g
 
 
+class ReorderingExecutor:
+    """``BatchExecutor`` double for the ``executor=`` seam: asks the engines
+    for batches of ``preferred_batch`` and runs each back to front -- the
+    reordering any concurrent executor may produce -- returning the results
+    in submission order, as the protocol demands."""
+
+    name = "reordering"
+
+    def __init__(self, preferred_batch: int = 4) -> None:
+        self.preferred_batch = preferred_batch
+
+    def run(self, tasks):
+        return [task() for task in reversed(tasks)][::-1]
+
+
+@pytest.fixture
+def make_batch_executor():
+    """Factory: ``make_batch_executor(preferred_batch=4)``."""
+    return ReorderingExecutor
+
+
 @pytest.fixture
 def tiny_matcher(tiny_graph) -> PatternMatcher:
     return PatternMatcher(tiny_graph)

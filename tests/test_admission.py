@@ -172,12 +172,12 @@ class TestServiceAdmission:
         blocker = pool.acquire(300)  # another tenant holds everything
         with pytest.raises(AdmissionRejected):
             service.explain(tiny_graph, failing_query())
-        assert service.stats()["rejected_calls"] == 1
+        assert service.stats()["service"]["rejected_calls"] == 1
         blocker.release()
         report = service.explain(tiny_graph, failing_query())
         assert report.rewriting is not None
         stats = service.stats()
-        assert stats["explain_calls"] == 1
+        assert stats["service"]["explain_calls"] == 1
         assert stats["admission"]["admitted"] == 2  # blocker + request
         assert stats["admission"]["in_use"] == 0
 
@@ -220,7 +220,7 @@ class TestServiceAdmission:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert outcome["report"].rewriting.explanations
-        assert service.stats()["rejected_calls"] == 0
+        assert service.stats()["service"]["rejected_calls"] == 0
 
     def test_explain_async_propagates_rejection(self, tiny_graph):
         pool = BudgetPool(300, min_grant=8)
@@ -228,7 +228,7 @@ class TestServiceAdmission:
         with WhyQueryService(budget_pool=pool) as service:
             with pytest.raises(AdmissionRejected):
                 asyncio.run(service.explain_async(tiny_graph, failing_query()))
-            assert service.stats()["rejected_calls"] == 1
+            assert service.stats()["service"]["rejected_calls"] == 1
         blocker.release()
 
     def test_concurrent_burst_invariants(self, tiny_graph):

@@ -403,8 +403,9 @@ class TestProgramInternals:
             MatchProgram(csr_entry(tiny_graph), [], q)
 
     def test_typed_adjacency_off_keeps_the_oracle_interpreted(self, tiny_graph):
-        matcher = PatternMatcher(tiny_graph, typed_adjacency=False, compiled=True)
-        assert not matcher.compiled
+        # the typed_adjacency switch is gone: compiled=False alone pins
+        # the oracle to the interpreter
+        assert not PatternMatcher(tiny_graph, compiled=False).compiled
 
     def test_compiled_is_the_default(self, tiny_graph):
         assert PatternMatcher(tiny_graph).compiled

@@ -390,24 +390,24 @@ class TestWorkerCatchUp:
             g.set_vertex_attribute(1, "kind", "hub")
             assert executor.count_sharded(q) == PatternMatcher(g).count(q)
             info = executor.info()
-            assert info["worker_catchups"] == 1
+            assert info["deltas"]["worker_catchups"] == 1
             assert executor.pool_rebuilds == 1  # the initial warm-up only
-            assert 0 < info["delta_bytes"] < sum(
-                info["payload_bytes_per_worker"]
+            assert 0 < info["deltas"]["bytes"] < sum(
+                info["pools"]["payload_bytes_per_worker"]
             )
 
             # a second catch-up routes against the live graph (the
             # stale snapshot has never seen the first round's edge)
             g.set_edge_attribute(g.num_edges - 1, "w", 1)
             assert executor.count_sharded(q) == PatternMatcher(g).count(q)
-            assert executor.info()["worker_catchups"] == 2
+            assert executor.info()["deltas"]["worker_catchups"] == 2
             assert executor.pool_rebuilds == 1
 
             # a vertex add moves the partition map: full re-warm
             vid = g.add_vertex(kind="leaf")
             g.add_edge(0, vid, "rel")
             assert executor.count_sharded(q) == PatternMatcher(g).count(q)
-            assert executor.info()["worker_catchups"] == 2
+            assert executor.info()["deltas"]["worker_catchups"] == 2
             assert executor.pool_rebuilds == 2
 
     def test_catchup_reships_fewer_bytes_than_rewarm(self):
@@ -422,6 +422,6 @@ class TestWorkerCatchUp:
                 g.add_edge(i * 13, (i + 1) * 13, "rel")
                 executor.count_sharded(q)
             info = executor.info()
-            assert info["worker_catchups"] == mutations
-            full_rewarm = sum(info["payload_bytes_per_worker"]) * mutations
-            assert info["delta_bytes"] * 5 <= full_rewarm
+            assert info["deltas"]["worker_catchups"] == mutations
+            full_rewarm = sum(info["pools"]["payload_bytes_per_worker"]) * mutations
+            assert info["deltas"]["bytes"] * 5 <= full_rewarm

@@ -3,6 +3,8 @@ zero-copy accessors, per-type counts, plan memoisation, candidate-set
 memoisation, version-based invalidation, and the newly exercised matcher
 corners (homomorphic matching, self-loops under BOTH, typed expansion)."""
 
+import pytest
+
 from repro.core import (
     BOTH_DIRECTIONS,
     GraphQuery,
@@ -70,13 +72,17 @@ class TestTypedAdjacency:
 
 class TestTypedExpansion:
     def test_typed_and_untyped_matchers_agree(self, tiny_graph):
+        """The untyped walk is gone; the kernels and the interpreter -- the
+        one semantics pair left -- agree on a multi-type BOTH expansion."""
         q = GraphQuery()
         p = q.add_vertex(predicates={"type": equals("person")})
         u = q.add_vertex(predicates={"type": equals("university")})
         q.add_edge(p, u, types={"workAt", "studyAt"}, directions=BOTH_DIRECTIONS)
-        typed = PatternMatcher(tiny_graph)
-        legacy = PatternMatcher(tiny_graph, typed_adjacency=False)
-        assert typed.count(q) == legacy.count(q) == 4
+        compiled = PatternMatcher(tiny_graph)
+        interpreter = PatternMatcher(tiny_graph, compiled=False)
+        assert compiled.count(q) == interpreter.count(q) == 4
+        with pytest.raises(TypeError):
+            PatternMatcher(tiny_graph, typed_adjacency=False)
 
     def test_typed_expansion_visits_strictly_fewer_edges(self, tiny_graph):
         # tud(4) has 3 incoming edges but only 1 of type studyAt; the
@@ -85,10 +91,12 @@ class TestTypedExpansion:
         u = q.add_vertex(predicates={"type": equals("university")})
         s = q.add_vertex()
         q.add_edge(s, u, types={"studyAt"})
-        typed = PatternMatcher(tiny_graph)
-        legacy = PatternMatcher(tiny_graph, typed_adjacency=False)
-        assert typed.count(q) == legacy.count(q) == 1
-        assert typed.steps < legacy.steps
+        compiled = PatternMatcher(tiny_graph)
+        interpreter = PatternMatcher(tiny_graph, compiled=False)
+        assert compiled.count(q) == interpreter.count(q) == 1
+        # two university seeds + tud's one studyAt edge; scanning all
+        # incident edges would take 6 (tud's two workAt edges, su's one)
+        assert compiled.steps == interpreter.steps == 3
 
     def test_self_loop_under_both_directions_yields_once(self):
         g = PropertyGraph()
@@ -245,11 +253,11 @@ class TestEndToEndSharing:
         matcher.count(person_works_at_university)
         matcher.count(person_works_at_university)
         info = matcher.cache_info()
-        assert info["plan"]["hits"] >= 1
+        assert info["caches"]["plan"]["hits"] >= 1
         if matcher.compiled:
             # candidate sets are interned into program bitsets once; the
             # repeat evaluation is served by the program cache instead
-            assert info["programs"]["program_hits"] >= 1
+            assert info["programs"]["hits"] >= 1
         else:
-            assert info["vertex_candidates"]["hits"] >= 1
-        assert 0.0 <= info["plan"]["hit_rate"] <= 1.0
+            assert info["caches"]["vertex_candidates"]["hits"] >= 1
+        assert 0.0 <= info["caches"]["plan"]["hit_rate"] <= 1.0

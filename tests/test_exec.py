@@ -9,7 +9,6 @@ from repro.exec import (
     CandidateEvaluator,
     EvaluationBudget,
     ExecutionContext,
-    ParallelExecutor,
     SerialExecutor,
     execution_context,
 )
@@ -81,9 +80,25 @@ class TestExecutionContext:
         assert set(report["caches"]) == {"plan", "vertex_candidates", "results", "path1"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
-        # the pre-unification keys stay readable behind the shim
-        with pytest.warns(DeprecationWarning):
-            assert report["results"]["misses"] == 1
+        # a plain dict: the pre-unification top-level keys are gone
+        assert type(report) is dict
+        with pytest.raises(KeyError):
+            report["results"]
+
+    def test_removed_options_and_executors_stay_removed(self, tiny_graph):
+        """The untyped walk and the thread/asyncio executors were deleted,
+        not deprecated: no flag, no alias, no awaitable count."""
+        with pytest.raises(TypeError):
+            ExecutionContext(tiny_graph, typed_adjacency=False)
+        with pytest.raises(ImportError):
+            from repro import AsyncExecutor  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro import ParallelExecutor  # noqa: F401
+        import repro.exec
+
+        for name in ("AsyncExecutor", "ParallelExecutor"):
+            assert not hasattr(repro.exec, name) and name not in repro.__all__
+        assert not hasattr(ExecutionContext, "count_async")
 
     def test_mismatched_matcher_rejected(self, tiny_graph):
         other = PropertyGraph()
@@ -225,7 +240,9 @@ class TestCandidateEvaluator:
         assert ctx.cache.stats.misses == 1
         assert ctx.cache.stats.hits == 0
 
-    def test_serial_and_parallel_identical_result_sets(self, tiny_graph):
+    def test_serial_and_parallel_identical_result_sets(
+        self, tiny_graph, make_batch_executor
+    ):
         """Acceptance: executor choice never changes evaluation results."""
         failed = typed_query("person", "missingEdgeType")
         variants = []
@@ -242,10 +259,9 @@ class TestCandidateEvaluator:
         serial_results = CandidateEvaluator(
             serial_ctx.cache, executor=SerialExecutor()
         ).evaluate(variants)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel_results = CandidateEvaluator(
-                parallel_ctx.cache, executor=pool
-            ).evaluate(variants)
+        parallel_results = CandidateEvaluator(
+            parallel_ctx.cache, executor=make_batch_executor()
+        ).evaluate(variants)
         as_set = lambda rs: sorted(
             (repr(r.query.signature()), r.cardinality) for r in rs
         )
@@ -299,19 +315,21 @@ class TestEnginesShareOneContext:
 
 
 class TestBatchedEngines:
-    def test_coarse_rewriter_parallel_executor_same_explanations(self, tiny_graph):
+    def test_coarse_rewriter_parallel_executor_same_explanations(
+        self, tiny_graph, make_batch_executor
+    ):
         """At equal batch size the drain trajectory is executor-independent:
-        the thread pool must not change what the search finds."""
+        an executor that runs its batch in another order must not change
+        what the search finds."""
         failed = typed_query("person", "missingEdgeType")
         serial = CoarseRewriter(
             context=ExecutionContext(tiny_graph), max_evaluations=100, batch_size=4
         ).rewrite(failed, k=3)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel = CoarseRewriter(
-                context=ExecutionContext(tiny_graph),
-                executor=pool,
-                max_evaluations=100,
-            ).rewrite(failed, k=3)
+        parallel = CoarseRewriter(
+            context=ExecutionContext(tiny_graph),
+            executor=make_batch_executor(4),
+            max_evaluations=100,
+        ).rewrite(failed, k=3)
         key = lambda r: (repr(r.query.signature()), r.cardinality)
         assert serial.evaluated == parallel.evaluated
         assert sorted(map(key, serial.explanations)) == sorted(
@@ -322,29 +340,34 @@ class TestBatchedEngines:
             map(key, parallel.discovered)
         )
 
-    def test_coarse_rewriter_batch_size_follows_executor(self, tiny_graph):
+    def test_coarse_rewriter_batch_size_follows_executor(
+        self, tiny_graph, make_batch_executor
+    ):
         assert CoarseRewriter(tiny_graph).batch_size == 1
-        with ParallelExecutor(max_workers=6) as pool:
-            assert CoarseRewriter(tiny_graph, executor=pool).batch_size == 6
+        pool = make_batch_executor(6)
+        assert CoarseRewriter(tiny_graph, executor=pool).batch_size == 6
         assert CoarseRewriter(tiny_graph, batch_size=3).batch_size == 3
         with pytest.raises(ValueError):
             CoarseRewriter(tiny_graph, batch_size=0)
 
-    def test_traverse_search_tree_parallel_same_best(self, tiny_graph):
+    def test_traverse_search_tree_parallel_same_best(
+        self, tiny_graph, make_batch_executor
+    ):
         from repro.metrics import CardinalityThreshold
 
         query = typed_query("person", "workAt")
         threshold = CardinalityThreshold.at_least(4)
         serial = TraverseSearchTreeRun(tiny_graph, threshold, None).run(query)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel = TraverseSearchTreeRun(tiny_graph, threshold, pool).run(query)
+        parallel = TraverseSearchTreeRun(
+            tiny_graph, threshold, make_batch_executor(4)
+        ).run(query)
         assert serial.best_cardinality == parallel.best_cardinality
         assert serial.converged == parallel.converged
         assert serial.best_query.signature() == parallel.best_query.signature()
 
 
 class TraverseSearchTreeRun:
-    """Helper wiring one isolated TST run (serial or parallel)."""
+    """Helper wiring one isolated TST run (serial or batched)."""
 
     def __init__(self, graph, threshold, executor):
         from repro.finegrained import TraverseSearchTree

@@ -15,7 +15,6 @@ the slow-log satellite bugfixes are exercised here too.
 """
 
 import copy
-import math
 import random
 
 import pytest

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 
 import pytest
 
@@ -274,7 +273,8 @@ class TestCancellation:
     def test_cancel_mid_stream(self):
         """Cancellation while the search is genuinely in flight: a gated
         result cache stalls the second candidate batch until the cancel
-        frame has been processed, then the engine unwinds cooperatively."""
+        frame has provably been processed (a same-connection round trip
+        behind it), then the engine unwinds cooperatively."""
         release = threading.Event()
         counted = threading.Event()
 
@@ -300,7 +300,10 @@ class TestCancellation:
                 stream = c.explain_stream("g", failing_query())
                 counted.wait(timeout=30)
                 stream.cancel()
-                time.sleep(0.05)  # let the server process the cancel frame
+                # frames of one connection are dispatched in order and the
+                # cancel flips its token synchronously in the read loop, so
+                # the reply to a later frame proves the token is set
+                c.stats()
                 release.set()
                 with pytest.raises(RequestCancelled):
                     stream.result()

@@ -1,16 +1,18 @@
-"""WhyQueryService: warm context pool, concurrency, LRU eviction."""
+"""WhyQueryService: warm context pool, concurrency, LRU eviction, and
+the async front door (``explain_async`` / ``open_session_async``)."""
 
 from __future__ import annotations
 
+import asyncio
 import gc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import GraphQuery, PropertyGraph, equals
-from repro.exec import ExecutionContext, ParallelExecutor
+from repro.exec import ExecutionContext
 from repro.metrics import CardinalityProblem, CardinalityThreshold
-from repro.service import WhyQueryService
+from repro.service import BudgetPool, WhyQueryService
 
 
 def failing_query() -> GraphQuery:
@@ -59,12 +61,12 @@ class TestContextPool:
         service.context_for(graphs[2])  # evicts graph 1, not graph 0
         assert len(service) == 2
         assert service.context_for(graphs[0]) is first
-        stats = service.stats()
+        stats = service.stats()["service"]
         assert stats["evictions"] == 1
         assert stats["contexts_created"] == 3
         # graph 1 returns -> a cold, fresh context (created anew)
         service.context_for(graphs[1])
-        assert service.stats()["contexts_created"] == 4
+        assert service.stats()["service"]["contexts_created"] == 4
 
     def test_eviction_releases_the_graph(self):
         import weakref
@@ -180,12 +182,12 @@ class TestRequests:
         service.explain(tiny_graph, failing_query())
         service.open_session(tiny_graph, failing_query())
         stats = service.stats()
-        assert stats["requests"] == 2
-        assert stats["explain_calls"] == 1
-        assert stats["session_calls"] == 1
-        assert stats["contexts_live"] == 1
-        assert stats["busy_seconds"] > 0
-        assert stats["totals"]["matcher_calls"] > 0
+        assert stats["service"]["requests"] == 2
+        assert stats["service"]["explain_calls"] == 1
+        assert stats["service"]["session_calls"] == 1
+        assert stats["service"]["contexts_live"] == 1
+        assert stats["service"]["busy_seconds"] > 0
+        assert stats["matcher"]["calls"] > 0
         assert stats["per_graph"][0]["requests"] == 2
 
     def test_compiled_counters_flow_into_stats(self, tiny_graph):
@@ -195,18 +197,19 @@ class TestRequests:
         matcher."""
         service = WhyQueryService()
         service.explain(tiny_graph, failing_query())
-        totals = service.stats()["totals"]
+        stats = service.stats()
+        programs, csr = stats["programs"], stats["csr"]
         # kernels are process-wide: this graph generated some or was
         # served by the ones an earlier graph generated
-        assert totals["programs_compiled"] + totals["program_hits"] > 0
-        assert totals["program_fallbacks"] == 0
-        assert totals["csr_builds"] > 0
-        assert totals["csr_bytes"] > 0
+        assert programs["compiled"] + programs["hits"] > 0
+        assert programs["fallbacks"] == 0
+        assert csr["builds"] > 0
+        assert csr["bytes"] > 0
         # a repeat evaluation through the pooled context binds to an
         # existing kernel
-        hits = totals["program_hits"]
+        hits = programs["hits"]
         service.context_for(tiny_graph).matcher.count(failing_query())
-        assert service.stats()["totals"]["program_hits"] == hits + 1
+        assert service.stats()["programs"]["hits"] == hits + 1
 
     def test_interpreted_service_reports_zero_compiled_counters(self, tiny_graph):
         def factory(graph):
@@ -214,9 +217,9 @@ class TestRequests:
 
         service = WhyQueryService(context_factory=factory)
         service.explain(tiny_graph, failing_query())
-        totals = service.stats()["totals"]
-        assert totals["programs_compiled"] == 0
-        assert totals["program_hits"] == 0
+        programs = service.stats()["programs"]
+        assert programs["compiled"] == 0
+        assert programs["hits"] == 0
 
 
 class TestConcurrency:
@@ -242,7 +245,7 @@ class TestConcurrency:
                 )
                 == ref_key
             )
-        assert service.stats()["explain_calls"] == 9
+        assert service.stats()["service"]["explain_calls"] == 9
         assert len(service) == 1
 
     def test_concurrent_explains_many_graphs_with_eviction(self):
@@ -255,19 +258,21 @@ class TestConcurrency:
             )
         assert all(r.problem == CardinalityProblem.EMPTY for r in reports)
         assert len(service) <= 3
-        stats = service.stats()
+        stats = service.stats()["service"]
         assert stats["explain_calls"] == 12
         assert stats["evictions"] >= 3
 
-    def test_parallel_executor_service_deterministic(self, tiny_graph):
-        """A service draining rewrite candidates in parallel batches is
-        deterministic across requests, and its explanations are genuine
-        (non-empty rewritings of the empty query)."""
+    def test_parallel_executor_service_deterministic(
+        self, tiny_graph, make_batch_executor
+    ):
+        """A service draining rewrite candidates in batches of 4 through
+        an injected executor is deterministic across requests, and its
+        explanations are genuine (non-empty rewritings of the empty
+        query)."""
         query = failing_query()
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel_service = WhyQueryService(executor=pool)
-            first = parallel_service.explain(tiny_graph, query)
-            second = parallel_service.explain(tiny_graph, query)
+        batched_service = WhyQueryService(executor=make_batch_executor(4))
+        first = batched_service.explain(tiny_graph, query)
+        second = batched_service.explain(tiny_graph, query)
         key = lambda rep: [
             (repr(r.query.signature()), r.cardinality)
             for r in rep.rewriting.discovered
@@ -275,3 +280,67 @@ class TestConcurrency:
         assert key(first) == key(second)
         assert first.problem == CardinalityProblem.EMPTY
         assert all(r.cardinality > 0 for r in first.rewriting.explanations)
+
+
+def explanation_key(report):
+    return sorted(
+        (repr(r.query.signature()), r.cardinality)
+        for r in report.rewriting.explanations
+    )
+
+
+class TestServiceAsyncConcurrency:
+    """The async front door: N concurrent explain_async() calls over 2 graphs produce the same
+    reports as serial execution and never exceed the budget pool."""
+
+    def test_concurrent_explain_async_matches_serial(self):
+        graphs = [small_graph(0), small_graph(1)]
+        query = failing_query()
+        n = 12
+
+        serial_service = WhyQueryService()
+        reference = {
+            id(g): explanation_key(serial_service.explain(g, query)) for g in graphs
+        }
+
+        # the concurrency is all at the request level.  The pool is sized
+        # so the fair share never clips a request's budget (grant ==
+        # requested even with n requests active).
+        pool = BudgetPool(total=300 * (n + 1), min_grant=8, max_waiting=n)
+        with WhyQueryService(budget_pool=pool, max_async_requests=8) as service:
+
+            async def main():
+                return await asyncio.gather(
+                    *(service.explain_async(graphs[i % 2], query) for i in range(n))
+                )
+
+            reports = asyncio.run(main())
+            stats = service.stats()
+
+        for i, report in enumerate(reports):
+            assert report.problem == CardinalityProblem.EMPTY
+            assert explanation_key(report) == reference[id(graphs[i % 2])]
+
+        admission = stats["admission"]
+        assert admission["admitted"] == n
+        assert admission["rejected"] == 0
+        # the pool is never overdrawn, and every lease was returned
+        assert admission["peak_in_use"] <= pool.total
+        assert admission["in_use"] == 0
+        assert admission["active_requests"] == 0
+        assert admission["evaluations_spent"] <= admission["evaluations_granted"]
+        assert stats["service"]["explain_calls"] == n
+        assert stats["service"]["async_calls"] == n
+        assert stats["service"]["contexts_live"] == 2
+
+    def test_open_session_async_shares_warm_context(self, tiny_graph):
+        with WhyQueryService() as service:
+            service.explain(tiny_graph, failing_query())
+
+            async def main():
+                return await service.open_session_async(tiny_graph, failing_query())
+
+            session = asyncio.run(main())
+            assert session.context is service.context_for(tiny_graph)
+            assert session.propose() is not None
+            assert service.stats()["service"]["async_calls"] == 1

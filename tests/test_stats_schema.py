@@ -2,10 +2,10 @@
 
 All three metrics surfaces -- ``PatternMatcher.cache_info()``,
 ``ProcessExecutor.info()`` and ``WhyQueryService.stats()`` -- must emit
-the :mod:`repro.stats` schema (``schema`` marker plus the six typed
-sections), with the pre-unification flat keys readable for one release
-behind a :class:`DeprecationWarning`, and the whole report must survive
-the JSON round-trip the protocol ``stats`` message performs.
+the :mod:`repro.stats` schema (``schema`` marker plus the seven typed
+sections) as a plain ``dict`` -- the pre-unification flat keys and their
+one-release deprecation shim are gone -- and the whole report must
+survive the JSON round-trip the protocol ``stats`` message performs.
 """
 
 from __future__ import annotations
@@ -56,21 +56,19 @@ class TestStatsReport:
         assert report["programs"]["compiled"] == 0
         assert report["deltas"]["applied"] == 0
 
-    def test_legacy_key_warns_and_returns(self):
-        report = unified_stats(legacy={"old_key": 42})
-        with pytest.warns(DeprecationWarning, match="old_key"):
-            assert report["old_key"] == 42
-
     def test_unknown_key_still_raises(self):
-        report = unified_stats(legacy={"old_key": 42})
+        report = unified_stats()
+        assert type(report) is dict  # no shim subclass, no __missing__
         with pytest.raises(KeyError):
             report["never_existed"]
+        with pytest.raises(TypeError):
+            unified_stats(legacy={"old_key": 42})
 
     def test_iteration_and_json_see_only_unified_keys(self):
-        report = unified_stats(legacy={"old_key": 42})
-        assert "old_key" not in set(report)
+        report = unified_stats(extra={"service": {"requests": 3}})
+        assert set(report) == {"schema", *SECTIONS, "service"}
         round_tripped = json.loads(json.dumps(report))
-        assert "old_key" not in round_tripped
+        assert round_tripped == report
         assert_unified(round_tripped)
 
 
@@ -90,16 +88,15 @@ class TestMatcherSurface:
         assert info["csr"]["builds"] >= 1
         assert info["matcher"]["calls"] == 2
 
-    def test_cache_info_legacy_shim(self):
+    def test_cache_info_flat_keys_are_gone(self):
         matcher = PatternMatcher(tiny_graph(), compiled=True)
         matcher.count(typed_query())
         info = matcher.cache_info()
-        with pytest.warns(DeprecationWarning):
-            plan = info["plan"]
-        assert plan == info["caches"]["plan"]
-        # the nested programs section keeps its own pre-unification keys
-        with pytest.warns(DeprecationWarning):
-            assert info["programs"]["programs_compiled"] == info["programs"]["compiled"]
+        assert type(info) is dict and type(info["programs"]) is dict
+        with pytest.raises(KeyError):
+            info["plan"]
+        with pytest.raises(KeyError):
+            info["programs"]["programs_compiled"]
 
 
 class TestServiceSurface:
@@ -114,12 +111,14 @@ class TestServiceSurface:
             payload = json.loads(json.dumps(stats))
             assert_unified(payload)
 
-    def test_stats_legacy_shim(self):
+    def test_stats_flat_keys_are_gone(self):
         with WhyQueryService() as service:
             service.explain(tiny_graph(), typed_query(), explain=False, rewrite=False)
             stats = service.stats()
-            with pytest.warns(DeprecationWarning):
-                assert stats["explain_calls"] == stats["service"]["explain_calls"]
+            assert type(stats) is dict
+            for key in ("totals", "process_pools", "explain_calls"):
+                with pytest.raises(KeyError):
+                    stats[key]
 
     def test_unified_consumers_do_not_warn(self):
         """Reading only unified keys must be warning-free (the migrated
@@ -149,27 +148,59 @@ class TestExecutorSurface:
         finally:
             executor.close()
 
-    def test_info_legacy_shim(self):
+    def test_info_flat_keys_are_gone(self):
         from repro.shard import ProcessExecutor
 
         executor = ProcessExecutor(tiny_graph(), max_workers=1)
         try:
             info = executor.info()
-            with pytest.warns(DeprecationWarning):
-                assert info["max_workers"] == info["pools"]["max_workers"]
+            assert type(info) is dict
+            assert info["pools"]["pool_live"] is False
+            for key in ("pool_live", "max_workers"):
+                with pytest.raises(KeyError):
+                    info[key]
         finally:
             executor.close()
 
 
 class TestWiringDeprecation:
-    def test_component_override_alongside_context_warns(self):
+    """The deprecated "components alongside ``context=``" case is over: a
+    component that is not the context's own is the ``ValueError``
+    ``WhyQueryEngine`` always raised for it; the context's own is accepted."""
+
+    @pytest.mark.parametrize("component", ["matcher", "cache", "statistics"])
+    def test_foreign_component_alongside_context_raises(self, component):
         from repro.exec import ExecutionContext
         from repro.exec.wiring import resolve_spine
 
         g = tiny_graph()
         ctx = ExecutionContext(g)
-        with pytest.warns(DeprecationWarning, match="ExecutionContext"):
-            resolve_spine(None, ctx, matcher=ctx.matcher)
+        foreign = getattr(ExecutionContext(g), component)
+        with pytest.raises(ValueError, match="ExecutionContext"):
+            resolve_spine(None, ctx, **{component: foreign})
+
+    def test_engines_reject_a_foreign_matcher_and_accept_the_contexts_own(self):
+        from repro.exec import ExecutionContext
+        from repro.finegrained import TraverseSearchTree
+        from repro.metrics import CardinalityThreshold
+        from repro.rewrite import CoarseRewriter
+
+        g = tiny_graph()
+        ctx = ExecutionContext(g)
+        threshold = CardinalityThreshold.at_least(1)
+        with pytest.raises(ValueError):
+            CoarseRewriter(context=ctx, matcher=PatternMatcher(g))
+        with pytest.raises(ValueError):
+            TraverseSearchTree(
+                context=ctx, threshold=threshold, matcher=PatternMatcher(g)
+            )
+        assert CoarseRewriter(context=ctx, matcher=ctx.matcher).matcher is ctx.matcher
+        assert (
+            TraverseSearchTree(
+                context=ctx, threshold=threshold, matcher=ctx.matcher
+            ).cache
+            is ctx.cache
+        )
 
     def test_plain_wiring_does_not_warn(self):
         from repro.exec import ExecutionContext
@@ -180,6 +211,7 @@ class TestWiringDeprecation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             resolve_spine(None, ctx)
+            resolve_spine(None, ctx, matcher=ctx.matcher)
             resolve_spine(g, None)
 
 

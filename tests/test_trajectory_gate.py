@@ -27,17 +27,11 @@ offending_sections = check_trajectory_mod.offending_sections
 
 def baseline_payload() -> dict:
     return {
-        "typed_expansion": {
-            "speedup": 3.0,
-            "typed": {"best_s": 0.001, "steps_per_count": 432},
-            "legacy": {"best_s": 0.003, "steps_per_count": 9264},
-        },
         "compiled_match": {
             "speedup": 11.0,
             "rewrite_batch": {"speedup": 8.0},
             "program_cache": {"rewrite_batch": {"programs_compiled": 1}},
         },
-        "candidate_batch": {"speedup_32": 6.0, "batches": {"32": {"serial_s": 1.0}}},
         "process_pool": {
             "cpu_cores": 2,
             "workers_cap": 2,
@@ -66,13 +60,6 @@ def baseline_payload() -> dict:
             "heavy_count": {},
             "rewrite_batch": {},
         },
-        "server_protocol": {
-            "streamed_identical": 1.0,
-            "open_loop": {
-                "2": {"ttfc_ratio": 0.6, "p99_over_p50": 1.1},
-                "8": {"ttfc_ratio": 0.7, "p99_over_p50": 1.2},
-            },
-        },
         "restart_warm": {
             "unmutated": {"warm_hit_rate": 1.0, "counts_identical": True},
             "mutated": {"warm_hit_rate": 0.96875, "counts_identical": True},
@@ -87,10 +74,10 @@ class TestOffendingSections:
             "process_pool.workers",
             "process_pool.workers.2",
             "process_pool.workers.2.speedup",
-            "candidate_batch.speedup_32",
+            "compiled_match.speedup",
         }
         assert offending_sections(paths) == [
-            "candidate_batch.speedup_32",
+            "compiled_match.speedup",
             "process_pool",
         ]
 
@@ -348,56 +335,6 @@ class TestObservabilityGate:
         fresh["observability"]["enabled_ratio"] = 0.88  # below the 0.9 floor
         gate = check_trajectory(baseline, fresh)
         assert any("tracing-enabled" in f for f in gate.failures)
-
-
-class TestServerProtocolGate:
-    def test_streamed_divergence_fails_exactly(self):
-        """Bit-identity of streamed vs plain explains is deterministic:
-        no tolerance, any fraction below 1.0 fails."""
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["server_protocol"]["streamed_identical"] = 0.75
-        gate = check_trajectory(baseline, fresh)
-        assert any("DIVERGED" in f for f in gate.failures)
-
-    def test_ttfc_degenerating_to_result_time_fails(self):
-        """Streaming that delivers the first candidate only alongside the
-        final frame (ratio -> 1.0) is a regression even within noise."""
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["server_protocol"]["open_loop"]["2"]["ttfc_ratio"] = 0.95
-        gate = check_trajectory(baseline, fresh)
-        assert any("ttfc ratio @2" in f for f in gate.failures)
-        fresh["server_protocol"]["open_loop"]["2"]["ttfc_ratio"] = 0.7
-        assert check_trajectory(baseline, fresh).failures == []
-
-    def test_lucky_low_ttfc_baseline_is_floored(self):
-        """A lucky 0.2 baseline draw must not make ordinary scheduling
-        jitter (say 0.55) a failure: the baseline contributes >= 0.5."""
-        baseline = baseline_payload()
-        baseline["server_protocol"]["open_loop"]["2"]["ttfc_ratio"] = 0.2
-        fresh = copy.deepcopy(baseline)
-        fresh["server_protocol"]["open_loop"]["2"]["ttfc_ratio"] = 0.55
-        assert check_trajectory(baseline, fresh).failures == []
-
-    def test_detached_tail_fails_and_jitter_does_not(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        # tail baseline is floored at 5.0 -> ceiling 6.25: ordinary
-        # jitter passes, a tail detached from the median fails
-        fresh["server_protocol"]["open_loop"]["8"]["p99_over_p50"] = 4.0
-        assert check_trajectory(baseline, fresh).failures == []
-        fresh["server_protocol"]["open_loop"]["8"]["p99_over_p50"] = 8.0
-        gate = check_trajectory(baseline, fresh)
-        assert any("tail ratio @8" in f for f in gate.failures)
-
-    def test_levels_gated_independently(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["server_protocol"]["open_loop"]["8"]["ttfc_ratio"] = 0.95
-        gate = check_trajectory(baseline, fresh)
-        assert any("ttfc ratio @8" in f for f in gate.failures)
-        assert not any("ttfc ratio @2" in f for f in gate.failures)
 
 
 class TestRestartWarmGate:
