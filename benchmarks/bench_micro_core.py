@@ -939,6 +939,156 @@ def _restart_warm_section() -> dict:
     }
 
 
+#: the ``rewrite_identity`` counters on the parent of the PR that made
+#: search candidates frozen, structurally shared values (commit c5ccb21:
+#: every candidate deep-copied, re-signed per lookup and re-scored by a
+#: full Algorithm 1 pass), measured by this same section
+REWRITE_IDENTITY_PARENT = {
+    "coarse": {
+        "candidates": 40,
+        "queries_signed": 44,
+        "query_signature_builds": 58,
+        "element_signature_builds": 423,
+        "distance_evaluations": 316,
+        "path1_lookups": 427,
+        "candidate_edges": 145,
+    },
+    "fine": {
+        "candidates": 64,
+        "queries_signed": 85,
+        "query_signature_builds": 344,
+        "element_signature_builds": 2752,
+        "distance_evaluations": 512,
+        "path1_lookups": 352,
+        "candidate_edges": 340,
+    },
+}
+
+
+def _rewrite_identity_section(graph) -> dict:
+    """Identity and scoring work per search candidate (ISSUE 21).
+
+    One fixed coarse pass (``LDBC QUERY 3`` why-empty, three explanations)
+    and one fixed fine-grained pass (``LDBC QUERY 3`` why-so-few,
+    ``[2C; 4C]``), each on a fresh context, with the functions below
+    wrapped from here for the duration of the pass:
+
+    * ``query_signature_builds`` -- :meth:`GraphQuery.signature` calls that
+      assemble the tuple (a frozen query answers later calls from its
+      slot), next to ``queries_signed``, the distinct query objects asked;
+    * ``element_signature_builds`` -- element signatures computed;
+    * ``distance_evaluations`` -- ``vertex_distance`` + ``edge_distance``
+      calls, next to ``distance_evaluation_bound``: the elements whose
+      object is not the parent candidate's plus the vertices whose IN /
+      OUT set moved, summed over every table derived from a parent (every
+      element of the union for a table built from scratch);
+    * ``path1_lookups`` -- :meth:`GraphStatistics._path1` calls, next to
+      ``candidate_edges``: one pass over each scored candidate's edges.
+
+    ``candidates`` is what the pass generated (coarse) or evaluated
+    (fine-grained).  All of it is exact: the passes are deterministic.
+    """
+    import repro.metrics.syntactic as syntactic
+    from repro.core.query import QueryEdge, QueryVertex
+    from repro.finegrained import TraverseSearchTree
+    from repro.metrics.cardinality import CardinalityThreshold
+    from repro.rewrite import CoarseRewriter
+
+    counts: dict = {}
+    signed: dict = {}
+
+    def counted(name, fn, weight=lambda *args, **kwargs: 1):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + weight(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def builds(query) -> int:
+        signed.setdefault(id(query), query)  # held: ids must stay distinct
+        return 1 if query._sig is None else 0
+
+    def bound(table, original, query, parent=None) -> int:
+        if parent is None:
+            return len(original.vertex_ids | query.vertex_ids) + len(
+                original.edge_ids | query.edge_ids
+            )
+        old = parent.query
+        moved = sum(
+            1
+            for v in query.vertices()
+            if original.has_vertex(v.vid)
+            and (
+                not old.has_vertex(v.vid)
+                or old.vertex(v.vid) is not v
+                or old.in_set(v.vid) != query.in_set(v.vid)
+                or old.out_set(v.vid) != query.out_set(v.vid)
+            )
+        )
+        return moved + sum(
+            1
+            for e in query.edges()
+            if original.has_edge(e.eid)
+            and not (old.has_edge(e.eid) and old.edge(e.eid) is e)
+        )
+
+    def edges(stats, query, parent=None) -> int:
+        return query.num_edges
+
+    patches = [
+        (GraphQuery, "signature", "query_signature_builds", builds),
+        (QueryVertex, "_signature", "element_signature_builds", None),
+        (QueryEdge, "_signature", "element_signature_builds", None),
+        (syntactic, "vertex_distance", "distance_evaluations", None),
+        (syntactic, "edge_distance", "distance_evaluations", None),
+        (syntactic.DistanceTable, "__init__", "distance_evaluation_bound", bound),
+        (GraphStatistics, "_path1", "path1_lookups", None),
+        (GraphStatistics, "profile", "candidate_edges", edges),
+    ]
+
+    def measured(run) -> dict:
+        counts.clear()
+        signed.clear()
+        originals = [(owner, name, getattr(owner, name)) for owner, name, _, _ in patches]
+        try:
+            for (owner, name, key, weight), (_, _, fn) in zip(patches, originals):
+                wrapped = counted(key, fn, weight) if weight else counted(key, fn)
+                setattr(owner, name, wrapped)
+            candidates = run()
+        finally:
+            for owner, name, fn in originals:
+                setattr(owner, name, fn)
+        return {
+            "candidates": candidates,
+            "queries_signed": len(signed),
+            **{key: counts.get(key, 0) for _, _, key, _ in patches},
+        }
+
+    def coarse() -> int:
+        context = ExecutionContext(graph)
+        result = CoarseRewriter(context=context).rewrite(
+            ldbc.empty_variant("LDBC QUERY 3"), k=3
+        )
+        return result.generated
+
+    def fine() -> int:
+        context = ExecutionContext(graph)
+        query = ldbc.query_3().freeze()  # a builder is re-signed per lookup
+        count = context.count(query)
+        result = TraverseSearchTree(
+            context=context,
+            threshold=CardinalityThreshold(2 * count, 4 * count),
+            constrainable_attrs=context.attribute_domain().common_vertex_attrs(),
+        ).search(query)
+        return result.evaluated
+
+    return {
+        "parent": REWRITE_IDENTITY_PARENT,
+        "coarse": measured(coarse),
+        "fine": measured(fine),
+    }
+
+
 def test_micro_emit_machine_readable(ldbc_bundle):
     """Write BENCH_micro_core.json: per-op timings + the section records."""
     context = ExecutionContext(ldbc_bundle.graph)
@@ -988,10 +1138,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     mutate_while_serving = _mutate_while_serving_section()
     observability = _observability_section()
     restart_warm = _restart_warm_section()
+    rewrite_identity = _rewrite_identity_section(ldbc_bundle.graph)
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 12,
+        "schema_version": 13,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
         "sharded_expansion": sharded_expansion,
@@ -999,6 +1150,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "mutate_while_serving": mutate_while_serving,
         "observability": observability,
         "restart_warm": restart_warm,
+        "rewrite_identity": rewrite_identity,
         "ops": ops,
         "cache_counters": {
             "plan": plan_cache_stats(ldbc_bundle.graph).as_dict(),
@@ -1078,3 +1230,12 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert rw_unmutated["counts_identical"], rw_unmutated
     assert 0.0 < rw_mutated["warm_hit_rate"] < 1.0, rw_mutated["warm_hit_rate"]
     assert rw_mutated["counts_identical"], rw_mutated
+    # acceptance (ISSUE 21): a candidate is signed at most once, scored in
+    # O(delta) -- no more Eq. 3.11 / 3.12 evaluations than elements it
+    # does not share with its parent plus moved neighbours -- and its
+    # path(1) rows cost at most one pass over its edges.  Exact counts.
+    for name in ("coarse", "fine"):
+        work = rewrite_identity[name]
+        assert work["query_signature_builds"] <= work["queries_signed"], (name, work)
+        assert work["distance_evaluations"] <= work["distance_evaluation_bound"], (name, work)
+        assert work["path1_lookups"] <= work["candidate_edges"], (name, work)

@@ -61,7 +61,13 @@ fails (exit code 1) when the trajectory regressed:
   invalidation scope may legitimately change), and the
   ``counts_identical`` flags (restored counts bit-identical to cold
   computes -- exact, pass/fail).  All deterministic cache-hit counts,
-  never wall-clock, so *not* core-aware.
+  never wall-clock, so *not* core-aware;
+* **candidate identity work** (``rewrite_identity``): whole-query and
+  element signature builds, Eq. 3.11 / 3.12 evaluations and path(1) memo
+  lookups of one fixed coarse and one fixed fine-grained pass.  The
+  passes are deterministic and the counts repeat exactly, so each is an
+  *exact ceiling*: the fresh count may not exceed the committed one by
+  a single call (no tolerance, no wall-clock ratio).
 
 Speedups are *ratios of two measurements taken on the same machine in
 the same process*, so they are comparable across the baseline's machine
@@ -84,6 +90,14 @@ import pathlib
 import sys
 from typing import Iterable, List, Set, Tuple
 
+
+#: ``rewrite_identity`` counters gated as exact ceilings, per pass
+IDENTITY_COUNTERS = (
+    "query_signature_builds",
+    "element_signature_builds",
+    "distance_evaluations",
+    "path1_lookups",
+)
 
 #: kernels the 32-variant rewrite batch may generate and ``compile()``:
 #: its variants differ in one edge type, i.e. share one plan shape
@@ -351,6 +365,18 @@ def check_trajectory(
                 f"restart-warm {variant} restart DIVERGED from the cold "
                 "computes (counts_identical is false) -- a restored cache "
                 "entry returned a wrong count"
+            )
+    # exact work counts of two deterministic passes: a ceiling without
+    # tolerance -- one more signature build or distance evaluation than
+    # the committed record is a candidate that stopped sharing
+    for search in ("coarse", "fine"):
+        for counter in IDENTITY_COUNTERS:
+            path = f"rewrite_identity.{search}.{counter}"
+            gate.check_not_above(
+                f"candidate identity work: {search} {counter.replace('_', ' ')}",
+                dig(baseline, path),
+                dig(fresh, path),
+                0.0,
             )
     return gate
 

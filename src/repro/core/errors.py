@@ -63,6 +63,15 @@ class MalformedQueryError(QueryError, ValueError):
     """
 
 
+class FrozenQueryError(QueryError, TypeError):
+    """A mutator was called on a frozen query or query element.
+
+    Also a :class:`TypeError`, which is what a write through a frozen
+    element's read-only ``predicates`` mapping raises, so one ``except``
+    covers both.
+    """
+
+
 class PredicateError(ReproError, ValueError):
     """A predicate was constructed with inconsistent arguments."""
 

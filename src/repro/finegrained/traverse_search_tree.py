@@ -25,7 +25,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MalformedQueryError, RewritingError
 from repro.core.graph import PropertyGraph
@@ -40,7 +40,7 @@ from repro.exec.wiring import resolve_spine
 from repro.matching.matcher import PatternMatcher
 from repro.metrics.cardinality import CardinalityThreshold
 from repro.obs.tracing import SPAN_REWRITE, current_tracer
-from repro.metrics.syntactic import syntactic_distance
+from repro.metrics.syntactic import DistanceTable
 from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import (
     AttributeDomain,
@@ -48,7 +48,7 @@ from repro.rewrite.operations import (
     fine_concretisations,
     fine_relaxations,
 )
-from repro.rewrite.statistics import GraphStatistics
+from repro.rewrite.statistics import CardinalityProfile, GraphStatistics
 from repro.finegrained.modification_tree import ModificationTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -161,8 +161,8 @@ class TraverseSearchTree:
         return []
 
     def _ordered_expansions(
-        self, query: GraphQuery, cardinality: int
-    ) -> List[Tuple[Modification, GraphQuery]]:
+        self, query: GraphQuery, cardinality: int, profile: CardinalityProfile
+    ) -> List[Tuple[Modification, GraphQuery, CardinalityProfile]]:
         """Generate and *re-arrange* a node's branches (Sec. 6.3.2).
 
         Branches are ordered by the statistics-estimated cardinality of
@@ -171,22 +171,24 @@ class TraverseSearchTree:
         first; when it must shrink, the smallest.  Estimated
         non-contributors (estimate identical to the parent's) sink to the
         back, so the evaluation budget is spent on promising branches.
+        ``profile`` is the node's own; each child's is derived from it.
         """
         direction = self.threshold.direction(cardinality)
-        parent_estimate = self.statistics.estimate_query_cardinality(query)
-        expansions: List[Tuple[float, int, Modification, GraphQuery]] = []
+        expansions: List[
+            Tuple[float, int, Modification, GraphQuery, CardinalityProfile]
+        ] = []
         for index, op in enumerate(self._candidates(query, cardinality)):
             try:
                 child = op.apply(query)
                 child.validate()
             except (RewritingError, MalformedQueryError):
                 continue
-            estimate = self.statistics.estimate_query_cardinality(child)
-            gain = (estimate - parent_estimate) * direction
-            expansions.append((gain, index, op, child))
+            derived = self.statistics.profile(child, profile)
+            gain = (derived.estimate - profile.estimate) * direction
+            expansions.append((gain, index, op, child, derived))
         # largest direction-aligned gain first; stable on generation order
         expansions.sort(key=lambda item: (-item[0], item[1]))
-        return [(op, child) for _, _, op, child in expansions]
+        return [(op, child, derived) for _, _, op, child, derived in expansions]
 
     def _probe_limit(self) -> Optional[int]:
         limit = self.threshold.probe_limit
@@ -216,6 +218,10 @@ class TraverseSearchTree:
 
     def _search(self, query: GraphQuery, tracer) -> FineRewriteResult:
         start = time.perf_counter()
+        # variants are frozen values derived from a frozen original: a
+        # child shares what its modification left alone and is scored
+        # from its parent's tables
+        query = query.as_frozen()
         limit = self._probe_limit()
         root_card = self.cache.count(query, limit=limit)
         root_distance = self.threshold.distance(root_card)
@@ -238,7 +244,11 @@ class TraverseSearchTree:
         counter = itertools.count()
         heap: List[Tuple[Tuple[int, float, int], int]] = []
         heapq.heappush(heap, ((root_distance, 0.0, next(counter)), root.node_id))
-        seen = {query.signature()}
+        seen = {query}
+        #: node id -> (path(1) profile, Algorithm 1 table) of its variant
+        scores: Dict[int, Tuple[CardinalityProfile, DistanceTable]] = {
+            root.node_id: (self.statistics.profile(query), DistanceTable(query, query))
+        }
         generated = 0
         budget_exhausted = False
         best = root
@@ -255,33 +265,34 @@ class TraverseSearchTree:
             # stops between batches once a variant converged, keeping the
             # serial (batch 1) trajectory identical to the sequential
             # formulation and the batched one deterministic.
-            siblings: List[Tuple[Modification, GraphQuery]] = []
-            batch_sigs = set()
-            for op, child_query in self._ordered_expansions(
-                node.query, node.cardinality
+            profile, distances = scores[node_id]
+            siblings: List[Tuple[Modification, GraphQuery, CardinalityProfile]] = []
+            batch = set()
+            for op, child_query, child_profile in self._ordered_expansions(
+                node.query, node.cardinality, profile
             ):
-                sig = child_query.signature()
-                if sig in seen or sig in batch_sigs:
+                if child_query in seen or child_query in batch:
                     continue
-                batch_sigs.add(sig)
-                siblings.append((op, child_query))
+                batch.add(child_query)
+                siblings.append((op, child_query, child_profile))
             pos = 0
             while pos < len(siblings) and best.distance > 0:
                 chunk = siblings[pos : pos + self.batch_size]
-                results = evaluator.evaluate([q for _, q in chunk])
+                results = evaluator.evaluate([q for _, q, _ in chunk])
                 if len(results) < len(chunk):
                     budget_exhausted = True
-                for (op, child_query), result in zip(chunk, results):
-                    seen.add(child_query.signature())
+                for (op, child_query, child_profile), result in zip(chunk, results):
+                    seen.add(child_query)
                     generated += 1
                     card = result.cardinality
                     distance = self.threshold.distance(card)
-                    syntactic = syntactic_distance(query, child_query)
+                    child_distances = distances.child(child_query)
                     child = tree.add_child(
-                        node, child_query, op, card, distance, syntactic
+                        node, child_query, op, card, distance, child_distances.total
                     )
                     if child is None:
                         continue
+                    scores[child.node_id] = (child_profile, child_distances)
                     if child.objective < best.objective:
                         best = child
                     if child.distance == 0:

@@ -59,7 +59,7 @@ from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.query import Direction, QueryEdge, QueryVertex
 from repro.matching.candidates import attributes_match, vertex_candidates
-from repro.matching.evalcache import EvaluationCache, predicate_signature
+from repro.matching.evalcache import EvaluationCache
 from repro.obs.tracing import SPAN_CSR_BUILD, current_tracer
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "csr_entry",
     "csr_for",
     "csr_stats",
-    "edge_predicate_signature",
 ]
 
 #: env var bounding the total bytes of live CSR indexes across all
@@ -99,14 +98,6 @@ _EMPTY_COUNTERS: Dict[str, int] = {
     "program_hits": 0,
     "program_fallbacks": 0,
 }
-
-
-def edge_predicate_signature(qedge: QueryEdge) -> Tuple:
-    """Vertex-id-independent signature of a query edge's predicate map
-    (the edge-side twin of :func:`repro.matching.evalcache.predicate_signature`)."""
-    return tuple(
-        sorted((attr, pred.signature()) for attr, pred in qedge.predicates.items())
-    )
 
 
 class CSRIndex:
@@ -289,7 +280,7 @@ class CSRIndex:
         predicates = qvertex.predicates
         if not predicates:
             return None
-        sig = predicate_signature(qvertex)
+        sig = qvertex.predicate_signature()
         mask = self._vertex_masks.get(sig)
         if mask is None:
             if len(self._vertex_masks) >= MASK_CAP:
@@ -320,7 +311,7 @@ class CSRIndex:
         """Ascending vertex-index pool for seeding ``qvertex``: the seed
         universe (owned range on partial graphs) filtered by the
         vertex's mask.  Interned by predicate signature."""
-        sig = predicate_signature(qvertex)
+        sig = qvertex.predicate_signature()
         pool = self._seed_pools.get(sig)
         if pool is None:
             mask = self.vertex_mask(qvertex, evalcache)
@@ -342,7 +333,7 @@ class CSRIndex:
         memoised per ``(signature, restriction)`` until the next patch."""
         if not isinstance(restrict, frozenset):
             restrict = frozenset(restrict)
-        key = (predicate_signature(qvertex), restrict)
+        key = (qvertex.predicate_signature(), restrict)
         pool = self._restrict_pools.get(key)
         if pool is None:
             pool = self._restricted(self.seed_pool(qvertex, evalcache), restrict)
@@ -372,7 +363,7 @@ class CSRIndex:
         predicates = qedge.predicates
         if not predicates:
             return None
-        sig = edge_predicate_signature(qedge)
+        sig = qedge.predicate_signature()
         mask = self._edge_masks.get(sig)
         if mask is None:
             if len(self._edge_masks) >= MASK_CAP:

@@ -10,8 +10,10 @@ This module memoises the expensive per-call derivations so each graph
 index is touched at most once per distinct constraint:
 
 * :class:`EvaluationCache` caches ``vertex_candidates`` results by
-  *predicate signature* (the vertex-id-independent part of
-  :meth:`~repro.core.query.QueryVertex.signature`), shared between the
+  *predicate signature*
+  (:meth:`~repro.core.query.QueryVertex.predicate_signature`, the
+  vertex-id-independent part of the vertex signature: vertices with equal
+  predicate maps share candidate sets wherever they sit), shared between the
   matcher's seed enumeration, :class:`~repro.rewrite.statistics.GraphStatistics`
   and, transitively, :class:`~repro.rewrite.cache.QueryResultCache`.
 * :func:`shared_evaluation_cache` hands out one cache per data graph (a
@@ -68,17 +70,6 @@ class CacheStats:
             "size": self.size,
             "hit_rate": self.hit_rate,
         }
-
-
-def predicate_signature(qvertex: QueryVertex) -> Hashable:
-    """Vertex-id-independent signature of a query vertex's predicates.
-
-    Two query vertices with equal predicate maps share candidate sets
-    regardless of their position in the query, so this is the cache key.
-    """
-    return tuple(
-        sorted((a, p.signature()) for a, p in qvertex.predicates.items())
-    )
 
 
 class EvaluationCache:
@@ -162,7 +153,7 @@ class EvaluationCache:
         """
         graph = self.graph
         self._validate(graph)
-        key = predicate_signature(qvertex)
+        key = qvertex.predicate_signature()
         try:
             result = self._vertex_candidates[key]
         except KeyError:

@@ -33,7 +33,8 @@ from repro.metrics.hausdorff import modified_hausdorff
 
 def predicate_interval_distance(a: Optional[Predicate], b: Optional[Predicate]) -> float:
     """MHD between two predicate intervals; 1 when present on one side only."""
-    if a is None and b is None:
+    if a is b:
+        # absent on both sides, or the one shared (immutable) predicate
         return 0.0
     if a is None or b is None:
         return 1.0
@@ -90,21 +91,70 @@ def edge_distance(q1: GraphQuery, q2: GraphQuery, eid: int) -> float:
     return (pi_sum + d_types + d_dirs + d_source + d_target) / (len(attrs) + 4)
 
 
+class DistanceTable:
+    """Algorithm 1's per-element rows of ``query`` against ``original``.
+
+    ``parent`` is the table of a query ``query`` was derived from (against
+    the same original).  A row is then copied from it when the element is
+    the *same object* in both -- frozen queries share what they did not
+    change -- and, for a vertex, ``IN`` / ``OUT`` did not move; only the
+    other rows are evaluated.  Without a parent every row is.  The rows
+    are kept and summed in Algorithm 1's order either way, so the total
+    does not depend on how the table was built.
+    """
+
+    __slots__ = ("original", "query", "vertices", "edges", "total")
+
+    def __init__(
+        self,
+        original: GraphQuery,
+        query: GraphQuery,
+        parent: Optional["DistanceTable"] = None,
+    ) -> None:
+        self.original = original
+        self.query = query
+        old = parent.query if parent is not None else None
+        vertices: Dict[int, float] = {}
+        for vid in original.vertex_ids | query.vertex_ids:
+            if not (original.has_vertex(vid) and query.has_vertex(vid)):
+                vertices[vid] = 1.0
+            elif (
+                old is not None
+                and old.has_vertex(vid)
+                and old.vertex(vid) is query.vertex(vid)
+                and old.in_set(vid) == query.in_set(vid)
+                and old.out_set(vid) == query.out_set(vid)
+            ):
+                vertices[vid] = parent.vertices[vid]
+            else:
+                vertices[vid] = vertex_distance(original, query, vid)
+        edges: Dict[int, float] = {}
+        for eid in original.edge_ids | query.edge_ids:
+            if not (original.has_edge(eid) and query.has_edge(eid)):
+                edges[eid] = 1.0
+            elif old is not None and old.has_edge(eid) and old.edge(eid) is query.edge(eid):
+                edges[eid] = parent.edges[eid]
+            else:
+                edges[eid] = edge_distance(original, query, eid)
+        self.vertices = vertices
+        self.edges = edges
+        #: Eq. 3.13: the mean over the element union
+        n_elements = len(vertices) + len(edges)
+        self.total = (
+            (sum(vertices.values()) + sum(edges.values())) / n_elements
+            if n_elements
+            else 0.0
+        )
+
+    def child(self, query: GraphQuery) -> "DistanceTable":
+        """The table of ``query``, a query derived from this table's."""
+        return DistanceTable(self.original, query, self)
+
+
 def element_distances(q1: GraphQuery, q2: GraphQuery) -> Dict[str, Dict[int, float]]:
     """Per-element distances over the element union (Algorithm 1 body)."""
-    vertices: Dict[int, float] = {}
-    for vid in q1.vertex_ids | q2.vertex_ids:
-        if not (q1.has_vertex(vid) and q2.has_vertex(vid)):
-            vertices[vid] = 1.0
-        else:
-            vertices[vid] = vertex_distance(q1, q2, vid)
-    edges: Dict[int, float] = {}
-    for eid in q1.edge_ids | q2.edge_ids:
-        if not (q1.has_edge(eid) and q2.has_edge(eid)):
-            edges[eid] = 1.0
-        else:
-            edges[eid] = edge_distance(q1, q2, eid)
-    return {"vertices": vertices, "edges": edges}
+    table = DistanceTable(q1, q2)
+    return {"vertices": table.vertices, "edges": table.edges}
 
 
 def syntactic_distance(q1: GraphQuery, q2: GraphQuery) -> float:
@@ -114,9 +164,4 @@ def syntactic_distance(q1: GraphQuery, q2: GraphQuery) -> float:
     identical element sets (same identifiers, predicates, types,
     directions, topology).
     """
-    parts = element_distances(q1, q2)
-    n_elements = len(parts["vertices"]) + len(parts["edges"])
-    if n_elements == 0:
-        return 0.0
-    total = sum(parts["vertices"].values()) + sum(parts["edges"].values())
-    return total / n_elements
+    return DistanceTable(q1, q2).total

@@ -44,7 +44,7 @@ from repro.exec.evaluator import (
 from repro.exec.wiring import resolve_spine
 from repro.matching.matcher import PatternMatcher
 from repro.obs.tracing import SPAN_REWRITE, current_tracer
-from repro.metrics.syntactic import syntactic_distance
+from repro.metrics.syntactic import DistanceTable
 from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import Modification, coarse_relaxations
 from repro.rewrite.preference_model import RewritePreferenceModel
@@ -53,7 +53,7 @@ from repro.rewrite.priority import (
     PriorityFunction,
     get_priority_function,
 )
-from repro.rewrite.statistics import GraphStatistics
+from repro.rewrite.statistics import CardinalityProfile, GraphStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
@@ -118,7 +118,9 @@ class _QueueEntry:
     sort_key: Tuple[int, float, int]
     query: GraphQuery = field(compare=False)
     modifications: Tuple[Modification, ...] = field(compare=False)
-    estimate: float = field(compare=False)
+    #: what the candidate's children derive their scores from
+    profile: CardinalityProfile = field(compare=False)
+    distances: DistanceTable = field(compare=False)
 
 
 class CoarseRewriter:
@@ -201,13 +203,16 @@ class CoarseRewriter:
             return result
 
     def _rewrite(self, query: GraphQuery, k: int, tracer) -> CoarseRewriteResult:
+        # candidates are frozen values derived from a frozen original: a
+        # child shares what its operation left alone and is scored from
+        # its parent's tables
+        query = query.as_frozen()
         if self.cache.count(query, limit=1) > 0:
             raise ValueError(
                 "query delivers results; coarse rewriting targets why-empty"
             )
         start = time.perf_counter()
         counter = itertools.count()
-        original_estimate = self.statistics.estimate_query_cardinality(query)
         budget = (
             self.budget
             if self.budget is not None
@@ -223,7 +228,7 @@ class CoarseRewriter:
         )
 
         heap: List[_QueueEntry] = []
-        seen: Set = {query.signature()}
+        seen: Set[GraphQuery] = {query}
         generated = 0
         queue_peak = 0
         budget_exhausted = False
@@ -233,7 +238,8 @@ class CoarseRewriter:
         def push_children(
             base: GraphQuery,
             base_mods: Tuple[Modification, ...],
-            base_estimate: float,
+            base_profile: CardinalityProfile,
+            base_distances: DistanceTable,
         ) -> None:
             nonlocal generated
             if self.max_depth is not None and len(base_mods) >= self.max_depth:
@@ -246,20 +252,20 @@ class CoarseRewriter:
                     child.validate()
                 except (RewritingError, MalformedQueryError):
                     continue
-                sig = child.signature()
-                if sig in seen:
+                if child in seen:
                     continue
-                seen.add(sig)
+                seen.add(child)
                 generated += 1
                 mods = base_mods + (op,)
                 ctx = CandidateContext(
                     original=query,
                     query=child,
                     modifications=mods,
-                    parent_estimate=base_estimate,
+                    parent_estimate=base_profile.estimate,
                     statistics=self.statistics,
+                    profile=self.statistics.profile(child, base_profile),
+                    distances=base_distances.child(child),
                 )
-                estimate = self.statistics.estimate_query_cardinality(child)
                 priority = self.priority_fn(ctx)
                 bucket = 0
                 if self.preference_model is not None:
@@ -267,11 +273,17 @@ class CoarseRewriter:
                 heapq.heappush(
                     heap,
                     _QueueEntry(
-                        (bucket, -priority, next(counter)), child, mods, estimate
+                        (bucket, -priority, next(counter)),
+                        child,
+                        mods,
+                        ctx.profile,
+                        ctx.distances,
                     ),
                 )
 
-        push_children(query, (), original_estimate)
+        push_children(
+            query, (), self.statistics.profile(query), DistanceTable(query, query)
+        )
 
         def record_point() -> None:
             convergence.append(
@@ -310,14 +322,16 @@ class CoarseRewriter:
                             RewrittenQuery(
                                 query=entry.query,
                                 cardinality=result.cardinality,
-                                syntactic=syntactic_distance(query, entry.query),
+                                syntactic=entry.distances.total,
                                 modifications=entry.modifications,
-                                estimate=entry.estimate,
+                                estimate=entry.profile.estimate,
                             )
                         )
                         record_point()
                     continue
-                push_children(entry.query, entry.modifications, entry.estimate)
+                push_children(
+                    entry.query, entry.modifications, entry.profile, entry.distances
+                )
             if budget_exhausted:
                 break
             # sample the convergence curve roughly every 10 evaluations

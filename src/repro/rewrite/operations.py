@@ -2,9 +2,11 @@
 
 Every rewriting engine in the library speaks the same vocabulary of
 modification operations.  An operation is an immutable description of one
-change; :meth:`Modification.apply` returns a *new* query, never mutating
-its input, so search engines can safely share parent queries between
-branches.
+change; :meth:`Modification.apply` returns a *new frozen* query, never
+mutating its input.  The child shares every untouched element object with
+its (frozen) parent and builds only the element the operation changes
+(:meth:`GraphQuery.with_vertex` and friends), so search engines share
+parent queries between branches and score a child in O(delta).
 
 Two classes of operations (Sec. 3.2.1):
 
@@ -27,12 +29,18 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import PredicateError, RewritingError
 from repro.core.graph import PropertyGraph
 from repro.core.predicates import Interval, Predicate, ValueSet
-from repro.core.query import BOTH_DIRECTIONS, Direction, GraphQuery
+from repro.core.query import (
+    BOTH_DIRECTIONS,
+    Direction,
+    GraphQuery,
+    QueryEdge,
+    QueryVertex,
+)
 
 #: Element reference: ``("vertex", vid)`` or ``("edge", eid)``.
 ElementRef = Tuple[str, int]
@@ -51,7 +59,7 @@ class Modification(ABC):
 
     @abstractmethod
     def apply(self, query: GraphQuery) -> GraphQuery:
-        """Return a new query with the change applied.
+        """Return a new frozen query with the change applied.
 
         Raises :class:`RewritingError` when the operation is no longer
         applicable to ``query`` (e.g. the element was already removed by
@@ -78,17 +86,42 @@ class Modification(ABC):
         return f"{type(self).__name__}({self.describe()})"
 
 
-def _element_predicates(query: GraphQuery, ref: ElementRef) -> Dict[str, Predicate]:
+def _element_predicates(query: GraphQuery, ref: ElementRef) -> Mapping[str, Predicate]:
     kind, ident = ref
     if kind == "vertex":
         if not query.has_vertex(ident):
             raise RewritingError(f"vertex {ident} no longer in query")
         return query.vertex(ident).predicates
     if kind == "edge":
-        if not query.has_edge(ident):
-            raise RewritingError(f"edge {ident} no longer in query")
-        return query.edge(ident).predicates
+        return _edge(query, ident).predicates
     raise RewritingError(f"unknown element kind {kind!r}")
+
+
+def _edge(query: GraphQuery, eid: int) -> QueryEdge:
+    if not query.has_edge(eid):
+        raise RewritingError(f"edge {eid} no longer in query")
+    return query.edge(eid)
+
+
+def _with_predicates(
+    query: GraphQuery, ref: ElementRef, predicates: Dict[str, Predicate]
+) -> GraphQuery:
+    """``query`` with the element's predicate map replaced."""
+    kind, ident = ref
+    if kind == "vertex":
+        return query.with_vertex(QueryVertex(ident, predicates))
+    return _with_edge(query, query.edge(ident), predicates=predicates)
+
+
+def _with_edge(query: GraphQuery, edge: QueryEdge, **changes: Any) -> GraphQuery:
+    """``query`` with ``edge`` rebuilt around the changed fields."""
+    fields = {
+        "types": edge.types,
+        "directions": edge.directions,
+        "predicates": edge.predicates,
+        **changes,
+    }
+    return query.with_edge(QueryEdge(edge.eid, edge.source, edge.target, **fields))
 
 
 # --------------------------------------------------------------------------
@@ -109,12 +142,11 @@ class DropPredicate(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         if self.attr not in preds:
             raise RewritingError(f"{self.element} has no predicate {self.attr!r}")
-        del preds[self.attr]
-        return out
+        rest = {attr: pred for attr, pred in preds.items() if attr != self.attr}
+        return _with_predicates(query, self.element, rest)
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -136,11 +168,7 @@ class DropEdge(Modification):
         return ("edge", self.eid)
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        if not out.has_edge(self.eid):
-            raise RewritingError(f"edge {self.eid} no longer in query")
-        out.remove_edge(self.eid)
-        return out
+        return query.without_edge(_edge(query, self.eid).eid)
 
     def describe(self) -> str:
         return f"drop edge {self.eid}"
@@ -164,13 +192,11 @@ class DropVertex(Modification):
         return ("vertex", self.vid)
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        if not out.has_vertex(self.vid):
+        if not query.has_vertex(self.vid):
             raise RewritingError(f"vertex {self.vid} no longer in query")
-        if out.num_vertices <= 1:
+        if query.num_vertices <= 1:
             raise RewritingError("refusing to remove the last query vertex")
-        out.remove_vertex(self.vid)
-        return out
+        return query.without_vertex(self.vid)
 
     def describe(self) -> str:
         return f"drop vertex {self.vid} (with incident edges)"
@@ -191,14 +217,10 @@ class DropTypeConstraint(Modification):
         return ("edge", self.eid)
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        if not out.has_edge(self.eid):
-            raise RewritingError(f"edge {self.eid} no longer in query")
-        edge = out.edge(self.eid)
+        edge = _edge(query, self.eid)
         if edge.types is None:
             raise RewritingError(f"edge {self.eid} has no type constraint")
-        edge.types = None
-        return out
+        return _with_edge(query, edge, types=None)
 
     def describe(self) -> str:
         return f"drop type constraint of edge {self.eid}"
@@ -219,14 +241,10 @@ class RelaxDirection(Modification):
         return ("edge", self.eid)
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        if not out.has_edge(self.eid):
-            raise RewritingError(f"edge {self.eid} no longer in query")
-        edge = out.edge(self.eid)
+        edge = _edge(query, self.eid)
         if edge.directions == BOTH_DIRECTIONS:
             raise RewritingError(f"edge {self.eid} already matches both directions")
-        edge.directions = BOTH_DIRECTIONS
-        return out
+        return _with_edge(query, edge, directions=BOTH_DIRECTIONS)
 
     def describe(self) -> str:
         return f"relax direction of edge {self.eid} to both"
@@ -254,15 +272,14 @@ class AddPredicateValue(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         pred = preds.get(self.attr)
         if not isinstance(pred, ValueSet):
             raise RewritingError(f"{self.element}.{self.attr} is not a ValueSet")
         if pred.matches(self.value):
             raise RewritingError(f"{self.value!r} already admitted")
-        preds[self.attr] = pred.with_value(self.value)
-        return out
+        changed = {**preds, self.attr: pred.with_value(self.value)}
+        return _with_predicates(query, self.element, changed)
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -286,16 +303,15 @@ class RemovePredicateValue(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         pred = preds.get(self.attr)
         if not isinstance(pred, ValueSet):
             raise RewritingError(f"{self.element}.{self.attr} is not a ValueSet")
         try:
-            preds[self.attr] = pred.without_value(self.value)
+            changed = {**preds, self.attr: pred.without_value(self.value)}
         except PredicateError as exc:
             raise RewritingError(str(exc)) from exc
-        return out
+        return _with_predicates(query, self.element, changed)
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -319,13 +335,12 @@ class WidenInterval(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         pred = preds.get(self.attr)
         if not isinstance(pred, Interval):
             raise RewritingError(f"{self.element}.{self.attr} is not an Interval")
-        preds[self.attr] = pred.widen(self.step)
-        return out
+        changed = {**preds, self.attr: pred.widen(self.step)}
+        return _with_predicates(query, self.element, changed)
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -349,16 +364,15 @@ class NarrowInterval(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         pred = preds.get(self.attr)
         if not isinstance(pred, Interval):
             raise RewritingError(f"{self.element}.{self.attr} is not an Interval")
         try:
-            preds[self.attr] = pred.narrow(self.step)
+            changed = {**preds, self.attr: pred.narrow(self.step)}
         except PredicateError as exc:
             raise RewritingError(str(exc)) from exc
-        return out
+        return _with_predicates(query, self.element, changed)
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -382,12 +396,10 @@ class AddPredicate(Modification):
         return self.element
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        preds = _element_predicates(out, self.element)
+        preds = _element_predicates(query, self.element)
         if self.attr in preds:
             raise RewritingError(f"{self.element}.{self.attr} already constrained")
-        preds[self.attr] = self.predicate
-        return out
+        return _with_predicates(query, self.element, {**preds, self.attr: self.predicate})
 
     def describe(self) -> str:
         kind, ident = self.element
@@ -410,14 +422,10 @@ class RestrictDirection(Modification):
         return ("edge", self.eid)
 
     def apply(self, query: GraphQuery) -> GraphQuery:
-        out = query.copy()
-        if not out.has_edge(self.eid):
-            raise RewritingError(f"edge {self.eid} no longer in query")
-        edge = out.edge(self.eid)
+        edge = _edge(query, self.eid)
         if edge.directions != BOTH_DIRECTIONS:
             raise RewritingError(f"edge {self.eid} is already directed")
-        edge.directions = frozenset({self.direction})
-        return out
+        return _with_edge(query, edge, directions=frozenset({self.direction}))
 
     def describe(self) -> str:
         return f"restrict edge {self.eid} to {self.direction.value}"
@@ -548,7 +556,7 @@ def fine_relaxations(
     ops: List[Modification] = []
     step_cache: Dict[Tuple[ElementRef, str], float] = {}
 
-    def element_ops(ref: ElementRef, predicates: Dict[str, Predicate]) -> None:
+    def element_ops(ref: ElementRef, predicates: Mapping[str, Predicate]) -> None:
         for attr in sorted(predicates):
             pred = predicates[attr]
             if isinstance(pred, ValueSet):
@@ -593,7 +601,7 @@ def fine_concretisations(
     """
     ops: List[Modification] = []
 
-    def element_ops(ref: ElementRef, predicates: Dict[str, Predicate]) -> None:
+    def element_ops(ref: ElementRef, predicates: Mapping[str, Predicate]) -> None:
         for attr in sorted(predicates):
             pred = predicates[attr]
             if isinstance(pred, ValueSet) and len(pred.values) > 1:

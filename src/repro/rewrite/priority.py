@@ -32,20 +32,34 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.query import GraphQuery
-from repro.metrics.syntactic import syntactic_distance
+from repro.metrics.syntactic import DistanceTable
 from repro.rewrite.operations import Modification
-from repro.rewrite.statistics import GraphStatistics
+from repro.rewrite.statistics import CardinalityProfile, GraphStatistics
 
 
 @dataclass
 class CandidateContext:
-    """Everything a priority function may consult about one candidate."""
+    """Everything a priority function may consult about one candidate.
+
+    ``profile`` (path(1) rows, estimate, average) and ``distances``
+    (Algorithm 1's table against ``original``) are each one pass over the
+    candidate: the rewriter derives both from the parent candidate's and
+    hands them in; a context built without them computes them itself.
+    """
 
     original: GraphQuery
     query: GraphQuery
     modifications: Sequence[Modification]
     parent_estimate: Optional[float]
     statistics: GraphStatistics
+    profile: Optional[CardinalityProfile] = None
+    distances: Optional[DistanceTable] = None
+
+    def __post_init__(self) -> None:
+        if self.profile is None:
+            self.profile = self.statistics.profile(self.query)
+        if self.distances is None:
+            self.distances = DistanceTable(self.original, self.query)
 
     @property
     def depth(self) -> int:
@@ -57,7 +71,7 @@ PriorityFunction = Callable[[CandidateContext], float]
 
 def syntactic_priority(ctx: CandidateContext) -> float:
     """Prefer candidates that look most similar to the original query."""
-    return -syntactic_distance(ctx.original, ctx.query)
+    return -ctx.distances.total
 
 
 def estimated_cardinality_priority(ctx: CandidateContext) -> float:
@@ -66,12 +80,12 @@ def estimated_cardinality_priority(ctx: CandidateContext) -> float:
     Log-damped so a single exploding estimate does not dominate the queue
     forever; monotone, hence ordering-equivalent.
     """
-    return math.log1p(ctx.statistics.estimate_query_cardinality(ctx.query))
+    return math.log1p(ctx.profile.estimate)
 
 
 def avg_path1_priority(ctx: CandidateContext) -> float:
     """Prefer candidates whose edges have large path(1) cardinalities."""
-    return math.log1p(ctx.statistics.average_path1_cardinality(ctx.query))
+    return math.log1p(ctx.profile.average_path1)
 
 
 def induced_change_priority(ctx: CandidateContext) -> float:
@@ -81,9 +95,8 @@ def induced_change_priority(ctx: CandidateContext) -> float:
     estimate(parent); parents close to the failure frontier get explored
     once a single relaxation unlocks cardinality.
     """
-    estimate = ctx.statistics.estimate_query_cardinality(ctx.query)
     parent = ctx.parent_estimate if ctx.parent_estimate is not None else 0.0
-    return math.log1p(max(0.0, estimate - parent))
+    return math.log1p(max(0.0, ctx.profile.estimate - parent))
 
 
 #: Weight of the syntactic-closeness term inside the hybrid priority.
@@ -98,8 +111,7 @@ def hybrid_priority(ctx: CandidateContext) -> float:
     """Sec. 5.5.3's best performer: path(1) + induced change + closeness."""
     path1 = avg_path1_priority(ctx)
     induced = induced_change_priority(ctx)
-    closeness = -syntactic_distance(ctx.original, ctx.query)
-    return path1 + induced + HYBRID_CLOSENESS_WEIGHT * closeness
+    return path1 + induced + HYBRID_CLOSENESS_WEIGHT * -ctx.distances.total
 
 
 PRIORITY_FUNCTIONS: Dict[str, PriorityFunction] = {

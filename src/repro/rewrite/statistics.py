@@ -27,16 +27,16 @@ set twice.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.delta import DeltaTouch, delta_touch
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery, QueryEdge, QueryVertex
-from repro.matching.csr import csr_for, edge_predicate_signature
+from repro.matching.csr import csr_for
 from repro.matching.evalcache import (
     CacheStats,
     EvaluationCache,
-    predicate_signature,
     shared_evaluation_cache,
 )
 
@@ -46,10 +46,29 @@ from repro.matching.evalcache import (
 PATH1_CAP = 4096
 
 
+@dataclass(frozen=True)
+class CardinalityProfile:
+    """One query's path(1) rows and what Sec. 5.2-5.3 derives from them:
+    one pass over the query's edges serves the estimate, the average and
+    -- handed to :meth:`GraphStatistics.profile` as ``parent`` -- the rows
+    of every query derived from this one."""
+
+    query: GraphQuery
+    #: graph version the rows were read at
+    version: int
+    #: query edge id -> path(1) cardinality
+    path1: Dict[int, int]
+    estimate: float
+    average_path1: float
+
+
 def _touched(touch: DeltaTouch, key: Tuple) -> bool:
     """Can the delta run change the count memoised under ``key``?
     Conservative, like :func:`repro.core.delta.touch_affects_query`; the
-    types and attributes are read off the key itself."""
+    types and attributes are read off the key itself.  ``touch`` is
+    folded without the run's ``"v"`` / ``"hv"`` records: a vertex that
+    no edge reaches yet changes no edge count, and the ``"e"`` record
+    that attaches it drops its type's entries."""
     types, edge_preds, source_preds, target_preds, _directions = key
     if touch.edges_added and (types is None or not touch.edge_types.isdisjoint(types)):
         return True
@@ -100,7 +119,7 @@ class GraphStatistics:
         if deltas is None:
             stale = list(memo)
         else:
-            touch = delta_touch(deltas)
+            touch = delta_touch(r for r in deltas if r[0] not in ("v", "hv"))
             stale = [key for key in memo if _touched(touch, key)]
         for key in stale:
             del memo[key]
@@ -118,12 +137,13 @@ class GraphStatistics:
         """Memoised :meth:`CSRIndex.path1_count`.  Every miss fetches the
         index anew through :func:`csr_for` and keeps nothing of it, so
         in-place patches and rebuilds are always seen."""
+        # sorted tuples a frozen element computed when it froze
         key = (
-            tuple(sorted(qedge.types)) if qedge.types is not None else None,
-            edge_predicate_signature(qedge),
-            predicate_signature(source) if source is not None else (),
-            predicate_signature(target) if target is not None else (),
-            tuple(sorted(d.value for d in qedge.directions)),
+            qedge.type_key(),
+            qedge.predicate_signature(),
+            source.predicate_signature() if source is not None else (),
+            target.predicate_signature() if target is not None else (),
+            qedge.direction_key(),
         )
         memo = self._path1_cache
         with self._lock:
@@ -174,13 +194,49 @@ class GraphStatistics:
 
     def average_path1_cardinality(self, query: GraphQuery) -> float:
         """Mean path(1) cardinality over all query edges (Sec. 5.5.3)."""
-        eids = sorted(query.edge_ids)
-        if not eids:
-            vertices = list(query.vertices())
-            if not vertices:
-                return 0.0
-            return sum(self.vertex_cardinality(v) for v in vertices) / len(vertices)
-        return sum(self.path1_cardinality(query, eid) for eid in eids) / len(eids)
+        return self.profile(query).average_path1
+
+    def profile(
+        self, query: GraphQuery, parent: Optional[CardinalityProfile] = None
+    ) -> CardinalityProfile:
+        """``query``'s path(1) rows, estimate and average in one pass.
+
+        ``parent`` is the profile of a query ``query`` was derived from: a
+        row is copied from it when edge and both endpoints are the *same
+        objects* in both queries (frozen queries share what they did not
+        change) and the graph has not moved since; only the other edges
+        are looked up.
+        """
+        version = self.graph.version
+        old = parent.query if parent is not None and parent.version == version else None
+        path1: Dict[int, int] = {}
+        for edge in query.edges():
+            source, target = query.vertex(edge.source), query.vertex(edge.target)
+            if (
+                old is not None
+                and old.has_edge(edge.eid)
+                and old.edge(edge.eid) is edge
+                and old.vertex(edge.source) is source
+                and old.vertex(edge.target) is target
+            ):
+                path1[edge.eid] = parent.path1[edge.eid]
+            else:
+                path1[edge.eid] = self._path1(edge, source, target)
+        if path1:
+            average = sum(path1.values()) / len(path1)
+        elif query.num_vertices:
+            average = (
+                sum(self.vertex_cardinality(v) for v in query.vertices())
+                / query.num_vertices
+            )
+        else:
+            average = 0.0
+        estimate = 0.0
+        if query.num_vertices:
+            estimate = 1.0
+            for component in query.weakly_connected_components():
+                estimate *= self._estimate_component(query, component, path1)
+        return CardinalityProfile(query, version, path1, estimate, average)
 
     def estimate_path_cardinality(self, query: GraphQuery, eids: List[int]) -> float:
         """Path(n) estimate for a chain of query edges (Sec. 5.2.3).
@@ -206,20 +262,16 @@ class GraphStatistics:
         remaining non-tree edge (``path1 / (|Vs| * |Vt|)``).  Isolated
         vertices multiply their own vertex cardinality.
         """
-        if query.num_vertices == 0:
-            return 0.0
-        estimate = 1.0
-        for component in query.weakly_connected_components():
-            estimate *= self._estimate_component(query, component)
-        return estimate
+        return self.profile(query).estimate
 
-    def _estimate_component(self, query: GraphQuery, vertices) -> float:
+    def _estimate_component(
+        self, query: GraphQuery, vertices, rows: Dict[int, int]
+    ) -> float:
         in_tree: set = set()
         tree_edges: List[int] = []
         non_tree: List[int] = []
-        # one lookup per query edge and estimate
         path1 = {
-            eid: self.path1_cardinality(query, eid)
+            eid: rows[eid]
             for eid in query.edge_ids
             if query.edge(eid).source in vertices
         }

@@ -198,3 +198,93 @@ class TestOnDatasets:
         result = CoarseRewriter(ldbc_small.graph, max_evaluations=200).rewrite(failed)
         assert result.best is not None
         assert result.best.cardinality > 0
+
+
+# -- golden trajectories -------------------------------------------------------
+#
+# Captured on the commit before candidates became frozen, structurally
+# shared values scored from their parent's tables: every evaluated
+# candidate in evaluation order as (modifications, cardinality, syntactic).
+# "Same search, less work" is asserted here, not only by the e2e oracle.
+
+GOLDEN_LDBC_QUERY_1 = (
+    [
+        (("drop vertex 2 (with incident edges)",), 416, 0.4666666666666666),
+        (("drop predicate 'name' from vertex 2",), 10, 0.04),
+        (("relax direction of edge 1 to both",), 0, 0.02),
+        (
+            ("relax direction of edge 1 to both", "drop predicate 'name' from vertex 2"),
+            10,
+            0.06000000000000001,
+        ),
+    ],
+    26,
+)
+
+GOLDEN_DBPEDIA_QUERY_1 = (
+    [
+        (("drop predicate 'population' from vertex 2",), 2, 0.05),
+        (("drop predicate 'genre' from vertex 0",), 0, 0.05),
+        (
+            ("drop predicate 'genre' from vertex 0", "drop predicate 'population' from vertex 2"),
+            105,
+            0.1,
+        ),
+        (("drop predicate 'genre' from vertex 0", "drop type constraint of edge 0"), 0, 0.1),
+        (
+            (
+                "drop predicate 'genre' from vertex 0",
+                "drop type constraint of edge 0",
+                "drop predicate 'population' from vertex 2",
+            ),
+            371,
+            0.15,
+        ),
+    ],
+    35,
+)
+
+
+def coarse_trajectory(graph, query):
+    """``(evaluated candidates, generated)`` of the default (hybrid) search
+    for three explanations; a candidate's modifications are read off the
+    context its priority was computed from."""
+    from repro.metrics.syntactic import syntactic_distance
+    from repro.rewrite.priority import hybrid_priority
+
+    modifications = {}
+
+    def priority(ctx):
+        modifications[ctx.query] = tuple(op.describe() for op in ctx.modifications)
+        return hybrid_priority(ctx)
+
+    evaluated = []
+
+    def on_candidate(item):
+        evaluated.append(
+            (modifications[item.query], item.cardinality, syntactic_distance(query, item.query))
+        )
+
+    result = CoarseRewriter(graph, priority=priority, on_candidate=on_candidate).rewrite(
+        query, k=3
+    )
+    found = [e for e in evaluated if e[1] > 0]
+    assert [
+        (tuple(op.describe() for op in r.modifications), r.cardinality, r.syntactic)
+        for r in result.discovered
+    ] == found
+    return evaluated, result.generated
+
+
+class TestGoldenTrajectory:
+    def test_ldbc_request(self, ldbc_small):
+        trajectory = coarse_trajectory(ldbc_small.graph, ldbc.empty_variant("LDBC QUERY 1"))
+        assert trajectory == GOLDEN_LDBC_QUERY_1
+
+    def test_dbpedia_request(self, dbpedia_small):
+        from repro.datasets import dbpedia
+
+        trajectory = coarse_trajectory(
+            dbpedia_small.graph, dbpedia.empty_variant("DBPEDIA QUERY 1")
+        )
+        assert trajectory == GOLDEN_DBPEDIA_QUERY_1

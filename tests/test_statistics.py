@@ -486,6 +486,42 @@ class TestMutateScope:
         assert stats.stats.misses == misses
         assert stats.retained >= len(queries)
 
+    def test_add_vertex_alone_drops_nothing(self, tiny_graph):
+        """A vertex no edge reaches yet changes no edge count, whatever
+        attributes it carries -- here every one the endpoint predicates
+        mention (the e2e touching batch clones existing vertices)."""
+        stats, queries, keys = self.warm(tiny_graph)
+        tiny_graph.add_vertex(type="person", name="Anna", gender="female", age=34)
+        tiny_graph.add_vertex(type="university", name="TU Dresden")
+        misses = stats.stats.misses
+        assert self.dropped_by(stats, queries, keys) == set()
+        assert stats.stats.misses == misses
+        assert stats.dropped == 0 and stats.retained == len(queries)
+
+    def test_add_vertex_then_add_edge_drops_exactly_that_type(self, tiny_graph):
+        """The ``"e"`` record that attaches the new vertex is what drops:
+        its type's entries (and the untyped one), nothing else."""
+        stats, queries, keys = self.warm(tiny_graph)
+        eve = tiny_graph.add_vertex(type="person", name="Eve", gender="female")
+        tiny_graph.add_edge(0, eve, "knows", since=2020)
+        assert self.dropped_by(stats, queries, keys) == {
+            "knows", "knows_since", "untyped",
+        }
+        assert stats.retained == 2  # work, work_since
+
+    def test_touching_batch_retains_the_other_types(self, tiny_graph):
+        """The e2e benchmark's touching batch shape: cloned vertices, edges
+        of one type, one attribute write -- ``retained`` stays above zero."""
+        stats, queries, keys = self.warm(tiny_graph)
+        for vid in (0, 4):
+            tiny_graph.add_vertex(**dict(tiny_graph.vertex_attributes(vid)))
+        tiny_graph.add_edge(1, 0, "knows", since=2015)
+        tiny_graph.set_vertex_attribute(3, "age", 52)
+        assert self.dropped_by(stats, queries, keys) == {
+            "knows", "knows_since", "untyped",
+        }
+        assert stats.memo_report()["retained"] > 0
+
     def test_add_edge_drops_its_type_and_the_untyped(self, tiny_graph):
         stats, queries, keys = self.warm(tiny_graph)
         tiny_graph.add_edge(2, 0, "knows")

@@ -245,3 +245,21 @@ class TestStatisticsMemoLayer:
             layer = per_graph["cache_report"]["caches"]["path1"]
             assert {key: layer[key] for key in totals} == totals
             assert json.loads(json.dumps(stats))["caches"]["path1"] == totals
+
+    def test_a_touching_batch_retains_what_it_cannot_reach(self):
+        """Cloned vertices carry every attribute the endpoint predicates
+        mention; alone they drop nothing, and the edge that follows drops
+        its own type's statistics only."""
+        failing = typed_query()
+        failing.vertex(1).predicates["name"] = equals("nowhere")
+        with WhyQueryService() as service:
+            g = tiny_graph()
+            service.explain(g, failing)
+            clone = g.add_vertex(**dict(g.vertex_attributes(0)))
+            service.explain(g, failing)
+            row = service.stats()["caches"]["path1"]
+            assert row["dropped"] == 0 and row["retained"] > 0
+            g.add_edge(clone, 1, "knows")  # reaches the untyped statistics only
+            service.explain(g, failing)
+            after = service.stats()["caches"]["path1"]
+            assert after["retained"] > row["retained"]

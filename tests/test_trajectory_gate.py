@@ -64,6 +64,16 @@ def baseline_payload() -> dict:
             "unmutated": {"warm_hit_rate": 1.0, "counts_identical": True},
             "mutated": {"warm_hit_rate": 0.96875, "counts_identical": True},
         },
+        "rewrite_identity": {
+            search: {
+                "candidates": 40,
+                "query_signature_builds": 44,
+                "element_signature_builds": 35,
+                "distance_evaluations": 61,
+                "path1_lookups": 43,
+            }
+            for search in ("coarse", "fine")
+        },
     }
 
 
@@ -377,6 +387,36 @@ class TestRestartWarmGate:
         fresh["restart_warm"][variant]["counts_identical"] = False
         gate = check_trajectory(baseline, fresh)
         assert any("DIVERGED" in f and variant in f for f in gate.failures)
+
+
+class TestRewriteIdentityGate:
+    """Exact work counts of deterministic passes: ceilings without
+    tolerance, whatever ``--max-regression`` says."""
+
+    COUNTERS = (
+        "query_signature_builds",
+        "element_signature_builds",
+        "distance_evaluations",
+        "path1_lookups",
+    )
+
+    @pytest.mark.parametrize("search", ["coarse", "fine"])
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_one_more_call_fails(self, search, counter):
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["rewrite_identity"][search][counter] += 1
+        gate = check_trajectory(baseline, fresh, max_regression=0.5)
+        (failure,) = gate.failures
+        assert search in failure and counter.replace("_", " ") in failure
+
+    def test_fewer_calls_and_other_candidate_counts_pass(self):
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        for counter in self.COUNTERS:
+            fresh["rewrite_identity"]["fine"][counter] -= 1
+        fresh["rewrite_identity"]["coarse"]["candidates"] += 5  # recorded, not gated
+        assert check_trajectory(baseline, fresh).failures == []
 
 
 class TestAffinePlacementGate:

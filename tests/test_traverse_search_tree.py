@@ -162,3 +162,60 @@ class TestDescribe:
         )
         result = engine.search(work_query())
         assert "<unchanged>" in result.describe()
+
+
+# -- golden trajectory -----------------------------------------------------------
+#
+# Captured on the commit before variants became frozen, structurally shared
+# values scored from their parent's tables: every evaluated variant of the
+# why-so-few search for DBPEDIA QUERY 2 (count 6, threshold [12; 24]) in
+# evaluation order as (modifications, cardinality, syntactic).
+
+_W4, _W1 = "widen year by 4.0 on vertex 0", "widen year by 1.0 on vertex 0"
+_SINGLE_STEPS = (
+    ("admit type='person' on vertex 0", 0.03125, 0.04407051282051282),
+    ("admit type='city' on vertex 0", 0.03125, 0.04407051282051282),
+    ("admit type='organisation' on vertex 0", 0.03125, 0.04407051282051282),
+    ("relax direction of edge 0 to both", 0.03125, 0.04407051282051282),
+    ("relax direction of edge 1 to both", 0.03125, 0.04407051282051282),
+    ("admit type='organisation' on vertex 1", 0.041666666666666664, 0.05448717948717949),
+    ("admit type='city' on vertex 1", 0.041666666666666664, 0.05448717948717949),
+    ("admit type='film' on vertex 1", 0.041666666666666664, 0.05448717948717949),
+)
+GOLDEN_DBPEDIA_QUERY_2_TOO_FEW = (
+    [((_W4,), 10, 0.01282051282051282), ((_W1,), 6, 0.003787878787878788)]
+    + [((step,), 6, alone) for step, alone, _ in _SINGLE_STEPS]
+    + [((_W4, _W4), 10, 0.02127659574468085), ((_W4, _W1), 10, 0.01524390243902439)]
+    + [((_W4, step), 10, after) for step, _, after in _SINGLE_STEPS]
+)
+
+
+class TestGoldenTrajectory:
+    def test_dbpedia_request(self, dbpedia_small, monkeypatch):
+        import repro.finegrained.traverse_search_tree as module
+        from repro.datasets import dbpedia
+        from repro.exec import ExecutionContext
+
+        evaluated = []
+
+        class RecordingTree(module.ModificationTree):
+            def add_child(self, parent, query, modification, cardinality, distance, syntactic):
+                path = [op.describe() for op in self.modifications_to(parent)]
+                evaluated.append((tuple(path + [modification.describe()]), cardinality, syntactic))
+                return super().add_child(
+                    parent, query, modification, cardinality, distance, syntactic
+                )
+
+        monkeypatch.setattr(module, "ModificationTree", RecordingTree)
+        query = dbpedia.queries()["DBPEDIA QUERY 2"]
+        context = ExecutionContext(dbpedia_small.graph)
+        assert context.count(query) == 6
+        result = TraverseSearchTree(
+            context=context,
+            threshold=CardinalityThreshold(12, 24),
+            constrainable_attrs=context.attribute_domain().common_vertex_attrs(),
+        ).search(query)
+        assert evaluated == GOLDEN_DBPEDIA_QUERY_2_TOO_FEW
+        assert result.evaluated == 20 and not result.converged
+        assert tuple(op.describe() for op in result.modifications) == (_W4,)
+        assert (result.best_cardinality, result.best_syntactic) == (10, 0.01282051282051282)
