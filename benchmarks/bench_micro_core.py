@@ -1142,7 +1142,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 13,
+        "schema_version": 14,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
         "sharded_expansion": sharded_expansion,

@@ -1,13 +1,13 @@
 """Async serving with admission control: a why-query burst in asyncio.
 
 A deployment-shaped tour of the service layer: one ``WhyQueryService``
-behind its async front door (``explain_async``: each request is one hop
-onto a bounded request pool) with a ``BudgetPool`` (every request leases
-its evaluation budget from a bounded global pool, so a traffic burst
-degrades to smaller searches and queued admissions instead of unbounded
-work).  A burst of concurrent ``explain_async`` requests over two hot
-graphs is driven through ``asyncio.gather``, and the service's stats
-show what happened.
+with a ``BudgetPool`` (every request leases its evaluation budget from a
+bounded global pool, so a traffic burst degrades to smaller searches and
+queued admissions instead of unbounded work).  ``explain`` is a blocking,
+CPU-bound call, so the asyncio program runs each request on a thread
+with ``asyncio.to_thread`` and bounds the number in flight with its own
+semaphore.  A burst of concurrent requests over two hot graphs is driven
+through ``asyncio.gather``, and the service's stats show what happened.
 
 Run:  python examples/async_service.py
 """
@@ -45,23 +45,30 @@ person = query.add_vertex(predicates={"type": equals("person")})
 university = query.add_vertex(predicates={"type": equals("university")})
 query.add_edge(person, university, types={"foundedBy"})
 
-# -- 2. the service: async front door + bounded budget pool ------------------
+# -- 2. the service: bounded budget pool, requests hopped onto threads -------
 
 # the pool admits ~8 full requests' worth of evaluations at a time; a
 # heavier burst queues (up to 64 waiters) instead of being rejected
 pool = BudgetPool(total=8 * 300, min_grant=8, max_waiting=64, wait_timeout=30.0)
 
 BURST = 24
+MAX_IN_FLIGHT = 16
 
 
 async def main() -> None:
-    with WhyQueryService(budget_pool=pool, max_async_requests=16) as service:
+    in_flight = asyncio.Semaphore(MAX_IN_FLIGHT)
+
+    with WhyQueryService(budget_pool=pool) as service:
+
+        async def explain(graph):
+            async with in_flight:
+                return await asyncio.to_thread(
+                    service.explain, graph, query, explain=False
+                )
+
         # -- 3. a burst of concurrent requests over both graphs --------------
         reports = await asyncio.gather(
-            *(
-                service.explain_async(graphs[i % 2], query, explain=False)
-                for i in range(BURST)
-            )
+            *(explain(graphs[i % 2]) for i in range(BURST))
         )
 
         first = reports[0]

@@ -44,24 +44,21 @@ Sharding & process parallelism
 Service
     :class:`~repro.service.WhyQueryService` keeps a bounded pool of warm
     per-graph contexts and serves concurrent ``explain()`` /
-    ``open_session()`` requests -- synchronously or through the async
-    front door (``explain_async``), with service-level admission control
-    via :class:`~repro.service.BudgetPool`; ``executor="process"``
-    gives every pooled graph its own warm worker pool.
+    ``open_session()`` requests -- blocking, thread-safe calls (asyncio
+    callers wrap them in ``asyncio.to_thread``) -- with service-level
+    admission control via :class:`~repro.service.BudgetPool`;
+    ``executor="process"`` gives every pooled graph its own warm worker
+    pool.
 Network front door
     :class:`~repro.server.WhyQueryProtocolServer` serves the service
     over a length-prefixed JSON-frame protocol (session multiplexing,
     streamed rewrite candidates, cooperative cancellation, per-tenant
-    quotas); :func:`~repro.client.connect` /
-    :func:`~repro.client.connect_async` return a
-    :class:`~repro.client.WhyQueryClient` /
-    :class:`~repro.client.AsyncWhyQueryClient` speaking it.  See
+    quotas); :func:`~repro.client.connect` returns a
+    :class:`~repro.client.WhyQueryClient` speaking it.  See
     ``docs/protocol.md``.
 Unified stats
     Every surface (``service.stats()``, ``matcher.cache_info()``,
-    ``executor.info()``) emits the :mod:`repro.stats` schema; the
-    pre-1.3 flat keys stay readable for one release behind a
-    :class:`DeprecationWarning`.
+    ``executor.info()``) emits the :mod:`repro.stats` schema.
 """
 
 from repro.core import (
@@ -104,19 +101,13 @@ from repro.metrics import (
 )
 
 from repro.service import AdmissionRejected, BudgetPool, WhyQueryService
-from repro.client import (
-    AsyncWhyQueryClient,
-    WhyQueryClient,
-    connect,
-    connect_async,
-)
+from repro.client import WhyQueryClient, connect
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "AdmissionRejected",
-    "AsyncWhyQueryClient",
     "BOTH_DIRECTIONS",
     "BudgetPool",
     "CandidateEvaluator",
@@ -148,7 +139,6 @@ __all__ = [
     "between",
     "cardinality_distance",
     "connect",
-    "connect_async",
     "equals",
     "execution_context",
     "one_of",

@@ -1,18 +1,14 @@
-"""Clients for the why-query protocol server.
+"""Client for the why-query protocol server.
 
-Two clients over the same wire format (:mod:`repro.server.protocol`):
-
-* :class:`WhyQueryClient` -- synchronous, plain ``socket``; one call per
-  request, or :meth:`WhyQueryClient.explain_stream` for an iterator of
-  rewrite candidates as the server finds them;
-* :class:`AsyncWhyQueryClient` -- asyncio streams with a background
-  reader task, so many requests can be in flight on one connection (the
-  multiplexing the protocol was designed for).
-
-Both demultiplex replies by request ``id``, so out-of-order completion
-on the server side is invisible to callers.  Construct them through
-:func:`connect` / :func:`connect_async`, which perform the
-``hello``/``welcome`` handshake::
+:class:`WhyQueryClient` speaks the wire format of
+:mod:`repro.server.protocol` over a plain blocking ``socket``: one call
+per request, or :meth:`WhyQueryClient.explain_stream` for an iterator of
+rewrite candidates as the server finds them.  Replies are demultiplexed
+by request ``id``, so several streamed explains can be in flight on one
+connection and out-of-order completion on the server side is invisible
+to callers; an asyncio program drives the client through
+``asyncio.to_thread``.  Construct it through :func:`connect`, which
+performs the ``hello``/``welcome`` handshake::
 
     with connect(host, port) as client:
         client.put_graph("social", graph)
@@ -27,11 +23,10 @@ on the server side is invisible to callers.  Construct them through
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
@@ -45,19 +40,16 @@ from repro.core.serialize import (
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
-    ProtocolError,
     RequestCancelled,
     encode_frame,
 )
 
 __all__ = [
-    "AsyncWhyQueryClient",
     "RequestRejected",
     "ServerError",
     "StreamedCandidate",
     "WhyQueryClient",
     "connect",
-    "connect_async",
 ]
 
 
@@ -122,9 +114,6 @@ def _explain_request(
         "stream": stream,
         "trace": trace,
     }
-
-
-# -- synchronous client ----------------------------------------------------------
 
 
 class WhyQueryClient:
@@ -416,276 +405,4 @@ def connect(
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     client = WhyQueryClient(sock, tenant=tenant)
     client._handshake()
-    return client
-
-
-# -- asyncio client --------------------------------------------------------------
-
-
-class AsyncWhyQueryClient:
-    """Asyncio protocol client: many requests in flight on one connection.
-
-    A background reader task demultiplexes frames into per-request
-    queues, so ``asyncio.gather`` over several :meth:`explain` calls
-    genuinely overlaps them on the server (the open-loop benchmark's
-    client)."""
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        tenant: Optional[str] = None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self.tenant = tenant
-        self._decoder = FrameDecoder()
-        self._ids = itertools.count(1)
-        self._queues: Dict[Any, asyncio.Queue] = {}
-        self._general: asyncio.Queue = asyncio.Queue()
-        self._reader_task: Optional[asyncio.Task] = None
-        self.welcome: Optional[Dict[str, Any]] = None
-        self._closed = False
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                data = await self._reader.read(65536)
-                if not data:
-                    break
-                for frame in self._decoder.feed(data):
-                    rid = frame.get("id")
-                    if rid is None:
-                        await self._general.put(frame)
-                    else:
-                        self._queues.setdefault(rid, asyncio.Queue()).put_nowait(frame)
-        except (ConnectionResetError, ProtocolError):
-            pass
-        # wake any waiters so they see the EOF instead of hanging
-        sentinel = {"type": "error", "code": "closed", "message": "connection closed"}
-        for queue in self._queues.values():
-            queue.put_nowait(dict(sentinel))
-        await self._general.put(dict(sentinel))
-
-    def _queue(self, rid: Any) -> asyncio.Queue:
-        return self._queues.setdefault(rid, asyncio.Queue())
-
-    async def _send(self, message: Dict[str, Any]) -> None:
-        self._writer.write(encode_frame(message))
-        await self._writer.drain()
-
-    async def _request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        queue = self._queue(message["id"])
-        await self._send(message)
-        frame = await queue.get()
-        _raise_for(frame)
-        return frame
-
-    async def _handshake(self) -> None:
-        self._reader_task = asyncio.ensure_future(self._read_loop())
-        await self._send(
-            {"type": "hello", "protocol": PROTOCOL_VERSION, "tenant": self.tenant}
-        )
-        frame = await self._general.get()
-        _raise_for(frame)
-        self.welcome = frame
-
-    # -- requests --
-
-    async def put_graph(self, name: str, graph: PropertyGraph) -> Dict[str, Any]:
-        return await self._request(
-            {
-                "type": "put_graph",
-                "id": next(self._ids),
-                "graph": name,
-                "data": graph_to_dict(graph),
-            }
-        )
-
-    async def count(
-        self,
-        graph: str,
-        query: GraphQuery,
-        limit: Optional[int] = None,
-        injective: bool = True,
-    ) -> int:
-        frame = await self._request(
-            {
-                "type": "count",
-                "id": next(self._ids),
-                "graph": graph,
-                "query": query_to_dict(query),
-                "limit": limit,
-                "injective": injective,
-            }
-        )
-        return frame["count"]
-
-    async def explain(
-        self,
-        graph: str,
-        query: GraphQuery,
-        threshold=None,
-        explain: bool = True,
-        rewrite: bool = True,
-        trace: bool = False,
-    ) -> Dict[str, Any]:
-        rid = next(self._ids)
-        queue = self._queue(rid)
-        await self._send(
-            _explain_request(
-                rid, graph, query, threshold, explain, rewrite, False, trace
-            )
-        )
-        span_tree: Optional[Dict[str, Any]] = None
-        while True:
-            frame = await queue.get()
-            if frame.get("type") == "trace":
-                span_tree = frame.get("trace")
-                continue
-            _raise_for(frame)
-            break
-        report = frame["report"]
-        if span_tree is not None:
-            report["trace"] = span_tree
-        return report
-
-    def explain_stream(
-        self,
-        graph: str,
-        query: GraphQuery,
-        threshold=None,
-        explain: bool = True,
-        rewrite: bool = True,
-        trace: bool = False,
-    ) -> "AsyncExplainStream":
-        rid = next(self._ids)
-        queue = self._queue(rid)
-        request = _explain_request(
-            rid, graph, query, threshold, explain, rewrite, True, trace
-        )
-        return AsyncExplainStream(self, rid, queue, request)
-
-    async def stats(self) -> Dict[str, Any]:
-        frame = await self._request({"type": "stats", "id": next(self._ids)})
-        return frame["stats"]
-
-    async def metrics(self) -> Dict[str, Any]:
-        frame = await self._request({"type": "metrics", "id": next(self._ids)})
-        return {"metrics": frame["metrics"], "text": frame["text"]}
-
-    async def slow_queries(
-        self, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        frame = await self._request(
-            {"type": "slow_queries", "id": next(self._ids), "limit": limit}
-        )
-        return frame["slow_queries"]
-
-    async def cancel(self, rid: Any) -> None:
-        await self._send({"type": "cancel", "id": rid})
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            await self._send({"type": "goodbye"})
-            while True:
-                frame = await self._general.get()
-                if frame.get("type") in ("goodbye", "error"):
-                    break
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            if self._reader_task is not None:
-                self._reader_task.cancel()
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "AsyncWhyQueryClient":
-        return self
-
-    async def __aexit__(self, *exc: object) -> None:
-        await self.close()
-
-
-class AsyncExplainStream:
-    """Async iterator of streamed candidates for one explain request.
-
-    The request frame is sent lazily on first use (``async for`` or
-    ``await stream.result()``), since ``explain_stream`` itself is not a
-    coroutine."""
-
-    def __init__(
-        self,
-        client: AsyncWhyQueryClient,
-        rid: Any,
-        queue: asyncio.Queue,
-        request: Dict[str, Any],
-    ) -> None:
-        self._client = client
-        self.request_id = rid
-        self._queue = queue
-        self._request = request
-        self._sent = False
-        self.candidates: List[StreamedCandidate] = []
-        #: the span tree of a ``trace=True`` explain (set once the
-        #: server's ``trace`` frame arrives, before the final frame)
-        self.trace: Optional[Dict[str, Any]] = None
-        self._final: Optional[Dict[str, Any]] = None
-
-    async def _ensure_sent(self) -> None:
-        if not self._sent:
-            self._sent = True
-            await self._client._send(self._request)
-
-    def __aiter__(self) -> AsyncIterator[StreamedCandidate]:
-        return self
-
-    async def __anext__(self) -> StreamedCandidate:
-        await self._ensure_sent()
-        if self._final is not None:
-            raise StopAsyncIteration
-        while True:
-            frame = await self._queue.get()
-            if frame.get("type") == "candidate":
-                candidate = _candidate(frame)
-                self.candidates.append(candidate)
-                return candidate
-            if frame.get("type") == "trace":
-                self.trace = frame.get("trace")
-                continue
-            self._final = frame
-            raise StopAsyncIteration
-
-    async def cancel(self) -> None:
-        await self._ensure_sent()
-        await self._client.cancel(self.request_id)
-
-    async def result(self) -> Dict[str, Any]:
-        await self._ensure_sent()
-        while self._final is None:
-            try:
-                await self.__anext__()
-            except StopAsyncIteration:
-                break
-        assert self._final is not None
-        _raise_for(self._final)
-        report = self._final["report"]
-        if self.trace is not None:
-            report["trace"] = self.trace
-        return report
-
-
-async def connect_async(
-    host: str, port: int, tenant: Optional[str] = None
-) -> AsyncWhyQueryClient:
-    """Open an asyncio connection and perform the ``hello`` handshake."""
-    reader, writer = await asyncio.open_connection(host, port)
-    client = AsyncWhyQueryClient(reader, writer, tenant=tenant)
-    await client._handshake()
     return client

@@ -47,13 +47,11 @@ accessor surface exactly.
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import accumulate
-from itertools import count as _counter
 from operator import eq
 from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
@@ -68,10 +66,6 @@ __all__ = [
     "csr_for",
     "csr_stats",
 ]
-
-#: env var bounding the total bytes of live CSR indexes across all
-#: cached graphs; unset/empty = unbounded (the historical behaviour)
-CSR_BYTES_BUDGET_ENV = "REPRO_CSR_BYTES_BUDGET"
 
 #: typecode of every dense-index array (4 bytes: two billion elements)
 _IX = "i"
@@ -92,7 +86,6 @@ _EMPTY_COUNTERS: Dict[str, int] = {
     "csr_bytes": 0,
     "csr_patches": 0,
     "csr_rebuilds": 0,
-    "csr_evictions": 0,
     "deltas_applied": 0,
     "programs_compiled": 0,
     "program_hits": 0,
@@ -608,14 +601,9 @@ class CSRIndex:
         return total
 
 
-#: monotonic recency stamp shared by every cache entry (LRU eviction order)
-_TOUCH = _counter(1)
-
-
 class _CsrEntry:
-    """Per-graph cache slot: the live index (or ``None`` after a
-    byte-budget eviction) plus lifetime counters that survive
-    version-triggered rebuilds and patches."""
+    """Per-graph cache slot: the live index plus lifetime counters that
+    survive version-triggered rebuilds and patches."""
 
     __slots__ = (
         "csr",
@@ -623,21 +611,17 @@ class _CsrEntry:
         "patches",
         "rebuilds",
         "deltas_applied",
-        "evictions",
-        "touch",
         "programs_compiled",
         "program_hits",
         "program_fallbacks",
     )
 
     def __init__(self, csr: CSRIndex) -> None:
-        self.csr: Optional[CSRIndex] = csr
+        self.csr = csr
         self.builds = 1
         self.patches = 0
         self.rebuilds = 0
         self.deltas_applied = 0
-        self.evictions = 0
-        self.touch = next(_TOUCH)
         #: kernels generated and ``compile()``d for this graph (shape
         #: misses of the process-wide kernel cache), evaluations served
         #: by an existing kernel, and plans the lowering refused (served
@@ -649,10 +633,9 @@ class _CsrEntry:
     def counters(self) -> Dict[str, int]:
         return {
             "csr_builds": self.builds,
-            "csr_bytes": self.csr.nbytes() if self.csr is not None else 0,
+            "csr_bytes": self.csr.nbytes(),
             "csr_patches": self.patches,
             "csr_rebuilds": self.rebuilds,
-            "csr_evictions": self.evictions,
             "deltas_applied": self.deltas_applied,
             "programs_compiled": self.programs_compiled,
             "program_hits": self.program_hits,
@@ -672,46 +655,16 @@ def _pending_deltas(graph: Any, version: int) -> Optional[Tuple[Tuple, ...]]:
     return deltas_since(version)
 
 
-def _enforce_budget(current: _CsrEntry) -> None:
-    """Evict least-recently-touched indexes (never ``current``) until the
-    total live CSR bytes fit under ``REPRO_CSR_BYTES_BUDGET``.  Evicted
-    entries keep their counters and rebuild lazily on next touch."""
-    raw = os.environ.get(CSR_BYTES_BUDGET_ENV)
-    if not raw:
-        return
-    try:
-        budget = int(raw)
-    except ValueError:
-        return
-    live = [entry for entry in _CSR_ENTRIES.values() if entry.csr is not None]
-    total = sum(entry.csr.nbytes() for entry in live)
-    if total <= budget:
-        return
-    live.sort(key=lambda entry: entry.touch)
-    for entry in live:
-        if entry is current:
-            continue
-        total -= entry.csr.nbytes()
-        entry.csr = None
-        entry.evictions += 1
-        if total <= budget:
-            break
-
-
 def csr_entry(graph: Any) -> _CsrEntry:
     """The graph's cache entry, brought up to the graph's *current*
     version: patched in place from the pending delta run when the log
     still holds it, rebuilt otherwise (ring overrun, unpatchable
-    record, no log, or byte-budget eviction)."""
+    record or no log)."""
     entry = _CSR_ENTRIES.get(graph)
     if entry is None:
         with current_tracer().span(SPAN_CSR_BUILD, reason="first"):
             entry = _CsrEntry(CSRIndex(graph))
         _CSR_ENTRIES[graph] = entry
-    elif entry.csr is None:
-        with current_tracer().span(SPAN_CSR_BUILD, reason="evicted"):
-            entry.csr = CSRIndex(graph)
-        entry.builds += 1
     elif entry.csr.version != graph.version:
         deltas = _pending_deltas(graph, entry.csr.version)
         if deltas is not None and entry.csr.apply_deltas(deltas):
@@ -722,8 +675,6 @@ def csr_entry(graph: Any) -> _CsrEntry:
                 entry.csr = CSRIndex(graph)
             entry.builds += 1
             entry.rebuilds += 1
-    entry.touch = next(_TOUCH)
-    _enforce_budget(entry)
     return entry
 
 

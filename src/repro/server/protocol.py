@@ -19,7 +19,7 @@ chosen over a binary layout because every payload the service moves
 boundaries over TCP's byte stream.
 
 :func:`encode_frame` and the incremental :class:`FrameDecoder` are used
-verbatim by the asyncio server and by both clients, so the protocol
+verbatim by the asyncio server and by the client, so the protocol
 tests' split/coalesced-read cases exercise exactly the production
 framing code.
 

@@ -19,9 +19,11 @@ JSON-frame protocol of :mod:`repro.server.protocol`:
   :class:`~repro.server.protocol.RequestCancelled` through the engine
   stack, and the request answers with a ``cancelled`` frame;
 * **per-tenant quotas** -- the server maps tenants (named in ``hello``)
-  onto per-tenant :class:`~repro.service.BudgetPool` instances; an
-  admission failure becomes a protocol-level ``rejected`` frame (the
-  HTTP-429 story) instead of a stack trace;
+  onto per-tenant :class:`~repro.service.BudgetPool` instances and hands
+  the tenant's pool to :meth:`WhyQueryService.explain`, which leases
+  from it inside the request's one worker hop; an admission failure
+  becomes a protocol-level ``rejected`` frame (the HTTP-429 story)
+  instead of a stack trace;
 * **stats** -- the ``stats`` message serves
   :meth:`WhyQueryService.stats` -- the unified :mod:`repro.stats`
   schema -- verbatim, plus a ``server`` section of connection counters.
@@ -87,11 +89,11 @@ class WhyQueryProtocolServer:
     their own).  ``tenants`` maps tenant names to their
     :class:`~repro.service.BudgetPool`; ``default_quota`` (optional)
     admits every tenant without an explicit pool.  A request whose
-    tenant has a pool leases its evaluation budget from that pool and
-    bypasses the service-level admission; tenants without a pool fall
-    through to whatever ``budget_pool`` the service itself was built
-    with.  ``port=0`` binds an ephemeral port (read it back from
-    :attr:`address` after :meth:`start`).
+    tenant has a pool leases its evaluation budget from that pool
+    instead of the service's (``explain(budget_pool=...)``); tenants
+    without a pool fall through to whatever ``budget_pool`` the service
+    itself was built with.  ``port=0`` binds an ephemeral port (read it
+    back from :attr:`address` after :meth:`start`).
     """
 
     def __init__(
@@ -500,20 +502,6 @@ class WhyQueryProtocolServer:
         token = conn.cancel_tokens.setdefault(rid, threading.Event())
         loop = asyncio.get_running_loop()
 
-        lease = None
-        pool = self._tenant_pool(conn)
-        if pool is not None:
-            requested = int(
-                self.service.engine_options.get(
-                    "max_rewrite_evaluations",
-                    self.service.DEFAULT_REQUEST_EVALUATIONS,
-                )
-            )
-            # the acquire may block (queue policy): keep it off the loop
-            lease = await loop.run_in_executor(
-                self._pool, functools.partial(pool.acquire, requested)
-            )
-
         seq = itertools.count()
         stream_sends = []
 
@@ -549,13 +537,11 @@ class WhyQueryProtocolServer:
                 explain=bool(message.get("explain", True)),
                 rewrite=bool(message.get("rewrite", True)),
                 on_candidate=emit,
-                budget=None if lease is None else lease.budget,
+                budget_pool=self._tenant_pool(conn),
                 trace=trace,
             )
             report = await loop.run_in_executor(self._pool, call)
         finally:
-            if lease is not None:
-                lease.release()
             # candidate frames were scheduled FIFO onto this loop; await
             # them so the final frame always follows the whole stream
             if stream_sends:

@@ -23,11 +23,12 @@ request throws the shared evaluation state away between requests; the
   shut down on eviction -- the searches drain worker-count-sized
   batches, so pure-Python rewriting work scales with cores instead of
   stalling on the coordinator's GIL;
-* a **native async front door** -- :meth:`WhyQueryService.explain_async`
-  / :meth:`WhyQueryService.open_session_async` -- so an asyncio
-  deployment can keep thousands of why-queries in flight: each request
-  is one hop onto a bounded request pool, so a burst degrades to
-  queueing instead of thousands of threads;
+* **one blocking front door**: a request is a single hop -- admit,
+  lease the graph's context, run the engine, record, release -- inside
+  :meth:`WhyQueryService.explain`; the searches are CPU-bound, so an
+  asyncio caller runs that hop on a thread
+  (``await asyncio.to_thread(service.explain, graph, query)``) and
+  bounds its own concurrency (``examples/async_service.py``);
 * **service-level admission control**: a :class:`BudgetPool` carves a
   per-request :class:`~repro.exec.evaluator.EvaluationBudget` out of a
   bounded global evaluation pool (fair-share split across the requests
@@ -47,12 +48,10 @@ request throws the shared evaluation state away between requests; the
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import inspect
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.graph import PropertyGraph
@@ -130,10 +129,10 @@ class AdmissionRejected(RuntimeError):
     """The budget pool could not admit the request (overload shedding).
 
     Raised by :meth:`BudgetPool.acquire` -- and propagated out of
-    :meth:`WhyQueryService.explain` / :meth:`WhyQueryService.explain_async`
-    -- when the pool is exhausted and the queue policy does not allow
-    (further) waiting.  A deployment maps this to its transport-level
-    overload response (HTTP 429 / gRPC RESOURCE_EXHAUSTED).
+    :meth:`WhyQueryService.explain` -- when the pool is exhausted and the
+    queue policy does not allow (further) waiting.  A deployment maps
+    this to its transport-level overload response (HTTP 429 / gRPC
+    RESOURCE_EXHAUSTED).
     """
 
 
@@ -381,14 +380,19 @@ class WhyQueryService:
     are fixed per service and applied to every request.
 
     ``budget_pool`` switches on admission control: every ``explain()``
-    (sync or async) leases its rewriting budget from the pool and
-    returns it when done.  ``max_async_requests`` bounds the thread pool
-    behind the async front door -- the number of requests concurrently
-    *executing*; overlap of the candidate counts inside each request is
-    the executor's job.  ``context_factory`` customises how per-graph
-    contexts are built (benchmarks use it to model a storage-backed
-    evaluation stack; a deployment could use it to restore persisted
-    caches).
+    leases its rewriting budget from the pool and returns it when done.
+    ``context_factory`` builds the per-graph context in place of
+    ``ExecutionContext(graph)`` -- the one seam for serving with another
+    matcher configuration (``ExecutionContext(g, injective=False)`` for
+    homomorphic semantics, ``compiled=False`` for the interpreter); in
+    process mode the workers inherit the semantics of the context it
+    returns.
+
+    ``explain()`` blocks its calling thread for the whole request and is
+    safe to call from many threads.  From asyncio, run it on a thread --
+    ``await asyncio.to_thread(service.explain, graph, query)`` -- and
+    bound the number in flight with the caller's own semaphore or
+    executor; the service keeps no thread pool of its own.
 
     ``persist`` (a directory path or a
     :class:`~repro.persist.SnapshotStore`) switches on **warm-restart
@@ -434,6 +438,13 @@ class WhyQueryService:
         }
     )
 
+    #: the tuning knobs ``**engine_options`` may carry (a misspelt or
+    #: removed one fails at construction, not on the first request)
+    _ENGINE_OPTIONS = (
+        frozenset(inspect.signature(WhyQueryEngine).parameters)
+        - _RESERVED_ENGINE_OPTIONS
+    )
+
     #: evaluations requested from the budget pool per request when the
     #: service's engine options don't override ``max_rewrite_evaluations``
     #: (mirrors the WhyQueryEngine default)
@@ -444,7 +455,6 @@ class WhyQueryService:
         max_contexts: int = 8,
         executor: Optional[Union[BatchExecutor, str]] = None,
         budget_pool: Optional[BudgetPool] = None,
-        max_async_requests: int = 32,
         context_factory: Optional[
             Callable[[PropertyGraph], ExecutionContext]
         ] = None,
@@ -457,8 +467,6 @@ class WhyQueryService:
     ) -> None:
         if max_contexts < 1:
             raise ValueError("max_contexts must be >= 1")
-        if max_async_requests < 1:
-            raise ValueError("max_async_requests must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if process_workers < 1:
@@ -484,6 +492,12 @@ class WhyQueryService:
                 "by the service (preference models live on the per-graph "
                 "context; pass executor=/budget_pool= directly)"
             )
+        unknown = engine_options.keys() - self._ENGINE_OPTIONS
+        if unknown:
+            raise TypeError(
+                f"unknown engine option(s) {sorted(unknown)}; WhyQueryEngine "
+                f"takes {sorted(self._ENGINE_OPTIONS)}"
+            )
         self.max_contexts = max_contexts
         #: a ``BatchExecutor`` shared by all requests, or ``None``; in
         #: process mode the shared executor stays ``None`` and each pool
@@ -494,7 +508,6 @@ class WhyQueryService:
         self.process_workers = process_workers
         self.placement = placement
         self.budget_pool = budget_pool
-        self.max_async_requests = max_async_requests
         self.engine_options = engine_options
         self._context_factory = (
             context_factory if context_factory is not None else ExecutionContext
@@ -528,11 +541,9 @@ class WhyQueryService:
         self._lock = threading.RLock()
         if self.persist_store is not None:
             self._restore_slow_log()
-        self._request_pool: Optional[ThreadPoolExecutor] = None
         # throughput counters (monotonic over the service lifetime)
         self._explain_calls = 0
         self._session_calls = 0
-        self._async_calls = 0
         self._rejected_calls = 0
         self._contexts_created = 0
         self._evictions = 0
@@ -730,9 +741,9 @@ class WhyQueryService:
 
     # -- admission ------------------------------------------------------------
 
-    def _admit(self) -> Optional[BudgetLease]:
-        """Lease this request's evaluation budget from the pool (if any)."""
-        if self.budget_pool is None:
+    def _admit(self, pool: Optional[BudgetPool]) -> Optional[BudgetLease]:
+        """Lease this request's evaluation budget from ``pool`` (if any)."""
+        if pool is None:
             return None
         requested = int(
             self.engine_options.get(
@@ -740,7 +751,7 @@ class WhyQueryService:
             )
         )
         try:
-            return self.budget_pool.acquire(requested)
+            return pool.acquire(requested)
         except AdmissionRejected:
             _EXPLAIN_REJECTED.inc()
             with self._lock:
@@ -757,7 +768,7 @@ class WhyQueryService:
         explain: bool = True,
         rewrite: bool = True,
         on_candidate: Optional[Callable[..., None]] = None,
-        budget: Optional[EvaluationBudget] = None,
+        budget_pool: Optional[BudgetPool] = None,
         trace: Optional[bool] = None,
     ) -> WhyQueryReport:
         """One-shot debugging request (classify, explain, rewrite).
@@ -768,10 +779,10 @@ class WhyQueryService:
         load a request may be granted a smaller search budget than the
         engine's ``max_rewrite_evaluations``.
 
-        ``budget`` overrides that admission path with an externally
-        leased :class:`~repro.exec.evaluator.EvaluationBudget` -- the
-        protocol server uses this to map *per-tenant* budget pools onto
-        requests (each tenant leases from its own pool before calling in).
+        ``budget_pool`` leases from that pool instead of the service's
+        -- the protocol server passes the caller's *per-tenant* pool.
+        The lease is taken, counted, traced and returned on this thread
+        either way, so a lease holder never waits for a second worker.
 
         ``on_candidate`` is the incremental-results seam: it is invoked
         once per evaluated rewrite candidate
@@ -802,7 +813,9 @@ class WhyQueryService:
         with tracer.activate():
             with tracer.span(SPAN_EXPLAIN) as root:
                 with tracer.span(SPAN_ADMISSION):
-                    lease = self._admit() if budget is None else None
+                    lease = self._admit(
+                        budget_pool if budget_pool is not None else self.budget_pool
+                    )
                 try:
                     entry = self._entry_for(graph, lease=True)
                     try:
@@ -817,9 +830,7 @@ class WhyQueryService:
                             preference_model=context.preference_model,
                             preferences=context.preferences,
                             evaluation_budget=(
-                                budget
-                                if budget is not None
-                                else None if lease is None else lease.budget
+                                None if lease is None else lease.budget
                             ),
                             on_candidate=observed_on_candidate,
                             tracer=tracer,
@@ -948,96 +959,25 @@ class WhyQueryService:
             self._session_calls += 1
         return session
 
-    # -- async front door -----------------------------------------------------
-
-    def _ensure_request_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._request_pool is None:
-                self._request_pool = ThreadPoolExecutor(
-                    max_workers=self.max_async_requests,
-                    thread_name_prefix="whyquery-request",
-                )
-            return self._request_pool
-
-    async def explain_async(
-        self,
-        graph: PropertyGraph,
-        query: GraphQuery,
-        threshold: Optional[CardinalityThreshold] = None,
-        explain: bool = True,
-        rewrite: bool = True,
-        on_candidate: Optional[Callable[..., None]] = None,
-        budget: Optional[EvaluationBudget] = None,
-        trace: Optional[bool] = None,
-    ) -> WhyQueryReport:
-        """Awaitable :meth:`explain` for asyncio deployments.
-
-        The request executes on the service's bounded request pool
-        (``max_async_requests`` slots), so thousands of concurrent
-        ``explain_async`` calls degrade to queueing instead of thousands
-        of threads.  Admission control applies exactly as in
-        :meth:`explain` -- :class:`AdmissionRejected` propagates through
-        the awaitable.
-        """
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            self._async_calls += 1
-        call = functools.partial(
-            self.explain,
-            graph,
-            query,
-            threshold,
-            explain=explain,
-            rewrite=rewrite,
-            on_candidate=on_candidate,
-            budget=budget,
-            trace=trace,
-        )
-        return await loop.run_in_executor(self._ensure_request_pool(), call)
-
-    async def open_session_async(
-        self,
-        graph: PropertyGraph,
-        query: GraphQuery,
-        threshold: Optional[CardinalityThreshold] = None,
-        **session_options,
-    ) -> DebugSession:
-        """Awaitable :meth:`open_session` (context warm-up off the loop).
-
-        Opening a session builds/warms the graph's pooled context, which
-        can be expensive on first touch -- this variant keeps that work
-        off the event loop.
-        """
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            self._async_calls += 1
-        call = functools.partial(
-            self.open_session, graph, query, threshold, **session_options
-        )
-        return await loop.run_in_executor(self._ensure_request_pool(), call)
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the async request pool and any worker pools (idempotent).
+        """Release the per-graph worker pools (idempotent).
 
         Pooled contexts (and their warm caches) survive ``close()`` --
-        only the thread/process pools are torn down; a later request
-        respawns what it needs.  With persistence configured the close
+        only the process pools are torn down; a later request respawns
+        what it needs.  With persistence configured the close
         also checkpoints, so an orderly shutdown always leaves a warm
         snapshot behind.
         """
         if self.persist_store is not None:
             self.checkpoint()
         with self._lock:
-            pool, self._request_pool = self._request_pool, None
             executors = [
                 entry.executor
                 for entry in self._pool.values()
                 if entry.executor is not None
             ]
-        if pool is not None:
-            pool.shutdown(wait=True)
         for executor in executors:
             executor.close()
 
@@ -1157,7 +1097,6 @@ class WhyQueryService:
                 "requests": requests,
                 "explain_calls": self._explain_calls,
                 "session_calls": self._session_calls,
-                "async_calls": self._async_calls,
                 "rejected_calls": self._rejected_calls,
                 "contexts_live": len(self._pool),
                 "contexts_created": self._contexts_created,

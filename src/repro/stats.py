@@ -18,7 +18,7 @@ needs *one* schema, so this module defines it:
 ``caches``              named hit/miss cache layers (``plan``,
                         ``vertex_candidates``, ``results``, ...)
 ``csr``                 interned CSR array accounting (``builds``, ``bytes``,
-                        ``patches``, ``rebuilds``, ``evictions``)
+                        ``patches``, ``rebuilds``)
 ``programs``            compiled match kernels (``compiled``, ``hits``,
                         ``fallbacks``)
 ``pools``               worker/context pool lifecycle and payload accounting
@@ -62,7 +62,6 @@ def csr_section(flat: Mapping[str, int]) -> Dict[str, int]:
         "bytes": int(flat.get("csr_bytes", 0)),
         "patches": int(flat.get("csr_patches", 0)),
         "rebuilds": int(flat.get("csr_rebuilds", 0)),
-        "evictions": int(flat.get("csr_evictions", 0)),
     }
 
 

@@ -173,6 +173,13 @@ class TestServiceAdmission:
         with pytest.raises(AdmissionRejected):
             service.explain(tiny_graph, failing_query())
         assert service.stats()["service"]["rejected_calls"] == 1
+        # an asyncio caller hops onto a thread; the rejection comes back
+        # through the awaitable
+        with pytest.raises(AdmissionRejected):
+            asyncio.run(
+                asyncio.to_thread(service.explain, tiny_graph, failing_query())
+            )
+        assert service.stats()["service"]["rejected_calls"] == 2
         blocker.release()
         report = service.explain(tiny_graph, failing_query())
         assert report.rewriting is not None
@@ -180,6 +187,28 @@ class TestServiceAdmission:
         assert stats["service"]["explain_calls"] == 1
         assert stats["admission"]["admitted"] == 2  # blocker + request
         assert stats["admission"]["in_use"] == 0
+
+    def test_request_pool_overrides_the_service_pool(self, tiny_graph):
+        """``explain(budget_pool=...)`` leases from that pool instead of
+        the service's, through the same counted admission path."""
+        service_pool = BudgetPool(300, min_grant=8)
+        tenant_pool = BudgetPool(40, min_grant=8)
+        service = WhyQueryService(budget_pool=service_pool)
+        report = service.explain(
+            tiny_graph, failing_query(), budget_pool=tenant_pool
+        )
+        assert report.rewriting.evaluated <= 40
+        assert service_pool.stats()["admitted"] == 0
+        tenant = tenant_pool.stats()
+        assert tenant["admitted"] == 1
+        assert tenant["evaluations_spent"] == report.rewriting.evaluated
+        assert tenant["in_use"] == 0  # released by the service
+        blocker = tenant_pool.acquire(40)
+        with pytest.raises(AdmissionRejected):
+            service.explain(tiny_graph, failing_query(), budget_pool=tenant_pool)
+        blocker.release()
+        assert service.stats()["service"]["rejected_calls"] == 1
+        assert service_pool.stats()["rejected"] == 0
 
     def test_degraded_grant_bounds_the_search(self, tiny_graph):
         """Under pressure a request runs with a smaller search budget
@@ -221,15 +250,6 @@ class TestServiceAdmission:
         assert not thread.is_alive()
         assert outcome["report"].rewriting.explanations
         assert service.stats()["service"]["rejected_calls"] == 0
-
-    def test_explain_async_propagates_rejection(self, tiny_graph):
-        pool = BudgetPool(300, min_grant=8)
-        blocker = pool.acquire(300)
-        with WhyQueryService(budget_pool=pool) as service:
-            with pytest.raises(AdmissionRejected):
-                asyncio.run(service.explain_async(tiny_graph, failing_query()))
-            assert service.stats()["service"]["rejected_calls"] == 1
-        blocker.release()
 
     def test_concurrent_burst_invariants(self, tiny_graph):
         """Budget-pool exhaustion under a real burst: every request either

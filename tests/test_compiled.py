@@ -330,7 +330,6 @@ class TestCounters:
             "csr_bytes": 0,
             "csr_patches": 0,
             "csr_rebuilds": 0,
-            "csr_evictions": 0,
             "deltas_applied": 0,
             "programs_compiled": 0,
             "program_hits": 0,

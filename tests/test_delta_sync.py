@@ -1,10 +1,10 @@
 """Unit tests of the delta-sync mutation pipeline.
 
 Covers every layer the pipeline crosses: the graph's versioned delta
-ring, in-place CSR patching (vs the rebuild fallback), the byte-budget
-LRU over packed indexes, delta-scoped plan/result-cache invalidation,
-the delta wire form with per-shard routing, slice-side application and
-the affine executor's worker catch-up.  The randomized end-to-end
+ring, in-place CSR patching (vs the rebuild fallback), delta-scoped
+plan/result-cache invalidation, the delta wire form with per-shard
+routing, slice-side application and the affine executor's worker
+catch-up.  The randomized end-to-end
 coverage lives in ``tests/test_property_based.py``
 (``TestMutateBetweenQueries``); these are the deterministic seams.
 """
@@ -21,7 +21,7 @@ from repro.core.serialize import (
     shards_to_wire,
 )
 from repro.matching import PatternMatcher, csr_stats
-from repro.matching.csr import CSR_BYTES_BUDGET_ENV, csr_entry
+from repro.matching.csr import csr_entry
 from repro.rewrite.cache import QueryResultCache
 from repro.shard import GraphPartitioner, ProcessExecutor, SliceEvaluator
 
@@ -146,26 +146,6 @@ class TestCsrPatching:
         assert comp.count(untyped) == before + 1
         assert comp.count(untyped) == PatternMatcher(g).count(untyped)
         assert csr_stats(g)["csr_rebuilds"] == 0
-
-    def test_byte_budget_evicts_cold_graphs(self, monkeypatch):
-        cold, hot = chain_graph(), chain_graph()
-        q = person_query()
-        PatternMatcher(cold, compiled=True).count(q)
-        hot_matcher = PatternMatcher(hot, compiled=True)
-        hot_matcher.count(q)
-        # a budget below one index: touching the hot graph must evict
-        # the cold one (never the currently-touched entry)
-        monkeypatch.setenv(CSR_BYTES_BUDGET_ENV, "1")
-        hot_matcher.count(q)
-        assert csr_stats(cold)["csr_evictions"] == 1
-        assert csr_stats(cold)["csr_bytes"] == 0
-        assert csr_stats(hot)["csr_bytes"] > 0
-        # the evicted entry rebuilds lazily and stays correct
-        monkeypatch.delenv(CSR_BYTES_BUDGET_ENV)
-        assert PatternMatcher(cold, compiled=True).count(q) == PatternMatcher(
-            cold
-        ).count(q)
-        assert csr_stats(cold)["csr_builds"] == 2
 
 
 # -- delta-scoped cache invalidation ------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.client import (
     connect,
 )
 from repro.exec import ExecutionContext
+from repro.obs import REGISTRY
 from repro.rewrite.cache import QueryResultCache
 from repro.server import serve_in_thread
 from repro.server.protocol import (
@@ -209,6 +211,32 @@ class TestSessions:
             report = slow.result()
             assert report["problem"] == "why-empty"
 
+    def test_many_requests_in_flight_before_any_reply_is_read(self, client):
+        """Eight counts and two explains are written to one connection
+        before a single reply is read; every reply finds its request."""
+        from repro.core.serialize import query_to_dict
+
+        count_ids = [next(client._ids) for _ in range(8)]
+        for rid in count_ids:
+            client._send(
+                {
+                    "type": "count",
+                    "id": rid,
+                    "graph": "g",
+                    "query": query_to_dict(matching_query()),
+                }
+            )
+        full = client.explain_stream("g", failing_query())
+        classify_only = client.explain_stream("g", failing_query(), rewrite=False)
+        assert [client._next_frame(rid)["count"] for rid in count_ids] == [2] * 8
+        assert classify_only.result()["rewriting"] is None
+        report = full.result()
+        assert report["problem"] == "why-empty"
+        assert full.candidates
+        assert strip_volatile(report) == strip_volatile(
+            client.explain("g", failing_query())
+        )
+
     def test_stats_message_serves_unified_schema(self, client):
         client.count("g", matching_query())
         stats = client.stats()
@@ -337,6 +365,7 @@ class TestQuotas:
         # granted and there is no waiting queue -> immediate rejection
         pool = BudgetPool(total=8, min_grant=8, max_waiting=0)
         hog = pool.acquire(8)
+        rejected_before = REGISTRY.counter("repro_explain_rejected_total").value
         handle = serve_in_thread(tenants={"starved": pool})
         try:
             with connect(*handle.address, tenant="starved") as starved:
@@ -344,6 +373,14 @@ class TestQuotas:
                 with pytest.raises(RequestRejected) as info:
                     starved.explain("g", failing_query())
                 assert info.value.code == 429
+                # the lease is taken inside service.explain, so a tenant
+                # rejection shows in the service's own metrics
+                stats = starved.stats()
+                assert stats["service"]["rejected_calls"] == 1
+                assert (
+                    stats["metrics"]["counters"]["repro_explain_rejected_total"]
+                    == rejected_before + 1
+                )
                 hog.release()
                 # the connection is still usable after the 429
                 assert starved.count("g", matching_query()) == 2
@@ -364,6 +401,67 @@ class TestQuotas:
                 assert report["problem"] == "why-empty"
             stats = pool.stats()
             assert stats["admitted"] >= 1
+        finally:
+            handle.stop()
+
+    def test_queued_tenants_cannot_starve_the_request_pool(self):
+        """A tenant pool that admits one request at a time, two request
+        workers, three explains in flight: the lease holder owns the
+        worker it acquired on, so waiters can never occupy every worker
+        while the holder's explain is still queued behind them.  The
+        socket timeout is the failure detector."""
+        pool = BudgetPool(total=8, min_grant=8, max_waiting=64)
+        handle = serve_in_thread(tenants={"t": pool}, request_workers=2)
+        try:
+            with connect(*handle.address, tenant="t", timeout=30) as c:
+                c.put_graph("g", small_graph())
+                from repro.client import _explain_request
+
+                # one TCP segment, so all three are dispatched before any
+                # of them can finish
+                rids = [next(c._ids) for _ in range(3)]
+                c._sock.sendall(
+                    b"".join(
+                        encode_frame(
+                            _explain_request(
+                                rid, "g", failing_query(), None, True, True, True
+                            )
+                        )
+                        for rid in rids
+                    )
+                )
+                reports = [ExplainStream(c, rid).result() for rid in rids]
+            assert [r["problem"] for r in reports] == ["why-empty"] * 3
+            stats = pool.stats()
+            assert stats["in_use"] == 0
+            assert stats["admitted"] == 3
+        finally:
+            handle.stop()
+
+    def test_admission_span_covers_the_tenant_wait(self):
+        """A traced request queued on its tenant's pool spends the wait
+        inside its ``admission`` span."""
+        pool = BudgetPool(total=8, min_grant=8, max_waiting=4)
+        hog = pool.acquire(8)
+        handle = serve_in_thread(tenants={"t": pool})
+        try:
+            with connect(*handle.address, tenant="t", timeout=30) as c:
+                c.put_graph("g", small_graph())
+                stream = c.explain_stream("g", failing_query(), trace=True)
+                for _ in range(10_000):  # paced by a round trip, not a sleep
+                    if pool.stats()["waiting_requests"]:
+                        break
+                    c.stats()
+                assert pool.stats()["waiting_requests"] == 1
+                waiting_since = time.perf_counter()
+                c.stats()  # one more round trip spent in the queue
+                waited = time.perf_counter() - waiting_since
+                hog.release()
+                trace = stream.result()["trace"]
+            assert trace["kind"] == "explain"
+            admission = [s for s in trace["spans"] if s["kind"] == "admission"]
+            assert len(admission) == 1
+            assert admission[0]["elapsed_s"] >= waited
         finally:
             handle.stop()
 
@@ -444,58 +542,3 @@ class TestShutdownMessage:
             assert ack["type"] == "ok"
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
-
-
-# -- async client ----------------------------------------------------------------
-
-
-class TestAsyncClient:
-    def test_async_multiplexed_requests(self, server):
-        import asyncio
-
-        from repro.client import connect_async
-
-        async def run():
-            client = await connect_async(*server.address)
-            try:
-                await client.put_graph("g", small_graph())
-                counts = await asyncio.gather(
-                    *(client.count("g", matching_query()) for _ in range(8))
-                )
-                assert counts == [2] * 8
-                reports = await asyncio.gather(
-                    client.explain("g", failing_query()),
-                    client.explain("g", failing_query(), rewrite=False),
-                )
-                assert reports[0]["problem"] == "why-empty"
-                assert reports[1]["rewriting"] is None
-            finally:
-                await client.close()
-
-        asyncio.run(run())
-
-    def test_async_streamed_explain_matches_sync(self, server):
-        import asyncio
-
-        from repro.client import connect_async
-
-        async def run():
-            client = await connect_async(*server.address)
-            try:
-                await client.put_graph("g", small_graph())
-                stream = client.explain_stream("g", failing_query())
-                seen = []
-                async for candidate in stream:
-                    seen.append(candidate)
-                report = await stream.result()
-                assert seen
-                assert report["problem"] == "why-empty"
-                return report
-            finally:
-                await client.close()
-
-        async_report = asyncio.run(run())
-        with connect(*server.address) as sync_client:
-            sync_client.put_graph("g", small_graph())
-            sync_report = sync_client.explain_stream("g", failing_query()).result()
-        assert strip_volatile(async_report) == strip_volatile(sync_report)

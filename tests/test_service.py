@@ -1,5 +1,5 @@
 """WhyQueryService: warm context pool, concurrency, LRU eviction, and
-the async front door (``explain_async`` / ``open_session_async``)."""
+``explain`` driven from asyncio through ``asyncio.to_thread``."""
 
 from __future__ import annotations
 
@@ -290,8 +290,9 @@ def explanation_key(report):
 
 
 class TestServiceAsyncConcurrency:
-    """The async front door: N concurrent explain_async() calls over 2 graphs produce the same
-    reports as serial execution and never exceed the budget pool."""
+    """N concurrent explain() calls hopped onto threads from asyncio over
+    2 graphs produce the same reports as serial execution and never
+    exceed the budget pool."""
 
     def test_concurrent_explain_async_matches_serial(self):
         graphs = [small_graph(0), small_graph(1)]
@@ -307,11 +308,14 @@ class TestServiceAsyncConcurrency:
         # so the fair share never clips a request's budget (grant ==
         # requested even with n requests active).
         pool = BudgetPool(total=300 * (n + 1), min_grant=8, max_waiting=n)
-        with WhyQueryService(budget_pool=pool, max_async_requests=8) as service:
+        with WhyQueryService(budget_pool=pool) as service:
 
             async def main():
                 return await asyncio.gather(
-                    *(service.explain_async(graphs[i % 2], query) for i in range(n))
+                    *(
+                        asyncio.to_thread(service.explain, graphs[i % 2], query)
+                        for i in range(n)
+                    )
                 )
 
             reports = asyncio.run(main())
@@ -330,17 +334,4 @@ class TestServiceAsyncConcurrency:
         assert admission["active_requests"] == 0
         assert admission["evaluations_spent"] <= admission["evaluations_granted"]
         assert stats["service"]["explain_calls"] == n
-        assert stats["service"]["async_calls"] == n
         assert stats["service"]["contexts_live"] == 2
-
-    def test_open_session_async_shares_warm_context(self, tiny_graph):
-        with WhyQueryService() as service:
-            service.explain(tiny_graph, failing_query())
-
-            async def main():
-                return await service.open_session_async(tiny_graph, failing_query())
-
-            session = asyncio.run(main())
-            assert session.context is service.context_for(tiny_graph)
-            assert session.propose() is not None
-            assert service.stats()["service"]["async_calls"] == 1
