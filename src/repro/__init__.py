@@ -26,13 +26,16 @@ Explanations (Ch. 4-6)
     (cardinality-driven fine-grained rewriting).
 Holistic engine
     :class:`~repro.why.WhyQueryEngine` dispatches to the right debugger
-    from the observed cardinality (Fig. 3.1).
+    from the observed cardinality (Fig. 3.1);
+    :class:`~repro.why.DebugSession` is the interactive loop over the
+    same dispatch.
 Execution spine
-    :class:`~repro.exec.ExecutionContext` bundles the per-graph
-    evaluation stack every engine shares;
+    :class:`~repro.exec.ExecutionContext` is the per-graph evaluation
+    stack and the one way an engine binds to a graph (``context=``, or a
+    graph as shorthand for one);
     :class:`~repro.exec.CandidateEvaluator` evaluates candidate batches
-    through :class:`~repro.exec.SerialExecutor` (batch size 1) or the
-    process pool below (batch size = worker count).
+    through :class:`~repro.exec.SerialExecutor` or the process pool
+    below -- the batch size is the executor's (1, or the worker count).
 Sharding & process parallelism
     :class:`~repro.shard.GraphPartitioner` splits a graph into
     vertex-range :class:`~repro.shard.GraphShard` blocks behind the
@@ -104,7 +107,7 @@ from repro.service import AdmissionRejected, BudgetPool, WhyQueryService
 from repro.client import WhyQueryClient, connect
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "AdmissionRejected",

@@ -1,15 +1,17 @@
 """Shared execution spine: per-graph contexts and batched evaluation.
 
 ``repro.exec`` is the layer between the matching substrate and the
-debugging engines: :class:`ExecutionContext` bundles the per-graph
-evaluation stack (matcher, result cache, statistics, candidate cache,
-attribute domain, preference models) so every engine constructs itself
-*from* a context instead of wiring its own, and
-:class:`CandidateEvaluator` evaluates batches of independent query
-variants through a pluggable executor under a shared
-:class:`EvaluationBudget`.  Executors: :class:`SerialExecutor` (one
-task after another, in the calling thread) and anything else speaking
-the :class:`BatchExecutor` protocol -- the process-backed
+debugging engines.  An :class:`ExecutionContext` is *the* binding of an
+engine to a graph: it holds the per-graph evaluation stack (matcher,
+result cache, statistics, candidate cache, attribute domain, preference
+models), and every engine takes a context (or a graph, shorthand for
+one) and nothing below it.  :class:`CandidateEvaluator` evaluates batches
+of independent query variants through a pluggable executor under a
+shared :class:`EvaluationBudget`; :class:`BudgetedSearch`
+(:mod:`repro.exec.search`) is what both rewriting searches set up around
+their loops.  Executors: :class:`SerialExecutor` (one task after
+another, in the calling thread) and anything else speaking the
+:class:`BatchExecutor` protocol -- the process-backed
 :class:`~repro.shard.ProcessExecutor` is the one other implementation.
 """
 
@@ -21,9 +23,11 @@ from repro.exec.evaluator import (
     EvaluationBudget,
     SerialExecutor,
 )
+from repro.exec.search import BudgetedSearch
 
 __all__ = [
     "BatchExecutor",
+    "BudgetedSearch",
     "CandidateEvaluator",
     "EvaluatedCandidate",
     "EvaluationBudget",

@@ -2,13 +2,13 @@
 
 The holistic engine (Sec. 3.1.3) assumes all debuggers operate on one
 evaluation substrate, so the work one debugger performs is reusable by
-the next.  Historically every entry point (the why-query engine, debug
-sessions, the rewriters, the harness drivers) hand-wired its own
-``PatternMatcher`` + ``QueryResultCache`` + ``GraphStatistics`` stack,
-which silently *defeated* that sharing whenever two entry points met the
-same graph.
+the next.  A context is *the* binding of an engine to a graph: the
+why-query engine, debug sessions, both rewriting searches, the baselines
+and the harness drivers all evaluate through one and take no matcher,
+cache, statistics or domain of their own, so two entry points that meet
+the same context share every layer below.
 
-An :class:`ExecutionContext` is the explicit, reusable wiring:
+What a context holds:
 
 ======================  =====================================================
 ``matcher``             the graph's :class:`~repro.matching.matcher.PatternMatcher`
@@ -70,41 +70,15 @@ class ExecutionContext:
         graph: PropertyGraph,
         injective: bool = True,
         compiled: bool = True,
-        matcher: Optional[PatternMatcher] = None,
-        cache: Optional[QueryResultCache] = None,
         result_cache_entries: Optional[int] = DEFAULT_RESULT_CACHE_ENTRIES,
-        statistics: Optional[GraphStatistics] = None,
-        domain: Optional[AttributeDomain] = None,
-        preference_model: Optional[RewritePreferenceModel] = None,
-        preferences: Optional[UserPreferences] = None,
     ) -> None:
         self.graph = graph
-        self.matcher = (
-            matcher
-            if matcher is not None
-            else PatternMatcher(graph, injective=injective, compiled=compiled)
-        )
-        if self.matcher.graph is not graph:
-            raise ValueError("matcher is bound to a different graph")
-        self.cache = (
-            cache
-            if cache is not None
-            else QueryResultCache(self.matcher, max_entries=result_cache_entries)
-        )
-        self.statistics = (
-            statistics
-            if statistics is not None
-            else GraphStatistics(graph, evalcache=self.matcher.evalcache)
-        )
-        self.domain = domain if domain is not None else AttributeDomain(graph)
-        self.preference_model = (
-            preference_model
-            if preference_model is not None
-            else RewritePreferenceModel()
-        )
-        self.preferences = (
-            preferences if preferences is not None else UserPreferences()
-        )
+        self.matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
+        self.cache = QueryResultCache(self.matcher, max_entries=result_cache_entries)
+        self.statistics = GraphStatistics(graph, evalcache=self.matcher.evalcache)
+        self.domain = AttributeDomain(graph)
+        self.preference_model = RewritePreferenceModel()
+        self.preferences = UserPreferences()
         #: serialises *structural* swaps (e.g. domain refresh); the
         #: evaluation layers themselves are safe for concurrent reads
         self._lock = threading.RLock()
@@ -125,6 +99,25 @@ class ExecutionContext:
                 context = cls(graph)
                 setattr(graph, cls._ANCHOR, context)
             return context
+
+    @classmethod
+    def bind(
+        cls,
+        graph: Optional[PropertyGraph],
+        context: Optional["ExecutionContext"],
+        shared: bool,
+    ) -> "ExecutionContext":
+        """The context an engine given ``graph`` and/or ``context`` runs on:
+        ``context``, else the graph's shared context (``shared``: the
+        why-query engine, debug sessions) or a private one (the searches).
+        :class:`ValueError` when neither is given or both disagree."""
+        if context is None:
+            if graph is None:
+                raise ValueError("either graph or context is required")
+            return cls.for_graph(graph) if shared else cls(graph)
+        if graph is not None and graph is not context.graph:
+            raise ValueError("graph and context.graph differ")
+        return context
 
     # -- evaluation façade ----------------------------------------------------
 

@@ -22,99 +22,119 @@ from __future__ import annotations
 
 import random
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.core.errors import MalformedQueryError, RewritingError
 from repro.core.graph import PropertyGraph
 from repro.core.predicates import ValueSet
 from repro.core.query import GraphQuery
-from repro.matching.matcher import PatternMatcher
+from repro.exec.search import bind_private_context, valid_children
 from repro.metrics.cardinality import CardinalityThreshold
 from repro.metrics.syntactic import syntactic_distance
-from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import (
     AddPredicate,
-    AttributeDomain,
     Modification,
     coarse_relaxations,
-    fine_concretisations,
-    fine_relaxations,
 )
-from repro.finegrained.traverse_search_tree import FineRewriteResult
+from repro.finegrained.traverse_search_tree import FineRewriteResult, fine_candidates
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.exec.context import ExecutionContext
 
 
-class RandomModificationSearch:
+class _ThresholdBaseline:
+    """What both baselines bind: a context, a threshold, a budget."""
+
+    def __init__(
+        self,
+        graph: Optional[PropertyGraph],
+        threshold: Optional[CardinalityThreshold],
+        max_evaluations: int,
+        context: Optional["ExecutionContext"],
+    ) -> None:
+        if threshold is None:
+            raise ValueError("a cardinality threshold is required")
+        context = bind_private_context(graph, context)
+        self.graph = context.graph
+        self.cache = context.cache
+        self.domain = context.attribute_domain()
+        self.threshold = threshold
+        self.max_evaluations = max_evaluations
+
+    def _result(
+        self, start: float, best: Tuple, trace: List[int], evaluated: int
+    ) -> FineRewriteResult:
+        """Report ``best`` -- ``(distance, syntactic, query, cardinality,
+        modifications)`` -- after ``evaluated`` counts, each one generated
+        variant (the baselines keep no tree and discard nothing)."""
+        distance, syntactic, query, cardinality, modifications = best
+        return FineRewriteResult(
+            best_query=query,
+            best_cardinality=cardinality,
+            best_distance=distance,
+            best_syntactic=syntactic,
+            modifications=modifications,
+            cardinality_trace=trace,
+            evaluated=evaluated,
+            generated=evaluated,
+            tree_size=evaluated + 1,
+            non_contributing=0,
+            dominated=0,
+            elapsed=time.perf_counter() - start,
+            budget_exhausted=evaluated >= self.max_evaluations,
+            converged=distance == 0,
+        )
+
+
+class RandomModificationSearch(_ThresholdBaseline):
     """Random-walk baseline over the fine-grained modification space."""
 
     def __init__(
         self,
-        graph: PropertyGraph,
-        threshold: CardinalityThreshold,
-        matcher: Optional[PatternMatcher] = None,
-        cache: Optional[QueryResultCache] = None,
-        domain: Optional[AttributeDomain] = None,
+        graph: Optional[PropertyGraph] = None,
+        threshold: Optional[CardinalityThreshold] = None,
         include_topology: bool = False,
         constrainable_attrs: Optional[Sequence[str]] = None,
         max_evaluations: int = 300,
         walk_length: int = 6,
         seed: int = 0,
+        context: Optional["ExecutionContext"] = None,
     ) -> None:
-        self.graph = graph
-        self.threshold = threshold
-        self.matcher = matcher if matcher is not None else PatternMatcher(graph)
-        self.cache = cache if cache is not None else QueryResultCache(self.matcher)
-        self.domain = domain if domain is not None else AttributeDomain(graph)
+        super().__init__(graph, threshold, max_evaluations, context)
         self.include_topology = include_topology
         self.constrainable_attrs = (
             tuple(constrainable_attrs) if constrainable_attrs else None
         )
-        self.max_evaluations = max_evaluations
         self.walk_length = walk_length
         self.rng = random.Random(seed)
 
     def search(self, query: GraphQuery) -> FineRewriteResult:
         start = time.perf_counter()
-        limit = self.threshold.probe_limit
-        probe = None if limit is None else max(limit * 4, limit + 16)
+        probe = self.threshold.search_probe_limit
         root_card = self.cache.count(query, limit=probe)
-        best_query, best_card = query, root_card
-        best_dist = self.threshold.distance(root_card)
-        best_syn = 0.0
-        best_mods: Tuple[Modification, ...] = ()
+        best = (self.threshold.distance(root_card), 0.0, query, root_card, ())
         best_trace: List[int] = [root_card]
         evaluated = 0
-        generated = 0
 
-        while evaluated < self.max_evaluations and best_dist > 0:
+        while evaluated < self.max_evaluations and best[0] > 0:
             current, card = query, root_card
             mods: List[Modification] = []
             trace = [root_card]
             for _ in range(self.walk_length):
                 if evaluated >= self.max_evaluations:
                     break
-                direction = self.threshold.direction(card)
-                if direction == 0:
-                    break
-                pool: Sequence[Modification]
-                if direction > 0:
-                    pool = fine_relaxations(
-                        current, self.domain, include_topology=self.include_topology
-                    )
-                else:
-                    pool = fine_concretisations(
-                        current,
-                        self.domain,
-                        constrainable_attrs=self.constrainable_attrs,
-                    )
+                pool = fine_candidates(
+                    current,
+                    self.threshold.direction(card),
+                    self.domain,
+                    self.include_topology,
+                    self.constrainable_attrs,
+                )
                 if not pool:
                     break
                 op = pool[self.rng.randrange(len(pool))]
-                try:
-                    nxt = op.apply(current)
-                    nxt.validate()
-                except (RewritingError, MalformedQueryError):
+                _, nxt = next(valid_children(current, (op,)), (op, None))
+                if nxt is None:
                     continue
-                generated += 1
                 evaluated += 1
                 card = self.cache.count(nxt, limit=probe)
                 current = nxt
@@ -122,33 +142,16 @@ class RandomModificationSearch:
                 trace.append(card)
                 dist = self.threshold.distance(card)
                 syn = syntactic_distance(query, current)
-                if (dist, syn) < (best_dist, best_syn):
-                    best_query, best_card = current, card
-                    best_dist, best_syn = dist, syn
-                    best_mods = tuple(mods)
+                if (dist, syn) < best[:2]:
+                    best = (dist, syn, current, card, tuple(mods))
                     best_trace = list(trace)
                 if dist == 0:
                     break
 
-        return FineRewriteResult(
-            best_query=best_query,
-            best_cardinality=best_card if best_mods else root_card,
-            best_distance=best_dist,
-            best_syntactic=best_syn,
-            modifications=best_mods,
-            cardinality_trace=best_trace,
-            evaluated=evaluated,
-            generated=generated,
-            tree_size=generated + 1,
-            non_contributing=0,
-            dominated=0,
-            elapsed=time.perf_counter() - start,
-            budget_exhausted=evaluated >= self.max_evaluations,
-            converged=best_dist == 0,
-        )
+        return self._result(start, best, best_trace, evaluated)
 
 
-class GreedyCoarseSearch:
+class GreedyCoarseSearch(_ThresholdBaseline):
     """Whole-constraint lattice baseline (SEAVE-style greedy search).
 
     Moves through the lattice of coarse modifications -- dropping whole
@@ -159,20 +162,13 @@ class GreedyCoarseSearch:
 
     def __init__(
         self,
-        graph: PropertyGraph,
-        threshold: CardinalityThreshold,
-        matcher: Optional[PatternMatcher] = None,
-        cache: Optional[QueryResultCache] = None,
-        domain: Optional[AttributeDomain] = None,
+        graph: Optional[PropertyGraph] = None,
+        threshold: Optional[CardinalityThreshold] = None,
         max_evaluations: int = 300,
         max_depth: int = 6,
+        context: Optional["ExecutionContext"] = None,
     ) -> None:
-        self.graph = graph
-        self.threshold = threshold
-        self.matcher = matcher if matcher is not None else PatternMatcher(graph)
-        self.cache = cache if cache is not None else QueryResultCache(self.matcher)
-        self.domain = domain if domain is not None else AttributeDomain(graph)
-        self.max_evaluations = max_evaluations
+        super().__init__(graph, threshold, max_evaluations, context)
         self.max_depth = max_depth
 
     def _coarse_concretisations(self, query: GraphQuery) -> List[Modification]:
@@ -197,8 +193,7 @@ class GreedyCoarseSearch:
 
     def search(self, query: GraphQuery) -> FineRewriteResult:
         start = time.perf_counter()
-        limit = self.threshold.probe_limit
-        probe = None if limit is None else max(limit * 4, limit + 16)
+        probe = self.threshold.search_probe_limit
         card = self.cache.count(query, limit=probe)
         current, mods = query, []
         trace = [card]
@@ -215,14 +210,9 @@ class GreedyCoarseSearch:
                 else self._coarse_concretisations(current)
             )
             scored = []
-            for op in pool:
+            for op, candidate in valid_children(current, pool):
                 if evaluated >= self.max_evaluations:
                     break
-                try:
-                    candidate = op.apply(current)
-                    candidate.validate()
-                except (RewritingError, MalformedQueryError):
-                    continue
                 evaluated += 1
                 c = self.cache.count(candidate, limit=probe)
                 scored.append((self.threshold.distance(c), c, op, candidate))
@@ -238,20 +228,4 @@ class GreedyCoarseSearch:
             if dist == 0:
                 break
 
-        best_dist, best_syn, best_query, best_card, best_mods = best
-        return FineRewriteResult(
-            best_query=best_query,
-            best_cardinality=best_card,
-            best_distance=best_dist,
-            best_syntactic=best_syn,
-            modifications=best_mods,
-            cardinality_trace=trace,
-            evaluated=evaluated,
-            generated=evaluated,
-            tree_size=evaluated + 1,
-            non_contributing=0,
-            dominated=0,
-            elapsed=time.perf_counter() - start,
-            budget_exhausted=evaluated >= self.max_evaluations,
-            converged=best_dist == 0,
-        )
+        return self._result(start, best, trace, evaluated)

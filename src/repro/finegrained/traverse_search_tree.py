@@ -17,6 +17,11 @@ Tree adaptation (Sec. 6.3): evaluations go through the shared query cache
 their parent's are discarded as non-contributing, dominated variants are
 rejected, and branches strictly farther from the threshold than the
 incumbent by more than the oscillation allowance are pruned.
+
+Sibling modifications are evaluated in batches of the executor's
+``preferred_batch`` (1 serial, the worker count for the process pool) --
+the executor's property, not a parameter of the search.  Binding, budget,
+evaluator and span are :class:`~repro.exec.search.BudgetedSearch`'s.
 """
 
 from __future__ import annotations
@@ -27,28 +32,18 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import MalformedQueryError, RewritingError
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
-from repro.exec.evaluator import (
-    BatchExecutor,
-    CandidateEvaluator,
-    EvaluationBudget,
-    SerialExecutor,
-)
-from repro.exec.wiring import resolve_spine
-from repro.matching.matcher import PatternMatcher
+from repro.exec.evaluator import BatchExecutor, CandidateEvaluator, EvaluationBudget
+from repro.exec.search import BudgetedSearch, valid_children
 from repro.metrics.cardinality import CardinalityThreshold
-from repro.obs.tracing import SPAN_REWRITE, current_tracer
 from repro.metrics.syntactic import DistanceTable
-from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import (
-    AttributeDomain,
     Modification,
     fine_concretisations,
     fine_relaxations,
 )
-from repro.rewrite.statistics import CardinalityProfile, GraphStatistics
+from repro.rewrite.statistics import CardinalityProfile
 from repro.finegrained.modification_tree import ModificationTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -82,83 +77,57 @@ class FineRewriteResult:
         )
 
 
-class TraverseSearchTree:
+def fine_candidates(
+    query: GraphQuery,
+    direction: int,
+    domain,
+    include_topology: bool,
+    constrainable_attrs: Optional[Sequence[str]],
+) -> List[Modification]:
+    """Sec. 6.2.2: relaxations when the result must grow (``direction``
+    > 0), concretisations when it must shrink, nothing inside the interval."""
+    if direction > 0:
+        return fine_relaxations(query, domain, include_topology=include_topology)
+    if direction < 0:
+        return fine_concretisations(
+            query, domain, constrainable_attrs=constrainable_attrs
+        )
+    return []
+
+
+class TraverseSearchTree(BudgetedSearch):
     """Best-first fine-grained modification search (Sec. 6.2.1)."""
+
+    span_engine = "search-tree"
 
     def __init__(
         self,
         graph: Optional[PropertyGraph] = None,
         threshold: Optional[CardinalityThreshold] = None,
-        matcher: Optional[PatternMatcher] = None,
-        cache: Optional[QueryResultCache] = None,
-        domain: Optional[AttributeDomain] = None,
         include_topology: bool = False,
         constrainable_attrs: Optional[Sequence[str]] = None,
         max_evaluations: int = 300,
         max_depth: int = 8,
-        statistics: Optional[GraphStatistics] = None,
         context: Optional["ExecutionContext"] = None,
         executor: Optional[BatchExecutor] = None,
-        batch_size: Optional[int] = None,
         budget: Optional[EvaluationBudget] = None,
         on_candidate: Optional[Callable[..., None]] = None,
         tracer=None,
     ) -> None:
         if threshold is None:
             raise ValueError("a cardinality threshold is required")
-        #: request tracer; ``None`` resolves the ambient one per search
-        self.tracer = tracer
-        self.threshold = threshold
-        # the context's spine, else explicit components over fresh wiring
-        self.graph, self.matcher, self.cache, self.statistics = resolve_spine(
-            graph, context, matcher=matcher, cache=cache, statistics=statistics
+        super().__init__(
+            graph, context, executor, max_evaluations, budget, on_candidate, tracer
         )
-        if domain is None:
-            domain = (
-                context.attribute_domain()
-                if context is not None
-                else AttributeDomain(self.graph)
-            )
-        self.domain = domain
+        self.threshold = threshold
+        self.domain = self.context.attribute_domain()
         self.include_topology = include_topology
         self.constrainable_attrs = (
             tuple(constrainable_attrs) if constrainable_attrs else None
         )
-        self.max_evaluations = max_evaluations
         self.max_depth = max_depth
-        self.executor: BatchExecutor = (
-            executor if executor is not None else SerialExecutor()
-        )
-        if batch_size is None:
-            batch_size = getattr(self.executor, "preferred_batch", 1)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        #: sibling modifications evaluated per batch; defaults to the
-        #: executor's preferred batch (1 serial, worker count for the
-        #: process pool)
-        self.batch_size = batch_size
-        #: externally managed evaluation allowance (e.g. a per-request
-        #: lease carved from a service-level budget pool); when given it
-        #: is the hard bound instead of ``max_evaluations``
-        self.budget = budget
-        #: incremental-results seam: invoked once per evaluated candidate
-        #: as each batch finishes (streaming consumers); exceptions raised
-        #: here abort the search (cooperative cancellation)
-        self.on_candidate = on_candidate
 
     # -- candidate generation (Sec. 6.2.2) ------------------------------------
-
-    def _candidates(self, query: GraphQuery, cardinality: int) -> List[Modification]:
-        direction = self.threshold.direction(cardinality)
-        if direction > 0:
-            return fine_relaxations(
-                query, self.domain, include_topology=self.include_topology
-            )
-        if direction < 0:
-            return fine_concretisations(
-                query, self.domain, constrainable_attrs=self.constrainable_attrs
-            )
-        return []
 
     def _ordered_expansions(
         self, query: GraphQuery, cardinality: int, profile: CardinalityProfile
@@ -177,26 +146,16 @@ class TraverseSearchTree:
         expansions: List[
             Tuple[float, int, Modification, GraphQuery, CardinalityProfile]
         ] = []
-        for index, op in enumerate(self._candidates(query, cardinality)):
-            try:
-                child = op.apply(query)
-                child.validate()
-            except (RewritingError, MalformedQueryError):
-                continue
+        ops = fine_candidates(
+            query, direction, self.domain, self.include_topology, self.constrainable_attrs
+        )
+        for index, (op, child) in enumerate(valid_children(query, ops)):
             derived = self.statistics.profile(child, profile)
             gain = (derived.estimate - profile.estimate) * direction
             expansions.append((gain, index, op, child, derived))
         # largest direction-aligned gain first; stable on generation order
         expansions.sort(key=lambda item: (-item[0], item[1]))
         return [(op, child, derived) for _, _, op, child, derived in expansions]
-
-    def _probe_limit(self) -> Optional[int]:
-        limit = self.threshold.probe_limit
-        if limit is None:
-            return None
-        # Probe a margin past the bound so the search can see *how far*
-        # outside the interval a variant lies (needed for the distance).
-        return max(limit * 4, limit + 16)
 
     # -- search ------------------------------------------------------------------
 
@@ -207,40 +166,21 @@ class TraverseSearchTree:
         result's ``converged`` flag tells whether the threshold interval
         was actually reached.
         """
-        tracer = self.tracer if self.tracer is not None else current_tracer()
-        with tracer.span(SPAN_REWRITE, engine="search-tree") as span:
-            result = self._search(query, tracer)
-            if tracer.enabled:
-                span.attributes["evaluated"] = result.evaluated
-                span.attributes["converged"] = result.converged
-                span.attributes["budget_exhausted"] = result.budget_exhausted
-            return result
+        return self._traced(self._search, query, self.threshold.search_probe_limit)
 
-    def _search(self, query: GraphQuery, tracer) -> FineRewriteResult:
+    def _outcome(self, result: FineRewriteResult) -> dict:
+        return {"converged": result.converged}
+
+    def _search(
+        self, query: GraphQuery, evaluator: CandidateEvaluator
+    ) -> FineRewriteResult:
         start = time.perf_counter()
-        # variants are frozen values derived from a frozen original: a
-        # child shares what its modification left alone and is scored
-        # from its parent's tables
-        query = query.as_frozen()
-        limit = self._probe_limit()
-        root_card = self.cache.count(query, limit=limit)
+        root_card = self.cache.count(query, limit=evaluator.count_limit)
         root_distance = self.threshold.distance(root_card)
         tree = ModificationTree(query, root_card, root_distance)
         root = tree.node(tree.root)
 
-        budget = (
-            self.budget
-            if self.budget is not None
-            else EvaluationBudget(self.max_evaluations)
-        )
-        evaluator = CandidateEvaluator(
-            self.cache,
-            executor=self.executor,
-            budget=budget,
-            count_limit=limit,
-            on_result=self.on_candidate,
-            tracer=tracer,
-        )
+        budget = evaluator.budget
         counter = itertools.count()
         heap: List[Tuple[Tuple[int, float, int], int]] = []
         heapq.heappush(heap, ((root_distance, 0.0, next(counter)), root.node_id))

@@ -494,8 +494,7 @@ def fig6_baselines(
     """
     bundle, _, _ = load_dataset(dataset)
     context = ExecutionContext.for_graph(bundle.graph)
-    domain = context.attribute_domain()
-    attrs = domain.common_vertex_attrs()
+    attrs = context.attribute_domain().common_vertex_attrs()
     rows: List[BaselineRow] = []
     for scenario, query, threshold in fig6_scenarios(dataset):
         engines = (
@@ -513,7 +512,6 @@ def fig6_baselines(
                 RandomModificationSearch(
                     bundle.graph,
                     threshold,
-                    domain=domain,
                     constrainable_attrs=attrs,
                     max_evaluations=max_evaluations,
                     seed=seed,
@@ -524,7 +522,6 @@ def fig6_baselines(
                 GreedyCoarseSearch(
                     bundle.graph,
                     threshold,
-                    domain=domain,
                     max_evaluations=max_evaluations,
                 ),
             ),

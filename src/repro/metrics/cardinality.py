@@ -138,6 +138,14 @@ class CardinalityThreshold:
             return None if self.lower is None else self.lower
         return self.upper + 1
 
+    @property
+    def search_probe_limit(self) -> Optional[int]:
+        """Count bound of a search steering towards the interval: a margin
+        past :attr:`probe_limit`, so a variant's count also tells *how
+        far* outside the interval it lies (its :meth:`distance`)."""
+        limit = self.probe_limit
+        return None if limit is None else max(limit * 4, limit + 16)
+
     def __str__(self) -> str:
         lo = "0" if self.lower is None else str(self.lower)
         hi = "inf" if self.upper is None else str(self.upper)

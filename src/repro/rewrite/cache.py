@@ -61,14 +61,14 @@ class QueryResultCache:
         self.matcher = matcher
         self.max_entries = max_entries
         self._version = matcher.graph.version
-        self._entries: Dict[Hashable, tuple] = {}
-        #: key -> touch profile of the cached query, for delta scoping
-        self._profiles: Dict[Hashable, QueryTouchProfile] = {}
-        #: key -> compact wire form of the cached query; the signature a
-        #: key is made of is not invertible, so externalization
-        #: (:mod:`repro.persist`) keeps the query itself next to the
-        #: entry in its immutable wire form
-        self._wires: Dict[Hashable, Tuple] = {}
+        #: key -> ``(count, limit, touch profile, wire form)``.  The
+        #: profile scopes invalidation to the deltas that touch the
+        #: query; the wire form is the query itself, kept because the
+        #: signature a key is made of is not invertible and
+        #: externalization (:mod:`repro.persist`) needs the query back
+        self._entries: Dict[
+            Hashable, Tuple[int, Optional[int], QueryTouchProfile, Tuple]
+        ] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -93,19 +93,15 @@ class QueryResultCache:
         deltas = deltas_since(self._version) if deltas_since is not None else None
         if deltas is None:
             self._entries.clear()
-            self._profiles.clear()
-            self._wires.clear()
         else:
             touch = delta_touch(deltas)
             stale = [
                 key
-                for key, profile in self._profiles.items()
-                if touch_affects_query(touch, profile)
+                for key, entry in self._entries.items()
+                if touch_affects_query(touch, entry[2])
             ]
             for key in stale:
                 del self._entries[key]
-                del self._profiles[key]
-                self._wires.pop(key, None)
         self._version = graph.version
         self.stats.size = len(self._entries)
 
@@ -116,7 +112,7 @@ class QueryResultCache:
             self._validate_locked()
             entry = self._entries.get(key)
             if entry is not None:
-                cached_count, cached_limit = entry
+                cached_count, cached_limit, _profile, _wire = entry
                 reusable = (
                     cached_limit is None
                     or (limit is not None and cached_limit >= limit)
@@ -136,28 +132,29 @@ class QueryResultCache:
             self.stats.misses += 1
         count = self.matcher.count(query, limit=limit)
         with self._lock:
-            # pop-then-set so a re-computed entry (stale bounded count)
-            # also lands in the most-recently-used position
-            self._entries.pop(key, None)
-            self._entries[key] = (count, limit)
-            self._profiles[key] = query_touch_profile(query)
-            self._wires[key] = query_to_wire(query)
-            if self.max_entries is not None:
-                # dicts iterate in insertion/promotion order: evict LRU-first
-                while len(self._entries) > self.max_entries:
-                    evicted = next(iter(self._entries))
-                    del self._entries[evicted]
-                    self._profiles.pop(evicted, None)
-                    self._wires.pop(evicted, None)
-            self.stats.size = len(self._entries)
+            self._store_locked(key, query, count, limit)
         return count
+
+    def _store_locked(
+        self, key: Hashable, query: GraphQuery, count: int, limit: Optional[int]
+    ) -> None:
+        """Insert one record at the most-recently-used end, then evict."""
+        # pop-then-set so a re-computed entry (stale bounded count) also
+        # lands in the most-recently-used position
+        self._entries.pop(key, None)
+        self._entries[key] = (
+            count, limit, query_touch_profile(query), query_to_wire(query)
+        )
+        if self.max_entries is not None:
+            # dicts iterate in insertion/promotion order: evict LRU-first
+            while len(self._entries) > self.max_entries:
+                del self._entries[next(iter(self._entries))]
+        self.stats.size = len(self._entries)
 
     def invalidate(self) -> None:
         """Drop all entries (used when the data graph changes)."""
         with self._lock:
             self._entries.clear()
-            self._profiles.clear()
-            self._wires.clear()
             self.stats.size = 0
 
     # -- externalization seam (warm-restart persistence) ----------------------
@@ -174,13 +171,10 @@ class QueryResultCache:
         """
         with self._lock:
             self._validate_locked()
-            out: List[Tuple[GraphQuery, int, Optional[int]]] = []
-            for key, (count, limit) in self._entries.items():
-                wire = self._wires.get(key)
-                if wire is None:
-                    continue  # pre-seam entry (no retained query): skip
-                out.append((query_from_wire(wire), count, limit))
-            return out
+            return [
+                (query_from_wire(wire), count, limit)
+                for count, limit, _profile, wire in self._entries.values()
+            ]
 
     def restore_entries(
         self, entries: Iterable[Tuple[GraphQuery, int, Optional[int]]]
@@ -201,17 +195,8 @@ class QueryResultCache:
                 key = query.signature()
                 if key in self._entries:
                     continue
-                self._entries[key] = (count, limit)
-                self._profiles[key] = query_touch_profile(query)
-                self._wires[key] = query_to_wire(query)
+                self._store_locked(key, query, count, limit)
                 restored += 1
-                if self.max_entries is not None:
-                    while len(self._entries) > self.max_entries:
-                        evicted = next(iter(self._entries))
-                        del self._entries[evicted]
-                        self._profiles.pop(evicted, None)
-                        self._wires.pop(evicted, None)
-            self.stats.size = len(self._entries)
         return restored
 
     def __len__(self) -> int:

@@ -10,13 +10,14 @@ modification-based explanations.  A user-preference model (Sec. 5.4) can
 re-weight priorities between calls.
 
 The evaluator drains the queue in *budgeted batches* through the shared
-:class:`~repro.exec.evaluator.CandidateEvaluator`: with the default
-:class:`~repro.exec.evaluator.SerialExecutor` the batch size is 1 (the
-thesis' sequential formulation, no speculative budget spend); with the
-process-backed :class:`~repro.shard.ProcessExecutor` the top
-`batch_size` candidates (its worker count) are evaluated concurrently
-and folded back in priority order, which keeps the search deterministic
-for a fixed batch size.
+:class:`~repro.exec.evaluator.CandidateEvaluator`.  The batch size is
+the executor's ``preferred_batch``, not a parameter: 1 with the default
+:class:`~repro.exec.evaluator.SerialExecutor` (the thesis' sequential
+formulation, no speculative budget spend); with the process-backed
+:class:`~repro.shard.ProcessExecutor` its worker count, that many top
+candidates evaluated concurrently and folded back in priority order,
+which keeps the search deterministic for a fixed executor.  Binding,
+budget, evaluator and span are :class:`~repro.exec.search.BudgetedSearch`'s.
 
 The engine purposely ignores a cardinality threshold: "this approach does
 not consider the cardinality threshold and therefore is more appropriate
@@ -32,20 +33,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple, Union
 
-from repro.core.errors import MalformedQueryError, RewritingError
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
-from repro.exec.evaluator import (
-    BatchExecutor,
-    CandidateEvaluator,
-    EvaluationBudget,
-    SerialExecutor,
-)
-from repro.exec.wiring import resolve_spine
-from repro.matching.matcher import PatternMatcher
-from repro.obs.tracing import SPAN_REWRITE, current_tracer
+from repro.exec.evaluator import BatchExecutor, CandidateEvaluator, EvaluationBudget
+from repro.exec.search import BudgetedSearch, valid_children
 from repro.metrics.syntactic import DistanceTable
-from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import Modification, coarse_relaxations
 from repro.rewrite.preference_model import RewritePreferenceModel
 from repro.rewrite.priority import (
@@ -53,7 +45,7 @@ from repro.rewrite.priority import (
     PriorityFunction,
     get_priority_function,
 )
-from repro.rewrite.statistics import CardinalityProfile, GraphStatistics
+from repro.rewrite.statistics import CardinalityProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
@@ -123,16 +115,15 @@ class _QueueEntry:
     distances: DistanceTable = field(compare=False)
 
 
-class CoarseRewriter:
+class CoarseRewriter(BudgetedSearch):
     """Priority-driven relaxation search for why-empty queries."""
+
+    span_engine = "coarse"
 
     def __init__(
         self,
         graph: Optional[PropertyGraph] = None,
         priority: Union[str, PriorityFunction] = "hybrid",
-        matcher: Optional[PatternMatcher] = None,
-        cache: Optional[QueryResultCache] = None,
-        statistics: Optional[GraphStatistics] = None,
         preference_model: Optional[RewritePreferenceModel] = None,
         max_evaluations: int = 300,
         max_depth: Optional[int] = None,
@@ -140,50 +131,23 @@ class CoarseRewriter:
         op_filter: Optional[Callable[[Modification], bool]] = None,
         context: Optional["ExecutionContext"] = None,
         executor: Optional[BatchExecutor] = None,
-        batch_size: Optional[int] = None,
         budget: Optional[EvaluationBudget] = None,
         on_candidate: Optional[Callable[..., None]] = None,
         tracer=None,
     ) -> None:
-        # the context's spine, else explicit components over fresh wiring
-        self.graph, self.matcher, self.cache, self.statistics = resolve_spine(
-            graph, context, matcher=matcher, cache=cache, statistics=statistics
+        super().__init__(
+            graph, context, executor, max_evaluations, budget, on_candidate, tracer
         )
-        #: request tracer; ``None`` resolves the ambient one per rewrite
-        self.tracer = tracer
         self.preference_model = preference_model
         self.priority_fn = (
             get_priority_function(priority) if isinstance(priority, str) else priority
         )
-        self.max_evaluations = max_evaluations
         self.max_depth = max_depth
         self.count_limit = count_limit
         #: optional hard constraint on applicable operations (e.g. the
         #: user's immutable elements); rejected operations are never
         #: generated, unlike the soft preference-model re-weighting
         self.op_filter = op_filter
-        self.executor: BatchExecutor = (
-            executor if executor is not None else SerialExecutor()
-        )
-        if batch_size is None:
-            batch_size = getattr(self.executor, "preferred_batch", 1)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        #: queue entries drained and evaluated per round; defaults to the
-        #: executor's preferred batch (1 serial, worker count for the
-        #: process pool)
-        self.batch_size = batch_size
-        #: externally managed evaluation allowance (e.g. a per-request
-        #: lease carved from a service-level budget pool); when given it
-        #: is the hard bound instead of ``max_evaluations``, and spend is
-        #: shared with every other engine holding the same budget
-        self.budget = budget
-        #: incremental-results seam: invoked once per evaluated candidate
-        #: (an :class:`~repro.exec.evaluator.EvaluatedCandidate`) as each
-        #: batch finishes, so streaming consumers see the search progress
-        #: live; exceptions raised here abort the search (cooperative
-        #: cancellation)
-        self.on_candidate = on_candidate
 
     # -- public API ----------------------------------------------------------
 
@@ -193,39 +157,21 @@ class CoarseRewriter:
         Raises :class:`ValueError` when the input query is not actually
         empty (the holistic engine dispatches those cases elsewhere).
         """
-        tracer = self.tracer if self.tracer is not None else current_tracer()
-        with tracer.span(SPAN_REWRITE, engine="coarse") as span:
-            result = self._rewrite(query, k, tracer)
-            if tracer.enabled:
-                span.attributes["evaluated"] = result.evaluated
-                span.attributes["found"] = len(result.explanations)
-                span.attributes["budget_exhausted"] = result.budget_exhausted
-            return result
+        return self._traced(self._rewrite, query, self.count_limit, k)
 
-    def _rewrite(self, query: GraphQuery, k: int, tracer) -> CoarseRewriteResult:
-        # candidates are frozen values derived from a frozen original: a
-        # child shares what its operation left alone and is scored from
-        # its parent's tables
-        query = query.as_frozen()
+    def _outcome(self, result: CoarseRewriteResult) -> dict:
+        return {"found": len(result.explanations)}
+
+    def _rewrite(
+        self, query: GraphQuery, evaluator: CandidateEvaluator, k: int
+    ) -> CoarseRewriteResult:
         if self.cache.count(query, limit=1) > 0:
             raise ValueError(
                 "query delivers results; coarse rewriting targets why-empty"
             )
         start = time.perf_counter()
         counter = itertools.count()
-        budget = (
-            self.budget
-            if self.budget is not None
-            else EvaluationBudget(self.max_evaluations)
-        )
-        evaluator = CandidateEvaluator(
-            self.cache,
-            executor=self.executor,
-            budget=budget,
-            count_limit=self.count_limit,
-            on_result=self.on_candidate,
-            tracer=tracer,
-        )
+        budget = evaluator.budget
 
         heap: List[_QueueEntry] = []
         seen: Set[GraphQuery] = {query}
@@ -244,14 +190,10 @@ class CoarseRewriter:
             nonlocal generated
             if self.max_depth is not None and len(base_mods) >= self.max_depth:
                 return
-            for op in coarse_relaxations(base):
-                if self.op_filter is not None and not self.op_filter(op):
-                    continue
-                try:
-                    child = op.apply(base)
-                    child.validate()
-                except (RewritingError, MalformedQueryError):
-                    continue
+            ops = coarse_relaxations(base)
+            if self.op_filter is not None:
+                ops = filter(self.op_filter, ops)
+            for op, child in valid_children(base, ops):
                 if child in seen:
                     continue
                 seen.add(child)

@@ -428,7 +428,6 @@ class WhyQueryService:
         {
             "graph",
             "context",
-            "matcher",
             "executor",
             "preference_model",
             "preferences",

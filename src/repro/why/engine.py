@@ -42,7 +42,6 @@ from repro.finegrained.traverse_search_tree import (
     FineRewriteResult,
     TraverseSearchTree,
 )
-from repro.matching.matcher import PatternMatcher
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
 from repro.obs.tracing import (
     SPAN_CLASSIFY,
@@ -106,7 +105,6 @@ class WhyQueryEngine:
     def __init__(
         self,
         graph: Optional[PropertyGraph] = None,
-        matcher: Optional[PatternMatcher] = None,
         preferences: Optional[UserPreferences] = None,
         preference_model: Optional[RewritePreferenceModel] = None,
         mcs_strategy: str = "frontier",
@@ -120,28 +118,13 @@ class WhyQueryEngine:
         on_candidate: Optional[Callable[..., None]] = None,
         tracer=None,
     ) -> None:
-        if graph is None and context is None:
-            raise ValueError("either graph or context is required")
-        if context is None:
-            # one shared spine per graph: engines constructed independently
-            # over the same graph reuse each other's evaluation work unless
-            # the caller wires an explicit matcher (isolation escape hatch)
-            if matcher is not None:
-                context = ExecutionContext(graph, matcher=matcher)
-            else:
-                context = ExecutionContext.for_graph(graph)
-        else:
-            if graph is not None and graph is not context.graph:
-                raise ValueError("graph and context.graph differ")
-            if matcher is not None and matcher is not context.matcher:
-                raise ValueError(
-                    "matcher and context are mutually exclusive; wrap the "
-                    "matcher in its own ExecutionContext instead"
-                )
-        self.context = context
-        self.graph = context.graph
-        self.matcher = context.matcher
-        self.cache = context.cache
+        # one shared spine per graph: engines constructed independently
+        # over the same graph reuse each other's evaluation work; pass a
+        # private ``ExecutionContext(graph)`` for isolation
+        self.context = ExecutionContext.bind(graph, context, shared=True)
+        self.graph = self.context.graph
+        self.matcher = self.context.matcher
+        self.cache = self.context.cache
         self.preferences = preferences
         self.preference_model = preference_model
         self.mcs_strategy = mcs_strategy
@@ -183,6 +166,65 @@ class WhyQueryEngine:
         observed = self.cache.count(query, limit=thr.probe_limit)
         return thr.classify(observed)
 
+    def _tracer(self):
+        return self.tracer if self.tracer is not None else current_tracer()
+
+    def subgraph(
+        self,
+        query: GraphQuery,
+        problem: CardinalityProblem,
+        threshold: CardinalityThreshold,
+    ) -> Optional[McsResult]:
+        """The subgraph-based explanation of ``problem`` (left column of
+        the dispatch table); ``None`` for an expected result size."""
+        if problem == CardinalityProblem.EXPECTED:
+            return None
+        options = dict(
+            strategy=self.mcs_strategy,
+            preferences=self.preferences,
+            max_evaluations=self.max_explanation_evaluations,
+            matcher=self.matcher,
+        )
+        if problem == CardinalityProblem.EMPTY:
+            with self._tracer().span(SPAN_SUBGRAPH, algorithm="discover_mcs"):
+                return discover_mcs(self.graph, query, **options)
+        with self._tracer().span(SPAN_SUBGRAPH, algorithm="bounded_mcs"):
+            return bounded_mcs(
+                self.graph, query, threshold, problem=problem, **options
+            )
+
+    def rewrite(
+        self,
+        query: GraphQuery,
+        problem: CardinalityProblem,
+        threshold: CardinalityThreshold,
+        k: Optional[int] = None,
+    ) -> RewritingOutcome:
+        """The modification-based explanation of ``problem`` (right column
+        of the dispatch table); ``None`` for an expected result size.
+        ``k`` overrides ``rewrite_k`` for a why-empty query."""
+        if problem == CardinalityProblem.EXPECTED:
+            return None
+        options = dict(
+            context=self.context,
+            max_evaluations=self.max_rewrite_evaluations,
+            executor=self.executor,
+            budget=self.evaluation_budget,
+            on_candidate=self.on_candidate,
+            tracer=self.tracer,
+        )
+        if problem == CardinalityProblem.EMPTY:
+            rewriter = CoarseRewriter(
+                preference_model=self.preference_model, **options
+            )
+            return rewriter.rewrite(query, k=self.rewrite_k if k is None else k)
+        return TraverseSearchTree(
+            threshold=threshold,
+            include_topology=self.include_topology,
+            constrainable_attrs=self.domain.common_vertex_attrs(),
+            **options,
+        ).search(query)
+
     def debug(
         self,
         query: GraphQuery,
@@ -197,70 +239,17 @@ class WhyQueryEngine:
         too-many need a user-provided cardinality expectation.
         """
         start = time.perf_counter()
-        tracer = self.tracer if self.tracer is not None else current_tracer()
+        tracer = self._tracer()
         thr = threshold or CardinalityThreshold.at_least(1)
-        probe = thr.probe_limit
         with tracer.span(SPAN_CLASSIFY) as span:
-            observed = self.cache.count(
-                query, limit=None if probe is None else max(probe * 4, probe + 16)
-            )
+            observed = self.cache.count(query, limit=thr.search_probe_limit)
             problem = thr.classify(observed)
             if tracer.enabled:
                 span.attributes["problem"] = problem.value
                 span.attributes["observed"] = observed
 
-        subgraph: Optional[McsResult] = None
-        rewriting: RewritingOutcome = None
-
-        if problem == CardinalityProblem.EMPTY:
-            if explain:
-                with tracer.span(SPAN_SUBGRAPH, algorithm="discover_mcs"):
-                    subgraph = discover_mcs(
-                        self.graph,
-                        query,
-                        strategy=self.mcs_strategy,
-                        preferences=self.preferences,
-                        max_evaluations=self.max_explanation_evaluations,
-                        matcher=self.matcher,
-                    )
-            if rewrite:
-                rewriter = CoarseRewriter(
-                    context=self.context,
-                    preference_model=self.preference_model,
-                    max_evaluations=self.max_rewrite_evaluations,
-                    executor=self.executor,
-                    budget=self.evaluation_budget,
-                    on_candidate=self.on_candidate,
-                    tracer=tracer,
-                )
-                rewriting = rewriter.rewrite(query, k=self.rewrite_k)
-        elif problem in (CardinalityProblem.TOO_FEW, CardinalityProblem.TOO_MANY):
-            if explain:
-                with tracer.span(SPAN_SUBGRAPH, algorithm="bounded_mcs"):
-                    subgraph = bounded_mcs(
-                        self.graph,
-                        query,
-                        thr,
-                        problem=problem,
-                        strategy=self.mcs_strategy,
-                        preferences=self.preferences,
-                        max_evaluations=self.max_explanation_evaluations,
-                        matcher=self.matcher,
-                    )
-            if rewrite:
-                engine = TraverseSearchTree(
-                    context=self.context,
-                    threshold=thr,
-                    include_topology=self.include_topology,
-                    constrainable_attrs=self.domain.common_vertex_attrs(),
-                    max_evaluations=self.max_rewrite_evaluations,
-                    executor=self.executor,
-                    budget=self.evaluation_budget,
-                    on_candidate=self.on_candidate,
-                    tracer=tracer,
-                )
-                rewriting = engine.search(query)
-
+        subgraph = self.subgraph(query, problem, thr) if explain else None
+        rewriting = self.rewrite(query, problem, thr) if rewrite else None
         return WhyQueryReport(
             query=query,
             problem=problem,

@@ -14,6 +14,13 @@ feedback.  :class:`DebugSession` provides that loop as a library API:
 The session keeps a full transcript (proposals, ratings, timings) that a
 frontend can render and tests can assert on, and exposes the subgraph
 explanation of the failed query for the "why did it fail?" panel.
+
+A session is a loop over the engine ``explain()`` runs: it holds a
+:class:`~repro.why.engine.WhyQueryEngine` and asks it to classify,
+explain and rewrite, so a session's first proposal is the rewriting
+``explain()`` reports and its explanation is the one ``explain()`` shows.
+Only the bounds are the session's own: ``max_evaluations`` per proposal,
+and an unbounded subgraph explanation.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ from repro.core.errors import ExplanationError
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.exec.context import ExecutionContext
-from repro.explain.discover_mcs import McsResult, discover_mcs
+from repro.explain.discover_mcs import McsResult
 from repro.explain.preferences import UserPreferences
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
-from repro.rewrite.coarse import CoarseRewriter, RewrittenQuery
+from repro.rewrite.coarse import RewrittenQuery
 from repro.rewrite.preference_model import RewritePreferenceModel
-from repro.finegrained.traverse_search_tree import TraverseSearchTree
+from repro.why.engine import WhyQueryEngine
 
 
 @dataclass
@@ -74,43 +81,34 @@ class DebugSession:
     def __post_init__(self) -> None:
         if self.query is None:
             raise ValueError("a query is required")
-        if self.context is None:
-            if self.graph is None:
-                raise ValueError("either graph or context is required")
-            self.context = ExecutionContext.for_graph(self.graph)
-        elif self.graph is not None and self.graph is not self.context.graph:
-            raise ValueError("graph and context.graph differ")
+        self.context = ExecutionContext.bind(self.graph, self.context, shared=True)
         self.graph = self.context.graph
         if self.model is None:
             self.model = self.context.preference_model
         if self.preferences is None:
             self.preferences = self.context.preferences
+        self._engine = WhyQueryEngine(
+            context=self.context,
+            preferences=self.preferences,
+            preference_model=self.model,
+            max_explanation_evaluations=None,
+            max_rewrite_evaluations=self.max_evaluations,
+        )
         self._explanation: Optional[McsResult] = None
-
-    @property
-    def _matcher(self):
-        return self.context.matcher
-
-    @property
-    def _cache(self):
-        return self.context.cache
 
     # -- "why did it fail?" panel ------------------------------------------------
 
     @property
     def problem(self) -> CardinalityProblem:
         """Classification of the session's query."""
-        observed = self._cache.count(self.query, limit=self.threshold.probe_limit)
-        return self.threshold.classify(observed)
+        return self._engine.classify(self.query, self.threshold)
 
-    def explanation(self) -> McsResult:
-        """The subgraph-based explanation (computed once, then cached)."""
+    def explanation(self) -> Optional[McsResult]:
+        """The subgraph-based explanation (computed once, then cached);
+        ``None`` when the query meets its expectation."""
         if self._explanation is None:
-            self._explanation = discover_mcs(
-                self.graph,
-                self.query,
-                preferences=self.preferences,
-                matcher=self._matcher,
+            self._explanation = self._engine.subgraph(
+                self.query, self.problem, self.threshold
             )
         return self._explanation
 
@@ -153,34 +151,22 @@ class DebugSession:
         problem = self.problem
         if problem == CardinalityProblem.EXPECTED:
             raise ExplanationError("query meets its expectation; nothing to propose")
+        # skip rewritings the user has already rated
+        seen = {e.proposal.query.signature() for e in self.transcript}
+        outcome = self._engine.rewrite(
+            self.query, problem, self.threshold, k=len(seen) + 1
+        )
         if problem == CardinalityProblem.EMPTY:
-            rewriter = CoarseRewriter(
-                context=self.context,
-                preference_model=self.model,
-                max_evaluations=self.max_evaluations,
-            )
-            # skip rewritings the user has already rated
-            seen = {e.proposal.query.signature() for e in self.transcript}
-            result = rewriter.rewrite(self.query, k=len(seen) + 1)
-            for candidate in result.explanations:
+            for candidate in outcome.explanations:
                 if candidate.query.signature() not in seen:
                     return candidate
             return None
-        engine = TraverseSearchTree(
-            context=self.context,
-            threshold=self.threshold,
-            max_evaluations=self.max_evaluations,
-        )
-        outcome = engine.search(self.query)
-        seen = {e.proposal.query.signature() for e in self.transcript}
         if outcome.best_query.signature() in seen:
             return None
-        from repro.metrics.syntactic import syntactic_distance
-
         return RewrittenQuery(
             query=outcome.best_query,
             cardinality=outcome.best_cardinality,
-            syntactic=syntactic_distance(self.query, outcome.best_query),
+            syntactic=outcome.best_syntactic,
             modifications=outcome.modifications,
             estimate=float(outcome.best_cardinality),
         )

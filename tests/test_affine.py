@@ -449,7 +449,10 @@ class TestAffineTrajectoryIdentity:
     """Acceptance: at batch size 1 the affine process path reproduces the
     serial search trajectory bit-identically (field-by-field)."""
 
-    def test_coarse_batch1_bit_identical(self, affine_graph, affine_executor):
+    def test_coarse_batch1_bit_identical(
+        self, affine_graph, affine_executor, monkeypatch
+    ):
+        monkeypatch.setattr(affine_executor, "preferred_batch", 1)
         failed = typed_query("person", "missingEdgeType")
         serial = CoarseRewriter(
             context=ExecutionContext(affine_graph),
@@ -459,14 +462,14 @@ class TestAffineTrajectoryIdentity:
         affine = CoarseRewriter(
             context=ExecutionContext(affine_graph),
             executor=affine_executor,
-            batch_size=1,
             max_evaluations=120,
         ).rewrite(failed, k=3)
         assert coarse_trajectory(serial) == coarse_trajectory(affine)
 
     def test_traverse_search_tree_batch1_bit_identical(
-        self, affine_graph, affine_executor
+        self, affine_graph, affine_executor, monkeypatch
     ):
+        monkeypatch.setattr(affine_executor, "preferred_batch", 1)
         query = typed_query("person", "workAt")
         threshold = CardinalityThreshold.at_least(8)
         serial = TraverseSearchTree(
@@ -478,7 +481,6 @@ class TestAffineTrajectoryIdentity:
             context=ExecutionContext(affine_graph),
             threshold=threshold,
             executor=affine_executor,
-            batch_size=1,
             max_evaluations=100,
         ).search(query)
         assert fine_trajectory(serial) == fine_trajectory(affine)

@@ -4,12 +4,9 @@ import pytest
 
 from repro.core import GraphQuery, equals
 from repro.datasets import ldbc
+from repro.exec import ExecutionContext
 from repro.matching import PatternMatcher
-from repro.rewrite import (
-    CoarseRewriter,
-    QueryResultCache,
-    RewritePreferenceModel,
-)
+from repro.rewrite import CoarseRewriter, RewritePreferenceModel
 from repro.rewrite.priority import (
     CandidateContext,
     PRIORITY_FUNCTIONS,
@@ -84,9 +81,10 @@ class TestRewriting:
         assert evals == sorted(evals)
 
     def test_shared_cache_reused(self, tiny_graph):
-        matcher = PatternMatcher(tiny_graph)
-        cache = QueryResultCache(matcher)
-        rewriter = CoarseRewriter(tiny_graph, matcher=matcher, cache=cache)
+        context = ExecutionContext(tiny_graph)
+        cache = context.cache
+        rewriter = CoarseRewriter(context=context)
+        assert rewriter.cache is cache
         rewriter.rewrite(failing_query())
         hits_before = cache.stats.hits
         rewriter.rewrite(failing_query())

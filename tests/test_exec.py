@@ -100,13 +100,6 @@ class TestExecutionContext:
             assert not hasattr(repro.exec, name) and name not in repro.__all__
         assert not hasattr(ExecutionContext, "count_async")
 
-    def test_mismatched_matcher_rejected(self, tiny_graph):
-        other = PropertyGraph()
-        other.add_vertex(type="person")
-        foreign = ExecutionContext(other).matcher
-        with pytest.raises(ValueError):
-            ExecutionContext(tiny_graph, matcher=foreign)
-
     def test_result_cache_is_bounded(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph, result_cache_entries=2)
         queries = [
@@ -121,15 +114,6 @@ class TestExecutionContext:
         misses = ctx.cache.stats.misses
         ctx.count(queries[0])
         assert ctx.cache.stats.misses == misses + 1
-
-    def test_engine_rejects_conflicting_matcher_and_context(self, tiny_graph):
-        ctx = ExecutionContext(tiny_graph)
-        from repro.matching import PatternMatcher
-
-        with pytest.raises(ValueError):
-            WhyQueryEngine(tiny_graph, matcher=PatternMatcher(tiny_graph), context=ctx)
-        # the context's own matcher is, of course, fine
-        assert WhyQueryEngine(context=ctx, matcher=ctx.matcher).matcher is ctx.matcher
 
     def test_attribute_domain_refreshes_on_mutation(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)
@@ -305,13 +289,14 @@ class TestEnginesShareOneContext:
         assert ctx.cache.stats.misses == misses_before
         assert ctx.cache.stats.hits > hits_before
 
-    def test_explicit_matcher_still_isolates(self, tiny_graph):
-        from repro.matching import PatternMatcher
-
-        matcher = PatternMatcher(tiny_graph)
-        engine = WhyQueryEngine(tiny_graph, matcher=matcher)
-        assert engine.matcher is matcher
+    def test_explicit_context_still_isolates(self, tiny_graph):
+        ctx = ExecutionContext(tiny_graph)
+        engine = WhyQueryEngine(context=ctx)
+        assert engine.matcher is ctx.matcher and engine.cache is ctx.cache
         assert engine.context is not ExecutionContext.for_graph(tiny_graph)
+        assert WhyQueryEngine(tiny_graph).context is ExecutionContext.for_graph(
+            tiny_graph
+        )
 
 
 class TestBatchedEngines:
@@ -322,8 +307,12 @@ class TestBatchedEngines:
         an executor that runs its batch in another order must not change
         what the search finds."""
         failed = typed_query("person", "missingEdgeType")
+        in_order = SerialExecutor()
+        in_order.preferred_batch = 4
         serial = CoarseRewriter(
-            context=ExecutionContext(tiny_graph), max_evaluations=100, batch_size=4
+            context=ExecutionContext(tiny_graph),
+            executor=in_order,
+            max_evaluations=100,
         ).rewrite(failed, k=3)
         parallel = CoarseRewriter(
             context=ExecutionContext(tiny_graph),
@@ -346,9 +335,8 @@ class TestBatchedEngines:
         assert CoarseRewriter(tiny_graph).batch_size == 1
         pool = make_batch_executor(6)
         assert CoarseRewriter(tiny_graph, executor=pool).batch_size == 6
-        assert CoarseRewriter(tiny_graph, batch_size=3).batch_size == 3
         with pytest.raises(ValueError):
-            CoarseRewriter(tiny_graph, batch_size=0)
+            CoarseRewriter(tiny_graph, executor=make_batch_executor(0))
 
     def test_traverse_search_tree_parallel_same_best(
         self, tiny_graph, make_batch_executor

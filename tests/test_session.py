@@ -123,3 +123,63 @@ class TestCardinalitySession:
         text = session.summary()
         assert "round 1" in text and "round 2" in text
         assert "[accepted]" in text
+
+
+def cardinality_requests():
+    """The too-few / too-many half of the e2e request mix (its Ch. 6
+    scenario rule, rebuilt here): ``(name, graph, query, threshold)``."""
+    from repro.datasets import dbpedia, ldbc
+    from repro.matching import PatternMatcher
+
+    for module in (ldbc, dbpedia):
+        graph = module.generate().graph
+        matcher = PatternMatcher(graph)
+        for name, query in module.queries().items():
+            count = matcher.count(query)
+            upper = int(0.3 * count)
+            yield f"{name} too_few", graph, query, CardinalityThreshold(
+                2 * count, 4 * count
+            )
+            yield f"{name} too_many", graph, query, CardinalityThreshold(
+                max(1, upper // 2), upper
+            )
+
+
+class TestSessionRunsTheEnginesDispatch:
+    """A session is a loop over the engine ``explain()`` runs.  When it
+    configured the searches itself it forgot ``constrainable_attrs`` and
+    explained with DISCOVERMCS: 3 of the 8 too-many first proposals
+    missed the threshold that ``explain()`` reached."""
+
+    @staticmethod
+    def pairs():
+        from repro.exec import ExecutionContext
+        from repro.why import WhyQueryEngine
+
+        for name, graph, query, threshold in cardinality_requests():
+            engine = WhyQueryEngine(context=ExecutionContext(graph))
+            session = DebugSession(
+                query=query, context=ExecutionContext(graph), threshold=threshold
+            )
+            yield name, engine, session
+
+    def test_first_proposal_is_explains_rewriting(self):
+        checked = 0
+        for name, engine, session in self.pairs():
+            rewriting = engine.debug(
+                session.query, session.threshold, explain=False
+            ).rewriting
+            proposal = session.propose()
+            assert proposal.query.signature() == rewriting.best_query.signature(), name
+            assert proposal.cardinality == rewriting.best_cardinality, name
+            assert proposal.syntactic == rewriting.best_syntactic, name
+            checked += 1
+        assert checked == 16
+
+    def test_explanation_is_explains_bounded_mcs(self):
+        for name, engine, session in self.pairs():
+            report = engine.debug(session.query, session.threshold, rewrite=False)
+            assert (
+                session.explanation().differential
+                == report.subgraph_explanation.differential
+            ), name

@@ -514,7 +514,10 @@ class TestProcessTrajectoryIdentity:
     search trajectory bit-identically -- the worker-side counts must be
     indistinguishable from in-process evaluation."""
 
-    def test_coarse_batch1_bit_identical(self, process_graph, process_executor):
+    def test_coarse_batch1_bit_identical(
+        self, process_graph, process_executor, monkeypatch
+    ):
+        monkeypatch.setattr(process_executor, "preferred_batch", 1)
         failed = typed_query("person", "missingEdgeType")
         serial = CoarseRewriter(
             context=ExecutionContext(process_graph),
@@ -524,29 +527,31 @@ class TestProcessTrajectoryIdentity:
         process = CoarseRewriter(
             context=ExecutionContext(process_graph),
             executor=process_executor,
-            batch_size=1,
             max_evaluations=120,
         ).rewrite(failed, k=3)
         assert coarse_trajectory(serial) == coarse_trajectory(process)
 
-    def test_coarse_equal_batch_size_identical(self, process_graph, process_executor):
+    def test_coarse_equal_batch_size_identical(
+        self, process_graph, process_executor, make_batch_executor
+    ):
         failed = typed_query("person", "missingEdgeType")
+        in_process = make_batch_executor(process_executor.preferred_batch)
         serial = CoarseRewriter(
             context=ExecutionContext(process_graph),
-            batch_size=2,
+            executor=in_process,
             max_evaluations=120,
         ).rewrite(failed, k=3)
         process = CoarseRewriter(
             context=ExecutionContext(process_graph),
             executor=process_executor,
-            batch_size=2,
             max_evaluations=120,
         ).rewrite(failed, k=3)
         assert coarse_trajectory(serial) == coarse_trajectory(process)
 
     def test_traverse_search_tree_batch1_bit_identical(
-        self, process_graph, process_executor
+        self, process_graph, process_executor, monkeypatch
     ):
+        monkeypatch.setattr(process_executor, "preferred_batch", 1)
         query = typed_query("person", "workAt")
         threshold = CardinalityThreshold.at_least(8)
         serial = TraverseSearchTree(
@@ -558,7 +563,6 @@ class TestProcessTrajectoryIdentity:
             context=ExecutionContext(process_graph),
             threshold=threshold,
             executor=process_executor,
-            batch_size=1,
             max_evaluations=100,
         ).search(query)
         assert fine_trajectory(serial) == fine_trajectory(process)

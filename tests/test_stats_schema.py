@@ -163,58 +163,6 @@ class TestExecutorSurface:
             executor.close()
 
 
-class TestWiringDeprecation:
-    """The deprecated "components alongside ``context=``" case is over: a
-    component that is not the context's own is the ``ValueError``
-    ``WhyQueryEngine`` always raised for it; the context's own is accepted."""
-
-    @pytest.mark.parametrize("component", ["matcher", "cache", "statistics"])
-    def test_foreign_component_alongside_context_raises(self, component):
-        from repro.exec import ExecutionContext
-        from repro.exec.wiring import resolve_spine
-
-        g = tiny_graph()
-        ctx = ExecutionContext(g)
-        foreign = getattr(ExecutionContext(g), component)
-        with pytest.raises(ValueError, match="ExecutionContext"):
-            resolve_spine(None, ctx, **{component: foreign})
-
-    def test_engines_reject_a_foreign_matcher_and_accept_the_contexts_own(self):
-        from repro.exec import ExecutionContext
-        from repro.finegrained import TraverseSearchTree
-        from repro.metrics import CardinalityThreshold
-        from repro.rewrite import CoarseRewriter
-
-        g = tiny_graph()
-        ctx = ExecutionContext(g)
-        threshold = CardinalityThreshold.at_least(1)
-        with pytest.raises(ValueError):
-            CoarseRewriter(context=ctx, matcher=PatternMatcher(g))
-        with pytest.raises(ValueError):
-            TraverseSearchTree(
-                context=ctx, threshold=threshold, matcher=PatternMatcher(g)
-            )
-        assert CoarseRewriter(context=ctx, matcher=ctx.matcher).matcher is ctx.matcher
-        assert (
-            TraverseSearchTree(
-                context=ctx, threshold=threshold, matcher=ctx.matcher
-            ).cache
-            is ctx.cache
-        )
-
-    def test_plain_wiring_does_not_warn(self):
-        from repro.exec import ExecutionContext
-        from repro.exec.wiring import resolve_spine
-
-        g = tiny_graph()
-        ctx = ExecutionContext(g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            resolve_spine(None, ctx)
-            resolve_spine(None, ctx, matcher=ctx.matcher)
-            resolve_spine(g, None)
-
-
 class TestStatisticsMemoLayer:
     """``["caches"]["path1"]``: the one cache ``cache_report()`` used to
     omit -- "why was this explain slow after a write" from ``stats()``."""

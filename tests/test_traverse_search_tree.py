@@ -128,17 +128,16 @@ class TestTreeAdaptation:
         assert result.tree_size <= result.generated + 1
 
     def test_prefix_cache_shared(self, tiny_graph):
-        from repro.rewrite.cache import QueryResultCache
+        from repro.exec import ExecutionContext
 
-        matcher = PatternMatcher(tiny_graph)
-        cache = QueryResultCache(matcher)
+        context = ExecutionContext(tiny_graph)
+        cache = context.cache
         engine = TraverseSearchTree(
-            tiny_graph,
-            CardinalityThreshold.at_least(3),
-            matcher=matcher,
-            cache=cache,
+            context=context,
+            threshold=CardinalityThreshold.at_least(3),
             max_evaluations=100,
         )
+        assert engine.cache is cache
         engine.search(work_query())
         first_misses = cache.stats.misses
         engine.search(work_query())
