@@ -13,12 +13,11 @@ batch, with the kernel counters -- the batch's variants share one plan
 shape, so it may generate at most a handful of kernels; single-core,
 pure CPU, gated at >= 2x), the pure-CPU process-pool batch workload
 (``process_pool``: ``ProcessExecutor`` vs in-process serial), the
-intra-query shard fan-out (``sharded_expansion``: one heavy count split
-across worker-process shard blocks) and the shard-affine placement
-record (``affine_placement``: per-worker wire-payload bytes under
-affine placement vs the full snapshot every full-mode worker receives
--- deterministic, gated at >= 2x smaller at 4 shards -- next to the
-affine heavy-count wall-clock) and the delta-sync churn record
+shard-affine placement record (``affine_placement``: per-worker
+wire-payload bytes of a ``shards > 1`` pool vs the full snapshot every
+``shards=1`` worker receives -- deterministic, gated at >= 2x smaller
+at 4 shards -- next to the affine batch wall-clock) and the delta-sync
+churn record
 (``mutate_while_serving``: interleaved mutations absorbed by in-place
 CSR patching and by warm affine-worker catch-up, gated on the patch
 rate and the delta-vs-full-re-warm byte ratio) and the tracing-overhead
@@ -66,7 +65,7 @@ from repro.metrics.syntactic import syntactic_distance
 from repro.obs import Tracer
 from repro.rewrite.statistics import GraphStatistics
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
+from repro.shard import GraphPartitioner, ProcessExecutor
 
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_micro_core.json"
 
@@ -304,7 +303,7 @@ def _process_workload(hubs: int = 300, fanout: int = 80, names: int = 72):
     Each hub is created *before its own leaves*, so hub vertex ids are
     spread evenly across the id space -- a vertex-range partition then
     splits the seed pool (the hubs) evenly across shards, which is what
-    makes this graph double as the sharded-expansion workload.
+    makes this graph double as the shard-affine workload.
     """
     g = PropertyGraph()
     n = 0
@@ -414,10 +413,10 @@ def _affine_placement_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
     The payload numbers are deterministic (bytes of what actually
     crosses the process boundary per worker, measured with one worker
     per shard): the affine payload must be >= 2x smaller than the full
-    snapshot at 4 shards.  The wall-clock half re-runs the
-    sharded-expansion heavy count through an affine executor -- same
-    fan-out, but each worker holds only its shards -- and is gated
-    core-aware like the other process sections.
+    snapshot at 4 shards.  The wall-clock half runs the process-pool
+    section's first-touch variant batches through a 2-shard executor,
+    where each worker holds only its shards, and is gated core-aware
+    like the process-pool section.
     """
     import pickle
 
@@ -459,9 +458,7 @@ def _affine_placement_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
         for _ in range(rounds)
     )
 
-    with ProcessExecutor(
-        graph, max_workers=workers, shards=2, placement="affine"
-    ) as executor:
+    with ProcessExecutor(graph, max_workers=workers, shards=2) as executor:
         executor.warm_up()
         executor.run_queries(fresh_batch())  # untimed: workers build indexes
         affine_s = min(
@@ -580,11 +577,9 @@ def _mutate_while_serving_section(
     workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
     slices = iter(range(10_000))
     matcher = PatternMatcher(big_graph)
-    with ProcessExecutor(
-        big_graph, max_workers=workers, shards=4, placement="affine"
-    ) as executor:
+    with ProcessExecutor(big_graph, max_workers=workers, shards=4) as executor:
         executor.warm_up()
-        executor.count_sharded(big_variant(next(slices)))  # warm pools
+        executor.run_queries([big_variant(next(slices))])  # warm pools
         hub_stride = 81  # hubs are created before their 80 leaves
         catchup_counts_ok = True
         for i in range(catchup_mutations):
@@ -592,7 +587,7 @@ def _mutate_while_serving_section(
             # boundaries, exercising halo + boundary-row routing
             big_graph.add_edge(i * hub_stride, (299 - i) * hub_stride, "rel")
             q = big_variant(next(slices))
-            catchup_counts_ok &= executor.count_sharded(q) == matcher.count(q)
+            catchup_counts_ok &= executor.run_queries([q])[0] == matcher.count(q)
         info = executor.info()
     full_rewarm_bytes = (
         sum(info["pools"]["payload_bytes_per_worker"]) * catchup_mutations
@@ -632,111 +627,6 @@ def _mutate_while_serving_section(
             "full_rewarm_bytes": full_rewarm_bytes,
             "reship_ratio": reship_ratio,
         },
-    }
-
-
-# ---------------------------------------------------------------------------
-# sharded-expansion workload: one heavy count fanned out per shard
-# ---------------------------------------------------------------------------
-
-
-def _sharded_expansion_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
-    """One heavy count fanned out per shard, with *compiled* workers.
-
-    The serving path this section models always ran the interpreter on
-    both sides, which put the 2-shard fan-out under water on machines
-    whose cores cannot hide the IPC round trip (sub-1.0x on 1-2 cores).
-    Each worker now runs one program invocation per shard block -- the
-    compiled kernel over its seed-range clamp -- so the fan-out beats
-    the interpreted serial baseline on *any* core count, and the gate no
-    longer needs to be core-aware.  ``serial_compiled_s`` records the
-    compiled single-process baseline next to the interpreted one, and
-    each shard level records its speedup against both (the compiled
-    ratio stays honest about what the process boundary costs).
-    """
-    graph, variant, _ = _process_workload()
-    cores = _cpu_cores()
-    workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
-
-    # the unfiltered expansion: every hub, every leaf -- one count that
-    # walks the whole adjacency, the query a single process cannot split
-    # without the shard decomposition
-    heavy = GraphQuery()
-    h = heavy.add_vertex(predicates={"type": equals("hub")})
-    leaf_v = heavy.add_vertex(predicates={"type": equals("leaf")})
-    heavy.add_edge(h, leaf_v, types={"rel"})
-
-    matcher = PatternMatcher(graph, compiled=False)
-    compiled_matcher = PatternMatcher(graph, compiled=True)
-    expected = matcher.count(heavy)  # warm-up + ground truth
-    assert compiled_matcher.count(heavy) == expected
-    serial_rounds = [_timed(lambda: matcher.count(heavy)) for _ in range(rounds)]
-    serial_s = min(serial_rounds)
-    serial_compiled_rounds = [
-        _timed(lambda: compiled_matcher.count(heavy)) for _ in range(rounds)
-    ]
-    serial_compiled_s = min(serial_compiled_rounds)
-
-    # in-process sharded merge first: the decomposition itself must be
-    # exact (per-shard counts partition the total) before timing it
-    in_process = ShardedMatcher(
-        GraphPartitioner(max(shard_counts)).partition(graph), compiled=True
-    )
-    per_shard_counts = [
-        in_process.count_shard(i, heavy) for i in range(max(shard_counts))
-    ]
-    assert sum(per_shard_counts) == expected
-
-    shards: dict = {}
-    for num_shards in shard_counts:
-        with ProcessExecutor(
-            graph, max_workers=workers, shards=num_shards, compiled=True
-        ) as executor:
-            executor.warm_up()
-            assert executor.count_sharded(heavy) == expected  # untimed first
-            sharded_rounds = [
-                _timed(lambda: executor.count_sharded(heavy))
-                for _ in range(rounds)
-            ]
-        sharded_s = min(sharded_rounds)
-        # best-of-N plus the per-round spread: the IPC half of this
-        # ratio is noisy run-to-run, and recording how noisy (the
-        # worst/best round ratio) is what justifies the gate's clamp
-        speedup_rounds = [
-            serial_s / r if r > 0 else float("inf") for r in sharded_rounds
-        ]
-        shards[str(num_shards)] = {
-            "sharded_s": sharded_s,
-            "rounds_s": sharded_rounds,
-            "speedup": serial_s / sharded_s if sharded_s > 0 else float("inf"),
-            "speedup_rounds": speedup_rounds,
-            "speedup_spread": max(sharded_rounds) / min(sharded_rounds)
-            if min(sharded_rounds) > 0
-            else float("inf"),
-            "speedup_vs_compiled_serial": serial_compiled_s / sharded_s
-            if sharded_s > 0
-            else float("inf"),
-        }
-
-    return {
-        "workload": {
-            "hubs": 300,
-            "fanout": 80,
-            "edges": graph.num_edges,
-            "query_matches": expected,
-            "per_shard_matches": per_shard_counts,
-        },
-        "cpu_cores": cores,
-        "workers": workers,
-        "workers_cap": PROCESS_WORKERS,
-        "compiled_workers": True,
-        "rounds": rounds,
-        "serial_count_s": serial_s,
-        "serial_rounds_s": serial_rounds,
-        "serial_compiled_s": serial_compiled_s,
-        "serial_compiled_rounds_s": serial_compiled_rounds,
-        "shards": shards,
-        "speedup_2s": shards[str(shard_counts[0])]["speedup"],
     }
 
 
@@ -1133,7 +1023,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     compiled_match = _compiled_match_section()
     process_pool = _process_pool_section()
-    sharded_expansion = _sharded_expansion_section()
     affine_placement = _affine_placement_section()
     mutate_while_serving = _mutate_while_serving_section()
     observability = _observability_section()
@@ -1142,10 +1031,9 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 14,
+        "schema_version": 15,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
-        "sharded_expansion": sharded_expansion,
         "affine_placement": affine_placement,
         "mutate_while_serving": mutate_while_serving,
         "observability": observability,
@@ -1164,7 +1052,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         f"\nwrote {JSON_PATH} ("
         f"compiled-match speedup {compiled_match['speedup']:.1f}x, "
         f"process-pool speedup@2w {process_pool['speedup_2w']:.2f}x, "
-        f"sharded speedup@2s {sharded_expansion['speedup_2s']:.2f}x, "
         f"affine payload ratio@4s {affine_placement['payload_ratio_4s']:.1f}x, "
         f"delta-sync patch rate "
         f"{mutate_while_serving['csr']['patch_rate']:.2f} / reship ratio "
@@ -1187,11 +1074,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert batch_kernels["programs_compiled"] <= 4, batch_kernels
     assert batch_kernels["program_hits"] >= 32, batch_kernels
     assert batch_kernels["program_fallbacks"] == 0, batch_kernels
-    # acceptance: with compiled workers the shard fan-out beats the
-    # interpreted serial baseline at 2 shards on *any* core count (the
-    # compiled kernels repay the IPC round trip even without real
-    # parallelism), so this gate is no longer core-aware
-    assert sharded_expansion["speedup_2s"] >= 1.0, sharded_expansion["speedup_2s"]
     # acceptance (ISSUE 5): affine placement ships only per-shard
     # payloads -- the per-worker wire bytes at 4 shards must be >= 2x
     # smaller than the full snapshot.  Payload sizes are deterministic,

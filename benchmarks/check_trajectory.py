@@ -19,13 +19,6 @@ fails (exit code 1) when the trajectory regressed:
   ``REWRITE_BATCH_KERNEL_CEILING`` kernels (an exact count: kernels are
   keyed on plan shape, and a batch of variants that starts compiling
   one program per variant again fails here);
-* **sharded-expansion throughput**: the shard fan-out now runs compiled
-  workers, so its speedup over the *interpreted* serial baseline holds
-  on any core count (the compiled kernels repay the IPC round trip
-  without real parallelism) -- never skipped, gated against the
-  committed baseline clamped into [1.0, 2.0] (the IPC half of the
-  ratio is noisy run-to-run; the clamp keeps a lucky baseline from
-  flaking the gate while still failing genuine sub-serial regressions);
 * **process-pool / affine throughput** (core-aware): the pure-CPU
   multi-process speedups are gated against both the baseline's recorded
   ratio and the 1.5x (process pool) / 1.1x (affine fan-out) targets --
@@ -260,20 +253,6 @@ def check_trajectory(
             tolerance=max_regression,
             min_units=4,
         )
-    # compiled workers beat the interpreted serial baseline on any core
-    # count, so this gate dropped its core-awareness (and its old 1.1x
-    # multi-core target) for an always-on floor.  The ratio mixes a
-    # stable compilation speedup with IPC round-trip timing, and the
-    # IPC half is noisy (~2x run-to-run on a busy box), so the
-    # committed baseline's contribution is capped at 2.0: a lucky
-    # baseline draw must not turn ordinary IPC jitter into a gate
-    # failure, while genuine regressions below ~1.5x still fail
-    gate.check_not_below(
-        "sharded-expansion speedup @2 shards",
-        max(min(dig(baseline, "sharded_expansion.speedup_2s"), 2.0), 1.0),
-        dig(fresh, "sharded_expansion.speedup_2s"),
-        max_regression,
-    )
     # the affine payload ratio is a deterministic byte count, not a
     # timing: it holds on any machine, so no core-awareness -- the
     # expectation is the stronger of the committed ratio and the 2x

@@ -9,7 +9,9 @@ A deployment-shaped tour of the ``repro.shard`` layer:
    -- every pooled graph gets its own pool of warm worker processes,
    each holding a long-lived ``ExecutionContext`` rebuilt from a
    snapshot, so the rewriting search's pure-CPU candidate evaluation
-   runs outside the coordinator's GIL.
+   runs outside the coordinator's GIL;
+4. serve the same request with ``shards=4``: the shard count alone
+   makes the pool shard-affine -- each worker holds only its shards.
 
 Everything runs under ``if __name__ == "__main__"``: worker processes
 are started with a spawning method (forkserver/spawn), which re-imports
@@ -82,17 +84,22 @@ def main() -> None:
     # an over-constrained query: no hub->leaf edge carries this type
     failing = hub_leaf_query("relMissing")
     with WhyQueryService(
-        executor="process", process_workers=2, shards=2
+        executor="process", process_workers=2, shards=1
     ) as service:
         report = service.explain(graph, failing)
         print(f"\nproblem: {report.problem.value}")
         print(f"best fix: {report.rewriting.best.describe()}")
 
-        pools = service.stats()["pools"]
+        stats = service.stats()
+        pools = stats["pools"]
+        snapshot_bytes = stats["per_graph"][0]["process_pool"]["pools"][
+            "payload_bytes_max"
+        ]
         print("\nprocess pools:")
         print(f"  pools live:        {pools['pools_live']}")
         print(f"  worker processes:  {pools['workers']}")
-        print(f"  shards per pool:   {pools['shards_per_pool']}")
+        print(f"  shards per pool:   {pools['shards_per_pool']} "
+              f"({pools['placement']} snapshot per worker)")
         print(f"  candidate batches: {pools['batches']}")
         print(f"  queries shipped:   {pools['queries_shipped']}")
 
@@ -102,23 +109,23 @@ def main() -> None:
     # identical to the serial service's -- only the CPU it burned was
     # someone else's core.
 
-    # -- 4. shard-affine placement: workers hold only their shards ------------
+    # -- 4. shards > 1: workers hold only their shards ------------------------
     with WhyQueryService(
-        executor="process", process_workers=4, shards=4, placement="affine"
+        executor="process", process_workers=4, shards=4
     ) as service:
         report = service.explain(graph, failing)
         assert report.rewriting.best is not None
         stats = service.stats()
         pool_info = stats["per_graph"][0]["process_pool"]["pools"]
-        print("\naffine placement:")
+        print(f"\n{pool_info['placement']} placement:")
         print(f"  placement map:         {pool_info['placement_map']}")
         print(f"  largest worker payload: {pool_info['payload_bytes_max']} bytes "
-              f"(the full snapshot every full-mode worker gets: "
-              f"{pool_info['full_snapshot_bytes']} bytes, "
-              f"{pool_info['payload_ratio']:.1f}x more)")
+              f"(the full snapshot every shards=1 worker got: "
+              f"{snapshot_bytes} bytes, "
+              f"{snapshot_bytes / pool_info['payload_bytes_max']:.1f}x more)")
         print(f"  coordinator fallbacks: {pool_info['affine_fallbacks']}")
 
-    # Under affine placement each worker process was warmed from only
+    # With shards > 1 each worker process was warmed from only
     # its shards' wire payloads (vertex range + incident edges + the
     # boundary halo), so worker memory scales down with the shard count;
     # blocks a slice cannot finish fall back to the coordinator, counted

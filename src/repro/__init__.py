@@ -42,8 +42,9 @@ Sharding & process parallelism
     :class:`~repro.shard.ShardedGraph` façade;
     :class:`~repro.shard.ShardedMatcher` fans candidate enumeration and
     expansion out per shard; :class:`~repro.shard.ProcessExecutor`
-    evaluates candidate batches on worker processes (outside the GIL)
-    with one warm ``ExecutionContext`` per worker.
+    evaluates candidate batches on worker processes (outside the GIL),
+    warmed from the full snapshot (``shards=1``) or from shard-affine
+    slices (``shards > 1``).
 Service
     :class:`~repro.service.WhyQueryService` keeps a bounded pool of warm
     per-graph contexts and serves concurrent ``explain()`` /
@@ -107,7 +108,7 @@ from repro.service import AdmissionRejected, BudgetPool, WhyQueryService
 from repro.client import WhyQueryClient, connect
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "AdmissionRejected",

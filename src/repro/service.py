@@ -18,11 +18,11 @@ request throws the shared evaluation state away between requests; the
   are sequential best-first, each count decides what is generated next);
 * **CPU-parallel evaluation** with ``executor="process"``: every pooled
   graph gets its own :class:`~repro.shard.ProcessExecutor` (a warm
-  worker-process pool built from a snapshot of that graph, optionally
-  sharded via ``shards=N``), created with the graph's pool slot and
-  shut down on eviction -- the searches drain worker-count-sized
-  batches, so pure-Python rewriting work scales with cores instead of
-  stalling on the coordinator's GIL;
+  worker-process pool built from a snapshot of that graph, or from
+  shard-affine slices of it with ``shards=N``), created with the
+  graph's pool slot and shut down on eviction -- the searches drain
+  worker-count-sized batches, so pure-Python rewriting work scales with
+  cores instead of stalling on the coordinator's GIL;
 * **one blocking front door**: a request is a single hop -- admit,
   lease the graph's context, run the engine, record, release -- inside
   :meth:`WhyQueryService.explain`; the searches are CPU-bound, so an
@@ -409,17 +409,16 @@ class WhyQueryService:
     :class:`~repro.shard.ProcessExecutor` -- ``process_workers`` worker
     processes, each holding a long-lived warm context built from a
     snapshot of that graph -- created with the graph's pool slot and
-    shut down when the slot is evicted.  ``shards`` > 1 additionally
-    partitions each worker's snapshot so single heavy counts can fan
-    out per shard (``count_sharded``).  ``placement="affine"`` makes
-    the worker pools **shard-affine**: each worker process receives
-    only its placed shards' wire payloads instead of the full snapshot,
-    so per-worker memory scales down with the shard count; blocks a
-    slice cannot finish are resolved coordinator-side (counted as
+    shut down when the slot is evicted.  ``shards`` picks the pool's
+    shape: ``1`` (the default) warms every worker from the full
+    snapshot; ``> 1`` makes the worker pools **shard-affine** -- each
+    worker process receives only its placed shards' wire payloads, so
+    per-worker memory scales down with the shard count, and every count
+    fans out per shard to the owning workers; blocks a slice cannot
+    finish are resolved coordinator-side (counted as
     ``affine_fallbacks``).  The per-graph worker/shard counters --
-    including the payload/memory accounting (``payload_bytes`` actually
-    shipped vs ``full_snapshot_bytes``) -- surface under
-    ``stats()["pools"]``.
+    including ``payload_bytes``, what actually crossed the process
+    boundary -- surface under ``stats()["pools"]``.
     """
 
     #: engine kwargs the service itself wires per request; passing them as
@@ -459,7 +458,6 @@ class WhyQueryService:
         ] = None,
         shards: int = 1,
         process_workers: int = 2,
-        placement: str = "full",
         slow_log_capacity: int = 32,
         persist: Optional[Union[str, SnapshotStore]] = None,
         **engine_options,
@@ -474,15 +472,6 @@ class WhyQueryService:
             raise ValueError(
                 f"unknown executor mode {executor!r}; pass 'process' or a "
                 "BatchExecutor instance"
-            )
-        if placement not in ("full", "affine"):
-            raise ValueError(
-                f"unknown placement mode {placement!r}; pass 'full' or 'affine'"
-            )
-        if placement == "affine" and executor != "process":
-            raise ValueError(
-                "placement='affine' requires executor='process' (placement "
-                "maps shards onto worker processes)"
             )
         reserved = self._RESERVED_ENGINE_OPTIONS & engine_options.keys()
         if reserved:
@@ -505,7 +494,6 @@ class WhyQueryService:
         self.process_mode = executor == "process"
         self.shards = shards
         self.process_workers = process_workers
-        self.placement = placement
         self.budget_pool = budget_pool
         self.engine_options = engine_options
         self._context_factory = (
@@ -583,7 +571,6 @@ class WhyQueryService:
                         max_workers=self.process_workers,
                         shards=self.shards,
                         injective=context.matcher.injective,
-                        placement=self.placement,
                         compiled=context.matcher.compiled,
                     )
                 entry = _PoolEntry(context, executor)
@@ -624,43 +611,55 @@ class WhyQueryService:
     #: store key of the service-wide slow-query log payload
     _SLOW_LOG_KEY = "service-slowlog"
 
-    def _spill_entry(self, entry: _PoolEntry) -> None:
-        """Snapshot one context's warm state to the persist store.
+    def _count_persist(self, **deltas: int) -> None:
+        """Bump persistence counters; spills and prewarms run outside
+        the pool lock on many threads, so the increments take it."""
+        with self._lock:
+            for key, delta in deltas.items():
+                self._persist_counters[key] += delta
+
+    def _spill_entry(self, entry: _PoolEntry) -> bool:
+        """Snapshot one context's warm state to the persist store;
+        ``True`` when this spill was saved.
 
         Persistence must never break serving: failures (disk full,
         unserialisable attribute values, ...) are swallowed and counted.
         """
         if self.persist_store is None:
-            return
+            return False
         try:
             payload = snapshot_context(entry.context)
             self.persist_store.save(persist_key(entry.context.graph), payload)
-            self._persist_counters["spills"] += 1
         except Exception:
-            self._persist_counters["spill_errors"] += 1
+            self._count_persist(spill_errors=1)
+            return False
+        self._count_persist(spills=1)
+        return True
 
     def _prewarm_entry(self, entry: _PoolEntry) -> None:
         """Restore a freshly created context from its spilled/persisted
         snapshot, if one survives validation (cold start otherwise)."""
         if self.persist_store is None:
             return
-        self._persist_counters["prewarm_attempts"] += 1
+        self._count_persist(prewarm_attempts=1)
         try:
             payload = self.persist_store.load(persist_key(entry.context.graph))
             if payload is None:
-                self._persist_counters["prewarm_cold"] += 1
+                self._count_persist(prewarm_cold=1)
                 return
             report = restore_context(entry.context, payload)
         except Exception:
-            self._persist_counters["prewarm_errors"] += 1
+            self._count_persist(prewarm_errors=1)
             return
         self._last_restore = report.as_dict()
         if report.status == "restored":
-            self._persist_counters["prewarm_restored"] += 1
-            self._persist_counters["results_restored"] += report.results_restored
-            self._persist_counters["plans_restored"] += report.plans_restored
+            self._count_persist(
+                prewarm_restored=1,
+                results_restored=report.results_restored,
+                plans_restored=report.plans_restored,
+            )
         else:
-            self._persist_counters["prewarm_cold"] += 1
+            self._count_persist(prewarm_cold=1)
 
     def _restore_slow_log(self) -> None:
         payload = self.persist_store.load(self._SLOW_LOG_KEY)
@@ -669,8 +668,9 @@ class WhyQueryService:
             and payload.get("kind") == "slowlog"
             and isinstance(payload.get("entries"), list)
         ):
-            restored = self.slow_log.restore(payload["entries"])
-            self._persist_counters["slow_log_restored"] += restored
+            self._count_persist(
+                slow_log_restored=self.slow_log.restore(payload["entries"])
+            )
 
     def checkpoint(self) -> Dict[str, int]:
         """Spill every live pooled context and the slow-query log.
@@ -684,15 +684,8 @@ class WhyQueryService:
             return {"contexts": 0, "errors": 0}
         with self._lock:
             entries = list(self._pool.values())
-        saved = 0
-        errors = 0
-        for entry in entries:
-            before = self._persist_counters["spill_errors"]
-            self._spill_entry(entry)
-            if self._persist_counters["spill_errors"] == before:
-                saved += 1
-            else:
-                errors += 1
+        saved = sum(self._spill_entry(entry) for entry in entries)
+        errors = len(entries) - saved
         try:
             self.persist_store.save(
                 self._SLOW_LOG_KEY,
@@ -700,7 +693,7 @@ class WhyQueryService:
             )
         except Exception:
             errors += 1
-        self._persist_counters["checkpoints"] += 1
+        self._count_persist(checkpoints=1)
         return {"contexts": saved, "errors": errors}
 
     def _release_entry(self, entry: _PoolEntry) -> None:
@@ -1009,7 +1002,8 @@ class WhyQueryService:
             executor_info = info()
         persistence: Optional[Dict[str, object]] = None
         if self.persist_store is not None:
-            persistence = dict(self._persist_counters)
+            with self._lock:
+                persistence = dict(self._persist_counters)
             persistence["store"] = dict(self.persist_store.counters)
             persistence["directory"] = self.persist_store.directory
             persistence["last_restore"] = self._last_restore
@@ -1030,17 +1024,13 @@ class WhyQueryService:
                     "pools_live": 0,
                     "workers": 0,
                     "shards_per_pool": self.shards,
-                    "placement": self.placement,
+                    "placement": "affine" if self.shards > 1 else "full",
                     "batches": 0,
                     "queries_shipped": 0,
-                    "sharded_counts": 0,
                     "pool_rebuilds": 0,
-                    # memory/payload accounting: what actually crossed the
-                    # process boundary per pooled graph (affine payloads
-                    # are per-worker slices, full mode ships the whole
-                    # snapshot to every worker)
+                    # what actually crossed the process boundary, summed
+                    # over every worker of every pooled graph
                     "payload_bytes": 0,
-                    "full_snapshot_bytes": 0,
                     "affine_fallbacks": 0,
                 }
             for entry in self._pool.values():
@@ -1070,25 +1060,13 @@ class WhyQueryService:
                     pools["workers"] += int(entry_pools["max_workers"])
                     pools["batches"] += int(entry_pools["batches"])
                     pools["queries_shipped"] += int(entry_pools["queries_shipped"])
-                    pools["sharded_counts"] += int(entry_pools["sharded_counts"])
                     pools["pool_rebuilds"] += int(entry_pools["pool_rebuilds"])
-                    pools["full_snapshot_bytes"] += int(
-                        entry_pools.get("full_snapshot_bytes", 0) or 0
+                    pools["payload_bytes"] += sum(
+                        entry_pools["payload_bytes_per_worker"]
                     )
+                    pools["affine_fallbacks"] += int(entry_pools["affine_fallbacks"])
                     for key in deltas:
                         deltas[key] += int(pool_info["deltas"][key])
-                    if self.placement == "affine":
-                        pools["payload_bytes"] += sum(
-                            entry_pools.get("payload_bytes_per_worker", ())
-                        )
-                        pools["affine_fallbacks"] += int(
-                            entry_pools.get("affine_fallbacks", 0)
-                        )
-                    else:
-                        # the full snapshot is shipped to every worker
-                        pools["payload_bytes"] += int(
-                            entry_pools.get("full_snapshot_bytes", 0) or 0
-                        ) * int(entry_pools["max_workers"])
                 per_graph.append(graph_stats)
             requests = self._explain_calls + self._session_calls
             uptime = time.perf_counter() - self._started

@@ -16,15 +16,17 @@ service's per-graph context pool.
 * :class:`ShardedGraph` -- the read-only façade exposing the
   ``PropertyGraph`` accessor surface over the shards;
 * :class:`ShardedMatcher` -- per-shard candidate enumeration and
-  expansion with deterministic (ascending shard order) merge; with a
-  placement-aware executor it routes every seed block to the worker
-  process owning the shard;
-* :class:`ProcessExecutor` -- ``BatchExecutor`` on a
-  ``ProcessPoolExecutor``: wire-form queries across the boundary, one
-  long-lived warm ``ExecutionContext`` per worker, submission-order
-  results, coordinator-side budget truncation, sharded intra-query
-  fan-out via ``count_sharded``, and **shard-affine placement**
-  (``placement="affine"``): workers hold only their placed shards;
+  expansion with deterministic (ascending shard order) merge, in one
+  process: the oracle's sharded path and the affine executor's
+  coordinator-side fallback;
+* :class:`ProcessExecutor` -- ``BatchExecutor`` on worker processes:
+  wire-form queries across the boundary, submission-order results,
+  coordinator-side budget truncation.  The shard count is its only
+  shape setting: ``shards=1`` warms every worker with one long-lived
+  ``ExecutionContext`` over the full snapshot, ``shards > 1`` makes it
+  **shard-affine** -- each worker holds only the shards placed on it
+  (:func:`affine_placement`) and every count fans out per shard to the
+  owning workers;
 * :class:`ShardSlice` / :class:`SliceEvaluator` / :class:`ShardMiss` --
   the worker-side half of affine placement.
 

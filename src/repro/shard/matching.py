@@ -17,11 +17,12 @@ this module drives it per shard and merges:
   *value-identical* to the unsharded matcher (bounded counts included:
   per-shard counts are clamped at ``limit``, and
   ``min(sum(min(c_i, L)), L) == min(sum(c_i), L)``), match sets are
-  permutation-identical;
-* per-shard tasks run through any
-  :class:`~repro.exec.evaluator.BatchExecutor` (thread overlap in one
-  process); cross-process shard fan-out is
-  :meth:`repro.shard.ProcessExecutor.count_sharded`'s job.
+  permutation-identical.
+
+Cross-process shard fan-out is the shard-affine
+:class:`~repro.shard.ProcessExecutor`'s job (``shards > 1``); there this
+matcher is the coordinator-side fallback for blocks a worker's slice
+cannot finish.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.query import GraphQuery, QueryVertex
 from repro.core.result import ResultSet
-from repro.exec.evaluator import BatchExecutor, SerialExecutor
 from repro.matching.candidates import vertex_candidates
 from repro.matching.matcher import PatternMatcher
 from repro.shard.partition import ShardedGraph
@@ -45,26 +45,20 @@ class ShardedMatcher:
     One :class:`~repro.matching.matcher.PatternMatcher` is bound to the
     façade (expansion crosses shard boundaries transparently -- the
     façade routes each hop to the owning shard); per-shard work differs
-    only in the first seed's pool.  ``executor`` overlaps the per-shard
-    tasks (any :class:`~repro.exec.evaluator.BatchExecutor`; default
-    serial).  Results are merged in ascending shard order, never
-    completion order, so the merge is deterministic.
+    only in the first seed's pool.  Shards are evaluated and merged in
+    ascending shard order, so the merge is deterministic.
     """
 
     def __init__(
         self,
         sharded: ShardedGraph,
         injective: bool = True,
-        executor: Optional[BatchExecutor] = None,
         compiled: bool = True,
     ) -> None:
         if not isinstance(sharded, ShardedGraph):
             raise TypeError("ShardedMatcher requires a ShardedGraph")
         self.sharded = sharded
         self.matcher = PatternMatcher(sharded, injective=injective, compiled=compiled)
-        self.executor: BatchExecutor = (
-            executor if executor is not None else SerialExecutor()
-        )
         #: per-shard evaluations served (fan-out instrumentation)
         self.shard_tasks = 0
 
@@ -80,15 +74,11 @@ class ShardedMatcher:
         means unconstrained, exactly as in the unsharded path.
         """
         per_shard: Dict[int, Optional[FrozenSet[int]]] = {}
-        tasks = [
-            (lambda s=shard: vertex_candidates(s, qvertex))
-            for shard in self.sharded.shards
-        ]
-        results = self.executor.run(tasks)
-        self.shard_tasks += len(tasks)
         unconstrained = False
         merged: set = set()
-        for shard, result in zip(self.sharded.shards, results):
+        for shard in self.sharded.shards:
+            self.shard_tasks += 1
+            result = vertex_candidates(shard, qvertex)
             per_shard[shard.index] = result
             if result is None:
                 unconstrained = True
@@ -107,10 +97,10 @@ class ShardedMatcher:
     ) -> int:
         """Matches whose first seed binds inside one shard (bounded).
 
-        ``edge_order`` pins the evaluation plan; the affine placement
-        path passes its canonical order here so a coordinator-resolved
-        block restricts the same first-seed vertex the slice-evaluated
-        blocks did.
+        ``edge_order`` pins the evaluation plan; the shard-affine
+        executor's fallback passes its canonical order here so a
+        coordinator-resolved block restricts the same first-seed vertex
+        the slice-evaluated blocks did.
         """
         shard = self.sharded.shards[shard_index]
         self.shard_tasks += 1
@@ -127,53 +117,11 @@ class ShardedMatcher:
         Each shard is evaluated with the full ``limit`` (a shard cannot
         know how many matches the others contribute); the sum is clamped
         at ``limit``, which equals the unsharded bounded count.
-
-        With a **placement-aware** executor (an affine
-        :class:`~repro.shard.ProcessExecutor`), every shard's block is
-        routed to the worker process that *owns* the shard -- the only
-        worker holding its data -- and worker-side misses resolve
-        against the executor's coordinator fallback, so the merge stays
-        value-identical.
         """
-        if getattr(self.executor, "supports_placement", False):
-            return self._count_placed(query, limit)
-        tasks = [
-            (lambda i=shard.index: self.count_shard(i, query, limit=limit))
+        total = sum(
+            self.count_shard(shard.index, query, limit=limit)
             for shard in self.sharded.shards
-        ]
-        counts = self.executor.run(tasks)
-        total = sum(counts)
-        if limit is not None:
-            return min(total, limit)
-        return total
-
-    def _count_placed(self, query: GraphQuery, limit: Optional[int]) -> int:
-        """Route each seed block to the shard's owning worker and merge."""
-        executor = self.executor
-        if executor.shards != self.sharded.num_shards:
-            raise ValueError(
-                f"placement executor partitions {executor.shards} shards but "
-                f"this matcher's facade has {self.sharded.num_shards}"
-            )
-        source = self.sharded.source
-        if source is not None and source is not executor.graph:
-            # version counters collide trivially across graphs (both are
-            # just mutation counts), so the identity check comes first
-            raise ValueError(
-                "placement executor is bound to a different graph than the "
-                "one this facade partitioned"
-            )
-        if executor.graph.version != self.sharded.version:
-            raise ValueError(
-                "placement executor and facade snapshot different graph "
-                "versions; re-partition after mutating"
-            )
-        handles = [
-            executor.submit_block(shard.index, query, limit=limit)
-            for shard in self.sharded.shards
-        ]
-        self.shard_tasks += len(handles)
-        total = sum(handle.result() for handle in handles)
+        )
         if limit is not None:
             return min(total, limit)
         return total
@@ -187,18 +135,12 @@ class ShardedMatcher:
         different representative subset -- exactly like any other
         enumeration-order change).
         """
-        tasks = [
-            (
-                lambda s=shard: self.matcher.match(
-                    query, limit=limit, seed_restrict=s.vertex_ids
-                )
-            )
-            for shard in self.sharded.shards
-        ]
-        per_shard = self.executor.run(tasks)
-        self.shard_tasks += len(tasks)
         merged = ResultSet()
-        for results in per_shard:
+        for shard in self.sharded.shards:
+            self.shard_tasks += 1
+            results = self.matcher.match(
+                query, limit=limit, seed_restrict=shard.vertex_ids
+            )
             for binding in results:
                 merged.add(binding)
                 if limit is not None and merged.cardinality >= limit:
@@ -223,7 +165,4 @@ class ShardedMatcher:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedMatcher(shards={self.sharded.num_shards}, "
-            f"executor={getattr(self.executor, 'name', '?')})"
-        )
+        return f"ShardedMatcher(shards={self.sharded.num_shards})"

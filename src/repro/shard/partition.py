@@ -237,10 +237,9 @@ class ShardedGraph:
         self._edges = edges
         self._version = version
         self._boundary = boundary
-        #: weak identity link to the partitioned graph: consumers that
-        #: pair a facade with per-graph resources (the affine placement
-        #: routing) verify they speak about the same graph *object* --
-        #: mutation counters alone collide trivially across graphs
+        #: weak link to the partitioned graph: delta routing
+        #: (:func:`repro.core.serialize.route_deltas`) resolves elements
+        #: a stale snapshot has not seen against the live graph
         self._source_ref = (
             weakref.ref(source) if source is not None else lambda: None
         )

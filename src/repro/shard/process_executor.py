@@ -29,27 +29,21 @@ Why this is not just ``ProcessPoolExecutor.map`` over closures:
   ``version``; if the graph moved since the pool warmed up, the pool is
   rebuilt from a fresh snapshot before the next batch (correctness over
   reuse);
-* **sharded fan-out** -- with ``shards=N`` each worker additionally
-  partitions its snapshot into a :class:`~repro.shard.ShardedGraph`,
-  and :meth:`count_sharded` splits a *single* heavy count across the
-  shard blocks (one task per shard, coordinator sums and clamps), the
-  intra-query parallel path the ``sharded_expansion`` benchmark
-  section measures;
-* **shard-affine placement** -- with ``placement="affine"`` the
-  executor stops shipping the full snapshot entirely: it partitions the
-  graph once, derives a placement map (``shard -> worker``), and warms
-  one *single-process* pool per worker with only the per-shard wire
-  payloads (:func:`repro.core.serialize.shard_to_wire`) placed on it,
-  so worker memory scales **down** with the shard count while CPU still
-  scales up with workers.  Every count fans out per shard and each
-  block is routed to the worker that owns the shard; blocks a slice
-  cannot finish (a second expansion hop off-shard, a disconnected
-  query) come back as misses and are resolved coordinator-side against
-  the full graph.  Merges stay sum-and-clamp, so counts are
-  value-identical and batch-1 engine trajectories bit-identical to
-  serial.  ``info()`` records the per-worker wire-payload bytes next
-  to the full-snapshot bytes (the ``affine_placement`` benchmark
-  section gates the ratio).
+* **the shard count picks the placement** -- ``shards=1`` (the
+  default) ships the full snapshot to every worker, as above.  With
+  ``shards > 1`` the executor stops shipping the full snapshot
+  entirely: it partitions the graph once, derives a placement map
+  (``shard -> worker``), and warms one *single-process* pool per worker
+  with only the per-shard wire payloads
+  (:func:`repro.core.serialize.shard_to_wire`) placed on it, so worker
+  memory scales **down** with the shard count while CPU still scales up
+  with workers.  Every count fans out per shard and each block is
+  routed to the worker that owns the shard; blocks a slice cannot
+  finish (a second expansion hop off-shard, a disconnected query) come
+  back as misses and are resolved coordinator-side against the full
+  graph.  Merges stay sum-and-clamp, so counts are value-identical and
+  batch-1 engine trajectories bit-identical to serial.  ``info()``
+  records the wire-payload bytes each worker received in either shape.
 
 Start method: ``forkserver`` where available (fork is unsafe in a
 threaded coordinator, spawn is the slow fallback); override with
@@ -84,10 +78,6 @@ T = TypeVar("T")
 
 __all__ = ["ProcessExecutor"]
 
-#: placement modes: ``full`` ships the whole snapshot to every worker
-#: (the PR 4 behaviour), ``affine`` ships each worker only its shards
-PLACEMENT_MODES = ("full", "affine")
-
 
 def affine_placement(num_shards: int, num_workers: int) -> Dict[int, int]:
     """Round-robin ``shard -> worker`` placement map.
@@ -104,8 +94,8 @@ def affine_placement(num_shards: int, num_workers: int) -> Dict[int, int]:
 #
 # One module-global evaluation spine per worker process, built once by the
 # pool initializer and reused for every task the worker serves.  The keys:
-# ``context`` (the warm ExecutionContext), ``sharded`` (the ShardedMatcher
-# when shards > 1) and ``queries`` (wire form -> deserialized GraphQuery).
+# ``context`` (the warm ExecutionContext) and ``queries`` (wire form ->
+# deserialized GraphQuery); an affine worker holds ``affine`` instead.
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -117,7 +107,6 @@ _WORKER_QUERY_CACHE_ENTRIES = 10_000
 
 def _worker_init(
     payload: dict,
-    shards: int,
     injective: bool,
     compiled: bool = True,
     barrier: Optional[object] = None,
@@ -128,28 +117,17 @@ def _worker_init(
     # imported lazily so the coordinator-side import of this module stays
     # cheap; the worker pays it once per process
     from repro.exec.context import ExecutionContext
-    from repro.shard.matching import ShardedMatcher
-    from repro.shard.partition import GraphPartitioner
 
-    graph = graph_from_dict(payload)
-    state: Dict[str, object] = {
-        "graph": graph,
-        "context": ExecutionContext(
-            graph,
+    _WORKER_STATE.clear()
+    _WORKER_STATE.update(
+        context=ExecutionContext(
+            graph_from_dict(payload),
             injective=injective,
             compiled=compiled,
         ),
-        "queries": {},
-        "barrier": barrier,
-    }
-    if shards > 1:
-        state["sharded"] = ShardedMatcher(
-            GraphPartitioner(shards).partition(graph),
-            injective=injective,
-            compiled=compiled,
-        )
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(state)
+        queries={},
+        barrier=barrier,
+    )
 
 
 def _worker_query(wire: Tuple) -> GraphQuery:
@@ -176,22 +154,6 @@ def _worker_count(wire: Tuple, limit: Optional[int], trace: bool = False):
     tracer = Tracer()
     with tracer.activate():
         count = context.count(_worker_query(wire), limit=limit)  # type: ignore[union-attr]
-    return count, tracer.summarize()
-
-
-def _worker_count_shard(
-    wire: Tuple, shard_index: int, limit: Optional[int], trace: bool = False
-):
-    sharded = _WORKER_STATE.get("sharded")
-    if sharded is None:
-        raise RuntimeError("worker was warmed without shards; pass shards>1")
-    if not trace:
-        return sharded.count_shard(shard_index, _worker_query(wire), limit=limit)  # type: ignore[union-attr]
-    tracer = Tracer()
-    with tracer.activate():
-        count = sharded.count_shard(  # type: ignore[union-attr]
-            shard_index, _worker_query(wire), limit=limit
-        )
     return count, tracer.summarize()
 
 
@@ -254,49 +216,6 @@ def _affine_worker_apply_deltas(payloads: List[dict]) -> int:
 # -- coordinator side -------------------------------------------------------------
 
 
-class _BlockHandle:
-    """Future-shaped handle for one routed shard block.
-
-    ``result()`` resolves worker-side misses (``None``) against the
-    coordinator's full graph, so callers (:class:`~repro.shard.matching.
-    ShardedMatcher`'s placement routing) always observe exact counts.
-    """
-
-    __slots__ = ("_executor", "_shard_index", "_query", "_limit", "_future", "_trace")
-
-    def __init__(
-        self,
-        executor: "ProcessExecutor",
-        shard_index: int,
-        query: GraphQuery,
-        limit: Optional[int],
-        future: Optional[Future],
-        trace: bool = False,
-    ) -> None:
-        self._executor = executor
-        self._shard_index = shard_index
-        self._query = query
-        self._limit = limit
-        self._future = future
-        self._trace = trace
-
-    def result(self) -> int:
-        if self._future is None:
-            value = None
-        else:
-            value = self._future.result()
-            if self._trace:
-                value, summary = value
-                current_tracer().attach_summary(
-                    SPAN_WORKER, summary, shard=self._shard_index
-                )
-        if value is None:
-            value = self._executor._resolve_block(
-                self._shard_index, self._query, self._limit
-            )
-        return value
-
-
 class ProcessExecutor:
     """Evaluate candidate batches on a pool of warm worker processes.
 
@@ -309,11 +228,12 @@ class ProcessExecutor:
     :class:`~repro.service.WhyQueryService` therefore keeps one process
     executor per pooled graph.
 
-    ``max_workers`` caps the pool; ``shards`` > 1 additionally
-    partitions each worker's snapshot for :meth:`count_sharded`'s
-    intra-query fan-out.  The pool spins up lazily (or explicitly via
-    :meth:`warm_up`) and is released by :meth:`close` / context-manager
-    exit.
+    ``max_workers`` caps the pool.  ``shards`` picks its shape:
+    ``1`` warms every worker from the full snapshot, ``> 1`` partitions
+    the graph and warms each worker with only the shards placed on it
+    (shard-affine slices, :func:`affine_placement`).  The pool spins up
+    lazily (or explicitly via :meth:`warm_up`) and is released by
+    :meth:`close` / context-manager exit.
     """
 
     name = "process"
@@ -327,24 +247,17 @@ class ProcessExecutor:
         shards: int = 1,
         injective: bool = True,
         start_method: Optional[str] = None,
-        placement: str = "full",
         compiled: bool = True,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if placement not in PLACEMENT_MODES:
-            raise ValueError(
-                f"unknown placement mode {placement!r}; expected one of "
-                f"{PLACEMENT_MODES}"
-            )
         self.graph = graph
         self.max_workers = max_workers
         self.shards = shards
         self.injective = injective
         self.compiled = compiled
-        self.placement_mode = placement
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             # fork would duplicate a possibly-threaded coordinator mid-lock;
@@ -356,15 +269,14 @@ class ProcessExecutor:
         self.preferred_batch = max_workers
         self._pool: Optional[ProcessPoolExecutor] = None
         self._snapshot_version: Optional[int] = None
-        # affine placement state: one single-process pool per worker,
-        # each warmed with only its placed shards' wire payloads
+        # shard-affine state (shards > 1): one single-process pool per
+        # worker, each warmed with only its placed shards' wire payloads
         self._affine_pools: Optional[List[ProcessPoolExecutor]] = None
         self._placement: Dict[int, int] = {}
         self._sharded_snapshot = None
         self._local_sharded = None
+        #: wire-payload bytes each worker was last warmed from
         self._payload_bytes: List[int] = []
-        self._full_snapshot_bytes: Optional[int] = None
-        self._full_snapshot_bytes_version: Optional[int] = None
         #: serialises pool creation/teardown: the service's concurrent
         #: explain() calls may race on first touch, and two threads
         #: building pools would leak one pool's workers forever
@@ -372,7 +284,6 @@ class ProcessExecutor:
         # lifetime counters (coordinator-side, for stats()/info())
         self.batches = 0
         self.queries_shipped = 0
-        self.sharded_counts = 0
         self.pool_rebuilds = 0
         #: blocks the affine workers could not finish (cross-shard
         #: second hops, disconnected queries), resolved coordinator-side
@@ -382,11 +293,6 @@ class ProcessExecutor:
         #: cost (compare against a full re-warm's payload bytes)
         self.worker_catchups = 0
         self.delta_bytes = 0
-
-    @property
-    def supports_placement(self) -> bool:
-        """Placement-aware routing available (``ShardedMatcher`` checks)."""
-        return self.placement_mode == "affine"
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -403,12 +309,10 @@ class ProcessExecutor:
                 self._snapshot_version = None
             if self._pool is None:
                 payload = graph_to_dict(self.graph)
-                # every worker receives this whole payload; the affine
-                # mode's per-worker bytes are measured against it
-                self._full_snapshot_bytes = len(
-                    pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-                )
-                self._full_snapshot_bytes_version = self.graph.version
+                # every worker receives this whole payload
+                self._payload_bytes = [
+                    len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                ] * self.max_workers
                 context = multiprocessing.get_context(self.start_method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
@@ -416,7 +320,6 @@ class ProcessExecutor:
                     initializer=_worker_init,
                     initargs=(
                         payload,
-                        self.shards,
                         self.injective,
                         self.compiled,
                         context.Barrier(self.max_workers),
@@ -478,10 +381,6 @@ class ProcessExecutor:
                     for pool_payloads in per_pool
                 ]
                 # what actually crosses the process boundary, per worker
-                # (the full-snapshot comparison number is reporting-only
-                # and computed lazily in info() -- serialising the whole
-                # graph here would re-pay the exact cost affine placement
-                # exists to avoid, on every warm-up and stale rebuild)
                 self._payload_bytes = [
                     len(pickle.dumps(pool_payloads, pickle.HIGHEST_PROTOCOL))
                     for pool_payloads in per_pool
@@ -597,7 +496,7 @@ class ProcessExecutor:
         distinct initialized processes can pass; if they are not all up
         within ``timeout_s`` the pool is closed and this raises.
         """
-        if self.placement_mode == "affine":
+        if self.shards > 1:
             pools = self._ensure_affine_pools()
             futures = [pool.submit(_worker_touch, timeout_s) for pool in pools]
             return [future.result() for future in futures]
@@ -650,7 +549,7 @@ class ProcessExecutor:
         queries = list(queries)
         if not queries:
             return []
-        if self.placement_mode == "affine":
+        if self.shards > 1:
             return self._run_queries_affine(queries, limit)
         pool = self._ensure_pool()
         wires = [query_to_wire(query) for query in queries]
@@ -695,7 +594,7 @@ class ProcessExecutor:
         for query in queries:
             # a slice enumerates candidates over its owned range only, so
             # every seed after the first must be resolved coordinator-side
-            if self.shards > 1 and not query.is_connected():
+            if not query.is_connected():
                 pending.append((query, None))
                 continue
             wire = query_to_wire(query)
@@ -737,92 +636,7 @@ class ProcessExecutor:
             self.queries_shipped += shipped
         return counts
 
-    def submit_block(
-        self, shard_index: int, query: GraphQuery, limit: Optional[int] = None
-    ) -> _BlockHandle:
-        """Route one shard-seeded block to the worker owning the shard.
-
-        The placement-aware entry :class:`~repro.shard.matching.
-        ShardedMatcher` drives: results resolve worker-side misses
-        transparently, so ``handle.result()`` is always the exact
-        bounded block count.
-        """
-        if self.placement_mode != "affine":
-            raise RuntimeError("submit_block requires placement='affine'")
-        if not 0 <= shard_index < self.shards:
-            raise ValueError(f"shard index {shard_index} out of range")
-        pools = self._ensure_affine_pools()
-        if self.shards > 1 and not query.is_connected():
-            return _BlockHandle(self, shard_index, query, limit, None)
-        trace = current_tracer().enabled
-        future = pools[self._placement[shard_index]].submit(
-            _affine_worker_count_block, query_to_wire(query), shard_index, limit, trace
-        )
-        return _BlockHandle(self, shard_index, query, limit, future, trace)
-
-    def count_sharded(self, query: GraphQuery, limit: Optional[int] = None) -> int:
-        """One (heavy) count split across the workers' shard blocks.
-
-        Dispatches one task per shard -- each worker counts the matches
-        whose first seed binds inside that shard's vertex range -- and
-        reconciles at the coordinator: the per-shard counts (each
-        individually clamped at ``limit``) are summed and clamped, which
-        is value-identical to the unsharded bounded count.  Under affine
-        placement each block additionally lands on the worker that owns
-        the shard (and only that worker holds its data).
-        """
-        if self.placement_mode == "affine":
-            with self._lock:
-                self.sharded_counts += 1
-            return self._run_queries_affine([query], limit)[0]
-        if self.shards < 2:
-            return self.run_queries([query], limit=limit)[0]
-        pool = self._ensure_pool()
-        wire = query_to_wire(query)
-        tracer = current_tracer()
-        trace = tracer.enabled
-        futures = [
-            pool.submit(_worker_count_shard, wire, shard_index, limit, trace)
-            for shard_index in range(self.shards)
-        ]
-        total = 0
-        for shard_index, future in enumerate(futures):
-            value = future.result()
-            if trace:
-                value, summary = value
-                tracer.attach_summary(SPAN_WORKER, summary, shard=shard_index)
-            total += value
-        with self._lock:
-            self.sharded_counts += 1
-        if limit is not None:
-            return min(total, limit)
-        return total
-
     # -- reporting ---------------------------------------------------------------
-
-    def _measure_full_snapshot(self) -> int:
-        """Bytes the full-snapshot path would ship per worker (lazy,
-        cached per graph version -- reporting-only, never on the
-        evaluation or warm-up path).
-
-        The serialisation itself runs *outside* the pool lock: on a
-        large graph it takes seconds, and a monitoring poll must never
-        stall query submission behind it.  Two concurrent polls may
-        both measure; the duplicated work is reporting-only.
-        """
-        with self._lock:
-            measured = self._full_snapshot_bytes
-            measured_version = self._full_snapshot_bytes_version
-        version = self.graph.version
-        if measured is not None and measured_version == version:
-            return measured
-        measured = len(
-            pickle.dumps(graph_to_dict(self.graph), pickle.HIGHEST_PROTOCOL)
-        )
-        with self._lock:
-            self._full_snapshot_bytes = measured
-            self._full_snapshot_bytes_version = version
-        return measured
 
     def info(self) -> Dict[str, object]:
         """Lifetime counters in the unified stats schema.
@@ -836,58 +650,31 @@ class ProcessExecutor:
         of a torn mix of pre- and post-batch values.
         """
         with self._lock:
-            pools: Dict[str, object] = {
+            pools = {
                 "max_workers": self.max_workers,
                 "shards": self.shards,
                 "start_method": self.start_method,
-                "placement": self.placement_mode,
+                "placement": "affine" if self.shards > 1 else "full",
                 "pool_live": (
                     self._pool is not None or self._affine_pools is not None
                 ),
                 "pool_rebuilds": self.pool_rebuilds,
                 "batches": self.batches,
                 "queries_shipped": self.queries_shipped,
-                "sharded_counts": self.sharded_counts,
                 "snapshot_version": self._snapshot_version,
+                "placement_map": dict(self._placement),
+                "affine_fallbacks": self.affine_fallbacks,
+                "payload_bytes_per_worker": list(self._payload_bytes),
+                "payload_bytes_max": max(self._payload_bytes, default=0),
             }
-            affine_fallbacks = self.affine_fallbacks
-            worker_catchups_now = self.worker_catchups
-            delta_bytes_now = self.delta_bytes
-            payload_bytes = list(self._payload_bytes)
-            placement_map = dict(self._placement)
-            full_snapshot_bytes = self._full_snapshot_bytes
-        worker_catchups = 0
-        delta_bytes = 0
-        if self.placement_mode == "full" and full_snapshot_bytes is not None:
-            pools["full_snapshot_bytes"] = full_snapshot_bytes
-        if self.placement_mode == "affine":
-            payload_max = max(payload_bytes, default=0)
-            # takes the lock itself, so it must run outside the snapshot
-            full = self._measure_full_snapshot() if payload_max else 0
-            worker_catchups = worker_catchups_now
-            delta_bytes = delta_bytes_now
-            pools.update(
-                {
-                    "placement_map": placement_map,
-                    "affine_fallbacks": affine_fallbacks,
-                    "payload_bytes_per_worker": payload_bytes,
-                    "payload_bytes_max": payload_max,
-                    "full_snapshot_bytes": full,
-                    # memory headline: largest per-worker payload vs what
-                    # the full-snapshot path ships to *every* worker
-                    "payload_ratio": (full / payload_max) if payload_max else 0.0,
-                }
+            deltas = deltas_section(
+                bytes=self.delta_bytes, worker_catchups=self.worker_catchups
             )
-        return unified_stats(
-            pools=pools,
-            deltas=deltas_section(
-                bytes=delta_bytes, worker_catchups=worker_catchups
-            ),
-        )
+        return unified_stats(pools=pools, deltas=deltas)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProcessExecutor(max_workers={self.max_workers}, "
-            f"shards={self.shards}, placement={self.placement_mode!r}, "
+            f"shards={self.shards}, "
             f"start_method={self.start_method!r})"
         )

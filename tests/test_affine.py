@@ -25,6 +25,7 @@ from repro.exec import ExecutionContext, SerialExecutor
 from repro.finegrained import TraverseSearchTree
 from repro.matching import PatternMatcher
 from repro.metrics import CardinalityProblem, CardinalityThreshold
+from repro.obs import SPAN_WORKER, Tracer
 from repro.rewrite import CoarseRewriter
 from repro.service import WhyQueryService
 from repro.shard import (
@@ -300,9 +301,7 @@ def affine_graph():
 
 @pytest.fixture(scope="module")
 def affine_executor(affine_graph):
-    with ProcessExecutor(
-        affine_graph, max_workers=2, shards=4, placement="affine"
-    ) as executor:
+    with ProcessExecutor(affine_graph, max_workers=2, shards=4) as executor:
         executor.warm_up()
         yield executor
 
@@ -313,16 +312,12 @@ class TestAffineProcessExecutor:
 
     def test_protocol_and_placement_surface(self, affine_executor):
         assert affine_executor.supports_queries
-        assert affine_executor.supports_placement
-        assert affine_executor.placement_mode == "affine"
         pools = affine_executor.info()["pools"]
         assert pools["placement"] == "affine"
         assert pools["placement_map"] == {0: 0, 1: 1, 2: 0, 3: 1}
 
     def test_warm_up_spawns_one_process_per_worker(self, affine_graph):
-        with ProcessExecutor(
-            affine_graph, max_workers=2, shards=2, placement="affine"
-        ) as executor:
+        with ProcessExecutor(affine_graph, max_workers=2, shards=2) as executor:
             pids = executor.warm_up()
             assert len(pids) == 2
             assert len(set(pids)) == 2
@@ -345,14 +340,14 @@ class TestAffineProcessExecutor:
         assert affine_executor.run_queries(queries, limit=2) == [2, 0]
         assert affine_executor.run_queries([]) == []
 
-    def test_count_sharded_value_identical(self, affine_graph, affine_executor):
+    def test_bounded_counts_value_identical(self, affine_graph, affine_executor):
         reference = PatternMatcher(affine_graph, compiled=False)
         query = typed_query("person", "workAt")
-        assert affine_executor.count_sharded(query) == reference.count(query)
+        assert affine_executor.run_queries([query]) == [reference.count(query)]
         for limit in (1, 3, 50):
-            assert affine_executor.count_sharded(query, limit=limit) == (
+            assert affine_executor.run_queries([query], limit=limit) == [
                 reference.count(query, limit=limit)
-            )
+            ]
 
     def test_disconnected_query_resolves_coordinator_side(
         self, affine_graph, affine_executor
@@ -367,55 +362,33 @@ class TestAffineProcessExecutor:
         assert affine_executor.run_queries([q]) == [expected]
         assert affine_executor.affine_fallbacks == before + 1
 
-    def test_sharded_matcher_routes_blocks_to_owners(
-        self, affine_graph, affine_executor
-    ):
-        sharded = ShardedMatcher(
-            GraphPartitioner(4).partition(affine_graph), executor=affine_executor
-        )
+    def test_run_queries_routes_blocks_to_owners(self, affine_graph, affine_executor):
+        """Every query fans out one block per shard, each counted by the
+        worker that owns the shard, and the merge is the serial count."""
         reference = PatternMatcher(affine_graph, compiled=False)
+        owners = affine_executor.info()["pools"]["placement_map"]
         for query in (
             typed_query("person", "workAt"),
             typed_query("person", "missingEdgeType"),
         ):
-            assert sharded.count(query) == reference.count(query)
-            assert sharded.count(query, limit=2) == reference.count(query, limit=2)
-
-    def test_sharded_matcher_rejects_mismatched_partition(
-        self, affine_graph, affine_executor
-    ):
-        other = ShardedMatcher(
-            GraphPartitioner(2).partition(affine_graph), executor=affine_executor
-        )
-        with pytest.raises(ValueError):
-            other.count(typed_query("person", "workAt"))
-
-    def test_sharded_matcher_rejects_facade_of_different_graph(
-        self, affine_graph, affine_executor
-    ):
-        """Version counters collide trivially across graphs (both count
-        mutations); the identity of the partitioned graph must decide."""
-        twin = PropertyGraph()
-        for tag in range(6):  # same construction -> same version counter
-            p = twin.add_vertex(type="person", name=f"p{tag}")
-            u = twin.add_vertex(type="university", name=f"u{tag % 2}")
-            twin.add_edge(p, u, "workAt", sinceYear=2000 + tag)
-            twin.add_edge(p, u, "studyAt")
-            twin.add_edge(p, p, "knows")
-        assert twin.version == affine_graph.version
-        mismatched = ShardedMatcher(
-            GraphPartitioner(4).partition(twin), executor=affine_executor
-        )
-        with pytest.raises(ValueError):
-            mismatched.count(typed_query("person", "workAt"))
+            tracer = Tracer()
+            with tracer.activate():
+                assert affine_executor.run_queries([query]) == [reference.count(query)]
+            blocks = [
+                (span.attributes["shard"], span.attributes["worker"])
+                for span in tracer.roots
+                if span.kind == SPAN_WORKER
+            ]
+            assert blocks == [(shard, owners[shard]) for shard in range(4)]
+            assert affine_executor.run_queries([query], limit=2) == [
+                reference.count(query, limit=2)
+            ]
 
     def test_payload_accounting(self, affine_executor):
         pools = affine_executor.info()["pools"]
         assert len(pools["payload_bytes_per_worker"]) == 2
         assert all(b > 0 for b in pools["payload_bytes_per_worker"])
         assert pools["payload_bytes_max"] == max(pools["payload_bytes_per_worker"])
-        assert pools["full_snapshot_bytes"] > 0
-        assert pools["payload_ratio"] > 0.0
 
     def test_stale_snapshot_rebuilds_affine_pools(self):
         g = PropertyGraph()
@@ -423,9 +396,7 @@ class TestAffineProcessExecutor:
         b = g.add_vertex(type="university", name="uni")
         g.add_edge(a, b, "workAt")
         query = typed_query("person", "workAt")
-        with ProcessExecutor(
-            g, max_workers=1, shards=2, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=1, shards=2) as executor:
             assert executor.run_queries([query]) == [1]
             rebuilds = executor.pool_rebuilds
             c = g.add_vertex(type="person", name="later")
@@ -434,15 +405,13 @@ class TestAffineProcessExecutor:
             assert executor.pool_rebuilds == rebuilds + 1
             assert executor.info()["pools"]["snapshot_version"] == g.version
 
-    def test_submit_block_requires_affine(self, affine_graph):
-        with ProcessExecutor(affine_graph, max_workers=1) as executor:
-            assert not executor.supports_placement
-            with pytest.raises(RuntimeError):
-                executor.submit_block(0, typed_query("person", "workAt"))
-
     def test_validation(self, affine_graph):
         with pytest.raises(ValueError):
-            ProcessExecutor(affine_graph, placement="sticky")
+            ProcessExecutor(affine_graph, shards=0)
+        with pytest.raises(ValueError):
+            ProcessExecutor(affine_graph, max_workers=0, shards=2)
+        with pytest.raises(TypeError):  # the shard count is the only shape knob
+            ProcessExecutor(affine_graph, shards=2, placement="sticky")
 
 
 class TestAffineTrajectoryIdentity:
@@ -496,24 +465,27 @@ class TestServiceAffinePlacement:
             for r in report.rewriting.explanations
         )
 
-    def test_explain_matches_serial_service(self, affine_graph):
+    def test_two_shards_serve_through_affine_slices(self, affine_graph):
+        """``shards=2`` alone makes the service's pool shard-affine, and
+        at batch 1 (one worker) its answers are the serial service's."""
         query = self.failing_query()
         reference = WhyQueryService().explain(affine_graph, query)
-        with WhyQueryService(
-            executor="process", process_workers=1, shards=2, placement="affine"
-        ) as service:
+        with WhyQueryService(executor="process", process_workers=1, shards=2) as service:
             report = service.explain(affine_graph, query)
             stats = service.stats()
         assert report.problem is CardinalityProblem.EMPTY
         assert self.explanation_key(report) == self.explanation_key(reference)
+        graph_pools = stats["per_graph"][0]["process_pool"]["pools"]
+        assert graph_pools["placement_map"] == {0: 0, 1: 0}
         pools = stats["pools"]
         assert pools["placement"] == "affine"
         assert pools["queries_shipped"] > 0
-        assert pools["payload_bytes"] > 0
-        assert pools["full_snapshot_bytes"] > 0
+        assert pools["payload_bytes"] == sum(graph_pools["payload_bytes_per_worker"]) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WhyQueryService(executor="process", placement="sticky")
+            WhyQueryService(executor="process", shards=0)
         with pytest.raises(ValueError):
-            WhyQueryService(placement="affine")  # needs executor="process"
+            WhyQueryService(executor="process", shards=2, process_workers=0)
+        with pytest.raises(TypeError):  # the shard count is the only shape knob
+            WhyQueryService(executor="process", shards=2, placement="sticky")

@@ -357,18 +357,16 @@ def hub_query() -> GraphQuery:
 class TestWorkerCatchUp:
     def test_warm_pool_absorbs_deltas_then_rebuilds_on_vertex_add(self):
         g = big_graph()
-        with ProcessExecutor(
-            g, max_workers=2, shards=4, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=2, shards=4) as executor:
             q = hub_query()
             expected = PatternMatcher(g).count(q)
-            assert executor.count_sharded(q) == expected
+            assert executor.run_queries([q])[0] == expected
 
             # single-edge deltas: the pool stays warm and ships only
             # the routed per-shard records
             g.add_edge(0, 13, "rel")
             g.set_vertex_attribute(1, "kind", "hub")
-            assert executor.count_sharded(q) == PatternMatcher(g).count(q)
+            assert executor.run_queries([q])[0] == PatternMatcher(g).count(q)
             info = executor.info()
             assert info["deltas"]["worker_catchups"] == 1
             assert executor.pool_rebuilds == 1  # the initial warm-up only
@@ -379,28 +377,26 @@ class TestWorkerCatchUp:
             # a second catch-up routes against the live graph (the
             # stale snapshot has never seen the first round's edge)
             g.set_edge_attribute(g.num_edges - 1, "w", 1)
-            assert executor.count_sharded(q) == PatternMatcher(g).count(q)
+            assert executor.run_queries([q])[0] == PatternMatcher(g).count(q)
             assert executor.info()["deltas"]["worker_catchups"] == 2
             assert executor.pool_rebuilds == 1
 
             # a vertex add moves the partition map: full re-warm
             vid = g.add_vertex(kind="leaf")
             g.add_edge(0, vid, "rel")
-            assert executor.count_sharded(q) == PatternMatcher(g).count(q)
+            assert executor.run_queries([q])[0] == PatternMatcher(g).count(q)
             assert executor.info()["deltas"]["worker_catchups"] == 2
             assert executor.pool_rebuilds == 2
 
     def test_catchup_reships_fewer_bytes_than_rewarm(self):
         g = big_graph()
-        with ProcessExecutor(
-            g, max_workers=2, shards=4, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=2, shards=4) as executor:
             q = hub_query()
-            executor.count_sharded(q)
+            executor.run_queries([q])[0]
             mutations = 3
             for i in range(mutations):
                 g.add_edge(i * 13, (i + 1) * 13, "rel")
-                executor.count_sharded(q)
+                executor.run_queries([q])[0]
             info = executor.info()
             assert info["deltas"]["worker_catchups"] == mutations
             full_rewarm = sum(info["pools"]["payload_bytes_per_worker"]) * mutations

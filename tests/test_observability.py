@@ -462,13 +462,18 @@ class TestMetricsEndpoint:
 
 
 @pytest.fixture(scope="module")
-def obs_executor():
+def pool_graph():
     g = PropertyGraph()
     for tag in range(6):
         p = g.add_vertex(type="person", name=f"p{tag}")
         u = g.add_vertex(type="university", name=f"u{tag % 2}")
         g.add_edge(p, u, "workAt", sinceYear=2000 + tag)
-    with ProcessExecutor(g, max_workers=2, shards=2) as executor:
+    return g
+
+
+@pytest.fixture(scope="module")
+def obs_executor(pool_graph):
+    with ProcessExecutor(pool_graph, max_workers=2) as executor:
         executor.warm_up()
         yield executor
 
@@ -488,12 +493,17 @@ class TestProcessExecutorObservability:
         assert current_tracer() is NULL_TRACER
         assert obs_executor.run_queries([working_query()]) == [6]
 
-    def test_traced_count_sharded(self, obs_executor):
+    def test_traced_affine_batch_carries_shard_spans(self, pool_graph):
+        """shards > 1: each query fans out one block per shard, and every
+        block's worker summary is grafted with the shard it counted."""
         tracer = Tracer()
-        with tracer.activate():
-            total = obs_executor.count_sharded(working_query())
-        assert total == 6
-        assert SPAN_WORKER in tracer.kinds()
+        with ProcessExecutor(pool_graph, max_workers=2, shards=2) as executor:
+            with tracer.activate():
+                counts = executor.run_queries([working_query()] * 2)
+        assert counts == [6, 6]
+        workers = [span for span in tracer.roots if span.kind == SPAN_WORKER]
+        assert [span.attributes["shard"] for span in workers] == [0, 1, 0, 1]
+        assert [span.attributes["worker"] for span in workers] == [0, 1, 0, 1]
 
     def test_info_consistent_under_concurrent_batches(self, obs_executor):
         """Regression (ISSUE 9 satellite): ``info()`` used to read the

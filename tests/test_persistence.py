@@ -16,6 +16,7 @@ the slow-log satellite bugfixes are exercised here too.
 
 import copy
 import random
+import threading
 
 import pytest
 
@@ -360,6 +361,36 @@ class TestServiceTiering:
         assert context_a.count(build_query()) is not None
         assert context_a.cache.stats.hits == hits_before + 1
         service.close()
+
+    def test_checkpoint_counts_only_its_own_spills(self, tmp_path):
+        """Regression: ``checkpoint()`` inferred each spill's outcome from
+        the shared ``spill_errors`` counter, so an eviction spill failing
+        on another thread meanwhile was reported as a checkpoint error.
+        The checkpoint's own save parks until that eviction has failed."""
+        graph_a, graph_b = build_graph(name="a"), build_graph(name="b")
+        parked, evicted = threading.Event(), threading.Event()
+
+        class ParkingStore(SnapshotStore):
+            def save(self, key, payload):
+                if threading.current_thread() is not checkpointer:
+                    raise OSError("disk full")  # the eviction spill
+                if key == persist_key(graph_a):
+                    parked.set()
+                    assert evicted.wait(30)
+                return super().save(key, payload)
+
+        service = WhyQueryService(persist=ParkingStore(str(tmp_path)), max_contexts=1)
+        service.context_for(graph_a)
+        result = {}
+        checkpointer = threading.Thread(target=lambda: result.update(service.checkpoint()))
+        checkpointer.start()
+        assert parked.wait(30)
+        service.context_for(graph_b)  # evicts "a"; that spill fails
+        evicted.set()
+        checkpointer.join(30)
+        assert result == {"contexts": 1, "errors": 0}
+        stats = service.stats()["persistence"]
+        assert (stats["spills"], stats["spill_errors"]) == (1, 1)
 
     def test_no_persist_dir_keeps_historical_behaviour(self):
         service = WhyQueryService()

@@ -1,4 +1,4 @@
-"""Tombstones: what PR 20, PR 23 and PR 24 deleted stays deleted.
+"""Tombstones: what PR 20, PR 23, PR 24 and PR 25 deleted stays deleted.
 
 Three parts.  The scan fails, naming file and line, when a removed
 identifier is mentioned again anywhere a reader would take it for a
@@ -29,11 +29,12 @@ from repro.matching import PatternMatcher, csr_stats
 from repro.metrics import CardinalityThreshold
 from repro.rewrite import CoarseRewriter
 from repro.service import WhyQueryService
+from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
 from repro.why import DebugSession, WhyQueryEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: identifiers deleted without replacement (PR 20, PR 23, then PR 24)
+#: identifiers deleted without replacement (PR 20, PR 23, PR 24, then PR 25)
 REMOVED_NAMES = (
     "AsyncExecutor",
     "ParallelExecutor",
@@ -51,6 +52,20 @@ REMOVED_NAMES = (
     "REPRO_COMPILED_MATCH",
     "resolve_spine",
     "repro.exec.wiring",
+    "placement=",
+    "PLACEMENT_MODES",
+    "placement_mode",
+    "supports_placement",
+    "submit_block",
+    "_BlockHandle",
+    "_count_placed",
+    "count_sharded",
+    "_worker_count_shard",
+    "sharded_counts",
+    "_measure_full_snapshot",
+    "full_snapshot_bytes",
+    "payload_ratio",
+    "sharded_expansion",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -140,6 +155,42 @@ def test_csr_byte_budget_variable_evicts_nothing(monkeypatch):
             stats["csr_evictions"]
 
 
+# -- PR 25: the shard count is the process tier's only shape setting ----------
+
+
+@pytest.mark.parametrize("placement", ["full", "affine"])
+def test_placement_is_a_type_error(tiny_graph, placement):
+    with pytest.raises(TypeError):
+        WhyQueryService(executor="process", placement=placement)
+    with pytest.raises(TypeError):
+        ProcessExecutor(tiny_graph, shards=2, placement=placement)
+
+
+def test_sharded_matcher_takes_no_executor(tiny_graph):
+    from repro.exec import SerialExecutor
+
+    with pytest.raises(TypeError):
+        ShardedMatcher(GraphPartitioner(2).partition(tiny_graph), executor=SerialExecutor())
+
+
+def test_full_snapshot_fan_out_is_gone(tiny_graph):
+    """No per-shard counter, no second routing path; ``placement`` is
+    read off the shard count."""
+    for shards, placement in ((1, "full"), (2, "affine")):
+        with ProcessExecutor(tiny_graph, max_workers=1, shards=shards) as executor:
+            pools = executor.info()["pools"]
+            assert pools["placement"] == placement
+            with pytest.raises(KeyError):
+                pools["sharded_counts"]
+            for name in ("count_sharded", "submit_block", "supports_placement"):
+                assert not hasattr(executor, name)
+        with WhyQueryService(executor="process", shards=shards) as service:
+            pools = service.stats()["pools"]
+            assert pools["placement"] == placement
+            with pytest.raises(KeyError):
+                pools["sharded_counts"]
+
+
 # -- PR 24: a context is the only binding ------------------------------------
 
 _THRESHOLD = CardinalityThreshold.at_least(1)
@@ -209,9 +260,12 @@ def test_graph_and_context_must_agree(tiny_graph, entry):
 CONSTRUCTOR_SURFACE = {
     WhyQueryService: (
         "max_contexts", "executor", "budget_pool", "context_factory", "shards",
-        "process_workers", "placement", "slow_log_capacity", "persist",
-        "engine_options",
+        "process_workers", "slow_log_capacity", "persist", "engine_options",
     ),
+    ProcessExecutor: (
+        "graph", "max_workers", "shards", "injective", "start_method", "compiled",
+    ),
+    ShardedMatcher: ("sharded", "injective", "compiled"),
     WhyQueryEngine: (
         "graph", "preferences", "preference_model", "mcs_strategy",
         "max_explanation_evaluations", "max_rewrite_evaluations", "rewrite_k",

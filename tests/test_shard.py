@@ -290,16 +290,25 @@ class TestShardedMatcher:
         assert merged is None
         assert all(block is None for block in per_shard.values())
 
-    def test_thread_executor_same_results(self, tiny_graph, make_batch_executor):
-        """The per-shard fan-out through an injected executor that runs the
-        shard blocks in another order merges to the same results."""
-        serial = ShardedMatcher(GraphPartitioner(4).partition(tiny_graph))
-        reordered = ShardedMatcher(
-            GraphPartitioner(4).partition(tiny_graph), executor=make_batch_executor()
-        )
+    def test_fan_out_runs_each_shard_once_in_ascending_order(self, tiny_graph):
+        """The per-shard fan-out is a plain loop: every shard is evaluated
+        once, lowest index first, and the merge is the unsharded result."""
+        reference = PatternMatcher(tiny_graph, compiled=False)
+        sharded = ShardedMatcher(GraphPartitioner(4).partition(tiny_graph))
+        visited = []
+        count_shard = sharded.count_shard
+
+        def recording(index, query, limit=None, edge_order=None):
+            visited.append(index)
+            return count_shard(index, query, limit=limit, edge_order=edge_order)
+
+        sharded.count_shard = recording
         query = typed_query("person", "workAt")
-        assert result_key(reordered.match(query)) == result_key(serial.match(query))
-        assert reordered.count(query) == serial.count(query)
+        assert sharded.count(query) == reference.count(query)
+        assert visited == [0, 1, 2, 3]
+        before = sharded.shard_tasks
+        assert result_key(sharded.match(query)) == result_key(reference.match(query))
+        assert sharded.shard_tasks == before + 4
 
     def test_requires_sharded_graph(self, tiny_graph):
         with pytest.raises(TypeError):
@@ -328,7 +337,7 @@ def process_graph():
 
 @pytest.fixture(scope="module")
 def process_executor(process_graph):
-    with ProcessExecutor(process_graph, max_workers=2, shards=2) as executor:
+    with ProcessExecutor(process_graph, max_workers=2) as executor:
         executor.warm_up()
         yield executor
 
@@ -383,14 +392,32 @@ class TestProcessExecutor:
         assert process_executor.run_queries(queries, limit=2) == [2, 0]
         assert process_executor.run_queries([]) == []
 
-    def test_count_sharded_value_identical(self, process_graph, process_executor):
+    def test_bounded_counts_value_identical(self, process_graph, process_executor):
         reference = PatternMatcher(process_graph, compiled=False)
         query = typed_query("person", "workAt")
-        assert process_executor.count_sharded(query) == reference.count(query)
+        assert process_executor.run_queries([query]) == [reference.count(query)]
         for limit in (1, 3, 50):
-            assert process_executor.count_sharded(query, limit=limit) == (
+            assert process_executor.run_queries([query], limit=limit) == [
                 reference.count(query, limit=limit)
-            )
+            ]
+
+    def test_payload_ledger_counts_the_snapshot_per_worker(
+        self, process_graph, process_executor
+    ):
+        """shards=1: every worker is warmed from the whole snapshot, and
+        the ledger says so once per worker."""
+        import pickle
+
+        from repro.core.serialize import graph_to_dict
+
+        snapshot = len(
+            pickle.dumps(graph_to_dict(process_graph), pickle.HIGHEST_PROTOCOL)
+        )
+        pools = process_executor.info()["pools"]
+        assert pools["placement"] == "full"
+        assert pools["placement_map"] == {}
+        assert pools["payload_bytes_per_worker"] == [snapshot, snapshot]
+        assert pools["payload_bytes_max"] == snapshot
 
     def test_evaluator_routes_queries_through_pool(
         self, process_graph, process_executor
@@ -593,6 +620,9 @@ class TestServiceProcessMode:
         assert pools["pools_live"] == 1
         assert pools["workers"] == 1
         assert pools["queries_shipped"] > 0
+        assert pools["placement"] == "full"
+        graph_pools = stats["per_graph"][0]["process_pool"]["pools"]
+        assert pools["payload_bytes"] == sum(graph_pools["payload_bytes_per_worker"]) > 0
 
     def test_batched_process_service_is_deterministic(self, process_graph):
         """With a real worker batch (preferred batch = workers) the
@@ -616,6 +646,7 @@ class TestServiceProcessMode:
         pools = stats["pools"]
         assert pools["workers"] == 2
         assert pools["shards_per_pool"] == 2
+        assert pools["placement"] == "affine"
         assert stats["per_graph"][0]["process_pool"]["pools"]["max_workers"] == 2
 
     def test_eviction_closes_worker_pool(self, process_graph):
