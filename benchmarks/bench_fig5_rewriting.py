@@ -38,7 +38,6 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
             "C",
             "syntactic",
             "sec",
-            "plan hits",
             "cand hits",
         ],
         [
@@ -51,7 +50,6 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
                 r.best_cardinality,
                 r.best_syntactic,
                 r.elapsed,
-                r.plan_hits,
                 r.candidate_hits,
             )
             for r in priority_rows
@@ -60,9 +58,8 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
     )
     write_result("fig5_priorities", report)
 
-    # the per-graph shared plan and candidate caches must actually serve
-    # the rewriting workload (typed-adjacency PR acceptance criterion)
-    assert sum(r.plan_hits for r in priority_rows) > 0
+    # the per-graph shared candidate cache must actually serve the
+    # rewriting workload
     assert sum(r.candidate_hits for r in priority_rows) > 0
 
     # the compiled backend's counters must flow through the same
@@ -171,7 +168,6 @@ def test_appB_resource_consumption(write_result, benchmark):
             "cache entries",
             "hits",
             "hit rate",
-            "plan hits",
             "cand hits",
             "cand rate",
             "steps",
@@ -185,7 +181,6 @@ def test_appB_resource_consumption(write_result, benchmark):
                 r.cache_entries,
                 r.cache_hits,
                 r.cache_hit_rate,
-                r.plan_hits,
                 r.candidate_hits,
                 r.candidate_hit_rate,
                 r.matcher_steps,

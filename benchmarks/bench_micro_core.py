@@ -56,7 +56,6 @@ from repro.exec import ExecutionContext
 from repro.matching import (
     PatternMatcher,
     csr_stats,
-    plan_cache_stats,
     shared_evaluation_cache,
 )
 from repro.metrics.assignment import assignment_cost
@@ -1031,7 +1030,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 15,
+        "schema_version": 16,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
         "affine_placement": affine_placement,
@@ -1041,7 +1040,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "rewrite_identity": rewrite_identity,
         "ops": ops,
         "cache_counters": {
-            "plan": plan_cache_stats(ldbc_bundle.graph).as_dict(),
             "vertex_candidates": shared_evaluation_cache(
                 ldbc_bundle.graph
             ).stats.as_dict(),

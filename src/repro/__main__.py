@@ -251,7 +251,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                     "evaluated",
                     "generated",
                     "cache entries",
-                    "plan hits",
                     "cand hits",
                     "cand rate",
                     "steps",
@@ -262,7 +261,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                         r.evaluated,
                         r.generated,
                         r.cache_entries,
-                        r.plan_hits,
                         r.candidate_hits,
                         r.candidate_hit_rate,
                         r.matcher_steps,

@@ -33,8 +33,8 @@ Storage-layer invariants
   of maintained structures; no histogram dict is rebuilt per call.
 * **Version counter.**  Every mutation (``add_vertex``/``add_edge``/
   ``set_vertex_attribute``/``set_edge_attribute``) bumps ``version``;
-  evaluation-layer caches (plan cache, candidate cache in
-  :mod:`repro.matching.evalcache`) snapshot it and self-invalidate when the
+  evaluation-layer caches (candidate cache in
+  :mod:`repro.matching.evalcache`, the CSR index) snapshot it and self-invalidate when the
   graph has changed.
 * **Mutation delta log.**  Every version bump also appends one compact
   delta record to a bounded ring; :meth:`PropertyGraph.deltas_since`

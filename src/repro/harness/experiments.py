@@ -23,7 +23,6 @@ from repro.explain.discover_mcs import discover_mcs
 from repro.finegrained.baselines import GreedyCoarseSearch, RandomModificationSearch
 from repro.finegrained.traverse_search_tree import TraverseSearchTree
 from repro.matching.evalcache import shared_evaluation_cache
-from repro.matching.plan import plan_cache_stats
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
 from repro.rewrite.coarse import CoarseRewriter
 from repro.rewrite.preference_model import RewritePreferenceModel
@@ -199,7 +198,6 @@ class PriorityRow:
     best_syntactic: Optional[float]
     elapsed: float
     #: per-graph shared evaluation-cache hits this run contributed
-    plan_hits: int = 0
     candidate_hits: int = 0
 
 
@@ -210,19 +208,17 @@ def fig5_priorities(
 ) -> List[PriorityRow]:
     """Sec. 5.5.1: candidate-selector priority functions head-to-head.
 
-    The per-row ``plan_hits``/``candidate_hits`` deltas show how much of
-    each run's evaluation work was served by the per-graph shared caches:
+    The per-row ``candidate_hits`` delta shows how much of each run's
+    evaluation work was served by the per-graph shared candidate cache:
     from the second priority function onward, the same query variants are
-    re-evaluated and their plans and candidate sets are reused.
+    re-evaluated and their candidate sets are reused.
     """
     bundle, queries, empty_variant = load_dataset(dataset)
-    plan_stats = plan_cache_stats(bundle.graph)
     candidate_stats = shared_evaluation_cache(bundle.graph).stats
     rows: List[PriorityRow] = []
     for name in queries:
         failed = empty_variant(name)
         for priority in priorities:
-            plan_before = plan_stats.hits
             candidates_before = candidate_stats.hits
             # a fresh private context per run: the row-level deltas show
             # how much of each run the per-graph *shared* caches absorbed
@@ -243,7 +239,6 @@ def fig5_priorities(
                     best_cardinality=best.cardinality if best else None,
                     best_syntactic=best.syntactic if best else None,
                     elapsed=result.elapsed,
-                    plan_hits=plan_stats.hits - plan_before,
                     candidate_hits=candidate_stats.hits - candidates_before,
                 )
             )
@@ -388,7 +383,6 @@ class ResourceRow:
     cache_hits: int
     cache_hit_rate: float
     #: shared evaluation-cache activity attributable to this run
-    plan_hits: int = 0
     candidate_hits: int = 0
     candidate_hit_rate: float = 0.0
     matcher_steps: int = 0
@@ -398,11 +392,10 @@ def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
     """App. B.2: evaluated candidates, queue growth, cache effectiveness.
 
     Reports the query-result cache per run, plus the per-run deltas of the
-    graph-shared plan/candidate caches and the matcher's ``steps``
+    graph-shared candidate cache and the matcher's ``steps``
     instrumentation, so every cache layer's effectiveness is visible.
     """
     bundle, queries, empty_variant = load_dataset(dataset)
-    plan_stats = plan_cache_stats(bundle.graph)
     candidate_stats = shared_evaluation_cache(bundle.graph).stats
     rows: List[ResourceRow] = []
     for name in queries:
@@ -412,7 +405,6 @@ def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
         matcher = context.matcher
         cache = context.cache
         rewriter = CoarseRewriter(context=context, max_evaluations=200)
-        plan_before = plan_stats.hits
         candidates_before = candidate_stats.snapshot()
         result = rewriter.rewrite(failed, k=k)
         candidate_hits = candidate_stats.hits - candidates_before.hits
@@ -426,7 +418,6 @@ def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
                 cache_entries=len(cache),
                 cache_hits=cache.stats.hits,
                 cache_hit_rate=cache.stats.hit_rate,
-                plan_hits=plan_stats.hits - plan_before,
                 candidate_hits=candidate_hits,
                 candidate_hit_rate=(
                     candidate_hits / candidate_requests if candidate_requests else 0.0

@@ -15,7 +15,7 @@ from repro.matching.evalcache import (
     shared_evaluation_cache,
 )
 from repro.matching.matcher import PatternMatcher
-from repro.matching.plan import ExpandStep, SeedStep, build_plan, plan_cache_stats
+from repro.matching.plan import ExpandStep, SeedStep, build_plan
 from repro.matching.program import MatchProgram, ProgramUnsupported, compiled_program
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "csr_stats",
     "estimate_edge_candidates",
     "estimate_vertex_candidates",
-    "plan_cache_stats",
     "shared_evaluation_cache",
     "vertex_candidates",
     "vertex_matches",

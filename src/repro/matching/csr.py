@@ -23,8 +23,7 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   fine-grained search (one predicate constant per variant) recycles
   them instead of growing the index without bound.
 
-The index is cached per graph beside the plan cache of
-:mod:`repro.matching.plan` (same ``WeakKeyDictionary`` registry).  A
+The index is cached per graph in a ``WeakKeyDictionary`` registry.  A
 mutated graph no longer gets a wholesale rebuild: when the graph's
 delta log still holds the records between the index's snapshot version
 and the current one, :meth:`CSRIndex.apply_deltas` patches the packed

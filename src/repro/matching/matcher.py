@@ -19,7 +19,7 @@ how many backtracking steps were taken (``steps``); all evaluation-budget
 experiments report these counters.  Expansion walks the graph's
 type-partitioned adjacency, so a query edge with a type set only ever
 visits data edges of those types; :meth:`PatternMatcher.cache_info`
-reports the shared plan/candidate cache counters next to them.
+reports the shared candidate cache counters next to them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.matching.plan import (
     PlanStep,
     SeedStep,
     build_plan,
-    plan_cache_stats,
 )
 from repro.matching.program import (
     MatchProgram,
@@ -64,12 +63,12 @@ class PatternMatcher:
 
     One matcher instance is bound to one data graph; it is stateless
     between calls apart from its instrumentation counters.  Matchers bound
-    to the same graph share one evaluation cache (candidate sets) and one
-    plan cache by default, so independently constructed engines reuse each
-    other's derivations; pass ``evalcache`` to isolate a matcher.
+    to the same graph share one evaluation cache (candidate sets) by
+    default, so independently constructed engines reuse each other's
+    derivations; pass ``evalcache`` to isolate a matcher.
 
     ``compiled=True`` (the default) routes ``match``/``count``/``exists``
-    through the compiled backend: the memoised plan is bound to a
+    through the compiled backend: the query's plan is bound to a
     shape-keyed kernel over interned CSR arrays
     (:mod:`repro.matching.program`), visiting exactly the candidates
     the interpreter visits -- ``steps`` totals are identical on
@@ -99,15 +98,12 @@ class PatternMatcher:
         """Cache and compilation counters in the unified stats schema.
 
         Emits the :mod:`repro.stats` sections (``caches`` holds the
-        ``plan`` and ``vertex_candidates`` layers, ``csr``/``programs``
+        ``vertex_candidates`` layer, ``csr``/``programs``
         the compilation counters -- zeros until a compiled run).
         """
         flat = csr_stats(self.graph)
         return unified_stats(
-            caches={
-                "plan": plan_cache_stats(self.graph).as_dict(),
-                "vertex_candidates": self.evalcache.stats.as_dict(),
-            },
+            caches={"vertex_candidates": self.evalcache.stats.as_dict()},
             csr=csr_section(flat),
             programs=programs_section(flat),
             deltas=deltas_section(applied=flat.get("deltas_applied", 0)),

@@ -11,40 +11,23 @@ ordering the GRAPHITE executor used); a caller-supplied ``edge_order`` can
 override this, which is how the Ch. 4 traversal-path selection steers the
 evaluation.
 
-Plans are pure functions of ``(graph, query signature, edge_order)``, so
-they are memoised in a per-graph cache: the rewriting engines re-evaluate
-the same query variants through independently constructed matchers
-(priority comparisons, preference rounds), and repeated evaluation of a
-variant must not re-pay selectivity estimation.  The cache snapshots the
-graph's mutation counter; when the graph moves, invalidation is
-*delta-scoped*: plans pinned by an explicit ``edge_order`` are
-statistics-independent and always survive, and selectivity-ordered
-plans are dropped only when the pending delta run touches an attribute
-or edge type their query depends on (see :mod:`repro.core.delta`).
-With no delta log (or a ring overrun) the wholesale clear remains the
-fallback.  :func:`plan_cache_stats` exposes hit/miss counters to the
-harness.
+Plans are built, not cached: every evaluation orders its query afresh
+from index counts the graph already keeps, so a plan always reflects
+the current statistics and there is no invalidation rule to get wrong.
+Each call returns a fresh list of immutable steps.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
-from repro.core.delta import (
-    QueryTouchProfile,
-    delta_touch,
-    query_touch_profile,
-    touch_affects_query,
-)
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.matching.candidates import (
     estimate_edge_candidates,
     estimate_vertex_candidates,
 )
-from repro.matching.evalcache import CacheStats
 
 
 @dataclass(frozen=True)
@@ -71,200 +54,17 @@ class ExpandStep:
 PlanStep = Union[SeedStep, ExpandStep]
 
 
-class _PlanCache:
-    """Per-graph memo of built plans, keyed by (query signature, order)."""
-
-    __slots__ = ("version", "entries", "profiles", "wires", "stats")
-
-    def __init__(self, version: int) -> None:
-        self.version = version
-        self.entries: Dict[Hashable, List[PlanStep]] = {}
-        #: key -> touch profile of the query the plan was built for
-        self.profiles: Dict[Hashable, QueryTouchProfile] = {}
-        #: key -> wire form of the query (externalization: a signature
-        #: key is not invertible, so persistence keeps the query too)
-        self.wires: Dict[Hashable, Tuple] = {}
-        self.stats = CacheStats()
-
-
-_PLAN_CACHES: "weakref.WeakKeyDictionary[PropertyGraph, _PlanCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _plan_cache(graph: PropertyGraph) -> _PlanCache:
-    cache = _PLAN_CACHES.get(graph)
-    if cache is None:
-        cache = _PlanCache(graph.version)
-        _PLAN_CACHES[graph] = cache
-    elif cache.version != graph.version:
-        deltas_since = getattr(graph, "deltas_since", None)
-        deltas = deltas_since(cache.version) if deltas_since is not None else None
-        if deltas is None:
-            cache.entries.clear()
-            cache.profiles.clear()
-            cache.wires.clear()
-        else:
-            # Pinned edge_order plans (key[1] is not None) are pure
-            # functions of the query and always survive.  Selectivity
-            # plans survive unless the delta touches their statistics;
-            # a kept-but-suboptimal ordering stays *correct* -- only
-            # its fail-fast quality could lag the new statistics.
-            touch = delta_touch(deltas)
-            stale = [
-                key
-                for key, profile in cache.profiles.items()
-                if key[1] is None and touch_affects_query(touch, profile)
-            ]
-            for key in stale:
-                del cache.entries[key]
-                del cache.profiles[key]
-                cache.wires.pop(key, None)
-        cache.version = graph.version
-        cache.stats.size = len(cache.entries)
-    return cache
-
-
-def plan_cache_stats(graph: PropertyGraph) -> CacheStats:
-    """Hit/miss counters of the graph's plan cache (harness reporting)."""
-    return _plan_cache(graph).stats
-
-
 def build_plan(
     graph: PropertyGraph,
     query: GraphQuery,
     edge_order: Optional[Sequence[int]] = None,
 ) -> List[PlanStep]:
-    """Produce a connected, selectivity-ordered evaluation plan (memoised).
+    """Produce a connected, selectivity-ordered evaluation plan.
 
     ``edge_order`` forces the given query-edge processing order (edges must
     form a valid traversal; seeds are inserted automatically whenever the
-    next edge touches no bound vertex).  Repeated calls for the same
-    ``(graph, query signature, edge_order)`` return the cached plan; plans
-    are immutable step sequences, so sharing them is safe.
+    next edge touches no bound vertex).
     """
-    cache = _plan_cache(graph)
-    key: Tuple[Hashable, Optional[Tuple[int, ...]]] = (
-        query.signature(),
-        tuple(edge_order) if edge_order is not None else None,
-    )
-    cached = cache.entries.get(key)
-    if cached is not None:
-        cache.stats.hits += 1
-        return cached
-    cache.stats.misses += 1
-    plan = _build_plan_uncached(graph, query, edge_order)
-    cache.entries[key] = plan
-    cache.profiles[key] = query_touch_profile(query)
-    cache.wires[key] = _query_wire(query)
-    cache.stats.size = len(cache.entries)
-    return plan
-
-
-def _query_wire(query: GraphQuery) -> Tuple:
-    from repro.core.serialize import query_to_wire
-
-    return query_to_wire(query)
-
-
-def export_plans(
-    graph: PropertyGraph,
-) -> List[Tuple[GraphQuery, Optional[Tuple[int, ...]], List[PlanStep]]]:
-    """Snapshot the graph's plan cache as ``(query, edge_order, steps)``.
-
-    The cache is validated (delta-scoped) first, so the export is
-    consistent with ``graph.version`` at return time.  Entries without a
-    retained query wire form (pre-seam inserts) are skipped.
-    """
-    from repro.core.serialize import query_from_wire
-
-    cache = _plan_cache(graph)
-    out: List[Tuple[GraphQuery, Optional[Tuple[int, ...]], List[PlanStep]]] = []
-    for key, steps in cache.entries.items():
-        wire = cache.wires.get(key)
-        if wire is None:
-            continue
-        out.append((query_from_wire(wire), key[1], list(steps)))
-    return out
-
-
-def restore_plans(
-    graph: PropertyGraph,
-    items: Iterable[Tuple[GraphQuery, Optional[Sequence[int]], Sequence[PlanStep]]],
-) -> int:
-    """Insert externally persisted plans; returns how many landed.
-
-    A live entry for the same key wins.  Every candidate plan is
-    re-validated against its query (:func:`plan_covers_query`) before
-    insertion: a plan that does not cover the query exactly would make
-    the matcher silently skip constraints, so a snapshot -- however it
-    decayed on disk -- can cost warmth, never correctness.
-    """
-    cache = _plan_cache(graph)
-    restored = 0
-    for query, edge_order, steps in items:
-        plan = list(steps)
-        if not plan_covers_query(query, plan):
-            continue
-        key = (
-            query.signature(),
-            tuple(edge_order) if edge_order is not None else None,
-        )
-        if key in cache.entries:
-            continue
-        cache.entries[key] = plan
-        cache.profiles[key] = query_touch_profile(query)
-        cache.wires[key] = _query_wire(query)
-        restored += 1
-    cache.stats.size = len(cache.entries)
-    return restored
-
-
-def plan_covers_query(query: GraphQuery, steps: Sequence[PlanStep]) -> bool:
-    """Is ``steps`` a complete, well-anchored plan for ``query``?
-
-    Checks exactly the invariants :func:`build_plan` guarantees: every
-    step references live query elements, expansions anchor on an
-    already-bound vertex and bind the edge's other endpoint (or close
-    between two bound vertices), and the plan covers every query edge
-    exactly once and binds every query vertex.
-    """
-    bound: Set[int] = set()
-    seen_edges: Set[int] = set()
-    for step in steps:
-        if isinstance(step, SeedStep):
-            if not query.has_vertex(step.vid) or step.vid in bound:
-                return False
-            bound.add(step.vid)
-        elif isinstance(step, ExpandStep):
-            if not query.has_edge(step.eid) or step.eid in seen_edges:
-                return False
-            edge = query.edge(step.eid)
-            if step.anchor not in bound:
-                return False
-            if step.anchor not in (edge.source, edge.target):
-                return False
-            if step.new_vid is None:
-                if edge.source not in bound or edge.target not in bound:
-                    return False
-            else:
-                if step.new_vid in bound:
-                    return False
-                expected = _unbound_end(edge.source, edge.target, bound)
-                if step.new_vid != expected:
-                    return False
-                bound.add(step.new_vid)
-            seen_edges.add(step.eid)
-        else:
-            return False
-    return seen_edges == query.edge_ids and bound == query.vertex_ids
-
-
-def _build_plan_uncached(
-    graph: PropertyGraph,
-    query: GraphQuery,
-    edge_order: Optional[Sequence[int]] = None,
-) -> List[PlanStep]:
     if edge_order is not None:
         return _plan_from_edge_order(query, list(edge_order))
 

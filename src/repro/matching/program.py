@@ -1,6 +1,6 @@
 """Flat match programs: plans bound to shape-keyed nested-loop kernels.
 
-The second layer of the compiled matching backend.  A memoised plan
+The second layer of the compiled matching backend.  A plan
 from :mod:`repro.matching.plan` is conceptually a SEED / EXPAND /
 FILTER / EMIT op sequence over the packed arrays of
 :mod:`repro.matching.csr`:
@@ -35,10 +35,9 @@ what such variants share from what they do not:
 
 A :class:`MatchProgram` is one plan walked into ``(shape, binding)``.
 The walk costs a few dictionary probes per plan step and is repeated
-on every evaluation; nothing per query is retained -- no code object,
-no source, no cache entry beside the plan cache's -- so the arrays are
-always the index's current ones and a delta patch needs no invalidation
-here.  The kernel performs no allocation per step: scratch bitsets are
+on every evaluation; nothing per query is retained -- no plan, no code
+object, no source -- so the arrays are always the index's current ones
+and a delta patch needs no invalidation here.  The kernel performs no allocation per step: scratch bitsets are
 two ``bytearray`` blocks per call, and the enumeration visits exactly
 the candidates the interpreter visits, so the ``steps`` counter of a
 compiled run equals the interpreter's on unbounded evaluations (the
@@ -395,14 +394,12 @@ def compiled_program(
 ) -> MatchProgram:
     """The query's plan bound over the graph's current CSR index.
 
-    Resolution goes *through* the plan cache -- the plan is the memoised
-    pure function of ``(graph, query signature, edge_order)``, and its
-    hit counters keep reporting variant reuse exactly as on the
-    interpreter path -- and that is the only per-query cache there is:
-    the program is re-bound on every call, which is what makes every
-    :meth:`CSRIndex.apply_deltas` patch (appended rows, a segment going
-    from empty to non-empty, a recycled mask table) visible to the next
-    evaluation with no invalidation rule.  A plan the lowering refuses
+    The plan is built afresh, exactly as on the interpreter path, and
+    nothing per query is cached: the program is re-bound on every call,
+    which is what makes every :meth:`CSRIndex.apply_deltas` patch
+    (appended rows, a segment going from empty to non-empty, a recycled
+    mask table) visible to the next evaluation with no invalidation
+    rule.  A plan the lowering refuses
     is counted against the graph (``program_fallbacks``) before
     :class:`ProgramUnsupported` reaches the caller.
     """

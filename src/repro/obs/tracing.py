@@ -61,7 +61,7 @@ SPAN_SUBGRAPH = "subgraph"  # subgraph explanation (discover/bounded MCS)
 SPAN_REWRITE = "rewrite"  # rewriting search (coarse or search-tree)
 SPAN_EVALUATE = "evaluate"  # one CandidateEvaluator.evaluate() batch
 SPAN_MATCH = "match"  # one matcher call; attribute `op` in count/match/exists
-SPAN_PLAN = "plan"  # query-plan acquisition; attribute `cached`
+SPAN_PLAN = "plan"  # query-plan construction
 SPAN_CSR_BUILD = "csr_build"  # compiled backend: CSR array (re)build
 SPAN_PROGRAM_COMPILE = "program_compile"  # compiled backend: kernel codegen
 SPAN_WORKER = "worker"  # one process-pool worker's shipped summary

@@ -2,15 +2,15 @@
 
 A :class:`~repro.service.WhyQueryService` restart (or an LRU eviction
 from its context pool) historically discarded every derived artefact --
-the plan cache, the :class:`~repro.rewrite.cache.QueryResultCache` and
-the slow-query log -- so the first minutes after a deploy served
+the :class:`~repro.rewrite.cache.QueryResultCache` and the slow-query
+log -- so the first minutes after a deploy served
 why-queries at cold latency.  This module gives every cache owner an
 explicit, versioned externalization seam:
 
 * :func:`snapshot_context` serialises a context's result-cache entries
   (count + limit, keyed by the query itself -- signatures are not
-  invertible) and plan-cache entries into one JSON-safe payload stamped
-  with the graph mutation ``version`` and a content fingerprint;
+  invertible) into one JSON-safe payload stamped with the graph
+  mutation ``version`` and a content fingerprint;
 * :class:`SnapshotStore` writes payloads to disk in a checksummed,
   atomically-replaced format (``REPROSNAP`` magic + sha256 over the
   body), and its :meth:`~SnapshotStore.load` returns ``None`` on *any*
@@ -39,18 +39,15 @@ Validation rules (persisted version ``P`` vs live graph version ``G``):
             run -- if not, the live graph is not a descendant of the
             snapshot's graph and everything is discarded.  Entries
             whose query the delta run touches are dropped
-            (:func:`~repro.core.delta.touch_affects_query`); pinned
-            ``edge_order`` plans are statistics-independent and always
-            survive, mirroring the live plan cache.
+            (:func:`~repro.core.delta.touch_affects_query`).
 ========  ==============================================================
 
-Restored plans are additionally re-validated structurally
-(:func:`repro.matching.plan.plan_covers_query`) so even a
-checksummed-but-hostile payload can never make the matcher skip a
-constraint: a bad plan is refused, never executed.  Counts restore
-verbatim only after the version/fingerprint/delta gauntlet above, which
-is what keeps the differential guarantee -- a restored cache never
-returns a count a cold compute would not.
+Counts restore verbatim only after the version/fingerprint/delta
+gauntlet above, which is what keeps the differential guarantee -- a
+restored cache never returns a count a cold compute would not.  Plans
+are not persisted: they are rebuilt per evaluation from the live
+statistics, so a ``"plans"`` list in a file written by an older
+version is ignored.
 """
 
 from __future__ import annotations
@@ -61,20 +58,12 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.delta import delta_touch, query_touch_profile, touch_affects_query
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.core.serialize import graph_to_dict, query_from_dict, query_to_dict
-from repro.matching.plan import (
-    ExpandStep,
-    PlanStep,
-    SeedStep,
-    export_plans,
-    plan_covers_query,
-    restore_plans,
-)
 
 __all__ = [
     "MAGIC",
@@ -289,67 +278,25 @@ class SnapshotStore:
 def snapshot_context(context, slow_log=None) -> Dict[str, Any]:
     """One JSON-safe payload holding the context's warm state.
 
-    Exports the result cache and the graph's plan cache *after* their
-    own delta-scoped validation, so the payload is consistent with
-    ``graph.version`` at call time.  ``slow_log`` (a
-    :class:`~repro.obs.slowlog.SlowQueryLog`) rides along when given --
-    the service persists its log through the same store.
+    Exports the result cache *after* its own delta-scoped validation, so
+    the payload is consistent with ``graph.version`` at call time.
+    ``slow_log`` (a :class:`~repro.obs.slowlog.SlowQueryLog`) rides along
+    when given -- the service persists its log through the same store.
     """
     graph = context.graph
     results = [
         {"query": query_to_dict(query), "count": count, "limit": limit}
         for query, count, limit in context.cache.export_entries()
     ]
-    plans = [
-        {
-            "query": query_to_dict(query),
-            "edge_order": list(edge_order) if edge_order is not None else None,
-            "steps": _steps_to_payload(steps),
-        }
-        for query, edge_order, steps in export_plans(graph)
-    ]
     payload: Dict[str, Any] = {
         "kind": "context",
         "persisted_version": graph.version,
         "fingerprint": graph_fingerprint(graph),
         "results": results,
-        "plans": plans,
     }
     if slow_log is not None:
         payload["slow_log"] = slow_log.export()
     return payload
-
-
-def _steps_to_payload(steps: Sequence[PlanStep]) -> List[List[Any]]:
-    out: List[List[Any]] = []
-    for step in steps:
-        if isinstance(step, SeedStep):
-            out.append(["s", step.vid])
-        else:
-            out.append(["x", step.eid, step.anchor, step.new_vid])
-    return out
-
-
-def _steps_from_payload(raw: Iterable[Any]) -> List[PlanStep]:
-    steps: List[PlanStep] = []
-    for item in raw:
-        if not isinstance(item, (list, tuple)) or not item:
-            raise ValueError(f"malformed plan step {item!r}")
-        kind = item[0]
-        if kind == "s" and len(item) == 2:
-            steps.append(SeedStep(int(item[1])))
-        elif kind == "x" and len(item) == 4:
-            new_vid = item[3]
-            steps.append(
-                ExpandStep(
-                    int(item[1]),
-                    int(item[2]),
-                    None if new_vid is None else int(new_vid),
-                )
-            )
-        else:
-            raise ValueError(f"malformed plan step {item!r}")
-    return steps
 
 
 # -- restore ---------------------------------------------------------------------
@@ -363,8 +310,6 @@ class RestoreReport:
     reason: Optional[str] = None  #: why the payload was discarded, if it was
     results_restored: int = 0
     results_dropped: int = 0  #: delta-touched or malformed result entries
-    plans_restored: int = 0
-    plans_dropped: int = 0
     slow_log_restored: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
@@ -373,8 +318,6 @@ class RestoreReport:
             "reason": self.reason,
             "results_restored": self.results_restored,
             "results_dropped": self.results_dropped,
-            "plans_restored": self.plans_restored,
-            "plans_dropped": self.plans_dropped,
             "slow_log_restored": self.slow_log_restored,
         }
 
@@ -459,27 +402,6 @@ def restore_context(context, payload: Mapping[str, Any], slow_log=None) -> Resto
         results.append((query, count, limit))
     report.results_restored = context.cache.restore_entries(results)
     report.results_dropped += len(results) - report.results_restored
-
-    plans: List[Tuple[GraphQuery, Optional[Tuple[int, ...]], List[PlanStep]]] = []
-    for entry in payload.get("plans", ()):
-        parsed_plan = _parse_plan_entry(entry)
-        if parsed_plan is None:
-            report.plans_dropped += 1
-            continue
-        query, edge_order, steps = parsed_plan
-        # pinned-order plans are pure functions of the query: deltas
-        # cannot stale them (mirrors the live plan cache's scoping)
-        if (
-            touch is not None
-            and edge_order is None
-            and touch_affects_query(touch, query_touch_profile(query))
-        ):
-            report.plans_dropped += 1
-            continue
-        plans.append((query, edge_order, steps))
-    report.plans_restored = restore_plans(graph, plans)
-    report.plans_dropped += len(plans) - report.plans_restored
-
     report.status = "restored"
     return report
 
@@ -497,20 +419,3 @@ def _parse_result_entry(
     if count < 0 or (limit is not None and limit < 0):
         return None
     return query, count, limit
-
-
-def _parse_plan_entry(
-    entry: Any,
-) -> Optional[Tuple[GraphQuery, Optional[Tuple[int, ...]], List[PlanStep]]]:
-    try:
-        query = query_from_dict(entry["query"])
-        raw_order = entry["edge_order"]
-        edge_order = (
-            None if raw_order is None else tuple(int(e) for e in raw_order)
-        )
-        steps = _steps_from_payload(entry["steps"])
-    except Exception:
-        return None
-    if not plan_covers_query(query, steps):
-        return None
-    return query, edge_order, steps

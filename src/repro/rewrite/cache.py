@@ -34,7 +34,7 @@ class QueryResultCache:
     the requested evaluation limit, so the cache stores the limit next to
     the count (``None`` = unbounded, always reusable).
 
-    The wrapped matcher's plan and candidate caches are shared per graph,
+    The wrapped matcher's candidate cache is shared per graph,
     so even a cache *miss* here reuses the evaluation-layer derivations of
     every other engine bound to the same graph.
 

@@ -401,7 +401,7 @@ class WhyQueryService:
     dropping it, first touch prewarms from the spilled snapshot,
     :meth:`checkpoint`/:meth:`close` write durability points, the
     slow-query log survives restarts, and a restarted service restores
-    result/plan caches after validating each snapshot against the live
+    its result caches after validating each snapshot against the live
     graph (delta-replay scoped; see :mod:`repro.persist`).
 
     ``executor="process"`` switches on **CPU-parallel evaluation**:
@@ -517,7 +517,6 @@ class WhyQueryService:
             "prewarm_cold": 0,
             "prewarm_errors": 0,
             "results_restored": 0,
-            "plans_restored": 0,
             "spills": 0,
             "spill_errors": 0,
             "checkpoints": 0,
@@ -654,9 +653,7 @@ class WhyQueryService:
         self._last_restore = report.as_dict()
         if report.status == "restored":
             self._count_persist(
-                prewarm_restored=1,
-                results_restored=report.results_restored,
-                plans_restored=report.plans_restored,
+                prewarm_restored=1, results_restored=report.results_restored
             )
         else:
             self._count_persist(prewarm_cold=1)

@@ -15,8 +15,8 @@ A network front door (:mod:`repro.server`) serving a ``stats`` message
 needs *one* schema, so this module defines it:
 
 ======================  =====================================================
-``caches``              named hit/miss cache layers (``plan``,
-                        ``vertex_candidates``, ``results``, ...)
+``caches``              named hit/miss cache layers
+                        (``vertex_candidates``, ``results``, ``path1``)
 ``csr``                 interned CSR array accounting (``builds``, ``bytes``,
                         ``patches``, ``rebuilds``)
 ``programs``            compiled match kernels (``compiled``, ``hits``,

@@ -1,5 +1,5 @@
 """Tests for the typed-adjacency storage and the shared evaluation caches:
-zero-copy accessors, per-type counts, plan memoisation, candidate-set
+zero-copy accessors, per-type counts, plan construction, candidate-set
 memoisation, version-based invalidation, and the newly exercised matcher
 corners (homomorphic matching, self-loops under BOTH, typed expansion)."""
 
@@ -14,8 +14,10 @@ from repro.core import (
 )
 from repro.matching import (
     EvaluationCache,
+    ExpandStep,
     PatternMatcher,
-    plan_cache_stats,
+    SeedStep,
+    build_plan,
     shared_evaluation_cache,
 )
 from repro.rewrite import GraphStatistics, QueryResultCache
@@ -145,26 +147,27 @@ class TestTypedExpansion:
         assert PatternMatcher(g, injective=False).count(q) == 2  # x-y-x, y-x-y
 
 
-class TestPlanCache:
-    def test_same_variant_twice_hits_plan_cache(self, tiny_graph, person_works_at_university):
-        matcher = PatternMatcher(tiny_graph)
-        stats = plan_cache_stats(tiny_graph)
-        before_hits, before_misses = stats.hits, stats.misses
-        matcher.count(person_works_at_university)
-        matcher.count(person_works_at_university)
-        assert stats.misses == before_misses + 1
-        assert stats.hits == before_hits + 1
+class TestBuildPlan:
+    def test_repeated_calls_build_equal_fresh_plans(
+        self, tiny_graph, person_works_at_university
+    ):
+        first = build_plan(tiny_graph, person_works_at_university)
+        second = build_plan(tiny_graph, person_works_at_university)
+        assert first == second
+        assert first is not second  # built, not cached
+        # the two universities are more selective than the four persons
+        assert first == [SeedStep(1), ExpandStep(0, 1, 0)]
 
-    def test_plan_cache_shared_across_matchers(self, tiny_graph, person_works_at_university):
-        m1 = PatternMatcher(tiny_graph)
-        m2 = PatternMatcher(tiny_graph)
-        stats = plan_cache_stats(tiny_graph)
-        before_hits = stats.hits
-        m1.count(person_works_at_university)
-        m2.count(person_works_at_university)
-        assert stats.hits == before_hits + 1
+    def test_mutation_yields_a_fresh_plan(self, tiny_graph, person_works_at_university):
+        before = build_plan(tiny_graph, person_works_at_university)
+        for _ in range(3):
+            tiny_graph.add_vertex(type="university")
+        # five universities now outnumber the four persons: seed flips
+        after = build_plan(tiny_graph, person_works_at_university)
+        assert before == [SeedStep(1), ExpandStep(0, 1, 0)]
+        assert after == [SeedStep(0), ExpandStep(0, 0, 1)]
 
-    def test_edge_order_is_part_of_the_key(self, tiny_graph):
+    def test_edge_order_steers_the_plan(self, tiny_graph):
         q = GraphQuery()
         p = q.add_vertex(predicates={"type": equals("person")})
         u = q.add_vertex(predicates={"type": equals("university")})
@@ -173,18 +176,11 @@ class TestPlanCache:
         q.add_edge(u, c, types={"locatedIn"})
         matcher = PatternMatcher(tiny_graph)
         assert matcher.count(q) == matcher.count(q, edge_order=[1, 0])
-        stats = plan_cache_stats(tiny_graph)
-        matcher.count(q, edge_order=[1, 0])
-        assert stats.hits >= 1  # second [1, 0] evaluation reuses its plan
-
-    def test_mutation_invalidates_plan_cache(self, tiny_graph, person_works_at_university):
-        matcher = PatternMatcher(tiny_graph)
-        matcher.count(person_works_at_university)
-        assert plan_cache_stats(tiny_graph).size > 0
-        tiny_graph.add_vertex(type="person")
-        matcher.count(person_works_at_university)
-        # rebuilt after invalidation: exactly the one fresh entry
-        assert plan_cache_stats(tiny_graph).size == 1
+        assert build_plan(tiny_graph, q, [1, 0]) == [
+            SeedStep(u),
+            ExpandStep(1, u, c),
+            ExpandStep(0, u, p),
+        ]
 
 
 class TestEvaluationCache:
@@ -253,11 +249,10 @@ class TestEndToEndSharing:
         matcher.count(person_works_at_university)
         matcher.count(person_works_at_university)
         info = matcher.cache_info()
-        assert info["caches"]["plan"]["hits"] >= 1
+        assert set(info["caches"]) == {"vertex_candidates"}
         if matcher.compiled:
             # candidate sets are interned into program bitsets once; the
             # repeat evaluation is served by the program cache instead
             assert info["programs"]["hits"] >= 1
         else:
             assert info["caches"]["vertex_candidates"]["hits"] >= 1
-        assert 0.0 <= info["caches"]["plan"]["hit_rate"] <= 1.0

@@ -77,7 +77,7 @@ class TestExecutionContext:
             "metrics",
             "matcher",
         }
-        assert set(report["caches"]) == {"plan", "vertex_candidates", "results", "path1"}
+        assert set(report["caches"]) == {"vertex_candidates", "results", "path1"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
         # a plain dict: the pre-unification top-level keys are gone

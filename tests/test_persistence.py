@@ -6,7 +6,8 @@ format) fall back cold without raising; validation discards
 version-ahead, fingerprint-mismatched, lineage-mismatched and
 delta-ring-overrun snapshots; delta-touched entries are dropped while
 untouched ones survive; hostile-but-checksummed payloads can drop
-entries but never land an invalid plan; and -- the headline guarantee --
+entries but never land an invalid count, and a ``"plans"`` list from an
+older writer is ignored; and -- the headline guarantee --
 a restored cache never returns a count that differs from a cold
 compute, asserted differentially over the property-based seeds with a
 persist -> restore round-trip inserted.  The service-level tiering
@@ -22,7 +23,10 @@ import pytest
 
 from repro.core.graph import DELTA_RING_LIMIT, PropertyGraph
 from repro.core.query import GraphQuery
+from repro.datasets import ldbc
 from repro.exec.context import ExecutionContext
+from repro.matching import PatternMatcher
+from repro.metrics.cardinality import CardinalityThreshold
 from repro.obs import SlowQueryLog
 from repro.persist import (
     MAGIC,
@@ -149,7 +153,7 @@ class TestRestoreValidation:
         report = restore_context(context, payload)
         assert report.status == "restored"
         assert report.results_restored == 1
-        assert report.plans_restored >= 1
+        assert report.results_dropped == 0
         hits_before = context.cache.stats.hits
         assert context.count(query) == counts[id(query)]
         assert context.cache.stats.hits == hits_before + 1
@@ -246,22 +250,42 @@ class TestRestoreValidation:
             {"query": "not a query", "count": 1, "limit": None},
             42,
         ]
-        hostile["plans"] = [
-            {
-                # plan misses the query's edge: must be refused
-                "query": payload["plans"][0]["query"] if payload["plans"] else
-                {"vertices": [{"id": 0, "predicates": {}}], "edges": []},
-                "edge_order": None,
-                "steps": [["s", 0]],
-            },
-            {"query": None, "edge_order": None, "steps": "zzz"},
-        ]
         report = restore_context(ExecutionContext(build_graph()), hostile)
         assert report.status == "restored"
         assert report.results_restored == 0
         assert report.results_dropped == 3
-        assert report.plans_restored == 0
-        assert report.plans_dropped == 2
+
+    def test_older_payload_plans_are_ignored(self, tmp_path):
+        """A file written when plans were persisted still restores its
+        results; its ``"plans"`` list -- hostile entries included -- is
+        never read."""
+        graph = build_graph()
+        query = build_query()
+        _, counts, payload = warm_snapshot(graph, [query])
+        assert "plans" not in payload
+        older = copy.deepcopy(payload)
+        older["plans"] = [
+            {
+                "query": payload["results"][0]["query"],
+                "edge_order": None,
+                "steps": [["s", 0], ["x", 0, 0, 1]],
+            },
+            # would skip the query's edge if it were ever executed
+            {"query": payload["results"][0]["query"], "edge_order": None,
+             "steps": [["s", 0]]},
+            {"query": None, "edge_order": None, "steps": "zzz"},
+            42,
+        ]
+        store = SnapshotStore(str(tmp_path))
+        store.save("older", older)
+        context = ExecutionContext(build_graph())
+        report = restore_context(context, store.load("older"))
+        assert report.status == "restored"
+        assert (report.results_restored, report.results_dropped) == (1, 0)
+        assert not any(key.startswith("plans") for key in report.as_dict())
+        hits_before = context.cache.stats.hits
+        assert context.count(query) == counts[id(query)]
+        assert context.cache.stats.hits == hits_before + 1
 
     def test_persist_key_prefers_explicit_name(self):
         named = build_graph(name="prod")
@@ -391,6 +415,50 @@ class TestServiceTiering:
         assert result == {"contexts": 1, "errors": 0}
         stats = service.stats()["persistence"]
         assert (stats["spills"], stats["spill_errors"]) == (1, 1)
+
+    def test_checkpoint_while_explaining_same_graph(self, tmp_path):
+        """Regression: a checkpoint snapshots a context while a request
+        thread is still evaluating over the same graph; nothing the
+        snapshot iterates may change size under it."""
+        graph = ldbc.generate().graph
+        matcher = PatternMatcher(graph)
+        # the ldbc half of the paper's request mix: both why-empty
+        # variants plus a too-few and a too-many request per query
+        requests = []
+        for name, query in ldbc.queries().items():
+            requests += [(ldbc.empty_variant(name), None), (ldbc.empty_variant_edge(name), None)]
+            count = matcher.count(query)
+            upper = int(0.3 * count)
+            requests += [
+                (query, CardinalityThreshold(2 * count, 4 * count)),
+                (query, CardinalityThreshold(max(1, upper // 2), upper)),
+            ]
+        service = WhyQueryService(persist=str(tmp_path))
+        service.context_for(graph)
+        done = threading.Event()
+        failures = []
+
+        def explain_until_done():
+            try:
+                while not done.is_set():
+                    for query, threshold in requests:
+                        if done.is_set():
+                            break
+                        service.explain(graph, query, threshold)
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        worker = threading.Thread(target=explain_until_done)
+        worker.start()
+        try:
+            results = [service.checkpoint() for _ in range(15)]
+        finally:
+            done.set()
+            worker.join(60)
+        assert not failures
+        assert results == [{"contexts": 1, "errors": 0}] * 15
+        assert service.stats()["persistence"]["spill_errors"] == 0
+        service.close()
 
     def test_no_persist_dir_keeps_historical_behaviour(self):
         service = WhyQueryService()

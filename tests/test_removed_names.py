@@ -1,4 +1,4 @@
-"""Tombstones: what PR 20, PR 23, PR 24 and PR 25 deleted stays deleted.
+"""Tombstones: what PR 20 and PR 23 to PR 26 deleted stays deleted.
 
 Three parts.  The scan fails, naming file and line, when a removed
 identifier is mentioned again anywhere a reader would take it for a
@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import repro.client
+import repro.matching
+import repro.matching.plan
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.exec import EvaluationBudget, ExecutionContext
 from repro.finegrained import (
@@ -27,6 +29,7 @@ from repro.finegrained import (
 )
 from repro.matching import PatternMatcher, csr_stats
 from repro.metrics import CardinalityThreshold
+from repro.persist import RestoreReport
 from repro.rewrite import CoarseRewriter
 from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
@@ -34,7 +37,8 @@ from repro.why import DebugSession, WhyQueryEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: identifiers deleted without replacement (PR 20, PR 23, PR 24, then PR 25)
+#: identifiers deleted without replacement (PR 20, PR 23, PR 24, PR 25,
+#: then PR 26)
 REMOVED_NAMES = (
     "AsyncExecutor",
     "ParallelExecutor",
@@ -66,6 +70,13 @@ REMOVED_NAMES = (
     "full_snapshot_bytes",
     "payload_ratio",
     "sharded_expansion",
+    "plan_cache_stats",
+    "export_plans",
+    "restore_plans",
+    "plan_covers_query",
+    "_PLAN_CACHES",
+    "plans_restored",
+    "plan_hits",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -153,6 +164,33 @@ def test_csr_byte_budget_variable_evicts_nothing(monkeypatch):
         assert stats["csr_bytes"] > 0 and stats["csr_builds"] == 1
         with pytest.raises(KeyError):
             stats["csr_evictions"]
+
+
+# -- PR 26: plans are built, not cached -----------------------------------------
+
+
+def test_plan_cache_is_gone(tiny_graph, tmp_path):
+    for name in (
+        "plan_cache_stats", "export_plans", "restore_plans", "plan_covers_query",
+        "_PLAN_CACHES", "_PlanCache", "_plan_cache",
+    ):
+        assert not hasattr(repro.matching.plan, name), name
+        assert not hasattr(repro.matching, name), name
+    matcher = PatternMatcher(tiny_graph)
+    matcher.count(failing_query())
+    with pytest.raises(KeyError):
+        matcher.cache_info()["caches"]["plan"]
+    with pytest.raises(KeyError):
+        ExecutionContext(tiny_graph).cache_report()["caches"]["plan"]
+    with WhyQueryService(persist=str(tmp_path)) as service:
+        service.explain(tiny_graph, failing_query())
+        stats = service.stats()
+        with pytest.raises(KeyError):
+            stats["caches"]["plan"]
+        with pytest.raises(KeyError):
+            stats["persistence"]["plans_restored"]
+    fields = {f.name for f in dataclasses.fields(RestoreReport)}
+    assert not {"plans_restored", "plans_dropped"} & fields
 
 
 # -- PR 25: the shard count is the process tier's only shape setting ----------
