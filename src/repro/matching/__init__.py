@@ -4,7 +4,6 @@ and the compiled CSR/program backend."""
 from repro.matching.candidates import (
     attributes_match,
     estimate_edge_candidates,
-    estimate_vertex_candidates,
     vertex_candidates,
     vertex_matches,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "csr_for",
     "csr_stats",
     "estimate_edge_candidates",
-    "estimate_vertex_candidates",
     "shared_evaluation_cache",
     "vertex_candidates",
     "vertex_matches",

@@ -81,23 +81,6 @@ def vertex_candidates(
     )
 
 
-def estimate_vertex_candidates(graph: PropertyGraph, qvertex: QueryVertex) -> int:
-    """Cheap upper-bound estimate of a vertex's candidate count.
-
-    Used by the search planner (and by the Sec. 5.2 statistics provider)
-    without paying for the exact filtered set.
-    """
-    preds = qvertex.predicates
-    if not preds:
-        return graph.num_vertices
-    best = graph.num_vertices
-    for attr, pred in preds.items():
-        if isinstance(pred, ValueSet):
-            total = sum(graph.num_vertices_with(attr, v) for v in pred.values)
-            best = min(best, total)
-    return best
-
-
 def estimate_edge_candidates(graph: PropertyGraph, qedge: QueryEdge) -> int:
     """Cheap upper-bound estimate of an edge's candidate count (by type).
 

@@ -21,7 +21,12 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   matching loop tests a predicate with one index, never an object call.
   At most :data:`MASK_CAP` masks are interned per table: a long
   fine-grained search (one predicate constant per variant) recycles
-  them instead of growing the index without bound.
+  them instead of growing the index without bound;
+* the planner's statistics (:mod:`repro.matching.plan`): per-row
+  degrees of a segment set, counted from the type groups without
+  building the segments, and per-signature :class:`DegreeSums` tables
+  (sums of degree products over one interned mask), memoised until the
+  next patch.
 
 The index is cached per graph in a ``WeakKeyDictionary`` registry.  A
 mutated graph no longer gets a wholesale rebuild: when the graph's
@@ -50,8 +55,8 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate
-from operator import eq
+from itertools import accumulate, compress
+from operator import eq, mul
 from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.query import Direction, QueryEdge, QueryVertex
@@ -124,6 +129,8 @@ class CSRIndex:
         "_restrict_pools",
         "_edge_masks",
         "_edge_mask_preds",
+        "_degrees",
+        "_degree_sums",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -187,6 +194,10 @@ class CSRIndex:
         self._restrict_pools: Dict[Hashable, array] = {}
         self._edge_masks: Dict[Hashable, bytearray] = {}
         self._edge_mask_preds: Dict[Hashable, Dict[str, Any]] = {}
+        #: segments -> per-row degree summed over them (planner input)
+        self._degrees: Dict[Tuple, list] = {}
+        #: predicate signature -> its degree-sum table, this version only
+        self._degree_sums: Dict[Hashable, DegreeSums] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
@@ -246,11 +257,8 @@ class CSRIndex:
         # edge indexes ascend in insertion order and the sort is stable:
         # every row replays its vertex's adjacency list element for element
         order = sorted(eixs, key=row_of.__getitem__)
-        degree = [0] * (len(self.vid_of) + 1)
-        for row, edges in Counter(map(row_of.__getitem__, order)).items():
-            degree[row + 1] = edges
         return (
-            array(_IX, accumulate(degree)),
+            array(_IX, accumulate(self.degrees(((type_key, direction),)), initial=0)),
             array(_IX, order),
             array(_IX, map(other_of.__getitem__, order)),
         )
@@ -370,6 +378,50 @@ class CSRIndex:
             self._edge_mask_preds[sig] = dict(predicates)
         return mask
 
+    # -- planner statistics ------------------------------------------------------
+
+    def degrees(self, segments: Tuple[Tuple[Optional[str], str], ...]) -> list:
+        """Per-row degree summed over ``(type, direction)`` segments: the
+        row lengths an expansion scanning those segments walks (rows of
+        unknown adjacency count none).  Counted from the type groups, so
+        the segments themselves need not be built."""
+        row = self._degrees.get(segments)
+        if row is None:
+            if len(segments) > 1:
+                row = list(map(sum, zip(*[self.degrees((segment,)) for segment in segments])))
+            else:
+                ((type_key, direction),) = segments
+                row_of = self.src if direction == "out" else self.tgt
+                if type_key is None:
+                    eixs: Iterable[int] = range(len(self.eid_of))
+                else:
+                    eixs = self._by_type.get(type_key, ())
+                row = [0] * len(self.vid_of)
+                for ix, edges in Counter(map(row_of.__getitem__, eixs)).items():
+                    row[ix] = edges
+                if self.known is not None:
+                    row = list(map(mul, row, self.known))
+            self._degrees[segments] = row
+        return row
+
+    def degree_sums(
+        self,
+        qvertex: Optional[QueryVertex],
+        evalcache: Optional[EvaluationCache] = None,
+    ) -> "DegreeSums":
+        """The planner's degree-sum table over the rows satisfying
+        ``qvertex`` (every row for ``None``), interned by predicate
+        signature until the next patch; see :class:`DegreeSums`."""
+        sig = () if qvertex is None else qvertex.predicate_signature()
+        table = self._degree_sums.get(sig)
+        if table is None:
+            if len(self._degree_sums) >= MASK_CAP:
+                self._degree_sums.clear()
+            mask = None if qvertex is None else self.vertex_mask(qvertex, evalcache)
+            table = DegreeSums(self, mask)
+            self._degree_sums[sig] = table
+        return table
+
     # -- path(1) statistics ------------------------------------------------------
 
     def path1_count(
@@ -464,7 +516,8 @@ class CSRIndex:
         Returns ``False`` (index untouched) when the run is not
         patchable; the caller falls back to a full rebuild.  On success
         every flat array keeps its object identity; only the derived
-        restrict-pool memo (slice copies of the seed pools) is cleared.
+        memos (restrict pools, the planner's degree rows and sums) are
+        cleared.
         """
         if not self._patchable(deltas):
             return False
@@ -484,6 +537,8 @@ class CSRIndex:
             else:  # "ea"
                 self._patch_edge_attr(graph, record[1], record[2])
         self._restrict_pools.clear()
+        self._degrees.clear()
+        self._degree_sums.clear()
         self.version = graph.version
         return True
 
@@ -597,6 +652,35 @@ class CSRIndex:
             total += len(mask)
         for pool in self._seed_pools.values():
             total += pool.itemsize * len(pool)
+        return total
+
+
+class DegreeSums(dict):
+    """Degree factors -> the sum, over the rows of one vertex mask, of the
+    product of each row's :meth:`CSRIndex.degrees` in every factor (a
+    segment tuple); the empty factor tuple counts the rows.  Filled on
+    demand, one C-speed pass over the mask per entry."""
+
+    __slots__ = ("_csr", "_mask")
+
+    def __init__(self, csr: CSRIndex, mask: Optional[bytearray]) -> None:
+        super().__init__()
+        self._csr = csr
+        self._mask = mask
+
+    def __missing__(self, factors: Tuple[Tuple, ...]) -> int:
+        mask = self._mask
+        if not factors:
+            total = len(self._csr.vid_of) if mask is None else mask.count(1)
+        else:
+            rows: Iterable = [self._csr.degrees(segments) for segments in factors]
+            if mask is not None:
+                rows = [compress(row, mask) for row in rows]
+            product = rows[0]
+            for row in rows[1:]:
+                product = map(mul, product, row)
+            total = sum(product)
+        self[factors] = total
         return total
 
 

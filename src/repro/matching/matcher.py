@@ -5,7 +5,9 @@ Pattern-matching queries return the data subgraphs matching the query graph
 isomorphism with:
 
 * candidate pre-filtering from graph indexes,
-* connected, selectivity-ordered evaluation plans (:mod:`repro.matching.plan`),
+* connected evaluation plans ordered by estimated search steps -- a
+  cost-based join order on degree-weighted fan-out over the CSR image
+  (:mod:`repro.matching.plan`),
 * direction sets (forward / backward / both, Sec. 3.2.2),
 * edge type sets and predicate intervals on vertices and edges,
 * injective vertex and edge bindings by default (isomorphism semantics;

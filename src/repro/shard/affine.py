@@ -466,13 +466,13 @@ def canonical_edge_order(query: GraphQuery) -> Tuple[int, ...]:
     The shard decomposition is only exact when **every** shard's block
     restricts the *same* first-seed query vertex: blocks seeded at
     different query vertices neither partition nor cover the match set.
-    A slice's selectivity-ordered plan is built from its own *local*
+    A slice's cost-ordered plan is built from its own *local*
     statistics, so two slices can legitimately disagree on the seed --
     the one way the affine path could silently diverge.  This order is
     a pure function of the query (lowest-eid frontier edge first, new
     components at the lowest remaining eid), so every slice, every
     worker process and every coordinator-side fallback derives the
-    identical plan -- trading the per-slice selectivity ordering for
+    identical plan -- trading the per-slice cost ordering for
     cross-shard consistency.
     """
     remaining = set(query.edge_ids)

@@ -77,6 +77,7 @@ REMOVED_NAMES = (
     "_PLAN_CACHES",
     "plans_restored",
     "plan_hits",
+    "estimate_vertex_candidates",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -191,6 +192,17 @@ def test_plan_cache_is_gone(tiny_graph, tmp_path):
             stats["persistence"]["plans_restored"]
     fields = {f.name for f in dataclasses.fields(RestoreReport)}
     assert not {"plans_restored", "plans_dropped"} & fields
+
+
+# -- the cost-based planner reads degrees, not candidate-count estimates -------
+
+
+def test_vertex_candidate_estimate_is_gone():
+    import repro.matching.candidates
+
+    for module in (repro.matching, repro.matching.candidates, repro.matching.plan):
+        assert not hasattr(module, "estimate_vertex_candidates")
+    assert "estimate_vertex_candidates" not in repro.matching.__all__
 
 
 # -- PR 25: the shard count is the process tier's only shape setting ----------
