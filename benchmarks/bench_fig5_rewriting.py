@@ -38,7 +38,6 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
             "C",
             "syntactic",
             "sec",
-            "cand hits",
         ],
         [
             (
@@ -50,17 +49,12 @@ def test_fig5_priority_functions(priority_rows, write_result, benchmark, ldbc_bu
                 r.best_cardinality,
                 r.best_syntactic,
                 r.elapsed,
-                r.candidate_hits,
             )
             for r in priority_rows
         ],
         title="Sec. 5.5.1: query-candidate selector priority functions",
     )
     write_result("fig5_priorities", report)
-
-    # the per-graph shared candidate cache must actually serve the
-    # rewriting workload
-    assert sum(r.candidate_hits for r in priority_rows) > 0
 
     # the compiled backend's counters must flow through the same
     # reporting seam (compiled-matching PR acceptance criterion): a
@@ -168,8 +162,6 @@ def test_appB_resource_consumption(write_result, benchmark):
             "cache entries",
             "hits",
             "hit rate",
-            "cand hits",
-            "cand rate",
             "steps",
         ],
         [
@@ -181,8 +173,6 @@ def test_appB_resource_consumption(write_result, benchmark):
                 r.cache_entries,
                 r.cache_hits,
                 r.cache_hit_rate,
-                r.candidate_hits,
-                r.candidate_hit_rate,
                 r.matcher_steps,
             )
             for r in rows
@@ -193,7 +183,4 @@ def test_appB_resource_consumption(write_result, benchmark):
     for r in rows:
         assert r.generated >= r.evaluated
         assert r.cache_entries > 0
-    # the candidate cache is shared across every engine on the graph, so
-    # the overlapping variants of one search alone must already hit it
-    assert sum(r.candidate_hits for r in rows) > 0
     benchmark.pedantic(lambda: appB_resources("dbpedia", k=1), rounds=1, iterations=1)

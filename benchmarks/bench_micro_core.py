@@ -53,11 +53,7 @@ import time
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.datasets import ldbc
 from repro.exec import ExecutionContext
-from repro.matching import (
-    PatternMatcher,
-    csr_stats,
-    shared_evaluation_cache,
-)
+from repro.matching import PatternMatcher, csr_stats
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.result_distance import result_set_distance
 from repro.metrics.syntactic import syntactic_distance
@@ -1007,13 +1003,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
             "best_s": _best_of(lambda: stats.estimate_query_cardinality(q4))
         },
         # the op above times memo hits only; this one is the lookup itself:
-        # a fresh provider (empty memo) over the graph's warm CSR image,
-        # masks and candidate sets
+        # a fresh provider (empty memo) over the graph's warm CSR image
+        # and its interned masks
         "statistics_estimate_q4_fresh": {
             "best_s": _best_of(
-                lambda: GraphStatistics(
-                    ldbc_bundle.graph, evalcache=context.evalcache
-                ).estimate_query_cardinality(q4)
+                lambda: GraphStatistics(ldbc_bundle.graph).estimate_query_cardinality(q4)
             )
         },
         "result_cache_hit": {"best_s": _best_of(lambda: cache.count(q1))},
@@ -1030,7 +1024,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 16,
+        "schema_version": 17,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
         "affine_placement": affine_placement,
@@ -1039,11 +1033,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "restart_warm": restart_warm,
         "rewrite_identity": rewrite_identity,
         "ops": ops,
-        "cache_counters": {
-            "vertex_candidates": shared_evaluation_cache(
-                ldbc_bundle.graph
-            ).stats.as_dict(),
-        },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(

@@ -251,8 +251,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                     "evaluated",
                     "generated",
                     "cache entries",
-                    "cand hits",
-                    "cand rate",
                     "steps",
                 ],
                 [
@@ -261,8 +259,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                         r.evaluated,
                         r.generated,
                         r.cache_entries,
-                        r.candidate_hits,
-                        r.candidate_hit_rate,
                         r.matcher_steps,
                     )
                     for r in rows

@@ -33,9 +33,9 @@ Storage-layer invariants
   of maintained structures; no histogram dict is rebuilt per call.
 * **Version counter.**  Every mutation (``add_vertex``/``add_edge``/
   ``set_vertex_attribute``/``set_edge_attribute``) bumps ``version``;
-  evaluation-layer caches (candidate cache in
-  :mod:`repro.matching.evalcache`, the CSR index) snapshot it and self-invalidate when the
-  graph has changed.
+  evaluation-layer caches (the CSR index with its interned candidate
+  masks, the result cache, the statistics memo) snapshot it and
+  self-invalidate when the graph has changed.
 * **Mutation delta log.**  Every version bump also appends one compact
   delta record to a bounded ring; :meth:`PropertyGraph.deltas_since`
   hands consumers (the CSR index, the evaluation caches, the shard

@@ -14,7 +14,6 @@ What a context holds:
 ``matcher``             the graph's :class:`~repro.matching.matcher.PatternMatcher`
 ``cache``               bounded-count memoisation (:class:`~repro.rewrite.cache.QueryResultCache`)
 ``statistics``          cardinality estimation (:class:`~repro.rewrite.statistics.GraphStatistics`)
-``evalcache``           per-graph candidate-set cache (:mod:`repro.matching.evalcache`)
 ``domain``              data-driven value proposals (:class:`~repro.rewrite.operations.AttributeDomain`)
 ``preference_model``    rewrite preference model shared by interactive flows
 ``preferences``         traversal preferences shared by the explanation engines
@@ -45,7 +44,6 @@ from typing import Any, Dict, Optional
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.explain.preferences import UserPreferences
-from repro.matching.evalcache import EvaluationCache
 from repro.matching.matcher import PatternMatcher
 from repro.obs.tracing import current_tracer
 from repro.rewrite.cache import QueryResultCache
@@ -75,7 +73,7 @@ class ExecutionContext:
         self.graph = graph
         self.matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
         self.cache = QueryResultCache(self.matcher, max_entries=result_cache_entries)
-        self.statistics = GraphStatistics(graph, evalcache=self.matcher.evalcache)
+        self.statistics = GraphStatistics(graph)
         self.domain = AttributeDomain(graph)
         self.preference_model = RewritePreferenceModel()
         self.preferences = UserPreferences()
@@ -122,11 +120,6 @@ class ExecutionContext:
     # -- evaluation façade ----------------------------------------------------
 
     @property
-    def evalcache(self) -> EvaluationCache:
-        """The per-graph candidate-set cache all layers share."""
-        return self.matcher.evalcache
-
-    @property
     def tracer(self):
         """The calling request's tracer (:data:`~repro.obs.NULL_TRACER`
         when tracing is off).  One context serves *concurrent* requests,
@@ -163,11 +156,11 @@ class ExecutionContext:
         ``["caches"]["path1"]``.
         """
         info = self.matcher.cache_info()
-        caches = dict(info["caches"])
-        caches["results"] = self.cache.stats.as_dict()
-        caches["path1"] = self.statistics.memo_report()
         return unified_stats(
-            caches=caches,
+            caches={
+                "results": self.cache.stats.as_dict(),
+                "path1": self.statistics.memo_report(),
+            },
             csr=info["csr"],
             programs=info["programs"],
             deltas=info["deltas"],

@@ -28,10 +28,11 @@ sequential -- one candidate popped, one ``count`` issued, repeat.
 
 Thread-safety: the evaluation stack underneath
 (:class:`~repro.rewrite.cache.QueryResultCache`,
-:class:`~repro.matching.matcher.PatternMatcher`,
-:class:`~repro.matching.evalcache.EvaluationCache`) keeps all per-call
+:class:`~repro.matching.matcher.PatternMatcher`) keeps all per-call
 search state on the stack and mutates only dictionaries and integer
-counters, which CPython performs atomically under the GIL; the evaluator
+counters, which CPython performs atomically under the GIL; the packed
+CSR index (:mod:`repro.matching.csr`) catches up with a write under its
+own lock, so concurrent readers apply a delta run once; the evaluator
 additionally deduplicates a batch *before* submission so one cache entry
 is computed at most once per batch.
 """

@@ -22,7 +22,6 @@ from repro.explain.bounded_mcs import bounded_mcs
 from repro.explain.discover_mcs import discover_mcs
 from repro.finegrained.baselines import GreedyCoarseSearch, RandomModificationSearch
 from repro.finegrained.traverse_search_tree import TraverseSearchTree
-from repro.matching.evalcache import shared_evaluation_cache
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
 from repro.rewrite.coarse import CoarseRewriter
 from repro.rewrite.preference_model import RewritePreferenceModel
@@ -197,8 +196,6 @@ class PriorityRow:
     best_cardinality: Optional[int]
     best_syntactic: Optional[float]
     elapsed: float
-    #: per-graph shared evaluation-cache hits this run contributed
-    candidate_hits: int = 0
 
 
 def fig5_priorities(
@@ -206,22 +203,14 @@ def fig5_priorities(
     priorities: Sequence[str] = tuple(sorted(PRIORITY_FUNCTIONS)),
     max_evaluations: int = 150,
 ) -> List[PriorityRow]:
-    """Sec. 5.5.1: candidate-selector priority functions head-to-head.
-
-    The per-row ``candidate_hits`` delta shows how much of each run's
-    evaluation work was served by the per-graph shared candidate cache:
-    from the second priority function onward, the same query variants are
-    re-evaluated and their candidate sets are reused.
-    """
+    """Sec. 5.5.1: candidate-selector priority functions head-to-head."""
     bundle, queries, empty_variant = load_dataset(dataset)
-    candidate_stats = shared_evaluation_cache(bundle.graph).stats
     rows: List[PriorityRow] = []
     for name in queries:
         failed = empty_variant(name)
         for priority in priorities:
-            candidates_before = candidate_stats.hits
-            # a fresh private context per run: the row-level deltas show
-            # how much of each run the per-graph *shared* caches absorbed
+            # a fresh private context per run: no run reuses another's
+            # result cache
             rewriter = CoarseRewriter(
                 context=ExecutionContext(bundle.graph),
                 priority=priority,
@@ -239,7 +228,6 @@ def fig5_priorities(
                     best_cardinality=best.cardinality if best else None,
                     best_syntactic=best.syntactic if best else None,
                     elapsed=result.elapsed,
-                    candidate_hits=candidate_stats.hits - candidates_before,
                 )
             )
     return rows
@@ -382,21 +370,16 @@ class ResourceRow:
     cache_entries: int
     cache_hits: int
     cache_hit_rate: float
-    #: shared evaluation-cache activity attributable to this run
-    candidate_hits: int = 0
-    candidate_hit_rate: float = 0.0
     matcher_steps: int = 0
 
 
 def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
     """App. B.2: evaluated candidates, queue growth, cache effectiveness.
 
-    Reports the query-result cache per run, plus the per-run deltas of the
-    graph-shared candidate cache and the matcher's ``steps``
-    instrumentation, so every cache layer's effectiveness is visible.
+    Reports the query-result cache per run next to the matcher's
+    ``steps`` instrumentation.
     """
     bundle, queries, empty_variant = load_dataset(dataset)
-    candidate_stats = shared_evaluation_cache(bundle.graph).stats
     rows: List[ResourceRow] = []
     for name in queries:
         failed = empty_variant(name)
@@ -405,10 +388,7 @@ def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
         matcher = context.matcher
         cache = context.cache
         rewriter = CoarseRewriter(context=context, max_evaluations=200)
-        candidates_before = candidate_stats.snapshot()
         result = rewriter.rewrite(failed, k=k)
-        candidate_hits = candidate_stats.hits - candidates_before.hits
-        candidate_requests = candidate_stats.requests - candidates_before.requests
         rows.append(
             ResourceRow(
                 query=name,
@@ -418,10 +398,6 @@ def appB_resources(dataset: str = "ldbc", k: int = 3) -> List[ResourceRow]:
                 cache_entries=len(cache),
                 cache_hits=cache.stats.hits,
                 cache_hit_rate=cache.stats.hit_rate,
-                candidate_hits=candidate_hits,
-                candidate_hit_rate=(
-                    candidate_hits / candidate_requests if candidate_requests else 0.0
-                ),
                 matcher_steps=matcher.steps,
             )
         )

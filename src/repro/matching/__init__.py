@@ -8,19 +8,12 @@ from repro.matching.candidates import (
     vertex_matches,
 )
 from repro.matching.csr import CSRIndex, csr_for, csr_stats
-from repro.matching.evalcache import (
-    CacheStats,
-    EvaluationCache,
-    shared_evaluation_cache,
-)
 from repro.matching.matcher import PatternMatcher
 from repro.matching.plan import ExpandStep, SeedStep, build_plan
 from repro.matching.program import MatchProgram, ProgramUnsupported, compiled_program
 
 __all__ = [
     "CSRIndex",
-    "CacheStats",
-    "EvaluationCache",
     "ExpandStep",
     "MatchProgram",
     "PatternMatcher",
@@ -32,7 +25,6 @@ __all__ = [
     "csr_for",
     "csr_stats",
     "estimate_edge_candidates",
-    "shared_evaluation_cache",
     "vertex_candidates",
     "vertex_matches",
 ]

@@ -19,9 +19,12 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
 * attribute predicates are interned by *predicate signature* into
   per-vertex / per-edge bitsets (``bytearray`` masks), so the inner
   matching loop tests a predicate with one index, never an object call.
-  At most :data:`MASK_CAP` masks are interned per table: a long
-  fine-grained search (one predicate constant per variant) recycles
-  them instead of growing the index without bound;
+  The vertex masks (with their seed pools) are the process's only memo
+  of which vertices satisfy a predicate signature: the matcher, the
+  planner and the rewriters' statistics all read them.  At most
+  :data:`MASK_CAP` masks are interned per table: a long fine-grained
+  search (one predicate constant per variant) recycles them instead of
+  growing the index without bound;
 * the planner's statistics (:mod:`repro.matching.plan`): per-row
   degrees of a segment set, counted from the type groups without
   building the segments, and per-signature :class:`DegreeSums` tables
@@ -41,7 +44,10 @@ turning non-empty included.  The patch falls back to a full
 rebuild (``csr_rebuilds``) when a delta breaks an interned-order
 invariant: a vertex id below the current maximum (the dense interning
 is ascending-vid), an edge touching an uninterned endpoint, or a ring
-overrun.  Partial graphs -- the worker-side
+overrun.  Building, patching and rebuilding run under one module lock
+that re-checks the version inside it, so two readers arriving after a
+write apply the pending run once; the up-to-date check stays lock-free.
+Partial graphs -- the worker-side
 :class:`~repro.shard.affine.ShardSlice` -- are first-class: the interned
 universe covers owned *and* halo vertices (halo attributes are
 checkable), ``known`` marks the owned rows whose adjacency is complete,
@@ -51,6 +57,7 @@ accessor surface exactly.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
@@ -61,7 +68,6 @@ from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.query import Direction, QueryEdge, QueryVertex
 from repro.matching.candidates import attributes_match, vertex_candidates
-from repro.matching.evalcache import EvaluationCache
 from repro.obs.tracing import SPAN_CSR_BUILD, current_tracer
 
 __all__ = [
@@ -77,9 +83,13 @@ _IX = "i"
 #: bound on the interned predicate masks of one index, per table (vertex
 #: masks with their seed pools, edge masks).  A mask costs a byte per
 #: element and a fine-grained search interns one per predicate constant
-#: it tries; a full table is dropped whole and refills from the masks
-#: still in use (nothing lowered outlives one evaluation)
-MASK_CAP = 256
+#: it tries; a full table is dropped whole and refills from the graph's
+#: indexes (nothing lowered outlives one evaluation).  The bound sits
+#: above the 325-417 vertex signatures the paper's request mix derives
+#: on one graph, mutation rounds included, so that mix never recycles: a
+#: refill re-derives a candidate set, and no other memo keeps one.  The
+#: worst case is MASK_CAP bytes per vertex plus MASK_CAP per edge
+MASK_CAP = 1024
 
 #: bound on the seed-restrict pool memo (one entry per seed signature
 #: and shard of every partition granularity the index is driven under)
@@ -265,17 +275,17 @@ class CSRIndex:
 
     # -- predicate masks ---------------------------------------------------------
 
-    def vertex_mask(
-        self, qvertex: QueryVertex, evalcache: Optional[EvaluationCache] = None
-    ) -> Optional[bytearray]:
+    def vertex_mask(self, qvertex: QueryVertex) -> Optional[bytearray]:
         """Bitset over vertex indexes satisfying the vertex's predicates,
         or ``None`` when the vertex is unconstrained (nothing to test).
 
         Interned by predicate signature, so all query variants sharing a
-        constraint share one mask.  The mask is filled from the (shared)
-        candidate cache; on a partial graph the candidate indexes cover
-        the owned range only, so the halo attributes are evaluated
-        directly on top -- expansion targets may land in the halo.
+        constraint share one mask: this table is the one memo of which
+        vertices satisfy a signature.  A mask is filled from the graph's
+        indexes (:func:`~repro.matching.candidates.vertex_candidates`);
+        on a partial graph those cover the owned range only, so the halo
+        attributes are evaluated directly on top -- expansion targets may
+        land in the halo.
         """
         predicates = qvertex.predicates
         if not predicates:
@@ -284,18 +294,17 @@ class CSRIndex:
         mask = self._vertex_masks.get(sig)
         if mask is None:
             if len(self._vertex_masks) >= MASK_CAP:
+                # every memo holding a vertex mask goes with the table
+                # (a DegreeSums keeps its mask alive)
                 self._vertex_masks.clear()
                 self._mask_preds.clear()
                 self._seed_pools.clear()
                 self._restrict_pools.clear()
+                self._degree_sums.clear()
             graph = self._graph()
             mask = bytearray(len(self.vid_of))
-            if evalcache is not None:
-                candidates = evalcache.vertex_candidates(qvertex)
-            else:
-                candidates = vertex_candidates(graph, qvertex)
             ix_of = self.ix_of
-            for vid in candidates or ():
+            for vid in vertex_candidates(graph, qvertex):
                 mask[ix_of[vid]] = 1
             if self.partial:
                 for vid, attributes in graph._halo.items():
@@ -305,16 +314,14 @@ class CSRIndex:
             self._mask_preds[sig] = dict(predicates)
         return mask
 
-    def seed_pool(
-        self, qvertex: QueryVertex, evalcache: Optional[EvaluationCache] = None
-    ) -> array:
+    def seed_pool(self, qvertex: QueryVertex) -> array:
         """Ascending vertex-index pool for seeding ``qvertex``: the seed
         universe (owned range on partial graphs) filtered by the
         vertex's mask.  Interned by predicate signature."""
         sig = qvertex.predicate_signature()
         pool = self._seed_pools.get(sig)
         if pool is None:
-            mask = self.vertex_mask(qvertex, evalcache)
+            mask = self.vertex_mask(qvertex)
             if mask is None:
                 pool = self.seed_universe
             else:
@@ -323,10 +330,7 @@ class CSRIndex:
         return pool
 
     def restricted_seed_pool(
-        self,
-        qvertex: QueryVertex,
-        restrict: AbstractSet[int],
-        evalcache: Optional[EvaluationCache] = None,
+        self, qvertex: QueryVertex, restrict: AbstractSet[int]
     ) -> array:
         """:meth:`seed_pool` confined to the data vertices ``restrict``
         (the ``seed_restrict`` clamp of a shard-seeded evaluation),
@@ -336,7 +340,7 @@ class CSRIndex:
         key = (qvertex.predicate_signature(), restrict)
         pool = self._restrict_pools.get(key)
         if pool is None:
-            pool = self._restricted(self.seed_pool(qvertex, evalcache), restrict)
+            pool = self._restricted(self.seed_pool(qvertex), restrict)
             if len(self._restrict_pools) >= _RESTRICT_MEMO_ENTRIES:
                 self._restrict_pools.clear()
             self._restrict_pools[key] = pool
@@ -404,11 +408,7 @@ class CSRIndex:
             self._degrees[segments] = row
         return row
 
-    def degree_sums(
-        self,
-        qvertex: Optional[QueryVertex],
-        evalcache: Optional[EvaluationCache] = None,
-    ) -> "DegreeSums":
+    def degree_sums(self, qvertex: Optional[QueryVertex]) -> "DegreeSums":
         """The planner's degree-sum table over the rows satisfying
         ``qvertex`` (every row for ``None``), interned by predicate
         signature until the next patch; see :class:`DegreeSums`."""
@@ -417,7 +417,7 @@ class CSRIndex:
         if table is None:
             if len(self._degree_sums) >= MASK_CAP:
                 self._degree_sums.clear()
-            mask = None if qvertex is None else self.vertex_mask(qvertex, evalcache)
+            mask = None if qvertex is None else self.vertex_mask(qvertex)
             table = DegreeSums(self, mask)
             self._degree_sums[sig] = table
         return table
@@ -429,7 +429,6 @@ class CSRIndex:
         qedge: QueryEdge,
         source: Optional[QueryVertex] = None,
         target: Optional[QueryVertex] = None,
-        evalcache: Optional[EvaluationCache] = None,
     ) -> int:
         """Edges satisfying ``qedge``'s type set and predicates whose
         endpoints satisfy ``source`` / ``target`` in at least one admitted
@@ -446,7 +445,7 @@ class CSRIndex:
         emask = self.edge_mask(qedge)
         masks = []
         for qvertex in (source, target):
-            mask = None if qvertex is None else self.vertex_mask(qvertex, evalcache)
+            mask = None if qvertex is None else self.vertex_mask(qvertex)
             masks.append(b"\x01" * len(self.vid_of) if mask is None else mask)
         smask, tmask = masks
         if qedge.types is None:
@@ -738,26 +737,36 @@ def _pending_deltas(graph: Any, version: int) -> Optional[Tuple[Tuple, ...]]:
     return deltas_since(version)
 
 
+#: serialises build, patch and rebuild: two readers arriving after one
+#: write must not both apply its delta run to the same index
+_CSR_LOCK = threading.Lock()
+
+
 def csr_entry(graph: Any) -> _CsrEntry:
     """The graph's cache entry, brought up to the graph's *current*
     version: patched in place from the pending delta run when the log
     still holds it, rebuilt otherwise (ring overrun, unpatchable
-    record or no log)."""
+    record or no log).  An up-to-date entry is returned without the
+    lock; catching up takes it and re-checks the version inside."""
     entry = _CSR_ENTRIES.get(graph)
-    if entry is None:
-        with current_tracer().span(SPAN_CSR_BUILD, reason="first"):
-            entry = _CsrEntry(CSRIndex(graph))
-        _CSR_ENTRIES[graph] = entry
-    elif entry.csr.version != graph.version:
-        deltas = _pending_deltas(graph, entry.csr.version)
-        if deltas is not None and entry.csr.apply_deltas(deltas):
-            entry.patches += 1
-            entry.deltas_applied += len(deltas)
-        else:
-            with current_tracer().span(SPAN_CSR_BUILD, reason="rebuild"):
-                entry.csr = CSRIndex(graph)
-            entry.builds += 1
-            entry.rebuilds += 1
+    if entry is not None and entry.csr.version == graph.version:
+        return entry
+    with _CSR_LOCK:
+        entry = _CSR_ENTRIES.get(graph)
+        if entry is None:
+            with current_tracer().span(SPAN_CSR_BUILD, reason="first"):
+                entry = _CsrEntry(CSRIndex(graph))
+            _CSR_ENTRIES[graph] = entry
+        elif entry.csr.version != graph.version:
+            deltas = _pending_deltas(graph, entry.csr.version)
+            if deltas is not None and entry.csr.apply_deltas(deltas):
+                entry.patches += 1
+                entry.deltas_applied += len(deltas)
+            else:
+                with current_tracer().span(SPAN_CSR_BUILD, reason="rebuild"):
+                    entry.csr = CSRIndex(graph)
+                entry.builds += 1
+                entry.rebuilds += 1
     return entry
 
 

@@ -20,8 +20,9 @@ The matcher also counts how many match calls it has served (``calls``) and
 how many backtracking steps were taken (``steps``); all evaluation-budget
 experiments report these counters.  Expansion walks the graph's
 type-partitioned adjacency, so a query edge with a type set only ever
-visits data edges of those types; :meth:`PatternMatcher.cache_info`
-reports the shared candidate cache counters next to them.
+visits data edges of those types.  Seed pools are walked in ascending
+vertex id on both backends, so a bounded ``match(limit=n)`` returns the
+same n matches, in the same order, whichever backend serves it.
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ from __future__ import annotations
 from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.graph import PropertyGraph
-from repro.core.query import Direction, GraphQuery, QueryEdge
+from repro.core.query import Direction, GraphQuery, QueryEdge, QueryVertex
 from repro.core.result import ResultGraph, ResultSet
 from repro.matching.candidates import (
     attributes_match,
+    vertex_candidates,
     vertex_matches,
 )
 from repro.matching.csr import csr_stats
-from repro.matching.evalcache import (
-    EvaluationCache,
-    shared_evaluation_cache,
-)
 from repro.matching.plan import (
     ExpandStep,
     PlanStep,
@@ -64,17 +62,18 @@ class PatternMatcher:
     """Evaluates :class:`~repro.core.query.GraphQuery` patterns on a graph.
 
     One matcher instance is bound to one data graph; it is stateless
-    between calls apart from its instrumentation counters.  Matchers bound
-    to the same graph share one evaluation cache (candidate sets) by
-    default, so independently constructed engines reuse each other's
-    derivations; pass ``evalcache`` to isolate a matcher.
+    between calls apart from its instrumentation counters.  The compiled
+    backend reads candidates from the graph's CSR image, whose interned
+    vertex masks every matcher, planner and statistics provider bound to
+    the graph share; the interpreter derives them from the graph's
+    indexes on each call, sharing nothing with the path it checks.
 
     ``compiled=True`` (the default) routes ``match``/``count``/``exists``
     through the compiled backend: the query's plan is bound to a
     shape-keyed kernel over interned CSR arrays
     (:mod:`repro.matching.program`), visiting exactly the candidates
-    the interpreter visits -- ``steps`` totals are identical on
-    unbounded evaluations.  ``compiled=False`` interprets: the reference
+    the interpreter visits, in the same order -- ``steps`` totals and
+    bounded match lists are identical.  ``compiled=False`` interprets: the reference
     semantics every differential test compares against.
     """
 
@@ -82,14 +81,10 @@ class PatternMatcher:
         self,
         graph: PropertyGraph,
         injective: bool = True,
-        evalcache: Optional[EvaluationCache] = None,
         compiled: bool = True,
     ) -> None:
         self.graph = graph
         self.injective = injective
-        self.evalcache = (
-            evalcache if evalcache is not None else shared_evaluation_cache(graph)
-        )
         self.compiled = bool(compiled)
         #: number of match/count/exists invocations served
         self.calls = 0
@@ -97,15 +92,14 @@ class PatternMatcher:
         self.steps = 0
 
     def cache_info(self) -> Dict[str, Any]:
-        """Cache and compilation counters in the unified stats schema.
+        """Compilation counters in the unified stats schema.
 
-        Emits the :mod:`repro.stats` sections (``caches`` holds the
-        ``vertex_candidates`` layer, ``csr``/``programs``
-        the compilation counters -- zeros until a compiled run).
+        Emits the :mod:`repro.stats` sections (``csr``/``programs`` hold
+        the compilation counters -- zeros until a compiled run; a matcher
+        keeps no hit/miss cache, so ``caches`` is empty).
         """
         flat = csr_stats(self.graph)
         return unified_stats(
-            caches={"vertex_candidates": self.evalcache.stats.as_dict()},
             csr=csr_section(flat),
             programs=programs_section(flat),
             deltas=deltas_section(applied=flat.get("deltas_applied", 0)),
@@ -132,7 +126,6 @@ class PatternMatcher:
                 query,
                 edge_order,
                 injective=self.injective,
-                evalcache=self.evalcache,
             )
         except ProgramUnsupported:
             return None
@@ -243,13 +236,39 @@ class PatternMatcher:
             return
         with current_tracer().span(SPAN_PLAN):
             plan = build_plan(self.graph, query, edge_order)
+        # only the plan's *first* seed is partition-restricted: later
+        # seeds (disconnected components) must stay exhaustive or the
+        # per-shard union would drop cross-shard combinations
+        pools = {
+            depth: self._seed_pool(
+                query.vertex(step.vid), seed_restrict if depth == 0 else None
+            )
+            for depth, step in enumerate(plan)
+            if isinstance(step, SeedStep)
+        }
         vbind: Dict[int, int] = {}
         ebind: Dict[int, int] = {}
         used_vertices: Set[int] = set()
         used_edges: Set[int] = set()
-        yield from self._step(
-            query, plan, 0, vbind, ebind, used_vertices, used_edges, seed_restrict
-        )
+        yield from self._step(query, plan, 0, vbind, ebind, used_vertices, used_edges, pools)
+
+    def _seed_pool(
+        self, qvertex: QueryVertex, seed_restrict: Optional[AbstractSet[int]]
+    ) -> List[int]:
+        """The data vertices a seed step walks, in ascending id (the
+        kernels' seed order): the vertex's candidates from the graph's
+        indexes -- every vertex when it is unconstrained -- confined to
+        ``seed_restrict``.  Every vertex in the pool satisfies the
+        vertex's predicates."""
+        candidates = vertex_candidates(self.graph, qvertex)
+        if candidates is None:
+            pool = self.graph.vertices() if seed_restrict is None else seed_restrict
+        elif seed_restrict is not None:
+            # pre-intersect so the walk never visits foreign shards
+            pool = candidates & seed_restrict
+        else:
+            pool = candidates
+        return sorted(pool)
 
     def _step(
         self,
@@ -260,30 +279,19 @@ class PatternMatcher:
         ebind: Dict[int, int],
         used_vertices: Set[int],
         used_edges: Set[int],
-        seed_restrict: Optional[AbstractSet[int]] = None,
+        pools: Dict[int, List[int]],
     ) -> Iterator[ResultGraph]:
         if depth == len(plan):
             yield ResultGraph.from_mappings(vbind, ebind)
             return
         step = plan[depth]
         if isinstance(step, SeedStep):
-            # only the plan's *first* seed is partition-restricted: later
-            # seeds (disconnected components) must stay exhaustive or the
-            # per-shard union would drop cross-shard combinations
             yield from self._seed(
-                query,
-                plan,
-                depth,
-                step,
-                vbind,
-                ebind,
-                used_vertices,
-                used_edges,
-                seed_restrict if depth == 0 else None,
+                query, plan, depth, step, vbind, ebind, used_vertices, used_edges, pools
             )
         else:
             yield from self._expand(
-                query, plan, depth, step, vbind, ebind, used_vertices, used_edges
+                query, plan, depth, step, vbind, ebind, used_vertices, used_edges, pools
             )
 
     def _seed(
@@ -296,34 +304,16 @@ class PatternMatcher:
         ebind: Dict[int, int],
         used_vertices: Set[int],
         used_edges: Set[int],
-        seed_restrict: Optional[AbstractSet[int]] = None,
+        pools: Dict[int, List[int]],
     ) -> Iterator[ResultGraph]:
-        qvertex = query.vertex(step.vid)
-        candidates = self.evalcache.vertex_candidates(qvertex)
-        if seed_restrict is not None and candidates is not None:
-            # pre-intersect so the walk below never visits foreign shards
-            candidates = candidates & seed_restrict
-            pool = candidates
-        elif candidates is not None:
-            pool = candidates
-        elif seed_restrict is not None:
-            # unconstrained vertex: the restriction *is* the pool
-            pool = seed_restrict
-        else:
-            pool = self.graph.vertices()
-        for data_vid in pool:
+        for data_vid in pools[depth]:
             self.steps += 1
             if self.injective and data_vid in used_vertices:
-                continue
-            # candidates are pre-filtered; restricted/full-scan pools are not
-            if candidates is None and not vertex_matches(
-                self.graph, data_vid, qvertex
-            ):
                 continue
             vbind[step.vid] = data_vid
             used_vertices.add(data_vid)
             yield from self._step(
-                query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
+                query, plan, depth + 1, vbind, ebind, used_vertices, used_edges, pools
             )
             used_vertices.discard(data_vid)
             del vbind[step.vid]
@@ -338,6 +328,7 @@ class PatternMatcher:
         ebind: Dict[int, int],
         used_vertices: Set[int],
         used_edges: Set[int],
+        pools: Dict[int, List[int]],
     ) -> Iterator[ResultGraph]:
         qedge = query.edge(step.eid)
         anchor_data = vbind[step.anchor]
@@ -364,7 +355,7 @@ class PatternMatcher:
                 ebind[step.eid] = data_eid
                 used_edges.add(data_eid)
                 yield from self._step(
-                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
+                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges, pools
                 )
                 used_edges.discard(data_eid)
                 del ebind[step.eid]
@@ -380,7 +371,7 @@ class PatternMatcher:
                 used_vertices.add(data_other)
                 used_edges.add(data_eid)
                 yield from self._step(
-                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
+                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges, pools
                 )
                 used_edges.discard(data_eid)
                 used_vertices.discard(data_other)

@@ -7,8 +7,7 @@ opposite endpoint.  Isolated query vertices become seeds of their own.
 
 The automatic order is the one of least estimated ``steps`` -- the
 candidates the matcher scans -- read off the graph's CSR image
-(:mod:`repro.matching.csr`), its masks filled through the shared
-evaluation cache:
+(:mod:`repro.matching.csr`), its masks filled from the graph's indexes:
 
 * a seed scans its pool: ``|cand(v)|`` steps, one binding each;
 * expanding edge ``e`` from a bound anchor ``a`` scans, per binding of
@@ -46,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.core.graph import PropertyGraph
 from repro.core.query import Direction, GraphQuery, QueryEdge
 from repro.matching.csr import csr_for
-from repro.matching.evalcache import shared_evaluation_cache
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,8 @@ class _CostModel:
 
     def __init__(self, graph: PropertyGraph, query: GraphQuery) -> None:
         csr = csr_for(graph)
-        evalcache = shared_evaluation_cache(graph)
         every = csr.degree_sums(None)
-        sums = self.sums = {v.vid: csr.degree_sums(v, evalcache) for v in query.vertices()}
+        sums = self.sums = {v.vid: csr.degree_sums(v) for v in query.vertices()}
         size = self.size = {vid: table[()] for vid, table in sums.items()}
         self.ends: Dict[int, Tuple[int, int]] = {}
         #: (eid, anchor) -> (other end, segments scanned from the anchor,

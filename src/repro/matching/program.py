@@ -55,7 +55,6 @@ from typing import AbstractSet, Any, Dict, Hashable, List, Optional, Sequence, T
 from repro.core.query import Direction, GraphQuery
 from repro.core.result import ResultGraph
 from repro.matching.csr import _CsrEntry, csr_entry
-from repro.matching.evalcache import EvaluationCache
 from repro.matching.plan import PlanStep, SeedStep, build_plan
 from repro.obs.tracing import SPAN_PLAN, SPAN_PROGRAM_COMPILE, current_tracer
 
@@ -218,7 +217,7 @@ class MatchProgram:
     into its own counters.
     """
 
-    __slots__ = ("_entry", "csr", "shape", "binding", "_bound", "_seed", "_evalcache")
+    __slots__ = ("_entry", "csr", "shape", "binding", "_bound", "_seed")
 
     def __init__(
         self,
@@ -226,14 +225,12 @@ class MatchProgram:
         plan: Sequence[PlanStep],
         query: GraphQuery,
         injective: bool = True,
-        evalcache: Optional[EvaluationCache] = None,
     ) -> None:
         if not plan or not isinstance(plan[0], SeedStep):
             raise ProgramUnsupported("plan does not open with a seed step")
         self._entry = entry
         self.csr = csr = entry.csr
         self._seed = query.vertex(plan[0].vid)
-        self._evalcache = evalcache
         binding: List[Any] = [csr.vid_of, csr.eid_of, csr.selfloop, csr.known]
         steps: List[Optional[Tuple]] = []
         var_of: Dict[int, int] = {}
@@ -243,7 +240,7 @@ class MatchProgram:
             if isinstance(step, SeedStep):
                 var_of[step.vid] = len(var_of)
                 if i:
-                    binding.append(csr.seed_pool(query.vertex(step.vid), evalcache))
+                    binding.append(csr.seed_pool(query.vertex(step.vid)))
                 steps.append(None)
                 continue
             qedge = query.edge(step.eid)
@@ -280,7 +277,7 @@ class MatchProgram:
             else:
                 closing = -1
                 var_of[step.new_vid] = len(var_of)
-                vmask = csr.vertex_mask(query.vertex(step.new_vid), evalcache)
+                vmask = csr.vertex_mask(query.vertex(step.new_vid))
                 if vmask is not None:
                     binding.append(vmask)
             steps.append(
@@ -348,9 +345,9 @@ class MatchProgram:
     ) -> Tuple[int, int]:
         csr = self.csr
         if seed_restrict is None:
-            pool = csr.seed_pool(self._seed, self._evalcache)
+            pool = csr.seed_pool(self._seed)
         else:
-            pool = csr.restricted_seed_pool(self._seed, seed_restrict, self._evalcache)
+            pool = csr.restricted_seed_pool(self._seed, seed_restrict)
         used_v = used_e = None
         if self.shape[0]:
             used_v, used_e = bytearray(csr.num_vertices), bytearray(csr.num_edges)
@@ -390,7 +387,6 @@ def compiled_program(
     query: GraphQuery,
     edge_order: Optional[Sequence[int]] = None,
     injective: bool = True,
-    evalcache: Optional[EvaluationCache] = None,
 ) -> MatchProgram:
     """The query's plan bound over the graph's current CSR index.
 
@@ -407,7 +403,7 @@ def compiled_program(
     with current_tracer().span(SPAN_PLAN):
         plan = build_plan(graph, query, edge_order)
     try:
-        return MatchProgram(entry, plan, query, injective, evalcache)
+        return MatchProgram(entry, plan, query, injective)
     except ProgramUnsupported:
         entry.program_fallbacks += 1
         raise

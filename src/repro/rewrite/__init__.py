@@ -1,6 +1,6 @@
 """Coarse-grained modification-based explanations (Chapter 5)."""
 
-from repro.rewrite.cache import CacheStats, QueryResultCache
+from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.coarse import (
     CoarseRewriteResult,
     CoarseRewriter,
@@ -42,7 +42,6 @@ __all__ = [
     "AddPredicate",
     "AddPredicateValue",
     "AttributeDomain",
-    "CacheStats",
     "CandidateContext",
     "CoarseRewriteResult",
     "CoarseRewriter",

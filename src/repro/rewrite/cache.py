@@ -21,10 +21,10 @@ from repro.core.delta import (
 )
 from repro.core.query import GraphQuery
 from repro.core.serialize import query_from_wire, query_to_wire
-from repro.matching.evalcache import CacheStats, EvaluationCache
 from repro.matching.matcher import PatternMatcher
+from repro.stats import CacheStats
 
-__all__ = ["CacheStats", "QueryResultCache"]
+__all__ = ["QueryResultCache"]
 
 
 class QueryResultCache:
@@ -34,9 +34,10 @@ class QueryResultCache:
     the requested evaluation limit, so the cache stores the limit next to
     the count (``None`` = unbounded, always reusable).
 
-    The wrapped matcher's candidate cache is shared per graph,
-    so even a cache *miss* here reuses the evaluation-layer derivations of
-    every other engine bound to the same graph.
+    The wrapped matcher's CSR image and its interned candidate masks are
+    shared per graph, so even a cache *miss* here reuses the
+    evaluation-layer derivations of every other engine bound to the same
+    graph.
 
     ``max_entries`` bounds the cache for long-lived owners (the execution
     contexts a :class:`~repro.service.WhyQueryService` keeps warm):
@@ -71,11 +72,6 @@ class QueryResultCache:
         ] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
-
-    @property
-    def evalcache(self) -> EvaluationCache:
-        """The evaluation cache shared with the wrapped matcher."""
-        return self.matcher.evalcache
 
     def _validate_locked(self) -> None:
         """Catch up with a mutated data graph, delta-scoped.

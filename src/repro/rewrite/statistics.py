@@ -18,10 +18,11 @@ Edge and path(1) statistics are one lookup on the graph's packed CSR
 image (:meth:`repro.matching.csr.CSRIndex.path1_count`), memoised by
 predicate signature so repeated candidate scoring touches the graph only
 once per distinct constraint; a write drops only the memo entries it can
-touch (``docs/delta_sync.md``).  Vertex candidate sets come from the
-per-graph shared :class:`~repro.matching.evalcache.EvaluationCache`, so
-the statistics provider and the matcher never derive the same candidate
-set twice.
+touch (``docs/delta_sync.md``).  Vertex cardinalities are the row
+counts of the CSR image's interned vertex masks
+(:meth:`repro.matching.csr.CSRIndex.degree_sums`), the one candidate
+memo the matcher and the planner read too, so no candidate set is
+derived twice.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from repro.core.delta import DeltaTouch, delta_touch
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery, QueryEdge, QueryVertex
 from repro.matching.csr import csr_for
-from repro.matching.evalcache import (
-    CacheStats,
-    EvaluationCache,
-    shared_evaluation_cache,
-)
+from repro.stats import CacheStats
 
 #: bound on one provider's path(1) memo: a pooled execution context lives
 #: as long as its service and one why-so-many pass inserts ~1 400 keys.
@@ -85,15 +82,8 @@ class GraphStatistics:
     missing one key both compute -- benign).
     """
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        evalcache: Optional[EvaluationCache] = None,
-    ) -> None:
+    def __init__(self, graph: PropertyGraph) -> None:
         self.graph = graph
-        self.evalcache = (
-            evalcache if evalcache is not None else shared_evaluation_cache(graph)
-        )
         self._version = graph.version
         #: (edge types | None, edge / source / target predicate
         #: signatures, directions) -> count
@@ -154,7 +144,7 @@ class GraphStatistics:
                 return cached
             self.stats.misses += 1
             version = self._version
-        count = csr_for(self.graph).path1_count(qedge, source, target, self.evalcache)
+        count = csr_for(self.graph).path1_count(qedge, source, target)
         with self._lock:
             # a write validated in between would make this count stale
             if version == self._version:
@@ -167,9 +157,10 @@ class GraphStatistics:
     # -- vertex / edge statistics (Sec. 5.2.2) -------------------------------
 
     def vertex_cardinality(self, qvertex: QueryVertex) -> int:
-        """Exact number of data vertices satisfying the vertex predicates."""
-        candidates = self.evalcache.vertex_candidates(qvertex)
-        return self.graph.num_vertices if candidates is None else len(candidates)
+        """Exact number of data vertices satisfying the vertex predicates:
+        the row count of the vertex's interned mask, memoised per
+        signature until the next patch."""
+        return csr_for(self.graph).degree_sums(qvertex)[()]
 
     def edge_cardinality(self, qedge: QueryEdge) -> int:
         """Exact number of data edges satisfying type set and predicates.
@@ -341,14 +332,13 @@ class GraphStatistics:
     def cache_sizes(self) -> Dict[str, int]:
         """Sizes of the statistic caches (Appendix B.2 reporting).
 
-        ``vertex`` reports the shared evaluation cache (candidate sets by
-        predicate signature), which this provider populates and reads;
-        ``edge`` the memo entries without endpoint constraints.
+        ``edge`` counts the memo entries without endpoint constraints,
+        ``path1`` the others.
         """
         with self._lock:
             keys = list(self._path1_cache)
         edge = sum(1 for key in keys if not (key[2] or key[3]))
-        return {"vertex": len(self.evalcache), "edge": edge, "path1": len(keys) - edge}
+        return {"edge": edge, "path1": len(keys) - edge}
 
     def memo_report(self) -> Dict[str, float]:
         """The path(1) memo's ``cache_report()["caches"]["path1"]`` row."""

@@ -1008,7 +1008,6 @@ class WhyQueryService:
             per_graph: List[Dict[str, object]] = []
             caches = {
                 "results": {"hits": 0, "misses": 0},
-                "vertex_candidates": {"hits": 0, "misses": 0},
                 "path1": {"hits": 0, "misses": 0, "dropped": 0, "retained": 0},
             }
             matcher = {"calls": 0, "steps": 0}

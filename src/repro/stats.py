@@ -3,8 +3,8 @@
 Before this module, the three reporting surfaces each invented their own
 nesting and key names:
 
-* ``PatternMatcher.cache_info()`` -- ``{"plan": ..., "vertex_candidates":
-  ..., "programs": <flat csr counters>}``;
+* ``PatternMatcher.cache_info()`` -- ``{"plan": ..., "programs": <flat
+  csr counters>}`` next to a candidate-cache row;
 * ``ProcessExecutor.info()`` -- one flat dict mixing pool lifecycle,
   payload accounting and delta counters;
 * ``WhyQueryService.stats()`` -- a third nesting with a flat ``totals``
@@ -15,8 +15,8 @@ A network front door (:mod:`repro.server`) serving a ``stats`` message
 needs *one* schema, so this module defines it:
 
 ======================  =====================================================
-``caches``              named hit/miss cache layers
-                        (``vertex_candidates``, ``results``, ``path1``)
+``caches``              named hit/miss cache layers (``results``,
+                        ``path1``), each a :class:`CacheStats` row
 ``csr``                 interned CSR array accounting (``builds``, ``bytes``,
                         ``patches``, ``rebuilds``)
 ``programs``            compiled match kernels (``compiled``, ``hits``,
@@ -37,9 +37,11 @@ protocol ``stats`` message serves :meth:`WhyQueryService.stats` verbatim.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
+    "CacheStats",
     "STATS_SCHEMA",
     "SECTIONS",
     "csr_section",
@@ -53,6 +55,31 @@ STATS_SCHEMA = "repro.stats/1"
 
 #: the typed sections every surface emits
 SECTIONS = ("caches", "csr", "programs", "pools", "admission", "deltas", "metrics")
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss counters of one cache instance: one ``caches`` row."""
+
+    hits: int = 0
+    misses: int = 0
+    size: int = 0
+
+    @property
+    def requests(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.requests if self.requests else 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": self.size,
+            "hit_rate": self.hit_rate,
+        }
 
 
 def csr_section(flat: Mapping[str, int]) -> Dict[str, int]:

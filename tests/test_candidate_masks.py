@@ -1,10 +1,14 @@
-"""Tests for the typed-adjacency storage and the shared evaluation caches:
-zero-copy accessors, per-type counts, plan construction, candidate-set
-memoisation, version-based invalidation, and the newly exercised matcher
-corners (homomorphic matching, self-loops under BOTH, typed expansion)."""
+"""Tests for the typed-adjacency storage and the CSR image's interned
+candidate masks: zero-copy accessors, per-type counts, plan construction,
+one mask per predicate signature (the only candidate memo), in-place
+patching on writes, the mask cap, and the newly exercised matcher corners
+(homomorphic matching, self-loops under BOTH, typed expansion)."""
+
+from collections import Counter
 
 import pytest
 
+import repro.matching.csr as csr_module
 from repro.core import (
     BOTH_DIRECTIONS,
     GraphQuery,
@@ -13,14 +17,17 @@ from repro.core import (
     one_of,
 )
 from repro.matching import (
-    EvaluationCache,
+    CSRIndex,
     ExpandStep,
     PatternMatcher,
     SeedStep,
     build_plan,
-    shared_evaluation_cache,
+    csr_for,
+    csr_stats,
+    vertex_candidates,
 )
-from repro.rewrite import GraphStatistics, QueryResultCache
+from repro.matching.csr import MASK_CAP
+from repro.rewrite import GraphStatistics
 
 
 class TestTypedAdjacency:
@@ -183,76 +190,120 @@ class TestBuildPlan:
         ]
 
 
-class TestEvaluationCache:
-    def test_candidates_cached_by_predicate_signature(self, tiny_graph):
-        cache = EvaluationCache(tiny_graph)
+def mask_vids(csr: CSRIndex, mask) -> set:
+    """The data vertex ids a mask admits."""
+    return {csr.vid_of[ix] for ix, bit in enumerate(mask) if bit}
+
+
+def typed(vertex_type: str) -> GraphQuery:
+    q = GraphQuery()
+    q.add_vertex(predicates={"type": equals(vertex_type)})
+    return q
+
+
+class TestCandidateMasks:
+    def test_masks_interned_by_predicate_signature(self, tiny_graph):
+        csr = csr_for(tiny_graph)
         q = GraphQuery()
         a = q.add_vertex(predicates={"type": equals("person")})
         b = q.add_vertex(predicates={"type": equals("person")})
-        first = cache.vertex_candidates(q.vertex(a))
-        second = cache.vertex_candidates(q.vertex(b))  # same predicates, other vid
-        assert first == {0, 1, 2, 3}
+        first = csr.vertex_mask(q.vertex(a))
+        second = csr.vertex_mask(q.vertex(b))  # same predicates, other vid
+        assert mask_vids(csr, first) == {0, 1, 2, 3}
         assert second is first
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert list(csr.seed_pool(q.vertex(b))) == [0, 1, 2, 3]
 
-    def test_unconstrained_vertex_cached_as_none(self, tiny_graph):
-        cache = EvaluationCache(tiny_graph)
+    def test_unconstrained_vertex_has_no_mask(self, tiny_graph):
+        csr = csr_for(tiny_graph)
         q = GraphQuery()
         v = q.add_vertex()
-        assert cache.vertex_candidates(q.vertex(v)) is None
-        assert cache.vertex_candidates(q.vertex(v)) is None
-        assert cache.stats.hits == 1
+        assert csr.vertex_mask(q.vertex(v)) is None
+        assert csr.seed_pool(q.vertex(v)) is csr.seed_universe
 
-    def test_shared_cache_is_per_graph(self, tiny_graph):
-        other = PropertyGraph()
-        other.add_vertex(type="person")
-        assert shared_evaluation_cache(tiny_graph) is shared_evaluation_cache(tiny_graph)
-        assert shared_evaluation_cache(tiny_graph) is not shared_evaluation_cache(other)
+    def test_one_derivation_per_signature_per_index(
+        self, tiny_graph, person_works_at_university, monkeypatch
+    ):
+        """The matcher, the statistics' vertex cardinality and path(1)
+        all read one interned mask: each signature is derived once."""
+        derived = Counter()
 
-    def test_matcher_and_statistics_share_hits(self, tiny_graph, person_works_at_university):
+        def counted(graph, qvertex):
+            derived[qvertex.predicate_signature()] += 1
+            return vertex_candidates(graph, qvertex)
+
+        monkeypatch.setattr(csr_module, "vertex_candidates", counted)
+        q = person_works_at_university
         matcher = PatternMatcher(tiny_graph)
-        stats_provider = GraphStatistics(tiny_graph)
-        assert stats_provider.evalcache is matcher.evalcache
-        shared = matcher.evalcache.stats
-        before = shared.requests
-        matcher.count(person_works_at_university)
-        # the matcher seeded the selective university vertex; the
-        # statistics read of the same predicate signature must reuse it
-        stats_provider.vertex_cardinality(person_works_at_university.vertex(1))
-        assert shared.requests > before
-        assert shared.hits >= 1
+        statistics = GraphStatistics(tiny_graph)
+        assert matcher.count(q) == 3
+        assert statistics.vertex_cardinality(q.vertex(0)) == 4
+        assert statistics.vertex_cardinality(q.vertex(1)) == 2
+        assert statistics.path1_cardinality(q, 0) == 3
+        assert matcher.count(q) == 3
+        assert sorted(derived.values()) == [1, 1]
+        assert set(derived) == {v.predicate_signature() for v in q.vertices()}
 
-    def test_mutation_invalidates_candidates(self, tiny_graph):
-        cache = EvaluationCache(tiny_graph)
-        q = GraphQuery()
-        v = q.add_vertex(predicates={"type": equals("person")})
-        assert len(cache.vertex_candidates(q.vertex(v))) == 4
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda g: g.add_vertex(type="person", name="Eve"),
+            lambda g: g.set_vertex_attribute(4, "type", "person"),
+            lambda g: g.set_vertex_attribute(0, "type", "city"),
+        ],
+        ids=["add_vertex", "set_into", "set_out_of"],
+    )
+    def test_patched_mask_equals_a_fresh_index(self, tiny_graph, write):
+        queries = [typed(t) for t in ("person", "university", "city")]
+        csr = csr_for(tiny_graph)
+        for q in queries:
+            csr.seed_pool(q.vertex(0))
+        write(tiny_graph)
+        patched = csr_for(tiny_graph)
+        assert patched is csr
+        assert csr_stats(tiny_graph)["csr_patches"] == 1
+        fresh = CSRIndex(tiny_graph)
+        for q in queries:
+            assert patched.vertex_mask(q.vertex(0)) == fresh.vertex_mask(q.vertex(0))
+            assert patched.seed_pool(q.vertex(0)) == fresh.seed_pool(q.vertex(0))
+
+    def test_mutation_moves_the_vertex_cardinality(self, tiny_graph):
+        statistics = GraphStatistics(tiny_graph)
+        person = typed("person").vertex(0)
+        assert statistics.vertex_cardinality(person) == 4
         tiny_graph.add_vertex(type="person", name="Eve")
-        assert len(cache.vertex_candidates(q.vertex(v))) == 5
+        assert statistics.vertex_cardinality(person) == 5
+
+    def test_signature_past_the_cap_recycles_the_table(self, tiny_graph):
+        csr = csr_for(tiny_graph)
+        for i in range(MASK_CAP):
+            q = GraphQuery()
+            q.add_vertex(predicates={"name": equals(f"nobody {i}")})
+            csr.seed_pool(q.vertex(0))
+            csr.degree_sums(q.vertex(0))
+        assert len(csr._vertex_masks) == len(csr._seed_pools) == MASK_CAP
+        assert len(csr._degree_sums) == MASK_CAP
+        person = typed("person").vertex(0)
+        mask = csr.vertex_mask(person)
+        # the degree tables hold masks: they go with the table
+        assert len(csr._vertex_masks) == 1 and not csr._seed_pools
+        assert not csr._degree_sums
+        assert mask_vids(csr, mask) == {0, 1, 2, 3}
 
     def test_multi_value_predicate_candidates(self, tiny_graph):
         # exercises the freeze-once union accumulation
-        cache = EvaluationCache(tiny_graph)
         q = GraphQuery()
         v = q.add_vertex(predicates={"type": one_of("person", "city", "ghost")})
-        assert cache.vertex_candidates(q.vertex(v)) == {0, 1, 2, 3, 6, 7}
+        assert vertex_candidates(tiny_graph, q.vertex(v)) == {0, 1, 2, 3, 6, 7}
+        csr = csr_for(tiny_graph)
+        assert mask_vids(csr, csr.vertex_mask(q.vertex(v))) == {0, 1, 2, 3, 6, 7}
 
-
-class TestEndToEndSharing:
-    def test_result_cache_exposes_evalcache(self, tiny_graph):
-        matcher = PatternMatcher(tiny_graph)
-        cache = QueryResultCache(matcher)
-        assert cache.evalcache is matcher.evalcache
-
-    def test_cache_info_reports_all_layers(self, tiny_graph, person_works_at_university):
+    def test_cache_info_reports_no_candidate_layer(
+        self, tiny_graph, person_works_at_university
+    ):
         matcher = PatternMatcher(tiny_graph)
         matcher.count(person_works_at_university)
         matcher.count(person_works_at_university)
         info = matcher.cache_info()
-        assert set(info["caches"]) == {"vertex_candidates"}
-        if matcher.compiled:
-            # candidate sets are interned into program bitsets once; the
-            # repeat evaluation is served by the program cache instead
-            assert info["programs"]["hits"] >= 1
-        else:
-            assert info["caches"]["vertex_candidates"]["hits"] >= 1
+        assert info["caches"] == {}
+        # the repeat evaluation is served by the process-wide kernel cache
+        assert info["programs"]["hits"] >= 1

@@ -554,20 +554,35 @@ class TestBoundedRetention:
             assert matcher.count(q) == 1, i
         index = csr_for(g)
         compiled_before = csr_stats(g)["programs_compiled"]
+        sizes = []
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
-        for i, q in variants(50, 500):
-            assert matcher.count(q) == 1, i
-            assert len(index._vertex_masks) <= MASK_CAP
+        for i, q in variants(50, MASK_CAP + 100):
+            assert matcher.count(q) == (1 if i < len(people) else 0), i
+            sizes.append(len(index._vertex_masks))
+            assert sizes[-1] <= MASK_CAP
             assert len(index._edge_masks) <= MASK_CAP
             assert len(index._seed_pools) <= MASK_CAP + 1
-        after, _ = tracemalloc.get_traced_memory()
+            assert len(index._degree_sums) <= MASK_CAP + 1
+        after, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert csr_stats(g)["programs_compiled"] == compiled_before
-        # what a variant leaves behind is its candidate set -- no plan,
-        # no kernel, no source, no mask of its own (the per-query program
-        # of the old lowering alone held ~12 KB)
-        assert (after - before) / 500 < 2_000
+        # the vertex table filled to the cap and recycled whole ...
+        assert max(sizes) == MASK_CAP and sizes[-1] < MASK_CAP // 2
+        # ... and no degree table keeps a recycled mask alive
+        live = {id(mask) for mask in index._vertex_masks.values()}
+        assert all(
+            table._mask is None or id(table._mask) in live
+            for table in index._degree_sums.values()
+        )
+        # at most MASK_CAP signatures' masks, pools and degree tables are
+        # held at once (~3.6 KB each here) -- no plan, no kernel, no
+        # source per variant (the per-query program of the old lowering
+        # alone held ~12 KB) ...
+        assert peak - before < MASK_CAP * 4_000
+        # ... and after the recycle only the signatures interned since
+        # remain (~4.2 KB each, ~0.64 MB in all)
+        assert after - before < 1_000_000
         assert csr_stats(g)["csr_bytes"] < 3 * MASK_CAP * 601 + 64 * 1024
 
 

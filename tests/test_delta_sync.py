@@ -1,7 +1,8 @@
 """Unit tests of the delta-sync mutation pipeline.
 
 Covers every layer the pipeline crosses: the graph's versioned delta
-ring, in-place CSR patching (vs the rebuild fallback), delta-scoped
+ring, in-place CSR patching (vs the rebuild fallback) and its
+catch-up lock, delta-scoped
 plan/result-cache invalidation, the delta wire form with per-shard
 routing, slice-side application and the affine executor's worker
 catch-up.  The randomized end-to-end
@@ -9,8 +10,12 @@ coverage lives in ``tests/test_property_based.py``
 (``TestMutateBetweenQueries``); these are the deterministic seams.
 """
 
+import sys
+import threading
+
 import pytest
 
+import repro.matching.csr as csr_module
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.core.errors import MalformedQueryError
 from repro.core.graph import DELTA_RING_LIMIT
@@ -146,6 +151,126 @@ class TestCsrPatching:
         assert comp.count(untyped) == before + 1
         assert comp.count(untyped) == PatternMatcher(g).count(untyped)
         assert csr_stats(g)["csr_rebuilds"] == 0
+
+
+class _AnnouncingLock:
+    """Wraps the catch-up lock: sets ``second`` once a second thread
+    reaches it (whether or not the first still holds it)."""
+
+    def __init__(self, lock, second: threading.Event) -> None:
+        self._lock = lock
+        self._second = second
+        self._arrivals: list = []
+
+    def __enter__(self):
+        self._arrivals.append(None)  # atomic under the GIL
+        if len(self._arrivals) == 2:
+            self._second.set()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestCatchUpLock:
+    def test_two_readers_after_a_write_apply_the_run_once(self, monkeypatch):
+        """Reader A is held inside ``apply_deltas`` while reader B arrives:
+        B either reaches the catch-up lock or, unserialised, applies the
+        same delta run itself.  Only then does A resume.  The run must
+        land exactly once -- no spurious rebuild, no duplicated rows."""
+        g = chain_graph(60)
+        q = person_query()
+        PatternMatcher(g).count(q)  # build the index at this version
+        for i in range(40):
+            vid = g.add_vertex(kind="person" if i % 2 else "org", score=i % 5)
+            g.add_edge(vid, i, "knows")
+
+        entered, arrived, release = threading.Event(), threading.Event(), threading.Event()
+        original = csr_module.CSRIndex.apply_deltas
+        calls: list = []
+
+        def held(self, deltas):
+            calls.append(None)
+            if len(calls) == 1:  # reader A: wait until B has arrived
+                entered.set()
+                assert release.wait(30)
+                return original(self, deltas)
+            result = original(self, deltas)
+            arrived.set()
+            return result
+
+        monkeypatch.setattr(csr_module.CSRIndex, "apply_deltas", held)
+        monkeypatch.setattr(
+            csr_module, "_CSR_LOCK", _AnnouncingLock(csr_module._CSR_LOCK, arrived)
+        )
+        counts: dict = {}
+        errors: list = []
+
+        def reader(name: str) -> None:
+            try:
+                counts[name] = PatternMatcher(g).count(q)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        a = threading.Thread(target=reader, args=("a",), daemon=True)
+        b = threading.Thread(target=reader, args=("b",), daemon=True)
+        try:
+            a.start()
+            assert entered.wait(30)
+            b.start()
+            assert arrived.wait(30)
+        finally:
+            release.set()
+            for thread in (a, b):
+                if thread.is_alive():
+                    thread.join(30)
+        assert not errors, errors
+        assert csr_stats(g)["csr_rebuilds"] == 0
+        assert csr_stats(g)["csr_patches"] == 1
+        assert len(csr_entry(g).csr.vid_of) == g.num_vertices
+        # the interpreter plans on the index too, so it asks last
+        expected = PatternMatcher(g, compiled=False).count(q)
+        assert counts == {"a": expected, "b": expected}
+
+    def test_concurrent_readers_after_writes_stress(self):
+        """Four readers race after each of several write batches, with
+        a shortened switch interval; the index never rebuilds and never
+        holds a row the graph does not."""
+        g = chain_graph(200)
+        q = person_query()
+        PatternMatcher(g).count(q)
+        interval = sys.getswitchinterval()
+        failures: list = []
+
+        def reader(barrier: threading.Barrier) -> None:
+            try:
+                barrier.wait(30)
+                PatternMatcher(g).count(q)
+            except BaseException as exc:  # surfaced below
+                failures.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(5):
+                for i in range(100):
+                    vid = g.add_vertex(kind="person", score=i % 5)
+                    g.add_edge(vid, round_index * 100 + i, "knows")
+                barrier = threading.Barrier(4)
+                threads = [
+                    threading.Thread(target=reader, args=(barrier,), daemon=True)
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert csr_stats(g)["csr_rebuilds"] == 0
+        assert len(csr_entry(g).csr.vid_of) == g.num_vertices
+        assert PatternMatcher(g).count(q) == PatternMatcher(g, compiled=False).count(q)
 
 
 # -- delta-scoped cache invalidation ------------------------------------------

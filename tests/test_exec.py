@@ -44,13 +44,14 @@ class TestExecutionContext:
         private = ExecutionContext(tiny_graph)
         assert private is not shared
         assert private.cache is not shared.cache
-        # ... but the per-graph candidate cache is still the same
-        assert private.evalcache is shared.evalcache
+        assert private.statistics is not shared.statistics
+        # ... but both read the graph's one CSR image and its masks
+        assert not hasattr(private, "evalcache")
 
     def test_spine_is_wired_together(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)
         assert ctx.cache.matcher is ctx.matcher
-        assert ctx.statistics.evalcache is ctx.matcher.evalcache
+        assert ctx.statistics.graph is ctx.matcher.graph is tiny_graph
         assert ctx.graph is tiny_graph
 
     def test_count_goes_through_result_cache(self, tiny_graph):
@@ -77,7 +78,7 @@ class TestExecutionContext:
             "metrics",
             "matcher",
         }
-        assert set(report["caches"]) == {"vertex_candidates", "results", "path1"}
+        assert set(report["caches"]) == {"results", "path1"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
         # a plain dict: the pre-unification top-level keys are gone

@@ -400,7 +400,12 @@ def random_differential_query(rng: random.Random) -> GraphQuery:
 
 def match_key(results):
     """Order-insensitive identity of a ResultSet."""
-    return sorted((r.vertex_bindings, r.edge_bindings) for r in results)
+    return sorted(match_list(results))
+
+
+def match_list(results):
+    """Order-sensitive identity of a ResultSet."""
+    return [(r.vertex_bindings, r.edge_bindings) for r in results]
 
 
 def traced_count_kinds(matcher_like, query):
@@ -427,7 +432,9 @@ def wire_client():
 def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
     """The single oracle assertion: every execution path must agree with
     the serial interpreter on counts (value-identity), match sets
-    (permutation-identity) and bounded counts (value-identity)."""
+    (permutation-identity) and bounded counts (value-identity); the
+    compiled backend also on bounded match lists (order-identity) and
+    on the steps of every evaluation."""
     # the reference is the interpreter, pinned: the default is compiled,
     # and an unpinned oracle would compare the kernels with themselves
     oracle = PatternMatcher(graph, injective=injective, compiled=False)
@@ -435,7 +442,16 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
     expected_count = oracle.count(query)
     oracle_count_steps = oracle.steps
     expected_matches = match_key(oracle.match(query))
-    expected_bounded = {limit: oracle.count(query, limit=limit) for limit in limits}
+    expected_bounded = {}
+    #: limit -> (bounded count steps, bounded match list, its steps)
+    oracle_bounded = {}
+    for limit in limits:
+        before = oracle.steps
+        expected_bounded[limit] = oracle.count(query, limit=limit)
+        count_steps = oracle.steps - before
+        before = oracle.steps
+        listed = match_list(oracle.match(query, limit=limit))
+        oracle_bounded[limit] = (count_steps, listed, oracle.steps - before)
 
     # the wire path: graph and query serialised over the
     # frame protocol, matched by the server's pooled context, results
@@ -455,19 +471,24 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
             ), (sig, limit)
 
     # path 1b: the compiled CSR backend against the same serial oracle.
-    # The generated kernels must not only agree on values -- on the
-    # unbounded count they must visit *exactly* the interpreter's
-    # candidates (steps value-identity), which pins the search order
+    # The generated kernels must not only agree on values -- they must
+    # visit *exactly* the interpreter's candidates in the interpreter's
+    # order (steps value-identity, bounded runs included), so a bounded
+    # match returns the same list
     compiled = PatternMatcher(graph, injective=injective, compiled=True)
     assert compiled.compiled, "compiled mode must engage for the oracle suite"
     assert compiled.count(query) == expected_count, query.signature()
     assert compiled.steps == oracle_count_steps, query.signature()
     assert match_key(compiled.match(query)) == expected_matches, query.signature()
     for limit, bounded in expected_bounded.items():
-        assert compiled.count(query, limit=limit) == bounded, (
-            query.signature(),
-            limit,
-        )
+        context = (query.signature(), limit)
+        count_steps, listed, match_steps = oracle_bounded[limit]
+        before = compiled.steps
+        assert compiled.count(query, limit=limit) == bounded, context
+        assert compiled.steps - before == count_steps, context
+        before = compiled.steps
+        assert match_list(compiled.match(query, limit=limit)) == listed, context
+        assert compiled.steps - before == match_steps, context
 
     for num_shards in DIFFERENTIAL_SHARD_COUNTS:
         sharded_graph = GraphPartitioner(num_shards).partition(graph)

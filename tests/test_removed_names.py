@@ -1,4 +1,4 @@
-"""Tombstones: what PR 20 and PR 23 to PR 26 deleted stays deleted.
+"""Tombstones: what the culls deleted stays deleted.
 
 Three parts.  The scan fails, naming file and line, when a removed
 identifier is mentioned again anywhere a reader would take it for a
@@ -11,6 +11,7 @@ engine stack, so adding one means editing a list a reviewer sees.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -27,18 +28,18 @@ from repro.finegrained import (
     RandomModificationSearch,
     TraverseSearchTree,
 )
+from repro.harness.experiments import PriorityRow, ResourceRow
 from repro.matching import PatternMatcher, csr_stats
 from repro.metrics import CardinalityThreshold
 from repro.persist import RestoreReport
-from repro.rewrite import CoarseRewriter
+from repro.rewrite import CoarseRewriter, GraphStatistics
 from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
 from repro.why import DebugSession, WhyQueryEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: identifiers deleted without replacement (PR 20, PR 23, PR 24, PR 25,
-#: then PR 26)
+#: identifiers deleted without replacement, oldest cull first
 REMOVED_NAMES = (
     "AsyncExecutor",
     "ParallelExecutor",
@@ -78,6 +79,12 @@ REMOVED_NAMES = (
     "plans_restored",
     "plan_hits",
     "estimate_vertex_candidates",
+    "EvaluationCache",
+    "shared_evaluation_cache",
+    "candidate_hits",
+    "candidate_hit_rate",
+    "repro.matching.evalcache",
+    "evalcache=",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -205,6 +212,36 @@ def test_vertex_candidate_estimate_is_gone():
     assert "estimate_vertex_candidates" not in repro.matching.__all__
 
 
+# -- the CSR image's interned masks are the only candidate memo ---------------
+
+
+def test_candidate_cache_is_gone(tiny_graph):
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.matching.evalcache")
+    for name in ("EvaluationCache", "shared_evaluation_cache", "CacheStats"):
+        assert not hasattr(repro.matching, name), name
+        assert name not in repro.matching.__all__
+    with pytest.raises(TypeError):
+        PatternMatcher(tiny_graph, evalcache=None)
+    with pytest.raises(TypeError):
+        GraphStatistics(tiny_graph, evalcache=None)
+    context = ExecutionContext(tiny_graph)
+    for holder in (context, context.matcher, context.cache, context.statistics):
+        assert not hasattr(holder, "evalcache"), holder
+    assert "vertex" not in context.statistics.cache_sizes
+    assert context.matcher.cache_info()["caches"] == {}
+    with WhyQueryService() as service:
+        service.explain(tiny_graph, failing_query())
+        stats = service.stats()
+        with pytest.raises(KeyError):
+            stats["caches"]["vertex_candidates"]
+        (per_graph,) = stats["per_graph"]
+        assert set(per_graph["cache_report"]["caches"]) == {"results", "path1"}
+    for row in (PriorityRow, ResourceRow):
+        fields = {f.name for f in dataclasses.fields(row)}
+        assert not {"candidate_hits", "candidate_hit_rate"} & fields, row
+
+
 # -- PR 25: the shard count is the process tier's only shape setting ----------
 
 
@@ -316,6 +353,8 @@ CONSTRUCTOR_SURFACE = {
         "graph", "max_workers", "shards", "injective", "start_method", "compiled",
     ),
     ShardedMatcher: ("sharded", "injective", "compiled"),
+    PatternMatcher: ("graph", "injective", "compiled"),
+    GraphStatistics: ("graph",),
     WhyQueryEngine: (
         "graph", "preferences", "preference_model", "mcs_strategy",
         "max_explanation_evaluations", "max_rewrite_evaluations", "rewrite_k",
