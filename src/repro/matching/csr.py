@@ -21,7 +21,10 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   matching loop tests a predicate with one index, never an object call.
   The vertex masks (with their seed pools) are the process's only memo
   of which vertices satisfy a predicate signature: the matcher, the
-  planner and the rewriters' statistics all read them.  At most
+  planner and the rewriters' statistics all read them.  Edge masks are
+  interned per ``(type set, predicate signature)`` and filled over the
+  admitted types' edges only: the typed segments a kernel scans and the
+  type groups path(1) counts probe no other row.  At most
   :data:`MASK_CAP` masks are interned per table: a long fine-grained
   search (one predicate constant per variant) recycles them instead of
   growing the index without bound;
@@ -29,7 +32,16 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   degrees of a segment set, counted from the type groups without
   building the segments, and per-signature :class:`DegreeSums` tables
   (sums of degree products over one interned mask), memoised until the
-  next patch.
+  next patch;
+* the rewriters' path(1) counts (:meth:`CSRIndex.path1_count`): per type
+  group, ``itemgetter`` gathers of the edge, source and target rows,
+  memoised until the next patch: a count is a few C-speed gathers,
+  big-int ANDs and a popcount.
+
+One intern rule holds for every lazily derived table: the deriving call
+reads ``version`` first and stores its result under the catch-up lock
+only if no patch landed meanwhile (a patch fixes only what is stored);
+otherwise the result serves that call alone.
 
 The index is cached per graph in a ``WeakKeyDictionary`` registry.  A
 mutated graph no longer gets a wholesale rebuild: when the graph's
@@ -63,7 +75,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import accumulate, compress
-from operator import eq, mul
+from operator import eq, itemgetter, mul
 from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.query import Direction, QueryEdge, QueryVertex
@@ -107,6 +119,21 @@ _EMPTY_COUNTERS: Dict[str, int] = {
 }
 
 
+def _gatherer(ixs: list) -> itemgetter:
+    """A C-speed gather of the rows ``ixs`` out of a mask, in a form
+    ``int.from_bytes`` reads: one index would make ``itemgetter`` return
+    a bare byte, so a one-row group slices instead."""
+    if len(ixs) == 1:
+        return itemgetter(slice(ixs[0], ixs[0] + 1))
+    return itemgetter(*ixs)
+
+
+def _bits(gather: itemgetter, mask: Optional[bytearray], ones: int) -> int:
+    """``mask`` gathered over a type group as an int, a byte per edge;
+    ``ones`` (every edge) for an absent mask."""
+    return ones if mask is None else int.from_bytes(gather(mask), "little")
+
+
 class CSRIndex:
     """One graph snapshot packed into flat arrays (see module docstring).
 
@@ -134,13 +161,12 @@ class CSRIndex:
         "_by_type",
         "_adj",
         "_vertex_masks",
-        "_mask_preds",
         "_seed_pools",
         "_restrict_pools",
         "_edge_masks",
-        "_edge_mask_preds",
         "_degrees",
         "_degree_sums",
+        "_gathers",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -195,19 +221,20 @@ class CSRIndex:
             self.seed_universe = array(_IX, range(len(vids)))
         #: (type | None, "out" | "in") -> (indptr, edge_ix, other_ix)
         self._adj: Dict[Tuple[Optional[str], str], Tuple[array, array, array]] = {}
-        self._vertex_masks: Dict[Hashable, bytearray] = {}
-        #: signature -> the predicate map the mask was interned from,
-        #: retained so a delta patch can re-evaluate single elements
-        self._mask_preds: Dict[Hashable, Dict[str, Any]] = {}
+        #: signature -> (mask, the predicate map it was interned from,
+        #: retained so a delta patch can re-evaluate single elements)
+        self._vertex_masks: Dict[Hashable, Tuple[bytearray, Dict[str, Any]]] = {}
         self._seed_pools: Dict[Hashable, array] = {}
         #: (seed signature, restriction) -> clamped copy of the seed pool
         self._restrict_pools: Dict[Hashable, array] = {}
-        self._edge_masks: Dict[Hashable, bytearray] = {}
-        self._edge_mask_preds: Dict[Hashable, Dict[str, Any]] = {}
+        #: (type set | None, predicate signature) -> (mask, predicate map)
+        self._edge_masks: Dict[Hashable, Tuple[bytearray, Dict[str, Any]]] = {}
         #: segments -> per-row degree summed over them (planner input)
         self._degrees: Dict[Tuple, list] = {}
         #: predicate signature -> its degree-sum table, this version only
         self._degree_sums: Dict[Hashable, DegreeSums] = {}
+        #: edge type | None -> path(1) gathers over its group, this version only
+        self._gathers: Dict[Optional[str], Tuple[itemgetter, itemgetter, itemgetter, int]] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
@@ -216,9 +243,33 @@ class CSRIndex:
         return graph
 
     def _edge_index(self) -> Dict[int, int]:
+        # only apply_deltas asks, and it already holds the catch-up lock
         if self._eix_of is None:
             self._eix_of = {eid: eix for eix, eid in enumerate(self.eid_of)}
         return self._eix_of
+
+    def _intern(
+        self, version: int, table: dict, key: Hashable, value: Any, cap: int = 0, drops: Tuple = ()
+    ) -> Any:
+        """Store a lazily derived ``value`` by the intern rule (module
+        docstring): under the catch-up lock, and only if this index is
+        still at ``version``, read before deriving.  A table at ``cap``
+        entries is dropped whole first, with the ``drops`` memos.  Never
+        called from ``__init__`` or :meth:`apply_deltas`: the lock is not
+        reentrant."""
+        with _CSR_LOCK:
+            if self.version == version:
+                if cap and len(table) >= cap:
+                    for memo in (table, *drops):
+                        memo.clear()
+                table[key] = value
+        return value
+
+    def _group(self, type_key: Optional[str]) -> Iterable[int]:
+        """Ascending edge indexes of one type (every edge for ``None``)."""
+        if type_key is None:
+            return range(len(self.eid_of))
+        return self._by_type.get(type_key, ())
 
     @property
     def num_vertices(self) -> int:
@@ -247,8 +298,9 @@ class CSRIndex:
         key = (type_key, direction)
         segment = self._adj.get(key)
         if segment is None:
+            version = self.version
             segment = self._build_adjacency(type_key, direction)
-            self._adj[key] = segment
+            self._intern(version, self._adj, key, segment)
         return segment
 
     def _build_adjacency(
@@ -257,10 +309,7 @@ class CSRIndex:
         row_of, other_of = (
             (self.src, self.tgt) if direction == "out" else (self.tgt, self.src)
         )
-        if type_key is None:
-            eixs: Iterable[int] = range(len(self.eid_of))
-        else:
-            eixs = self._by_type.get(type_key, ())
+        eixs = self._group(type_key)
         known = self.known
         if known is not None:
             eixs = [eix for eix in eixs if known[row_of[eix]]]
@@ -291,16 +340,9 @@ class CSRIndex:
         if not predicates:
             return None
         sig = qvertex.predicate_signature()
-        mask = self._vertex_masks.get(sig)
-        if mask is None:
-            if len(self._vertex_masks) >= MASK_CAP:
-                # every memo holding a vertex mask goes with the table
-                # (a DegreeSums keeps its mask alive)
-                self._vertex_masks.clear()
-                self._mask_preds.clear()
-                self._seed_pools.clear()
-                self._restrict_pools.clear()
-                self._degree_sums.clear()
+        entry = self._vertex_masks.get(sig)
+        if entry is None:
+            version = self.version
             graph = self._graph()
             mask = bytearray(len(self.vid_of))
             ix_of = self.ix_of
@@ -310,9 +352,13 @@ class CSRIndex:
                 for vid, attributes in graph._halo.items():
                     if attributes_match(attributes, predicates):
                         mask[ix_of[vid]] = 1
-            self._vertex_masks[sig] = mask
-            self._mask_preds[sig] = dict(predicates)
-        return mask
+            # every memo holding a vertex mask goes with a full table (a
+            # DegreeSums keeps its mask alive)
+            entry = self._intern(
+                version, self._vertex_masks, sig, (mask, dict(predicates)), MASK_CAP,
+                (self._seed_pools, self._restrict_pools, self._degree_sums),
+            )
+        return entry[0]
 
     def seed_pool(self, qvertex: QueryVertex) -> array:
         """Ascending vertex-index pool for seeding ``qvertex``: the seed
@@ -321,12 +367,13 @@ class CSRIndex:
         sig = qvertex.predicate_signature()
         pool = self._seed_pools.get(sig)
         if pool is None:
+            version = self.version
             mask = self.vertex_mask(qvertex)
             if mask is None:
                 pool = self.seed_universe
             else:
                 pool = array(_IX, (ix for ix in self.seed_universe if mask[ix]))
-            self._seed_pools[sig] = pool
+            self._intern(version, self._seed_pools, sig, pool)
         return pool
 
     def restricted_seed_pool(
@@ -340,10 +387,9 @@ class CSRIndex:
         key = (qvertex.predicate_signature(), restrict)
         pool = self._restrict_pools.get(key)
         if pool is None:
+            version = self.version
             pool = self._restricted(self.seed_pool(qvertex), restrict)
-            if len(self._restrict_pools) >= _RESTRICT_MEMO_ENTRIES:
-                self._restrict_pools.clear()
-            self._restrict_pools[key] = pool
+            self._intern(version, self._restrict_pools, key, pool, _RESTRICT_MEMO_ENTRIES)
         return pool
 
     def _restricted(self, base: array, restrict: frozenset) -> array:
@@ -362,25 +408,27 @@ class CSRIndex:
 
     def edge_mask(self, qedge: QueryEdge) -> Optional[bytearray]:
         """Bitset over edge indexes satisfying the edge's predicates, or
-        ``None`` when the edge carries none.  Types are *not* part of
-        the mask -- the typed adjacency segments prefilter them."""
+        ``None`` when the edge carries none.  Interned per ``(type set,
+        predicate signature)`` and filled over the admitted types' edges
+        only -- the rows a typed segment or a path(1) type group can
+        probe; every other row reads 0."""
         predicates = qedge.predicates
         if not predicates:
             return None
-        sig = qedge.predicate_signature()
-        mask = self._edge_masks.get(sig)
-        if mask is None:
-            if len(self._edge_masks) >= MASK_CAP:
-                self._edge_masks.clear()
-                self._edge_mask_preds.clear()
+        types = qedge.type_key()
+        key = (types, qedge.predicate_signature())
+        entry = self._edge_masks.get(key)
+        if entry is None:
+            version = self.version
             graph = self._graph()
             mask = bytearray(len(self.eid_of))
-            for eix, eid in enumerate(self.eid_of):
-                if attributes_match(graph.edge(eid).attributes, predicates):
-                    mask[eix] = 1
-            self._edge_masks[sig] = mask
-            self._edge_mask_preds[sig] = dict(predicates)
-        return mask
+            eid_of = self.eid_of
+            for type_key in (None,) if types is None else types:
+                for eix in self._group(type_key):
+                    if attributes_match(graph.edge(eid_of[eix]).attributes, predicates):
+                        mask[eix] = 1
+            entry = self._intern(version, self._edge_masks, key, (mask, dict(predicates)), MASK_CAP)
+        return entry[0]
 
     # -- planner statistics ------------------------------------------------------
 
@@ -391,21 +439,18 @@ class CSRIndex:
         the segments themselves need not be built."""
         row = self._degrees.get(segments)
         if row is None:
+            version = self.version
             if len(segments) > 1:
                 row = list(map(sum, zip(*[self.degrees((segment,)) for segment in segments])))
             else:
                 ((type_key, direction),) = segments
                 row_of = self.src if direction == "out" else self.tgt
-                if type_key is None:
-                    eixs: Iterable[int] = range(len(self.eid_of))
-                else:
-                    eixs = self._by_type.get(type_key, ())
                 row = [0] * len(self.vid_of)
-                for ix, edges in Counter(map(row_of.__getitem__, eixs)).items():
+                for ix, edges in Counter(map(row_of.__getitem__, self._group(type_key))).items():
                     row[ix] = edges
                 if self.known is not None:
                     row = list(map(mul, row, self.known))
-            self._degrees[segments] = row
+            self._intern(version, self._degrees, segments, row)
         return row
 
     def degree_sums(self, qvertex: Optional[QueryVertex]) -> "DegreeSums":
@@ -415,11 +460,9 @@ class CSRIndex:
         sig = () if qvertex is None else qvertex.predicate_signature()
         table = self._degree_sums.get(sig)
         if table is None:
-            if len(self._degree_sums) >= MASK_CAP:
-                self._degree_sums.clear()
+            version = self.version
             mask = None if qvertex is None else self.vertex_mask(qvertex)
-            table = DegreeSums(self, mask)
-            self._degree_sums[sig] = table
+            table = self._intern(version, self._degree_sums, sig, DegreeSums(self, mask), MASK_CAP)
         return table
 
     # -- path(1) statistics ------------------------------------------------------
@@ -437,33 +480,59 @@ class CSRIndex:
         orientations, a self-loop included, counts once.  Without
         endpoints this is the plain edge cardinality.
 
-        One pass over the admitted types' edge groups and the interned
-        masks; an absent mask (no predicates) reads as all ones.  The
-        masks are held for this call only, so a ``MASK_CAP`` recycle
-        between two of them is harmless.
+        Per admitted type group, each interned mask is gathered over the
+        group's edges, sources or targets and read as one int, a byte per
+        edge; the count is the popcount of ``edge & (source-at-src &
+        target-at-tgt | target-at-src & source-at-tgt)``, one term per
+        admitted orientation.  An absent mask (no predicates) reads as
+        all ones.  The masks are held for this call only, so a
+        ``MASK_CAP`` recycle between two of them is harmless.
         """
         emask = self.edge_mask(qedge)
-        masks = []
-        for qvertex in (source, target):
-            mask = None if qvertex is None else self.vertex_mask(qvertex)
-            masks.append(b"\x01" * len(self.vid_of) if mask is None else mask)
-        smask, tmask = masks
-        if qedge.types is None:
-            groups: Iterable[Iterable[int]] = (range(len(self.eid_of)),)
-        else:
-            groups = [self._by_type.get(t, ()) for t in qedge.types]
+        smask = None if source is None else self.vertex_mask(source)
+        tmask = None if target is None else self.vertex_mask(target)
         forward = Direction.FORWARD in qedge.directions
         backward = Direction.BACKWARD in qedge.directions
-        src, tgt = self.src, self.tgt
         count = 0
-        for group in groups:
-            for eix in group if emask is None else filter(emask.__getitem__, group):
-                six, tix = src[eix], tgt[eix]
-                if (forward and smask[six] and tmask[tix]) or (
-                    backward and tmask[six] and smask[tix]
-                ):
-                    count += 1
+        for type_key in (None,) if qedge.types is None else qedge.types:
+            gathers = self._gather_group(type_key)
+            if gathers is None:
+                continue
+            edges, sources, targets, ones = gathers
+            way = 0
+            if forward:
+                way = _bits(sources, smask, ones) & _bits(targets, tmask, ones)
+            if backward:
+                way |= _bits(sources, tmask, ones) & _bits(targets, smask, ones)
+            count += (_bits(edges, emask, ones) & way).bit_count()
         return count
+
+    def _gather_group(
+        self, type_key: Optional[str]
+    ) -> Optional[Tuple[itemgetter, itemgetter, itemgetter, int]]:
+        """``(edges, sources, targets, ones)`` of one type group (every
+        edge for ``None``; ``None`` if empty): getters picking the group's
+        rows out of an edge mask and its endpoints' rows out of a vertex
+        mask, which share ``ix_of``'s one int object per vertex index,
+        and the all-ones int of the group's length.  Memoised per type
+        until the next patch."""
+        gathers = self._gathers.get(type_key)
+        if gathers is None:
+            version = self.version
+            # a copy: patches append to the group in place, and every row
+            # read below predates the copy
+            group = self._group(type_key)[:]
+            if not group:
+                return None
+            ix_of = self.ix_of
+            boxes = [ix_of[vid] for vid in self.vid_of]
+            gathers = self._intern(version, self._gathers, type_key, (
+                itemgetter(slice(len(group))) if type_key is None else _gatherer(list(group)),
+                _gatherer([boxes[self.src[eix]] for eix in group]),
+                _gatherer([boxes[self.tgt[eix]] for eix in group]),
+                int.from_bytes(b"\x01" * len(group), "little"),
+            ))
+        return gathers
 
     # -- delta patching ----------------------------------------------------------
 
@@ -515,8 +584,9 @@ class CSRIndex:
         Returns ``False`` (index untouched) when the run is not
         patchable; the caller falls back to a full rebuild.  On success
         every flat array keeps its object identity; only the derived
-        memos (restrict pools, the planner's degree rows and sums) are
-        cleared.
+        memos (restrict pools, the planner's degree rows and sums, the
+        path(1) gathers) are cleared.  Runs under the catch-up lock
+        (:func:`csr_entry`), so nothing here may derive a lazy table.
         """
         if not self._patchable(deltas):
             return False
@@ -538,6 +608,7 @@ class CSRIndex:
         self._restrict_pools.clear()
         self._degrees.clear()
         self._degree_sums.clear()
+        self._gathers.clear()
         self.version = graph.version
         return True
 
@@ -552,8 +623,8 @@ class CSRIndex:
             self.seed_universe.append(ix)
         for indptr, _edge_ix, _other_ix in self._adj.values():
             indptr.append(indptr[-1])
-        for sig, mask in self._vertex_masks.items():
-            bit = 1 if attributes_match(attrs, self._mask_preds[sig]) else 0
+        for sig, (mask, preds) in self._vertex_masks.items():
+            bit = 1 if attributes_match(attrs, preds) else 0
             mask.append(bit)
             if bit and (owned or self.known is None):
                 pool = self._seed_pools.get(sig)
@@ -589,19 +660,17 @@ class CSRIndex:
             other_ix.insert(pos, other)
             for j in range(row + 1, len(indptr)):
                 indptr[j] += 1
-        for sig, mask in self._edge_masks.items():
-            mask.append(
-                1 if attributes_match(attrs, self._edge_mask_preds[sig]) else 0
-            )
+        for (types, _sig), (mask, preds) in self._edge_masks.items():
+            admitted = types is None or type in types
+            mask.append(1 if admitted and attributes_match(attrs, preds) else 0)
 
     def _patch_vertex_attr(self, graph: Any, vid: int, attr: str) -> None:
         ix = self.ix_of[vid]
         attrs = graph.vertex_attributes(vid)
         in_universe = self.known is None or self.known[ix]
-        for sig, preds in self._mask_preds.items():
+        for sig, (mask, preds) in self._vertex_masks.items():
             if attr not in preds:
                 continue
-            mask = self._vertex_masks[sig]
             bit = 1 if attributes_match(attrs, preds) else 0
             if mask[ix] == bit:
                 continue
@@ -617,18 +686,16 @@ class CSRIndex:
 
     def _patch_edge_attr(self, graph: Any, eid: int, attr: str) -> None:
         eix = self._edge_index()[eid]
-        attrs = graph.edge(eid).attributes
-        for sig, preds in self._edge_mask_preds.items():
-            if attr in preds:
-                self._edge_masks[sig][eix] = (
-                    1 if attributes_match(attrs, preds) else 0
-                )
+        record = graph.edge(eid)
+        for (types, _sig), (mask, preds) in self._edge_masks.items():
+            if attr in preds and (types is None or record.type in types):
+                mask[eix] = 1 if attributes_match(record.attributes, preds) else 0
 
     # -- accounting --------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Flat-array bytes held by this index (base tables, type groups,
-        built adjacency segments, interned masks and pools)."""
+        """Bytes held by this index (base tables, type groups, built
+        adjacency segments, interned masks and pools, path(1) gathers)."""
         total = (
             self.vid_of.itemsize * len(self.vid_of)
             + self.eid_of.itemsize * len(self.eid_of)
@@ -645,12 +712,15 @@ class CSRIndex:
             total += indptr.itemsize * len(indptr)
             total += edge_ix.itemsize * len(edge_ix)
             total += other_ix.itemsize * len(other_ix)
-        for mask in self._vertex_masks.values():
-            total += len(mask)
-        for mask in self._edge_masks.values():
+        for mask, _preds in (*self._vertex_masks.values(), *self._edge_masks.values()):
             total += len(mask)
         for pool in self._seed_pools.values():
             total += pool.itemsize * len(pool)
+        for type_key in list(self._gathers):
+            # per row: a pointer in each getter, a byte of the all-ones int
+            # and, for a type, its edge getter's boxed edge index (32 bytes)
+            rows = len(self._group(type_key))
+            total += rows * (2 * 8 + 1 if type_key is None else 3 * 8 + 1 + 32)
         return total
 
 

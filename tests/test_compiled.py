@@ -570,7 +570,7 @@ class TestBoundedRetention:
         # the vertex table filled to the cap and recycled whole ...
         assert max(sizes) == MASK_CAP and sizes[-1] < MASK_CAP // 2
         # ... and no degree table keeps a recycled mask alive
-        live = {id(mask) for mask in index._vertex_masks.values()}
+        live = {id(mask) for mask, _preds in index._vertex_masks.values()}
         assert all(
             table._mask is None or id(table._mask) in live
             for table in index._degree_sums.values()

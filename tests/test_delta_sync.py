@@ -26,7 +26,7 @@ from repro.core.serialize import (
     shards_to_wire,
 )
 from repro.matching import PatternMatcher, csr_stats
-from repro.matching.csr import csr_entry
+from repro.matching.csr import csr_entry, csr_for
 from repro.rewrite.cache import QueryResultCache
 from repro.shard import GraphPartitioner, ProcessExecutor, SliceEvaluator
 
@@ -271,6 +271,83 @@ class TestCatchUpLock:
         assert csr_stats(g)["csr_rebuilds"] == 0
         assert len(csr_entry(g).csr.vid_of) == g.num_vertices
         assert PatternMatcher(g).count(q) == PatternMatcher(g, compiled=False).count(q)
+
+
+def knows_chain() -> PropertyGraph:
+    """Six persons, four ``knows`` edges: out-rows 0-3 hold one each."""
+    g = PropertyGraph()
+    for i in range(6):
+        g.add_vertex(vid=i, kind="person")
+    for i in range(4):
+        g.add_edge(i, i + 1, "knows")
+    return g
+
+
+def pause_first_call(monkeypatch, name: str):
+    """Wrap ``repro.matching.csr.<name>``: its first call, once it has
+    returned its value, sets ``paused`` and waits for ``resume``."""
+    real = getattr(csr_module, name)
+    paused, resume = threading.Event(), threading.Event()
+    calls: list = []
+
+    def wrapper(*args):
+        value = real(*args)
+        calls.append(None)
+        if len(calls) == 1:
+            paused.set()
+            assert resume.wait(30)
+        return value
+
+    monkeypatch.setattr(csr_module, name, wrapper)
+    return paused, resume
+
+
+class TestMutateDuringDerivation:
+    """A reader pauses inside a lazy derivation while the main thread
+    writes and ``csr_for`` patches the index in place.  What the reader
+    derived from the old version serves its own call only; the index
+    never keeps it (the intern rule)."""
+
+    def race(self, monkeypatch, hook: str, derive):
+        """Run ``derive(csr)`` in a reader paused at ``hook``, add a
+        vertex and a ``knows`` edge out of it meanwhile; returns the
+        graph, its patched index and what the reader's call answered."""
+        g = knows_chain()
+        csr = csr_for(g)
+        paused, resume = pause_first_call(monkeypatch, hook)
+        answers: list = []
+        reader = threading.Thread(target=lambda: answers.append(derive(csr)), daemon=True)
+        try:
+            reader.start()
+            assert paused.wait(30)
+            vid = g.add_vertex(kind="person")
+            g.add_edge(vid, 0, "knows")
+            assert csr_for(g) is csr  # patched in place, not rebuilt
+        finally:
+            resume.set()
+            reader.join(30)
+        assert not reader.is_alive()
+        assert len(answers) == 1
+        return g, csr, answers[0]
+
+    def test_degree_row_derived_across_a_patch_is_not_kept(self, monkeypatch):
+        g, csr, row = self.race(
+            monkeypatch, "Counter", lambda csr: csr.degrees((("knows", "out"),))
+        )
+        assert row == [1, 1, 1, 1, 0, 0]  # the reader's own version
+        assert list(csr.adjacency("knows", "out")[0]) == [0, 1, 2, 3, 4, 4, 4, 5]
+        q = person_query()
+        assert PatternMatcher(g).count(q) == PatternMatcher(g, compiled=False).count(q) == 5
+
+    def test_path1_gathers_derived_across_a_patch_are_not_kept(self, monkeypatch):
+        q = person_query()
+        g, csr, count = self.race(
+            monkeypatch,
+            "itemgetter",
+            lambda csr: csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1)),
+        )
+        assert count == 4  # the reader's own version
+        assert csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) == 5
 
 
 # -- delta-scoped cache invalidation ------------------------------------------

@@ -18,8 +18,9 @@ from repro.core import (
 )
 from repro.core.graph import DELTA_RING_LIMIT
 from repro.core.query import Direction
-from repro.matching import PatternMatcher
+from repro.matching import PatternMatcher, csr_stats
 from repro.matching.candidates import attributes_match
+from repro.matching.csr import CSRIndex, csr_for
 from repro.rewrite.statistics import PATH1_CAP, GraphStatistics
 from repro.shard import GraphPartitioner
 
@@ -621,6 +622,147 @@ class TestMutateScope:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert results == [expected] * 8
+
+
+def one_edge_query(types, directions=None, source=None, target=None, **edge_predicates):
+    q = GraphQuery()
+    a = q.add_vertex(predicates=source or {})
+    b = q.add_vertex(predicates=target or {})
+    kwargs = {} if directions is None else {"directions": directions}
+    q.add_edge(a, b, types=types, predicates=edge_predicates, **kwargs)
+    return q
+
+
+def kernel_queries():
+    """Every orientation over one-edge groups, a multi-type set and the
+    untyped walk, with and without endpoint and edge predicates."""
+    person = {"type": equals("person")}
+    female = {"gender": equals("female")}
+    for directions in (None, BACKWARD_ONLY, BOTH_DIRECTIONS):
+        for types in ({"studyAt"}, {"knows", "workAt"}, {"workAt", "studyAt", "knows"}, None):
+            yield one_edge_query(types, directions)
+            yield one_edge_query(types, directions, person, female)
+            yield one_edge_query(types, directions, female, None)
+            yield one_edge_query(types, directions, None, person, sinceYear=equals(2003))
+        yield one_edge_query({"knows", "studyAt"}, directions, person, None, since=equals(2009))
+
+
+class TestPath1Kernel:
+    """Edge cases of the gather-and-popcount path(1) count, the record
+    walk as the oracle, and of the type-scoped edge masks under it."""
+
+    def test_kernel_equals_the_record_walk(self, tiny_graph):
+        stats = GraphStatistics(tiny_graph)
+        reference = ReferenceStatistics(tiny_graph)
+        for q in kernel_queries():
+            assert_statistics_equal(stats, reference, q)
+
+    def test_one_edge_group_and_both_ways_self_loop(self):
+        graph = PropertyGraph()
+        a = graph.add_vertex(type="person", gender="female")
+        b = graph.add_vertex(type="person", gender="male")
+        graph.add_edge(a, a, "likes", w=1)  # a one-edge group, and a self-loop
+        graph.add_edge(a, b, "knows", w=1)
+        graph.add_edge(b, a, "knows", w=2)
+        stats, reference = GraphStatistics(graph), ReferenceStatistics(graph)
+        female = {"gender": equals("female")}
+        for types in ({"likes"}, {"likes", "knows"}, None):
+            for directions in (None, BACKWARD_ONLY, BOTH_DIRECTIONS):
+                for q in (
+                    one_edge_query(types, directions),
+                    one_edge_query(types, directions, female, female),
+                    one_edge_query(types, directions, female, None, w=equals(1)),
+                ):
+                    assert_statistics_equal(stats, reference, q)
+        both = one_edge_query({"likes"}, BOTH_DIRECTIONS, female, female)
+        assert stats.path1_cardinality(both, 0) == 1
+
+    def test_type_absent_at_build_then_patched_in(self, tiny_graph):
+        q = one_edge_query({"mentors"}, BOTH_DIRECTIONS, {"type": equals("person")})
+        weighted = one_edge_query({"mentors"}, None, None, None, w=equals(1))
+        assert GraphStatistics(tiny_graph).path1_cardinality(q, 0) == 0
+        assert GraphStatistics(tiny_graph).path1_cardinality(weighted, 0) == 0
+        tiny_graph.add_edge(0, 3, "mentors", w=1)  # a one-edge group
+        assert GraphStatistics(tiny_graph).path1_cardinality(q, 0) == 1
+        tiny_graph.add_edge(3, 4, "mentors", w=1)
+        tiny_graph.add_edge(2, 2, "mentors", w=2)
+        stats, reference = GraphStatistics(tiny_graph), ReferenceStatistics(tiny_graph)
+        for query in (q, weighted):
+            assert_statistics_equal(stats, reference, query)
+        assert csr_stats(tiny_graph)["csr_rebuilds"] == 0
+        assert csr_stats(tiny_graph)["csr_patches"] == 2
+
+    def test_one_predicate_on_two_type_sets_gives_two_masks(self, tiny_graph):
+        since = {"since": equals(2009)}
+        knows = one_edge_query({"knows"}, **since).edge(0)
+        either = one_edge_query({"knows", "workAt"}, **since).edge(0)
+        csr = csr_for(tiny_graph)
+        kmask, emask = csr.edge_mask(knows), csr.edge_mask(either)
+        assert kmask is not emask
+        assert kmask is csr.edge_mask(one_edge_query({"knows"}, **since).edge(0))
+        reference = ReferenceStatistics(tiny_graph)
+        assert kmask.count(1) == reference.edge_cardinality(knows) == 1
+        assert emask.count(1) == reference.edge_cardinality(either) == 1
+        # rows outside the admitted types read 0, whatever their attributes
+        tiny_graph.add_edge(0, 4, "workAt", since=2009)
+        csr = csr_for(tiny_graph)
+        assert csr.edge_mask(knows).count(1) == 1
+        assert csr.edge_mask(either).count(1) == 2
+
+    def test_patched_typed_mask_equals_a_fresh_index(self, tiny_graph):
+        queries = [
+            one_edge_query({"workAt"}, sinceYear=equals(2003)),
+            one_edge_query({"workAt", "studyAt"}, sinceYear=equals(2003)),
+            one_edge_query(None, sinceYear=equals(2003)),
+            one_edge_query({"mentors"}, sinceYear=equals(2003)),
+        ]
+        csr = csr_for(tiny_graph)
+        for q in queries:
+            csr.edge_mask(q.edge(0))
+        vid = tiny_graph.add_vertex(type="person")
+        tiny_graph.add_edge(vid, 4, "workAt", sinceYear=2003)
+        tiny_graph.add_edge(vid, 5, "mentors", sinceYear=2003)
+        tiny_graph.add_edge(vid, 4, "studyAt", sinceYear=2003)
+        tiny_graph.set_edge_attribute(1, "sinceYear", 2003)  # bob -workAt-> tud
+        tiny_graph.set_edge_attribute(2, "sinceYear", 2003)  # carol -studyAt-> tud
+        tiny_graph.set_edge_attribute(0, "sinceYear", 1999)  # anna -workAt-> tud
+        assert csr_for(tiny_graph) is csr
+        assert csr_stats(tiny_graph)["csr_rebuilds"] == 0
+        fresh = CSRIndex(tiny_graph)
+        for q in queries:
+            assert csr.edge_mask(q.edge(0)) == fresh.edge_mask(q.edge(0)), q.edge(0).types
+
+    def test_edge_attribute_outside_the_types_leaves_the_mask(self, tiny_graph):
+        knows = one_edge_query({"knows"}, since=equals(2009)).edge(0)
+        csr = csr_for(tiny_graph)
+        before = bytes(csr.edge_mask(knows))
+        work = next(r.eid for r in tiny_graph.edges() if r.type == "workAt")
+        tiny_graph.set_edge_attribute(work, "since", 2009)
+        assert csr_for(tiny_graph) is csr
+        assert bytes(csr.edge_mask(knows)) == before
+        assert csr.edge_mask(knows) == CSRIndex(tiny_graph).edge_mask(knows)
+
+    @pytest.mark.parametrize("dataset", ["ldbc_small", "dbpedia_small"])
+    def test_gathers_retain_at_most_128_bytes_an_edge(self, dataset, request):
+        """Every type group's gathers plus the untyped walk's: the bound
+        is on what they retain, and ``nbytes`` (``csr_bytes``) must
+        account for it."""
+        import tracemalloc
+
+        graph = request.getfixturevalue(dataset).graph
+        csr = CSRIndex(graph)
+        counted = csr.nbytes()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for type_key in [None, *csr._by_type]:
+                assert csr._gather_group(type_key) is not None
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained = after - before
+        assert retained <= 128 * graph.num_edges
+        assert 0.8 * retained <= csr.nbytes() - counted <= 1.25 * retained
 
 
 def random_touching_batch(graph) -> None:
