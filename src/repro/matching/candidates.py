@@ -1,10 +1,12 @@
 """Candidate computation and predicate evaluation for pattern matching.
 
-The matcher prunes its search with per-query-vertex candidate sets derived
-from the property graph's secondary indexes.  A query vertex without any
-predicate is *unconstrained*; its candidate set is represented by ``None``
-so the matcher never materialises "all vertices" unless it has to seed a
-new connected component there.
+The interpreter (:mod:`repro.matching.matcher`) and the shard matcher
+prune their search with per-query-vertex candidate sets derived from the
+property graph's secondary indexes; :func:`vertex_candidates` is also the
+oracle of the compiled backend's interned masks (:mod:`repro.matching.csr`).
+A query vertex without any predicate is *unconstrained*; its candidate set
+is represented by ``None`` so the matcher never materialises "all
+vertices" unless it has to seed a new connected component there.
 """
 
 from __future__ import annotations

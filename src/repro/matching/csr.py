@@ -24,7 +24,10 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   planner and the rewriters' statistics all read them.  Edge masks are
   interned per ``(type set, predicate signature)`` and filled over the
   admitted types' edges only: the typed segments a kernel scans and the
-  type groups path(1) counts probe no other row.  At most
+  type groups path(1) counts probe no other row.  A fill is set algebra
+  over a value index (the graph's for vertices, per-type columns of the
+  edge records for edges): its Python work grows with the distinct
+  values, not the rows.  A seed pool is the mask ``compress``-ed.  At most
   :data:`MASK_CAP` masks are interned per table: a long fine-grained
   search (one predicate constant per variant) recycles them instead of
   growing the index without bound;
@@ -69,17 +72,19 @@ accessor surface exactly.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate, compress
-from operator import eq, itemgetter, mul
-from typing import AbstractSet, Any, Dict, Hashable, Iterable, Optional, Tuple
+from itertools import accumulate, compress, repeat
+from operator import and_, eq, itemgetter, mul
+from typing import AbstractSet, Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
+from repro.core.predicates import ValueSet
 from repro.core.query import Direction, QueryEdge, QueryVertex
-from repro.matching.candidates import attributes_match, vertex_candidates
+from repro.matching.candidates import attributes_match
 from repro.obs.tracing import SPAN_CSR_BUILD, current_tracer
 
 __all__ = [
@@ -134,6 +139,35 @@ def _bits(gather: itemgetter, mask: Optional[bytearray], ones: int) -> int:
     return ones if mask is None else int.from_bytes(gather(mask), "little")
 
 
+def _matching_rows(
+    predicates: Mapping[str, Any], values: Callable, bucket: Callable, attributes_of: Callable
+) -> set:
+    """The rows satisfying every predicate, by set algebra over a value
+    index (``values(attr)``: distinct values; ``bucket(attr, value)``:
+    their rows).  A :class:`ValueSet` unions its own values' buckets; any
+    other predicate is evaluated once per distinct value, except in the
+    buckets ``True`` / ``False`` share with 1 / 0 / 0.0, checked row by
+    row.  Each ``&`` walks the smaller set; live buckets see C calls only."""
+    rows = None
+    # value sets first: they are lookups, and an empty one ends the fill
+    by_kind = sorted(predicates.items(), key=lambda item: not isinstance(item[1], ValueSet))
+    for attr, pred in by_kind:
+        if rows is not None and not rows:
+            break
+        if isinstance(pred, ValueSet):
+            found = set().union(*map(bucket, repeat(attr), pred.values))
+        else:
+            keys = list(values(attr))
+            found = set().union(*map(bucket, repeat(attr), compress(keys, map(pred.matches, keys))))
+            for key in (0, 1):
+                shared = tuple(bucket(attr, key))
+                if shared:
+                    found.difference_update(shared)
+                    found.update([row for row in shared if pred.matches(attributes_of(row)[attr])])
+        rows = found if rows is None else rows & found
+    return rows
+
+
 class CSRIndex:
     """One graph snapshot packed into flat arrays (see module docstring).
 
@@ -167,6 +201,7 @@ class CSRIndex:
         "_degrees",
         "_degree_sums",
         "_gathers",
+        "_edge_columns",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -235,6 +270,8 @@ class CSRIndex:
         self._degree_sums: Dict[Hashable, DegreeSums] = {}
         #: edge type | None -> path(1) gathers over its group, this version only
         self._gathers: Dict[Optional[str], Tuple[itemgetter, itemgetter, itemgetter, int]] = {}
+        #: edge type -> attr -> value -> its rows: edge fills' value index
+        self._edge_columns: Dict[str, Dict[str, Dict[Any, array]]] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
@@ -331,10 +368,10 @@ class CSRIndex:
         Interned by predicate signature, so all query variants sharing a
         constraint share one mask: this table is the one memo of which
         vertices satisfy a signature.  A mask is filled from the graph's
-        indexes (:func:`~repro.matching.candidates.vertex_candidates`);
-        on a partial graph those cover the owned range only, so the halo
-        attributes are evaluated directly on top -- expansion targets may
-        land in the halo.
+        value index (:func:`_matching_rows`); on a partial graph that
+        covers the owned range only, so the halo attributes are evaluated
+        directly on top -- expansion targets may land in the halo.  Rows
+        a graph ahead of this index holds are left to the catch-up patch.
         """
         predicates = qvertex.predicates
         if not predicates:
@@ -344,9 +381,13 @@ class CSRIndex:
         if entry is None:
             version = self.version
             graph = self._graph()
-            mask = bytearray(len(self.vid_of))
             ix_of = self.ix_of
-            for vid in vertex_candidates(graph, qvertex):
+            vids = _matching_rows(
+                predicates, graph.vertex_attr_values, graph.vertices_with, graph.vertex_attributes
+            )
+            stale = vids.difference(ix_of)  # not interned yet: the patch sets them
+            mask = bytearray(len(self.vid_of))  # sized after: a patch only appends rows
+            for vid in vids - stale if stale else vids:
                 mask[ix_of[vid]] = 1
             if self.partial:
                 for vid, attributes in graph._halo.items():
@@ -372,7 +413,8 @@ class CSRIndex:
             if mask is None:
                 pool = self.seed_universe
             else:
-                pool = array(_IX, (ix for ix in self.seed_universe if mask[ix]))
+                selector = mask if self.known is None else map(and_, mask, self.known)
+                pool = array(_IX, compress(range(len(mask)), selector))
             self._intern(version, self._seed_pools, sig, pool)
         return pool
 
@@ -411,7 +453,7 @@ class CSRIndex:
         ``None`` when the edge carries none.  Interned per ``(type set,
         predicate signature)`` and filled over the admitted types' edges
         only -- the rows a typed segment or a path(1) type group can
-        probe; every other row reads 0."""
+        probe; every other row reads 0.  Filled from their value columns."""
         predicates = qedge.predicates
         if not predicates:
             return None
@@ -421,14 +463,34 @@ class CSRIndex:
         if entry is None:
             version = self.version
             graph = self._graph()
-            mask = bytearray(len(self.eid_of))
             eid_of = self.eid_of
-            for type_key in (None,) if types is None else types:
-                for eix in self._group(type_key):
-                    if attributes_match(graph.edge(eid_of[eix]).attributes, predicates):
-                        mask[eix] = 1
+            admitted = list(self._by_type) if types is None else types
+            columns = [self._edge_column(type_key) for type_key in admitted]
+            mask = bytearray(len(eid_of))  # sized after the columns: a patch only appends rows
+            for column in columns:
+                for eix in _matching_rows(
+                    predicates, lambda attr: column.get(attr, {}).keys(),
+                    lambda attr, value: column.get(attr, {}).get(value, ()),
+                    lambda eix: graph.edge(eid_of[eix]).attributes,
+                ):
+                    mask[eix] = 1
             entry = self._intern(version, self._edge_masks, key, (mask, dict(predicates)), MASK_CAP)
         return entry[0]
+
+    def _edge_column(self, type_key: str) -> Dict[str, Dict[Any, array]]:
+        """``attr -> value -> edge indexes`` of one type group, read off
+        its edge records; memoised per type until the next patch."""
+        column = self._edge_columns.get(type_key)
+        if column is None:
+            version = self.version
+            graph = self._graph()
+            eid_of = self.eid_of
+            column = {}
+            for eix in self._group(type_key)[:]:  # copies: patches append, writers add keys
+                for attr, value in graph.edge(eid_of[eix]).attributes.copy().items():
+                    column.setdefault(attr, {}).setdefault(value, array(_IX)).append(eix)
+            self._intern(version, self._edge_columns, type_key, column)
+        return column
 
     # -- planner statistics ------------------------------------------------------
 
@@ -609,6 +671,7 @@ class CSRIndex:
         self._degrees.clear()
         self._degree_sums.clear()
         self._gathers.clear()
+        self._edge_columns.clear()
         self.version = graph.version
         return True
 
@@ -695,7 +758,7 @@ class CSRIndex:
 
     def nbytes(self) -> int:
         """Bytes held by this index (base tables, type groups, built
-        adjacency segments, interned masks and pools, path(1) gathers)."""
+        adjacency segments, interned masks and pools, path(1) gathers, edge columns)."""
         total = (
             self.vid_of.itemsize * len(self.vid_of)
             + self.eid_of.itemsize * len(self.eid_of)
@@ -721,6 +784,10 @@ class CSRIndex:
             # and, for a type, its edge getter's boxed edge index (32 bytes)
             rows = len(self._group(type_key))
             total += rows * (2 * 8 + 1 if type_key is None else 3 * 8 + 1 + 32)
+        for column in list(self._edge_columns.values()):
+            total += sys.getsizeof(column)
+            for buckets in column.values():
+                total += sys.getsizeof(buckets) + sum(map(sys.getsizeof, buckets.values()))
         return total
 
 

@@ -1,9 +1,13 @@
 """Tests for the typed-adjacency storage and the CSR image's interned
 candidate masks: zero-copy accessors, per-type counts, plan construction,
 one mask per predicate signature (the only candidate memo), in-place
-patching on writes, the mask cap, and the newly exercised matcher corners
-(homomorphic matching, self-loops under BOTH, typed expansion)."""
+patching on writes, the mask cap, the fills' differential oracle (the
+interpreter's ``vertex_candidates`` and a per-edge ``attributes_match``
+scan), the edge value columns' footprint, and the newly exercised matcher
+corners (homomorphic matching, self-loops under BOTH, typed expansion)."""
 
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -16,6 +20,9 @@ from repro.core import (
     equals,
     one_of,
 )
+from repro.core.predicates import Interval, ValueSet
+from repro.core.serialize import shards_to_wire
+from repro.datasets import dbpedia, ldbc
 from repro.matching import (
     CSRIndex,
     ExpandStep,
@@ -26,8 +33,10 @@ from repro.matching import (
     csr_stats,
     vertex_candidates,
 )
+from repro.matching.candidates import attributes_match
 from repro.matching.csr import MASK_CAP
 from repro.rewrite import GraphStatistics
+from repro.shard import GraphPartitioner, SliceEvaluator
 
 
 class TestTypedAdjacency:
@@ -224,14 +233,17 @@ class TestCandidateMasks:
         self, tiny_graph, person_works_at_university, monkeypatch
     ):
         """The matcher, the statistics' vertex cardinality and path(1)
-        all read one interned mask: each signature is derived once."""
+        all read one interned mask: each signature is derived once.  The
+        fill helper is counted per predicate map; the query's edge
+        carries none, so every call is a vertex fill."""
         derived = Counter()
+        fill = csr_module._matching_rows
 
-        def counted(graph, qvertex):
-            derived[qvertex.predicate_signature()] += 1
-            return vertex_candidates(graph, qvertex)
+        def counted(predicates, *index):
+            derived[frozenset(predicates.items())] += 1
+            return fill(predicates, *index)
 
-        monkeypatch.setattr(csr_module, "vertex_candidates", counted)
+        monkeypatch.setattr(csr_module, "_matching_rows", counted)
         q = person_works_at_university
         matcher = PatternMatcher(tiny_graph)
         statistics = GraphStatistics(tiny_graph)
@@ -241,7 +253,7 @@ class TestCandidateMasks:
         assert statistics.path1_cardinality(q, 0) == 3
         assert matcher.count(q) == 3
         assert sorted(derived.values()) == [1, 1]
-        assert set(derived) == {v.predicate_signature() for v in q.vertices()}
+        assert set(derived) == {frozenset(v.predicates.items()) for v in q.vertices()}
 
     @pytest.mark.parametrize(
         "write",
@@ -307,3 +319,257 @@ class TestCandidateMasks:
         assert info["caches"] == {}
         # the repeat evaluation is served by the process-wide kernel cache
         assert info["programs"]["hits"] >= 1
+
+
+# -- the fills against their oracle -------------------------------------------
+
+
+def oracle_vertex_mask(csr: CSRIndex, graph, qvertex) -> bytearray:
+    """The interpreter's candidate set as a mask, plus the halo vertices a
+    partial graph's index cannot see."""
+    mask = bytearray(csr.num_vertices)
+    for vid in vertex_candidates(graph, qvertex):
+        mask[csr.ix_of[vid]] = 1
+    for vid, attributes in getattr(graph, "_halo", {}).items():
+        if attributes_match(attributes, qvertex.predicates):
+            mask[csr.ix_of[vid]] = 1
+    return mask
+
+
+def oracle_edge_mask(csr: CSRIndex, graph, qedge) -> bytearray:
+    """One ``attributes_match`` per edge of an admitted type."""
+    mask = bytearray(csr.num_edges)
+    for eix, eid in enumerate(csr.eid_of):
+        record = graph.edge(eid)
+        if qedge.types is None or record.type in qedge.types:
+            mask[eix] = 1 if attributes_match(record.attributes, qedge.predicates) else 0
+    return mask
+
+
+def assert_fills_agree(graph, queries, csr=None) -> int:
+    """Every constrained vertex and edge of ``queries``: the interned mask
+    equals the oracle's.  Returns the number of masks compared."""
+    csr = CSRIndex(graph) if csr is None else csr
+    compared = 0
+    for q in queries:
+        for qvertex in q.vertices():
+            if qvertex.predicates:
+                assert csr.vertex_mask(qvertex) == oracle_vertex_mask(csr, graph, qvertex), (
+                    qvertex.predicates
+                )
+                compared += 1
+        for qedge in q.edges():
+            if qedge.predicates:
+                assert csr.edge_mask(qedge) == oracle_edge_mask(csr, graph, qedge), (
+                    qedge.types,
+                    qedge.predicates,
+                )
+                compared += 1
+    return compared
+
+
+def mix_queries(module) -> list:
+    """The request mix's queries (every paper query and both why-empty
+    variants), plus each constrained vertex cut down to one predicate."""
+    queries = []
+    for name, query in module.queries().items():
+        queries += [query, module.empty_variant(name), module.empty_variant_edge(name)]
+    for query in list(queries):
+        for qvertex in query.vertices():
+            for attr, pred in qvertex.predicates.items():
+                single = GraphQuery()
+                single.add_vertex(predicates={attr: pred})
+                queries.append(single)
+    return queries
+
+
+def vertex_query(predicates) -> GraphQuery:
+    q = GraphQuery()
+    q.add_vertex(predicates=predicates)
+    return q
+
+
+def edge_query(predicates, types=None) -> GraphQuery:
+    q = GraphQuery()
+    a, b = q.add_vertex(), q.add_vertex()
+    q.add_edge(a, b, types=types, predicates=predicates)
+    return q
+
+
+#: values that share a dict key (True == 1 == 1.0, False == 0 == 0.0)
+#: with a few that do not, in the order they are written
+COLLIDING = [True, 1, 1.0, False, 0, 0.0, 2, 0.5, "1"]
+
+#: predicates that tell the colliding values apart (an ``Interval``
+#: rejects bools) or do not (a ``ValueSet`` compares like a dict key)
+COLLIDING_PREDICATES = [
+    Interval(0, 1),
+    Interval(1, 1),
+    Interval(0, 0),
+    Interval(0.5, 2, low_open=True),
+    ValueSet([True]),
+    ValueSet([1]),
+    ValueSet([False]),
+    ValueSet([0.0]),
+    ValueSet(["1"]),
+    ValueSet([2, "1"]),
+]
+
+
+def colliding_graph(values) -> PropertyGraph:
+    """A hub pointing at one vertex per value, plus one without ``flag``;
+    each edge carries its target's value, its type alternating a/b."""
+    g = PropertyGraph()
+    hub = g.add_vertex(type="hub")
+    for i, value in enumerate(values):
+        v = g.add_vertex(type="leaf", flag=value)
+        g.add_edge(hub, v, "a" if i % 2 else "b", flag=value)
+    bare = g.add_vertex(type="leaf")
+    g.add_edge(hub, bare, "a")
+    return g
+
+
+class TestDifferentialFills:
+    @pytest.mark.parametrize("module", [ldbc, dbpedia], ids=["ldbc", "dbpedia"])
+    def test_every_signature_of_the_mix(self, module, ldbc_small, dbpedia_small):
+        graph = (ldbc_small if module is ldbc else dbpedia_small).graph
+        assert assert_fills_agree(graph, mix_queries(module)) > 50
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["bool_first", "number_first"])
+    def test_colliding_buckets(self, order):
+        """The bucket a bool shares with a number is keyed by whichever was
+        written first: the fill must not decide it from its key."""
+        graph = colliding_graph(COLLIDING[::order])
+        queries = []
+        for pred in COLLIDING_PREDICATES:
+            queries.append(vertex_query({"flag": pred}))
+            queries.append(vertex_query({"flag": pred, "type": equals("leaf")}))
+            for types in (None, {"a"}, {"a", "b"}):
+                queries.append(edge_query({"flag": pred}, types))
+        assert assert_fills_agree(graph, queries) == 5 * len(COLLIDING_PREDICATES)
+        csr = CSRIndex(graph)
+        flag = csr.vertex_mask(vertex_query({"flag": Interval(0, 1)}).vertex(0))
+        # 1, 1.0, 0, 0.0 and 0.5; not True, False, 2 or "1"
+        assert flag.count(1) == 5
+
+    def test_missing_attribute_fails_the_predicate(self):
+        g = PropertyGraph()
+        g.add_vertex(type="a", age=3)
+        g.add_vertex(type="a")
+        g.add_vertex(age=4)
+        g.add_edge(0, 1, "x", w=1)
+        g.add_edge(1, 2, "x")
+        g.add_edge(2, 0, "y", w=1)
+        queries = [
+            vertex_query({"type": equals("a"), "age": Interval(0, 9)}),
+            vertex_query({"age": Interval(0, 9)}),
+            vertex_query({"nothing": Interval(0, 9)}),
+            vertex_query({"nothing": equals(1)}),
+            edge_query({"w": Interval(0, 9)}),
+            edge_query({"w": equals(1)}, {"x"}),
+            edge_query({"nothing": equals(1)}),
+        ]
+        assert assert_fills_agree(g, queries) == len(queries)
+
+    def test_untyped_and_multi_type_edges(self, tiny_graph):
+        tiny_graph.add_edge(0, 4, "studyAt", sinceYear=2001)
+        tiny_graph.add_edge(1, 4, "likes", sinceYear=2001)
+        queries = [
+            edge_query({"sinceYear": Interval(2000, 2010)}),
+            edge_query({"sinceYear": Interval(2000, 2010)}, {"workAt", "studyAt"}),
+            edge_query({"sinceYear": equals(2001)}, {"workAt", "studyAt", "ghost"}),
+        ]
+        assert assert_fills_agree(tiny_graph, queries) == len(queries)
+        csr = CSRIndex(tiny_graph)
+        untyped = csr.edge_mask(queries[0].edge(0))
+        two_types = csr.edge_mask(queries[1].edge(0))
+        # the likes edge is admitted by the untyped walk only
+        assert untyped.count(1) == two_types.count(1) + 1
+
+    def test_interval_over_many_distinct_values(self):
+        g = PropertyGraph()
+        for i in range(600):
+            g.add_vertex(score=i / 2 if i % 3 else i, kind="odd" if i % 2 else "even")
+        for i in range(599):
+            g.add_edge(i, i + 1, "next", w=i)
+        g.add_vertex(score=True)
+        assert len(g.vertex_attr_values("score")) > 255
+        queries = [
+            vertex_query({"score": Interval(100, 250)}),
+            vertex_query({"score": Interval(100, 250, low_open=True, high_open=True)}),
+            vertex_query({"score": Interval(0, 1), "kind": equals("odd")}),
+            edge_query({"w": Interval(300, 1000)}),
+            edge_query({"w": Interval(300, 1000)}, {"next"}),
+        ]
+        assert assert_fills_agree(g, queries) == len(queries)
+
+    def test_partial_slice_with_halo(self, ldbc_small):
+        sharded = GraphPartitioner(2).partition(ldbc_small.graph)
+        evaluator = SliceEvaluator.from_wire_payloads(shards_to_wire(sharded))
+        for slice_ in evaluator.slices.values():
+            assert slice_._halo  # cross-shard edges ship halo vertices
+            assert assert_fills_agree(slice_, mix_queries(ldbc)) > 50
+
+    def test_new_signature_after_a_write_reads_the_new_value(self):
+        g = colliding_graph(COLLIDING)
+        csr = csr_for(g)
+        before = [vertex_query({"flag": equals(2)}), edge_query({"flag": equals(2)})]
+        assert_fills_agree(g, before, csr)
+        assert csr._edge_columns
+        leaf = next(v for v in g.vertices() if g.vertex_attributes(v).get("flag") == 0.5)
+        edge = next(r.eid for r in g.edges() if r.attributes.get("flag") == 0.5)
+        g.set_vertex_attribute(leaf, "flag", 7)
+        g.set_edge_attribute(edge, "flag", 7)
+        assert csr_for(g) is csr  # patched in place, columns dropped
+        assert not csr._edge_columns
+        queries = [
+            vertex_query({"flag": equals(2)}),
+            edge_query({"flag": equals(2)}),
+            vertex_query({"flag": Interval(5, 9)}),
+            edge_query({"flag": Interval(5, 9)}),
+            edge_query({"flag": equals(7)}, {"a", "b"}),
+        ]
+        assert assert_fills_agree(g, queries, csr) == len(queries)
+        assert csr.edge_mask(queries[3].edge(0)).count(1) == 1
+        assert csr.vertex_mask(queries[2].vertex(0)).count(1) == 1
+
+
+class TestSeedPools:
+    def test_pool_is_the_filtered_seed_universe(self, ldbc_small):
+        """On the full graph and on both slices of a partition, where
+        ``known`` leaves the halo rows out of the seed universe."""
+        sharded = GraphPartitioner(2).partition(ldbc_small.graph)
+        slices = SliceEvaluator.from_wire_payloads(shards_to_wire(sharded)).slices.values()
+        for graph in (ldbc_small.graph, *slices):
+            csr = CSRIndex(graph)
+            assert (csr.known is None) == (graph is ldbc_small.graph)
+            for q in mix_queries(ldbc):
+                for qvertex in q.vertices():
+                    mask = csr.vertex_mask(qvertex)
+                    if mask is None:
+                        continue
+                    wanted = array("i", (ix for ix in csr.seed_universe if mask[ix]))
+                    assert csr.seed_pool(qvertex) == wanted
+
+
+class TestEdgeColumns:
+    @pytest.mark.parametrize("dataset", ["ldbc_small", "dbpedia_small"])
+    def test_columns_retain_at_most_32_bytes_an_edge(self, dataset, request):
+        """Every type's value column, as the first untyped fill builds
+        them: the bound is on what they retain, and on ldbc (where edges
+        carry attributes) ``nbytes`` (``csr_bytes``) must account for it."""
+        graph = request.getfixturevalue(dataset).graph
+        csr = CSRIndex(graph)
+        counted = csr.nbytes()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for type_key in csr._by_type:
+                csr._edge_column(type_key)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained = after - before
+        assert retained <= 32 * graph.num_edges
+        if dataset == "ldbc_small":
+            assert 0.8 * retained <= csr.nbytes() - counted <= 1.25 * retained

@@ -17,6 +17,7 @@ import pytest
 
 import repro.matching.csr as csr_module
 from repro.core import GraphQuery, PropertyGraph, equals
+from repro.core.predicates import Interval
 from repro.core.errors import MalformedQueryError
 from repro.core.graph import DELTA_RING_LIMIT
 from repro.core.serialize import (
@@ -26,7 +27,7 @@ from repro.core.serialize import (
     shards_to_wire,
 )
 from repro.matching import PatternMatcher, csr_stats
-from repro.matching.csr import csr_entry, csr_for
+from repro.matching.csr import CSRIndex, csr_entry, csr_for
 from repro.rewrite.cache import QueryResultCache
 from repro.shard import GraphPartitioner, ProcessExecutor, SliceEvaluator
 
@@ -348,6 +349,101 @@ class TestMutateDuringDerivation:
         )
         assert count == 4  # the reader's own version
         assert csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) == 5
+
+
+class TestMutateDuringFill:
+    """A predicate fill reads the live graph, which may be ahead of the
+    index that asks: it skips the rows the index has not interned yet,
+    and the catch-up patch sets them.  A fill paused across a patch sizes
+    its mask after reading, so a row the patch appended fits."""
+
+    def test_fill_on_an_index_behind_its_graph(self):
+        g = PropertyGraph()
+        a = g.add_vertex(type="person", age=3)
+        b = g.add_vertex(type="person", age=5)
+        g.add_edge(a, b, "knows", since=2001)
+        held = csr_for(g)
+        c = g.add_vertex(type="person", age=7)
+        g.add_edge(b, c, "knows", since=2006)
+        g.set_vertex_attribute(a, "age", 30)
+        g.set_edge_attribute(0, "since", 2005)
+        assert held.version < g.version
+        q = GraphQuery()
+        v = q.add_vertex(predicates={"type": equals("person"), "age": Interval(1, 9)})
+        w = q.add_vertex()
+        q.add_edge(v, w, types={"knows"}, predicates={"since": Interval(2004, 2010)})
+        # the held index's own rows, read from the live graph
+        assert list(held.vertex_mask(q.vertex(v))) == [0, 1]
+        assert list(held.edge_mask(q.edge(0))) == [1]
+        assert csr_for(g) is held  # caught up by a patch
+        fresh = CSRIndex(g)
+        assert held.vertex_mask(q.vertex(v)) == fresh.vertex_mask(q.vertex(v))
+        assert list(held.vertex_mask(q.vertex(v))) == [0, 1, 1]
+        assert held.edge_mask(q.edge(0)) == fresh.edge_mask(q.edge(0))
+        assert held.seed_pool(q.vertex(v)) == fresh.seed_pool(q.vertex(v))
+        assert PatternMatcher(g).count(q) == PatternMatcher(g, compiled=False).count(q) == 1
+
+
+    def paused_fill(self, monkeypatch, owner, name: str, fill, write):
+        """Run ``fill()`` in a reader that pauses on entering
+        ``owner.<name>``, ``write(g)`` and catch the index up meanwhile;
+        returns what the reader's call answered."""
+        real = getattr(owner, name)
+        paused, resume = threading.Event(), threading.Event()
+
+        def wrapper(*args):
+            if not paused.is_set():
+                paused.set()
+                assert resume.wait(30)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        answers: list = []
+        reader = threading.Thread(target=lambda: answers.append(fill()), daemon=True)
+        try:
+            reader.start()
+            assert paused.wait(30)
+            write()
+        finally:
+            resume.set()
+            reader.join(30)
+        assert not reader.is_alive()
+        assert len(answers) == 1
+        return answers[0]
+
+    def test_vertex_fill_across_a_patch(self, monkeypatch):
+        g = knows_chain()
+        csr = csr_for(g)
+        q = person_query()
+
+        def write():
+            g.add_vertex(kind="person")
+            assert csr_for(g) is csr
+
+        mask = self.paused_fill(
+            monkeypatch, csr_module, "_matching_rows", lambda: csr.vertex_mask(q.vertex(0)), write
+        )
+        assert list(mask) == [1] * 7  # the live graph, new row included
+        assert csr.vertex_mask(q.vertex(0)) == CSRIndex(g).vertex_mask(q.vertex(0))
+
+    def test_edge_fill_across_a_patch(self, monkeypatch):
+        g = knows_chain()
+        csr = csr_for(g)
+        q = GraphQuery()
+        a, b = q.add_vertex(), q.add_vertex()
+        q.add_edge(a, b, types={"knows"}, predicates={"since": Interval(2000, 2010)})
+        g.set_edge_attribute(0, "since", 2001)
+        csr_for(g)
+
+        def write():
+            g.add_edge(4, 5, "knows", since=2002)
+            assert csr_for(g) is csr
+
+        mask = self.paused_fill(
+            monkeypatch, CSRIndex, "_edge_column", lambda: csr.edge_mask(q.edge(0)), write
+        )
+        assert list(mask) == [1, 0, 0, 0, 1]
+        assert csr.edge_mask(q.edge(0)) == CSRIndex(g).edge_mask(q.edge(0))
 
 
 # -- delta-scoped cache invalidation ------------------------------------------
