@@ -23,11 +23,17 @@ type-partitioned adjacency, so a query edge with a type set only ever
 visits data edges of those types.  Seed pools are walked in ascending
 vertex id on both backends, so a bounded ``match(limit=n)`` returns the
 same n matches, in the same order, whichever backend serves it.
+
+Emptiness is decided before planning, for both backends: on a full
+graph, a query binding a predicate mask with no bit set has no match
+(every match binds every query element), so the call returns 0 with 0
+steps, unplanned and unbound (``decided_empty``).  On a partial graph
+(a shard slice) an empty slice-local mask proves nothing.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import Direction, GraphQuery, QueryEdge, QueryVertex
@@ -37,18 +43,14 @@ from repro.matching.candidates import (
     vertex_candidates,
     vertex_matches,
 )
-from repro.matching.csr import csr_stats
+from repro.matching.csr import CSRIndex, csr_entry, csr_stats
 from repro.matching.plan import (
     ExpandStep,
     PlanStep,
     SeedStep,
     build_plan,
 )
-from repro.matching.program import (
-    MatchProgram,
-    ProgramUnsupported,
-    compiled_program,
-)
+from repro.matching.program import MatchProgram, ProgramUnsupported, bind_program
 from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, current_tracer
 from repro.stats import (
     csr_section,
@@ -90,6 +92,8 @@ class PatternMatcher:
         self.calls = 0
         #: cumulative number of binding attempts (search effort)
         self.steps = 0
+        #: calls answered 0 before planning: the query binds an empty mask
+        self.decided_empty = 0
 
     def cache_info(self) -> Dict[str, Any]:
         """Compilation counters in the unified stats schema.
@@ -99,36 +103,46 @@ class PatternMatcher:
         keeps no hit/miss cache, so ``caches`` is empty).
         """
         flat = csr_stats(self.graph)
+        matcher = {"calls": self.calls, "steps": self.steps, "decided_empty": self.decided_empty}
         return unified_stats(
             csr=csr_section(flat),
             programs=programs_section(flat),
             deltas=deltas_section(applied=flat.get("deltas_applied", 0)),
-            extra={"matcher": {"calls": self.calls, "steps": self.steps}},
+            extra={"matcher": matcher},
         )
 
-    # -- compiled routing -------------------------------------------------------
+    # -- routing ------------------------------------------------------------------
 
-    def _compiled_program(
+    def _prepare(
         self, query: GraphQuery, edge_order: Optional[Sequence[int]]
-    ) -> Optional[MatchProgram]:
-        """The query's compiled program, or ``None`` when this call must
-        take the interpreter (compiled mode off, empty query, or a plan
-        shape the lowering does not support)."""
-        if not self.compiled:
-            return None
+    ) -> Tuple[Optional[List[PlanStep]], Optional[MatchProgram]]:
+        """``(plan, program)`` for one evaluation: ``program`` is ``None``
+        when the interpreter walks ``plan`` (compiled mode off, or a plan
+        shape the lowering does not support); ``plan`` is ``None`` when
+        nothing can match -- an empty query, or one binding an empty
+        predicate mask, decided inside the ``plan`` span."""
         query.validate()
         if query.num_vertices == 0:
-            # the interpreter path returns the same empty result instantly
-            return None
-        try:
-            return compiled_program(
-                self.graph,
-                query,
-                edge_order,
-                injective=self.injective,
-            )
-        except ProgramUnsupported:
-            return None
+            return None, None
+        entry = csr_entry(self.graph)
+        with current_tracer().span(SPAN_PLAN):
+            if not entry.csr.partial and _binds_empty_mask(entry.csr, query):
+                self.decided_empty += 1
+                return None, None
+            plan = build_plan(self.graph, query, edge_order)
+        if self.compiled:
+            try:
+                return plan, bind_program(entry, plan, query, self.injective)
+            except ProgramUnsupported:
+                pass
+        return plan, None
+
+    def _annotate(self, span: Any, query: GraphQuery, before: int, plan: Any, program: Any) -> None:
+        span.attributes["steps"] = self.steps - before
+        # a call no backend ran reports the matcher's mode
+        span.attributes["compiled"] = program is not None or (plan is None and self.compiled)
+        if plan is None and query.num_vertices:
+            span.attributes["decided"] = "empty"
 
     # -- public API -----------------------------------------------------------
 
@@ -155,20 +169,19 @@ class PatternMatcher:
             if limit is not None and limit <= 0:
                 return results
             before = self.steps
-            program = self._compiled_program(query, edge_order)
+            plan, program = self._prepare(query, edge_order)
             if program is not None:
                 emitted, steps = program.run_match(self.graph, limit, seed_restrict)
                 self.steps += steps
                 for binding in emitted:
                     results.add(binding)
-            else:
-                for binding in self._search(query, edge_order, seed_restrict):
+            elif plan is not None:
+                for binding in self._search(query, plan, seed_restrict):
                     results.add(binding)
                     if limit is not None and results.cardinality >= limit:
                         break
             if tracer.enabled:
-                span.attributes["steps"] = self.steps - before
-                span.attributes["compiled"] = program is not None
+                self._annotate(span, query, before, plan, program)
             return results
 
     def count(
@@ -208,19 +221,18 @@ class PatternMatcher:
         tracer = current_tracer()
         with tracer.span(SPAN_MATCH, op=op) as span:
             before = self.steps
-            program = self._compiled_program(query, edge_order)
+            plan, program = self._prepare(query, edge_order)
+            n = 0
             if program is not None:
                 n, steps = program.run_count(self.graph, limit, seed_restrict)
                 self.steps += steps
-            else:
-                n = 0
-                for _ in self._search(query, edge_order, seed_restrict):
+            elif plan is not None:
+                for _ in self._search(query, plan, seed_restrict):
                     n += 1
                     if limit is not None and n >= limit:
                         break
             if tracer.enabled:
-                span.attributes["steps"] = self.steps - before
-                span.attributes["compiled"] = program is not None
+                self._annotate(span, query, before, plan, program)
             return n
 
     # -- search core -----------------------------------------------------------
@@ -228,14 +240,11 @@ class PatternMatcher:
     def _search(
         self,
         query: GraphQuery,
-        edge_order: Optional[Sequence[int]] = None,
+        plan: List[PlanStep],
         seed_restrict: Optional[AbstractSet[int]] = None,
     ) -> Iterator[ResultGraph]:
-        query.validate()
-        if query.num_vertices == 0:
-            return
-        with current_tracer().span(SPAN_PLAN):
-            plan = build_plan(self.graph, query, edge_order)
+        """The interpreter's enumeration of ``plan`` (a validated query's
+        :func:`~repro.matching.plan.build_plan`), emptiness undecided."""
         # only the plan's *first* seed is partition-restricted: later
         # seeds (disconnected components) must stay exhaustive or the
         # per-shard union would drop cross-shard combinations
@@ -428,3 +437,12 @@ class PatternMatcher:
                         if want_out and record.source == record.target:
                             continue  # self-loop already yielded via the out walk
                         yield eid, record.source
+
+
+def _binds_empty_mask(csr: CSRIndex, query: GraphQuery) -> bool:
+    """Whether the query binds a predicate mask with no bit set.  Every
+    mask is interned before deciding, so the mask tables fill (and
+    recycle) exactly as when the query is bound."""
+    masks = [csr.vertex_mask(v) for v in query.vertices()]
+    masks += [csr.edge_mask(e) for e in query.edges()]
+    return any(mask is not None and 1 not in mask for mask in masks)

@@ -58,7 +58,7 @@ from repro.matching.csr import _CsrEntry, csr_entry
 from repro.matching.plan import PlanStep, SeedStep, build_plan
 from repro.obs.tracing import SPAN_PLAN, SPAN_PROGRAM_COMPILE, current_tracer
 
-__all__ = ["MatchProgram", "ProgramUnsupported", "compiled_program"]
+__all__ = ["MatchProgram", "ProgramUnsupported", "bind_program", "compiled_program"]
 
 #: bound on the process-wide kernel cache (the paper's 32-request mix
 #: generates 98 kernels); the oldest kernel goes first and is simply
@@ -382,6 +382,22 @@ class MatchProgram:
         return out, steps
 
 
+def bind_program(
+    entry: _CsrEntry,
+    plan: Sequence[PlanStep],
+    query: GraphQuery,
+    injective: bool = True,
+) -> MatchProgram:
+    """The plan bound over the entry's index.  A plan the lowering
+    refuses is counted against the graph (``program_fallbacks``) before
+    :class:`ProgramUnsupported` reaches the caller."""
+    try:
+        return MatchProgram(entry, plan, query, injective)
+    except ProgramUnsupported:
+        entry.program_fallbacks += 1
+        raise
+
+
 def compiled_program(
     graph: Any,
     query: GraphQuery,
@@ -395,15 +411,9 @@ def compiled_program(
     which is what makes every :meth:`CSRIndex.apply_deltas` patch
     (appended rows, a segment going from empty to non-empty, a recycled
     mask table) visible to the next evaluation with no invalidation
-    rule.  A plan the lowering refuses
-    is counted against the graph (``program_fallbacks``) before
-    :class:`ProgramUnsupported` reaches the caller.
+    rule.  Binding goes through :func:`bind_program`.
     """
     entry = csr_entry(graph)
     with current_tracer().span(SPAN_PLAN):
         plan = build_plan(graph, query, edge_order)
-    try:
-        return MatchProgram(entry, plan, query, injective)
-    except ProgramUnsupported:
-        entry.program_fallbacks += 1
-        raise
+    return bind_program(entry, plan, query, injective)

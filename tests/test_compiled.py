@@ -32,7 +32,7 @@ from repro.matching import (
     csr_stats,
 )
 from repro.matching.csr import csr_entry
-from repro.obs.tracing import SPAN_MATCH, Tracer
+from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, SPAN_PROGRAM_COMPILE, Tracer
 from repro.shard import GraphPartitioner, ShardedMatcher, ShardMiss, SliceEvaluator
 
 
@@ -374,6 +374,76 @@ class TestCounters:
             assert span.attributes["steps"] == matcher.steps > 0
 
 
+def dead_queries():
+    """``(vertex-decided, edge-decided)``: a city named Paris, and a
+    workAt edge of a year nobody started in."""
+    by_vertex = GraphQuery()
+    p = by_vertex.add_vertex(predicates={"type": equals("person")})
+    c = by_vertex.add_vertex(predicates={"name": equals("Paris")})
+    by_vertex.add_edge(p, c, types={"workAt"})
+    by_edge = GraphQuery()
+    p = by_edge.add_vertex(predicates={"type": equals("person")})
+    u = by_edge.add_vertex()
+    by_edge.add_edge(p, u, types={"workAt"}, predicates={"sinceYear": equals(1999)})
+    return by_vertex, by_edge
+
+
+class TestDecidedEmpty:
+    def test_both_backends_answer_zero_with_zero_steps(self, tiny_graph):
+        for query in dead_queries():
+            for matcher in oracle_pair(tiny_graph):
+                assert matcher.count(query) == 0
+                assert not matcher.exists(query)
+                assert matcher.match(query).cardinality == 0
+                assert matcher.match(query, limit=3).cardinality == 0
+                assert (matcher.steps, matcher.calls, matcher.decided_empty) == (0, 4, 4)
+                info = matcher.cache_info()["matcher"]
+                assert info == {"calls": 4, "steps": 0, "decided_empty": 4}
+
+    def test_one_plan_and_one_match_span_per_decided_call(self, tiny_graph, cold_kernels):
+        for query in dead_queries():
+            for matcher in oracle_pair(tiny_graph):
+                before = csr_stats(tiny_graph)
+                tracer = Tracer()
+                with tracer.activate():
+                    matcher.count(query)
+                    matcher.exists(query)
+                    matcher.match(query, limit=3)
+                kinds = [span.kind for root in tracer.roots for span in root.walk()]
+                assert kinds.count(SPAN_MATCH) == kinds.count(SPAN_PLAN) == 3, kinds
+                assert SPAN_PROGRAM_COMPILE not in kinds
+                for root in tracer.roots:
+                    assert root.attributes["steps"] == 0
+                    assert root.attributes["decided"] == "empty"
+                    # no backend ran: the span names the matcher's mode
+                    assert root.attributes["compiled"] is matcher.compiled
+                after = csr_stats(tiny_graph)
+                for counter in ("program_fallbacks", "program_hits", "programs_compiled"):
+                    assert after[counter] == before[counter], counter
+
+    def test_an_undecided_call_carries_no_decision(self, tiny_graph, two_hop):
+        for matcher in oracle_pair(tiny_graph):
+            tracer = Tracer()
+            with tracer.activate():
+                assert matcher.count(two_hop) == 3
+            (span,) = tracer.roots
+            assert "decided" not in span.attributes
+            assert matcher.decided_empty == 0
+
+    def test_every_mask_is_interned_before_deciding(self, tiny_graph):
+        # the dead vertex comes first: the edge mask is interned anyway,
+        # so the tables fill exactly as when the query is bound
+        q = GraphQuery()
+        c = q.add_vertex(predicates={"name": equals("Paris")})
+        p = q.add_vertex(predicates={"type": equals("person")})
+        q.add_edge(p, c, types={"workAt"}, predicates={"sinceYear": equals(2003)})
+        assert PatternMatcher(tiny_graph).count(q) == 0
+        index = csr_for(tiny_graph)
+        assert len(index._vertex_masks) == 2
+        assert index.edge_mask(q.edge(0)).count(1) == 2
+        assert len(index._edge_masks) == 1
+
+
 class TestProgramInternals:
     def test_kernel_source_is_generated_per_mode(self, tiny_graph, two_hop):
         program = compiled_program(tiny_graph, two_hop)
@@ -688,6 +758,33 @@ class TestPartialGraphs:
             PatternMatcher(slice0, compiled=False).count(
                 q, seed_restrict=slice0.vertex_ids
             )
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_an_empty_slice_mask_decides_nothing(self, tiny_graph, compiled):
+        # person -workAt-> university -locatedIn-> city: shard 0 owns
+        # anna, bob and carol and holds tud(4) as halo, but no city --
+        # its city mask is empty while the full graph has three matches
+        # through it.  The block must reach the kernel's miss guard and
+        # resolve on the coordinator, never return a decided 0
+        q = GraphQuery()
+        p = q.add_vertex(predicates={"type": equals("person")})
+        u = q.add_vertex()
+        c = q.add_vertex(predicates={"type": equals("city")})
+        q.add_edge(p, u, types={"workAt"})
+        q.add_edge(u, c, types={"locatedIn"})
+        expected = PatternMatcher(tiny_graph, compiled=compiled).count(q)
+        assert expected == 3
+        sharded = GraphPartitioner(3).partition(tiny_graph)
+        fallback = ShardedMatcher(sharded, compiled=compiled)
+        assert fallback.count(q) == expected
+        evaluator = SliceEvaluator.for_sharded(sharded, compiled=compiled, fallback=fallback)
+        slice0 = evaluator.slices[0]
+        assert 1 not in csr_for(slice0).vertex_mask(q.vertex(c))
+        assert evaluator.count(q) == expected
+        assert evaluator.count_block(0, q) is None  # missed, not decided
+        assert evaluator.fallbacks == 1
+        assert all(m.decided_empty == 0 for m in evaluator._matchers.values())
+        assert fallback.matcher.decided_empty == 0
 
     def test_slice_seed_pool_spans_owned_range_only(self, tiny_graph):
         sharded = GraphPartitioner(2).partition(tiny_graph)

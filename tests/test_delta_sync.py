@@ -23,10 +23,12 @@ from repro.core.graph import DELTA_RING_LIMIT
 from repro.core.serialize import (
     delta_from_wire,
     delta_to_wire,
+    graph_from_dict,
+    graph_to_dict,
     route_deltas,
     shards_to_wire,
 )
-from repro.matching import PatternMatcher, csr_stats
+from repro.matching import PatternMatcher, build_plan, csr_stats
 from repro.matching.csr import CSRIndex, csr_entry, csr_for
 from repro.rewrite.cache import QueryResultCache
 from repro.shard import GraphPartitioner, ProcessExecutor, SliceEvaluator
@@ -447,6 +449,81 @@ class TestMutateDuringFill:
 
 
 # -- delta-scoped cache invalidation ------------------------------------------
+
+
+class TestMutateDecidedEmpty:
+    """A mask no element satisfies decides its counts before planning;
+    each write kind that brings it alive must take the next count out of
+    the decision, patched in place.  Deterministic: no thread, no sleep."""
+
+    @staticmethod
+    def robot_query() -> GraphQuery:
+        q = GraphQuery()
+        a = q.add_vertex(predicates={"kind": equals("robot")})
+        b = q.add_vertex()
+        q.add_edge(a, b, types={"knows"})
+        return q
+
+    @staticmethod
+    def heavy_query() -> GraphQuery:
+        q = GraphQuery()
+        a, b = q.add_vertex(), q.add_vertex()
+        q.add_edge(a, b, types={"knows"}, predicates={"w": equals(7)})
+        return q
+
+    @staticmethod
+    def recount(g: PropertyGraph, q: GraphQuery, matcher: PatternMatcher) -> int:
+        """The persistent matcher's count, checked against a fresh index
+        (its masks, and a count over a rebuilt copy of the graph), the
+        interpreter and the plan walked with no decision."""
+        n = matcher.count(q)
+        fresh, patched = CSRIndex(g), csr_for(g)
+        for v in q.vertices():
+            assert patched.vertex_mask(v) == fresh.vertex_mask(v)
+        for e in q.edges():
+            assert patched.edge_mask(e) == fresh.edge_mask(e)
+        assert n == PatternMatcher(graph_from_dict(graph_to_dict(g))).count(q)
+        assert n == PatternMatcher(g, compiled=False).count(q)
+        walker = PatternMatcher(g, compiled=False)
+        assert n == sum(1 for _ in walker._search(q, build_plan(g, q)))
+        return n
+
+    def test_a_dead_mask_comes_alive_under_every_write(self):
+        g = chain_graph()
+        robot, heavy = self.robot_query(), self.heavy_query()
+        matcher = PatternMatcher(g)
+        assert matcher.count(robot) == matcher.count(heavy) == 0
+        assert (matcher.steps, matcher.decided_empty) == (0, 2)
+        robots = [
+            (lambda: g.add_vertex(kind="robot"), "v", 0),  # alive, no edge yet
+            (lambda: g.add_edge(12, 0, "knows"), "e", 1),
+            (lambda: g.set_vertex_attribute(3, "kind", "robot"), "va", 2),
+        ]
+        heavies = [
+            (lambda: g.add_edge(5, 7, "knows", w=7), "e", 1),
+            (lambda: g.set_edge_attribute(0, "w", 7), "ea", 2),
+        ]
+        patches = csr_stats(g)["csr_patches"]
+        for write, kind, expected in robots:
+            version = g.version
+            write()
+            assert [record[0] for record in g.deltas_since(version)] == [kind]
+            decided = matcher.decided_empty
+            assert self.recount(g, robot, matcher) == expected, kind
+            assert matcher.decided_empty == decided
+            assert self.recount(g, heavy, matcher) == 0, kind
+            assert matcher.decided_empty == decided + 1
+        for write, kind, expected in heavies:
+            version = g.version
+            write()
+            assert [record[0] for record in g.deltas_since(version)] == [kind]
+            decided = matcher.decided_empty
+            assert self.recount(g, heavy, matcher) == expected, kind
+            assert self.recount(g, robot, matcher) == 2, kind
+            assert matcher.decided_empty == decided
+        stats = csr_stats(g)
+        assert stats["csr_rebuilds"] == 0
+        assert stats["csr_patches"] == patches + len(robots) + len(heavies)
 
 
 class TestDeltaScopedCaches:

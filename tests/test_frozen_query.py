@@ -29,7 +29,6 @@ from repro.core import (
     one_of,
 )
 from repro.core.serialize import query_from_wire, query_to_wire
-from repro.datasets import dbpedia, ldbc
 from repro.explain.bounded_mcs import bounded_mcs
 from repro.explain.discover_mcs import discover_mcs
 from repro.finegrained import TraverseSearchTree
@@ -62,6 +61,7 @@ from repro.rewrite.operations import (
 from repro.service import WhyQueryService
 from test_property_based import (
     DIFFERENTIAL_SEEDS,
+    paper_requests,
     random_differential_graph,
     random_differential_query,
     small_queries,
@@ -301,6 +301,33 @@ class TestValidateOnce:
         with pytest.raises(ValueError):
             matcher.count(q)
 
+    def decided_query(self):
+        """:meth:`query` with a university nobody has heard of: decided
+        empty before planning."""
+        spy = CountingPredicate(["person"])
+        q = GraphQuery()
+        p = q.add_vertex(predicates={"type": spy})
+        u = q.add_vertex(predicates={"type": equals("university"), "name": equals("Nowhere")})
+        q.add_edge(p, u, types={"workAt"})
+        return q, spy
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_a_decided_builder_is_validated_once_per_call(self, tiny_graph, compiled):
+        q, spy = self.decided_query()
+        matcher = PatternMatcher(tiny_graph, compiled=compiled)
+        assert [matcher.count(q), matcher.exists(q), len(matcher.match(q))] == [0, False, 0]
+        assert matcher.decided_empty == 3
+        assert spy.checks == 3
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_a_decided_frozen_query_validates_once(self, tiny_graph, compiled):
+        q, spy = self.decided_query()
+        q.freeze()
+        matcher = PatternMatcher(tiny_graph, compiled=compiled)
+        assert [matcher.count(q), matcher.exists(q), len(matcher.match(q))] == [0, False, 0]
+        assert matcher.decided_empty == 3
+        assert spy.checks == 1
+
     def test_an_invalid_frozen_query_keeps_failing(self):
         q = GraphQuery()
         q.add_vertex(predicates={"x": between(3, 3, low_open=True)})
@@ -462,27 +489,6 @@ class TestIncrementalScoring:
 
 
 # -- nothing mutates a candidate after it froze ------------------------------------
-
-
-def paper_requests():
-    """The 32-request mix of ``benchmarks/e2e`` (both why-empty variants,
-    too-few ``[2C; 4C]`` and too-many ``[max(1, floor(0.3C) // 2);
-    floor(0.3C)]`` per paper query), every query frozen."""
-    requests = []
-    graphs = {}
-    for name, module in (("ldbc", ldbc), ("dbpedia", dbpedia)):
-        graphs[name] = module.generate().graph
-        matcher = PatternMatcher(graphs[name])
-        for query_name, query in module.queries().items():
-            for variant in (module.empty_variant, module.empty_variant_edge):
-                requests.append((name, variant(query_name).freeze(), None))
-            count = matcher.count(query)
-            upper = int(0.3 * count)
-            requests.append((name, query.copy().freeze(), CardinalityThreshold(2 * count, 4 * count)))
-            requests.append(
-                (name, query.copy().freeze(), CardinalityThreshold(max(1, upper // 2), upper))
-            )
-    return graphs, requests
 
 
 class TestNothingMutatesAFrozenCandidate:

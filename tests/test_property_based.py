@@ -9,6 +9,7 @@ asserting count value-identity and match-set permutation-identity
 everywhere.  Seeds are fixed in-code so every failure reproduces."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from repro.core import (
     one_of,
 )
 from repro.core.predicates import predicate_distance
-from repro.matching import PatternMatcher, csr_stats
+from repro.datasets import dbpedia, ldbc
+from repro.matching import PatternMatcher, build_plan, csr_for, csr_stats
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
 from repro.metrics.ged import coarse_ged
@@ -34,6 +36,7 @@ from repro.metrics.result_distance import result_graph_distance
 from repro.core.result import ResultGraph
 from repro.metrics.syntactic import syntactic_distance
 from repro.obs import SPAN_BLOCK, SPAN_FALLBACK, SPAN_MATCH, SPAN_PLAN, Tracer
+from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner, ShardedMatcher, SliceEvaluator
 
 # -- strategies ---------------------------------------------------------------
@@ -408,6 +411,16 @@ def match_list(results):
     return [(r.vertex_bindings, r.edge_bindings) for r in results]
 
 
+def undecided_count(graph, query, injective, limit=None):
+    """Matches (up to ``limit``) of the interpreter's enumeration with no
+    emptiness decision: the query's plan walked directly by
+    ``PatternMatcher._search``."""
+    if not query.num_vertices:
+        return 0
+    walker = PatternMatcher(graph, injective=injective, compiled=False)
+    return sum(1 for _ in islice(walker._search(query, build_plan(graph, query)), limit))
+
+
 def traced_count_kinds(matcher_like, query):
     """The span kinds one traced ``count`` records on this path."""
     tracer = Tracer()
@@ -452,6 +465,9 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
         before = oracle.steps
         listed = match_list(oracle.match(query, limit=limit))
         oracle_bounded[limit] = (count_steps, listed, oracle.steps - before)
+    # the oracle decides emptiness before planning like every matcher;
+    # the plan walked without that decision must count alike
+    assert undecided_count(graph, query, injective) == expected_count, query.signature()
 
     # the wire path: graph and query serialised over the
     # frame protocol, matched by the server's pooled context, results
@@ -691,3 +707,90 @@ class TestDifferentialOracle:
         assert boundary_cut >= 80
         assert out_of_order >= 90
         assert disconnected >= 5
+
+
+# -- counts decided before planning ------------------------------------------------
+
+
+def paper_requests():
+    """The 32-request mix of ``benchmarks/e2e`` (both why-empty variants,
+    too-few ``[2C; 4C]`` and too-many ``[max(1, floor(0.3C) // 2);
+    floor(0.3C)]`` per paper query), every query frozen."""
+    requests = []
+    graphs = {}
+    for name, module in (("ldbc", ldbc), ("dbpedia", dbpedia)):
+        graphs[name] = module.generate().graph
+        matcher = PatternMatcher(graphs[name])
+        for query_name, query in module.queries().items():
+            for variant in (module.empty_variant, module.empty_variant_edge):
+                requests.append((name, variant(query_name).freeze(), None))
+            count = matcher.count(query)
+            upper = int(0.3 * count)
+            requests.append((name, query.copy().freeze(), CardinalityThreshold(2 * count, 4 * count)))
+            requests.append(
+                (name, query.copy().freeze(), CardinalityThreshold(max(1, upper // 2), upper))
+            )
+    return graphs, requests
+
+
+def mask_kind(graph, query):
+    """``"vertex"`` / ``"edge"``: which kind of empty mask decides the
+    query (a vertex one wins), or ``None`` when no mask is empty."""
+    csr = csr_for(graph)
+    for kind, masks in (
+        ("vertex", [csr.vertex_mask(v) for v in query.vertices()]),
+        ("edge", [csr.edge_mask(e) for e in query.edges()]),
+    ):
+        if any(mask is not None and 1 not in mask for mask in masks):
+            return kind
+    return None
+
+
+class TestDifferentialDecidedEmpty:
+    """Every evaluation the 32-request mix decides before planning,
+    walked again without the decision: each must enumerate 0 matches,
+    homomorphic and bounded walks included."""
+
+    @pytest.fixture(scope="class")
+    def decided(self):
+        graphs, requests = paper_requests()
+        seen = {}
+        prepare = PatternMatcher._prepare
+
+        def spy(matcher, query, edge_order):
+            plan, program = prepare(matcher, query, edge_order)
+            if plan is None and query.num_vertices:
+                key = (id(matcher.graph), query.signature(), matcher.injective)
+                seen.setdefault(key, (matcher.graph, query.copy(), matcher.injective))
+            return plan, program
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PatternMatcher, "_prepare", spy)
+            with WhyQueryService() as service:
+                for graph, query, threshold in requests:
+                    service.explain(graphs[graph], query, threshold)
+        return list(seen.values())
+
+    def test_every_decided_count_enumerates_nothing(self, decided):
+        assert len(decided) > 100
+        for graph, query, injective in decided:
+            assert undecided_count(graph, query, injective) == 0, query.signature()
+
+    def test_vertex_and_edge_masks_both_decide(self, decided):
+        kinds = [mask_kind(graph, query) for graph, query, _ in decided]
+        assert None not in kinds
+        assert kinds.count("vertex") > 10 and kinds.count("edge") > 10, kinds
+
+    def test_homomorphic_and_bounded_calls_agree(self, decided):
+        for graph, query, _ in decided:
+            sig = query.signature()
+            for injective in (True, False):
+                for limit in (1, 3):
+                    assert undecided_count(graph, query, injective, limit) == 0, sig
+                for compiled in (True, False):
+                    matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
+                    assert matcher.count(query) == 0, sig
+                    assert matcher.count(query, limit=1) == 0, sig
+                    assert not matcher.exists(query), sig
+                    assert matcher.match(query, limit=3).cardinality == 0, sig
+                    assert (matcher.steps, matcher.decided_empty) == (0, 4), sig
