@@ -185,16 +185,24 @@ class CandidateEvaluator:
         self,
         queries: Sequence[GraphQuery],
         limit: Optional[int] = ...,  # type: ignore[assignment]
+        derive: Optional[Callable[[GraphQuery, Optional[int]], Optional[int]]] = None,
     ) -> List[EvaluatedCandidate]:
-        """Evaluate a batch; results in submission order, budget-truncated."""
+        """Evaluate a batch; results in submission order, budget-truncated.
+
+        ``derive`` is handed to the counter's ``count`` for every
+        candidate: on a cache miss it may answer a count without the
+        matcher (``None`` falls back).  A derived count is an evaluation
+        like any other -- one budget unit, one ``on_result``, one miss
+        and one store -- and a query-shipping executor ignores it.
+        """
         if limit is ...:
             limit = self.count_limit
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(SPAN_EVALUATE) as span:
-            results = self._evaluate(queries, limit, tracer, span)
+            results = self._evaluate(queries, limit, derive, tracer, span)
         return results
 
-    def _evaluate(self, queries, limit, tracer, span) -> List[EvaluatedCandidate]:
+    def _evaluate(self, queries, limit, derive, tracer, span) -> List[EvaluatedCandidate]:
         admitted = self.budget.grant(len(queries))
         if tracer.enabled:
             span.attributes["submitted"] = len(queries)
@@ -221,8 +229,9 @@ class CandidateEvaluator:
             # deterministic -- only the cache locality differs)
             counts = self.executor.run_queries(unique_queries, limit=limit)
         else:
+            extra = {} if derive is None else {"derive": derive}
             tasks: List[Callable[[], int]] = [
-                (lambda q=query: counter.count(q, limit=limit))
+                (lambda q=query: counter.count(q, limit=limit, **extra))
                 for query in unique_queries
             ]
             counts = self.executor.run(tasks)

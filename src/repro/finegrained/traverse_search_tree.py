@@ -12,11 +12,15 @@ The search direction is decided per node from its own cardinality
 relaxations, a node above it with concretisations, so the search can
 oscillate around the threshold until a variant lands inside it.
 
-Tree adaptation (Sec. 6.3): evaluations go through the shared query cache
-(prefix reuse = change propagation); children whose cardinality equals
-their parent's are discarded as non-contributing, dominated variants are
-rejected, and branches strictly farther from the threshold than the
-incumbent by more than the oscillation allowance are pruned.
+Tree adaptation (Sec. 6.3): evaluations go through the shared query
+cache, and a child that edits one vertex's predicates below an exactly
+counted parent is counted from that parent on a miss
+(:mod:`repro.finegrained.propagation`: a restriction filters the
+parent's matches, a relaxation counts only the matches binding a newly
+admitted vertex); children whose cardinality equals their parent's are
+discarded as non-contributing, dominated variants are rejected, and
+branches strictly farther from the threshold than the incumbent by more
+than the oscillation allowance are pruned.
 
 Sibling modifications are evaluated in batches of the executor's
 ``preferred_batch`` (1 serial, the worker count for the process pool) --
@@ -45,6 +49,7 @@ from repro.rewrite.operations import (
 )
 from repro.rewrite.statistics import CardinalityProfile
 from repro.finegrained.modification_tree import ModificationTree
+from repro.finegrained.propagation import ParentCounts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
@@ -68,6 +73,9 @@ class FineRewriteResult:
     elapsed: float
     budget_exhausted: bool
     converged: bool
+    #: children counted from their parent (restriction / relaxation rule)
+    derived_filtered: int = 0
+    derived_seeded: int = 0
 
     def describe(self) -> str:
         steps = "; ".join(op.describe() for op in self.modifications) or "<unchanged>"
@@ -169,12 +177,17 @@ class TraverseSearchTree(BudgetedSearch):
         return self._traced(self._search, query, self.threshold.search_probe_limit)
 
     def _outcome(self, result: FineRewriteResult) -> dict:
-        return {"converged": result.converged}
+        return {
+            "converged": result.converged,
+            "derived_filtered": result.derived_filtered,
+            "derived_seeded": result.derived_seeded,
+        }
 
     def _search(
         self, query: GraphQuery, evaluator: CandidateEvaluator
     ) -> FineRewriteResult:
         start = time.perf_counter()
+        version = self.graph.version
         root_card = self.cache.count(query, limit=evaluator.count_limit)
         root_distance = self.threshold.distance(root_card)
         tree = ModificationTree(query, root_card, root_distance)
@@ -185,11 +198,12 @@ class TraverseSearchTree(BudgetedSearch):
         heap: List[Tuple[Tuple[int, float, int], int]] = []
         heapq.heappush(heap, ((root_distance, 0.0, next(counter)), root.node_id))
         seen = {query}
-        #: node id -> (path(1) profile, Algorithm 1 table) of its variant
-        scores: Dict[int, Tuple[CardinalityProfile, DistanceTable]] = {
-            root.node_id: (self.statistics.profile(query), DistanceTable(query, query))
+        #: node id -> (path(1) profile, Algorithm 1 table) of its variant,
+        #: and the graph version read before its count
+        scores: Dict[int, Tuple[CardinalityProfile, DistanceTable, int]] = {
+            root.node_id: (self.statistics.profile(query), DistanceTable(query, query), version)
         }
-        generated = 0
+        generated = derived_filtered = derived_seeded = 0
         budget_exhausted = False
         best = root
 
@@ -205,20 +219,28 @@ class TraverseSearchTree(BudgetedSearch):
             # stops between batches once a variant converged, keeping the
             # serial (batch 1) trajectory identical to the sequential
             # formulation and the batched one deterministic.
-            profile, distances = scores[node_id]
+            profile, distances, version = scores[node_id]
             siblings: List[Tuple[Modification, GraphQuery, CardinalityProfile]] = []
-            batch = set()
+            batch: Dict[GraphQuery, Modification] = {}
             for op, child_query, child_profile in self._ordered_expansions(
                 node.query, node.cardinality, profile
             ):
                 if child_query in seen or child_query in batch:
                     continue
-                batch.add(child_query)
+                batch[child_query] = op
                 siblings.append((op, child_query, child_profile))
+            # children on a cache miss are counted from this node's count
+            # where the change-propagation rules allow (and the matcher
+            # otherwise); its match list, if taken, dies with this frame
+            parent = ParentCounts(
+                self.matcher, node.query, node.cardinality, version,
+                evaluator.count_limit, batch,
+            )
             pos = 0
             while pos < len(siblings) and best.distance > 0:
                 chunk = siblings[pos : pos + self.batch_size]
-                results = evaluator.evaluate([q for _, q, _ in chunk])
+                version = self.graph.version  # read before the children's counts
+                results = evaluator.evaluate([q for _, q, _ in chunk], derive=parent.derive)
                 if len(results) < len(chunk):
                     budget_exhausted = True
                 for (op, child_query, child_profile), result in zip(chunk, results):
@@ -232,7 +254,7 @@ class TraverseSearchTree(BudgetedSearch):
                     )
                     if child is None:
                         continue
-                    scores[child.node_id] = (child_profile, child_distances)
+                    scores[child.node_id] = (child_profile, child_distances, version)
                     if child.objective < best.objective:
                         best = child
                     if child.distance == 0:
@@ -248,6 +270,8 @@ class TraverseSearchTree(BudgetedSearch):
                 if budget_exhausted:
                     break
                 pos += len(results)
+            derived_filtered += parent.filtered
+            derived_seeded += parent.seeded
             if best.distance == 0 or budget_exhausted:
                 break
 
@@ -266,4 +290,6 @@ class TraverseSearchTree(BudgetedSearch):
             elapsed=time.perf_counter() - start,
             budget_exhausted=budget_exhausted,
             converged=best.distance == 0,
+            derived_filtered=derived_filtered,
+            derived_seeded=derived_seeded,
         )

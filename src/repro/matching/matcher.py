@@ -29,6 +29,12 @@ graph, a query binding a predicate mask with no bit set has no match
 (every match binds every query element), so the call returns 0 with 0
 steps, unplanned and unbound (``decided_empty``).  On a partial graph
 (a shard slice) an empty slice-local mask proves nothing.
+
+Two entry points serve counts derived from an exactly counted parent
+(:mod:`repro.finegrained.propagation`): :meth:`PatternMatcher.count_filtered`
+tests a parent's bound vertices against a restricted mask, and
+:meth:`PatternMatcher.count_seeded` counts the matches binding one
+vertex into a caller-supplied pool, on either backend.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from repro.matching.plan import (
     PlanStep,
     SeedStep,
     build_plan,
+    seeded_plan,
 )
 from repro.matching.program import MatchProgram, ProgramUnsupported, bind_program
 from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, current_tracer
@@ -94,6 +101,12 @@ class PatternMatcher:
         self.steps = 0
         #: calls answered 0 before planning: the query binds an empty mask
         self.decided_empty = 0
+        #: counts derived from an exactly counted parent's matches
+        #: (:meth:`count_filtered`) and from the vertices a relaxation
+        #: newly admits (:meth:`count_seeded`); see
+        #: :mod:`repro.finegrained.propagation`
+        self.derived_filtered = 0
+        self.derived_seeded = 0
 
     def cache_info(self) -> Dict[str, Any]:
         """Compilation counters in the unified stats schema.
@@ -103,7 +116,13 @@ class PatternMatcher:
         keeps no hit/miss cache, so ``caches`` is empty).
         """
         flat = csr_stats(self.graph)
-        matcher = {"calls": self.calls, "steps": self.steps, "decided_empty": self.decided_empty}
+        matcher = {
+            "calls": self.calls,
+            "steps": self.steps,
+            "decided_empty": self.decided_empty,
+            "derived_filtered": self.derived_filtered,
+            "derived_seeded": self.derived_seeded,
+        }
         return unified_stats(
             csr=csr_section(flat),
             programs=programs_section(flat),
@@ -114,13 +133,14 @@ class PatternMatcher:
     # -- routing ------------------------------------------------------------------
 
     def _prepare(
-        self, query: GraphQuery, edge_order: Optional[Sequence[int]]
+        self, query: GraphQuery, edge_order: Optional[Sequence[int]], seed: Optional[int] = None
     ) -> Tuple[Optional[List[PlanStep]], Optional[MatchProgram]]:
         """``(plan, program)`` for one evaluation: ``program`` is ``None``
         when the interpreter walks ``plan`` (compiled mode off, or a plan
         shape the lowering does not support); ``plan`` is ``None`` when
         nothing can match -- an empty query, or one binding an empty
-        predicate mask, decided inside the ``plan`` span."""
+        predicate mask, decided inside the ``plan`` span.  ``seed``
+        names the query vertex the plan must open with."""
         query.validate()
         if query.num_vertices == 0:
             return None, None
@@ -129,7 +149,10 @@ class PatternMatcher:
             if not entry.csr.partial and _binds_empty_mask(entry.csr, query):
                 self.decided_empty += 1
                 return None, None
-            plan = build_plan(self.graph, query, edge_order)
+            if seed is None:
+                plan = build_plan(self.graph, query, edge_order)
+            else:
+                plan = seeded_plan(self.graph, query, seed)
         if self.compiled:
             try:
                 return plan, bind_program(entry, plan, query, self.injective)
@@ -207,6 +230,31 @@ class PatternMatcher:
         """``True`` when the pattern has at least one match."""
         return self._count("exists", query, 1, edge_order, seed_restrict) > 0
 
+    def count_seeded(
+        self, query: GraphQuery, vid: int, pool: Sequence[int], limit: Optional[int] = None
+    ) -> int:
+        """Count the matches binding query vertex ``vid`` into ``pool``,
+        stopping early once ``limit`` is reached.
+
+        ``pool`` holds ascending vertex indexes of the graph's CSR image,
+        each satisfying ``vid``'s predicates; the plan opens with ``vid``
+        (:func:`~repro.matching.plan.seeded_plan`) and walks ``pool`` as
+        its first seed on either backend.  An empty pool answers 0 with
+        no plan.  Full graphs only (the caller's guard).
+        """
+        self.derived_seeded += 1
+        if not len(pool):
+            return 0
+        return self._count("count", query, limit, None, None, vid, pool)
+
+    def count_filtered(self, column: Sequence[int], mask: Sequence[int]) -> int:
+        """How many of an exactly counted parent's matches survive a
+        restriction of one vertex: ``column`` holds the vertex index each
+        parent match binds it to, ``mask`` is the restricted vertex's
+        interned predicate mask.  No plan, no kernel, no step."""
+        self.derived_filtered += 1
+        return sum(map(mask.__getitem__, column))
+
     def _count(
         self,
         op: str,
@@ -214,20 +262,26 @@ class PatternMatcher:
         limit: Optional[int],
         edge_order: Optional[Sequence[int]],
         seed_restrict: Optional[AbstractSet[int]],
+        seed: Optional[int] = None,
+        pool: Optional[Sequence[int]] = None,
     ) -> int:
         """One bounded count under a ``match`` span that names the
-        public operation and the backend that served it."""
+        public operation and the backend that served it; ``seed`` and
+        ``pool`` are :meth:`count_seeded`'s ``vid`` and ``pool``."""
         self.calls += 1
         tracer = current_tracer()
         with tracer.span(SPAN_MATCH, op=op) as span:
             before = self.steps
-            plan, program = self._prepare(query, edge_order)
+            plan, program = self._prepare(query, edge_order, seed)
             n = 0
             if program is not None:
-                n, steps = program.run_count(self.graph, limit, seed_restrict)
+                n, steps = program.run_count(self.graph, limit, seed_restrict, pool)
                 self.steps += steps
             elif plan is not None:
-                for _ in self._search(query, plan, seed_restrict):
+                first = None
+                if pool is not None:
+                    first = list(map(csr_entry(self.graph).csr.vid_of.__getitem__, pool))
+                for _ in self._search(query, plan, seed_restrict, first):
                     n += 1
                     if limit is not None and n >= limit:
                         break
@@ -242,9 +296,12 @@ class PatternMatcher:
         query: GraphQuery,
         plan: List[PlanStep],
         seed_restrict: Optional[AbstractSet[int]] = None,
+        first: Optional[List[int]] = None,
     ) -> Iterator[ResultGraph]:
         """The interpreter's enumeration of ``plan`` (a validated query's
-        :func:`~repro.matching.plan.build_plan`), emptiness undecided."""
+        :func:`~repro.matching.plan.build_plan`), emptiness undecided.
+        ``first`` (ascending data vertex ids satisfying the first seed's
+        predicates) replaces that seed's pool."""
         # only the plan's *first* seed is partition-restricted: later
         # seeds (disconnected components) must stay exhaustive or the
         # per-shard union would drop cross-shard combinations
@@ -253,8 +310,10 @@ class PatternMatcher:
                 query.vertex(step.vid), seed_restrict if depth == 0 else None
             )
             for depth, step in enumerate(plan)
-            if isinstance(step, SeedStep)
+            if isinstance(step, SeedStep) and (depth or first is None)
         }
+        if first is not None:
+            pools[0] = first
         vbind: Dict[int, int] = {}
         ebind: Dict[int, int] = {}
         used_vertices: Set[int] = set()

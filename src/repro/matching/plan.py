@@ -25,7 +25,8 @@ candidates the matcher scans -- read off the graph's CSR image
 Every vertex is tried as the seed, cheapest lower bound (pool plus one
 full first scan) first, until that bound reaches the best estimate
 found; each seed is extended greedily by the expansion leaving the
-fewest bindings.  A one-edge query compares its two seeds directly.
+fewest bindings (:func:`seeded_plan` is that completion from one given
+seed).  A one-edge query compares its two seeds directly.
 Ties break on the lowest id, so plans are deterministic.  A
 caller-supplied ``edge_order`` overrides the order, which is how the
 Ch. 4 traversal-path selection steers the evaluation.
@@ -88,6 +89,15 @@ def build_plan(
     if edge_order is not None:
         return _plan_from_edge_order(query, list(edge_order))
     return _CostModel(graph, query).plan()
+
+
+def seeded_plan(graph: PropertyGraph, query: GraphQuery, vid: int) -> List[PlanStep]:
+    """A plan opening with ``SeedStep(vid)``: the cost model's greedy
+    completion from that seed, for counts whose first pool the caller
+    supplies (the matches binding ``vid`` into a given vertex set)."""
+    model = _CostModel(graph, query)
+    by_size = sorted(model.size, key=lambda v: (model.size[v], v))
+    return _steps(model._extend(vid, by_size, (float("inf"), []))[1])
 
 
 #: a search-time plan step: ``(vid,)`` seeds, ``(eid, anchor, new_vid)``

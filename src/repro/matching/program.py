@@ -342,11 +342,12 @@ class MatchProgram:
         limit: int,
         seed_restrict: Optional[AbstractSet[int]],
         out: Optional[List[ResultGraph]],
+        pool: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int]:
         csr = self.csr
-        if seed_restrict is None:
+        if pool is None and seed_restrict is None:
             pool = csr.seed_pool(self._seed)
-        else:
+        elif pool is None:
             pool = csr.restricted_seed_pool(self._seed, seed_restrict)
         used_v = used_e = None
         if self.shape[0]:
@@ -360,13 +361,16 @@ class MatchProgram:
         graph: Any,
         limit: Optional[int] = None,
         seed_restrict: Optional[AbstractSet[int]] = None,
+        pool: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int]:
-        """Bounded match count: ``(count, steps)``."""
+        """Bounded match count: ``(count, steps)``.  ``pool`` (ascending
+        vertex indexes satisfying the first seed's predicates) replaces
+        that seed's interned pool."""
         if limit is None:
             limit = 0  # nmatch starts at 1 on first emit: never equal
         elif limit <= 0:
             limit = 1  # the interpreter's count() stops after one match
-        return self._run("count", graph, limit, seed_restrict, None)
+        return self._run("count", graph, limit, seed_restrict, None, pool)
 
     def run_match(
         self,

@@ -11,7 +11,7 @@ Appendix B.2 resource-consumption experiment.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.delta import (
     QueryTouchProfile,
@@ -20,7 +20,6 @@ from repro.core.delta import (
     touch_affects_query,
 )
 from repro.core.query import GraphQuery
-from repro.core.serialize import query_from_wire, query_to_wire
 from repro.matching.matcher import PatternMatcher
 from repro.stats import CacheStats
 
@@ -62,13 +61,14 @@ class QueryResultCache:
         self.matcher = matcher
         self.max_entries = max_entries
         self._version = matcher.graph.version
-        #: key -> ``(count, limit, touch profile, wire form)``.  The
+        #: key -> ``(count, limit, touch profile, frozen query)``.  The
         #: profile scopes invalidation to the deltas that touch the
-        #: query; the wire form is the query itself, kept because the
-        #: signature a key is made of is not invertible and
-        #: externalization (:mod:`repro.persist`) needs the query back
+        #: query; the query is kept because the signature a key is made
+        #: of is not invertible and externalization (:mod:`repro.persist`)
+        #: needs it back -- frozen, so holding it costs no copy when the
+        #: caller's query is frozen already (every search candidate is)
         self._entries: Dict[
-            Hashable, Tuple[int, Optional[int], QueryTouchProfile, Tuple]
+            Hashable, Tuple[int, Optional[int], QueryTouchProfile, GraphQuery]
         ] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -101,14 +101,25 @@ class QueryResultCache:
         self._version = graph.version
         self.stats.size = len(self._entries)
 
-    def count(self, query: GraphQuery, limit: Optional[int] = None) -> int:
-        """Cardinality of ``query`` (bounded by ``limit``), cached."""
+    def count(
+        self,
+        query: GraphQuery,
+        limit: Optional[int] = None,
+        derive: Optional[Callable[[GraphQuery, Optional[int]], Optional[int]]] = None,
+    ) -> int:
+        """Cardinality of ``query`` (bounded by ``limit``), cached.
+
+        On a miss, ``derive(query, limit)`` is asked first: a count it
+        returns is stored like a counted one, ``None`` falls back to the
+        matcher (the fine-grained search derives a child's count from its
+        parent's, :mod:`repro.finegrained.propagation`).
+        """
         key = query.signature()
         with self._lock:
             self._validate_locked()
             entry = self._entries.get(key)
             if entry is not None:
-                cached_count, cached_limit, _profile, _wire = entry
+                cached_count, cached_limit, _profile, _query = entry
                 reusable = (
                     cached_limit is None
                     or (limit is not None and cached_limit >= limit)
@@ -126,7 +137,9 @@ class QueryResultCache:
                         return limit
                     return cached_count
             self.stats.misses += 1
-        count = self.matcher.count(query, limit=limit)
+        count = None if derive is None else derive(query, limit)
+        if count is None:
+            count = self.matcher.count(query, limit=limit)
         with self._lock:
             self._store_locked(key, query, count, limit)
         return count
@@ -138,9 +151,7 @@ class QueryResultCache:
         # pop-then-set so a re-computed entry (stale bounded count) also
         # lands in the most-recently-used position
         self._entries.pop(key, None)
-        self._entries[key] = (
-            count, limit, query_touch_profile(query), query_to_wire(query)
-        )
+        self._entries[key] = (count, limit, query_touch_profile(query), query.as_frozen())
         if self.max_entries is not None:
             # dicts iterate in insertion/promotion order: evict LRU-first
             while len(self._entries) > self.max_entries:
@@ -163,13 +174,15 @@ class QueryResultCache:
         always consistent with ``matcher.graph.version`` at return time
         -- the caller stamps its snapshot with that version.  Entries
         are emitted in LRU order (least recently used first) so a
-        bounded restore keeps the hottest entries.
+        bounded restore keeps the hottest entries.  The queries are the
+        stored frozen ones: encoding is the exporter's, paid per export
+        rather than per store.
         """
         with self._lock:
             self._validate_locked()
             return [
-                (query_from_wire(wire), count, limit)
-                for count, limit, _profile, wire in self._entries.values()
+                (query, count, limit)
+                for count, limit, _profile, query in self._entries.values()
             ]
 
     def restore_entries(

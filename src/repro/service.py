@@ -1010,7 +1010,9 @@ class WhyQueryService:
                 "results": {"hits": 0, "misses": 0},
                 "path1": {"hits": 0, "misses": 0, "dropped": 0, "retained": 0},
             }
-            matcher = {"calls": 0, "steps": 0}
+            matcher = dict.fromkeys(
+                ("calls", "steps", "decided_empty", "derived_filtered", "derived_seeded"), 0
+            )
             csr = csr_section({})
             programs = programs_section({})
             deltas = deltas_section()
@@ -1034,8 +1036,8 @@ class WhyQueryService:
                 for layer, layer_totals in caches.items():
                     for key in layer_totals:
                         layer_totals[key] += int(report["caches"][layer][key])
-                matcher["calls"] += int(report["matcher"]["calls"])
-                matcher["steps"] += int(report["matcher"]["steps"])
+                for key in matcher:
+                    matcher[key] += int(report["matcher"][key])
                 for key in csr:
                     csr[key] += int(report["csr"][key])
                 for key in programs:

@@ -398,7 +398,10 @@ class TestDecidedEmpty:
                 assert matcher.match(query, limit=3).cardinality == 0
                 assert (matcher.steps, matcher.calls, matcher.decided_empty) == (0, 4, 4)
                 info = matcher.cache_info()["matcher"]
-                assert info == {"calls": 4, "steps": 0, "decided_empty": 4}
+                assert info == {
+                    "calls": 4, "steps": 0, "decided_empty": 4,
+                    "derived_filtered": 0, "derived_seeded": 0,
+                }
 
     def test_one_plan_and_one_match_span_per_decided_call(self, tiny_graph, cold_kernels):
         for query in dead_queries():

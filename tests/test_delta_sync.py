@@ -15,11 +15,13 @@ import threading
 
 import pytest
 
+import repro.finegrained.propagation as propagation
 import repro.matching.csr as csr_module
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.core.predicates import Interval
 from repro.core.errors import MalformedQueryError
 from repro.core.graph import DELTA_RING_LIMIT
+from repro.core.predicates import ValueSet
 from repro.core.serialize import (
     delta_from_wire,
     delta_to_wire,
@@ -30,7 +32,10 @@ from repro.core.serialize import (
 )
 from repro.matching import PatternMatcher, build_plan, csr_stats
 from repro.matching.csr import CSRIndex, csr_entry, csr_for
+from repro.exec.context import ExecutionContext
+from repro.finegrained.propagation import ParentCounts
 from repro.rewrite.cache import QueryResultCache
+from repro.rewrite.operations import AddPredicate, AddPredicateValue
 from repro.shard import GraphPartitioner, ProcessExecutor, SliceEvaluator
 
 
@@ -286,10 +291,11 @@ def knows_chain() -> PropertyGraph:
     return g
 
 
-def pause_first_call(monkeypatch, name: str):
-    """Wrap ``repro.matching.csr.<name>``: its first call, once it has
-    returned its value, sets ``paused`` and waits for ``resume``."""
-    real = getattr(csr_module, name)
+def pause_first_call(monkeypatch, name: str, module=csr_module):
+    """Wrap ``<module>.<name>`` (the CSR module's by default): its first
+    call, once it has returned its value, sets ``paused`` and waits for
+    ``resume``."""
+    real = getattr(module, name)
     paused, resume = threading.Event(), threading.Event()
     calls: list = []
 
@@ -301,15 +307,42 @@ def pause_first_call(monkeypatch, name: str):
             assert resume.wait(30)
         return value
 
-    monkeypatch.setattr(csr_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return paused, resume
+
+
+def city_chain() -> PropertyGraph:
+    """Six persons in alternating cities, ``knows`` edges 0->1->...->4."""
+    g = PropertyGraph()
+    for i in range(6):
+        g.add_vertex(vid=i, kind="person", city="xy"[i % 2])
+    for i in range(4):
+        g.add_edge(i, i + 1, "knows")
+    return g
+
+
+def city_query() -> GraphQuery:
+    """Someone from city x knowing anyone: 2 matches on the chain."""
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"kind": equals("person"), "city": equals("x")})
+    b = q.add_vertex(predicates={"kind": equals("person")})
+    q.add_edge(a, b, types={"knows"})
+    return q.freeze()
+
+
+#: one restriction and one relaxation of :func:`city_query`'s vertices
+CITY_CHILDREN = {
+    "filtered": AddPredicate(("vertex", 1), "city", ValueSet(["y"])),
+    "seeded": AddPredicateValue(("vertex", 0), "city", "y"),
+}
 
 
 class TestMutateDuringDerivation:
     """A reader pauses inside a lazy derivation while the main thread
-    writes and ``csr_for`` patches the index in place.  What the reader
-    derived from the old version serves its own call only; the index
-    never keeps it (the intern rule)."""
+    writes.  What the reader derived from the old version serves its own
+    call only: the CSR index never keeps a table derived across a patch
+    (the intern rule), and a child's count derived from its parent's
+    falls back to the matcher when the graph moved in between."""
 
     def race(self, monkeypatch, hook: str, derive):
         """Run ``derive(csr)`` in a reader paused at ``hook``, add a
@@ -351,6 +384,63 @@ class TestMutateDuringDerivation:
         )
         assert count == 4  # the reader's own version
         assert csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) == 5
+
+    def child_count(self, monkeypatch, rule: str, write: bool):
+        """Count the ``rule`` child of the chain's counted parent through
+        the result cache, deriving from the parent; with ``write``, a
+        reader pauses inside the derivation (right after its first
+        version check) while the main thread adds a person from city x
+        who knows person 0 and moves person 3 to city x.  Returns the
+        context, the child, the frame and what the reader's call
+        answered."""
+        g = city_chain()
+        context = ExecutionContext(g)
+        parent = city_query()
+        version = g.version
+        count = context.cache.count(parent, limit=50)
+        assert count == 2
+        op = CITY_CHILDREN[rule]
+        child = op.apply(parent)
+        frame = ParentCounts(context.matcher, parent, count, version, 50, {child: op})
+        if not write:
+            return context, child, frame, context.cache.count(child, 50, derive=frame.derive)
+        paused, resume = pause_first_call(monkeypatch, "csr_for", propagation)
+        answers: list = []
+        reader = threading.Thread(
+            target=lambda: answers.append(context.cache.count(child, 50, derive=frame.derive)),
+            daemon=True,
+        )
+        try:
+            reader.start()
+            assert paused.wait(30)
+            vid = g.add_vertex(kind="person", city="x")
+            g.add_edge(vid, 0, "knows")
+            g.set_vertex_attribute(3, "city", "x")
+        finally:
+            resume.set()
+            reader.join(30)
+        assert not reader.is_alive()
+        assert len(answers) == 1
+        return context, child, frame, answers[0]
+
+    @pytest.mark.parametrize("rule", sorted(CITY_CHILDREN))
+    def test_an_unmoved_graph_derives_the_child(self, monkeypatch, rule):
+        context, child, frame, answer = self.child_count(monkeypatch, rule, write=False)
+        assert answer == PatternMatcher(context.graph).count(child) == {"filtered": 2, "seeded": 4}[rule]
+        assert getattr(frame, rule) == 1
+
+    @pytest.mark.parametrize("rule", sorted(CITY_CHILDREN))
+    def test_a_write_during_the_derivation_falls_back(self, monkeypatch, rule):
+        context, child, frame, answer = self.child_count(monkeypatch, rule, write=True)
+        fresh = PatternMatcher(context.graph).count(child, limit=50)
+        assert (frame.filtered, frame.seeded) == (0, 0)  # nothing derived
+        assert answer == fresh == {"filtered": 1, "seeded": 5}[rule]
+        # the stored entry is the matcher's count on the mutated graph
+        assert context.cache._entries[child.signature()][:2] == (fresh, 50)
+        assert context.cache.count(child, limit=50) == fresh
+        # every entry left answers for the mutated graph: none mixes versions
+        for query, count, limit in context.cache.export_entries():
+            assert count == PatternMatcher(context.graph).count(query, limit=limit), query
 
 
 class TestMutateDuringFill:

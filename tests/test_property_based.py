@@ -9,6 +9,7 @@ asserting count value-identity and match-set permutation-identity
 everywhere.  Seeds are fixed in-code so every failure reproduces."""
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -26,7 +27,10 @@ from repro.core import (
     one_of,
 )
 from repro.core.predicates import predicate_distance
+from repro.core.delta import query_touch_profile
 from repro.datasets import dbpedia, ldbc
+from repro.exec.search import valid_children
+from repro.finegrained.propagation import ParentCounts
 from repro.matching import PatternMatcher, build_plan, csr_for, csr_stats
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
@@ -35,6 +39,14 @@ from repro.metrics.hausdorff import modified_hausdorff
 from repro.metrics.result_distance import result_graph_distance
 from repro.core.result import ResultGraph
 from repro.metrics.syntactic import syntactic_distance
+from repro.rewrite.operations import (
+    AddPredicateValue,
+    AttributeDomain,
+    DropPredicate,
+    RemovePredicateValue,
+    fine_concretisations,
+    fine_relaxations,
+)
 from repro.obs import SPAN_BLOCK, SPAN_FALLBACK, SPAN_MATCH, SPAN_PLAN, Tracer
 from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner, ShardedMatcher, SliceEvaluator
@@ -757,8 +769,8 @@ class TestDifferentialDecidedEmpty:
         seen = {}
         prepare = PatternMatcher._prepare
 
-        def spy(matcher, query, edge_order):
-            plan, program = prepare(matcher, query, edge_order)
+        def spy(matcher, query, *args):
+            plan, program = prepare(matcher, query, *args)
             if plan is None and query.num_vertices:
                 key = (id(matcher.graph), query.signature(), matcher.injective)
                 seen.setdefault(key, (matcher.graph, query.copy(), matcher.injective))
@@ -794,3 +806,224 @@ class TestDifferentialDecidedEmpty:
                     assert not matcher.exists(query), sig
                     assert matcher.match(query, limit=3).cardinality == 0, sig
                     assert (matcher.steps, matcher.decided_empty) == (0, 4), sig
+
+
+# -- counts derived from the parent ------------------------------------------------
+
+DERIVATION_SEEDS = (7, 12)
+DERIVATION_ROUNDS = 6
+
+
+def mix_batch(graph, kind: str, rng: random.Random, attrs, types) -> None:
+    """One write batch of the e2e ``mutate_explain`` workload: two
+    vertices, four edges, two vertex attributes.  *touching* clones
+    records whose attributes and edge types the requests mention;
+    *non_touching* writes a label, an edge type and an attribute none
+    mentions."""
+    vids = sorted(graph.vertices())
+    if kind == "non_touching":
+        added = [graph.add_vertex(bench_label="bench", bench_rank=i) for i in range(2)]
+        for i in range(4):
+            graph.add_edge(rng.choice(vids), added[i % 2], "bench_link", bench_weight=i)
+        for i in range(2):
+            graph.set_vertex_attribute(rng.choice(vids), "bench_rank", i)
+        return
+    edges = [e for e in graph.edges() if e.type in types]
+    for _ in range(2):
+        graph.add_vertex(**dict(graph.vertex_attributes(rng.choice(vids))))
+    for _ in range(4):
+        like = rng.choice(edges)
+        other = rng.choice([e for e in edges if e.type == like.type])
+        graph.add_edge(like.source, other.target, like.type, **dict(like.attributes))
+    for _ in range(2):
+        vid = rng.choice(vids)
+        shared = [a for a in attrs if a in graph.vertex_attributes(vid) and a != "type"]
+        attr = rng.choice(shared or ["type"])
+        donors = [v for v in vids if attr in graph.vertex_attributes(v)]
+        graph.set_vertex_attribute(vid, attr, graph.vertex_attributes(rng.choice(donors))[attr])
+
+
+def twin_frames(frame):
+    """``frame``'s parent counted afresh by each of the four matchers
+    (both semantics, both backends), each a :class:`ParentCounts` of its
+    own: its match list, if taken, and its seeded counts are served by
+    that backend."""
+    graph = frame.matcher.graph
+    twins = []
+    for injective in (True, False):
+        for compiled in (True, False):
+            matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
+            count = matcher.count(frame.parent, limit=frame.limit)
+            twins.append(
+                ParentCounts(matcher, frame.parent, count, graph.version, frame.limit, frame.children)
+            )
+    return twins
+
+
+#: the derivation itself: the fixture below spies on the class attribute
+PARENT_DERIVE = ParentCounts.derive
+
+
+class TestDifferentialDerivedCounts:
+    """Every count the fine-grained search derives from its parent over
+    the 32-request mix plus six mutation rounds (touching and
+    non-touching alternating, seeds 7 and 12) is checked where it is
+    derived: it must equal ``PatternMatcher.count`` on both backends,
+    and each backend under each semantics, deriving it again from its
+    own count of the parent, must land on its own count."""
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        """``(rule, derived count, [((injective, compiled), that
+        matcher's derivation or None, its count)])`` per derivation."""
+        records = []
+        last = [None, []]  # the frame being expanded and its twins
+
+        def spy(frame, query, limit):
+            value = PARENT_DERIVE(frame, query, limit)
+            if value is not None:
+                if last[0] is not frame:
+                    last[:] = frame, twin_frames(frame)
+                rows = [
+                    (
+                        (twin.matcher.injective, twin.matcher.compiled),
+                        PARENT_DERIVE(twin, query, limit),
+                        twin.matcher.count(query, limit=limit),
+                    )
+                    for twin in last[1]
+                ]
+                records.append((type(frame.children[query]).__name__, value, rows))
+            return value
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ParentCounts, "derive", spy)
+            for seed in DERIVATION_SEEDS:
+                rng = random.Random(seed)
+                graphs, requests = paper_requests()
+                rng.shuffle(requests)
+                profiles = {}
+                for name in graphs:
+                    touched = [query_touch_profile(q) for g, q, _ in requests if g == name]
+                    profiles[name] = (
+                        sorted(set().union(*(p.vertex_attrs for p in touched))),
+                        sorted(set().union(*(p.edge_types for p in touched))),
+                    )
+                with WhyQueryService() as service:
+                    for round_index in range(DERIVATION_ROUNDS + 1):
+                        if round_index:
+                            kind = ("touching", "non_touching")[(round_index - 1) % 2]
+                            for name, graph in graphs.items():
+                                mix_batch(graph, kind, rng, *profiles[name])
+                        for graph, query, threshold in requests:
+                            service.explain(graphs[graph], query, threshold)
+        return records
+
+    def test_every_derived_count_equals_the_matchers(self, derived):
+        for rule, value, rows in derived:
+            for (injective, compiled), again, counted in rows:
+                if injective:
+                    assert value == counted, (rule, compiled)
+                assert again in (None, counted), (rule, injective, compiled)
+
+    def test_both_rules_derive_on_every_path(self, derived):
+        rules = Counter(rule for rule, _, _ in derived)
+        # the mix's too-many requests add and narrow, its too-few ones
+        # admit values and widen; the small-graph case covers the rest
+        assert {"AddPredicate", "NarrowInterval", "AddPredicateValue", "WidenInterval"} <= set(
+            rules
+        ), rules
+        assert rules["AddPredicate"] > 100 and rules["AddPredicateValue"] > 100, rules
+        for path in range(4):
+            assert sum(rows[path][1] is not None for _, _, rows in derived) > 100, path
+
+    def test_self_loops_and_both_directions(self):
+        """Every vertex-side edit of a query with a ``BOTH``-direction
+        edge and a self-loop, over a graph of self-loops and two-way
+        pairs: a derived count equals the matcher's under both semantics
+        on both backends -- no match counted twice across the seeded
+        pool and the parent's mask -- and everything else falls back."""
+        graph = looped_graph()
+        parent = looped_query()
+        domain = AttributeDomain(graph)
+        ops = fine_relaxations(parent, domain) + fine_concretisations(
+            parent, domain, constrainable_attrs=["type", "x"]
+        )
+        ops += [DropPredicate(("vertex", v.vid), attr) for v in parent.vertices() for attr in v.predicates]
+        derived = Counter()
+        csr = csr_for(graph)
+        for op, child in valid_children(parent, ops):
+            if op.target[0] == "vertex":
+                # the rules rest on each edit's direction: a restriction's
+                # candidates are a subset of the parent's, a relaxation's
+                # a superset
+                vid = op.target[1]
+                narrow, wide = csr.vertex_mask(child.vertex(vid)), csr.vertex_mask(parent.vertex(vid))
+                if op.is_relaxation:
+                    narrow, wide = wide, narrow
+                assert wide is None or all(map(int.__le__, narrow, wide)), op
+            for injective in (True, False):
+                for compiled in (True, False):
+                    matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
+                    for limit in (None, 60):
+                        count = matcher.count(parent, limit=limit)
+                        frame = ParentCounts(matcher, parent, count, graph.version, limit, {child: op})
+                        value = frame.derive(child, limit)
+                        if op.target[0] == "edge":
+                            assert value is None, op
+                            continue
+                        assert value == matcher.count(child, limit=limit), (op, injective, compiled)
+                        derived[type(op).__name__] += 1
+        assert set(derived) == {
+            "AddPredicate", "NarrowInterval", "RemovePredicateValue",
+            "AddPredicateValue", "WidenInterval", "DropPredicate",
+        }, derived
+
+    def test_an_inexact_or_stale_parent_is_not_used(self):
+        """The guards: a parent count at its limit, a bounded match list
+        that is not the whole count (``len(list) != p``) and a graph
+        version moved since the parent's count all fall back."""
+        graph = looped_graph()
+        parent = looped_query()
+        narrow = RemovePredicateValue(("vertex", 0), "type", "b")
+        widen = AddPredicateValue(("vertex", 0), "type", "c")
+        children = {op.apply(parent): op for op in (narrow, widen)}
+        matcher = PatternMatcher(graph)
+        count = matcher.count(parent)
+        assert count > 2
+
+        def frame(count, limit, version=graph.version):
+            return ParentCounts(matcher, parent, count, version, limit, children)
+
+        for child in children:
+            assert frame(count, None).derive(child, None) == matcher.count(child)
+            assert frame(count, count).derive(child, count) is None
+            assert frame(count, None, graph.version - 1).derive(child, None) is None
+            assert frame(count, count + 1).derive(child, None) is None  # another limit
+        restricted = narrow.apply(parent)
+        assert frame(count + 1, count + 2).derive(restricted, count + 2) is None
+        assert frame(count - 1, count + 2).derive(restricted, count + 2) is None
+
+
+def looped_graph() -> PropertyGraph:
+    """Nine vertices over three labels; self-loops, two-way pairs and
+    parallel edges of two types."""
+    graph = PropertyGraph()
+    for i in range(9):
+        graph.add_vertex(vid=i, type="abc"[i % 3], x=i % 4)
+    for source, target, kind in (
+        (0, 0, "r"), (1, 1, "s"), (2, 2, "r"), (4, 4, "s"), (5, 5, "r"),
+        (0, 1, "r"), (1, 0, "s"), (0, 1, "s"), (1, 2, "r"), (2, 3, "s"), (3, 0, "r"),
+        (4, 5, "r"), (5, 4, "r"), (6, 7, "s"), (7, 8, "r"), (8, 6, "s"), (3, 4, "r"),
+    ):
+        graph.add_edge(source, target, kind)
+    return graph
+
+
+def looped_query() -> GraphQuery:
+    """``a -[r|s, both ways]- b`` with a loop (either way) at ``a``."""
+    query = GraphQuery()
+    a = query.add_vertex(predicates={"type": one_of("a", "b"), "x": between(0, 2)})
+    b = query.add_vertex(predicates={"x": between(1, 3)})
+    query.add_edge(a, b, types={"r", "s"}, directions=BOTH_DIRECTIONS)
+    query.add_edge(a, a, directions=BOTH_DIRECTIONS)
+    return query.freeze()

@@ -111,6 +111,19 @@ class TestServiceSurface:
             payload = json.loads(json.dumps(stats))
             assert_unified(payload)
 
+    def test_matcher_section_sums_every_matcher_counter(self):
+        """``stats()["matcher"]`` is the per-context ``cache_report()
+        ["matcher"]`` summed key by key: calls, steps, counts decided
+        empty and counts derived from a parent (both rules)."""
+        with WhyQueryService() as service:
+            g = tiny_graph()
+            service.explain(g, typed_query(), explain=False, rewrite=False)
+            matcher = service.stats()["matcher"]
+            assert set(matcher) == {
+                "calls", "steps", "decided_empty", "derived_filtered", "derived_seeded",
+            }
+            assert matcher == service.context_for(g).cache_report()["matcher"]
+
     def test_stats_flat_keys_are_gone(self):
         with WhyQueryService() as service:
             service.explain(tiny_graph(), typed_query(), explain=False, rewrite=False)

@@ -218,3 +218,51 @@ class TestGoldenTrajectory:
         assert result.evaluated == 20 and not result.converged
         assert tuple(op.describe() for op in result.modifications) == (_W4,)
         assert (result.best_cardinality, result.best_syntactic) == (10, 0.01282051282051282)
+
+
+class TestChangePropagation:
+    """Children edited at one vertex are counted from their exactly
+    counted parent (Sec. 6.3): the search reports how many on its
+    ``rewrite`` span, the matcher in its counters, and each derived
+    count is the one the matcher would have returned."""
+
+    def traced_search(self, graph, query, threshold, **kwargs):
+        from repro.exec import ExecutionContext
+        from repro.obs import SPAN_REWRITE, Tracer
+
+        context = ExecutionContext(graph)
+        tracer = Tracer()
+        with tracer.activate():
+            result = TraverseSearchTree(
+                context=context, threshold=threshold, max_evaluations=100, **kwargs
+            ).search(query)
+        (span,) = [s for root in tracer.roots for s in root.walk() if s.kind == SPAN_REWRITE]
+        return context, result, span
+
+    def test_restrictions_filter_the_parents_matches(self, tiny_graph):
+        q = GraphQuery()
+        a = q.add_vertex(predicates={"type": equals("person")})
+        u = q.add_vertex()
+        q.add_edge(a, u)
+        context, result, span = self.traced_search(
+            tiny_graph, q, CardinalityThreshold.at_most(2), constrainable_attrs=["gender", "name"]
+        )
+        assert result.converged and result.derived_filtered > 0
+        assert span.attributes["derived_filtered"] == result.derived_filtered
+        assert span.attributes["derived_seeded"] == result.derived_seeded
+        matcher = context.cache_report()["matcher"]
+        assert matcher["derived_filtered"] == result.derived_filtered
+        assert PatternMatcher(tiny_graph).count(result.best_query) == result.best_cardinality
+
+    def test_relaxations_count_the_admitted_vertices(self, tiny_graph):
+        q = GraphQuery()
+        p = q.add_vertex(predicates={"name": equals("Anna")})
+        u = q.add_vertex(predicates={"type": equals("university")})
+        q.add_edge(p, u, types={"workAt", "studyAt"})
+        context, result, span = self.traced_search(
+            tiny_graph, q, CardinalityThreshold.at_least(3)
+        )
+        assert result.converged and result.derived_seeded > 0
+        assert span.attributes["derived_seeded"] == result.derived_seeded
+        assert context.cache_report()["matcher"]["derived_seeded"] >= result.derived_seeded
+        assert PatternMatcher(tiny_graph).count(result.best_query) == result.best_cardinality
