@@ -37,9 +37,13 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   (sums of degree products over one interned mask), memoised until the
   next patch;
 * the rewriters' path(1) counts (:meth:`CSRIndex.path1_count`): per type
-  group, ``itemgetter`` gathers of the edge, source and target rows,
-  memoised until the next patch: a count is a few C-speed gathers,
-  big-int ANDs and a popcount.
+  group, C-speed gathers of its edge, source and target rows, and the
+  *projections* they make -- one interned mask gathered over the group's
+  edges, sources or targets as one int, a bit per row, interned per
+  ``(type group, role, predicate signature)`` (at most
+  :data:`PROJECTION_CAP`) -- both memoised until the next patch.  A
+  count is a few big-int ANDs and a popcount over projections; a
+  candidate that edits one element gathers only that element's.
 
 One intern rule holds for every lazily derived table: the deriving call
 reads ``version`` first and stores its result under the catch-up lock
@@ -108,6 +112,22 @@ _IX = "i"
 #: worst case is MASK_CAP bytes per vertex plus MASK_CAP per edge
 MASK_CAP = 1024
 
+#: bound on the interned path(1) projections of one index: one per
+#: (type group, role, predicate signature), so a group's sources and
+#: targets each project at most as many signatures as the vertex table
+#: holds.  A projection costs a bit per row of its group, so the worst
+#: case is MASK_CAP / 4 bytes per edge; the paper's request mix derives
+#: at most ~700 on one graph per pass, so it never recycles.  A full
+#: table is dropped whole
+PROJECTION_CAP = 2 * MASK_CAP
+
+#: a projection's role: the gather (in :meth:`CSRIndex._gather_group`'s
+#: tuple) picking its rows -- the group's edges, sources or targets
+_EDGES, _SOURCES, _TARGETS = 0, 1, 2
+
+#: a gathered mask's bytes as binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 #: bound on the seed-restrict pool memo (one entry per seed signature
 #: and shard of every partition granularity the index is driven under)
 _RESTRICT_MEMO_ENTRIES = 64
@@ -126,17 +146,19 @@ _EMPTY_COUNTERS: Dict[str, int] = {
 
 def _gatherer(ixs: list) -> itemgetter:
     """A C-speed gather of the rows ``ixs`` out of a mask, in a form
-    ``int.from_bytes`` reads: one index would make ``itemgetter`` return
-    a bare byte, so a one-row group slices instead."""
+    ``bytes`` reads: one index would make ``itemgetter`` return a bare
+    byte, so a one-row group slices instead."""
     if len(ixs) == 1:
         return itemgetter(slice(ixs[0], ixs[0] + 1))
     return itemgetter(*ixs)
 
 
-def _bits(gather: itemgetter, mask: Optional[bytearray], ones: int) -> int:
-    """``mask`` gathered over a type group as an int, a byte per edge;
-    ``ones`` (every edge) for an absent mask."""
-    return ones if mask is None else int.from_bytes(gather(mask), "little")
+def _picker(rows: array) -> Callable[[bytearray], bytes]:
+    """The rows ``rows`` picked out of an edge mask, holding 4 bytes a
+    row: few query edges carry predicates, so edge projections are
+    gathered rarely, and an ``itemgetter`` would hold a pointer and a
+    boxed edge index (40 bytes) a row for them."""
+    return lambda mask: bytes(map(mask.__getitem__, rows))
 
 
 def _matching_rows(
@@ -201,6 +223,7 @@ class CSRIndex:
         "_degrees",
         "_degree_sums",
         "_gathers",
+        "_projections",
         "_edge_columns",
     )
 
@@ -269,7 +292,10 @@ class CSRIndex:
         #: predicate signature -> its degree-sum table, this version only
         self._degree_sums: Dict[Hashable, DegreeSums] = {}
         #: edge type | None -> path(1) gathers over its group, this version only
-        self._gathers: Dict[Optional[str], Tuple[itemgetter, itemgetter, itemgetter, int]] = {}
+        self._gathers: Dict[Optional[str], Tuple[Callable, itemgetter, itemgetter, int]] = {}
+        #: (edge type | None, role, predicate signature) -> that mask
+        #: gathered over the group as one int, this version only
+        self._projections: Dict[Tuple[Optional[str], int, Hashable], int] = {}
         #: edge type -> attr -> value -> its rows: edge fills' value index
         self._edge_columns: Dict[str, Dict[str, Dict[Any, array]]] = {}
 
@@ -542,42 +568,70 @@ class CSRIndex:
         orientations, a self-loop included, counts once.  Without
         endpoints this is the plain edge cardinality.
 
-        Per admitted type group, each interned mask is gathered over the
-        group's edges, sources or targets and read as one int, a byte per
-        edge; the count is the popcount of ``edge & (source-at-src &
-        target-at-tgt | target-at-src & source-at-tgt)``, one term per
-        admitted orientation.  An absent mask (no predicates) reads as
-        all ones.  The masks are held for this call only, so a
-        ``MASK_CAP`` recycle between two of them is harmless.
+        Per admitted type group, the count is the popcount of ``E &
+        (S@src & T@tgt | T@src & S@tgt)``, one term per admitted
+        orientation, over the group's interned projections
+        (:meth:`_projection`): ``E`` the edge mask over the group's
+        edges, ``S@src`` the source's mask over their sources, and so
+        on.  A candidate that edits one element gathers only that
+        element's projections; every other one is a lookup.
         """
-        emask = self.edge_mask(qedge)
-        smask = None if source is None else self.vertex_mask(source)
-        tmask = None if target is None else self.vertex_mask(target)
         forward = Direction.FORWARD in qedge.directions
         backward = Direction.BACKWARD in qedge.directions
+        project = self._projection
         count = 0
         for type_key in (None,) if qedge.types is None else qedge.types:
-            gathers = self._gather_group(type_key)
-            if gathers is None:
+            edges = project(type_key, _EDGES, qedge)
+            if edges is None:
                 continue
-            edges, sources, targets, ones = gathers
             way = 0
             if forward:
-                way = _bits(sources, smask, ones) & _bits(targets, tmask, ones)
+                way = project(type_key, _SOURCES, source) & project(type_key, _TARGETS, target)
             if backward:
-                way |= _bits(sources, tmask, ones) & _bits(targets, smask, ones)
-            count += (_bits(edges, emask, ones) & way).bit_count()
+                way |= project(type_key, _SOURCES, target) & project(type_key, _TARGETS, source)
+            count += (edges & way).bit_count()
         return count
+
+    def _projection(
+        self, type_key: Optional[str], role: int, element: Optional[Any]
+    ) -> Optional[int]:
+        """``element``'s interned mask gathered over one type group's
+        edges, sources or targets (``role``) and read as one int, a bit
+        per row; the group's all-ones int for an element without
+        predicates, ``None`` for an empty group.  Interned per ``(type
+        group, role, predicate signature)`` until the next patch: a
+        group's rows are the same for every type set admitting it, and
+        an edge mask's rows in it are filled alike under each.  The
+        masks are held for this gather only, so a ``MASK_CAP`` recycle
+        meanwhile is harmless."""
+        if element is None or not element.predicates:
+            gathers = self._gather_group(type_key)
+            return None if gathers is None else gathers[3]
+        key = (type_key, role, element.predicate_signature())
+        bits = self._projections.get(key)
+        if bits is None:
+            # read before the gathers: gathers derived across a patch
+            # miss its rows, and so does anything gathered with them
+            version = self.version
+            gathers = self._gather_group(type_key)
+            if gathers is None:
+                return None
+            mask = self.edge_mask(element) if role == _EDGES else self.vertex_mask(element)
+            # a bit per row, row i at bit i: the reversed binary digits
+            bits = int(bytes(gathers[role](mask)).translate(_DIGITS)[::-1], 2)
+            self._intern(version, self._projections, key, bits, PROJECTION_CAP)
+        return bits
 
     def _gather_group(
         self, type_key: Optional[str]
-    ) -> Optional[Tuple[itemgetter, itemgetter, itemgetter, int]]:
+    ) -> Optional[Tuple[Callable, itemgetter, itemgetter, int]]:
         """``(edges, sources, targets, ones)`` of one type group (every
-        edge for ``None``; ``None`` if empty): getters picking the group's
-        rows out of an edge mask and its endpoints' rows out of a vertex
-        mask, which share ``ix_of``'s one int object per vertex index,
-        and the all-ones int of the group's length.  Memoised per type
-        until the next patch."""
+        edge for ``None``; ``None`` if empty): callables picking the
+        group's rows out of an edge mask (a slice for every edge, else
+        :func:`_picker`) and its endpoints' rows out of a vertex mask
+        (getters sharing ``ix_of``'s one int object per vertex index),
+        and the all-ones int of the group's length, a bit per row.
+        Memoised per type until the next patch."""
         gathers = self._gathers.get(type_key)
         if gathers is None:
             version = self.version
@@ -589,10 +643,10 @@ class CSRIndex:
             ix_of = self.ix_of
             boxes = [ix_of[vid] for vid in self.vid_of]
             gathers = self._intern(version, self._gathers, type_key, (
-                itemgetter(slice(len(group))) if type_key is None else _gatherer(list(group)),
+                itemgetter(slice(len(group))) if type_key is None else _picker(group),
                 _gatherer([boxes[self.src[eix]] for eix in group]),
                 _gatherer([boxes[self.tgt[eix]] for eix in group]),
-                int.from_bytes(b"\x01" * len(group), "little"),
+                (1 << len(group)) - 1,
             ))
         return gathers
 
@@ -645,10 +699,12 @@ class CSRIndex:
 
         Returns ``False`` (index untouched) when the run is not
         patchable; the caller falls back to a full rebuild.  On success
-        every flat array keeps its object identity; only the derived
-        memos (restrict pools, the planner's degree rows and sums, the
-        path(1) gathers) are cleared.  Runs under the catch-up lock
-        (:func:`csr_entry`), so nothing here may derive a lazy table.
+        every flat array keeps its object identity and every interned
+        mask and seed pool is patched bit by bit; only the derived memos
+        are cleared: restrict pools, the planner's degree rows and sums,
+        the path(1) gathers and projections, and the edge value columns.
+        Runs under the catch-up lock (:func:`csr_entry`), so nothing here
+        may derive a lazy table.
         """
         if not self._patchable(deltas):
             return False
@@ -671,6 +727,7 @@ class CSRIndex:
         self._degrees.clear()
         self._degree_sums.clear()
         self._gathers.clear()
+        self._projections.clear()
         self._edge_columns.clear()
         self.version = graph.version
         return True
@@ -758,7 +815,8 @@ class CSRIndex:
 
     def nbytes(self) -> int:
         """Bytes held by this index (base tables, type groups, built
-        adjacency segments, interned masks and pools, path(1) gathers, edge columns)."""
+        adjacency segments, interned masks and pools, path(1) gathers and
+        projections, edge columns)."""
         total = (
             self.vid_of.itemsize * len(self.vid_of)
             + self.eid_of.itemsize * len(self.eid_of)
@@ -780,10 +838,15 @@ class CSRIndex:
         for pool in self._seed_pools.values():
             total += pool.itemsize * len(pool)
         for type_key in list(self._gathers):
-            # per row: a pointer in each getter, a byte of the all-ones int
-            # and, for a type, its edge getter's boxed edge index (32 bytes)
+            # per row: a pointer in each endpoint getter, a bit of the
+            # all-ones int and, for a type, its picker's copied row
             rows = len(self._group(type_key))
-            total += rows * (2 * 8 + 1 if type_key is None else 3 * 8 + 1 + 32)
+            total += rows * (2 * 8 if type_key is None else 2 * 8 + 4) + rows // 8
+        total += sys.getsizeof(self._projections)
+        for key, bits in list(self._projections.items()):
+            # most projections of a selective mask are 0, and ints up to
+            # 256 are the interpreter's shared singletons
+            total += sys.getsizeof(key) + (sys.getsizeof(bits) if bits > 256 else 0)
         for column in list(self._edge_columns.values()):
             total += sys.getsizeof(column)
             for buckets in column.values():

@@ -16,10 +16,12 @@ thesis computes query-dependent statistics on three granularities:
 
 Edge and path(1) statistics are one lookup on the graph's packed CSR
 image (:meth:`repro.matching.csr.CSRIndex.path1_count`: per admitted
-type group, C-speed gathers of the interned masks and a popcount),
-memoised by predicate signature so repeated candidate scoring touches
-the graph only once per distinct constraint; a write drops only the memo
-entries it can touch (``docs/delta_sync.md``).  Vertex cardinalities are
+type group, big-int ANDs and a popcount over the index's interned
+projections of the edge and endpoint masks, so a query that changed one
+element gathers only that element's), memoised by predicate signature
+so repeated candidate scoring touches the graph only once per distinct
+constraint; a write drops only the memo entries it can touch
+(``docs/delta_sync.md``).  Vertex cardinalities are
 the row counts of the CSR image's interned vertex masks
 (:meth:`repro.matching.csr.CSRIndex.degree_sums`), the one candidate
 memo the matcher and the planner read too, so no candidate set is

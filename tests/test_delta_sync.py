@@ -344,13 +344,16 @@ class TestMutateDuringDerivation:
     (the intern rule), and a child's count derived from its parent's
     falls back to the matcher when the graph moved in between."""
 
-    def race(self, monkeypatch, hook: str, derive):
-        """Run ``derive(csr)`` in a reader paused at ``hook``, add a
-        vertex and a ``knows`` edge out of it meanwhile; returns the
-        graph, its patched index and what the reader's call answered."""
+    def race(self, monkeypatch, hook: str, derive, module=csr_module, warm=None):
+        """Run ``derive(csr)`` in a reader paused at ``module.hook``
+        (after ``warm(csr)``, unpaused), add a vertex and a ``knows``
+        edge out of it meanwhile; returns the graph, its patched index
+        and what the reader's call answered."""
         g = knows_chain()
         csr = csr_for(g)
-        paused, resume = pause_first_call(monkeypatch, hook)
+        if warm is not None:
+            warm(csr)
+        paused, resume = pause_first_call(monkeypatch, hook, module)
         answers: list = []
         reader = threading.Thread(target=lambda: answers.append(derive(csr)), daemon=True)
         try:
@@ -384,6 +387,26 @@ class TestMutateDuringDerivation:
         )
         assert count == 4  # the reader's own version
         assert csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) == 5
+
+    def test_path1_projection_gathered_across_a_patch_is_not_kept(self, monkeypatch):
+        """The group's gathers and the source's mask are warm, so the
+        reader pauses inside the source projection's gather: past its
+        version read and its gathers, before the mask is read."""
+        q = person_query()
+        edge, source, target = q.edge(0), q.vertex(0), q.vertex(1)
+
+        def warm(csr):
+            csr._gather_group("knows")
+            csr.vertex_mask(source)
+
+        g, csr, count = self.race(
+            monkeypatch, "vertex_mask", lambda csr: csr.path1_count(edge, source, target),
+            CSRIndex, warm,
+        )
+        assert count == 4  # gathered over the reader's rows: served, not stored
+        assert csr._projections == {}
+        assert csr.path1_count(edge, source, target) == 5
+        assert list(csr._projections.values()) == [0b11111]  # a bit per knows edge
 
     def child_count(self, monkeypatch, rule: str, write: bool):
         """Count the ``rule`` child of the chain's counted parent through

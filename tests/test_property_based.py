@@ -843,6 +843,31 @@ def mix_batch(graph, kind: str, rng: random.Random, attrs, types) -> None:
         graph.set_vertex_attribute(vid, attr, graph.vertex_attributes(rng.choice(donors))[attr])
 
 
+def explain_mix_rounds(seed: int) -> None:
+    """The 32-request mix, shuffled by ``seed``, explained by one fresh
+    service over fresh graphs, then again after each of
+    ``DERIVATION_ROUNDS`` write rounds (:func:`mix_batch`, touching and
+    non-touching alternating, on both graphs)."""
+    rng = random.Random(seed)
+    graphs, requests = paper_requests()
+    rng.shuffle(requests)
+    profiles = {}
+    for name in graphs:
+        touched = [query_touch_profile(q) for g, q, _ in requests if g == name]
+        profiles[name] = (
+            sorted(set().union(*(p.vertex_attrs for p in touched))),
+            sorted(set().union(*(p.edge_types for p in touched))),
+        )
+    with WhyQueryService() as service:
+        for round_index in range(DERIVATION_ROUNDS + 1):
+            if round_index:
+                kind = ("touching", "non_touching")[(round_index - 1) % 2]
+                for name, graph in graphs.items():
+                    mix_batch(graph, kind, rng, *profiles[name])
+            for graph, query, threshold in requests:
+                service.explain(graphs[graph], query, threshold)
+
+
 def twin_frames(frame):
     """``frame``'s parent counted afresh by each of the four matchers
     (both semantics, both backends), each a :class:`ParentCounts` of its
@@ -898,24 +923,7 @@ class TestDifferentialDerivedCounts:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ParentCounts, "derive", spy)
             for seed in DERIVATION_SEEDS:
-                rng = random.Random(seed)
-                graphs, requests = paper_requests()
-                rng.shuffle(requests)
-                profiles = {}
-                for name in graphs:
-                    touched = [query_touch_profile(q) for g, q, _ in requests if g == name]
-                    profiles[name] = (
-                        sorted(set().union(*(p.vertex_attrs for p in touched))),
-                        sorted(set().union(*(p.edge_types for p in touched))),
-                    )
-                with WhyQueryService() as service:
-                    for round_index in range(DERIVATION_ROUNDS + 1):
-                        if round_index:
-                            kind = ("touching", "non_touching")[(round_index - 1) % 2]
-                            for name, graph in graphs.items():
-                                mix_batch(graph, kind, rng, *profiles[name])
-                        for graph, query, threshold in requests:
-                            service.explain(graphs[graph], query, threshold)
+                explain_mix_rounds(seed)
         return records
 
     def test_every_derived_count_equals_the_matchers(self, derived):

@@ -5,6 +5,7 @@ the differential, delta-scope, memo-cap and concurrency suites built on it."""
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -20,14 +21,19 @@ from repro.core.graph import DELTA_RING_LIMIT
 from repro.core.query import Direction
 from repro.matching import PatternMatcher, csr_stats
 from repro.matching.candidates import attributes_match
-from repro.matching.csr import CSRIndex, csr_for
+from repro.matching.csr import PROJECTION_CAP, CSRIndex, csr_for
 from repro.rewrite.statistics import PATH1_CAP, GraphStatistics
+from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner
 
 from test_property_based import (
+    DERIVATION_SEEDS,
     DIFFERENTIAL_SEEDS,
     MUTATION_ROUNDS,
     MUTATION_SEEDS,
+    explain_mix_rounds,
+    looped_graph,
+    paper_requests,
     random_differential_graph,
     random_differential_query,
     random_mutations,
@@ -209,8 +215,13 @@ class ReferenceStatistics:
 
     def path1_cardinality(self, query, eid) -> int:
         qedge = query.edge(eid)
-        source = query.vertex(qedge.source)
-        target = query.vertex(qedge.target)
+        return self.path1_count(qedge, query.vertex(qedge.source), query.vertex(qedge.target))
+
+    def path1_count(self, qedge, source=None, target=None) -> int:
+        """:meth:`CSRIndex.path1_count` by the record walk (an absent
+        endpoint admits every vertex)."""
+        source_preds = source.predicates if source is not None else {}
+        target_preds = target.predicates if target is not None else {}
         forward = Direction.FORWARD in qedge.directions
         backward = Direction.BACKWARD in qedge.directions
         count = 0
@@ -221,12 +232,12 @@ class ReferenceStatistics:
             tgt_attrs = self.graph.vertex_attributes(record.target)
             hit = False
             if forward:
-                hit = attributes_match(src_attrs, source.predicates) and (
-                    attributes_match(tgt_attrs, target.predicates)
+                hit = attributes_match(src_attrs, source_preds) and (
+                    attributes_match(tgt_attrs, target_preds)
                 )
             if not hit and backward:
-                hit = attributes_match(src_attrs, target.predicates) and (
-                    attributes_match(tgt_attrs, source.predicates)
+                hit = attributes_match(src_attrs, target_preds) and (
+                    attributes_match(tgt_attrs, source_preds)
                 )
             if hit:
                 count += 1
@@ -763,6 +774,158 @@ class TestPath1Kernel:
         retained = after - before
         assert retained <= 128 * graph.num_edges
         assert 0.8 * retained <= csr.nbytes() - counted <= 1.25 * retained
+
+    def test_projection_table_past_its_cap_drops_whole(self, tiny_graph):
+        """One new source projection per variant: the table fills to
+        the cap, is dropped whole, and every count stays exact."""
+        csr = csr_for(tiny_graph)
+        reference = ReferenceStatistics(tiny_graph)
+        sizes = []
+        for age in [*range(PROJECTION_CAP + 10), 34, 40, 51]:
+            q = one_edge_query({"workAt"}, None, {"age": equals(age)})
+            count = csr.path1_count(q.edge(0), q.vertex(0), q.vertex(1))
+            assert count == reference.path1_cardinality(q, 0) == (age in (34, 40, 51)), age
+            sizes.append(len(csr._projections))
+        assert max(sizes) == PROJECTION_CAP
+        assert sizes[-1] == 13
+
+    def test_projection_bytes_match_tracemalloc_after_a_cardinality_pass(self):
+        """``nbytes`` (``csr_bytes``) counts what the projections a fresh
+        pass of the mix's cardinality half interned retain: their ints
+        and the table's growth, as the live blocks ``tracemalloc`` saw
+        allocated for them, within 10 %; and their key tuples, at
+        ``sys.getsizeof`` (tuples are recycled through the interpreter's
+        free lists, so ``tracemalloc`` files them under whichever line
+        first allocated the block)."""
+        import inspect
+        import tracemalloc
+
+        csr_file = inspect.getsourcefile(CSRIndex)
+        source, first = inspect.getsourcelines(CSRIndex._projection)
+        projection = range(first, first + len(source))
+        gather = first + next(i for i, line in enumerate(source) if "bits = int(" in line)
+        source, first = inspect.getsourcelines(CSRIndex._intern)
+        intern = range(first, first + len(source))
+
+        def held_by_table(trace) -> bool:
+            """A projection's int, or the table growing in the
+            ``_intern`` storing one (frames run oldest first)."""
+            sites = [f.lineno if f.filename == csr_file else -1 for f in trace.traceback]
+            if sites[-1] == gather:
+                return True
+            return len(sites) == 2 and sites[1] in intern and sites[0] in projection
+
+        graphs, requests = paper_requests()
+        tracemalloc.start(2)
+        try:
+            with WhyQueryService() as service:
+                for graph, query, threshold in requests:
+                    if threshold is not None:
+                        service.explain(graphs[graph], query, threshold)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(trace.size for trace in snapshot.traces if held_by_table(trace))
+        counted = 0
+        for graph in graphs.values():
+            csr = csr_for(graph)
+            assert len(csr._projections) > 100
+            before = csr.nbytes()
+            keys = sum(map(sys.getsizeof, csr._projections))
+            csr._projections.clear()
+            counted += before - csr.nbytes() - keys
+        assert abs(counted - retained) <= 0.1 * retained, (counted, retained)
+
+
+def loop_types(graph) -> set:
+    """Edge types holding a self-loop."""
+    return {record.type for record in graph.edges() if record.source == record.target}
+
+
+def path1_kinds(loops: set, qedge, source, target, count) -> set:
+    """Which of the differential's cases one ``path1_count`` call is,
+    over a graph whose ``loops`` types hold a self-loop."""
+    kinds = {"untyped" if qedge.types is None else "typed"}
+    if qedge.directions == BOTH_DIRECTIONS:
+        kinds.add("both")
+    if qedge.predicates:
+        kinds.add("edge predicate")
+    if source is not None and (source.predicates or target.predicates) and count:
+        kinds.add("endpoints")
+    if loops and (qedge.types is None or not loops.isdisjoint(qedge.types)):
+        kinds.add("self-loop")
+    return kinds
+
+
+#: the projection count itself: the fixture below spies on the class attribute
+PATH1_COUNT = CSRIndex.path1_count
+
+
+class TestDifferentialPath1Projections:
+    """Every ``path1_count`` the 32-request mix asks over a fresh service
+    and six write rounds after it (seeds 7 and 12), each one served from
+    the interned projections, equals the record walk's count edge by
+    edge at that version."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        """``(kinds, count, recount)`` per distinct call and version."""
+        records = {}
+        #: (id(graph), version) -> (graph, its self-loop types): the graph
+        #: is held, so no id is reused
+        loops: dict = {}
+
+        def spy(csr, qedge, source=None, target=None):
+            count = PATH1_COUNT(csr, qedge, source, target)
+            graph = csr._graph()
+            key = (
+                id(graph), graph.version, qedge.signature(),
+                source.predicate_signature() if source is not None else None,
+                target.predicate_signature() if target is not None else None,
+            )
+            if key not in records:
+                _, types = loops.setdefault(key[:2], (graph, loop_types(graph)))
+                expected = ReferenceStatistics(graph).path1_count(qedge, source, target)
+                records[key] = (path1_kinds(types, qedge, source, target, count), count, expected)
+            return count
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CSRIndex, "path1_count", spy)
+            for seed in DERIVATION_SEEDS:
+                explain_mix_rounds(seed)
+        return list(records.values())
+
+    def test_every_count_equals_the_record_walk(self, counted):
+        assert len(counted) > 5_000
+        mismatches = [(count, recount) for _, count, recount in counted if count != recount]
+        assert mismatches == []
+
+    def test_the_mix_reaches_every_kind_of_edge(self, counted):
+        kinds = Counter(kind for found, _, _ in counted for kind in found)
+        for kind in ("typed", "untyped", "both", "edge predicate", "endpoints"):
+            assert kinds[kind] > 100, kinds
+
+    def test_self_loops_both_ways_and_edge_predicates(self):
+        """The mix's graphs hold no self-loop: the looped graph does,
+        with two-way pairs, parallel edges of two types and weights."""
+        graph = looped_graph()
+        for eid, record in enumerate(list(graph.edges())):
+            graph.set_edge_attribute(record.eid, "w", eid % 3)
+        reference, loops = ReferenceStatistics(graph), loop_types(graph)
+        csr = csr_for(graph)
+        seen = set()
+        for types in ({"r"}, {"r", "s"}, {"s", "t"}, None):
+            for directions in (None, BACKWARD_ONLY, BOTH_DIRECTIONS):
+                for ends in ((None, None), ({"type": equals("a")}, {"x": between(0, 2)})):
+                    for w in (None, 1):
+                        edge = {} if w is None else {"w": equals(w)}
+                        q = one_edge_query(types, directions, *ends, **edge)
+                        args = (q.edge(0), q.vertex(0), q.vertex(1))
+                        count = csr.path1_count(*args)
+                        assert count == reference.path1_count(*args), (types, directions, ends, w)
+                        seen |= path1_kinds(loops, *args, count)
+                        assert csr.path1_count(*args) == count  # served from the table
+        assert seen == {"typed", "untyped", "both", "edge predicate", "endpoints", "self-loop"}
 
 
 def random_touching_batch(graph) -> None:
