@@ -248,13 +248,13 @@ class SubgraphLatticeSearch:
                 FailureReason.TYPE,
                 f"no {'/'.join(sorted(edge.types))} edge connects here",
             )
-        # No single class suffices: try stripping everything at once.
+        # No single class suffices: try stripping everything at once --
+        # with fewer than two classes that repeats a probe that failed
         stripable = tuple(
             vid for vid in new_vertices if self.query.vertex(vid).predicates
         )
-        if probe(True, True, stripable) and (
-            edge.predicates or edge.types is not None or stripable
-        ):
+        classes = bool(edge.predicates) + (edge.types is not None) + len(stripable)
+        if classes >= 2 and probe(True, True, stripable):
             return FailureAnnotation(
                 ("edge", eid),
                 FailureReason.PREDICATE,

@@ -1,11 +1,12 @@
 """Change propagation (Sec. 6.3): a child's count from its parent's.
 
-A fine-grained child that edits the predicate map of one query vertex
-and leaves the rest of the query alone has a match set the parent's
-determines, under injective and homomorphic semantics alike (every
-match binds every query element, and only that vertex's candidates
-changed).  When the parent's count ``p`` is exact -- below the search's
-count limit ``L`` -- the child is counted without a full evaluation:
+A fine-grained child that edits one query element and leaves the rest
+of the query alone has a match set the parent's determines, under
+injective and homomorphic semantics alike (every match binds every
+query element, and only that element's candidates changed).  When the
+parent's count ``p`` is exact -- below the search's count limit ``L``
+-- a child editing the predicate map of one query vertex is counted
+without a full evaluation:
 
 * a **restriction** (:class:`AddPredicate`, :class:`NarrowInterval`,
   :class:`RemovePredicateValue`) keeps a subset of the parent's matches:
@@ -19,12 +20,24 @@ count limit ``L`` -- the child is counted without a full evaluation:
   newly admitted one (``child mask & ~parent mask``), counted by a plan
   seeded there over that pool with limit ``L - p``: ``min(p + d, L)``.
 
-Anything else -- edge-side edits, direction changes, an inexact parent,
-a partial graph, a bounded match list shorter than ``p`` -- returns
-``None`` and the caller counts the child with the matcher, as it does
-when the graph's version moved between the parent's count and the end
-of the derivation: a count mixing two versions is never returned.
-Nothing outlives the node's expansion.
+A child editing one query edge and keeping its type set is
+**unchanged** when the edit gains or loses no (data edge, orientation)
+pair between the edge's endpoint masks (:meth:`CSRIndex.path1_gained
+<repro.matching.csr.CSRIndex.path1_gained>` is 0 from the parent's edge
+to the child's for a relaxation -- those above plus
+:class:`RelaxDirection` -- and from the child's to the parent's for a
+restriction -- those above plus :class:`RestrictDirection`): every match
+binds that edge through such a pair, so the child has exactly the
+parent's matches and its count is ``p``, whether or not ``p`` is at
+``L``.
+
+Anything else -- a type-set edit, an edge edit that does gain or lose
+pairs, an inexact parent of a vertex edit, a partial graph, a bounded
+match list shorter than ``p`` -- returns ``None`` and the caller counts
+the child with the matcher, as it does when the graph's version moved
+between the parent's count and the end of the derivation: a count
+mixing two versions is never returned.  Nothing outlives the node's
+expansion.
 """
 
 from __future__ import annotations
@@ -43,7 +56,9 @@ from repro.rewrite.operations import (
     DropPredicate,
     Modification,
     NarrowInterval,
+    RelaxDirection,
     RemovePredicateValue,
+    RestrictDirection,
     WidenInterval,
 )
 
@@ -51,6 +66,8 @@ __all__ = ["ParentCounts"]
 
 _RESTRICTIONS = (AddPredicate, NarrowInterval, RemovePredicateValue)
 _RELAXATIONS = (AddPredicateValue, WidenInterval, DropPredicate)
+_EDGE_RESTRICTIONS = _RESTRICTIONS + (RestrictDirection,)
+_EDGE_RELAXATIONS = _RELAXATIONS + (RelaxDirection,)
 
 
 class ParentCounts:
@@ -65,7 +82,7 @@ class ParentCounts:
 
     __slots__ = (
         "matcher", "parent", "count", "version", "limit", "children", "_columns",
-        "filtered", "seeded",
+        "filtered", "seeded", "unchanged",
     )
 
     def __init__(
@@ -87,14 +104,15 @@ class ParentCounts:
         #: empty when the bounded match list is not the whole count
         self._columns: Optional[Dict[int, array]] = None
         #: counts this frame answered by each rule
-        self.filtered = self.seeded = 0
+        self.filtered = self.seeded = self.unchanged = 0
 
     def derive(self, query: GraphQuery, limit: Optional[int]) -> Optional[int]:
         """``query``'s count under ``limit``, or ``None`` to fall back."""
         op = self.children.get(query)
-        if op is None or op.target[0] != "vertex" or limit != self.limit:
+        if op is None or limit != self.limit:
             return None
-        if limit is not None and self.count >= limit:
+        kind, ident = op.target
+        if kind == "vertex" and limit is not None and self.count >= limit:
             return None  # the parent's count is a bound, not its size
         graph = self.matcher.graph
         if graph.version != self.version:
@@ -102,21 +120,37 @@ class ParentCounts:
         csr = csr_for(graph)
         if csr.partial:
             return None
-        vid = op.target[1]
-        if isinstance(op, _RESTRICTIONS):
-            value = self._filtered(csr, query, vid)
+        if kind == "edge":
+            value = self._unchanged(csr, query, op, ident)
+        elif isinstance(op, _RESTRICTIONS):
+            value = self._filtered(csr, query, ident)
         elif isinstance(op, _RELAXATIONS):
-            value = self._seeded(csr, query, vid)
+            value = self._seeded(csr, query, ident)
         else:
             return None
         # a write since the parent's count may have moved either side
         if value is None or graph.version != self.version:
             return None
-        if isinstance(op, _RESTRICTIONS):
+        if kind == "edge":
+            self.unchanged += 1
+            self.matcher.derived_unchanged += 1
+        elif isinstance(op, _RESTRICTIONS):
             self.filtered += 1
         else:
             self.seeded += 1
         return value
+
+    def _unchanged(self, csr, query: GraphQuery, op, eid: int) -> Optional[int]:
+        if isinstance(op, _EDGE_RELAXATIONS):
+            old, new = self.parent.edge(eid), query.edge(eid)
+        elif isinstance(op, _EDGE_RESTRICTIONS):
+            new, old = self.parent.edge(eid), query.edge(eid)  # the pairs it loses
+        else:
+            return None
+        if old.types != new.types:
+            return None
+        ends = self.parent.vertex(old.source), self.parent.vertex(old.target)
+        return self.count if csr.path1_gained(old, new, *ends) == 0 else None
 
     def _filtered(self, csr, query: GraphQuery, vid: int) -> Optional[int]:
         columns = self._columns

@@ -13,14 +13,16 @@ relaxations, a node above it with concretisations, so the search can
 oscillate around the threshold until a variant lands inside it.
 
 Tree adaptation (Sec. 6.3): evaluations go through the shared query
-cache, and a child that edits one vertex's predicates below an exactly
-counted parent is counted from that parent on a miss
-(:mod:`repro.finegrained.propagation`: a restriction filters the
-parent's matches, a relaxation counts only the matches binding a newly
-admitted vertex); children whose cardinality equals their parent's are
-discarded as non-contributing, dominated variants are rejected, and
-branches strictly farther from the threshold than the incumbent by more
-than the oscillation allowance are pruned.
+cache, and a child that edits one element of its parent is counted from
+that parent on a miss where :mod:`repro.finegrained.propagation` allows
+(below an exactly counted parent, a vertex restriction filters the
+parent's matches and a vertex relaxation counts only the matches binding
+a newly admitted vertex; an edge edit that gains or loses no data-edge
+pair between its endpoints keeps the parent's count); children whose
+cardinality equals their parent's are discarded as non-contributing,
+dominated variants are rejected, and branches strictly farther from the
+threshold than the incumbent by more than the oscillation allowance are
+pruned.
 
 Sibling modifications are evaluated in batches of the executor's
 ``preferred_batch`` (1 serial, the worker count for the process pool) --
@@ -73,9 +75,11 @@ class FineRewriteResult:
     elapsed: float
     budget_exhausted: bool
     converged: bool
-    #: children counted from their parent (restriction / relaxation rule)
+    #: children counted from their parent (restriction / relaxation /
+    #: unchanged-edge rule)
     derived_filtered: int = 0
     derived_seeded: int = 0
+    derived_unchanged: int = 0
 
     def describe(self) -> str:
         steps = "; ".join(op.describe() for op in self.modifications) or "<unchanged>"
@@ -181,6 +185,7 @@ class TraverseSearchTree(BudgetedSearch):
             "converged": result.converged,
             "derived_filtered": result.derived_filtered,
             "derived_seeded": result.derived_seeded,
+            "derived_unchanged": result.derived_unchanged,
         }
 
     def _search(
@@ -203,7 +208,7 @@ class TraverseSearchTree(BudgetedSearch):
         scores: Dict[int, Tuple[CardinalityProfile, DistanceTable, int]] = {
             root.node_id: (self.statistics.profile(query), DistanceTable(query, query), version)
         }
-        generated = derived_filtered = derived_seeded = 0
+        generated = derived_filtered = derived_seeded = derived_unchanged = 0
         budget_exhausted = False
         best = root
 
@@ -272,6 +277,7 @@ class TraverseSearchTree(BudgetedSearch):
                 pos += len(results)
             derived_filtered += parent.filtered
             derived_seeded += parent.seeded
+            derived_unchanged += parent.unchanged
             if best.distance == 0 or budget_exhausted:
                 break
 
@@ -292,4 +298,5 @@ class TraverseSearchTree(BudgetedSearch):
             converged=best.distance == 0,
             derived_filtered=derived_filtered,
             derived_seeded=derived_seeded,
+            derived_unchanged=derived_unchanged,
         )

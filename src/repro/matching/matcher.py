@@ -102,11 +102,13 @@ class PatternMatcher:
         #: calls answered 0 before planning: the query binds an empty mask
         self.decided_empty = 0
         #: counts derived from an exactly counted parent's matches
-        #: (:meth:`count_filtered`) and from the vertices a relaxation
-        #: newly admits (:meth:`count_seeded`); see
-        #: :mod:`repro.finegrained.propagation`
+        #: (:meth:`count_filtered`), from the vertices a relaxation
+        #: newly admits (:meth:`count_seeded`) and, for an edge edit that
+        #: gains or loses no data-edge pair, the parent's count itself;
+        #: see :mod:`repro.finegrained.propagation`
         self.derived_filtered = 0
         self.derived_seeded = 0
+        self.derived_unchanged = 0
 
     def cache_info(self) -> Dict[str, Any]:
         """Compilation counters in the unified stats schema.
@@ -122,6 +124,7 @@ class PatternMatcher:
             "decided_empty": self.decided_empty,
             "derived_filtered": self.derived_filtered,
             "derived_seeded": self.derived_seeded,
+            "derived_unchanged": self.derived_unchanged,
         }
         return unified_stats(
             csr=csr_section(flat),

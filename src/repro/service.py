@@ -1011,7 +1011,11 @@ class WhyQueryService:
                 "path1": {"hits": 0, "misses": 0, "dropped": 0, "retained": 0},
             }
             matcher = dict.fromkeys(
-                ("calls", "steps", "decided_empty", "derived_filtered", "derived_seeded"), 0
+                (
+                    "calls", "steps", "decided_empty",
+                    "derived_filtered", "derived_seeded", "derived_unchanged",
+                ),
+                0,
             )
             csr = csr_section({})
             programs = programs_section({})

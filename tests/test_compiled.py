@@ -400,7 +400,7 @@ class TestDecidedEmpty:
                 info = matcher.cache_info()["matcher"]
                 assert info == {
                     "calls": 4, "steps": 0, "decided_empty": 4,
-                    "derived_filtered": 0, "derived_seeded": 0,
+                    "derived_filtered": 0, "derived_seeded": 0, "derived_unchanged": 0,
                 }
 
     def test_one_plan_and_one_match_span_per_decided_call(self, tiny_graph, cold_kernels):

@@ -312,12 +312,13 @@ def pause_first_call(monkeypatch, name: str, module=csr_module):
 
 
 def city_chain() -> PropertyGraph:
-    """Six persons in alternating cities, ``knows`` edges 0->1->...->4."""
+    """Six persons in alternating cities, ``knows`` edges 0->1->...->4,
+    each of weight 1."""
     g = PropertyGraph()
     for i in range(6):
         g.add_vertex(vid=i, kind="person", city="xy"[i % 2])
     for i in range(4):
-        g.add_edge(i, i + 1, "knows")
+        g.add_edge(i, i + 1, "knows", weight=1)
     return g
 
 
@@ -330,10 +331,20 @@ def city_query() -> GraphQuery:
     return q.freeze()
 
 
-#: one restriction and one relaxation of :func:`city_query`'s vertices
+#: one restriction and one relaxation of :func:`city_query`'s vertices,
+#: and a restriction of its edge that every ``knows`` edge passes
 CITY_CHILDREN = {
     "filtered": AddPredicate(("vertex", 1), "city", ValueSet(["y"])),
     "seeded": AddPredicateValue(("vertex", 0), "city", "y"),
+    "unchanged": AddPredicate(("edge", 0), "weight", ValueSet([1])),
+}
+
+#: where a write lands in each rule's derivation: right after its first
+#: version check, or inside ``path1_gained`` (after its first projection)
+CITY_PAUSES = {
+    "filtered": ("csr_for", propagation),
+    "seeded": ("csr_for", propagation),
+    "unchanged": ("_projection", CSRIndex),
 }
 
 
@@ -411,11 +422,11 @@ class TestMutateDuringDerivation:
     def child_count(self, monkeypatch, rule: str, write: bool):
         """Count the ``rule`` child of the chain's counted parent through
         the result cache, deriving from the parent; with ``write``, a
-        reader pauses inside the derivation (right after its first
-        version check) while the main thread adds a person from city x
-        who knows person 0 and moves person 3 to city x.  Returns the
-        context, the child, the frame and what the reader's call
-        answered."""
+        reader pauses inside the derivation (at ``CITY_PAUSES[rule]``)
+        while the main thread adds a person from city x who knows person
+        0 (an edge of no weight), moves person 3 to city x and catches
+        the index up.  Returns the context, the child, the frame and
+        what the reader's call answered."""
         g = city_chain()
         context = ExecutionContext(g)
         parent = city_query()
@@ -427,7 +438,7 @@ class TestMutateDuringDerivation:
         frame = ParentCounts(context.matcher, parent, count, version, 50, {child: op})
         if not write:
             return context, child, frame, context.cache.count(child, 50, derive=frame.derive)
-        paused, resume = pause_first_call(monkeypatch, "csr_for", propagation)
+        paused, resume = pause_first_call(monkeypatch, *CITY_PAUSES[rule])
         answers: list = []
         reader = threading.Thread(
             target=lambda: answers.append(context.cache.count(child, 50, derive=frame.derive)),
@@ -439,6 +450,7 @@ class TestMutateDuringDerivation:
             vid = g.add_vertex(kind="person", city="x")
             g.add_edge(vid, 0, "knows")
             g.set_vertex_attribute(3, "city", "x")
+            csr_for(g)
         finally:
             resume.set()
             reader.join(30)
@@ -449,21 +461,37 @@ class TestMutateDuringDerivation:
     @pytest.mark.parametrize("rule", sorted(CITY_CHILDREN))
     def test_an_unmoved_graph_derives_the_child(self, monkeypatch, rule):
         context, child, frame, answer = self.child_count(monkeypatch, rule, write=False)
-        assert answer == PatternMatcher(context.graph).count(child) == {"filtered": 2, "seeded": 4}[rule]
+        assert answer == PatternMatcher(context.graph).count(child) == {
+            "filtered": 2, "seeded": 4, "unchanged": 2,
+        }[rule]
         assert getattr(frame, rule) == 1
 
     @pytest.mark.parametrize("rule", sorted(CITY_CHILDREN))
     def test_a_write_during_the_derivation_falls_back(self, monkeypatch, rule):
         context, child, frame, answer = self.child_count(monkeypatch, rule, write=True)
         fresh = PatternMatcher(context.graph).count(child, limit=50)
-        assert (frame.filtered, frame.seeded) == (0, 0)  # nothing derived
-        assert answer == fresh == {"filtered": 1, "seeded": 5}[rule]
+        assert (frame.filtered, frame.seeded, frame.unchanged) == (0, 0, 0)  # nothing derived
+        assert answer == fresh == {"filtered": 1, "seeded": 5, "unchanged": 3}[rule]
         # the stored entry is the matcher's count on the mutated graph
         assert context.cache._entries[child.signature()][:2] == (fresh, 50)
         assert context.cache.count(child, limit=50) == fresh
         # every entry left answers for the mutated graph: none mixes versions
         for query, count, limit in context.cache.export_entries():
             assert count == PatternMatcher(context.graph).count(query, limit=limit), query
+
+    def test_a_write_inside_path1_gained_keeps_no_mixed_projection(self, monkeypatch):
+        """The edge rule's projections read after the patch are the
+        patched graph's: the child's and the parent's edge, compared
+        again on the caught-up index, read what a fresh index reads."""
+        context, child, frame, _ = self.child_count(monkeypatch, "unchanged", write=True)
+        graph = context.graph
+        parent = city_query()
+        csr, fresh = csr_for(graph), CSRIndex(graph)
+        ends = parent.vertex(0), parent.vertex(1)
+        for old, new in ((child.edge(0), parent.edge(0)), (parent.edge(0), child.edge(0))):
+            assert csr.path1_gained(old, new, *ends) == fresh.path1_gained(old, new, *ends)
+        # the new person's unweighted edge is a pair the restriction loses
+        assert csr.path1_gained(child.edge(0), parent.edge(0), *ends) == 1
 
 
 class TestMutateDuringFill:

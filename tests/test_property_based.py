@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BOTH_DIRECTIONS,
+    Direction,
     GraphQuery,
     Interval,
     PropertyGraph,
@@ -32,6 +33,7 @@ from repro.datasets import dbpedia, ldbc
 from repro.exec.search import valid_children
 from repro.finegrained.propagation import ParentCounts
 from repro.matching import PatternMatcher, build_plan, csr_for, csr_stats
+from repro.matching.candidates import attributes_match
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
 from repro.metrics.ged import coarse_ged
@@ -43,6 +45,7 @@ from repro.rewrite.operations import (
     AddPredicateValue,
     AttributeDomain,
     DropPredicate,
+    RelaxDirection,
     RemovePredicateValue,
     fine_concretisations,
     fine_relaxations,
@@ -889,6 +892,38 @@ def twin_frames(frame):
 PARENT_DERIVE = ParentCounts.derive
 
 
+@pytest.fixture(scope="module")
+def derived():
+    """``(kind, rule, derived count, [((injective, compiled), that
+    matcher's derivation or None, its count)])`` per derivation of the
+    mix plus its mutation rounds, ``kind`` the edited element's."""
+    records = []
+    last = [None, []]  # the frame being expanded and its twins
+
+    def spy(frame, query, limit):
+        value = PARENT_DERIVE(frame, query, limit)
+        if value is not None:
+            if last[0] is not frame:
+                last[:] = frame, twin_frames(frame)
+            rows = [
+                (
+                    (twin.matcher.injective, twin.matcher.compiled),
+                    PARENT_DERIVE(twin, query, limit),
+                    twin.matcher.count(query, limit=limit),
+                )
+                for twin in last[1]
+            ]
+            op = frame.children[query]
+            records.append((op.target[0], type(op).__name__, value, rows))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ParentCounts, "derive", spy)
+        for seed in DERIVATION_SEEDS:
+            explain_mix_rounds(seed)
+    return records
+
+
 class TestDifferentialDerivedCounts:
     """Every count the fine-grained search derives from its parent over
     the 32-request mix plus six mutation rounds (touching and
@@ -897,44 +932,15 @@ class TestDifferentialDerivedCounts:
     and each backend under each semantics, deriving it again from its
     own count of the parent, must land on its own count."""
 
-    @pytest.fixture(scope="class")
-    def derived(self):
-        """``(rule, derived count, [((injective, compiled), that
-        matcher's derivation or None, its count)])`` per derivation."""
-        records = []
-        last = [None, []]  # the frame being expanded and its twins
-
-        def spy(frame, query, limit):
-            value = PARENT_DERIVE(frame, query, limit)
-            if value is not None:
-                if last[0] is not frame:
-                    last[:] = frame, twin_frames(frame)
-                rows = [
-                    (
-                        (twin.matcher.injective, twin.matcher.compiled),
-                        PARENT_DERIVE(twin, query, limit),
-                        twin.matcher.count(query, limit=limit),
-                    )
-                    for twin in last[1]
-                ]
-                records.append((type(frame.children[query]).__name__, value, rows))
-            return value
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ParentCounts, "derive", spy)
-            for seed in DERIVATION_SEEDS:
-                explain_mix_rounds(seed)
-        return records
-
     def test_every_derived_count_equals_the_matchers(self, derived):
-        for rule, value, rows in derived:
+        for _, rule, value, rows in derived:
             for (injective, compiled), again, counted in rows:
                 if injective:
                     assert value == counted, (rule, compiled)
                 assert again in (None, counted), (rule, injective, compiled)
 
     def test_both_rules_derive_on_every_path(self, derived):
-        rules = Counter(rule for rule, _, _ in derived)
+        rules = Counter(rule for kind, rule, _, _ in derived if kind == "vertex")
         # the mix's too-many requests add and narrow, its too-few ones
         # admit values and widen; the small-graph case covers the rest
         assert {"AddPredicate", "NarrowInterval", "AddPredicateValue", "WidenInterval"} <= set(
@@ -942,7 +948,7 @@ class TestDifferentialDerivedCounts:
         ), rules
         assert rules["AddPredicate"] > 100 and rules["AddPredicateValue"] > 100, rules
         for path in range(4):
-            assert sum(rows[path][1] is not None for _, _, rows in derived) > 100, path
+            assert sum(rows[path][1] is not None for _, _, _, rows in derived) > 100, path
 
     def test_self_loops_and_both_directions(self):
         """Every vertex-side edit of a query with a ``BOTH``-direction
@@ -1010,6 +1016,187 @@ class TestDifferentialDerivedCounts:
         restricted = narrow.apply(parent)
         assert frame(count + 1, count + 2).derive(restricted, count + 2) is None
         assert frame(count - 1, count + 2).derive(restricted, count + 2) is None
+
+
+#: the edge edits the unchanged-edge rule takes, relaxations first
+EDGE_RELAXATIONS = ("RelaxDirection", "AddPredicateValue", "WidenInterval", "DropPredicate")
+EDGE_RESTRICTIONS = ("RestrictDirection", "AddPredicate", "NarrowInterval", "RemovePredicateValue")
+
+
+class TestDifferentialUnchangedEdges:
+    """A child editing one query edge, keeping its type set, that gains
+    (a relaxation) or loses (a restriction) no (data edge, orientation)
+    pair between the edge's endpoint masks keeps its parent's count.
+    Every such count of the mix plus six mutation rounds (seeds 7 and
+    12) is checked against ``PatternMatcher.count`` on both backends
+    under both semantics; a small graph takes every edge edit at zero
+    and non-zero gain, and ``CSRIndex.path1_gained`` is checked against
+    a walk over the edge records."""
+
+    def test_every_edge_rule_count_equals_the_matchers(self, derived):
+        edges = [(rule, value, rows) for kind, rule, value, rows in derived if kind == "edge"]
+        for rule, value, rows in edges:
+            assert rule in EDGE_RELAXATIONS + EDGE_RESTRICTIONS, rule
+            for (injective, compiled), again, counted in rows:
+                if injective:
+                    assert value == counted, (rule, compiled)
+                # the rule reads no semantics: every twin derives, from
+                # its own count of the parent, its own count
+                assert again == counted, (rule, injective, compiled)
+        # every relaxed direction of the mix's too-few requests admits no
+        # data edge the other way between its endpoints' masks
+        assert Counter(rule for rule, _, _ in edges)["RelaxDirection"] > 50
+
+    def test_every_edge_op_at_zero_and_nonzero_gain(self):
+        """Every edge edit of every parent over :func:`weighted_graph`
+        (untyped, one-typed and two-typed edges, one way or both, with
+        and without predicates, between four endpoint pairs): derived
+        exactly when its gain is 0, then equal to the matcher's count on
+        both backends under both semantics, at the parent's limit too."""
+        graph = weighted_graph()
+        csr = csr_for(graph)
+        domain = AttributeDomain(graph)
+        matchers = [
+            PatternMatcher(graph, injective=injective, compiled=compiled)
+            for injective in (True, False)
+            for compiled in (True, False)
+        ]
+        outcomes = Counter()
+        for parent in weighted_parents():
+            eid = 0
+            ops = fine_relaxations(parent, domain) + fine_concretisations(
+                parent, domain, constrainable_attrs=["w"]
+            )
+            ops += [DropPredicate(("edge", eid), attr) for attr in parent.edge(eid).predicates]
+            ends = parent.vertex(0), parent.vertex(1)
+            for op, child in valid_children(parent, ops):
+                if op.target != ("edge", eid):
+                    continue
+                old, new = parent.edge(eid), child.edge(eid)
+                if not op.is_relaxation:
+                    old, new = new, old
+                gained = reference_gained(graph, old, new, *ends)
+                assert csr.path1_gained(old, new, *ends) == gained, op
+                for matcher in matchers:
+                    for limit in (None, 1):
+                        count = matcher.count(parent, limit=limit)
+                        frame = ParentCounts(
+                            matcher, parent, count, graph.version, limit, {child: op}
+                        )
+                        value = frame.derive(child, limit)
+                        if gained:
+                            assert value is None, op
+                        else:
+                            assert value == count == matcher.count(child, limit=limit), (
+                                op, matcher.injective, matcher.compiled, limit,
+                            )
+                        assert frame.unchanged == (not gained)
+                outcomes[type(op).__name__, not gained] += 1
+        for rule in EDGE_RELAXATIONS + EDGE_RESTRICTIONS:
+            assert outcomes[rule, True] and outcomes[rule, False], (rule, outcomes)
+
+    def test_path1_gained_equals_the_record_walk(self):
+        """Both ways round, for every pair of edge variants over one type
+        set: the pairs one admits and the other does not."""
+        graph = weighted_graph()
+        csr = csr_for(graph)
+        nonzero = 0
+        for parent in weighted_parents():
+            ends = parent.vertex(0), parent.vertex(1)
+            for other in weighted_parents():
+                old, new = parent.edge(0), other.edge(0)
+                if old.types != new.types or other.vertex(0) != ends[0] or other.vertex(1) != ends[1]:
+                    continue
+                gained = reference_gained(graph, old, new, *ends)
+                assert csr.path1_gained(old, new, *ends) == gained, (old, new)
+                nonzero += gained > 0
+        assert nonzero > 100
+
+    def test_a_type_set_edit_is_never_unchanged(self):
+        """The rule reads the type groups of the child's type set only,
+        so a child on other types falls back even if its op is one the
+        rule takes: ``a -r-> b`` made ``a -[s, both ways]- b`` admits no
+        ``s`` edge the ``r`` edge does not -- a reading that gains 0 --
+        yet matches other edges."""
+        graph = weighted_graph()
+        parent = GraphQuery()
+        a = parent.add_vertex(predicates={"type": equals("c")})
+        b = parent.add_vertex(predicates={"type": equals("a")})
+        parent.add_edge(a, b, types={"r"})
+        parent.freeze()
+        child = parent.copy()
+        child.edge(0).types = frozenset({"s"})
+        child.edge(0).directions = BOTH_DIRECTIONS
+        child.freeze()
+        op = RelaxDirection(0)
+        matcher = PatternMatcher(graph)
+        count = matcher.count(parent)
+        assert count != matcher.count(child)
+        frame = ParentCounts(matcher, parent, count, graph.version, None, {child: op})
+        assert frame.derive(child, None) is None
+        assert frame.unchanged == 0
+
+
+def weighted_graph() -> PropertyGraph:
+    """:func:`looped_graph`'s vertices; self-loops, two-way pairs and
+    parallel edges (of one type and of two) over types ``r`` and ``s``,
+    each edge weighted ``w`` in 0..2."""
+    graph = PropertyGraph()
+    for i in range(9):
+        graph.add_vertex(vid=i, type="abc"[i % 3], x=i % 4)
+    for source, target, kind, w in (
+        (0, 0, "r", 0), (1, 1, "s", 1), (4, 4, "s", 2),
+        (0, 1, "r", 1), (1, 0, "s", 1), (0, 1, "s", 2), (4, 5, "r", 0), (5, 4, "r", 2),
+        (3, 6, "r", 1), (3, 6, "r", 1), (1, 2, "r", 2), (2, 3, "s", 0), (3, 0, "r", 1),
+        (6, 7, "s", 1), (7, 8, "r", 0), (8, 6, "s", 2), (3, 4, "r", 1), (5, 3, "s", 1),
+    ):
+        graph.add_edge(source, target, kind, w=w)
+    return graph
+
+
+def weighted_parents():
+    """One-edge queries ``a -> b`` over :func:`weighted_graph`: four
+    endpoint pairs, each with an untyped, a one-typed and a two-typed
+    edge, one way or both, without a predicate, with a value set and
+    with an interval as wide as the weights or narrower."""
+    ends = (
+        ({"type": equals("a")}, {"type": equals("b")}),
+        ({"type": one_of("a", "b")}, {}),
+        ({}, {"x": between(0, 1)}),
+        ({"type": equals("c")}, {"type": equals("a")}),
+    )
+    for source, target in ends:
+        for types in (None, {"r"}, {"r", "s"}):
+            for directions in ([Direction.FORWARD], BOTH_DIRECTIONS):
+                for predicates in (
+                    {}, {"w": one_of(0, 1)}, {"w": between(0, 2)}, {"w": between(1, 2)},
+                ):
+                    query = GraphQuery()
+                    a = query.add_vertex(predicates=source)
+                    b = query.add_vertex(predicates=target)
+                    query.add_edge(a, b, types=types, directions=directions, predicates=predicates)
+                    yield query.freeze()
+
+
+def reference_gained(graph, old, new, source, target) -> int:
+    """``CSRIndex.path1_gained`` by a walk over the edge records."""
+    gained = 0
+    for edge in graph.edges():
+        if new.types is not None and edge.type not in new.types:
+            continue
+        if not attributes_match(edge.attributes, new.predicates):
+            continue
+        kept = attributes_match(edge.attributes, old.predicates)
+        for direction, start, end in (
+            (Direction.FORWARD, source, target), (Direction.BACKWARD, target, source)
+        ):
+            if direction not in new.directions or (kept and direction in old.directions):
+                continue
+            if attributes_match(
+                graph.vertex_attributes(edge.source), start.predicates
+            ) and attributes_match(graph.vertex_attributes(edge.target), end.predicates):
+                gained += 1
+    return gained
 
 
 def looped_graph() -> PropertyGraph:

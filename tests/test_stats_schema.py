@@ -114,13 +114,14 @@ class TestServiceSurface:
     def test_matcher_section_sums_every_matcher_counter(self):
         """``stats()["matcher"]`` is the per-context ``cache_report()
         ["matcher"]`` summed key by key: calls, steps, counts decided
-        empty and counts derived from a parent (both rules)."""
+        empty and counts derived from a parent (all three rules)."""
         with WhyQueryService() as service:
             g = tiny_graph()
             service.explain(g, typed_query(), explain=False, rewrite=False)
             matcher = service.stats()["matcher"]
             assert set(matcher) == {
-                "calls", "steps", "decided_empty", "derived_filtered", "derived_seeded",
+                "calls", "steps", "decided_empty",
+                "derived_filtered", "derived_seeded", "derived_unchanged",
             }
             assert matcher == service.context_for(g).cache_report()["matcher"]
 

@@ -4,6 +4,7 @@ from repro.core import GraphQuery, between, equals
 from repro.finegrained import TraverseSearchTree
 from repro.matching import PatternMatcher
 from repro.metrics.cardinality import CardinalityThreshold
+from repro.rewrite.operations import RelaxDirection
 
 
 def work_query() -> GraphQuery:
@@ -266,3 +267,20 @@ class TestChangePropagation:
         assert span.attributes["derived_seeded"] == result.derived_seeded
         assert context.cache_report()["matcher"]["derived_seeded"] >= result.derived_seeded
         assert PatternMatcher(tiny_graph).count(result.best_query) == result.best_cardinality
+
+    def test_edge_edits_that_gain_no_pair_keep_the_parents_count(self, tiny_graph):
+        """No university works at or studies at Anna: the edge's
+        relaxed direction gains no pair, so that child is the parent's
+        count, on the span and in the matcher's counters alike."""
+        q = GraphQuery()
+        p = q.add_vertex(predicates={"name": equals("Anna")})
+        u = q.add_vertex(predicates={"type": equals("university")})
+        q.add_edge(p, u, types={"workAt", "studyAt"})
+        context, result, span = self.traced_search(
+            tiny_graph, q, CardinalityThreshold.at_least(3)
+        )
+        assert result.derived_unchanged > 0
+        assert span.attributes["derived_unchanged"] == result.derived_unchanged
+        assert context.cache_report()["matcher"]["derived_unchanged"] == result.derived_unchanged
+        relaxed = RelaxDirection(0).apply(q.as_frozen())
+        assert PatternMatcher(tiny_graph).count(relaxed) == PatternMatcher(tiny_graph).count(q)
