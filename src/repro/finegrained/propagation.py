@@ -22,14 +22,22 @@ without a full evaluation:
 
 A child editing one query edge and keeping its type set is
 **unchanged** when the edit gains or loses no (data edge, orientation)
-pair between the edge's endpoint masks (:meth:`CSRIndex.path1_gained
-<repro.matching.csr.CSRIndex.path1_gained>` is 0 from the parent's edge
-to the child's for a relaxation -- those above plus
-:class:`RelaxDirection` -- and from the child's to the parent's for a
-restriction -- those above plus :class:`RestrictDirection`): every match
-binds that edge through such a pair, so the child has exactly the
-parent's matches and its count is ``p``, whether or not ``p`` is at
-``L``.
+pair between the edge's endpoint masks: every match binds that edge
+through such a pair, so the child has exactly the parent's matches and
+its count is ``p``, whether or not ``p`` is at ``L``.  Both sides are
+path(1) counts over the interned projections
+(:meth:`CSRIndex.path1_count <repro.matching.csr.CSRIndex.path1_count>`):
+
+* a **direction edit** (:class:`RelaxDirection`,
+  :class:`RestrictDirection`) gains or loses nothing when no data edge
+  between the endpoints' masks runs in the orientation it adds or
+  drops -- the count of that one orientation is 0;
+* a **predicate edit** (the six above) is monotone, so one side's
+  pairs hold the other's, and it gains or loses nothing when the
+  parent's and the child's edge count alike.
+
+A data self-loop binds alike both ways; one admitted in the added or
+dropped orientation still counts as a change (conservative).
 
 Anything else -- a type-set edit, an edge edit that does gain or lose
 pairs, an inexact parent of a vertex edit, a partial graph, a bounded
@@ -47,7 +55,7 @@ from itertools import compress
 from operator import gt, not_
 from typing import Dict, Mapping, Optional
 
-from repro.core.query import GraphQuery
+from repro.core.query import GraphQuery, QueryEdge
 from repro.matching.csr import csr_for
 from repro.matching.matcher import PatternMatcher
 from repro.rewrite.operations import (
@@ -66,8 +74,9 @@ __all__ = ["ParentCounts"]
 
 _RESTRICTIONS = (AddPredicate, NarrowInterval, RemovePredicateValue)
 _RELAXATIONS = (AddPredicateValue, WidenInterval, DropPredicate)
-_EDGE_RESTRICTIONS = _RESTRICTIONS + (RestrictDirection,)
-_EDGE_RELAXATIONS = _RELAXATIONS + (RelaxDirection,)
+#: the edge edits the unchanged-edge rule takes: each is monotone, so
+#: one side's (data edge, orientation) pairs hold the other's
+_EDGE_EDITS = _RESTRICTIONS + _RELAXATIONS + (RelaxDirection, RestrictDirection)
 
 
 class ParentCounts:
@@ -141,16 +150,23 @@ class ParentCounts:
         return value
 
     def _unchanged(self, csr, query: GraphQuery, op, eid: int) -> Optional[int]:
-        if isinstance(op, _EDGE_RELAXATIONS):
-            old, new = self.parent.edge(eid), query.edge(eid)
-        elif isinstance(op, _EDGE_RESTRICTIONS):
-            new, old = self.parent.edge(eid), query.edge(eid)  # the pairs it loses
+        parent_edge, child_edge = self.parent.edge(eid), query.edge(eid)
+        if not isinstance(op, _EDGE_EDITS) or parent_edge.types != child_edge.types:
+            return None
+        ends = self.parent.vertex(parent_edge.source), self.parent.vertex(parent_edge.target)
+        turned = parent_edge.directions ^ child_edge.directions
+        if turned:
+            # a direction edit moves nothing if no pair runs the way it turns
+            edge = QueryEdge(
+                eid, child_edge.source, child_edge.target,
+                child_edge.types, turned, child_edge.predicates,
+            )
+            unchanged = csr.path1_count(edge, *ends) == 0
         else:
-            return None
-        if old.types != new.types:
-            return None
-        ends = self.parent.vertex(old.source), self.parent.vertex(old.target)
-        return self.count if csr.path1_gained(old, new, *ends) == 0 else None
+            # a predicate edit: the wider side's edges hold the narrower's, so
+            # equal counts are equal sets
+            unchanged = csr.path1_count(parent_edge, *ends) == csr.path1_count(child_edge, *ends)
+        return self.count if unchanged else None
 
     def _filtered(self, csr, query: GraphQuery, vid: int) -> Optional[int]:
         columns = self._columns

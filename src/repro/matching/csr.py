@@ -44,9 +44,10 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   :data:`PROJECTION_CAP`) -- both memoised until the next patch.  A
   count is a few big-int ANDs and a popcount over projections; a
   candidate that edits one element gathers only that element's.  The
-  same projections tell whether an edge edit gains any (data edge,
-  orientation) pair (:meth:`CSRIndex.path1_gained`), which lets the
-  fine-grained search keep a parent's count for such a child.
+  same counts tell whether an edge edit gains or loses any (data edge,
+  orientation) pair, which lets the fine-grained search keep a parent's
+  count for a child whose edit does neither
+  (:mod:`repro.finegrained.propagation`).
 
 One intern rule holds for every lazily derived table: the deriving call
 reads ``version`` first and stores its result under the catch-up lock
@@ -594,44 +595,6 @@ class CSRIndex:
                 way |= project(type_key, _SOURCES, target) & project(type_key, _TARGETS, source)
             count += (edges & way).bit_count()
         return count
-
-    def path1_gained(
-        self,
-        old: QueryEdge,
-        new: QueryEdge,
-        source: Optional[QueryVertex] = None,
-        target: Optional[QueryVertex] = None,
-    ) -> int:
-        """The (data edge, orientation) pairs ``new`` admits between its
-        endpoints' masks and ``old`` does not; both edges join ``source``
-        to ``target`` over the same type set.  0 means every pair ``new``
-        can bind is one ``old`` can bind too, so a query editing that one
-        edge from ``old`` to ``new`` has no match its parent lacks.  A
-        data self-loop is two pairs that bind alike; one of them admitted
-        by ``new`` alone still counts as gained (conservative).
-
-        Per admitted type group and per orientation ``new`` admits, the
-        popcount of ``E_new & ~E_old & way`` over the group's projections
-        (:meth:`_projection`), with ``~E_old`` dropped when ``old`` does
-        not admit that orientation; ``way`` is ``S@src & T@tgt`` forward
-        and ``T@src & S@tgt`` backward, as in :meth:`path1_count`.
-        """
-        project = self._projection
-        gained = 0
-        for type_key in (None,) if new.types is None else new.types:
-            edges = project(type_key, _EDGES, new)
-            if edges is None:
-                continue
-            kept = ~project(type_key, _EDGES, old)
-            for direction, start, end in (
-                (Direction.FORWARD, source, target), (Direction.BACKWARD, target, source)
-            ):
-                if direction in new.directions:
-                    way = project(type_key, _SOURCES, start) & project(type_key, _TARGETS, end)
-                    if direction in old.directions:
-                        way &= kept
-                    gained += (edges & way).bit_count()
-        return gained
 
     def _projection(
         self, type_key: Optional[str], role: int, element: Optional[Any]

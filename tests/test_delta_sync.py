@@ -340,7 +340,8 @@ CITY_CHILDREN = {
 }
 
 #: where a write lands in each rule's derivation: right after its first
-#: version check, or inside ``path1_gained`` (after its first projection)
+#: version check, or inside the edge rule's first ``path1_count`` (after
+#: its first projection)
 CITY_PAUSES = {
     "filtered": ("csr_for", propagation),
     "seeded": ("csr_for", propagation),
@@ -479,19 +480,19 @@ class TestMutateDuringDerivation:
         for query, count, limit in context.cache.export_entries():
             assert count == PatternMatcher(context.graph).count(query, limit=limit), query
 
-    def test_a_write_inside_path1_gained_keeps_no_mixed_projection(self, monkeypatch):
+    def test_a_write_inside_the_edge_rule_keeps_no_mixed_projection(self, monkeypatch):
         """The edge rule's projections read after the patch are the
-        patched graph's: the child's and the parent's edge, compared
+        patched graph's: the child's and the parent's edge, counted
         again on the caught-up index, read what a fresh index reads."""
         context, child, frame, _ = self.child_count(monkeypatch, "unchanged", write=True)
         graph = context.graph
         parent = city_query()
         csr, fresh = csr_for(graph), CSRIndex(graph)
         ends = parent.vertex(0), parent.vertex(1)
-        for old, new in ((child.edge(0), parent.edge(0)), (parent.edge(0), child.edge(0))):
-            assert csr.path1_gained(old, new, *ends) == fresh.path1_gained(old, new, *ends)
+        counts = [csr.path1_count(query.edge(0), *ends) for query in (parent, child)]
+        assert counts == [fresh.path1_count(query.edge(0), *ends) for query in (parent, child)]
         # the new person's unweighted edge is a pair the restriction loses
-        assert csr.path1_gained(child.edge(0), parent.edge(0), *ends) == 1
+        assert counts[0] - counts[1] == 1
 
 
 class TestMutateDuringFill:
