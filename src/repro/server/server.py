@@ -12,8 +12,13 @@ JSON-frame protocol of :mod:`repro.server.protocol`:
 * **streaming partial results** -- an ``explain`` with ``stream: true``
   emits one ``candidate`` frame per evaluated rewrite candidate *while
   the search runs*, through the ``on_candidate`` seam threaded down to
-  :class:`~repro.exec.evaluator.CandidateEvaluator`; the final
-  ``result`` frame always follows every streamed candidate;
+  :class:`~repro.exec.evaluator.CandidateEvaluator`.  The request's
+  worker encodes each frame and queues it; the loop is woken once per
+  burst and writes everything queued in one transport write.  The
+  final ``trace`` / ``result`` frames always follow every streamed
+  candidate, and their send applies backpressure once per request.  A
+  frame that cannot be encoded (over ``MAX_FRAME_BYTES``), candidate or
+  reply, fails the request with an ``error`` frame;
 * **cooperative cancellation** -- ``cancel`` sets the request's token;
   the candidate callback checks it between batches and raises
   :class:`~repro.server.protocol.RequestCancelled` through the engine
@@ -41,12 +46,13 @@ import functools
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.graph import PropertyGraph
 from repro.core.serialize import (
     graph_from_dict,
     query_from_dict,
+    query_to_dict,
     result_set_to_dict,
     threshold_from_dict,
 )
@@ -73,7 +79,8 @@ class _Connection:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        #: FIFO write lock: frames go out whole, in scheduling order
+        #: FIFO lock around each reply's write and drain (streamed
+        #: candidate bursts are written without it and never drain)
         self.write_lock = asyncio.Lock()
         self.tenant: Optional[str] = None
         #: request id -> running handler task
@@ -192,9 +199,13 @@ class WhyQueryProtocolServer:
     # -- connection handling ---------------------------------------------------
 
     async def _send(self, conn: _Connection, message: Dict[str, Any]) -> None:
+        # encoded outside the try: a reply over MAX_FRAME_BYTES raises a
+        # ProtocolError to _run_handler, which answers `error`, instead of
+        # vanishing and leaving the client waiting
+        frame = encode_frame(message)
         try:
             async with conn.write_lock:
-                conn.writer.write(encode_frame(message))
+                conn.writer.write(frame)
                 await conn.writer.drain()
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass  # peer went away mid-reply; the read loop will notice
@@ -503,7 +514,26 @@ class WhyQueryProtocolServer:
         loop = asyncio.get_running_loop()
 
         seq = itertools.count()
-        stream_sends = []
+        # candidate frames encoded on the worker, not yet written; the
+        # loop is woken once per burst, when the list turns non-empty
+        pending: List[bytes] = []
+        pending_lock = threading.Lock()
+        streamed = 0
+
+        def flush() -> None:
+            # loop thread: one transport write for the whole burst; one
+            # write call never interleaves with another, so frames stay
+            # whole, and no drain waits here
+            nonlocal streamed
+            with pending_lock:
+                burst = b"".join(pending)
+                streamed += len(pending)
+                pending.clear()
+            if burst:
+                try:
+                    conn.writer.write(burst)
+                except (ConnectionResetError, BrokenPipeError, RuntimeError):
+                    pass  # peer went away mid-stream; the read loop will notice
 
         def emit(candidate) -> None:
             # runs on the request's worker thread, between evaluator
@@ -512,21 +542,21 @@ class WhyQueryProtocolServer:
                 raise RequestCancelled(rid)
             if not stream:
                 return
-            frame = {
-                "type": "candidate",
-                "id": rid,
-                "seq": next(seq),
-                "query": None,
-                "cardinality": candidate.cardinality,
-            }
-            # serialised lazily here (worker thread) so the loop only
-            # ever writes ready-made frames
-            from repro.core.serialize import query_to_dict
-
-            frame["query"] = query_to_dict(candidate.query)
-            stream_sends.append(
-                asyncio.run_coroutine_threadsafe(self._send(conn, frame), loop)
+            # an unencodable frame raises here and fails the request
+            frame = encode_frame(
+                {
+                    "type": "candidate",
+                    "id": rid,
+                    "seq": next(seq),
+                    "query": query_to_dict(candidate.query),
+                    "cardinality": candidate.cardinality,
+                }
             )
+            with pending_lock:
+                pending.append(frame)
+                wake = len(pending) == 1
+            if wake:
+                loop.call_soon_threadsafe(flush)
 
         try:
             call = functools.partial(
@@ -542,14 +572,10 @@ class WhyQueryProtocolServer:
             )
             report = await loop.run_in_executor(self._pool, call)
         finally:
-            # candidate frames were scheduled FIFO onto this loop; await
-            # them so the final frame always follows the whole stream
-            if stream_sends:
-                await asyncio.gather(
-                    *[asyncio.wrap_future(f) for f in stream_sends],
-                    return_exceptions=True,
-                )
-            self.stats_counters["streamed_candidates"] += len(stream_sends)
+            # the last burst goes out before any later frame of this
+            # request; the trace / result `_send` drains once for all
+            flush()
+            self.stats_counters["streamed_candidates"] += streamed
         if token.is_set():
             # cancelled after the last batch: honour the cancel anyway
             raise RequestCancelled(rid)
@@ -568,7 +594,7 @@ class WhyQueryProtocolServer:
                 "type": "result",
                 "id": rid,
                 "report": report_dict,
-                "streamed": len(stream_sends),
+                "streamed": streamed,
             },
         )
 

@@ -10,6 +10,7 @@ bit-identically (modulo wall-clock fields).
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -22,9 +23,13 @@ from repro.client import (
     ExplainStream,
     RequestRejected,
     ServerError,
+    _explain_request,
     connect,
 )
+from repro.datasets import ldbc
 from repro.exec import ExecutionContext
+from repro.matching import PatternMatcher
+from repro.metrics.cardinality import CardinalityThreshold
 from repro.obs import REGISTRY
 from repro.rewrite.cache import QueryResultCache
 from repro.server import serve_in_thread
@@ -65,6 +70,29 @@ def matching_query() -> GraphQuery:
     uni = q.add_vertex(predicates={"type": equals("university")})
     q.add_edge(person, uni, types={"workAt", "studyAt"})
     return q
+
+
+def too_many_request(graph: PropertyGraph, name: str):
+    """A paper query with the e2e mix's too-many interval (``0.3 * count``
+    halved to its upper bound): dozens of streamed candidates."""
+    query = ldbc.queries()[name]
+    upper = int(0.3 * PatternMatcher(graph).count(query))
+    return query, CardinalityThreshold(max(1, upper // 2), upper)
+
+
+def request_explain(client, graph: str, query: GraphQuery, trace: bool = False):
+    """Send a streamed explain; returns its request id."""
+    rid = next(client._ids)
+    client._send(_explain_request(rid, graph, query, None, True, True, True, trace))
+    return rid
+
+
+def frames_until_final(client, rid):
+    """Every frame of ``rid`` in arrival order, through its final one."""
+    frames = []
+    while not frames or frames[-1]["type"] in ("candidate", "trace"):
+        frames.append(client._next_frame(rid))
+    return frames
 
 
 @pytest.fixture(scope="module")
@@ -279,14 +307,139 @@ class TestStreaming:
         streamed = client.explain_stream("g", failing_query()).result()
         assert strip_volatile(plain) == strip_volatile(streamed)
 
+    def test_streams_in_flight_on_one_connection(self, server, ldbc_small):
+        """Six streamed explains (two per query) are written before any
+        reply is read, and threads switch every 10 us, so the workers'
+        bursts interleave on the wire: each stream still arrives whole, in
+        ``seq`` order, every candidate ahead of its own ``result``, the
+        server counts every frame, and each report equals the in-process
+        one."""
+        graph = ldbc_small.graph
+        requests = [
+            too_many_request(graph, name)
+            for name in ("LDBC QUERY 1", "LDBC QUERY 3", "LDBC QUERY 4") * 2
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with connect(*server.address, timeout=60) as c:
+                c.put_graph("ldbc", graph)
+                before = c.stats()["server"]["streamed_candidates"]
+                rids = [next(c._ids) for _ in requests]
+                c._sock.sendall(
+                    b"".join(
+                        encode_frame(
+                            _explain_request(rid, "ldbc", query, threshold, True, True, True)
+                        )
+                        for rid, (query, threshold) in zip(rids, requests)
+                    )
+                )
+                finals = []
+                for rid in rids:
+                    frames = frames_until_final(c, rid)
+                    candidates, final = frames[:-1], frames[-1]
+                    assert final["type"] == "result"
+                    assert [f["type"] for f in candidates] == ["candidate"] * len(candidates)
+                    assert [f["seq"] for f in candidates] == list(range(len(candidates)))
+                    assert final["streamed"] == len(candidates) > 0
+                    finals.append(final)
+                # a later round trip pumps whatever followed: nothing of any
+                # stream may arrive after its result
+                after = c.stats()["server"]["streamed_candidates"]
+                assert not any(c._inbox.get(rid) for rid in rids)
+                assert after - before == sum(f["streamed"] for f in finals)
+        finally:
+            sys.setswitchinterval(interval)
+        service = WhyQueryService()
+        try:
+            for final, (query, threshold) in zip(finals, requests):
+                local = report_to_dict(service.explain(graph, query, threshold))
+                assert strip_volatile(final["report"]) == strip_volatile(local)
+        finally:
+            service.close()
+
+    def test_trace_frame_follows_the_last_candidate(self, client):
+        frames = frames_until_final(
+            client, request_explain(client, "g", failing_query(), trace=True)
+        )
+        kinds = [f["type"] for f in frames]
+        n = kinds.count("candidate")
+        assert n > 0
+        assert kinds == ["candidate"] * n + ["trace", "result"]
+        assert frames[n]["trace"]["kind"] == "explain"
+
+    def test_reader_that_waits_for_the_search_gets_every_frame(self, server):
+        """Nothing is read until the server has finished the search (seen
+        through a second connection's stats); every frame is still there."""
+        with connect(*server.address, timeout=30) as c, connect(
+            *server.address, timeout=30
+        ) as watcher:
+            c.put_graph("g", small_graph())
+            before = watcher.stats()["server"]["streamed_candidates"]
+            rid = request_explain(c, "g", failing_query())
+            deadline = time.monotonic() + 30
+            while watcher.stats()["server"]["streamed_candidates"] == before:
+                assert time.monotonic() < deadline, "the explain never finished"
+                time.sleep(0.01)
+            streamed = watcher.stats()["server"]["streamed_candidates"] - before
+            frames = frames_until_final(c, rid)
+        assert [f["seq"] for f in frames[:-1]] == list(range(streamed))
+        assert frames[-1]["type"] == "result"
+        assert frames[-1]["streamed"] == streamed
+
+
+class TestOversizeFrames:
+    """A frame over ``MAX_FRAME_BYTES`` cannot be sent: the request answers
+    ``error`` instead of leaving the client waiting (the socket timeout is
+    the failure detector), and the connection keeps serving."""
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_oversize_report_answers_error(self, server, monkeypatch, stream):
+        import repro.server.protocol as protocol
+
+        with connect(*server.address, timeout=10) as c:
+            c.put_graph("g", small_graph())
+            # the explain request is ~0.4 kB, every candidate frame under
+            # 0.5 kB, the report ~3 kB
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1500)
+            if stream:
+                explain_stream = c.explain_stream("g", failing_query())
+                with pytest.raises(ServerError, match="MAX_FRAME_BYTES"):
+                    explain_stream.result()
+                seqs = [item.seq for item in explain_stream.candidates]
+                assert seqs and seqs == list(range(len(seqs)))
+            else:
+                with pytest.raises(ServerError, match="MAX_FRAME_BYTES"):
+                    c.explain("g", failing_query())
+            monkeypatch.undo()
+            assert c.count("g", matching_query()) == 2
+
+    def test_oversize_candidate_answers_error(self, server, monkeypatch):
+        import repro.server.protocol as protocol
+
+        with connect(*server.address, timeout=10) as c:
+            c.put_graph("g", small_graph())
+            rid = next(c._ids)
+            # encoded under the real bound; every candidate frame is over
+            # 250 bytes, an error frame well under
+            request = encode_frame(
+                _explain_request(rid, "g", failing_query(), None, True, True, True)
+            )
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 250)
+            c._sock.sendall(request)
+            explain_stream = ExplainStream(c, rid)
+            with pytest.raises(ServerError, match="MAX_FRAME_BYTES"):
+                explain_stream.result()
+            assert explain_stream.candidates == []
+            monkeypatch.undo()
+            assert c.count("g", matching_query()) == 2
+
 
 class TestCancellation:
     def test_cancel_before_first_batch(self, client):
         """Explain and cancel coalesced into one TCP segment: the token
         is set before the search starts, so the first candidate batch
         raises through the engine stack and answers ``cancelled``."""
-        from repro.client import _explain_request
-
         rid = next(client._ids)
         request = _explain_request(
             rid, "g", failing_query(), None, True, True, True
@@ -339,8 +492,6 @@ class TestCancellation:
             handle.stop()
 
     def test_cancelled_request_does_not_poison_the_connection(self, client):
-        from repro.client import _explain_request
-
         rid = next(client._ids)
         request = _explain_request(
             rid, "g", failing_query(), None, True, True, True
@@ -415,8 +566,6 @@ class TestQuotas:
         try:
             with connect(*handle.address, tenant="t", timeout=30) as c:
                 c.put_graph("g", small_graph())
-                from repro.client import _explain_request
-
                 # one TCP segment, so all three are dispatched before any
                 # of them can finish
                 rids = [next(c._ids) for _ in range(3)]
@@ -478,8 +627,6 @@ class TestDrain:
         try:
             c = connect(*handle.address)
             c.put_graph("g", small_graph())
-            from repro.client import _explain_request
-
             rid = next(c._ids)
             c._send(_explain_request(rid, "g", failing_query(), None, True, True, False))
             # goodbye immediately, without reading the explain's reply
