@@ -13,14 +13,9 @@ batch, with the kernel counters -- the batch's variants share one plan
 shape, so it may generate at most a handful of kernels; single-core,
 pure CPU, gated at >= 2x), the pure-CPU process-pool batch workload
 (``process_pool``: ``ProcessExecutor`` vs in-process serial), the
-shard-affine placement record (``affine_placement``: per-worker
-wire-payload bytes of a ``shards > 1`` pool vs the full snapshot every
-``shards=1`` worker receives -- deterministic, gated at >= 2x smaller
-at 4 shards -- next to the affine batch wall-clock) and the delta-sync
-churn record
-(``mutate_while_serving``: interleaved mutations absorbed by in-place
-CSR patching and by warm affine-worker catch-up, gated on the patch
-rate and the delta-vs-full-re-warm byte ratio) and the tracing-overhead
+delta-sync churn record (``mutate_while_serving``: interleaved
+mutations absorbed by in-place CSR patching, gated on the patch rate)
+and the tracing-overhead
 record (``observability``: traced-vs-untraced matcher throughput with a
 fresh activated tracer per request, gated at >= 0.9 so tracing stays
 cheap enough to leave on) and the warm-restart record
@@ -30,7 +25,7 @@ record of the hot-path performance trajectory; CI diffs a fresh run
 against the committed baseline with ``benchmarks/check_trajectory.py``
 and fails on >25% regression in the gated ratios.
 
-Honesty note: the two process sections record ``cpu_cores``; on a
+Honesty note: the process section records ``cpu_cores``; on a
 single-core machine process parallelism cannot beat serial for pure CPU
 work, so the recorded speedups are what the machine can actually do and
 the trajectory gate only enforces the multi-core speedup targets when
@@ -60,7 +55,7 @@ from repro.metrics.syntactic import syntactic_distance
 from repro.obs import Tracer
 from repro.rewrite.statistics import GraphStatistics
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner, ProcessExecutor
+from repro.shard import ProcessExecutor
 
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_micro_core.json"
 
@@ -301,11 +296,6 @@ def _process_workload(hubs: int = 300, fanout: int = 80, names: int = 72):
     serialises for threads.  Distinct names give every variant a
     distinct signature (no memoisation can shortcut a timing round) at
     identical per-count cost.
-
-    Each hub is created *before its own leaves*, so hub vertex ids are
-    spread evenly across the id space -- a vertex-range partition then
-    splits the seed pool (the hubs) evenly across shards, which is what
-    makes this graph double as the shard-affine workload.
     """
     g = PropertyGraph()
     n = 0
@@ -405,118 +395,19 @@ def _timed(fn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# affine-placement workload: per-worker wire payloads vs the full snapshot
-# ---------------------------------------------------------------------------
-
-
-def _affine_placement_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
-    """Memory headline of shard-affine placement, plus its wall-clock.
-
-    The payload numbers are deterministic (bytes of what actually
-    crosses the process boundary per worker, measured with one worker
-    per shard): the affine payload must be >= 2x smaller than the full
-    snapshot at 4 shards.  The wall-clock half runs the process-pool
-    section's first-touch variant batches through a 2-shard executor,
-    where each worker holds only its shards, and is gated core-aware
-    like the process-pool section.
-    """
-    import pickle
-
-    from repro.core.serialize import graph_to_dict, shards_to_wire
-
-    graph, variant, _ = _process_workload()
-    cores = _cpu_cores()
-    workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
-
-    full_bytes = len(pickle.dumps(graph_to_dict(graph), pickle.HIGHEST_PROTOCOL))
-    payloads: dict = {}
-    for num_shards in shard_counts:
-        sharded = GraphPartitioner(num_shards).partition(graph)
-        per_worker = [
-            len(pickle.dumps([payload], pickle.HIGHEST_PROTOCOL))
-            for payload in shards_to_wire(sharded)
-        ]
-        payloads[str(num_shards)] = {
-            "workers": num_shards,  # 1:1 placement for the memory headline
-            "per_worker_bytes": per_worker,
-            "max_worker_bytes": max(per_worker),
-            "ratio_vs_full": full_bytes / max(per_worker),
-        }
-
-    # wall-clock: first-touch variant batches, exactly like the
-    # process_pool section -- disjoint variant slices per timed round
-    # and per executor, so neither the coordinator's caches nor the
-    # workers' block memos can flatter either side
-    batch = 8
-    slices = iter(range(10_000))
-
-    def fresh_batch() -> list:
-        return [variant(next(slices)) for _ in range(batch)]
-
-    matcher = PatternMatcher(graph)
-    matcher.count(variant(next(slices)))  # build the lazy name index once
-    serial_s = min(
-        _timed(lambda qs=fresh_batch(): [matcher.count(q) for q in qs])
-        for _ in range(rounds)
-    )
-
-    with ProcessExecutor(graph, max_workers=workers, shards=2) as executor:
-        executor.warm_up()
-        executor.run_queries(fresh_batch())  # untimed: workers build indexes
-        affine_s = min(
-            _timed(lambda qs=fresh_batch(): executor.run_queries(qs))
-            for _ in range(rounds)
-        )
-        info = executor.info()
-    # the hub->leaf expansion is one hop: every block must complete on
-    # its owning worker (the shipped halo suffices), never at the
-    # coordinator
-    assert info["pools"]["affine_fallbacks"] == 0, info["pools"]["affine_fallbacks"]
-
-    return {
-        "workload": {
-            "hubs": 300,
-            "fanout": 80,
-            "edges": graph.num_edges,
-            "batch": batch,
-        },
-        "cpu_cores": cores,
-        "workers": workers,
-        "workers_cap": PROCESS_WORKERS,
-        "full_snapshot_bytes": full_bytes,
-        "payloads": payloads,
-        "payload_ratio_4s": payloads["4"]["ratio_vs_full"],
-        "serial_batch_s": serial_s,
-        "affine_batch_s": affine_s,
-        "speedup_2s": serial_s / affine_s if affine_s > 0 else float("inf"),
-        "affine_fallbacks": info["pools"]["affine_fallbacks"],
-    }
-
-
-# ---------------------------------------------------------------------------
 # mutate-while-serving workload: the delta-sync pipeline under churn
 # ---------------------------------------------------------------------------
 
 
-def _mutate_while_serving_section(
-    csr_mutations: int = 24, catchup_mutations: int = 6
-) -> dict:
+def _mutate_while_serving_section(csr_mutations: int = 24) -> dict:
     """Delta-sync record: serving cost of a mutation is O(delta).
 
-    Two deterministic sub-records plus a throughput number:
-
-    * ``csr``: ``csr_mutations`` rounds each apply one small delta (an
-      appended vertex+edge, an edge between existing vertices, or an
-      attribute flip) and then serve compiled queries.  The interned
-      CSR entry must absorb >= 90% of the rounds by in-place patching
-      (``csr_patches``) instead of rebuilding, with compiled counts
-      *and* ``steps`` identical to the interpreter after every patch.
-    * ``catchup``: an affine process pool absorbs single-edge deltas
-      between counts by shipping routed per-shard delta payloads to its
-      warm workers.  The pool must never tear down
-      (``warm_hit_rate`` == 1.0) and the delta bytes must be >= 5x
-      smaller than re-warming with the full per-worker payloads on
-      every mutation.  Byte ratios are deterministic -- no core gate.
+    ``csr``: ``csr_mutations`` rounds each apply one small delta (an
+    appended vertex+edge, an edge between existing vertices, or an
+    attribute flip) and then serve compiled queries.  The interned CSR
+    entry must absorb >= 90% of the rounds by in-place patching
+    (``csr_patches``) instead of rebuilding, with compiled counts *and*
+    ``steps`` identical to the interpreter after every patch.
     """
     # -- csr: in-place patching under interleaved mutation ------------------
     graph = PropertyGraph()
@@ -573,35 +464,6 @@ def _mutate_while_serving_section(
     refreshes = stats["csr_patches"] + stats["csr_rebuilds"]
     patch_rate = stats["csr_patches"] / refreshes if refreshes else 0.0
 
-    # -- catchup: warm affine pool absorbing single-edge deltas --------------
-    big_graph, big_variant, _ = _process_workload()
-    cores = _cpu_cores()
-    workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
-    slices = iter(range(10_000))
-    matcher = PatternMatcher(big_graph)
-    with ProcessExecutor(big_graph, max_workers=workers, shards=4) as executor:
-        executor.warm_up()
-        executor.run_queries([big_variant(next(slices))])  # warm pools
-        hub_stride = 81  # hubs are created before their 80 leaves
-        catchup_counts_ok = True
-        for i in range(catchup_mutations):
-            # deliberately long-range: most of these cross shard
-            # boundaries, exercising halo + boundary-row routing
-            big_graph.add_edge(i * hub_stride, (299 - i) * hub_stride, "rel")
-            q = big_variant(next(slices))
-            catchup_counts_ok &= executor.run_queries([q])[0] == matcher.count(q)
-        info = executor.info()
-    full_rewarm_bytes = (
-        sum(info["pools"]["payload_bytes_per_worker"]) * catchup_mutations
-    )
-    delta_bytes = info["deltas"]["bytes"]
-    reship_ratio = full_rewarm_bytes / delta_bytes if delta_bytes else float("inf")
-    warm_hit_rate = (
-        info["deltas"]["worker_catchups"] / catchup_mutations
-        if catchup_mutations
-        else 0.0
-    )
-
     return {
         "csr": {
             "workload": {"hubs": hubs, "fanout": fanout, "names": names},
@@ -614,20 +476,6 @@ def _mutate_while_serving_section(
             "counts_identical": counts_identical,
             "steps_identical": steps_identical,
             "serve_qps": queries_served / serve_s if serve_s > 0 else float("inf"),
-        },
-        "catchup": {
-            "cpu_cores": cores,
-            "workers": workers,
-            "shards": 4,
-            "mutations": catchup_mutations,
-            "worker_catchups": info["deltas"]["worker_catchups"],
-            "warm_hit_rate": warm_hit_rate,
-            "pool_rebuilds": info["pools"]["pool_rebuilds"],
-            "affine_fallbacks": info["pools"]["affine_fallbacks"],
-            "counts_identical": catchup_counts_ok,
-            "delta_bytes": delta_bytes,
-            "full_rewarm_bytes": full_rewarm_bytes,
-            "reship_ratio": reship_ratio,
         },
     }
 
@@ -1023,7 +871,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     compiled_match = _compiled_match_section()
     process_pool = _process_pool_section()
-    affine_placement = _affine_placement_section()
     mutate_while_serving = _mutate_while_serving_section()
     observability = _observability_section()
     restart_warm = _restart_warm_section()
@@ -1034,7 +881,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "schema_version": 17,
         "compiled_match": compiled_match,
         "process_pool": process_pool,
-        "affine_placement": affine_placement,
         "mutate_while_serving": mutate_while_serving,
         "observability": observability,
         "restart_warm": restart_warm,
@@ -1046,10 +892,8 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         f"\nwrote {JSON_PATH} ("
         f"compiled-match speedup {compiled_match['speedup']:.1f}x, "
         f"process-pool speedup@2w {process_pool['speedup_2w']:.2f}x, "
-        f"affine payload ratio@4s {affine_placement['payload_ratio_4s']:.1f}x, "
         f"delta-sync patch rate "
-        f"{mutate_while_serving['csr']['patch_rate']:.2f} / reship ratio "
-        f"{mutate_while_serving['catchup']['reship_ratio']:.0f}x, "
+        f"{mutate_while_serving['csr']['patch_rate']:.2f}, "
         f"tracing-enabled ratio {observability['enabled_ratio']:.2f}, "
         f"restart warm-hit rate {restart_warm['unmutated']['warm_hit_rate']:.2f} "
         f"(mutated {restart_warm['mutated']['warm_hit_rate']:.2f}) "
@@ -1068,27 +912,13 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert batch_kernels["programs_compiled"] <= 4, batch_kernels
     assert batch_kernels["program_hits"] >= 32, batch_kernels
     assert batch_kernels["program_fallbacks"] == 0, batch_kernels
-    # acceptance (ISSUE 5): affine placement ships only per-shard
-    # payloads -- the per-worker wire bytes at 4 shards must be >= 2x
-    # smaller than the full snapshot.  Payload sizes are deterministic,
-    # so this holds on any machine (no core gate).
-    assert affine_placement["payload_ratio_4s"] >= 2.0, affine_placement[
-        "payload_ratio_4s"
-    ]
-    assert affine_placement["affine_fallbacks"] == 0
     # acceptance (delta-sync): interleaved small mutations are absorbed
     # by in-place CSR patching on >= 90% of refreshes, with the patched
-    # kernels count- and steps-identical to the interpreter; the affine
-    # pool absorbs every single-edge delta warm and reships >= 5x fewer
-    # bytes than a full per-worker re-warm.  All deterministic (counts
-    # and bytes, not wall-clock) -- no core gate.
+    # kernels count- and steps-identical to the interpreter.
+    # Deterministic counts, not wall-clock -- no core gate.
     mws_csr = mutate_while_serving["csr"]
-    mws_catchup = mutate_while_serving["catchup"]
     assert mws_csr["patch_rate"] >= 0.9, mws_csr["patch_rate"]
     assert mws_csr["counts_identical"] and mws_csr["steps_identical"], mws_csr
-    assert mws_catchup["warm_hit_rate"] == 1.0, mws_catchup
-    assert mws_catchup["counts_identical"], mws_catchup
-    assert mws_catchup["reship_ratio"] >= 5.0, mws_catchup["reship_ratio"]
     # acceptance (ISSUE 9): tracing must be cheap enough to leave on --
     # enabled-over-disabled throughput >= 0.9 even on the span-heavy
     # rewrite-batch shape (one traced request of 32 compiled counts)

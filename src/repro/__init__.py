@@ -34,17 +34,10 @@ Execution spine
     stack and the one way an engine binds to a graph (``context=``, or a
     graph as shorthand for one);
     :class:`~repro.exec.CandidateEvaluator` evaluates candidate batches
-    through :class:`~repro.exec.SerialExecutor` or the process pool
-    below -- the batch size is the executor's (1, or the worker count).
-Sharding & process parallelism
-    :class:`~repro.shard.GraphPartitioner` splits a graph into
-    vertex-range :class:`~repro.shard.GraphShard` blocks behind the
-    :class:`~repro.shard.ShardedGraph` façade;
-    :class:`~repro.shard.ShardedMatcher` fans candidate enumeration and
-    expansion out per shard; :class:`~repro.shard.ProcessExecutor`
-    evaluates candidate batches on worker processes (outside the GIL),
-    warmed from the full snapshot (``shards=1``) or from shard-affine
-    slices (``shards > 1``).
+    through :class:`~repro.exec.SerialExecutor` or
+    :class:`~repro.shard.ProcessExecutor` (worker processes, each warmed
+    from the full graph snapshot) -- the batch size is the executor's
+    (1, or the worker count).
 Service
     :class:`~repro.service.WhyQueryService` keeps a bounded pool of warm
     per-graph contexts and serves concurrent ``explain()`` /
@@ -89,13 +82,6 @@ from repro.exec import (
     execution_context,
 )
 from repro.matching import PatternMatcher
-from repro.shard import (
-    GraphPartitioner,
-    GraphShard,
-    ProcessExecutor,
-    ShardedGraph,
-    ShardedMatcher,
-)
 from repro.metrics import (
     CardinalityProblem,
     CardinalityThreshold,
@@ -120,19 +106,14 @@ __all__ = [
     "Direction",
     "EvaluationBudget",
     "ExecutionContext",
-    "GraphPartitioner",
     "GraphQuery",
-    "GraphShard",
     "Interval",
     "PatternMatcher",
     "Predicate",
-    "ProcessExecutor",
     "PropertyGraph",
     "ResultGraph",
     "ResultSet",
     "SerialExecutor",
-    "ShardedGraph",
-    "ShardedMatcher",
     "ValueSet",
     "WhyQueryClient",
     "WhyQueryProtocolServer",

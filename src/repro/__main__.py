@@ -120,8 +120,6 @@ def _cmd_slowlog(args: argparse.Namespace) -> int:
         flags = []
         if entry.get("budget_truncated"):
             flags.append("budget-truncated")
-        if entry.get("shard_fallbacks"):
-            flags.append(f"{entry['shard_fallbacks']} shard fallback(s)")
         if not entry.get("traced"):
             flags.append("untraced")
         cache = entry.get("cache", {})

@@ -83,10 +83,6 @@ def delta_touch(deltas: Iterable[Tuple]) -> DeltaTouch:
             vertex_attrs.add(record[2])
         elif kind == "ea":
             edge_attrs.add(record[2])
-        elif kind == "hv":
-            # halo-vertex shipment (shard routing); attribute-visible only
-            vertices_added = True
-            vertex_attrs.update(record[2])
         else:
             raise ValueError(f"unknown delta record kind {kind!r}")
     return DeltaTouch(

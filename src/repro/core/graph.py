@@ -38,10 +38,9 @@ Storage-layer invariants
   self-invalidate when the graph has changed.
 * **Mutation delta log.**  Every version bump also appends one compact
   delta record to a bounded ring; :meth:`PropertyGraph.deltas_since`
-  hands consumers (the CSR index, the evaluation caches, the shard
-  executors) exactly the records between their snapshot version and the
-  current one, so they can patch in O(delta) instead of rebuilding in
-  O(graph).  A consumer that lagged past the ring bound gets ``None``
+  hands consumers (the CSR index, the evaluation caches) exactly the
+  records between their snapshot version and the current one, so they
+  can patch in O(delta) instead of rebuilding in O(graph).  A consumer that lagged past the ring bound gets ``None``
   and falls back to the wholesale rebuild it would have done anyway.
 
 Delta record format (plain tuples, wire-friendly):

@@ -40,12 +40,11 @@ A data self-loop binds alike both ways; one admitted in the added or
 dropped orientation still counts as a change (conservative).
 
 Anything else -- a type-set edit, an edge edit that does gain or lose
-pairs, an inexact parent of a vertex edit, a partial graph, a bounded
-match list shorter than ``p`` -- returns ``None`` and the caller counts
-the child with the matcher, as it does when the graph's version moved
-between the parent's count and the end of the derivation: a count
-mixing two versions is never returned.  Nothing outlives the node's
-expansion.
+pairs, an inexact parent of a vertex edit, a bounded match list shorter
+than ``p`` -- returns ``None`` and the caller counts the child with the
+matcher, as it does when the graph's version moved between the parent's
+count and the end of the derivation: a count mixing two versions is
+never returned.  Nothing outlives the node's expansion.
 """
 
 from __future__ import annotations
@@ -127,8 +126,6 @@ class ParentCounts:
         if graph.version != self.version:
             return None
         csr = csr_for(graph)
-        if csr.partial:
-            return None
         if kind == "edge":
             value = self._unchanged(csr, query, op, ident)
         elif isinstance(op, _RESTRICTIONS):
@@ -150,8 +147,11 @@ class ParentCounts:
         return value
 
     def _unchanged(self, csr, query: GraphQuery, op, eid: int) -> Optional[int]:
+        # checked first: a topology edit (an edge removed) leaves no child edge
+        if not isinstance(op, _EDGE_EDITS):
+            return None
         parent_edge, child_edge = self.parent.edge(eid), query.edge(eid)
-        if not isinstance(op, _EDGE_EDITS) or parent_edge.types != child_edge.types:
+        if parent_edge.types != child_edge.types:
             return None
         ends = self.parent.vertex(parent_edge.source), self.parent.vertex(parent_edge.target)
         turned = parent_edge.directions ^ child_edge.directions

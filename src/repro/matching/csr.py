@@ -70,12 +70,6 @@ is ascending-vid), an edge touching an uninterned endpoint, or a ring
 overrun.  Building, patching and rebuilding run under one module lock
 that re-checks the version inside it, so two readers arriving after a
 write apply the pending run once; the up-to-date check stays lock-free.
-Partial graphs -- the worker-side
-:class:`~repro.shard.affine.ShardSlice` -- are first-class: the interned
-universe covers owned *and* halo vertices (halo attributes are
-checkable), ``known`` marks the owned rows whose adjacency is complete,
-and the seed universe spans the owned range only, mirroring the slice's
-accessor surface exactly.
 """
 
 from __future__ import annotations
@@ -84,11 +78,11 @@ import sys
 import threading
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import accumulate, compress, repeat
-from operator import and_, eq, itemgetter, mul
-from typing import AbstractSet, Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from operator import eq, itemgetter, mul
+from typing import Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro.core.predicates import ValueSet
 from repro.core.query import Direction, QueryEdge, QueryVertex
@@ -131,10 +125,6 @@ _EDGES, _SOURCES, _TARGETS = 0, 1, 2
 
 #: a gathered mask's bytes as binary digits
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-#: bound on the seed-restrict pool memo (one entry per seed signature
-#: and shard of every partition granularity the index is driven under)
-_RESTRICT_MEMO_ENTRIES = 64
 
 _EMPTY_COUNTERS: Dict[str, int] = {
     "csr_builds": 0,
@@ -207,8 +197,6 @@ class CSRIndex:
     __slots__ = (
         "_graph_ref",
         "version",
-        "partial",
-        "shard_index",
         "vid_of",
         "ix_of",
         "eid_of",
@@ -216,13 +204,11 @@ class CSRIndex:
         "src",
         "tgt",
         "selfloop",
-        "known",
         "seed_universe",
         "_by_type",
         "_adj",
         "_vertex_masks",
         "_seed_pools",
-        "_restrict_pools",
         "_edge_masks",
         "_degrees",
         "_degree_sums",
@@ -234,18 +220,7 @@ class CSRIndex:
     def __init__(self, graph: Any) -> None:
         self._graph_ref = weakref.ref(graph)
         self.version: int = graph.version
-        # a ShardSlice exposes its halo attribute map and owned-vid set;
-        # duck-typed so matching never imports the shard layer
-        halo = getattr(graph, "_halo", None)
-        owned = getattr(graph, "vertex_ids", None)
-        self.partial: bool = halo is not None and owned is not None
-        self.shard_index: Optional[int] = (
-            getattr(graph, "index", None) if self.partial else None
-        )
-        if self.partial:
-            vids = sorted(set(owned) | set(halo))
-        else:
-            vids = sorted(graph.vertices())
+        vids = sorted(graph.vertices())
         self.vid_of = array("q", vids)
         self.ix_of: Dict[int, int] = {vid: ix for ix, vid in enumerate(vids)}
         ix_of = self.ix_of
@@ -271,24 +246,13 @@ class CSRIndex:
         self._by_type: Dict[str, array] = {
             type_key: array(_IX, eixs) for type_key, eixs in by_type.items()
         }
-        if self.partial:
-            self.known: Optional[bytearray] = bytearray(
-                1 if vid in owned else 0 for vid in vids
-            )
-            self.seed_universe = array(
-                _IX, (ix for ix, vid in enumerate(vids) if vid in owned)
-            )
-        else:
-            self.known = None
-            self.seed_universe = array(_IX, range(len(vids)))
+        self.seed_universe = array(_IX, range(len(vids)))
         #: (type | None, "out" | "in") -> (indptr, edge_ix, other_ix)
         self._adj: Dict[Tuple[Optional[str], str], Tuple[array, array, array]] = {}
         #: signature -> (mask, the predicate map it was interned from,
         #: retained so a delta patch can re-evaluate single elements)
         self._vertex_masks: Dict[Hashable, Tuple[bytearray, Dict[str, Any]]] = {}
         self._seed_pools: Dict[Hashable, array] = {}
-        #: (seed signature, restriction) -> clamped copy of the seed pool
-        self._restrict_pools: Dict[Hashable, array] = {}
         #: (type set | None, predicate signature) -> (mask, predicate map)
         self._edge_masks: Dict[Hashable, Tuple[bytearray, Dict[str, Any]]] = {}
         #: segments -> per-row degree summed over them (planner input)
@@ -357,8 +321,6 @@ class CSRIndex:
         Row ``ix`` spans ``edge_ix[indptr[ix]:indptr[ix+1]]``, in the
         source graph's insertion order; ``other_ix`` carries the
         opposite endpoint so the inner loop never touches edge records.
-        Unknown-adjacency rows of a partial graph are empty -- the
-        program guards them with an explicit miss *before* scanning.
         A type the graph does not hold gets an all-empty segment, which
         a later delta patch fills like any other.
         """
@@ -377,9 +339,6 @@ class CSRIndex:
             (self.src, self.tgt) if direction == "out" else (self.tgt, self.src)
         )
         eixs = self._group(type_key)
-        known = self.known
-        if known is not None:
-            eixs = [eix for eix in eixs if known[row_of[eix]]]
         # edge indexes ascend in insertion order and the sort is stable:
         # every row replays its vertex's adjacency list element for element
         order = sorted(eixs, key=row_of.__getitem__)
@@ -398,10 +357,8 @@ class CSRIndex:
         Interned by predicate signature, so all query variants sharing a
         constraint share one mask: this table is the one memo of which
         vertices satisfy a signature.  A mask is filled from the graph's
-        value index (:func:`_matching_rows`); on a partial graph that
-        covers the owned range only, so the halo attributes are evaluated
-        directly on top -- expansion targets may land in the halo.  Rows
-        a graph ahead of this index holds are left to the catch-up patch.
+        value index (:func:`_matching_rows`).  Rows a graph ahead of this
+        index holds are left to the catch-up patch.
         """
         predicates = qvertex.predicates
         if not predicates:
@@ -419,22 +376,18 @@ class CSRIndex:
             mask = bytearray(len(self.vid_of))  # sized after: a patch only appends rows
             for vid in vids - stale if stale else vids:
                 mask[ix_of[vid]] = 1
-            if self.partial:
-                for vid, attributes in graph._halo.items():
-                    if attributes_match(attributes, predicates):
-                        mask[ix_of[vid]] = 1
             # every memo holding a vertex mask goes with a full table (a
             # DegreeSums keeps its mask alive)
             entry = self._intern(
                 version, self._vertex_masks, sig, (mask, dict(predicates)), MASK_CAP,
-                (self._seed_pools, self._restrict_pools, self._degree_sums),
+                (self._seed_pools, self._degree_sums),
             )
         return entry[0]
 
     def seed_pool(self, qvertex: QueryVertex) -> array:
         """Ascending vertex-index pool for seeding ``qvertex``: the seed
-        universe (owned range on partial graphs) filtered by the
-        vertex's mask.  Interned by predicate signature."""
+        universe filtered by the vertex's mask.  Interned by predicate
+        signature."""
         sig = qvertex.predicate_signature()
         pool = self._seed_pools.get(sig)
         if pool is None:
@@ -443,40 +396,9 @@ class CSRIndex:
             if mask is None:
                 pool = self.seed_universe
             else:
-                selector = mask if self.known is None else map(and_, mask, self.known)
-                pool = array(_IX, compress(range(len(mask)), selector))
+                pool = array(_IX, compress(range(len(mask)), mask))
             self._intern(version, self._seed_pools, sig, pool)
         return pool
-
-    def restricted_seed_pool(
-        self, qvertex: QueryVertex, restrict: AbstractSet[int]
-    ) -> array:
-        """:meth:`seed_pool` confined to the data vertices ``restrict``
-        (the ``seed_restrict`` clamp of a shard-seeded evaluation),
-        memoised per ``(signature, restriction)`` until the next patch."""
-        if not isinstance(restrict, frozenset):
-            restrict = frozenset(restrict)
-        key = (qvertex.predicate_signature(), restrict)
-        pool = self._restrict_pools.get(key)
-        if pool is None:
-            version = self.version
-            pool = self._restricted(self.seed_pool(qvertex), restrict)
-            self._intern(version, self._restrict_pools, key, pool, _RESTRICT_MEMO_ENTRIES)
-        return pool
-
-    def _restricted(self, base: array, restrict: frozenset) -> array:
-        if not restrict or not len(base):
-            return array(_IX)
-        vid_of = self.vid_of
-        a = bisect_left(vid_of, min(restrict))
-        b = bisect_right(vid_of, max(restrict))
-        ix_of = self.ix_of
-        if b - a == len(restrict) and all(vid in ix_of for vid in restrict):
-            # the restriction is exactly the universe's contiguous vid
-            # run [lo, hi] (every shard of the range partitioner is):
-            # clamp the pool to the index range -- a pure slice copy
-            return base[bisect_left(base, a) : bisect_right(base, b - 1)]
-        return array(_IX, (ix for ix in base if vid_of[ix] in restrict))
 
     def edge_mask(self, qedge: QueryEdge) -> Optional[bytearray]:
         """Bitset over edge indexes satisfying the edge's predicates, or
@@ -526,9 +448,9 @@ class CSRIndex:
 
     def degrees(self, segments: Tuple[Tuple[Optional[str], str], ...]) -> list:
         """Per-row degree summed over ``(type, direction)`` segments: the
-        row lengths an expansion scanning those segments walks (rows of
-        unknown adjacency count none).  Counted from the type groups, so
-        the segments themselves need not be built."""
+        row lengths an expansion scanning those segments walks.  Counted
+        from the type groups, so the segments themselves need not be
+        built."""
         row = self._degrees.get(segments)
         if row is None:
             version = self.version
@@ -540,8 +462,6 @@ class CSRIndex:
                 row = [0] * len(self.vid_of)
                 for ix, edges in Counter(map(row_of.__getitem__, self._group(type_key))).items():
                     row[ix] = edges
-                if self.known is not None:
-                    row = list(map(mul, row, self.known))
             self._intern(version, self._degrees, segments, row)
         return row
 
@@ -673,7 +593,7 @@ class CSRIndex:
         new_eids: set = set()
         for record in deltas:
             kind = record[0]
-            if kind == "v" or kind == "hv":
+            if kind == "v":
                 vid = record[1]
                 if vid <= max_vid or vid in new_vids:
                     return False
@@ -705,7 +625,7 @@ class CSRIndex:
         patchable; the caller falls back to a full rebuild.  On success
         every flat array keeps its object identity and every interned
         mask and seed pool is patched bit by bit; only the derived memos
-        are cleared: restrict pools, the planner's degree rows and sums,
+        are cleared: the planner's degree rows and sums,
         the path(1) gathers and projections, and the edge value columns.
         Runs under the catch-up lock (:func:`csr_entry`), so nothing here
         may derive a lazy table.
@@ -716,9 +636,7 @@ class CSRIndex:
         for record in deltas:
             kind = record[0]
             if kind == "v":
-                self._patch_add_vertex(record[1], record[2], owned=True)
-            elif kind == "hv":
-                self._patch_add_vertex(record[1], record[2], owned=False)
+                self._patch_add_vertex(record[1], record[2])
             elif kind == "e":
                 self._patch_add_edge(
                     record[1], record[2], record[3], record[4], record[5]
@@ -727,7 +645,6 @@ class CSRIndex:
                 self._patch_vertex_attr(graph, record[1], record[2])
             else:  # "ea"
                 self._patch_edge_attr(graph, record[1], record[2])
-        self._restrict_pools.clear()
         self._degrees.clear()
         self._degree_sums.clear()
         self._gathers.clear()
@@ -736,21 +653,18 @@ class CSRIndex:
         self.version = graph.version
         return True
 
-    def _patch_add_vertex(self, vid: int, attrs: Dict[str, Any], owned: bool) -> None:
+    def _patch_add_vertex(self, vid: int, attrs: Dict[str, Any]) -> None:
         ix = len(self.vid_of)
         self.vid_of.append(vid)
         self.ix_of[vid] = ix
-        if self.known is not None:
-            self.known.append(1 if owned else 0)
-        if owned or self.known is None:
-            # note: unconstrained seed pools *are* this array object
-            self.seed_universe.append(ix)
+        # note: unconstrained seed pools *are* this array object
+        self.seed_universe.append(ix)
         for indptr, _edge_ix, _other_ix in self._adj.values():
             indptr.append(indptr[-1])
         for sig, (mask, preds) in self._vertex_masks.items():
             bit = 1 if attributes_match(attrs, preds) else 0
             mask.append(bit)
-            if bit and (owned or self.known is None):
+            if bit:
                 pool = self._seed_pools.get(sig)
                 if pool is not None and pool is not self.seed_universe:
                     pool.append(ix)
@@ -767,7 +681,6 @@ class CSRIndex:
         self.tgt.append(tix)
         self.selfloop.append(1 if six == tix else 0)
         self._by_type.setdefault(type, array(_IX)).append(eix)
-        known = self.known
         for (type_key, direction), (indptr, edge_ix, other_ix) in self._adj.items():
             if type_key is not None and type_key != type:
                 continue
@@ -775,8 +688,6 @@ class CSRIndex:
                 row, other = six, tix
             else:
                 row, other = tix, six
-            if known is not None and not known[row]:
-                continue
             # new edges append at the *end* of their row, replaying the
             # graph-side insertion order the interpreter enumerates
             pos = indptr[row + 1]
@@ -791,7 +702,6 @@ class CSRIndex:
     def _patch_vertex_attr(self, graph: Any, vid: int, attr: str) -> None:
         ix = self.ix_of[vid]
         attrs = graph.vertex_attributes(vid)
-        in_universe = self.known is None or self.known[ix]
         for sig, (mask, preds) in self._vertex_masks.items():
             if attr not in preds:
                 continue
@@ -800,7 +710,7 @@ class CSRIndex:
                 continue
             mask[ix] = bit
             pool = self._seed_pools.get(sig)
-            if pool is None or pool is self.seed_universe or not in_universe:
+            if pool is None or pool is self.seed_universe:
                 continue
             pos = bisect_left(pool, ix)
             if bit:
@@ -829,8 +739,6 @@ class CSRIndex:
             + len(self.selfloop)
             + self.seed_universe.itemsize * len(self.seed_universe)
         )
-        if self.known is not None:
-            total += len(self.known)
         for group in self._by_type.values():
             total += group.itemsize * len(group)
         for indptr, edge_ix, other_ix in self._adj.values():

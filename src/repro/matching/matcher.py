@@ -24,11 +24,10 @@ visits data edges of those types.  Seed pools are walked in ascending
 vertex id on both backends, so a bounded ``match(limit=n)`` returns the
 same n matches, in the same order, whichever backend serves it.
 
-Emptiness is decided before planning, for both backends: on a full
-graph, a query binding a predicate mask with no bit set has no match
-(every match binds every query element), so the call returns 0 with 0
-steps, unplanned and unbound (``decided_empty``).  On a partial graph
-(a shard slice) an empty slice-local mask proves nothing.
+Emptiness is decided before planning, for both backends: a query
+binding a predicate mask with no bit set has no match (every match binds
+every query element), so the call returns 0 with 0 steps, unplanned and
+unbound (``decided_empty``).
 
 Two entry points serve counts derived from an exactly counted parent
 (:mod:`repro.finegrained.propagation`): :meth:`PatternMatcher.count_filtered`
@@ -39,7 +38,7 @@ vertex into a caller-supplied pool, on either backend.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import Direction, GraphQuery, QueryEdge, QueryVertex
@@ -149,7 +148,7 @@ class PatternMatcher:
             return None, None
         entry = csr_entry(self.graph)
         with current_tracer().span(SPAN_PLAN):
-            if not entry.csr.partial and _binds_empty_mask(entry.csr, query):
+            if _binds_empty_mask(entry.csr, query):
                 self.decided_empty += 1
                 return None, None
             if seed is None:
@@ -177,17 +176,8 @@ class PatternMatcher:
         query: GraphQuery,
         limit: Optional[int] = None,
         edge_order: Optional[Sequence[int]] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
     ) -> ResultSet:
-        """Enumerate matches (up to ``limit``) as a :class:`ResultSet`.
-
-        ``seed_restrict`` confines the *first* seed step's candidate pool
-        to the given data vertices.  Every match binds the plan's first
-        seed to exactly one data vertex, so restricting that pool to the
-        blocks of a vertex partition splits the match set into disjoint
-        per-block result sets whose union is the unrestricted result --
-        the decomposition :mod:`repro.shard` fans out per shard.
-        """
+        """Enumerate matches (up to ``limit``) as a :class:`ResultSet`."""
         self.calls += 1
         tracer = current_tracer()
         with tracer.span(SPAN_MATCH, op="match") as span:
@@ -197,12 +187,12 @@ class PatternMatcher:
             before = self.steps
             plan, program = self._prepare(query, edge_order)
             if program is not None:
-                emitted, steps = program.run_match(self.graph, limit, seed_restrict)
+                emitted, steps = program.run_match(limit)
                 self.steps += steps
                 for binding in emitted:
                     results.add(binding)
             elif plan is not None:
-                for binding in self._search(query, plan, seed_restrict):
+                for binding in self._search(query, plan):
                     results.add(binding)
                     if limit is not None and results.cardinality >= limit:
                         break
@@ -215,23 +205,18 @@ class PatternMatcher:
         query: GraphQuery,
         limit: Optional[int] = None,
         edge_order: Optional[Sequence[int]] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
     ) -> int:
         """Count matches, stopping early once ``limit`` is reached.
 
         Result cardinality (Definition 2) when ``limit`` is ``None``.
-        ``seed_restrict`` confines the first seed step (see :meth:`match`).
         """
-        return self._count("count", query, limit, edge_order, seed_restrict)
+        return self._count("count", query, limit, edge_order)
 
     def exists(
-        self,
-        query: GraphQuery,
-        edge_order: Optional[Sequence[int]] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
+        self, query: GraphQuery, edge_order: Optional[Sequence[int]] = None
     ) -> bool:
         """``True`` when the pattern has at least one match."""
-        return self._count("exists", query, 1, edge_order, seed_restrict) > 0
+        return self._count("exists", query, 1, edge_order) > 0
 
     def count_seeded(
         self, query: GraphQuery, vid: int, pool: Sequence[int], limit: Optional[int] = None
@@ -243,12 +228,12 @@ class PatternMatcher:
         each satisfying ``vid``'s predicates; the plan opens with ``vid``
         (:func:`~repro.matching.plan.seeded_plan`) and walks ``pool`` as
         its first seed on either backend.  An empty pool answers 0 with
-        no plan.  Full graphs only (the caller's guard).
+        no plan.
         """
         self.derived_seeded += 1
         if not len(pool):
             return 0
-        return self._count("count", query, limit, None, None, vid, pool)
+        return self._count("count", query, limit, None, vid, pool)
 
     def count_filtered(self, column: Sequence[int], mask: Sequence[int]) -> int:
         """How many of an exactly counted parent's matches survive a
@@ -264,7 +249,6 @@ class PatternMatcher:
         query: GraphQuery,
         limit: Optional[int],
         edge_order: Optional[Sequence[int]],
-        seed_restrict: Optional[AbstractSet[int]],
         seed: Optional[int] = None,
         pool: Optional[Sequence[int]] = None,
     ) -> int:
@@ -278,13 +262,13 @@ class PatternMatcher:
             plan, program = self._prepare(query, edge_order, seed)
             n = 0
             if program is not None:
-                n, steps = program.run_count(self.graph, limit, seed_restrict, pool)
+                n, steps = program.run_count(limit, pool)
                 self.steps += steps
             elif plan is not None:
                 first = None
                 if pool is not None:
                     first = list(map(csr_entry(self.graph).csr.vid_of.__getitem__, pool))
-                for _ in self._search(query, plan, seed_restrict, first):
+                for _ in self._search(query, plan, first):
                     n += 1
                     if limit is not None and n >= limit:
                         break
@@ -298,20 +282,14 @@ class PatternMatcher:
         self,
         query: GraphQuery,
         plan: List[PlanStep],
-        seed_restrict: Optional[AbstractSet[int]] = None,
         first: Optional[List[int]] = None,
     ) -> Iterator[ResultGraph]:
         """The interpreter's enumeration of ``plan`` (a validated query's
         :func:`~repro.matching.plan.build_plan`), emptiness undecided.
         ``first`` (ascending data vertex ids satisfying the first seed's
         predicates) replaces that seed's pool."""
-        # only the plan's *first* seed is partition-restricted: later
-        # seeds (disconnected components) must stay exhaustive or the
-        # per-shard union would drop cross-shard combinations
         pools = {
-            depth: self._seed_pool(
-                query.vertex(step.vid), seed_restrict if depth == 0 else None
-            )
+            depth: self._seed_pool(query.vertex(step.vid))
             for depth, step in enumerate(plan)
             if isinstance(step, SeedStep) and (depth or first is None)
         }
@@ -323,23 +301,13 @@ class PatternMatcher:
         used_edges: Set[int] = set()
         yield from self._step(query, plan, 0, vbind, ebind, used_vertices, used_edges, pools)
 
-    def _seed_pool(
-        self, qvertex: QueryVertex, seed_restrict: Optional[AbstractSet[int]]
-    ) -> List[int]:
+    def _seed_pool(self, qvertex: QueryVertex) -> List[int]:
         """The data vertices a seed step walks, in ascending id (the
         kernels' seed order): the vertex's candidates from the graph's
-        indexes -- every vertex when it is unconstrained -- confined to
-        ``seed_restrict``.  Every vertex in the pool satisfies the
-        vertex's predicates."""
+        indexes -- every vertex when it is unconstrained.  Every vertex in
+        the pool satisfies the vertex's predicates."""
         candidates = vertex_candidates(self.graph, qvertex)
-        if candidates is None:
-            pool = self.graph.vertices() if seed_restrict is None else seed_restrict
-        elif seed_restrict is not None:
-            # pre-intersect so the walk never visits foreign shards
-            pool = candidates & seed_restrict
-        else:
-            pool = candidates
-        return sorted(pool)
+        return sorted(self.graph.vertices() if candidates is None else candidates)
 
     def _step(
         self,

@@ -6,8 +6,8 @@ FILTER / EMIT op sequence over the packed arrays of
 :mod:`repro.matching.csr`:
 
 * SEED   -- iterate an interned candidate pool of dense vertex indexes
-  (the first seed's pool arrives as a run-time argument so
-  ``seed_restrict`` stays a per-call range clamp);
+  (the first seed's pool arrives as a run-time argument, so a count
+  seeded over a subset of it reuses the kernel);
 * EXPAND -- scan the anchor's row slice of a ``(type, direction)`` CSR
   segment: candidate edge index and opposite endpoint come from two
   flat-array reads, so a typed query edge never visits edges of other
@@ -24,7 +24,7 @@ what such variants share from what they do not:
 * the **shape** is the structural part of the plan -- per step the
   anchor / closing variable indexes, whether one segment or several are
   scanned, the self-loop-skip flag and the has-edge-mask /
-  has-vertex-mask bits, plus ``injective`` and ``partial``.  One nested
+  has-vertex-mask bits, plus ``injective``.  One nested
   loop is generated as Python source and ``compile()``d per shape, in a
   small **process-wide** cache: kernel code is graph-independent, so a
   second graph, a fresh service or a restarted stack reuses it;
@@ -37,20 +37,18 @@ A :class:`MatchProgram` is one plan walked into ``(shape, binding)``.
 The walk costs a few dictionary probes per plan step and is repeated
 on every evaluation; nothing per query is retained -- no plan, no code
 object, no source -- so the arrays are always the index's current ones
-and a delta patch needs no invalidation here.  The kernel performs no allocation per step: scratch bitsets are
-two ``bytearray`` blocks per call, and the enumeration visits exactly
-the candidates the interpreter visits, so the ``steps`` counter of a
-compiled run equals the interpreter's on unbounded evaluations (the
-differential invariant the tests pin down).  On partial graphs
-(worker-side slices) a kernel guards every expansion anchored at an
-unknown-adjacency vertex by raising the slice's miss through the
-slice's own accessor -- never by silently scanning an empty row.
+and a delta patch needs no invalidation here.  The kernel performs no
+allocation per step: scratch bitsets are two ``bytearray`` blocks per
+call, and the enumeration visits exactly the candidates the interpreter
+visits, so the ``steps`` counter of a compiled run equals the
+interpreter's on unbounded evaluations (the differential invariant the
+tests pin down).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import AbstractSet, Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.query import Direction, GraphQuery
 from repro.core.result import ResultGraph
@@ -74,9 +72,9 @@ _KERNELS_LOCK = threading.Lock()
 #: plan needing more loops than this is served by the interpreter
 _MAX_NESTED_LOOPS = 20
 
-#: binding slots every kernel starts with: ``vid_of``, ``eid_of``,
-#: ``selfloop`` and ``known`` (``None`` on full graphs)
-_HEADER = ("vid", "eid", "sl", "kn")
+#: binding slots every kernel starts with: ``vid_of``, ``eid_of`` and
+#: ``selfloop``
+_HEADER = ("vid", "eid", "sl")
 
 #: how an expansion scans the anchor's adjacency: one ``(type,
 #: direction)`` segment inline; a tuple of segments (several types); or
@@ -93,7 +91,7 @@ class ProgramUnsupported(Exception):
 def _kernel_source(mode: str, shape: Tuple, emit: Tuple) -> str:
     """Source of the nested-loop kernel for one shape.
 
-    ``shape`` is ``(injective, partial, steps)`` with ``None`` for a
+    ``shape`` is ``(injective, steps)`` with ``None`` for a
     seed step and ``(anchor, closing, scan, edge mask?, vertex mask?)``
     for an expansion (``scan``: one of :data:`_SCANS`); binding slots
     are named ``b<index>`` in the order :class:`MatchProgram` appends
@@ -101,7 +99,7 @@ def _kernel_source(mode: str, shape: Tuple, emit: Tuple) -> str:
     indexes in ascending order of the query ids they bind; the ids
     themselves close the binding.
     """
-    injective, partial, steps = shape
+    injective, steps = shape
     names = list(_HEADER)
     body: List[str] = []
     vertices = edges = 0
@@ -162,8 +160,7 @@ def _kernel_source(mode: str, shape: Tuple, emit: Tuple) -> str:
         if step is None:
             v = f"v{vertices}"
             vertices += 1
-            # the first seed's pool is the run-time argument -- that is
-            # the whole seed_restrict clamp seam
+            # the first seed's pool is the run-time argument
             body.append(f"{pad}for {v} in {slot() if i else 'pool'}:")
             ipad = pad + "    "
             body.append(f"{ipad}steps += 1")
@@ -176,8 +173,6 @@ def _kernel_source(mode: str, shape: Tuple, emit: Tuple) -> str:
                 body.append(f"{ipad}used_v[{v}] = 0")
             return
         anchor, scan = step[0], step[2]
-        if partial:
-            body.append(f"{pad}if not kn[v{anchor}]: adjmiss(vid[v{anchor}])")
         x = f"_x{i}"
         if scan == _ONE_SEGMENT:
             ip, ea, oa = slot(), slot(), slot()
@@ -196,7 +191,7 @@ def _kernel_source(mode: str, shape: Tuple, emit: Tuple) -> str:
         names += [f"q{k}" for k in range(len(emit[0]))]
         names += [f"r{k}" for k in range(len(emit[1]))]
     lines = [
-        "def _kernel(pool, limit, used_v, used_e, out, adjmiss, binding):",
+        "def _kernel(pool, limit, used_v, used_e, out, binding):",
         f"    ({', '.join(names)},) = binding",
         "    steps = 0",
         "    nmatch = 0",
@@ -231,7 +226,7 @@ class MatchProgram:
         self._entry = entry
         self.csr = csr = entry.csr
         self._seed = query.vertex(plan[0].vid)
-        binding: List[Any] = [csr.vid_of, csr.eid_of, csr.selfloop, csr.known]
+        binding: List[Any] = [csr.vid_of, csr.eid_of, csr.selfloop]
         steps: List[Optional[Tuple]] = []
         var_of: Dict[int, int] = {}
         qeids: List[int] = []
@@ -286,7 +281,7 @@ class MatchProgram:
         loops = sum(1 if step is None or step[2] == _ONE_SEGMENT else 2 for step in steps)
         if loops > _MAX_NESTED_LOOPS:
             raise ProgramUnsupported(f"plan needs {loops} nested loops")
-        self.shape = (injective, csr.partial, tuple(steps))
+        self.shape = (injective, tuple(steps))
         self.binding = binding
         #: query vertex id -> variable index, and the query edge id of
         #: each edge variable: what a match kernel's result graphs carry
@@ -338,30 +333,21 @@ class MatchProgram:
     def _run(
         self,
         mode: str,
-        graph: Any,
         limit: int,
-        seed_restrict: Optional[AbstractSet[int]],
         out: Optional[List[ResultGraph]],
         pool: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int]:
         csr = self.csr
-        if pool is None and seed_restrict is None:
+        if pool is None:
             pool = csr.seed_pool(self._seed)
-        elif pool is None:
-            pool = csr.restricted_seed_pool(self._seed, seed_restrict)
         used_v = used_e = None
         if self.shape[0]:
             used_v, used_e = bytearray(csr.num_vertices), bytearray(csr.num_edges)
-        adjmiss = graph._cell if csr.partial else None
         kernel, binding = self._resolve(mode)
-        return kernel(pool, limit, used_v, used_e, out, adjmiss, binding)
+        return kernel(pool, limit, used_v, used_e, out, binding)
 
     def run_count(
-        self,
-        graph: Any,
-        limit: Optional[int] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
-        pool: Optional[Sequence[int]] = None,
+        self, limit: Optional[int] = None, pool: Optional[Sequence[int]] = None
     ) -> Tuple[int, int]:
         """Bounded match count: ``(count, steps)``.  ``pool`` (ascending
         vertex indexes satisfying the first seed's predicates) replaces
@@ -370,19 +356,14 @@ class MatchProgram:
             limit = 0  # nmatch starts at 1 on first emit: never equal
         elif limit <= 0:
             limit = 1  # the interpreter's count() stops after one match
-        return self._run("count", graph, limit, seed_restrict, None, pool)
+        return self._run("count", limit, None, pool)
 
-    def run_match(
-        self,
-        graph: Any,
-        limit: Optional[int] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
-    ) -> Tuple[List[ResultGraph], int]:
+    def run_match(self, limit: Optional[int] = None) -> Tuple[List[ResultGraph], int]:
         """Bounded enumeration: ``(result graphs, steps)``."""
         out: List[ResultGraph] = []
         if limit is not None and limit <= 0:
             return out, 0
-        _, steps = self._run("match", graph, limit or 0, seed_restrict, out)
+        _, steps = self._run("match", limit or 0, out)
         return out, steps
 
 

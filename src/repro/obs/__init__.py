@@ -19,7 +19,7 @@ Three layers:
   renderable as Prometheus text exposition format
   (:mod:`repro.obs.promhttp` serves it over stdlib HTTP).
 - :mod:`repro.obs.slowlog` -- a bounded log of the N slowest explains
-  with their query signature, span summary and cache/fallback profile.
+  with their query signature, span summary and cache profile.
 """
 
 from repro.obs.metrics import (
@@ -35,12 +35,10 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import (
     NULL_TRACER,
     SPAN_ADMISSION,
-    SPAN_BLOCK,
     SPAN_CLASSIFY,
     SPAN_CSR_BUILD,
     SPAN_EVALUATE,
     SPAN_EXPLAIN,
-    SPAN_FALLBACK,
     SPAN_MATCH,
     SPAN_PLAN,
     SPAN_PROGRAM_COMPILE,
@@ -64,12 +62,10 @@ __all__ = [
     "NullTracer",
     "REGISTRY",
     "SPAN_ADMISSION",
-    "SPAN_BLOCK",
     "SPAN_CLASSIFY",
     "SPAN_CSR_BUILD",
     "SPAN_EVALUATE",
     "SPAN_EXPLAIN",
-    "SPAN_FALLBACK",
     "SPAN_MATCH",
     "SPAN_PLAN",
     "SPAN_PROGRAM_COMPILE",

@@ -3,8 +3,8 @@ slowest explains.
 
 Entries are plain JSON-ready dicts produced by the service after each
 explain -- query signature, problem class, elapsed seconds, matcher
-steps, a per-span-kind profile, the cache hit/miss delta, shard
-fallbacks and whether the evaluation budget truncated the search.
+steps, a per-span-kind profile, the cache hit/miss delta and whether
+the evaluation budget truncated the search.
 The log keeps the *slowest* ``capacity`` entries seen so far (a
 min-heap on elapsed time evicts the quickest), so one burst of cheap
 queries can never flush the interesting outliers.

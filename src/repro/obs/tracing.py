@@ -4,8 +4,8 @@ nested spans and span attributes.
 A tracer belongs to one request (one ``service.explain()`` call, one
 matcher invocation in a test, one bench iteration).  Request-scoped
 components (engine, rewriters, evaluator) receive it explicitly;
-*shared* components (the per-graph :class:`PatternMatcher`, the
-:class:`SliceEvaluator`) read the ambient tracer via
+*shared* components (the per-graph :class:`PatternMatcher` and its
+compiled backend) read the ambient tracer via
 :func:`current_tracer`, which the request sets for its dynamic extent
 with ``with tracer.activate(): ...``.  The ambient tracer is a
 :class:`contextvars.ContextVar`, so concurrent requests on different
@@ -33,12 +33,10 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "SPAN_ADMISSION",
-    "SPAN_BLOCK",
     "SPAN_CLASSIFY",
     "SPAN_CSR_BUILD",
     "SPAN_EVALUATE",
     "SPAN_EXPLAIN",
-    "SPAN_FALLBACK",
     "SPAN_MATCH",
     "SPAN_PLAN",
     "SPAN_PROGRAM_COMPILE",
@@ -65,8 +63,6 @@ SPAN_PLAN = "plan"  # query-plan construction
 SPAN_CSR_BUILD = "csr_build"  # compiled backend: CSR array (re)build
 SPAN_PROGRAM_COMPILE = "program_compile"  # compiled backend: kernel codegen
 SPAN_WORKER = "worker"  # one process-pool worker's shipped summary
-SPAN_BLOCK = "block"  # shard-affine slice answering (or missing) a block
-SPAN_FALLBACK = "fallback"  # coordinator fallback after an affine miss
 
 
 def tracing_default() -> bool:

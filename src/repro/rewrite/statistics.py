@@ -66,7 +66,7 @@ def _touched(touch: DeltaTouch, key: Tuple) -> bool:
     """Can the delta run change the count memoised under ``key``?
     Conservative, like :func:`repro.core.delta.touch_affects_query`; the
     types and attributes are read off the key itself.  ``touch`` is
-    folded without the run's ``"v"`` / ``"hv"`` records: a vertex that
+    folded without the run's ``"v"`` records: a vertex that
     no edge reaches yet changes no edge count, and the ``"e"`` record
     that attaches it drops its type's entries."""
     types, edge_preds, source_preds, target_preds, _directions = key
@@ -102,7 +102,7 @@ class GraphStatistics:
         the entries admitting its type (or any type), an attribute write
         those whose predicates mention it.  Dropped, not patched: ``va``
         records carry no old value and an entry is one lookup to redo.
-        No delta log (``ShardedGraph``) or an overrun ring drops all."""
+        A graph with no delta log or an overrun ring drops all."""
         version = self.graph.version
         if version == self._version:
             return
@@ -112,7 +112,7 @@ class GraphStatistics:
         if deltas is None:
             stale = list(memo)
         else:
-            touch = delta_touch(r for r in deltas if r[0] not in ("v", "hv"))
+            touch = delta_touch(r for r in deltas if r[0] != "v")
             stale = [key for key in memo if _touched(touch, key)]
         for key in stale:
             del memo[key]

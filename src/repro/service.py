@@ -18,9 +18,8 @@ request throws the shared evaluation state away between requests; the
   are sequential best-first, each count decides what is generated next);
 * **CPU-parallel evaluation** with ``executor="process"``: every pooled
   graph gets its own :class:`~repro.shard.ProcessExecutor` (a warm
-  worker-process pool built from a snapshot of that graph, or from
-  shard-affine slices of it with ``shards=N``), created with the
-  graph's pool slot and shut down on eviction -- the searches drain
+  worker-process pool built from a snapshot of that graph), created
+  with the graph's pool slot and shut down on eviction -- the searches drain
   worker-count-sized batches, so pure-Python rewriting work scales with
   cores instead of stalling on the coordinator's GIL;
 * **one blocking front door**: a request is a single hop -- admit,
@@ -409,16 +408,8 @@ class WhyQueryService:
     :class:`~repro.shard.ProcessExecutor` -- ``process_workers`` worker
     processes, each holding a long-lived warm context built from a
     snapshot of that graph -- created with the graph's pool slot and
-    shut down when the slot is evicted.  ``shards`` picks the pool's
-    shape: ``1`` (the default) warms every worker from the full
-    snapshot; ``> 1`` makes the worker pools **shard-affine** -- each
-    worker process receives only its placed shards' wire payloads, so
-    per-worker memory scales down with the shard count, and every count
-    fans out per shard to the owning workers; blocks a slice cannot
-    finish are resolved coordinator-side (counted as
-    ``affine_fallbacks``).  The per-graph worker/shard counters --
-    including ``payload_bytes``, what actually crossed the process
-    boundary -- surface under ``stats()["pools"]``.
+    shut down when the slot is evicted.  Each pool's counters surface
+    under ``stats()["per_graph"][i]["process_pool"]``.
     """
 
     #: engine kwargs the service itself wires per request; passing them as
@@ -456,7 +447,6 @@ class WhyQueryService:
         context_factory: Optional[
             Callable[[PropertyGraph], ExecutionContext]
         ] = None,
-        shards: int = 1,
         process_workers: int = 2,
         slow_log_capacity: int = 32,
         persist: Optional[Union[str, SnapshotStore]] = None,
@@ -464,8 +454,6 @@ class WhyQueryService:
     ) -> None:
         if max_contexts < 1:
             raise ValueError("max_contexts must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if process_workers < 1:
             raise ValueError("process_workers must be >= 1")
         if isinstance(executor, str) and executor != "process":
@@ -492,7 +480,6 @@ class WhyQueryService:
         #: entry owns a per-graph ``ProcessExecutor`` instead
         self.executor = None if isinstance(executor, str) else executor
         self.process_mode = executor == "process"
-        self.shards = shards
         self.process_workers = process_workers
         self.budget_pool = budget_pool
         self.engine_options = engine_options
@@ -568,7 +555,6 @@ class WhyQueryService:
                     executor = ProcessExecutor(
                         graph,
                         max_workers=self.process_workers,
-                        shards=self.shards,
                         injective=context.matcher.injective,
                         compiled=context.matcher.compiled,
                     )
@@ -900,9 +886,6 @@ class WhyQueryService:
                 "budget_truncated": bool(
                     getattr(rewriting, "budget_exhausted", False)
                 ),
-                "shard_fallbacks": int(
-                    profile.get("fallback", {}).get("count", 0)
-                ),
                 "evaluated": int(getattr(rewriting, "evaluated", 0)),
                 "traced": bool(tracer.enabled),
             }
@@ -983,7 +966,6 @@ class WhyQueryService:
 
         Emits the :mod:`repro.stats` sections -- ``caches``/``csr``/
         ``programs``/``deltas`` summed over every pooled context,
-        ``pools`` summed over the per-graph worker pools (process mode),
         ``admission`` straight from the :class:`BudgetPool`,
         ``metrics`` a snapshot of the process-wide
         :data:`repro.obs.REGISTRY` (latency histograms and request
@@ -1020,21 +1002,6 @@ class WhyQueryService:
             csr = csr_section({})
             programs = programs_section({})
             deltas = deltas_section()
-            pools: Optional[Dict[str, object]] = None
-            if self.process_mode:
-                pools = {
-                    "pools_live": 0,
-                    "workers": 0,
-                    "shards_per_pool": self.shards,
-                    "placement": "affine" if self.shards > 1 else "full",
-                    "batches": 0,
-                    "queries_shipped": 0,
-                    "pool_rebuilds": 0,
-                    # what actually crossed the process boundary, summed
-                    # over every worker of every pooled graph
-                    "payload_bytes": 0,
-                    "affine_fallbacks": 0,
-                }
             for entry in self._pool.values():
                 report = entry.context.cache_report()
                 for layer, layer_totals in caches.items():
@@ -1054,21 +1021,8 @@ class WhyQueryService:
                     "requests": entry.requests,
                     "cache_report": report,
                 }
-                if entry.executor is not None and pools is not None:
-                    pool_info = entry.executor.info()
-                    graph_stats["process_pool"] = pool_info
-                    entry_pools = pool_info["pools"]
-                    pools["pools_live"] += int(bool(entry_pools["pool_live"]))
-                    pools["workers"] += int(entry_pools["max_workers"])
-                    pools["batches"] += int(entry_pools["batches"])
-                    pools["queries_shipped"] += int(entry_pools["queries_shipped"])
-                    pools["pool_rebuilds"] += int(entry_pools["pool_rebuilds"])
-                    pools["payload_bytes"] += sum(
-                        entry_pools["payload_bytes_per_worker"]
-                    )
-                    pools["affine_fallbacks"] += int(entry_pools["affine_fallbacks"])
-                    for key in deltas:
-                        deltas[key] += int(pool_info["deltas"][key])
+                if entry.executor is not None:
+                    graph_stats["process_pool"] = entry.executor.info()
                 per_graph.append(graph_stats)
             requests = self._explain_calls + self._session_calls
             uptime = time.perf_counter() - self._started
@@ -1088,7 +1042,6 @@ class WhyQueryService:
                 caches=caches,
                 csr=csr,
                 programs=programs,
-                pools=pools,
                 admission=admission,
                 deltas=deltas,
                 metrics=REGISTRY.snapshot(),

@@ -21,10 +21,9 @@ needs *one* schema, so this module defines it:
                         ``patches``, ``rebuilds``)
 ``programs``            compiled match kernels (``compiled``, ``hits``,
                         ``fallbacks``)
-``pools``               worker/context pool lifecycle and payload accounting
+``pools``               worker pool lifecycle
 ``admission``           :class:`~repro.service.BudgetPool` counters
-``deltas``              delta-sync pipeline (``applied``, ``bytes``,
-                        ``worker_catchups``)
+``deltas``              delta-sync pipeline (``applied``)
 ``metrics``             process-wide :mod:`repro.obs` registry snapshot
                         (``counters``, ``gauges``, ``histograms``)
 ======================  =====================================================
@@ -101,15 +100,9 @@ def programs_section(flat: Mapping[str, int]) -> Dict[str, int]:
     }
 
 
-def deltas_section(
-    applied: int = 0, bytes: int = 0, worker_catchups: int = 0
-) -> Dict[str, int]:
+def deltas_section(applied: int = 0) -> Dict[str, int]:
     """Delta-sync pipeline section."""
-    return {
-        "applied": int(applied),
-        "bytes": int(bytes),
-        "worker_catchups": int(worker_catchups),
-    }
+    return {"applied": int(applied)}
 
 
 def unified_stats(

@@ -21,7 +21,6 @@ from repro.core import (
     one_of,
 )
 from repro.core.predicates import Interval, ValueSet
-from repro.core.serialize import shards_to_wire
 from repro.datasets import dbpedia, ldbc
 from repro.matching import (
     CSRIndex,
@@ -36,7 +35,6 @@ from repro.matching import (
 from repro.matching.candidates import attributes_match
 from repro.matching.csr import MASK_CAP
 from repro.rewrite import GraphStatistics
-from repro.shard import GraphPartitioner, SliceEvaluator
 
 
 class TestTypedAdjacency:
@@ -325,14 +323,10 @@ class TestCandidateMasks:
 
 
 def oracle_vertex_mask(csr: CSRIndex, graph, qvertex) -> bytearray:
-    """The interpreter's candidate set as a mask, plus the halo vertices a
-    partial graph's index cannot see."""
+    """The interpreter's candidate set as a mask."""
     mask = bytearray(csr.num_vertices)
     for vid in vertex_candidates(graph, qvertex):
         mask[csr.ix_of[vid]] = 1
-    for vid, attributes in getattr(graph, "_halo", {}).items():
-        if attributes_match(attributes, qvertex.predicates):
-            mask[csr.ix_of[vid]] = 1
     return mask
 
 
@@ -503,13 +497,6 @@ class TestDifferentialFills:
         ]
         assert assert_fills_agree(g, queries) == len(queries)
 
-    def test_partial_slice_with_halo(self, ldbc_small):
-        sharded = GraphPartitioner(2).partition(ldbc_small.graph)
-        evaluator = SliceEvaluator.from_wire_payloads(shards_to_wire(sharded))
-        for slice_ in evaluator.slices.values():
-            assert slice_._halo  # cross-shard edges ship halo vertices
-            assert assert_fills_agree(slice_, mix_queries(ldbc)) > 50
-
     def test_new_signature_after_a_write_reads_the_new_value(self):
         g = colliding_graph(COLLIDING)
         csr = csr_for(g)
@@ -536,20 +523,14 @@ class TestDifferentialFills:
 
 class TestSeedPools:
     def test_pool_is_the_filtered_seed_universe(self, ldbc_small):
-        """On the full graph and on both slices of a partition, where
-        ``known`` leaves the halo rows out of the seed universe."""
-        sharded = GraphPartitioner(2).partition(ldbc_small.graph)
-        slices = SliceEvaluator.from_wire_payloads(shards_to_wire(sharded)).slices.values()
-        for graph in (ldbc_small.graph, *slices):
-            csr = CSRIndex(graph)
-            assert (csr.known is None) == (graph is ldbc_small.graph)
-            for q in mix_queries(ldbc):
-                for qvertex in q.vertices():
-                    mask = csr.vertex_mask(qvertex)
-                    if mask is None:
-                        continue
-                    wanted = array("i", (ix for ix in csr.seed_universe if mask[ix]))
-                    assert csr.seed_pool(qvertex) == wanted
+        csr = CSRIndex(ldbc_small.graph)
+        for q in mix_queries(ldbc):
+            for qvertex in q.vertices():
+                mask = csr.vertex_mask(qvertex)
+                if mask is None:
+                    continue
+                wanted = array("i", (ix for ix in csr.seed_universe if mask[ix]))
+                assert csr.seed_pool(qvertex) == wanted
 
 
 class TestEdgeColumns:

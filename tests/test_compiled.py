@@ -33,7 +33,6 @@ from repro.matching import (
 )
 from repro.matching.csr import csr_entry
 from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, SPAN_PROGRAM_COMPILE, Tracer
-from repro.shard import GraphPartitioner, ShardedMatcher, ShardMiss, SliceEvaluator
 
 
 def oracle_pair(graph, injective=True):
@@ -177,46 +176,6 @@ class TestCompiledAgreesWithInterpreter:
         q = GraphQuery()
         oracle, compiled = oracle_pair(tiny_graph)
         assert compiled.count(q) == oracle.count(q)
-
-
-class TestSeedRestrict:
-    def test_contiguous_run_clamp(self, tiny_graph, two_hop):
-        # {0..3} is a contiguous vid run: the program takes the
-        # bisect-clamp fast path; values must still match the oracle
-        oracle, compiled = oracle_pair(tiny_graph)
-        restrict = frozenset(range(4))
-        assert compiled.count(two_hop, seed_restrict=restrict) == oracle.count(
-            two_hop, seed_restrict=restrict
-        )
-        assert compiled.steps == oracle.steps
-
-    def test_non_contiguous_restrict(self, tiny_graph, two_hop):
-        oracle, compiled = oracle_pair(tiny_graph)
-        restrict = frozenset({0, 3})
-        assert compiled.count(two_hop, seed_restrict=restrict) == oracle.count(
-            two_hop, seed_restrict=restrict
-        )
-        assert compiled.steps == oracle.steps
-
-    def test_restrict_with_unknown_vids(self, tiny_graph, two_hop):
-        # ids outside the graph must not defeat the clamp's subset check
-        oracle, compiled = oracle_pair(tiny_graph)
-        restrict = frozenset({0, 1, 999})
-        assert compiled.count(two_hop, seed_restrict=restrict) == oracle.count(
-            two_hop, seed_restrict=restrict
-        )
-
-    def test_shard_partition_restricts(self, tiny_graph, two_hop):
-        # per-shard seed_restrict counts must partition the total --
-        # exactly how ShardedMatcher drives the clamp
-        sharded = GraphPartitioner(3).partition(tiny_graph)
-        compiled = PatternMatcher(tiny_graph, compiled=True)
-        total = compiled.count(two_hop)
-        per_shard = [
-            compiled.count(two_hop, seed_restrict=shard.vertex_ids)
-            for shard in sharded.shards
-        ]
-        assert sum(per_shard) == total
 
 
 @pytest.fixture
@@ -660,21 +619,20 @@ class TestBoundedRetention:
 
 
 def per_vertex_segment(graph, index, type_key, direction):
-    """The reference builder: one accessor call per known vertex."""
+    """The reference builder: one accessor call per vertex."""
     eix_of = {eid: eix for eix, eid in enumerate(index.eid_of)}
     endpoint = index.tgt if direction == "out" else index.src
     indptr, edge_ix, other_ix = [0], [], []
-    for ix, vid in enumerate(index.vid_of):
-        if index.known is None or index.known[ix]:
-            if type_key is None:
-                eids = graph.out_edges(vid) if direction == "out" else graph.in_edges(vid)
-            elif direction == "out":
-                eids = graph.out_edges_of_type(vid, type_key)
-            else:
-                eids = graph.in_edges_of_type(vid, type_key)
-            for eid in eids:
-                edge_ix.append(eix_of[eid])
-                other_ix.append(endpoint[eix_of[eid]])
+    for vid in index.vid_of:
+        if type_key is None:
+            eids = graph.out_edges(vid) if direction == "out" else graph.in_edges(vid)
+        elif direction == "out":
+            eids = graph.out_edges_of_type(vid, type_key)
+        else:
+            eids = graph.in_edges_of_type(vid, type_key)
+        for eid in eids:
+            edge_ix.append(eix_of[eid])
+            other_ix.append(endpoint[eix_of[eid]])
         indptr.append(len(edge_ix))
     return indptr, edge_ix, other_ix
 
@@ -690,110 +648,19 @@ class TestOnePassSegments:
 
         rng = random.Random(seed)
         graph = random_differential_graph(rng)
-        sharded = GraphPartitioner(rng.choice((2, 3))).partition(graph)
-        slices = SliceEvaluator.for_sharded(sharded).slices.values()
         keys = [(t, d) for t in (None, "absent") + EDGE_TYPES for d in ("out", "in")]
 
         def check():
-            for target in [graph, *slices]:
-                index = csr_for(target)
-                assert index.partial is (target is not graph)
-                for type_key, direction in keys:
-                    built = index.adjacency(type_key, direction)
-                    assert all(a.typecode == "i" for a in built)
-                    assert [list(a) for a in built] == list(
-                        per_vertex_segment(target, index, type_key, direction)
-                    ), (seed, type_key, direction, index.partial)
+            index = csr_for(graph)
+            for type_key, direction in keys:
+                built = index.adjacency(type_key, direction)
+                assert all(a.typecode == "i" for a in built)
+                assert [list(a) for a in built] == list(
+                    per_vertex_segment(graph, index, type_key, direction)
+                ), (seed, type_key, direction)
 
         check()
         # ... and patched rows keep replaying the adjacency lists
         random_mutations(rng, graph, 6)
-        slices = ()
         check()
         assert csr_stats(graph)["csr_rebuilds"] == 0
-
-    def test_unknown_rows_stay_empty_and_guarded(self, tiny_graph):
-        sharded = GraphPartitioner(3).partition(tiny_graph)
-        slice0 = SliceEvaluator.for_sharded(sharded).slices[0]
-        index = csr_for(slice0)
-        indptr, _edge_ix, _other_ix = index.adjacency("locatedIn", "out")
-        halo = index.ix_of[4]  # tud: a halo vertex of shard 0
-        assert not index.known[halo]
-        assert indptr[halo] == indptr[halo + 1]
-        assert "adjmiss" in compiled_program(slice0, variant()).source("count")
-
-
-class TestPartialGraphs:
-    def test_slice_local_evaluation_compiled(self, tiny_graph, two_hop):
-        sharded = GraphPartitioner(2).partition(tiny_graph)
-        evaluator = SliceEvaluator.for_sharded(
-            sharded,
-            compiled=True,
-            fallback=ShardedMatcher(sharded, compiled=True),
-        )
-        oracle = PatternMatcher(tiny_graph, compiled=False)
-        assert evaluator.count(two_hop) == oracle.count(two_hop)
-        assert match_key(evaluator.match(two_hop)) == match_key(
-            oracle.match(two_hop)
-        )
-
-    def test_unknown_adjacency_raises_shard_miss(self, tiny_graph):
-        # the seed is pinned to anna(0) in shard 0; the walk reaches the
-        # halo vertex tud(4) and must then expand from it -- adjacency
-        # the slice does not hold.  The generated kernel must raise the
-        # slice's miss exactly like the interpreter, never scan an
-        # empty row
-        q = GraphQuery()
-        a = q.add_vertex(predicates={"name": equals("Anna")})
-        u = q.add_vertex()
-        c = q.add_vertex()
-        q.add_edge(a, u, types={"workAt"})
-        q.add_edge(u, c, types={"locatedIn"})
-        sharded = GraphPartitioner(3).partition(tiny_graph)
-        evaluator = SliceEvaluator.for_sharded(sharded, compiled=True)
-        slice0 = evaluator.slices[0]
-        assert slice0.owns(0) and not slice0.owns(4)
-        compiled = PatternMatcher(slice0, compiled=True)
-        assert compiled.compiled
-        with pytest.raises(ShardMiss):
-            compiled.count(q, seed_restrict=slice0.vertex_ids)
-        with pytest.raises(ShardMiss):  # interpreter parity
-            PatternMatcher(slice0, compiled=False).count(
-                q, seed_restrict=slice0.vertex_ids
-            )
-
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
-    def test_an_empty_slice_mask_decides_nothing(self, tiny_graph, compiled):
-        # person -workAt-> university -locatedIn-> city: shard 0 owns
-        # anna, bob and carol and holds tud(4) as halo, but no city --
-        # its city mask is empty while the full graph has three matches
-        # through it.  The block must reach the kernel's miss guard and
-        # resolve on the coordinator, never return a decided 0
-        q = GraphQuery()
-        p = q.add_vertex(predicates={"type": equals("person")})
-        u = q.add_vertex()
-        c = q.add_vertex(predicates={"type": equals("city")})
-        q.add_edge(p, u, types={"workAt"})
-        q.add_edge(u, c, types={"locatedIn"})
-        expected = PatternMatcher(tiny_graph, compiled=compiled).count(q)
-        assert expected == 3
-        sharded = GraphPartitioner(3).partition(tiny_graph)
-        fallback = ShardedMatcher(sharded, compiled=compiled)
-        assert fallback.count(q) == expected
-        evaluator = SliceEvaluator.for_sharded(sharded, compiled=compiled, fallback=fallback)
-        slice0 = evaluator.slices[0]
-        assert 1 not in csr_for(slice0).vertex_mask(q.vertex(c))
-        assert evaluator.count(q) == expected
-        assert evaluator.count_block(0, q) is None  # missed, not decided
-        assert evaluator.fallbacks == 1
-        assert all(m.decided_empty == 0 for m in evaluator._matchers.values())
-        assert fallback.matcher.decided_empty == 0
-
-    def test_slice_seed_pool_spans_owned_range_only(self, tiny_graph):
-        sharded = GraphPartitioner(2).partition(tiny_graph)
-        evaluator = SliceEvaluator.for_sharded(sharded, compiled=True)
-        for index, slice_ in evaluator.slices.items():
-            csr = csr_for(slice_)
-            assert csr.partial
-            seeds = {csr.vid_of[ix] for ix in csr.seed_universe}
-            assert seeds == set(slice_.vertex_ids), index

@@ -168,11 +168,11 @@ class TestTracer:
             tracer.attach_summary(
                 SPAN_WORKER,
                 {"match": {"count": 3, "total_s": 0.5}, "plan": {"count": 1, "total_s": 0.1}},
-                shard=2,
+                task=2,
             )
         worker = tracer.roots[0].children[0]
         assert worker.kind == SPAN_WORKER
-        assert worker.attributes == {"shard": 2}
+        assert worker.attributes == {"task": 2}
         assert {c.kind for c in worker.children} == {"match", "plan"}
         assert worker.elapsed_s == pytest.approx(0.6)
         assert tracer.summarize()["match"] == {"count": 3, "total_s": 0.5}
@@ -492,18 +492,6 @@ class TestProcessExecutorObservability:
     def test_untraced_batches_are_unchanged(self, obs_executor):
         assert current_tracer() is NULL_TRACER
         assert obs_executor.run_queries([working_query()]) == [6]
-
-    def test_traced_affine_batch_carries_shard_spans(self, pool_graph):
-        """shards > 1: each query fans out one block per shard, and every
-        block's worker summary is grafted with the shard it counted."""
-        tracer = Tracer()
-        with ProcessExecutor(pool_graph, max_workers=2, shards=2) as executor:
-            with tracer.activate():
-                counts = executor.run_queries([working_query()] * 2)
-        assert counts == [6, 6]
-        workers = [span for span in tracer.roots if span.kind == SPAN_WORKER]
-        assert [span.attributes["shard"] for span in workers] == [0, 1, 0, 1]
-        assert [span.attributes["worker"] for span in workers] == [0, 1, 0, 1]
 
     def test_info_consistent_under_concurrent_batches(self, obs_executor):
         """Regression (ISSUE 9 satellite): ``info()`` used to read the

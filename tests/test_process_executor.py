@@ -1,23 +1,16 @@
-"""Sharded partitioning + process-parallel evaluation (repro.shard).
+"""Process-parallel evaluation: :class:`repro.shard.ProcessExecutor`.
 
-Acceptance (ISSUE 4): at batch size 1 the ProcessExecutor reproduces the
-serial search trajectory bit-identically, and ShardedGraph candidate /
-expansion results are permutation-identical to the unsharded matcher
-across shard counts {1, 2, 4}.
+Every worker holds one warm context over the full graph snapshot.  At
+batch size 1 the executor reproduces the serial search trajectory
+bit-identically, its counts equal the in-process matcher's, and the
+service's process mode matches the plain service.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    BOTH_DIRECTIONS,
-    GraphQuery,
-    PropertyGraph,
-    equals,
-    one_of,
-)
-from repro.core.errors import UnknownVertexError
+from repro.core import GraphQuery, PropertyGraph, equals
 from repro.exec import (
     CandidateEvaluator,
     EvaluationBudget,
@@ -29,14 +22,7 @@ from repro.matching import PatternMatcher
 from repro.metrics import CardinalityProblem, CardinalityThreshold
 from repro.rewrite import CoarseRewriter
 from repro.service import WhyQueryService
-from repro.shard import (
-    GraphPartitioner,
-    ProcessExecutor,
-    ShardedGraph,
-    ShardedMatcher,
-)
-
-SHARD_COUNTS = (1, 2, 4)
+from repro.shard import ProcessExecutor
 
 
 def typed_query(vertex_type: str, edge_type: str) -> GraphQuery:
@@ -45,282 +31,6 @@ def typed_query(vertex_type: str, edge_type: str) -> GraphQuery:
     b = q.add_vertex()
     q.add_edge(a, b, types={edge_type})
     return q
-
-
-def result_key(results):
-    """Order-insensitive identity of a ResultSet."""
-    return sorted((r.vertex_bindings, r.edge_bindings) for r in results)
-
-
-@pytest.fixture
-def sharded2(tiny_graph) -> ShardedGraph:
-    return GraphPartitioner(2).partition(tiny_graph)
-
-
-class TestGraphPartitioner:
-    def test_balanced_contiguous_ranges(self, tiny_graph):
-        sharded = GraphPartitioner(4).partition(tiny_graph)
-        sizes = [s.num_vertices for s in sharded.shards]
-        assert sum(sizes) == tiny_graph.num_vertices
-        assert max(sizes) - min(sizes) <= 1
-        # contiguity: every shard's range ends before the next begins
-        previous_high = -1
-        for shard in sharded.shards:
-            if not shard.vids:
-                continue
-            assert shard.vids[0] > previous_high
-            assert list(shard.vids) == sorted(shard.vids)
-            previous_high = shard.vids[-1]
-
-    def test_shard_routing(self, sharded2, tiny_graph):
-        for vid in tiny_graph.vertices():
-            shard = sharded2.shard_of(vid)
-            assert shard.owns(vid)
-            assert vid in shard.vertex_ids
-        with pytest.raises(UnknownVertexError):
-            sharded2.shard_of(999)
-
-    def test_more_shards_than_vertices(self):
-        g = PropertyGraph()
-        a = g.add_vertex(type="x")
-        b = g.add_vertex(type="y")
-        g.add_edge(a, b, "rel")
-        sharded = GraphPartitioner(5).partition(g)
-        assert sharded.num_shards == 5
-        assert sharded.num_vertices == 2
-        assert sharded.shard_of(a).index != sharded.shard_of(b).index
-        # the cross-shard edge lands in the boundary index
-        assert sharded.boundary_edges() == frozenset({0})
-
-    def test_boundary_index(self, sharded2, tiny_graph):
-        boundary = sharded2.boundary_edges()
-        for record in tiny_graph.edges():
-            crosses = (
-                sharded2.shard_of(record.source).index
-                != sharded2.shard_of(record.target).index
-            )
-            assert (record.eid in boundary) == crosses
-        # pairwise lists partition the boundary set
-        pairwise = set()
-        for i in range(sharded2.num_shards):
-            for j in range(sharded2.num_shards):
-                pairwise.update(sharded2.boundary_between(i, j))
-        assert pairwise == set(boundary)
-        # per-shard views agree with the pairwise index
-        for shard in sharded2.shards:
-            for eid in shard.boundary_out:
-                assert sharded2.edge(eid).source in shard.vertex_ids
-            for eid in shard.boundary_in:
-                assert sharded2.edge(eid).target in shard.vertex_ids
-
-    def test_partition_stats(self, sharded2, tiny_graph):
-        stats = sharded2.partition_stats()
-        assert stats["num_shards"] == 2
-        assert sum(stats["vertices_per_shard"]) == tiny_graph.num_vertices
-        assert sum(stats["edges_per_shard"]) == tiny_graph.num_edges
-        assert 0.0 <= stats["boundary_fraction"] <= 1.0
-        assert stats["version"] == tiny_graph.version
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GraphPartitioner(0)
-
-
-class TestShardedGraphFacade:
-    """The façade must agree with the source graph accessor-by-accessor."""
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_accessors_match_source(self, tiny_graph, num_shards):
-        sharded = GraphPartitioner(num_shards).partition(tiny_graph)
-        assert sharded.version == tiny_graph.version
-        assert sharded.num_vertices == tiny_graph.num_vertices
-        assert sharded.num_edges == tiny_graph.num_edges
-        assert sharded.edge_types() == tiny_graph.edge_types()
-        assert sharded.edge_type_counts() == tiny_graph.edge_type_counts()
-        assert list(sharded.vertices()) == sorted(tiny_graph.vertices())
-        assert [r.eid for r in sharded.edges()] == [
-            r.eid for r in tiny_graph.edges()
-        ]
-        for vid in tiny_graph.vertices():
-            assert sharded.vertex_attributes(vid) == tiny_graph.vertex_attributes(vid)
-            assert list(sharded.out_edges(vid)) == list(tiny_graph.out_edges(vid))
-            assert list(sharded.in_edges(vid)) == list(tiny_graph.in_edges(vid))
-            assert sharded.degree(vid) == tiny_graph.degree(vid)
-            for t in tiny_graph.edge_types():
-                assert list(sharded.out_edges_of_type(vid, t)) == list(
-                    tiny_graph.out_edges_of_type(vid, t)
-                )
-                assert list(sharded.in_edges_of_type(vid, t)) == list(
-                    tiny_graph.in_edges_of_type(vid, t)
-                )
-                assert sharded.out_degree_of_type(vid, t) == (
-                    tiny_graph.out_degree_of_type(vid, t)
-                )
-        for t in tiny_graph.edge_types():
-            assert sharded.edges_of_type(t) == tiny_graph.edges_of_type(t)
-            assert sharded.num_edges_of_type(t) == tiny_graph.num_edges_of_type(t)
-        assert set(sharded.vertex_attr_values("type")) == set(
-            tiny_graph.vertex_attr_values("type")
-        )
-        assert sharded.vertex_value_counts("name") == (
-            tiny_graph.vertex_value_counts("name")
-        )
-        for value in ("person", "university", "city"):
-            assert sharded.vertices_with("type", value) == (
-                tiny_graph.vertices_with("type", value)
-            )
-            assert sharded.num_vertices_with("type", value) == (
-                tiny_graph.num_vertices_with("type", value)
-            )
-
-    def test_read_only(self, sharded2):
-        with pytest.raises(TypeError):
-            sharded2.add_vertex(type="person")
-        with pytest.raises(TypeError):
-            sharded2.add_edge(0, 1, "knows")
-
-    def test_subgraph_matches_source(self, sharded2, tiny_graph):
-        keep = [0, 1, 4]
-        sub = sharded2.subgraph(keep)
-        ref = tiny_graph.subgraph(keep)
-        assert sub.num_vertices == ref.num_vertices
-        assert sub.num_edges == ref.num_edges
-        assert sub.edge_type_counts() == ref.edge_type_counts()
-
-    def test_unmodified_matcher_runs_on_facade(self, tiny_graph, sharded2):
-        """The façade is a drop-in evaluation substrate: a plain
-        PatternMatcher (and a whole ExecutionContext) accepts it."""
-        query = typed_query("person", "workAt")
-        assert PatternMatcher(sharded2).count(query) == (
-            PatternMatcher(tiny_graph).count(query)
-        )
-        context = ExecutionContext(sharded2)
-        assert context.count(query) == 3
-        assert context.statistics.estimate_query_cardinality(query) > 0
-
-
-class TestShardedMatcher:
-    """Acceptance: permutation-identical results across shard counts."""
-
-    def queries(self):
-        knows_both = GraphQuery()
-        a = knows_both.add_vertex(predicates={"type": equals("person")})
-        b = knows_both.add_vertex(predicates={"type": equals("person")})
-        knows_both.add_edge(a, b, types={"knows"}, directions=BOTH_DIRECTIONS)
-        two_hop = GraphQuery()
-        p = two_hop.add_vertex(predicates={"type": equals("person")})
-        u = two_hop.add_vertex(predicates={"type": equals("university")})
-        c = two_hop.add_vertex(predicates={"type": equals("city")})
-        two_hop.add_edge(p, u, types={"workAt"})
-        two_hop.add_edge(u, c, types={"locatedIn"})
-        untyped_vertex = GraphQuery()
-        x = untyped_vertex.add_vertex()
-        y = untyped_vertex.add_vertex(predicates={"type": equals("country")})
-        untyped_vertex.add_edge(x, y, types={"isPartOf"})
-        return {
-            "work": typed_query("person", "workAt"),
-            "knows_both": knows_both,
-            "two_hop": two_hop,
-            "untyped_seed": untyped_vertex,
-            "names": GraphQuery(),
-        }
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_match_permutation_identical(self, tiny_graph, num_shards):
-        reference = PatternMatcher(tiny_graph, compiled=False)
-        sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
-        for name, query in self.queries().items():
-            if query.num_vertices == 0:
-                continue
-            expected = reference.match(query)
-            merged = sharded.match(query)
-            assert result_key(merged) == result_key(expected), (name, num_shards)
-            assert sharded.count(query) == expected.cardinality
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_self_loop_permutation_identical(self, num_shards):
-        g = PropertyGraph()
-        a = g.add_vertex(type="node")
-        b = g.add_vertex(type="node")
-        g.add_edge(a, a, "likes")
-        g.add_edge(a, b, "likes")
-        g.add_edge(b, b, "likes")
-        q = GraphQuery()
-        x = q.add_vertex(predicates={"type": equals("node")})
-        y = q.add_vertex(predicates={"type": equals("node")})
-        q.add_edge(x, y, types={"likes"}, directions=BOTH_DIRECTIONS)
-        reference = PatternMatcher(g, injective=False, compiled=False)
-        sharded = ShardedMatcher(
-            GraphPartitioner(num_shards).partition(g), injective=False
-        )
-        assert result_key(sharded.match(q)) == result_key(reference.match(q))
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_bounded_count_value_identical(self, tiny_graph, num_shards):
-        reference = PatternMatcher(tiny_graph, compiled=False)
-        sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
-        query = typed_query("person", "workAt")
-        for limit in (1, 2, 3, 100):
-            assert sharded.count(query, limit=limit) == reference.count(
-                query, limit=limit
-            ), (num_shards, limit)
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_candidates_partition_the_merged_set(self, tiny_graph, num_shards):
-        sharded_graph = GraphPartitioner(num_shards).partition(tiny_graph)
-        sharded = ShardedMatcher(sharded_graph)
-        query = GraphQuery()
-        vid = query.add_vertex(
-            predicates={"type": equals("person"), "name": one_of("Anna", "Bob")}
-        )
-        merged, per_shard = sharded.candidates(query.vertex(vid))
-        assert merged == frozenset({0, 1})
-        union = set()
-        for index, block in per_shard.items():
-            assert block is not None
-            assert block <= sharded_graph.shards[index].vertex_ids
-            assert not (union & block)  # disjoint
-            union |= block
-        assert union == merged
-
-    def test_unconstrained_vertex_candidates(self, sharded2):
-        query = GraphQuery()
-        vid = query.add_vertex()
-        merged, per_shard = ShardedMatcher(sharded2).candidates(query.vertex(vid))
-        assert merged is None
-        assert all(block is None for block in per_shard.values())
-
-    def test_fan_out_runs_each_shard_once_in_ascending_order(self, tiny_graph):
-        """The per-shard fan-out is a plain loop: every shard is evaluated
-        once, lowest index first, and the merge is the unsharded result."""
-        reference = PatternMatcher(tiny_graph, compiled=False)
-        sharded = ShardedMatcher(GraphPartitioner(4).partition(tiny_graph))
-        visited = []
-        count_shard = sharded.count_shard
-
-        def recording(index, query, limit=None, edge_order=None):
-            visited.append(index)
-            return count_shard(index, query, limit=limit, edge_order=edge_order)
-
-        sharded.count_shard = recording
-        query = typed_query("person", "workAt")
-        assert sharded.count(query) == reference.count(query)
-        assert visited == [0, 1, 2, 3]
-        before = sharded.shard_tasks
-        assert result_key(sharded.match(query)) == result_key(reference.match(query))
-        assert sharded.shard_tasks == before + 4
-
-    def test_requires_sharded_graph(self, tiny_graph):
-        with pytest.raises(TypeError):
-            ShardedMatcher(tiny_graph)
-
-    def test_exists_and_info(self, sharded2):
-        sharded = ShardedMatcher(sharded2)
-        assert sharded.exists(typed_query("person", "workAt"))
-        assert not sharded.exists(typed_query("person", "missingEdgeType"))
-        info = sharded.info()
-        assert info["shards"] == 2
-        assert info["shard_tasks"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -401,24 +111,6 @@ class TestProcessExecutor:
                 reference.count(query, limit=limit)
             ]
 
-    def test_payload_ledger_counts_the_snapshot_per_worker(
-        self, process_graph, process_executor
-    ):
-        """shards=1: every worker is warmed from the whole snapshot, and
-        the ledger says so once per worker."""
-        import pickle
-
-        from repro.core.serialize import graph_to_dict
-
-        snapshot = len(
-            pickle.dumps(graph_to_dict(process_graph), pickle.HIGHEST_PROTOCOL)
-        )
-        pools = process_executor.info()["pools"]
-        assert pools["placement"] == "full"
-        assert pools["placement_map"] == {}
-        assert pools["payload_bytes_per_worker"] == [snapshot, snapshot]
-        assert pools["payload_bytes_max"] == snapshot
-
     def test_evaluator_routes_queries_through_pool(
         self, process_graph, process_executor
     ):
@@ -467,8 +159,6 @@ class TestProcessExecutor:
     def test_validation(self, process_graph):
         with pytest.raises(ValueError):
             ProcessExecutor(process_graph, max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(process_graph, shards=0)
 
     def test_concurrent_first_touch_builds_one_pool(self, process_graph):
         """The service serves concurrent explains; two threads racing
@@ -616,13 +306,12 @@ class TestServiceProcessMode:
             stats = service.stats()
         assert report.problem is CardinalityProblem.EMPTY
         assert self.explanation_key(report) == self.explanation_key(reference)
-        pools = stats["pools"]
-        assert pools["pools_live"] == 1
-        assert pools["workers"] == 1
+        assert stats["pools"] is None
+        (graph_stats,) = stats["per_graph"]
+        pools = graph_stats["process_pool"]["pools"]
+        assert pools["pool_live"]
+        assert pools["max_workers"] == 1
         assert pools["queries_shipped"] > 0
-        assert pools["placement"] == "full"
-        graph_pools = stats["per_graph"][0]["process_pool"]["pools"]
-        assert pools["payload_bytes"] == sum(graph_pools["payload_bytes_per_worker"]) > 0
 
     def test_batched_process_service_is_deterministic(self, process_graph):
         """With a real worker batch (preferred batch = workers) the
@@ -630,9 +319,7 @@ class TestServiceProcessMode:
         but it must be deterministic request-over-request and its
         explanations genuine."""
         query = self.failing_query()
-        with WhyQueryService(
-            executor="process", process_workers=2, shards=2
-        ) as service:
+        with WhyQueryService(executor="process", process_workers=2) as service:
             reports = [service.explain(process_graph, query) for _ in range(3)]
             stats = service.stats()
         keys = [self.explanation_key(r) for r in reports]
@@ -643,10 +330,6 @@ class TestServiceProcessMode:
             for r in reports
             for x in r.rewriting.explanations
         )
-        pools = stats["pools"]
-        assert pools["workers"] == 2
-        assert pools["shards_per_pool"] == 2
-        assert pools["placement"] == "affine"
         assert stats["per_graph"][0]["process_pool"]["pools"]["max_workers"] == 2
 
     def test_eviction_closes_worker_pool(self, process_graph):
@@ -666,14 +349,13 @@ class TestServiceProcessMode:
             # the first graph's slot was evicted and its pool shut down
             assert stats["service"]["evictions"] == 1
             assert not first_entry.executor.info()["pools"]["pool_live"]
-            assert stats["pools"]["pools_live"] == 1
+            (graph_stats,) = stats["per_graph"]
+            assert graph_stats["process_pool"]["pools"]["pool_live"]
 
     def test_worker_semantics_follow_context_factory(self, process_graph):
         """A context_factory changing matcher semantics (homomorphic
         matching here) must reach the workers, or process-mode counts
         silently diverge from the serial service's."""
-        from repro.exec import ExecutionContext
-
         def homomorphic(graph):
             return ExecutionContext(graph, injective=False)
 
@@ -717,7 +399,5 @@ class TestServiceProcessMode:
             WhyQueryService(executor="threads")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WhyQueryService(shards=0)
         with pytest.raises(ValueError):
             WhyQueryService(executor="process", process_workers=0)

@@ -2,11 +2,9 @@
 metric invariants, plus the **randomized differential oracle suite**:
 seeded random graphs and queries run through every execution path --
 the serial *interpreter* (``PatternMatcher(compiled=False)``, the oracle),
-the compiled CSR backend every other path now defaults to, the wire
-protocol, ``ShardedMatcher`` at shard counts {1, 2, 4}, the
-interpreted shard-affine slice path and the compiled one --
-asserting count value-identity and match-set permutation-identity
-everywhere.  Seeds are fixed in-code so every failure reproduces."""
+the compiled CSR backend every other path now defaults to and the wire
+protocol -- asserting count value-identity, match-set
+permutation-identity and, between the two backends, steps-identity.  Seeds are fixed in-code so every failure reproduces."""
 
 import random
 from collections import Counter
@@ -49,9 +47,8 @@ from repro.rewrite.operations import (
     fine_concretisations,
     fine_relaxations,
 )
-from repro.obs import SPAN_BLOCK, SPAN_FALLBACK, SPAN_MATCH, SPAN_PLAN, Tracer
+from repro.obs import SPAN_MATCH, SPAN_PLAN, Tracer
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner, ShardedMatcher, SliceEvaluator
 
 # -- strategies ---------------------------------------------------------------
 
@@ -326,7 +323,6 @@ class TestMatcherProperties:
 # provers and PUG's systematic provenance checks.
 
 DIFFERENTIAL_SEEDS = range(100)
-DIFFERENTIAL_SHARD_COUNTS = (1, 2, 4)
 
 EDGE_TYPES = ("r", "s", "t")
 
@@ -337,7 +333,7 @@ def random_differential_graph(rng: random.Random) -> PropertyGraph:
     g = PropertyGraph()
     n = rng.randint(4, 12)
     # sparse ids assigned in shuffled order: insertion order disagrees
-    # with id order, and contiguous vertex-range shards cut mid-cluster
+    # with id order
     vids = rng.sample(range(0, n * 4), n)
     for vid in vids:
         attrs = {"type": rng.choice("abc")}
@@ -349,12 +345,11 @@ def random_differential_graph(rng: random.Random) -> PropertyGraph:
         u = rng.choice(vids)
         roll = rng.random()
         if roll < 0.15:
-            v = u  # self-loop (sometimes on a boundary vertex)
+            v = u  # self-loop
         elif roll < 0.6:
             v = rng.choice(vids)
         else:
-            # boundary-heavy: long-range edge across the id space, so a
-            # vertex-range partition almost certainly cuts it
+            # long-range edge across the id space
             v = high if u - low < high - u else low
         g.add_edge(u, v, rng.choice(EDGE_TYPES), w=rng.randint(0, 3))
     return g
@@ -363,7 +358,7 @@ def random_differential_graph(rng: random.Random) -> PropertyGraph:
 def random_differential_query(rng: random.Random) -> GraphQuery:
     """Random small query: typed/untyped/multi-type edges, direction
     sets, value-set and interval predicates, occasional disconnected
-    patterns (the shard-affine fallback path)."""
+    patterns."""
 
     def vertex_predicates():
         preds = {}
@@ -396,7 +391,7 @@ def random_differential_query(rng: random.Random) -> GraphQuery:
         a = q.add_vertex(predicates=vertex_predicates())
         b = q.add_vertex(predicates=vertex_predicates())
         q.add_edge(a, b, **edge_kwargs())
-    elif shape < 0.8:  # two-hop path (exercises cross-shard second hops)
+    elif shape < 0.8:  # two-hop path
         a = q.add_vertex(predicates=vertex_predicates())
         b = q.add_vertex()
         c = q.add_vertex(predicates=vertex_predicates())
@@ -520,81 +515,17 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
         assert match_list(compiled.match(query, limit=limit)) == listed, context
         assert compiled.steps - before == match_steps, context
 
-    for num_shards in DIFFERENTIAL_SHARD_COUNTS:
-        sharded_graph = GraphPartitioner(num_shards).partition(graph)
-        context = (num_shards, query.signature())
-
-        # path 2: per-shard fan-out with deterministic ascending merge
-        sharded = ShardedMatcher(sharded_graph, injective=injective)
-        assert sharded.count(query) == expected_count, context
-        assert match_key(sharded.match(query)) == expected_matches, context
-        for limit, bounded in expected_bounded.items():
-            assert sharded.count(query, limit=limit) == bounded, (context, limit)
-
-        # path 3: shard-affine placement -- per-shard wire payloads,
-        # slice-local evaluation, coordinator fallback on misses (the
-        # identical code path the affine ProcessExecutor workers run,
-        # minus the process boundary; the boundary itself is covered by
-        # tests/test_affine.py).  Interpreted throughout: the slices'
-        # own accessors raise the misses
-        affine = SliceEvaluator.for_sharded(
-            sharded_graph,
-            injective=injective,
-            compiled=False,
-            fallback=ShardedMatcher(sharded_graph, injective=injective, compiled=False),
-        )
-        assert affine.count(query) == expected_count, context
-        assert match_key(affine.match(query)) == expected_matches, context
-        for limit, bounded in expected_bounded.items():
-            assert affine.count(query, limit=limit) == bounded, (context, limit)
-
-        # path 4: the same slice-local evaluation with every per-slice
-        # matcher (and the coordinator fallback) running the compiled
-        # backend -- partial-graph CSR builds, ShardMiss propagation out
-        # of generated kernels, seed-range clamps, all compiled
-        affine_compiled = SliceEvaluator.for_sharded(
-            sharded_graph,
-            injective=injective,
-            compiled=True,
-            fallback=ShardedMatcher(
-                sharded_graph, injective=injective, compiled=True
-            ),
-        )
-        assert affine_compiled.count(query) == expected_count, context
-        assert match_key(affine_compiled.match(query)) == expected_matches, context
-        for limit, bounded in expected_bounded.items():
-            assert affine_compiled.count(query, limit=limit) == bounded, (
-                context,
-                limit,
-            )
-
-    # span-kind parity (observability): the same count traced on every
-    # in-process path must surface the same *core* span kinds -- the
-    # trace a user reads must not depend on which backend served the
-    # request.  Kind presence only; timings and span counts may differ.
+    # span-kind parity (observability): the same count traced on both
+    # backends must surface the same *core* span kinds -- the trace a
+    # user reads must not depend on which backend served the request.
+    # Kind presence only; timings and span counts may differ.
     core = {SPAN_MATCH, SPAN_PLAN}
     per_path = {
         "serial": traced_count_kinds(oracle, query),
         "compiled": traced_count_kinds(compiled, query),
-        "sharded": traced_count_kinds(sharded, query),
     }
     for path, kinds in per_path.items():
         assert core <= kinds, (path, kinds, query.signature())
-    # the affine slice path answers from per-shard blocks (or falls
-    # back to the coordinator); either way the core kinds still appear.
-    # A fresh evaluator keeps the block memo cold -- a memo hit answers
-    # without running (and therefore without tracing) anything.
-    affine_cold = SliceEvaluator.for_sharded(
-        sharded_graph,
-        injective=injective,
-        fallback=ShardedMatcher(sharded_graph, injective=injective),
-    )
-    affine_kinds = traced_count_kinds(affine_cold, query)
-    assert SPAN_BLOCK in affine_kinds or SPAN_FALLBACK in affine_kinds, (
-        affine_kinds,
-        query.signature(),
-    )
-    assert core <= affine_kinds, (affine_kinds, query.signature())
 
 
 MUTATION_SEEDS = range(20)
@@ -687,9 +618,8 @@ class TestMutateBetweenQueries:
 
 
 class TestDifferentialOracle:
-    """Acceptance: >= 100 seeded random cases, six execution paths
-    (serial, compiled, wire, sharded 1/2/4, affine, affine-compiled),
-    zero divergences."""
+    """Acceptance: >= 100 seeded random cases, three execution paths
+    (serial, compiled, wire), zero divergences."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_all_execution_paths_agree(self, seed, wire_client):
@@ -703,22 +633,24 @@ class TestDifferentialOracle:
     def test_generator_covers_the_adversarial_features(self):
         """The generator must actually produce the layouts the suite
         advertises (guards against a silently tamed generator)."""
-        self_loops = boundary_cut = out_of_order = disconnected = 0
+        self_loops = long_range = out_of_order = disconnected = 0
         for seed in DIFFERENTIAL_SEEDS:
             rng = random.Random(seed)
             graph = random_differential_graph(rng)
             query = random_differential_query(rng)
             if any(r.source == r.target for r in graph.edges()):
                 self_loops += 1
-            sharded = GraphPartitioner(2).partition(graph)
-            if sharded.boundary_edges():
-                boundary_cut += 1
+            # an edge joining the lower and the upper half of the ids
+            vids = sorted(graph.vertices())
+            upper = set(vids[(len(vids) + 1) // 2 :])
+            if any((r.source in upper) != (r.target in upper) for r in graph.edges()):
+                long_range += 1
             if list(graph.vertices()) != sorted(graph.vertices()):
                 out_of_order += 1
             if not query.is_connected():
                 disconnected += 1
         assert self_loops >= 30
-        assert boundary_cut >= 80
+        assert long_range >= 80
         assert out_of_order >= 90
         assert disconnected >= 5
 

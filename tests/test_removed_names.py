@@ -34,7 +34,7 @@ from repro.metrics import CardinalityThreshold
 from repro.persist import RestoreReport
 from repro.rewrite import CoarseRewriter, GraphStatistics
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
+from repro.shard import ProcessExecutor
 from repro.why import DebugSession, WhyQueryEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +85,37 @@ REMOVED_NAMES = (
     "candidate_hit_rate",
     "repro.matching.evalcache",
     "evalcache=",
+    "GraphPartitioner",
+    "GraphShard",
+    "ShardedGraph",
+    "ShardedMatcher",
+    "ShardSlice",
+    "SliceEvaluator",
+    "ShardMiss",
+    "affine_placement",
+    "canonical_edge_order",
+    "shard_to_wire",
+    "shards_to_wire",
+    "shard_from_wire",
+    "delta_to_wire",
+    "delta_from_wire",
+    "route_deltas",
+    "_halo_holders",
+    "seed_restrict",
+    "restricted_seed_pool",
+    "shards=",
+    "shards_per_pool",
+    "SPAN_BLOCK",
+    "SPAN_FALLBACK",
+    "shard_fallbacks",
+    "placement_map",
+    "affine_fallbacks",
+    "payload_bytes",
+    "worker_catchups",
+    "_ensure_affine_pools",
+    "_try_catch_up_locked",
+    "_run_queries_affine",
+    "adjmiss",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -242,7 +273,7 @@ def test_candidate_cache_is_gone(tiny_graph):
         assert not {"candidate_hits", "candidate_hit_rate"} & fields, row
 
 
-# -- PR 25: the shard count is the process tier's only shape setting ----------
+# -- one process pool: every worker holds the full snapshot -------------------
 
 
 @pytest.mark.parametrize("placement", ["full", "affine"])
@@ -250,32 +281,96 @@ def test_placement_is_a_type_error(tiny_graph, placement):
     with pytest.raises(TypeError):
         WhyQueryService(executor="process", placement=placement)
     with pytest.raises(TypeError):
-        ProcessExecutor(tiny_graph, shards=2, placement=placement)
+        ProcessExecutor(tiny_graph, placement=placement)
 
 
-def test_sharded_matcher_takes_no_executor(tiny_graph):
-    from repro.exec import SerialExecutor
-
+def test_shards_is_a_type_error(tiny_graph):
     with pytest.raises(TypeError):
-        ShardedMatcher(GraphPartitioner(2).partition(tiny_graph), executor=SerialExecutor())
+        WhyQueryService(executor="process", shards=2)
+    with pytest.raises(TypeError):
+        ProcessExecutor(tiny_graph, shards=2)
+    for holder in (WhyQueryService(), ProcessExecutor(tiny_graph)):
+        assert not hasattr(holder, "shards"), holder
 
 
-def test_full_snapshot_fan_out_is_gone(tiny_graph):
-    """No per-shard counter, no second routing path; ``placement`` is
-    read off the shard count."""
-    for shards, placement in ((1, "full"), (2, "affine")):
-        with ProcessExecutor(tiny_graph, max_workers=1, shards=shards) as executor:
-            pools = executor.info()["pools"]
-            assert pools["placement"] == placement
-            with pytest.raises(KeyError):
-                pools["sharded_counts"]
-            for name in ("count_sharded", "submit_block", "supports_placement"):
-                assert not hasattr(executor, name)
-        with WhyQueryService(executor="process", shards=shards) as service:
-            pools = service.stats()["pools"]
-            assert pools["placement"] == placement
-            with pytest.raises(KeyError):
-                pools["sharded_counts"]
+def test_shard_layer_is_the_process_pool_only():
+    import repro.core.serialize
+    import repro.obs
+    import repro.obs.tracing
+    import repro.shard
+
+    assert repro.shard.__all__ == ["ProcessExecutor"]
+    for module in ("partition", "affine", "matching"):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.shard.{module}")
+    for name in (
+        "GraphPartitioner", "GraphShard", "ShardedGraph", "ShardedMatcher",
+        "ShardSlice", "SliceEvaluator", "ShardMiss", "ProcessExecutor",
+    ):
+        assert not hasattr(repro, name) and name not in repro.__all__, name
+        if name != "ProcessExecutor":
+            assert not hasattr(repro.shard, name), name
+    import repro.shard.process_executor as process_executor
+
+    for name in (
+        "affine_placement", "canonical_edge_order", "_affine_worker_init",
+        "_affine_worker_count_block", "_affine_worker_apply_deltas",
+    ):
+        assert not hasattr(process_executor, name), name
+    for name in (
+        "_ensure_affine_pools", "_try_catch_up_locked", "_local",
+        "_resolve_block", "_run_queries_affine",
+    ):
+        assert not hasattr(ProcessExecutor, name), name
+    for name in (
+        "shard_to_wire", "shards_to_wire", "shard_from_wire", "delta_to_wire",
+        "delta_from_wire", "route_deltas", "_halo_holders",
+    ):
+        assert not hasattr(repro.core.serialize, name), name
+    for name in ("SPAN_BLOCK", "SPAN_FALLBACK"):
+        assert not hasattr(repro.obs, name) and not hasattr(repro.obs.tracing, name)
+
+
+def test_partial_graph_matching_is_gone(tiny_graph):
+    from repro.core.delta import delta_touch
+    from repro.matching.csr import CSRIndex, csr_for
+
+    q = GraphQuery()
+    q.add_vertex(predicates={"type": equals("person")})
+    for compiled in (True, False):
+        matcher = PatternMatcher(tiny_graph, compiled=compiled)
+        for call in (matcher.match, matcher.count, matcher.exists):
+            with pytest.raises(TypeError):
+                call(q, seed_restrict={0})
+    csr = csr_for(tiny_graph)
+    assert not hasattr(CSRIndex, "restricted_seed_pool")
+    for name in ("partial", "known", "shard_index", "_restrict_pools"):
+        assert not hasattr(csr, name), name
+    # the halo-vertex delta record only shard routing produced
+    with pytest.raises(ValueError):
+        delta_touch([("hv", 99, {})])
+    assert not csr._patchable([("hv", 10_000, {})])
+
+
+def test_affine_stats_keys_are_gone(tiny_graph):
+    with ProcessExecutor(tiny_graph, max_workers=1) as executor:
+        assert executor.run_queries([failing_query()]) == [0]
+        info = executor.info()
+    for key in (
+        "shards", "placement", "placement_map", "affine_fallbacks",
+        "payload_bytes_per_worker", "payload_bytes_max", "sharded_counts",
+    ):
+        with pytest.raises(KeyError):
+            info["pools"][key]
+    assert set(info["deltas"]) == {"applied"}
+    with WhyQueryService(executor="process", process_workers=1) as service:
+        service.explain(tiny_graph, failing_query())
+        stats = service.stats()
+        (entry,) = service.slow_queries()
+    assert stats["pools"] is None  # per-graph pools report under per_graph
+    assert set(stats["deltas"]) == {"applied"}
+    assert "process_pool" in stats["per_graph"][0]
+    assert "shard_fallbacks" not in entry
 
 
 # -- PR 24: a context is the only binding ------------------------------------
@@ -346,13 +441,12 @@ def test_graph_and_context_must_agree(tiny_graph, entry):
 #: every constructor option of the engine stack, in signature order
 CONSTRUCTOR_SURFACE = {
     WhyQueryService: (
-        "max_contexts", "executor", "budget_pool", "context_factory", "shards",
+        "max_contexts", "executor", "budget_pool", "context_factory",
         "process_workers", "slow_log_capacity", "persist", "engine_options",
     ),
     ProcessExecutor: (
-        "graph", "max_workers", "shards", "injective", "start_method", "compiled",
+        "graph", "max_workers", "injective", "start_method", "compiled",
     ),
-    ShardedMatcher: ("sharded", "injective", "compiled"),
     PatternMatcher: ("graph", "injective", "compiled"),
     GraphStatistics: ("graph",),
     WhyQueryEngine: (

@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 
 import pytest
 
@@ -31,11 +30,7 @@ from repro.core.serialize import (
     query_to_wire,
     result_set_from_dict,
     result_set_to_dict,
-    shard_from_wire,
-    shard_to_wire,
-    shards_to_wire,
 )
-from repro.shard import GraphPartitioner
 
 
 class TestPredicateRoundTrip:
@@ -280,123 +275,6 @@ class TestWireForms:
         futuristic = (wire[0], 99, wire[2], wire[3])
         with pytest.raises(MalformedQueryError):
             query_from_wire(futuristic)
-
-
-class TestShardWireRoundTrip:
-    """Per-shard wire form (ISSUE 5): the affine worker transport."""
-
-    def awkward_sharded(self, num_shards=2):
-        return GraphPartitioner(num_shards).partition(build_awkward_graph())
-
-    def test_version_carried_exactly(self, tiny_graph):
-        sharded = GraphPartitioner(3).partition(tiny_graph)
-        for index in range(3):
-            payload = shard_to_wire(sharded, index)
-            assert payload["version"] == tiny_graph.version
-            assert shard_from_wire(payload).version == tiny_graph.version
-
-    def test_payload_is_pure_picklable_composite(self, tiny_graph):
-        """No closures, no custom classes: dicts/lists/scalars only,
-        and pickle/JSON round-trips change nothing observable."""
-        allowed = (dict, list, tuple, str, int, float, bool, type(None))
-
-        def check(obj, path="payload"):
-            assert isinstance(obj, allowed), (path, type(obj))
-            if isinstance(obj, dict):
-                for key, value in obj.items():
-                    assert isinstance(key, str), (path, key)
-                    check(value, f"{path}.{key}")
-            elif isinstance(obj, (list, tuple)):
-                for i, value in enumerate(obj):
-                    check(value, f"{path}[{i}]")
-
-        sharded = GraphPartitioner(2).partition(tiny_graph)
-        payload = shard_to_wire(sharded, 0)
-        check(payload)
-        assert pickle.loads(pickle.dumps(payload)) == payload
-        rebuilt = shard_from_wire(json.loads(json.dumps(payload)))
-        assert rebuilt.vids == sharded.shards[0].vids
-
-    def test_owned_and_halo_partition(self):
-        sharded = self.awkward_sharded()
-        for index in range(2):
-            slice_ = shard_from_wire(shard_to_wire(sharded, index))
-            shard = sharded.shards[index]
-            assert slice_.vertex_ids == shard.vertex_ids
-            for vid in shard.vids:
-                assert slice_.vertex_attributes(vid) == (
-                    sharded.vertex_attributes(vid)
-                )
-                assert list(slice_.out_edges(vid)) == list(sharded.out_edges(vid))
-                assert list(slice_.in_edges(vid)) == list(sharded.in_edges(vid))
-                for t in sharded.edge_types():
-                    assert list(slice_.out_edges_of_type(vid, t)) == list(
-                        sharded.out_edges_of_type(vid, t)
-                    )
-                    assert list(slice_.in_edges_of_type(vid, t)) == list(
-                        sharded.in_edges_of_type(vid, t)
-                    )
-            # halo: remote endpoints of boundary edges are readable
-            for eid in shard.boundary_out + shard.boundary_in:
-                record = sharded.edge(eid)
-                for vid in (record.source, record.target):
-                    assert slice_.vertex_attributes(vid) == (
-                        sharded.vertex_attributes(vid)
-                    )
-
-    def test_boundary_rows_projected(self):
-        sharded = self.awkward_sharded()
-        for index in range(2):
-            slice_ = shard_from_wire(shard_to_wire(sharded, index))
-            assert slice_.boundary_rows == sharded.boundary_rows(index)
-            for key in slice_.boundary_rows:
-                assert index in key
-
-    def test_matcher_steps_identical_after_round_trip(self):
-        """A seed-restricted search on the rebuilt slice must take the
-        exact ``steps`` the full graph takes under the same plan -- the
-        wire format preserves adjacency insertion order."""
-        from repro.matching import PatternMatcher
-
-        graph = build_awkward_graph()
-        sharded = GraphPartitioner(2).partition(graph)
-        q = GraphQuery()
-        a = q.add_vertex(predicates={"type": equals("node")})
-        b = q.add_vertex(predicates={"type": equals("node")})
-        q.add_edge(a, b, types={"likes"}, directions=BOTH_DIRECTIONS)
-        order = [0]  # pin the plan so both sides walk identically
-        for index in range(2):
-            slice_ = shard_from_wire(
-                json.loads(json.dumps(shard_to_wire(sharded, index)))
-            )
-            reference = PatternMatcher(graph, injective=False, compiled=False)
-            rebuilt = PatternMatcher(slice_, injective=False)
-            expected = reference.match(
-                q, edge_order=order, seed_restrict=slice_.vertex_ids
-            )
-            got = rebuilt.match(q, edge_order=order, seed_restrict=slice_.vertex_ids)
-            assert list(got) == list(expected)  # same matches, same order
-            assert rebuilt.steps == reference.steps
-
-    def test_single_pass_bulk_form_is_equivalent(self, tiny_graph):
-        """``shards_to_wire`` (one edge scan for all shards -- the pool
-        warm-up path) must produce exactly the per-shard payloads."""
-        for graph in (tiny_graph, build_awkward_graph()):
-            for num_shards in (1, 2, 4):
-                sharded = GraphPartitioner(num_shards).partition(graph)
-                bulk = shards_to_wire(sharded)
-                assert bulk == [
-                    shard_to_wire(sharded, index) for index in range(num_shards)
-                ]
-
-    def test_malformed_payload_rejected(self, tiny_graph):
-        with pytest.raises(MalformedQueryError):
-            shard_from_wire({"kind": "graph"})
-        sharded = GraphPartitioner(2).partition(tiny_graph)
-        payload = shard_to_wire(sharded, 0)
-        futuristic = dict(payload, format=99)
-        with pytest.raises(MalformedQueryError):
-            shard_from_wire(futuristic)
 
 
 class TestResultSetRoundTrip:

@@ -24,7 +24,6 @@ from repro.matching.candidates import attributes_match
 from repro.matching.csr import PROJECTION_CAP, CSRIndex, csr_for
 from repro.rewrite.statistics import PATH1_CAP, GraphStatistics
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner
 
 from test_property_based import (
     DERIVATION_SEEDS,
@@ -343,8 +342,8 @@ def statistics_variant(rng: random.Random, query: GraphQuery) -> GraphQuery:
 class TestDifferentialStatistics:
     """The property-based generator's 100 seeded graphs and queries
     (multi-type parallel edges, boundary self-loops, direction sets,
-    intervals, untyped and disconnected queries): every statistic on the
-    plain graph and on the ``ShardedGraph`` façade equals the record walk."""
+    intervals, untyped and disconnected queries): every statistic equals
+    the record walk."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_statistics_equal_the_record_walk(self, seed):
@@ -353,16 +352,12 @@ class TestDifferentialStatistics:
         query = random_differential_query(rng)
         queries = [query, statistics_variant(rng, query)]
         reference = ReferenceStatistics(graph)
-        targets = [graph] + [
-            GraphPartitioner(shards).partition(graph) for shards in (2, 4)
-        ]
-        for target in targets:
-            stats = GraphStatistics(target)
-            for q in queries:
-                assert_statistics_equal(stats, reference, q)
-            # and again, served from the memo
-            for q in queries:
-                assert_statistics_equal(stats, reference, q)
+        stats = GraphStatistics(graph)
+        for q in queries:
+            assert_statistics_equal(stats, reference, q)
+        # and again, served from the memo
+        for q in queries:
+            assert_statistics_equal(stats, reference, q)
 
     def test_variants_cover_edge_predicates_and_backward_edges(self):
         predicated = backward = 0

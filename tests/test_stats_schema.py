@@ -108,6 +108,7 @@ class TestServiceSurface:
             assert_unified(stats)
             assert stats["service"]["explain_calls"] == 1
             assert stats["service"]["contexts_live"] == 1
+            assert set(stats["deltas"]) == {"applied"}
             payload = json.loads(json.dumps(stats))
             assert_unified(payload)
 
@@ -157,8 +158,12 @@ class TestExecutorSurface:
         try:
             info = executor.info()
             assert_unified(info)
+            assert set(info["pools"]) == {
+                "max_workers", "start_method", "pool_live", "pool_rebuilds",
+                "batches", "queries_shipped", "snapshot_version",
+            }
             assert info["pools"]["max_workers"] == 1
-            assert info["pools"]["placement"] == "full"
+            assert info["deltas"] == {"applied": 0}
         finally:
             executor.close()
 

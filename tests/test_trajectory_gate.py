@@ -38,16 +38,8 @@ def baseline_payload() -> dict:
             "speedup_2w": 1.8,
             "serial_s": 0.2,
         },
-        "affine_placement": {
-            "cpu_cores": 2,
-            "workers_cap": 2,
-            "payload_ratio_4s": 3.5,
-            "speedup_2s": 1.3,
-            "payloads": {},
-        },
         "mutate_while_serving": {
             "csr": {"patch_rate": 1.0},
-            "catchup": {"warm_hit_rate": 1.0, "reship_ratio": 3000.0},
         },
         "observability": {
             "enabled_ratio": 0.98,
@@ -211,33 +203,6 @@ class TestDeltaSyncGates:
         fresh["mutate_while_serving"]["csr"]["patch_rate"] = 0.92
         assert check_trajectory(baseline, fresh).failures == []
 
-    def test_warm_hit_rate_regression_fails(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["mutate_while_serving"]["catchup"]["warm_hit_rate"] = 0.7
-        gate = check_trajectory(baseline, fresh)
-        assert any("warm-hit" in f for f in gate.failures)
-        fresh["mutate_while_serving"]["catchup"]["warm_hit_rate"] = 0.8
-        assert check_trajectory(baseline, fresh).failures == []
-
-    def test_reship_ratio_regression_fails_and_is_not_core_aware(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["process_pool"]["cpu_cores"] = 1  # byte gates ignore cores
-        fresh["mutate_while_serving"]["catchup"]["reship_ratio"] = 2000.0
-        gate = check_trajectory(baseline, fresh)
-        assert any("reship ratio" in f for f in gate.failures)
-
-    def test_low_baseline_cannot_water_down_the_5x_target(self):
-        baseline = baseline_payload()
-        baseline["mutate_while_serving"]["catchup"]["reship_ratio"] = 1.0
-        fresh = copy.deepcopy(baseline)
-        fresh["mutate_while_serving"]["catchup"]["reship_ratio"] = 3.0
-        gate = check_trajectory(baseline, fresh)
-        assert any("reship ratio" in f for f in gate.failures)
-        fresh["mutate_while_serving"]["catchup"]["reship_ratio"] = 6.0
-        assert check_trajectory(baseline, fresh).failures == []
-
 
 class TestCompiledMatchGate:
     def test_regression_fails_even_on_single_core(self):
@@ -375,49 +340,3 @@ class TestRewriteIdentityGate:
             fresh["rewrite_identity"]["fine"][counter] -= 1
         fresh["rewrite_identity"]["coarse"]["candidates"] += 5  # recorded, not gated
         assert check_trajectory(baseline, fresh).failures == []
-
-
-class TestAffinePlacementGate:
-    def test_payload_ratio_gated_even_on_single_core(self):
-        """Payload bytes are deterministic: a 1-core fresh run skips the
-        timing gates but must still clear the payload ratio."""
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        for section in ("process_pool", "affine_placement"):
-            fresh[section]["cpu_cores"] = 1
-        fresh["affine_placement"]["payload_ratio_4s"] = 1.2
-        gate = check_trajectory(baseline, fresh)
-        assert any("payload ratio" in f for f in gate.failures)
-
-    def test_payload_ratio_regression_fails(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["affine_placement"]["payload_ratio_4s"] = 2.0  # below 3.5 * 0.75
-        gate = check_trajectory(baseline, fresh)
-        assert any("payload ratio" in f for f in gate.failures)
-
-    def test_low_baseline_cannot_water_down_the_2x_target(self):
-        """Even if a committed baseline somehow recorded < 2x, the fresh
-        run must clear the absolute acceptance target."""
-        baseline = baseline_payload()
-        baseline["affine_placement"]["payload_ratio_4s"] = 1.0
-        fresh = copy.deepcopy(baseline)
-        fresh["affine_placement"]["payload_ratio_4s"] = 1.2  # below 2.0 * 0.75
-        gate = check_trajectory(baseline, fresh)
-        assert any("payload ratio" in f for f in gate.failures)
-        fresh["affine_placement"]["payload_ratio_4s"] = 2.1
-        assert check_trajectory(baseline, fresh).failures == []
-
-    def test_affine_speedup_is_core_aware(self):
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["affine_placement"].update(cpu_cores=1, speedup_2s=0.7)
-        gate = check_trajectory(baseline, fresh)
-        assert gate.failures == []
-        assert any(
-            "affine-placement speedup" in line and "SKIPPED" in line
-            for line in gate.lines
-        )
-        fresh["affine_placement"].update(cpu_cores=4)
-        gate = check_trajectory(baseline, fresh)
-        assert any("affine-placement speedup" in f for f in gate.failures)

@@ -284,3 +284,17 @@ class TestChangePropagation:
         assert context.cache_report()["matcher"]["derived_unchanged"] == result.derived_unchanged
         relaxed = RelaxDirection(0).apply(q.as_frozen())
         assert PatternMatcher(tiny_graph).count(relaxed) == PatternMatcher(tiny_graph).count(q)
+
+    def test_a_dropped_edge_falls_back_to_the_matcher(self, tiny_graph):
+        """With topology edits a child may lack the edited edge: deriving
+        it must fall back, not look the edge up (it used to raise
+        ``UnknownQueryEdgeError`` out of the search)."""
+        q = GraphQuery()
+        p = q.add_vertex(predicates={"name": equals("Anna")})
+        u = q.add_vertex(predicates={"type": equals("university")})
+        q.add_edge(p, u, types={"workAt", "studyAt"})
+        context, result, _span = self.traced_search(
+            tiny_graph, q, CardinalityThreshold.at_least(3), include_topology=True
+        )
+        assert result.converged
+        assert PatternMatcher(tiny_graph).count(result.best_query) == result.best_cardinality
