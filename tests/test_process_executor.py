@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GraphQuery, PropertyGraph, equals
+from repro.core import (
+    BACKWARD_ONLY,
+    BOTH_DIRECTIONS,
+    GraphQuery,
+    PropertyGraph,
+    at_least,
+    between,
+    equals,
+)
+from repro.datasets import dbpedia, ldbc
 from repro.exec import (
     CandidateEvaluator,
     EvaluationBudget,
@@ -401,3 +410,200 @@ class TestServiceProcessMode:
     def test_validation(self):
         with pytest.raises(ValueError):
             WhyQueryService(executor="process", process_workers=0)
+
+
+def build_shapes_graph() -> PropertyGraph:
+    """Explicit ids out of order, self-loops of two types, parallel edges
+    of one and of two types, a two-way pair and a bare vertex: every
+    shape a worker's snapshot replay has to keep exactly."""
+    g = PropertyGraph()
+    g.add_vertex(vid=9, type="person", age=31)
+    g.add_vertex(vid=3, type="person", age=45)
+    g.add_vertex(vid=6, type="person", age=27)
+    g.add_vertex(vid=1, type="university")
+    g.add_vertex(vid=4)  # no attributes at all
+    g.add_edge(9, 9, "knows", eid=8)  # self-loop, highest id first
+    g.add_edge(3, 3, "likes", eid=2)  # self-loop of a second type
+    g.add_edge(9, 3, "knows", eid=5)
+    g.add_edge(3, 9, "knows", eid=0)  # two-way pair
+    g.add_edge(9, 1, "workAt", eid=7, since=2003)
+    g.add_edge(9, 1, "workAt", eid=1, since=2011)  # parallel, same type
+    g.add_edge(9, 1, "studyAt", eid=3)  # parallel, other type
+    g.add_edge(6, 1, "studyAt", eid=6)
+    g.add_edge(6, 4, "likes", eid=4)
+    g.add_edge(3, 6, "knows", eid=9)
+    return g
+
+
+def shapes_self_loop() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("person")})
+    q.add_edge(a, a, types={"knows", "likes"})
+    return q
+
+
+def shapes_two_types() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("person")})
+    b = q.add_vertex(predicates={"type": equals("university")})
+    q.add_edge(a, b, types={"workAt", "studyAt"})
+    return q
+
+
+def shapes_parallel_query_edges() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("person")})
+    b = q.add_vertex()
+    q.add_edge(a, b, types={"workAt"})
+    q.add_edge(a, b, types={"studyAt"})
+    return q
+
+
+def shapes_untyped_both_ways() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("person")})
+    b = q.add_vertex()
+    q.add_edge(a, b, directions=BOTH_DIRECTIONS)
+    return q
+
+
+def shapes_edge_interval() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"age": between(25, 35)})
+    b = q.add_vertex()
+    q.add_edge(a, b, types={"workAt"}, predicates={"since": at_least(2005)})
+    return q
+
+
+def shapes_backward_path() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("university")})
+    b = q.add_vertex(predicates={"type": equals("person")})
+    c = q.add_vertex(predicates={"type": equals("person")})
+    q.add_edge(a, b, types={"studyAt", "workAt"}, directions=BACKWARD_ONLY)
+    q.add_edge(b, c, types={"knows"}, directions=BOTH_DIRECTIONS)
+    return q
+
+
+def shapes_disconnected() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex(predicates={"type": equals("person")})
+    b = q.add_vertex()
+    q.add_edge(a, b, types={"likes"})
+    q.add_vertex(predicates={"type": equals("university")})
+    return q
+
+
+def shapes_unknown_type() -> GraphQuery:
+    q = GraphQuery()
+    a = q.add_vertex()
+    b = q.add_vertex()
+    q.add_edge(a, b, types={"isPartOf"})
+    return q
+
+
+def shapes_lone_vertex() -> GraphQuery:
+    q = GraphQuery()
+    q.add_vertex()
+    return q
+
+
+SHAPES_QUERIES = [
+    shapes_self_loop,
+    shapes_two_types,
+    shapes_parallel_query_edges,
+    shapes_untyped_both_ways,
+    shapes_edge_interval,
+    shapes_backward_path,
+    shapes_disconnected,
+    shapes_unknown_type,
+    shapes_lone_vertex,
+]
+
+
+@pytest.fixture(scope="module")
+def shapes_graph():
+    return build_shapes_graph()
+
+
+@pytest.fixture(
+    scope="module", params=[True, False], ids=["injective", "homomorphic"]
+)
+def shapes_executor(request, shapes_graph):
+    with ProcessExecutor(
+        shapes_graph, max_workers=1, injective=request.param
+    ) as executor:
+        yield executor
+
+
+class TestProcessExecutorGraphShapes:
+    """A worker rebuilds its graph from the snapshot; every shape the
+    replay could get wrong must count as it does in-process, under the
+    executor's own semantics, bounded or not."""
+
+    @pytest.mark.parametrize(
+        "build", SHAPES_QUERIES, ids=[b.__name__ for b in SHAPES_QUERIES]
+    )
+    def test_counts_match_both_backends(self, shapes_graph, shapes_executor, build):
+        query = build()
+        injective = shapes_executor.injective
+        compiled = PatternMatcher(shapes_graph, injective=injective)
+        reference = PatternMatcher(shapes_graph, injective=injective, compiled=False)
+        for limit in (None, 1, 2):
+            expected = reference.count(query, limit=limit)
+            assert compiled.count(query, limit=limit) == expected
+            assert shapes_executor.run_queries([query], limit=limit) == [expected]
+
+    def test_the_shapes_are_not_vacuous(self, shapes_graph):
+        counts = {
+            build.__name__: PatternMatcher(shapes_graph).count(build())
+            for build in SHAPES_QUERIES
+        }
+        assert counts["shapes_unknown_type"] == 0
+        assert sum(1 for c in counts.values() if c > 0) >= len(SHAPES_QUERIES) - 2
+        # injectivity matters on these shapes: a self-loop binds one vertex
+        homomorphic = PatternMatcher(shapes_graph, injective=False)
+        assert homomorphic.count(shapes_untyped_both_ways()) > counts[
+            "shapes_untyped_both_ways"
+        ]
+
+
+DATASET_QUERIES = [
+    pytest.param("ldbc", name, id=name) for name in ldbc.queries()
+] + [pytest.param("dbpedia", name, id=name) for name in dbpedia.queries()]
+
+
+@pytest.fixture(scope="module")
+def dataset_executors(ldbc_small, dbpedia_small):
+    graphs = {"ldbc": ldbc_small.graph, "dbpedia": dbpedia_small.graph}
+    executors = {
+        key: ProcessExecutor(graph, max_workers=1) for key, graph in graphs.items()
+    }
+    try:
+        yield graphs, executors
+    finally:
+        for executor in executors.values():
+            executor.close()
+
+
+class TestProcessExecutorDatasets:
+    """The paper queries and their empty variants, shipped as one batch
+    per query: the worker's counts equal the in-process matcher's, in
+    submission order."""
+
+    @pytest.mark.parametrize("dataset, name", DATASET_QUERIES)
+    def test_paper_query_batch(self, dataset_executors, dataset, name):
+        graphs, executors = dataset_executors
+        module = {"ldbc": ldbc, "dbpedia": dbpedia}[dataset]
+        batch = [
+            module.queries()[name],
+            module.empty_variant(name),
+            module.empty_variant_edge(name),
+        ]
+        matcher = PatternMatcher(graphs[dataset])
+        for limit in (None, 3):
+            expected = [matcher.count(q, limit=limit) for q in batch]
+            assert executors[dataset].run_queries(batch, limit=limit) == expected
+        assert expected[1:] == [0, 0]  # the variants are empty ...
+        # ... and the batch still reached a worker, not a local fallback
+        assert executors[dataset].info()["pools"]["pool_live"]

@@ -9,8 +9,10 @@ from repro.core import (
     BOTH_DIRECTIONS,
     GraphQuery,
     Interval,
+    DuplicateElementError,
     MalformedQueryError,
     PropertyGraph,
+    UnknownVertexError,
     at_least,
     between,
     equals,
@@ -223,6 +225,97 @@ class TestGraphSnapshotExactness:
         assert restored.num_edges == tiny_graph.num_edges
 
 
+class TestSnapshotPayload:
+    """The payload a process worker warms from: plain data, exact after
+    every kind of mutation, and refused when it names what cannot be."""
+
+    def test_payload_is_plain_builtins(self):
+        allowed = (dict, list, str, int, float, bool, type(None))
+
+        def walk(value):
+            assert type(value) in allowed, type(value)
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    assert type(key) is str
+                    walk(item)
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item)
+
+        walk(graph_to_dict(build_awkward_graph()))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda g: g.add_vertex(vid=1, type="node"), id="vertex"),
+            pytest.param(lambda g: g.add_edge(5, 7, "likes", eid=3), id="edge"),
+            pytest.param(
+                lambda g: g.set_vertex_attribute(2, "name", "deux"),
+                id="vertex-attribute",
+            ),
+            pytest.param(
+                lambda g: g.set_edge_attribute(0, "weight", 4), id="edge-attribute"
+            ),
+        ],
+    )
+    def test_mutated_graph_round_trips_exactly(self, mutate):
+        graph = build_awkward_graph()
+        mutate(graph)
+        data = graph_to_dict(graph)
+        restored = graph_from_dict(data)
+        assert restored.version == graph.version
+        assert typed_adjacency_state(restored) == typed_adjacency_state(graph)
+        assert graph_to_dict(restored) == data
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(
+                lambda d: d["edges"].append(
+                    {"id": 77, "source": 7, "target": 99, "type": "likes"}
+                ),
+                UnknownVertexError,
+                id="edge-to-an-unknown-vertex",
+            ),
+            pytest.param(
+                lambda d: d["vertices"].append({"id": 5, "attributes": {}}),
+                DuplicateElementError,
+                id="duplicate-vertex-id",
+            ),
+            pytest.param(
+                lambda d: d["edges"].append(dict(d["edges"][0])),
+                DuplicateElementError,
+                id="duplicate-edge-id",
+            ),
+            pytest.param(
+                lambda d: d.update(version=-1), ValueError, id="negative-version"
+            ),
+        ],
+    )
+    def test_corrupt_payload_rejected(self, corrupt, error):
+        data = graph_to_dict(build_awkward_graph())
+        corrupt(data)
+        with pytest.raises(error):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("dataset", ["ldbc_small", "dbpedia_small"])
+    def test_dataset_snapshot_keeps_every_paper_query_walk(self, request, dataset):
+        from repro.datasets import dbpedia, ldbc
+        from repro.matching import PatternMatcher
+
+        graph = request.getfixturevalue(dataset).graph
+        module = ldbc if dataset == "ldbc_small" else dbpedia
+        restored = graph_from_dict(graph_to_dict(graph))
+        for query in module.queries().values():
+            original = PatternMatcher(graph, compiled=False)
+            rebuilt = PatternMatcher(restored, compiled=False)
+            assert list(rebuilt.match(query, limit=20)) == list(
+                original.match(query, limit=20)
+            )
+            assert rebuilt.count(query) == original.count(query)
+            assert rebuilt.steps == original.steps
+
+
 class TestWireForms:
     """Compact hashable wire forms (the process-executor transport)."""
 
@@ -267,6 +360,27 @@ class TestWireForms:
             query_from_wire(("q", 2, ((0,),), ()))  # malformed vertex tuple
         with pytest.raises(MalformedQueryError):
             predicate_from_wire(("x", 1))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["LDBC QUERY %d" % i for i in range(1, 5)]
+        + ["DBPEDIA QUERY %d" % i for i in range(1, 5)],
+    )
+    def test_paper_queries_round_trip(self, name):
+        from repro.datasets import dbpedia, ldbc
+
+        module = ldbc if name.startswith("LDBC") else dbpedia
+        for query in (
+            module.queries()[name],
+            module.empty_variant(name),
+            module.empty_variant_edge(name),
+        ):
+            wire = query_to_wire(query)
+            restored = query_from_wire(wire)
+            assert restored == query
+            assert restored.signature() == query.signature()
+            assert query_to_wire(restored) == wire
+            hash(wire)
 
     def test_future_wire_format_rejected(self):
         q = GraphQuery()
