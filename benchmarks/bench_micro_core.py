@@ -857,9 +857,9 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "statistics_estimate_q4": {
             "best_s": _best_of(lambda: stats.estimate_query_cardinality(q4))
         },
-        # the op above times memo hits only; this one is the lookup itself:
-        # a fresh provider (empty memo) over the graph's warm CSR image
-        # and its interned masks
+        # the statistics keep no memo, so this is the op above plus a
+        # provider's construction: both look up the graph's warm CSR
+        # image and its interned masks and projections
         "statistics_estimate_q4_fresh": {
             "best_s": _best_of(
                 lambda: GraphStatistics(ldbc_bundle.graph).estimate_query_cardinality(q4)

@@ -45,7 +45,7 @@ fails (exit code 1) when the trajectory regressed:
   computes -- exact, pass/fail).  All deterministic cache-hit counts,
   never wall-clock, so *not* core-aware;
 * **candidate identity work** (``rewrite_identity``): whole-query and
-  element signature builds, Eq. 3.11 / 3.12 evaluations and path(1) memo
+  element signature builds, Eq. 3.11 / 3.12 evaluations and path(1)
   lookups of one fixed coarse and one fixed fine-grained pass.  The
   passes are deterministic and the counts repeat exactly, so each is an
   *exact ceiling*: the fresh count may not exceed the committed one by

@@ -34,7 +34,7 @@ Storage-layer invariants
 * **Version counter.**  Every mutation (``add_vertex``/``add_edge``/
   ``set_vertex_attribute``/``set_edge_attribute``) bumps ``version``;
   evaluation-layer caches (the CSR index with its interned candidate
-  masks, the result cache, the statistics memo) snapshot it and
+  masks and path(1) projections, the result cache) snapshot it and
   self-invalidate when the graph has changed.
 * **Mutation delta log.**  Every version bump also appends one compact
   delta record to a bounded ring; :meth:`PropertyGraph.deltas_since`

@@ -13,7 +13,7 @@ What a context holds:
 ======================  =====================================================
 ``matcher``             the graph's :class:`~repro.matching.matcher.PatternMatcher`
 ``cache``               bounded-count memoisation (:class:`~repro.rewrite.cache.QueryResultCache`)
-``statistics``          cardinality estimation (:class:`~repro.rewrite.statistics.GraphStatistics`)
+``statistics``          cardinality estimation (:class:`~repro.rewrite.statistics.GraphStatistics`; no cache of its own, it reads the CSR index)
 ``domain``              data-driven value proposals (:class:`~repro.rewrite.operations.AttributeDomain`)
 ``preference_model``    rewrite preference model shared by interactive flows
 ``preferences``         traversal preferences shared by the explanation engines
@@ -152,15 +152,12 @@ class ExecutionContext:
 
         The matcher's :meth:`~repro.matching.matcher.PatternMatcher.cache_info`
         sections are extended with the query-result cache (App. B.2) under
-        ``["caches"]["results"]`` and the statistics' path(1) memo under
-        ``["caches"]["path1"]``.
+        ``["caches"]["results"]``.  The statistics keep no cache of their
+        own: path(1) state lives in the CSR index, read under ``["csr"]``.
         """
         info = self.matcher.cache_info()
         return unified_stats(
-            caches={
-                "results": self.cache.stats.as_dict(),
-                "path1": self.statistics.memo_report(),
-            },
+            caches={"results": self.cache.stats.as_dict()},
             csr=info["csr"],
             programs=info["programs"],
             deltas=info["deltas"],

@@ -41,7 +41,11 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   *projections* they make -- one interned mask gathered over the group's
   edges, sources or targets as one int, a bit per row, interned per
   ``(type group, role, predicate signature)`` (at most
-  :data:`PROJECTION_CAP`) -- both memoised until the next patch.  A
+  :data:`PROJECTION_CAP`) -- both kept until a write reaches them: a
+  patch drops only the groups it extends and the projections whose
+  signature names an attribute it wrote (:meth:`CSRIndex._drop_touched`),
+  so this is the one store of path(1) state and the one place that
+  decides what a write invalidates in it.  A
   count is a few big-int ANDs and a popcount over projections; a
   candidate that edits one element gathers only that element's.  The
   same counts tell whether an edge edit gains or loses any (data edge,
@@ -84,6 +88,7 @@ from itertools import accumulate, compress, repeat
 from operator import eq, itemgetter, mul
 from typing import Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
+from repro.core.delta import DeltaTouch, delta_touch
 from repro.core.predicates import ValueSet
 from repro.core.query import Direction, QueryEdge, QueryVertex
 from repro.matching.candidates import attributes_match
@@ -259,10 +264,11 @@ class CSRIndex:
         self._degrees: Dict[Tuple, list] = {}
         #: predicate signature -> its degree-sum table, this version only
         self._degree_sums: Dict[Hashable, DegreeSums] = {}
-        #: edge type | None -> path(1) gathers over its group, this version only
+        #: edge type | None -> path(1) gathers over its group, until an
+        #: edge of that group (any edge for ``None``) is added
         self._gathers: Dict[Optional[str], Tuple[Callable, itemgetter, itemgetter, int]] = {}
         #: (edge type | None, role, predicate signature) -> that mask
-        #: gathered over the group as one int, this version only
+        #: gathered over the group as one int, until a write reaches it
         self._projections: Dict[Tuple[Optional[str], int, Hashable], int] = {}
         #: edge type -> attr -> value -> its rows: edge fills' value index
         self._edge_columns: Dict[str, Dict[str, Dict[Any, array]]] = {}
@@ -523,11 +529,11 @@ class CSRIndex:
         edges, sources or targets (``role``) and read as one int, a bit
         per row; the group's all-ones int for an element without
         predicates, ``None`` for an empty group.  Interned per ``(type
-        group, role, predicate signature)`` until the next patch: a
-        group's rows are the same for every type set admitting it, and
-        an edge mask's rows in it are filled alike under each.  The
-        masks are held for this gather only, so a ``MASK_CAP`` recycle
-        meanwhile is harmless."""
+        group, role, predicate signature)`` until a patch drops it
+        (:meth:`_drop_touched`): a group's rows are the same for every
+        type set admitting it, and an edge mask's rows in it are filled
+        alike under each.  The masks are held for this gather only, so
+        a ``MASK_CAP`` recycle meanwhile is harmless."""
         if element is None or not element.predicates:
             gathers = self._gather_group(type_key)
             return None if gathers is None else gathers[3]
@@ -555,7 +561,7 @@ class CSRIndex:
         :func:`_picker`) and its endpoints' rows out of a vertex mask
         (getters sharing ``ix_of``'s one int object per vertex index),
         and the all-ones int of the group's length, a bit per row.
-        Memoised per type until the next patch."""
+        Memoised per type until an edge of the group is added."""
         gathers = self._gathers.get(type_key)
         if gathers is None:
             version = self.version
@@ -624,14 +630,17 @@ class CSRIndex:
         Returns ``False`` (index untouched) when the run is not
         patchable; the caller falls back to a full rebuild.  On success
         every flat array keeps its object identity and every interned
-        mask and seed pool is patched bit by bit; only the derived memos
-        are cleared: the planner's degree rows and sums,
-        the path(1) gathers and projections, and the edge value columns.
-        Runs under the catch-up lock (:func:`csr_entry`), so nothing here
-        may derive a lazy table.
+        mask and seed pool is patched bit by bit; the planner's degree
+        rows and sums and the edge value columns are cleared, and the
+        path(1) gathers and projections the run can change are dropped
+        (:meth:`_drop_touched`).  Runs under the catch-up lock
+        (:func:`csr_entry`), so nothing here may derive a lazy table.
         """
         if not self._patchable(deltas):
             return False
+        # a vertex no edge reaches yet moves no row of any type group,
+        # and the "e" record that attaches it drops its group
+        self._drop_touched(delta_touch(r for r in deltas if r[0] != "v"))
         graph = self._graph()
         for record in deltas:
             kind = record[0]
@@ -647,11 +656,31 @@ class CSRIndex:
                 self._patch_edge_attr(graph, record[1], record[2])
         self._degrees.clear()
         self._degree_sums.clear()
-        self._gathers.clear()
-        self._projections.clear()
         self._edge_columns.clear()
         self.version = graph.version
         return True
+
+    def _drop_touched(self, touch: DeltaTouch) -> None:
+        """Drop the path(1) gathers and projections a patch can change.
+        A projection is a snapshot of its mask over a group's rows, so
+        the bit patch does not reach it.  An ``"e"`` record of type T
+        appends a row to groups T and ``None``: their gathers and
+        projections go.  An ``"ea"`` write of ``a`` can flip the edge
+        masks naming ``a``, a ``"va"`` write the vertex masks naming
+        it: the edge-role, respectively source- and target-role,
+        projections whose signature names ``a`` go.  Everything else
+        is kept; conservative where :func:`delta_touch` is."""
+        groups = touch.edge_types | {None} if touch.edges_added else frozenset()
+        for type_key in groups:
+            self._gathers.pop(type_key, None)
+        by_role = (touch.edge_attrs, touch.vertex_attrs, touch.vertex_attrs)
+        projections = self._projections
+        stale = [
+            key for key in projections
+            if key[0] in groups or any(attr in by_role[key[1]] for attr, _ in key[2])
+        ]
+        for key in stale:
+            del projections[key]
 
     def _patch_add_vertex(self, vid: int, attrs: Dict[str, Any]) -> None:
         ix = len(self.vid_of)

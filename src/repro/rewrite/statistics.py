@@ -18,11 +18,10 @@ Edge and path(1) statistics are one lookup on the graph's packed CSR
 image (:meth:`repro.matching.csr.CSRIndex.path1_count`: per admitted
 type group, big-int ANDs and a popcount over the index's interned
 projections of the edge and endpoint masks, so a query that changed one
-element gathers only that element's), memoised by predicate signature
-so repeated candidate scoring touches the graph only once per distinct
-constraint; a write drops only the memo entries it can touch
-(``docs/delta_sync.md``).  Vertex cardinalities are
-the row counts of the CSR image's interned vertex masks
+element gathers only that element's).  The index keeps a projection
+until a write reaches it (``docs/delta_sync.md``), so this module holds
+no memo, no lock and no state beyond the graph.  Vertex cardinalities
+are the row counts of the CSR image's interned vertex masks
 (:meth:`repro.matching.csr.CSRIndex.degree_sums`), the one candidate
 memo the matcher and the planner read too, so no candidate set is
 derived twice.
@@ -30,20 +29,12 @@ derived twice.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.delta import DeltaTouch, delta_touch
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery, QueryEdge, QueryVertex
 from repro.matching.csr import csr_for
-from repro.stats import CacheStats
-
-#: bound on one provider's path(1) memo: a pooled execution context lives
-#: as long as its service and one why-so-many pass inserts ~1 400 keys.
-#: The oldest-inserted entry leaves when full
-PATH1_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -62,64 +53,14 @@ class CardinalityProfile:
     average_path1: float
 
 
-def _touched(touch: DeltaTouch, key: Tuple) -> bool:
-    """Can the delta run change the count memoised under ``key``?
-    Conservative, like :func:`repro.core.delta.touch_affects_query`; the
-    types and attributes are read off the key itself.  ``touch`` is
-    folded without the run's ``"v"`` records: a vertex that
-    no edge reaches yet changes no edge count, and the ``"e"`` record
-    that attaches it drops its type's entries."""
-    types, edge_preds, source_preds, target_preds, _directions = key
-    if touch.edges_added and (types is None or not touch.edge_types.isdisjoint(types)):
-        return True
-    if any(attr in touch.edge_attrs for attr, _ in edge_preds):
-        return True
-    return any(attr in touch.vertex_attrs for attr, _ in source_preds + target_preds)
-
-
 class GraphStatistics:
-    """Statistics provider bound to one data graph.
-
-    One provider serves many request threads: memo validation, reads and
-    inserts run under a lock, the CSR lookup outside it (two threads
-    missing one key both compute -- benign).
-    """
+    """Statistics provider bound to one data graph.  Every lookup reads
+    the graph's current CSR index (:func:`csr_for`), so in-place patches
+    and rebuilds are always seen and any number of request threads may
+    share one provider."""
 
     def __init__(self, graph: PropertyGraph) -> None:
         self.graph = graph
-        self._version = graph.version
-        #: (edge types | None, edge / source / target predicate
-        #: signatures, directions) -> count
-        self._path1_cache: Dict[Tuple, int] = {}
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-        #: entries validation dropped / kept, summed over version bumps
-        self.dropped = 0
-        self.retained = 0
-
-    def _validate_locked(self) -> None:
-        """Catch up with a mutated graph, delta-scoped: a new edge drops
-        the entries admitting its type (or any type), an attribute write
-        those whose predicates mention it.  Dropped, not patched: ``va``
-        records carry no old value and an entry is one lookup to redo.
-        A graph with no delta log or an overrun ring drops all."""
-        version = self.graph.version
-        if version == self._version:
-            return
-        memo = self._path1_cache
-        deltas_since = getattr(self.graph, "deltas_since", None)
-        deltas = deltas_since(self._version) if deltas_since is not None else None
-        if deltas is None:
-            stale = list(memo)
-        else:
-            touch = delta_touch(r for r in deltas if r[0] != "v")
-            stale = [key for key in memo if _touched(touch, key)]
-        for key in stale:
-            del memo[key]
-        self.dropped += len(stale)
-        self.retained += len(memo)
-        self.stats.size = len(memo)
-        self._version = version
 
     def _path1(
         self,
@@ -127,35 +68,9 @@ class GraphStatistics:
         source: Optional[QueryVertex] = None,
         target: Optional[QueryVertex] = None,
     ) -> int:
-        """Memoised :meth:`CSRIndex.path1_count`.  Every miss fetches the
-        index anew through :func:`csr_for` and keeps nothing of it, so
-        in-place patches and rebuilds are always seen."""
-        # sorted tuples a frozen element computed when it froze
-        key = (
-            qedge.type_key(),
-            qedge.predicate_signature(),
-            source.predicate_signature() if source is not None else (),
-            target.predicate_signature() if target is not None else (),
-            qedge.direction_key(),
-        )
-        memo = self._path1_cache
-        with self._lock:
-            self._validate_locked()
-            cached = memo.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-            self.stats.misses += 1
-            version = self._version
-        count = csr_for(self.graph).path1_count(qedge, source, target)
-        with self._lock:
-            # a write validated in between would make this count stale
-            if version == self._version:
-                if len(memo) >= PATH1_CAP:
-                    del memo[next(iter(memo))]
-                memo[key] = count
-                self.stats.size = len(memo)
-        return count
+        """:meth:`CSRIndex.path1_count` on the graph's current index:
+        the one call every edge and path(1) statistic goes through."""
+        return csr_for(self.graph).path1_count(qedge, source, target)
 
     # -- vertex / edge statistics (Sec. 5.2.2) -------------------------------
 
@@ -330,19 +245,3 @@ class GraphStatistics:
         if not shared:
             raise ValueError(f"edges {eid_a} and {eid_b} share no vertex")
         return min(shared)
-
-    @property
-    def cache_sizes(self) -> Dict[str, int]:
-        """Sizes of the statistic caches (Appendix B.2 reporting).
-
-        ``edge`` counts the memo entries without endpoint constraints,
-        ``path1`` the others.
-        """
-        with self._lock:
-            keys = list(self._path1_cache)
-        edge = sum(1 for key in keys if not (key[2] or key[3]))
-        return {"edge": edge, "path1": len(keys) - edge}
-
-    def memo_report(self) -> Dict[str, float]:
-        """The path(1) memo's ``cache_report()["caches"]["path1"]`` row."""
-        return {**self.stats.as_dict(), "dropped": self.dropped, "retained": self.retained}

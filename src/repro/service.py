@@ -988,10 +988,7 @@ class WhyQueryService:
             persistence["last_restore"] = self._last_restore
         with self._lock:
             per_graph: List[Dict[str, object]] = []
-            caches = {
-                "results": {"hits": 0, "misses": 0},
-                "path1": {"hits": 0, "misses": 0, "dropped": 0, "retained": 0},
-            }
+            caches = {"results": {"hits": 0, "misses": 0}}
             matcher = dict.fromkeys(
                 (
                     "calls", "steps", "decided_empty",

@@ -15,8 +15,8 @@ A network front door (:mod:`repro.server`) serving a ``stats`` message
 needs *one* schema, so this module defines it:
 
 ======================  =====================================================
-``caches``              named hit/miss cache layers (``results``,
-                        ``path1``), each a :class:`CacheStats` row
+``caches``              named hit/miss cache layers (``results``), each
+                        a :class:`CacheStats` row
 ``csr``                 interned CSR array accounting (``builds``, ``bytes``,
                         ``patches``, ``rebuilds``)
 ``programs``            compiled match kernels (``compiled``, ``hits``,

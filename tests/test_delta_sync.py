@@ -345,12 +345,13 @@ class TestMutateDuringDerivation:
     (the intern rule), and a child's count derived from its parent's
     falls back to the matcher when the graph moved in between."""
 
-    def race(self, monkeypatch, hook: str, derive, module=csr_module, warm=None):
+    def race(self, monkeypatch, hook: str, derive, module=csr_module, warm=None, graph=None):
         """Run ``derive(csr)`` in a reader paused at ``module.hook``
         (after ``warm(csr)``, unpaused), add a vertex and a ``knows``
-        edge out of it meanwhile; returns the graph, its patched index
-        and what the reader's call answered."""
-        g = knows_chain()
+        edge out of it meanwhile; returns the graph (``knows_chain()``
+        unless given), its patched index and what the reader's call
+        answered."""
+        g = knows_chain() if graph is None else graph
         csr = csr_for(g)
         if warm is not None:
             warm(csr)
@@ -408,6 +409,35 @@ class TestMutateDuringDerivation:
         assert csr._projections == {}
         assert csr.path1_count(edge, source, target) == 5
         assert list(csr._projections.values()) == [0b11111]  # a bit per knows edge
+
+    def test_untouched_group_projection_gathered_across_a_patch_is_not_kept(
+        self, monkeypatch
+    ):
+        """The patch (a ``knows`` edge) reaches neither the ``likes``
+        group's gathers, which it keeps, nor the rows of a ``likes``
+        projection a reader gathers across it; that projection is still
+        served and not stored: the intern rule keys on the version, not
+        on the drop's scope."""
+        g = knows_chain()
+        for source in range(3):
+            g.add_edge(source, source + 2, "likes")
+        q = person_query()
+        q.edge(0).types = frozenset({"likes"})
+        edge, source, target = q.edge(0), q.vertex(0), q.vertex(1)
+
+        def warm(csr):
+            csr._gather_group("likes")
+            csr.vertex_mask(source)
+
+        g, csr, count = self.race(
+            monkeypatch, "vertex_mask", lambda csr: csr.path1_count(edge, source, target),
+            CSRIndex, warm, g,
+        )
+        assert count == 3  # the same rows at either version
+        assert csr._projections == {}
+        assert set(csr._gathers) == {"likes"}  # kept by the patch
+        assert csr.path1_count(edge, source, target) == 3
+        assert list(csr._projections.values()) == [0b111]
 
     def child_count(self, monkeypatch, rule: str, write: bool):
         """Count the ``rule`` child of the chain's counted parent through

@@ -78,7 +78,7 @@ class TestExecutionContext:
             "metrics",
             "matcher",
         }
-        assert set(report["caches"]) == {"results", "path1"}
+        assert set(report["caches"]) == {"results"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
         # a plain dict: the pre-unification top-level keys are gone

@@ -116,6 +116,10 @@ REMOVED_NAMES = (
     "_try_catch_up_locked",
     "_run_queries_affine",
     "adjmiss",
+    "PATH1_CAP",
+    "_path1_cache",
+    "cache_sizes",
+    "memo_report",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -259,7 +263,6 @@ def test_candidate_cache_is_gone(tiny_graph):
     context = ExecutionContext(tiny_graph)
     for holder in (context, context.matcher, context.cache, context.statistics):
         assert not hasattr(holder, "evalcache"), holder
-    assert "vertex" not in context.statistics.cache_sizes
     assert context.matcher.cache_info()["caches"] == {}
     with WhyQueryService() as service:
         service.explain(tiny_graph, failing_query())
@@ -267,7 +270,7 @@ def test_candidate_cache_is_gone(tiny_graph):
         with pytest.raises(KeyError):
             stats["caches"]["vertex_candidates"]
         (per_graph,) = stats["per_graph"]
-        assert set(per_graph["cache_report"]["caches"]) == {"results", "path1"}
+        assert set(per_graph["cache_report"]["caches"]) == {"results"}
     for row in (PriorityRow, ResourceRow):
         fields = {f.name for f in dataclasses.fields(row)}
         assert not {"candidate_hits", "candidate_hit_rate"} & fields, row
@@ -371,6 +374,36 @@ def test_affine_stats_keys_are_gone(tiny_graph):
     assert set(stats["deltas"]) == {"applied"}
     assert "process_pool" in stats["per_graph"][0]
     assert "shard_fallbacks" not in entry
+
+
+# -- one path(1) store: the CSR index, no statistics memo ---------------------
+
+
+def test_statistics_memo_is_gone(tiny_graph):
+    import repro.rewrite.statistics as statistics
+
+    for name in ("PATH1_CAP", "_touched"):
+        assert not hasattr(statistics, name), name
+    provider = GraphStatistics(tiny_graph)
+    q = failing_query()
+    assert provider.path1_cardinality(q, 0) == 0
+    assert provider.estimate_query_cardinality(q) == 0.0
+    for name in (
+        "_path1_cache", "_lock", "stats", "dropped", "retained",
+        "cache_sizes", "memo_report", "_validate_locked",
+    ):
+        assert not hasattr(provider, name), name
+    assert vars(provider) == {"graph": tiny_graph}  # no cache, no lock
+    with pytest.raises(KeyError):
+        ExecutionContext(tiny_graph).cache_report()["caches"]["path1"]
+    with WhyQueryService() as service:
+        service.explain(tiny_graph, q)
+        stats = service.stats()
+    with pytest.raises(KeyError):
+        stats["caches"]["path1"]
+    (per_graph,) = stats["per_graph"]
+    with pytest.raises(KeyError):
+        per_graph["cache_report"]["caches"]["path1"]
 
 
 # -- PR 24: a context is the only binding ------------------------------------

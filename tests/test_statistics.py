@@ -1,6 +1,6 @@
 """Tests for query-dependent statistics and path(n) estimation (Sec. 5.2):
 the hand-checked values, then the record-walk reference implementation and
-the differential, delta-scope, memo-cap and concurrency suites built on it."""
+the differential, delta-scope and concurrency suites built on it."""
 
 import random
 import sys
@@ -22,7 +22,7 @@ from repro.core.query import Direction
 from repro.matching import PatternMatcher, csr_stats
 from repro.matching.candidates import attributes_match
 from repro.matching.csr import PROJECTION_CAP, CSRIndex, csr_for
-from repro.rewrite.statistics import PATH1_CAP, GraphStatistics
+from repro.rewrite.statistics import GraphStatistics
 from repro.service import WhyQueryService
 
 from test_property_based import (
@@ -77,13 +77,6 @@ class TestVertexEdgeStatistics:
         a, b = q.add_vertex(), q.add_vertex()
         q.add_edge(a, b)
         assert stats.edge_cardinality(q.edge(0)) == tiny_graph.num_edges
-
-    def test_caches_by_signature(self, stats):
-        q = work_query()
-        stats.vertex_cardinality(q.vertex(0))
-        stats.edge_cardinality(q.edge(0))
-        stats.path1_cardinality(q, 0)
-        assert stats.cache_sizes == {"edge": 1, "path1": 1}
 
 
 class TestPath1:
@@ -355,7 +348,7 @@ class TestDifferentialStatistics:
         stats = GraphStatistics(graph)
         for q in queries:
             assert_statistics_equal(stats, reference, q)
-        # and again, served from the memo
+        # and again, served from the interned projections
         for q in queries:
             assert_statistics_equal(stats, reference, q)
 
@@ -373,8 +366,9 @@ class TestDifferentialStatistics:
 class TestMutateBetweenEstimates:
     """The mutate-between-queries interleavings: one *warm* provider
     follows the graph through every batch and must equal the record walk
-    on everything it was ever asked -- the entries validation kept (served
-    from the memo) and the ones it dropped (looked up again) alike."""
+    on everything it was ever asked -- the projections the index's
+    catch-up kept (served from the table) and the ones it dropped
+    (gathered again) alike."""
 
     @pytest.mark.parametrize("seed", MUTATION_SEEDS)
     def test_warm_provider_equals_the_record_walk(self, seed):
@@ -398,19 +392,22 @@ class TestMutateBetweenEstimates:
 
     def test_interleavings_both_keep_and_drop(self):
         """Guards against a scope that silently keeps nothing (or
-        everything): over the suite's seeds validation does both."""
-        dropped = retained = 0
+        everything): over the suite's seeds the index's catch-up both
+        keeps projections (same object, same key) and drops them."""
+        kept = dropped = 0
         for seed in MUTATION_SEEDS:
             rng = random.Random(10_000 + seed)
             graph = random_differential_graph(rng)
             warm = GraphStatistics(graph)
             for _ in range(MUTATION_ROUNDS):
                 warm.estimate_query_cardinality(random_differential_query(rng))
+                before = dict(csr_for(graph)._projections)
                 random_mutations(rng, graph, rng.randint(1, 6))
-            warm.estimate_query_cardinality(random_differential_query(rng))
-            dropped += warm.dropped
-            retained += warm.retained
-        assert dropped > 0 and retained > 0, (dropped, retained)
+                after = csr_for(graph)._projections
+                survivors = sum(after.get(key) is bits for key, bits in before.items())
+                kept += survivors
+                dropped += len(before) - survivors
+        assert kept > 0 and dropped > 0, (kept, dropped)
 
 
 # -- the delta scope, pinned ------------------------------------------------------------
@@ -434,7 +431,7 @@ def untyped_query() -> GraphQuery:
 
 
 def scope_queries() -> dict:
-    """One-edge queries whose memo entries differ in what can touch them."""
+    """One-edge queries whose projections differ in what can touch them."""
     work_since = work_query()
     work_since.edge(0).predicates["sinceYear"] = equals(2003)
     return {
@@ -452,118 +449,155 @@ class NoLogGraph(PropertyGraph):
     deltas_since = None
 
 
+#: a projection's role, as :mod:`repro.matching.csr` numbers them
+ROLES = ("edges", "sources", "targets")
+
+
+def projection_label(key) -> str:
+    """``group:role:attrs`` of one ``CSRIndex._projections`` key."""
+    type_key, role, signature = key
+    return f"{type_key}:{ROLES[role]}:{','.join(attr for attr, _ in signature)}"
+
+
+#: the projections :func:`scope_queries` intern on ``tiny_graph``: an
+#: element without predicates reads its group's all-ones int, no entry
+SCOPE_PROJECTIONS = {
+    "workAt:sources:type", "workAt:targets:type", "workAt:edges:sinceYear",
+    "knows:sources:type", "knows:targets:gender", "knows:edges:since",
+    "None:sources:name",
+}
+
+
 class TestMutateScope:
-    """What one write drops from a warm memo -- and what it must not."""
+    """What one write drops from a warm index's path(1) gathers and
+    projections (``CSRIndex._drop_touched``) -- and what it must not.
+    Kept means the same object under the same key once the index caught
+    up; every re-asked count equals the record walk, and every kept or
+    re-gathered projection a fresh index's."""
 
     def warm(self, graph):
-        stats = GraphStatistics(graph)
         queries = scope_queries()
+        stats = GraphStatistics(graph)
         for q in queries.values():
             stats.path1_cardinality(q, 0)
-        keys = dict(zip(queries, stats._path1_cache))
-        assert len(keys) == len(queries)
-        return stats, queries, keys
+        csr = csr_for(graph)
+        projections, gathers = dict(csr._projections), dict(csr._gathers)
+        assert set(map(projection_label, projections)) == SCOPE_PROJECTIONS
+        assert set(gathers) == {"workAt", "knows", None}
+        return csr, queries, projections, gathers
 
-    def dropped_by(self, stats, queries, keys):
-        """Names of the entries the pending writes drop; every re-asked
-        value is checked against the record walk on the way."""
-        reference = ReferenceStatistics(stats.graph)
-        stats.path1_cardinality(queries["work"], 0)  # any lookup validates
-        dropped = {name for name, key in keys.items() if key not in stats._path1_cache}
-        dropped.discard("work")
-        misses = stats.stats.misses
-        for name, q in queries.items():
-            assert stats.path1_cardinality(q, 0) == reference.path1_cardinality(q, 0)
-        assert stats.stats.misses - misses == len(dropped)
-        return dropped
+    def dropped_by(self, graph, csr, queries, projections, gathers, patched=True):
+        """``(dropped projection labels, dropped gather groups)`` once the
+        index caught up with the pending writes."""
+        caught_up = csr_for(graph)
+        assert (caught_up is csr) == patched
+        table, groups = caught_up._projections, caught_up._gathers
+        dropped = {
+            projection_label(key) for key, bits in projections.items()
+            if table.get(key) is not bits
+        }
+        dropped_gathers = {key for key, value in gathers.items() if groups.get(key) is not value}
+        reference, fresh = ReferenceStatistics(graph), CSRIndex(graph)
+        for q in queries.values():
+            args = (q.edge(0), q.vertex(0), q.vertex(1))
+            assert caught_up.path1_count(*args) == reference.path1_count(*args), q
+            fresh.path1_count(*args)
+        assert caught_up._projections == fresh._projections
+        return dropped, dropped_gathers
 
-    def test_non_touching_batch_drops_nothing(self, tiny_graph):
+    def test_non_touching_batch_keeps_every_typed_projection(self, tiny_graph):
         """The e2e benchmark's non-touching batch (``apply_batch``): a new
-        label, a new edge type and a new attribute."""
-        stats, queries, keys = self.warm(tiny_graph)
-        del queries["untyped"], keys["untyped"]  # any new edge touches it
+        label, a new edge type and a new attribute.  The new edges reach
+        the all-edges group only."""
+        warm = self.warm(tiny_graph)
         added = [tiny_graph.add_vertex(bench_label="bench", bench_rank=i) for i in range(2)]
         for i in range(4):
             tiny_graph.add_edge(i, added[i % 2], "bench_link", bench_weight=i)
         for i in range(2):
             tiny_graph.set_vertex_attribute(i, "bench_rank", i)
-        misses = stats.stats.misses
-        assert self.dropped_by(stats, queries, keys) == set()
-        assert stats.stats.misses == misses
-        assert stats.retained >= len(queries)
+        assert self.dropped_by(tiny_graph, *warm) == ({"None:sources:name"}, {None})
 
-    def test_add_vertex_alone_drops_nothing(self, tiny_graph):
-        """A vertex no edge reaches yet changes no edge count, whatever
+    def test_add_vertex_alone_keeps_all(self, tiny_graph):
+        """A vertex no edge reaches yet moves no group's row, whatever
         attributes it carries -- here every one the endpoint predicates
-        mention (the e2e touching batch clones existing vertices)."""
-        stats, queries, keys = self.warm(tiny_graph)
+        name (the e2e touching batch clones existing vertices)."""
+        warm = self.warm(tiny_graph)
         tiny_graph.add_vertex(type="person", name="Anna", gender="female", age=34)
         tiny_graph.add_vertex(type="university", name="TU Dresden")
-        misses = stats.stats.misses
-        assert self.dropped_by(stats, queries, keys) == set()
-        assert stats.stats.misses == misses
-        assert stats.dropped == 0 and stats.retained == len(queries)
+        assert self.dropped_by(tiny_graph, *warm) == (set(), set())
 
-    def test_add_vertex_then_add_edge_drops_exactly_that_type(self, tiny_graph):
+    def test_add_vertex_then_add_edge_drops_exactly_that_group(self, tiny_graph):
         """The ``"e"`` record that attaches the new vertex is what drops:
-        its type's entries (and the untyped one), nothing else."""
-        stats, queries, keys = self.warm(tiny_graph)
+        its type's group and the all-edges group, nothing else."""
+        warm = self.warm(tiny_graph)
         eve = tiny_graph.add_vertex(type="person", name="Eve", gender="female")
         tiny_graph.add_edge(0, eve, "knows", since=2020)
-        assert self.dropped_by(stats, queries, keys) == {
-            "knows", "knows_since", "untyped",
-        }
-        assert stats.retained == 2  # work, work_since
+        assert self.dropped_by(tiny_graph, *warm) == (
+            {"knows:sources:type", "knows:targets:gender", "knows:edges:since",
+             "None:sources:name"},
+            {"knows", None},
+        )
 
-    def test_touching_batch_retains_the_other_types(self, tiny_graph):
+    def test_touching_batch_keeps_the_other_groups(self, tiny_graph):
         """The e2e benchmark's touching batch shape: cloned vertices, edges
-        of one type, one attribute write -- ``retained`` stays above zero."""
-        stats, queries, keys = self.warm(tiny_graph)
+        of one type, one attribute write no signature names."""
+        warm = self.warm(tiny_graph)
         for vid in (0, 4):
             tiny_graph.add_vertex(**dict(tiny_graph.vertex_attributes(vid)))
         tiny_graph.add_edge(1, 0, "knows", since=2015)
         tiny_graph.set_vertex_attribute(3, "age", 52)
-        assert self.dropped_by(stats, queries, keys) == {
-            "knows", "knows_since", "untyped",
+        dropped, dropped_gathers = self.dropped_by(tiny_graph, *warm)
+        assert SCOPE_PROJECTIONS - dropped == {
+            "workAt:sources:type", "workAt:targets:type", "workAt:edges:sinceYear",
         }
-        assert stats.memo_report()["retained"] > 0
+        assert dropped_gathers == {"knows", None}
 
-    def test_add_edge_drops_its_type_and_the_untyped(self, tiny_graph):
-        stats, queries, keys = self.warm(tiny_graph)
+    def test_add_edge_drops_its_group_and_the_all_edges_group(self, tiny_graph):
+        warm = self.warm(tiny_graph)
         tiny_graph.add_edge(2, 0, "knows")
-        assert self.dropped_by(stats, queries, keys) == {
-            "knows", "knows_since", "untyped",
+        dropped, dropped_gathers = self.dropped_by(tiny_graph, *warm)
+        assert dropped == {
+            "knows:sources:type", "knows:targets:gender", "knows:edges:since",
+            "None:sources:name",
         }
+        assert dropped_gathers == {"knows", None}
 
-    def test_vertex_attribute_drops_the_endpoint_predicates_mentioning_it(
-        self, tiny_graph
-    ):
-        stats, queries, keys = self.warm(tiny_graph)
+    def test_vertex_attribute_drops_the_endpoint_projections_naming_it(self, tiny_graph):
+        """A ``"va"`` write reaches vertex masks only: an edge-role
+        projection naming the same attribute is kept."""
+        warm = self.warm(tiny_graph)
         tiny_graph.set_vertex_attribute(1, "gender", "female")
-        assert self.dropped_by(stats, queries, keys) == {"knows", "knows_since"}
+        tiny_graph.set_vertex_attribute(2, "since", 2009)
+        assert self.dropped_by(tiny_graph, *warm) == ({"knows:targets:gender"}, set())
 
-    def test_edge_attribute_drops_the_edge_predicates_mentioning_it(self, tiny_graph):
-        stats, queries, keys = self.warm(tiny_graph)
+    def test_edge_attribute_drops_the_edge_projections_naming_it(self, tiny_graph):
+        """An ``"ea"`` write reaches edge masks only: an endpoint
+        projection naming the same attribute is kept."""
+        warm = self.warm(tiny_graph)
         knows = next(r.eid for r in tiny_graph.edges() if r.type == "knows")
         tiny_graph.set_edge_attribute(knows, "since", 2012)
-        assert self.dropped_by(stats, queries, keys) == {"knows_since"}
+        tiny_graph.set_edge_attribute(knows, "gender", "female")
+        assert self.dropped_by(tiny_graph, *warm) == ({"knows:edges:since"}, set())
 
-    def test_ring_overrun_clears(self, tiny_graph):
-        stats, queries, keys = self.warm(tiny_graph)
+    def test_ring_overrun_rebuilds(self, tiny_graph):
+        warm = self.warm(tiny_graph)
+        builds = csr_stats(tiny_graph)["csr_builds"]
         for i in range(DELTA_RING_LIMIT + 1):
             tiny_graph.set_vertex_attribute(0, "bench_rank", i)
-        assert self.dropped_by(stats, queries, keys) == set(queries) - {"work"}
-        assert stats.dropped == len(queries)
+        dropped = self.dropped_by(tiny_graph, *warm, patched=False)
+        assert dropped == (SCOPE_PROJECTIONS, {"workAt", "knows", None})
+        assert csr_stats(tiny_graph)["csr_builds"] == builds + 1
 
-    def test_graph_without_a_delta_log_clears(self):
+    def test_graph_without_a_delta_log_rebuilds(self):
         graph = NoLogGraph()
         anna = graph.add_vertex(type="person", name="Anna", gender="female")
         tud = graph.add_vertex(type="university")
         graph.add_edge(anna, tud, "workAt", sinceYear=2003)
-        stats, queries, keys = self.warm(graph)
+        graph.add_edge(anna, anna, "knows", since=2009)
+        warm = self.warm(graph)
         graph.add_vertex(bench_label="bench")
-        assert self.dropped_by(stats, queries, keys) == set(queries) - {"work"}
-        assert stats.dropped == len(queries)
+        dropped = self.dropped_by(graph, *warm, patched=False)
+        assert dropped == (SCOPE_PROJECTIONS, {"workAt", "knows", None})
 
     def test_edge_admitted_by_both_orientations_counts_once(self):
         graph = PropertyGraph()
@@ -589,7 +623,9 @@ class TestMutateScope:
 
     def test_concurrent_explains_after_a_mutation_batch(self):
         """One provider, eight request threads, all released at once
-        onto a memo with a pending delta run to validate."""
+        onto an index with a full projection table and a pending delta
+        run: one thread applies it, scoping the drop over every entry,
+        while the others wait on the catch-up lock."""
         from repro.datasets import ldbc
 
         graph = ldbc.generate(scale=0.35, seed=7).graph
@@ -597,20 +633,24 @@ class TestMutateScope:
         stats = GraphStatistics(graph)
         for q in queries:
             stats.estimate_query_cardinality(q)
-        # a memo large enough that validating it outlasts a thread hand-over
+        # a table one entry short of its cap: the catch-up scans all of it
+        csr = csr_for(graph)
         filler = knows_query()
-        for year in range(4000):
+        year = 0
+        while len(csr._projections) < PROJECTION_CAP - 1:
             filler.vertex(0).predicates["age"] = equals(year)
             stats.path1_cardinality(filler, 0)
+            year += 1
         random_touching_batch(graph)
-        expected = [GraphStatistics(graph).estimate_query_cardinality(q) for q in queries]
+        reference = ReferenceStatistics(graph)  # leaves the run pending
+        expected = [reference.estimate_query_cardinality(q) for q in queries]
         barrier = threading.Barrier(8)
         results, errors = [], []
 
         def worker() -> None:
             try:
                 barrier.wait(timeout=30)
-                stats.path1_cardinality(queries[0], 0)  # straight into validation
+                stats.path1_cardinality(queries[0], 0)  # straight into the catch-up
                 results.append([stats.estimate_query_cardinality(q) for q in queries])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -628,6 +668,7 @@ class TestMutateScope:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert results == [expected] * 8
+        assert csr_for(graph) is csr and csr_stats(graph)["csr_rebuilds"] == 0
 
 
 def one_edge_query(types, directions=None, source=None, target=None, **edge_predicates):
@@ -931,18 +972,3 @@ def random_touching_batch(graph) -> None:
         graph.add_edge(record.source, record.target, record.type, **dict(record.attributes))
     graph.set_vertex_attribute(persons[0], "gender", "female")
     graph.set_vertex_attribute(persons[1], "gender", "male")
-
-
-class TestMemoCap:
-    def test_memo_stays_under_its_cap_and_answers_exactly(self, tiny_graph):
-        stats = GraphStatistics(tiny_graph)
-        reference = ReferenceStatistics(tiny_graph)
-        q = work_query()
-        for year in range(PATH1_CAP + 1):
-            q.vertex(0).predicates["age"] = equals(year)
-            assert stats.path1_cardinality(q, 0) == (1 if year in (34, 40, 51) else 0)
-            assert stats.cache_sizes["path1"] <= PATH1_CAP
-        assert stats.cache_sizes["path1"] == PATH1_CAP
-        for year in (0, 34, 40, 51, PATH1_CAP):
-            q.vertex(0).predicates["age"] = equals(year)
-            assert stats.path1_cardinality(q, 0) == reference.path1_cardinality(q, 0)

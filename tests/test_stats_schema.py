@@ -11,7 +11,9 @@ survive the JSON round-trip the protocol ``stats`` message performs.
 from __future__ import annotations
 
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.graph import PropertyGraph
 from repro.core.predicates import equals
 from repro.core.query import GraphQuery
 from repro.matching import PatternMatcher
+from repro.matching.csr import csr_for
 from repro.service import WhyQueryService
 from repro.stats import SECTIONS, STATS_SCHEMA, unified_stats
 
@@ -182,51 +185,57 @@ class TestExecutorSurface:
             executor.close()
 
 
-class TestStatisticsMemoLayer:
-    """``["caches"]["path1"]``: the one cache ``cache_report()`` used to
-    omit -- "why was this explain slow after a write" from ``stats()``."""
+class TestPath1State:
+    """Path(1) state lives in the CSR index alone: ``["caches"]`` is the
+    result cache, and a write drops only the projections it reaches."""
 
-    KEYS = {"hits", "misses", "size", "hit_rate", "dropped", "retained"}
-
-    def test_cache_report_and_service_stats_carry_the_memo(self):
+    def test_caches_are_the_result_cache_only(self):
         failing = typed_query()
         failing.vertex(1).predicates["name"] = equals("nowhere")
         with WhyQueryService() as service:
             g = tiny_graph()
             service.explain(g, failing)
-            (per_graph,) = service.stats()["per_graph"]
-            layer = per_graph["cache_report"]["caches"]["path1"]
-            assert set(layer) == self.KEYS
-            assert layer["misses"] >= 1 and layer["size"] >= 1
-            assert layer["dropped"] == layer["retained"] == 0
-
-            g.add_vertex(bench_label="bench")  # nothing a statistic mentions
-            service.explain(g, failing)
-            g.add_edge(0, 2, "workAt")  # every workAt statistic
+            g.add_edge(0, 2, "workAt")
             service.explain(g, failing)
             stats = service.stats()
-            totals = stats["caches"]["path1"]
-            assert set(totals) == {"hits", "misses", "dropped", "retained"}
-            assert totals["retained"] >= 1 and totals["dropped"] >= 1
-            (per_graph,) = stats["per_graph"]
-            layer = per_graph["cache_report"]["caches"]["path1"]
-            assert {key: layer[key] for key in totals} == totals
-            assert json.loads(json.dumps(stats))["caches"]["path1"] == totals
+        assert set(stats["caches"]) == {"results"}
+        (per_graph,) = stats["per_graph"]
+        assert set(per_graph["cache_report"]["caches"]) == {"results"}
+        assert stats["csr"]["patches"] == 1 and stats["csr"]["bytes"] > 0
+        assert json.loads(json.dumps(stats))["caches"] == stats["caches"]
+
+    def test_the_docs_list_exactly_the_cache_layers(self):
+        """``docs/observability.md``'s layer table names each row of
+        ``stats()["caches"]``, and no other: a deleted row cannot linger
+        in the docs."""
+        text = (Path(__file__).resolve().parent.parent / "docs" / "observability.md").read_text()
+        section = text.split("### Cache layers", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        with WhyQueryService() as service:
+            service.explain(tiny_graph(), typed_query())
+            layers = set(service.stats()["caches"])
+        assert len(rows) == len(set(rows))
+        assert set(rows) == layers
 
     def test_a_touching_batch_retains_what_it_cannot_reach(self):
         """Cloned vertices carry every attribute the endpoint predicates
-        mention; alone they drop nothing, and the edge that follows drops
-        its own type's statistics only."""
+        name; alone they drop no projection, and the edge that follows
+        drops the all-edges group's only (its own type's group held no
+        edge before)."""
         failing = typed_query()
         failing.vertex(1).predicates["name"] = equals("nowhere")
         with WhyQueryService() as service:
             g = tiny_graph()
             service.explain(g, failing)
+            before = dict(csr_for(g)._projections)
+            assert {key[0] for key in before} == {"workAt", None}
             clone = g.add_vertex(**dict(g.vertex_attributes(0)))
+            table = csr_for(g)._projections  # caught up, nothing re-asked yet
+            assert all(table.get(key) is bits for key, bits in before.items())
             service.explain(g, failing)
-            row = service.stats()["caches"]["path1"]
-            assert row["dropped"] == 0 and row["retained"] > 0
-            g.add_edge(clone, 1, "knows")  # reaches the untyped statistics only
+            g.add_edge(clone, 1, "knows")
+            table = csr_for(g)._projections
+            kept = {key for key, bits in before.items() if table.get(key) is bits}
+            assert kept == {key for key in before if key[0] == "workAt"}
             service.explain(g, failing)
-            after = service.stats()["caches"]["path1"]
-            assert after["retained"] > row["retained"]
+            assert service.stats()["csr"]["patches"] == 2
