@@ -18,7 +18,7 @@ mutations absorbed by in-place CSR patching, gated on the patch rate)
 and the tracing-overhead
 record (``observability``: traced-vs-untraced matcher throughput with a
 fresh activated tracer per request, gated at >= 0.9 so tracing stays
-cheap enough to leave on) and the warm-restart record
+cheap enough to leave on) and the snapshot-restore record
 (``restart_warm``).  No section times a modeled stall: every number is
 real work.  The JSON is the machine-readable
 record of the hot-path performance trajectory; CI diffs a fresh run
@@ -54,7 +54,6 @@ from repro.metrics.result_distance import result_set_distance
 from repro.metrics.syntactic import syntactic_distance
 from repro.obs import Tracer
 from repro.rewrite.statistics import GraphStatistics
-from repro.service import WhyQueryService
 from repro.shard import ProcessExecutor
 
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_micro_core.json"
@@ -572,26 +571,29 @@ def _observability_section(batch_rounds: int = 40) -> dict:
 
 
 def _restart_warm_section() -> dict:
-    """Warm-restart persistence (ISSUE 10): kill the service, start a new
-    one over the same persist directory, and measure how much evaluation
-    state survived.
+    """Snapshot restore through the library the e2e ``persist.*`` probe
+    drives (:mod:`repro.persist`): save a warm context's snapshot to a
+    :class:`SnapshotStore`, restore it into a context over a rebuilt
+    graph, and measure how much evaluation state survived.
 
-    Three runs over the deterministic 32-variant rewrite batch, all
-    through the real :class:`WhyQueryService` spill/prewarm path:
+    Three runs over the deterministic 32-variant rewrite batch, each on
+    its own :class:`ExecutionContext`:
 
-    * **cold** -- a fresh service computes every variant (the baseline
-      first pass) and checkpoints on ``close()``;
-    * **unmutated restart** -- a second service over the same directory
-      prewarms its context from the snapshot; every variant must come
-      back as a result-cache hit (``warm_hit_rate`` is gated >= 0.9 in
+    * **cold** -- a fresh context computes every variant (the baseline
+      first pass); its ``snapshot_context`` is saved under the graph's
+      ``persist_key``;
+    * **unmutated restore** -- the context of an identically rebuilt
+      graph restores that snapshot; every variant must come back as a
+      result-cache hit (``warm_hit_rate`` is gated >= 0.9 in
       ``check_trajectory.py``) and the restored counts must be
       bit-identical to the cold computes;
-    * **delta-mutated restart** -- the rebuilt graph takes one extra
-      ``rel0`` edge before the prewarm, so the snapshot is one delta
-      behind.  Replay drops exactly the touched entries: the recorded
-      hit rate is *partial* (deterministic, not gated to an absolute
-      floor), and counts stay identical to a cold evaluation of an
-      identically mutated twin.
+    * **delta-mutated restore** -- the rebuilt graph takes one extra
+      ``rel0`` edge before the restore, so the snapshot is one delta
+      behind; it is loaded by run 1's key, since the content key of a
+      graph with one more edge differs.  Replay drops exactly the
+      touched entries: the recorded hit rate is *partial*
+      (deterministic, not gated to an absolute floor), and counts stay
+      identical to a cold evaluation of an identically mutated twin.
 
     Hit rates and counts are deterministic -- not wall-clock -- so the
     gates are not core-aware.  The first-pass wall-clock times are
@@ -600,32 +602,26 @@ def _restart_warm_section() -> dict:
     import shutil
     import tempfile
 
-    from repro.persist import set_persist_name
+    from repro.persist import SnapshotStore, persist_key, restore_context, snapshot_context
 
-    def fresh_workload():
-        g, variants, per_variant = _rewrite_batch_workload()
-        # name the graph so the restarted process maps onto the same
-        # snapshot file, exactly like the protocol server does
-        set_persist_name(g, "bench-restart")
-        return g, variants, per_variant
-
-    persist_dir = tempfile.mkdtemp(prefix="repro-bench-restart-")
+    snapshot_dir = tempfile.mkdtemp(prefix="repro-bench-restart-")
     try:
-        # -- run 1: cold service, then checkpoint via close() --------------
-        graph, variants, per_variant = fresh_workload()
-        service = WhyQueryService(persist=persist_dir)
-        context = service.context_for(graph)
+        store = SnapshotStore(snapshot_dir)
+        # -- run 1: cold context, then its snapshot -------------------------
+        graph, variants, per_variant = _rewrite_batch_workload()
+        context = ExecutionContext(graph)
         cold_counts = []
         cold_s = _timed(
             lambda: cold_counts.extend(context.count(q) for q in variants)
         )
         assert cold_counts == [per_variant] * len(variants)
-        service.close()
+        key = persist_key(graph)
+        store.save(key, snapshot_context(context))
 
-        # -- run 2: unmutated restart ---------------------------------------
-        graph2, variants2, _ = fresh_workload()
-        service2 = WhyQueryService(persist=persist_dir)
-        context2 = service2.context_for(graph2)  # prewarms here
+        # -- run 2: unmutated restore ---------------------------------------
+        graph2, variants2, _ = _rewrite_batch_workload()
+        context2 = ExecutionContext(graph2)
+        unmutated_restore = restore_context(context2, store.load(key)).as_dict()
         hits_before = context2.cache.stats.hits
         warm_counts = []
         warm_s = _timed(
@@ -633,33 +629,25 @@ def _restart_warm_section() -> dict:
         )
         warm_hits = context2.cache.stats.hits - hits_before
         warm_hit_rate = warm_hits / len(variants2)
-        unmutated_restore = dict(
-            service2.stats()["persistence"]["last_restore"] or {}
-        )
-        service2.close()
 
-        # -- run 3: restart one delta behind the snapshot -------------------
-        graph3, variants3, _ = fresh_workload()
+        # -- run 3: restore one delta behind the snapshot -------------------
+        graph3, variants3, _ = _rewrite_batch_workload()
         # hub->hub edge: touches the rel0 entries without changing any
         # count (the rel0 variant requires a leaf target)
         graph3.add_edge(0, 1, "rel0")
-        service3 = WhyQueryService(persist=persist_dir)
-        context3 = service3.context_for(graph3)
+        context3 = ExecutionContext(graph3)
+        mutated_restore = restore_context(context3, store.load(key)).as_dict()
         hits_before3 = context3.cache.stats.hits
         mutated_counts = [context3.count(q) for q in variants3]
         mutated_hits = context3.cache.stats.hits - hits_before3
         mutated_hit_rate = mutated_hits / len(variants3)
-        mutated_restore = dict(
-            service3.stats()["persistence"]["last_restore"] or {}
-        )
-        service3.close()
 
         # differential: a cold twin of the mutated graph must agree
-        twin, twin_variants, _ = fresh_workload()
+        twin, twin_variants, _ = _rewrite_batch_workload()
         twin.add_edge(0, 1, "rel0")
         twin_counts = [PatternMatcher(twin).count(q) for q in twin_variants]
     finally:
-        shutil.rmtree(persist_dir, ignore_errors=True)
+        shutil.rmtree(snapshot_dir, ignore_errors=True)
 
     return {
         "workload": {"variants": len(variants), "matches_per_variant": per_variant},

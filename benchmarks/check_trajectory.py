@@ -35,10 +35,10 @@ fails (exit code 1) when the trajectory regressed:
   *not* core-aware; the floor is the stronger of the committed
   baseline and the 0.9 acceptance target -- tracing that stops being
   cheap enough to leave on fails the gate;
-* **warm-restart persistence** (``restart_warm``): the unmutated-restart
+* **snapshot restore** (``restart_warm``): the unmutated-restore
   warm-hit rate (fraction of the 32-variant batch served from the
-  prewarmed result cache after a service restart, floored at the 0.9
-  acceptance target), the delta-mutated-restart partial hit rate
+  result cache a snapshot restored into a fresh context, floored at
+  the 0.9 acceptance target), the delta-mutated-restore partial hit rate
   (gated against the committed baseline only -- the conservative
   invalidation scope may legitimately change), and the
   ``counts_identical`` flags (restored counts bit-identical to cold

@@ -14,15 +14,12 @@ Commands
 ``datasets``
     Print the generated data-set inventory (Table A.1).
 ``serve [--host H] [--port P] [--metrics-port M] [--with-ldbc]
-[--persist-dir D] [--allow-remote-shutdown]``
+[--allow-remote-shutdown]``
     Run the why-query protocol server in the foreground (see
     ``docs/protocol.md``); ``--with-ldbc`` preloads the generated LDBC
     social network under the graph name ``ldbc``; ``--metrics-port``
     additionally serves the Prometheus text exposition of the metrics
-    registry over plain HTTP (``GET /metrics``); ``--persist-dir``
-    switches on warm-restart persistence -- caches and the slow-query
-    log snapshot into the directory and a restarted server prewarms
-    from it (see ``docs/persistence.md``).
+    registry over plain HTTP (``GET /metrics``).
 ``slowlog [--host H] [--port P] [--limit N]``
     Connect to a running server and print its slow-query log, slowest
     explain first (see ``docs/observability.md``).
@@ -73,14 +70,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         graphs["ldbc"] = ldbc.generate().graph
 
-    service = None
-    if args.persist_dir is not None:
-        from repro.service import WhyQueryService
-
-        service = WhyQueryService(persist=args.persist_dir)
-
     server = WhyQueryProtocolServer(
-        service=service,
         graphs=graphs,
         host=args.host,
         port=args.port,
@@ -279,15 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve = commands.add_parser("serve", help="run the protocol server")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642)
-    serve.add_argument(
-        "--persist-dir",
-        default=None,
-        help=(
-            "warm-restart persistence directory: caches and the "
-            "slow-query log snapshot here on shutdown/eviction and "
-            "prewarm from it on start (docs/persistence.md)"
-        ),
-    )
     serve.add_argument(
         "--metrics-port",
         type=int,

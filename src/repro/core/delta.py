@@ -4,8 +4,9 @@ A mutation delta (see :class:`~repro.core.graph.PropertyGraph`'s delta
 log) touches a small, statically determinable slice of the evaluation
 state: the attributes it wrote and the edge types whose adjacency it
 extended.  The version-keyed caches (candidate cache, query-result
-cache, the snapshot restore of :mod:`repro.persist.snapshot`) use that to drop *only* the entries the delta can
-actually affect, instead of clearing wholesale on every version bump:
+cache, the snapshot restore ``restore_context``) use that to drop
+*only* the entries the delta can actually affect, instead of clearing
+wholesale on every version bump:
 
 * :func:`delta_touch` folds a delta record run into one
   :class:`DeltaTouch` summary;

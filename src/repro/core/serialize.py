@@ -1,6 +1,6 @@
 """JSON-friendly (de)serialisation of graphs, queries and results.
 
-A downstream system needs to persist failed queries, ship explanations to
+A downstream system needs to store failed queries, ship explanations to
 a frontend, or check query variants into version control.  This module
 maps the core model onto plain dicts/lists (JSON-compatible when the
 attribute values are) and back, losslessly:

@@ -7,13 +7,7 @@ steps, a per-span-kind profile, the cache hit/miss delta and whether
 the evaluation budget truncated the search.
 The log keeps the *slowest* ``capacity`` entries seen so far (a
 min-heap on elapsed time evicts the quickest), so one burst of cheap
-queries can never flush the interesting outliers.
-
-The log is also a persistence participant: :meth:`export` /
-:meth:`restore` move the retained entries through
-:mod:`repro.persist` so the outliers observed before a restart stay
-visible after it (they are often exactly the queries an operator is
-restarting *because of*)."""
+queries can never flush the interesting outliers."""
 
 from __future__ import annotations
 
@@ -22,7 +16,7 @@ import heapq
 import itertools
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["SlowQueryLog"]
 
@@ -93,27 +87,6 @@ class SlowQueryLog:
     def clear(self) -> None:
         with self._lock:
             self._heap.clear()
-
-    # -- persistence seam ------------------------------------------------------
-
-    def export(self) -> List[Dict[str, Any]]:
-        """JSON-ready snapshot of the retained entries, slowest first."""
-        return self.entries()
-
-    def restore(self, entries: Iterable[Dict[str, Any]]) -> int:
-        """Re-offer persisted entries; returns how many were retained.
-
-        Restores go through :meth:`record`, so capacity, elapsed
-        coercion and freezing all apply -- a decayed snapshot can only
-        cost retained history, never corrupt the live heap.
-        """
-        restored = 0
-        for entry in entries:
-            if not isinstance(entry, dict):
-                continue
-            if self.record(entry):
-                restored += 1
-        return restored
 
     def __len__(self) -> int:
         with self._lock:

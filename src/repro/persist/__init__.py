@@ -1,10 +1,8 @@
-"""Warm-restart persistence: durable snapshots of evaluation state.
+"""Durable snapshots of a context's result cache.
 
 See :mod:`repro.persist.snapshot` for the format, the validation rules
-and the crash-recovery contract.  The service layer
-(:class:`~repro.service.WhyQueryService`) is the main consumer: it
-spills evicted pool contexts here (tiering), checkpoints live ones, and
-prewarms fresh contexts from whatever survives validation.
+and the crash-recovery contract.  Nothing in the serving stack calls
+this package; the ``persist.*`` benchmark probe is its only consumer.
 """
 
 from repro.persist.snapshot import (
@@ -15,7 +13,6 @@ from repro.persist.snapshot import (
     graph_fingerprint,
     persist_key,
     restore_context,
-    set_persist_name,
     snapshot_context,
 )
 
@@ -27,6 +24,5 @@ __all__ = [
     "graph_fingerprint",
     "persist_key",
     "restore_context",
-    "set_persist_name",
     "snapshot_context",
 ]

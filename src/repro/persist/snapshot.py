@@ -1,11 +1,9 @@
-"""Crash-safe snapshot/restore of warm evaluation state.
+"""Crash-safe snapshot/restore of a context's result cache.
 
-A :class:`~repro.service.WhyQueryService` restart (or an LRU eviction
-from its context pool) historically discarded every derived artefact --
-the :class:`~repro.rewrite.cache.QueryResultCache` and the slow-query
-log -- so the first minutes after a deploy served
-why-queries at cold latency.  This module gives every cache owner an
-explicit, versioned externalization seam:
+A snapshot carries a :class:`~repro.rewrite.cache.QueryResultCache`'s
+entries across processes.  No serving path uses it: a restart from a
+snapshot measured slower than a cold start (ROADMAP item 18), and the
+library is kept only for the ``persist.*`` benchmark probe.
 
 * :func:`snapshot_context` serialises a context's result-cache entries
   (count + limit, keyed by the query itself -- signatures are not
@@ -73,7 +71,6 @@ __all__ = [
     "graph_fingerprint",
     "persist_key",
     "restore_context",
-    "set_persist_name",
     "snapshot_context",
 ]
 
@@ -85,32 +82,13 @@ MAGIC = "REPROSNAP"
 #: reject files written by a *newer* format rather than misparse them
 SNAPSHOT_FORMAT = 1
 
-#: attribute carrying a graph's explicit persistence identity (the
-#: protocol server names graphs; ``id(graph)`` does not survive a
-#: process restart)
-_PERSIST_NAME_ATTR = "_repro_persist_name"
-
 
 # -- graph identity --------------------------------------------------------------
 
 
-def set_persist_name(graph: PropertyGraph, name: str) -> None:
-    """Give ``graph`` a stable persistence identity.
-
-    The service pool keys contexts by graph *object*; across restarts
-    only a name survives.  The protocol server calls this with the
-    client-facing graph name on ``put_graph`` and for preloaded graphs.
-    """
-    setattr(graph, _PERSIST_NAME_ATTR, str(name))
-
-
 def persist_key(graph: PropertyGraph) -> str:
-    """The graph's snapshot key: its explicit persist name when one was
-    set, else a content-derived key (same content -> same key, which is
-    exactly the property an anonymous restart needs)."""
-    name = getattr(graph, _PERSIST_NAME_ATTR, None)
-    if name is not None:
-        return f"g-{name}"
+    """The graph's snapshot key, derived from its content: the same
+    elements give the same key in any process."""
     return f"fp-{_content_sha(graph)[:16]}"
 
 
@@ -172,7 +150,7 @@ class SnapshotStore:
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        #: load outcomes, for the service's ``persistence`` stats section
+        #: save and load outcomes
         self.counters: Dict[str, int] = {
             "saves": 0,
             "loads": 0,
@@ -253,50 +231,27 @@ class SnapshotStore:
             return None
         return payload
 
-    def delete(self, key: str) -> None:
-        try:
-            os.unlink(self.path_for(key))
-        except OSError:
-            pass
-
-    def keys_on_disk(self) -> List[str]:
-        """File stems currently stored (diagnostics; keys are slugs)."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(
-            name[: -len(".snap")]
-            for name in names
-            if name.endswith(".snap") and not name.startswith(".tmp-")
-        )
-
 
 # -- payload assembly ------------------------------------------------------------
 
 
-def snapshot_context(context, slow_log=None) -> Dict[str, Any]:
-    """One JSON-safe payload holding the context's warm state.
+def snapshot_context(context) -> Dict[str, Any]:
+    """One JSON-safe payload holding the context's result cache.
 
     Exports the result cache *after* its own delta-scoped validation, so
     the payload is consistent with ``graph.version`` at call time.
-    ``slow_log`` (a :class:`~repro.obs.slowlog.SlowQueryLog`) rides along
-    when given -- the service persists its log through the same store.
     """
     graph = context.graph
     results = [
         {"query": query_to_dict(query), "count": count, "limit": limit}
         for query, count, limit in context.cache.export_entries()
     ]
-    payload: Dict[str, Any] = {
+    return {
         "kind": "context",
         "persisted_version": graph.version,
         "fingerprint": graph_fingerprint(graph),
         "results": results,
     }
-    if slow_log is not None:
-        payload["slow_log"] = slow_log.export()
-    return payload
 
 
 # -- restore ---------------------------------------------------------------------
@@ -310,6 +265,8 @@ class RestoreReport:
     reason: Optional[str] = None  #: why the payload was discarded, if it was
     results_restored: int = 0
     results_dropped: int = 0  #: delta-touched or malformed result entries
+    #: always 0; kept as a key of the committed BENCH_micro_core.json
+    #: (``restart_warm.*.restore``) until that file is re-baselined
     slow_log_restored: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
@@ -322,24 +279,15 @@ class RestoreReport:
         }
 
 
-def restore_context(context, payload: Mapping[str, Any], slow_log=None) -> RestoreReport:
-    """Validate ``payload`` against the live graph and prewarm the caches.
+def restore_context(context, payload: Mapping[str, Any]) -> RestoreReport:
+    """Validate ``payload`` against the live graph and prewarm the cache.
 
     Implements the version/fingerprint/delta gauntlet documented in the
     module docstring.  Never raises on a decayed payload: a discard is a
     cold start with a ``reason``; individual malformed or delta-touched
-    entries are dropped and counted while the rest restore.  The
-    slow-query log (when present in the payload and ``slow_log`` is
-    given) restores regardless of the cache verdict -- it is
-    observability history, not answer state, and stale history is
-    precisely what an operator debugging a restart wants to see.
+    entries are dropped and counted while the rest restore.
     """
     report = RestoreReport()
-    if slow_log is not None:
-        entries = payload.get("slow_log")
-        if isinstance(entries, list):
-            report.slow_log_restored = slow_log.restore(entries)
-
     graph = context.graph
     try:
         persisted_version = int(payload["persisted_version"])

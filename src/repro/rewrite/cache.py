@@ -64,9 +64,10 @@ class QueryResultCache:
         #: key -> ``(count, limit, touch profile, frozen query)``.  The
         #: profile scopes invalidation to the deltas that touch the
         #: query; the query is kept because the signature a key is made
-        #: of is not invertible and externalization (:mod:`repro.persist`)
-        #: needs it back -- frozen, so holding it costs no copy when the
-        #: caller's query is frozen already (every search candidate is)
+        #: of is not invertible and the snapshot export
+        #: (:meth:`export_entries`) needs it back -- frozen, so holding
+        #: it costs no copy when the caller's query is frozen already
+        #: (every search candidate is)
         self._entries: Dict[
             Hashable, Tuple[int, Optional[int], QueryTouchProfile, GraphQuery]
         ] = {}
@@ -164,7 +165,7 @@ class QueryResultCache:
             self._entries.clear()
             self.stats.size = 0
 
-    # -- externalization seam (warm-restart persistence) ----------------------
+    # -- snapshot seam (``snapshot_context`` / ``restore_context``) -----------
 
     def export_entries(self) -> List[Tuple[GraphQuery, int, Optional[int]]]:
         """Snapshot every live entry as ``(query, count, limit)`` triples.
@@ -188,14 +189,14 @@ class QueryResultCache:
     def restore_entries(
         self, entries: Iterable[Tuple[GraphQuery, int, Optional[int]]]
     ) -> int:
-        """Insert externally persisted entries; returns how many landed.
+        """Insert entries read back from a snapshot; returns how many landed.
 
-        The caller (:func:`repro.persist.restore_context`) has already
-        validated the snapshot against the graph version and dropped
-        delta-touched entries, so insertion is unconditional -- except
-        that a *live* entry for the same signature wins (it is at least
-        as fresh as the persisted one).  Restores do not count as hits
-        or misses; only ``stats.size`` moves.
+        The caller (``restore_context``) has already validated the
+        snapshot against the graph version and dropped delta-touched
+        entries, so insertion is unconditional -- except that a *live*
+        entry for the same signature wins (it is at least as fresh as
+        the snapshot's).  Restores do not count as hits or misses; only
+        ``stats.size`` moves.
         """
         restored = 0
         with self._lock:

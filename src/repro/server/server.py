@@ -66,7 +66,6 @@ from repro.server.protocol import (
     encode_frame,
     report_to_dict,
 )
-from repro.persist import set_persist_name
 from repro.service import AdmissionRejected, BudgetPool, WhyQueryService
 
 __all__ = ["ThreadedServer", "WhyQueryProtocolServer", "serve_in_thread"]
@@ -117,12 +116,6 @@ class WhyQueryProtocolServer:
     ) -> None:
         self.service = service if service is not None else WhyQueryService()
         self.graphs: Dict[str, PropertyGraph] = dict(graphs or {})
-        # client-facing names double as persistence identities: a
-        # restarted server prewarms each graph's context from the
-        # snapshot its *name* keyed, so warmth survives the fact that
-        # graph object identity does not (see docs/persistence.md)
-        for name, graph in self.graphs.items():
-            set_persist_name(graph, name)
         self.tenants: Dict[str, BudgetPool] = dict(tenants or {})
         self.default_quota = default_quota
         self.host = host
@@ -391,7 +384,6 @@ class WhyQueryProtocolServer:
         graph = await loop.run_in_executor(
             self._pool, functools.partial(graph_from_dict, payload)
         )
-        set_persist_name(graph, name)
         self.graphs[name] = graph
         self._alt_matchers.pop(name, None)
         await self._send(

@@ -67,12 +67,6 @@ from repro.obs import (
     Tracer,
     tracing_default,
 )
-from repro.persist import (
-    SnapshotStore,
-    persist_key,
-    restore_context,
-    snapshot_context,
-)
 from repro.shard.process_executor import ProcessExecutor
 from repro.stats import (
     csr_section,
@@ -393,16 +387,6 @@ class WhyQueryService:
     bound the number in flight with the caller's own semaphore or
     executor; the service keeps no thread pool of its own.
 
-    ``persist`` (a directory path or a
-    :class:`~repro.persist.SnapshotStore`) switches on **warm-restart
-    persistence and context tiering** (docs/persistence.md): LRU
-    evictions spill a context's cache state to disk instead of
-    dropping it, first touch prewarms from the spilled snapshot,
-    :meth:`checkpoint`/:meth:`close` write durability points, the
-    slow-query log survives restarts, and a restarted service restores
-    its result caches after validating each snapshot against the live
-    graph (delta-replay scoped; see :mod:`repro.persist`).
-
     ``executor="process"`` switches on **CPU-parallel evaluation**:
     every pooled graph gets its own
     :class:`~repro.shard.ProcessExecutor` -- ``process_workers`` worker
@@ -449,7 +433,6 @@ class WhyQueryService:
         ] = None,
         process_workers: int = 2,
         slow_log_capacity: int = 32,
-        persist: Optional[Union[str, SnapshotStore]] = None,
         **engine_options,
     ) -> None:
         if max_contexts < 1:
@@ -488,32 +471,8 @@ class WhyQueryService:
         )
         #: bounded record of the slowest explains (see docs/observability.md)
         self.slow_log = SlowQueryLog(capacity=slow_log_capacity)
-        #: warm-restart persistence (docs/persistence.md): a directory
-        #: path or a ready-made SnapshotStore switches on context
-        #: tiering (evictions spill, first touch prewarms), explicit
-        #: checkpoints and slow-log survival; ``None`` keeps the
-        #: historical everything-is-lost-on-restart behaviour
-        self.persist_store: Optional[SnapshotStore] = (
-            persist
-            if persist is None or isinstance(persist, SnapshotStore)
-            else SnapshotStore(persist)
-        )
-        self._persist_counters: Dict[str, int] = {
-            "prewarm_attempts": 0,
-            "prewarm_restored": 0,
-            "prewarm_cold": 0,
-            "prewarm_errors": 0,
-            "results_restored": 0,
-            "spills": 0,
-            "spill_errors": 0,
-            "checkpoints": 0,
-            "slow_log_restored": 0,
-        }
-        self._last_restore: Optional[Dict[str, object]] = None
         self._pool: "OrderedDict[int, _PoolEntry]" = OrderedDict()
         self._lock = threading.RLock()
-        if self.persist_store is not None:
-            self._restore_slow_log()
         # throughput counters (monotonic over the service lifetime)
         self._explain_calls = 0
         self._session_calls = 0
@@ -535,8 +494,6 @@ class WhyQueryService:
         """
         key = id(graph)
         evicted: List[_PoolEntry] = []
-        spilled: List[_PoolEntry] = []
-        created: Optional[_PoolEntry] = None
         with self._lock:
             entry = self._pool.get(key)
             if entry is not None and entry.context.graph is graph:
@@ -559,14 +516,12 @@ class WhyQueryService:
                         compiled=context.matcher.compiled,
                     )
                 entry = _PoolEntry(context, executor)
-                created = entry
                 self._pool[key] = entry
                 self._contexts_created += 1
                 while len(self._pool) > self.max_contexts:
                     _, dropped = self._pool.popitem(last=False)
                     self._evictions += 1
                     dropped.retired = True
-                    spilled.append(dropped)
                     if dropped.in_flight == 0:
                         evicted.append(dropped)
                     # else: the last in-flight request closes it on release
@@ -574,110 +529,12 @@ class WhyQueryService:
                 entry.in_flight += 1
             entry.requests += 1
             entry.version = graph.version
-        # persistence and worker-pool teardown happen outside the lock:
-        # eviction must not stall every other request behind process
-        # teardown or snapshot IO.  Tiering: the evicted context's cache
-        # state spills to the snapshot store (instead of being dropped),
-        # and a freshly created context prewarms from whatever the store
-        # holds for its graph.  Prewarming a *published* entry is
-        # racy-benign -- the caches take restores under their own locks
-        # and live entries always win over restored ones.
-        for dropped in spilled:
-            self._spill_entry(dropped)
+        # worker-pool teardown happens outside the lock: eviction must
+        # not stall every other request behind process teardown
         for dropped in evicted:
             if dropped.executor is not None:
                 dropped.executor.close()
-        if created is not None:
-            self._prewarm_entry(created)
         return entry
-
-    # -- warm-restart persistence (docs/persistence.md) -----------------------
-
-    #: store key of the service-wide slow-query log payload
-    _SLOW_LOG_KEY = "service-slowlog"
-
-    def _count_persist(self, **deltas: int) -> None:
-        """Bump persistence counters; spills and prewarms run outside
-        the pool lock on many threads, so the increments take it."""
-        with self._lock:
-            for key, delta in deltas.items():
-                self._persist_counters[key] += delta
-
-    def _spill_entry(self, entry: _PoolEntry) -> bool:
-        """Snapshot one context's warm state to the persist store;
-        ``True`` when this spill was saved.
-
-        Persistence must never break serving: failures (disk full,
-        unserialisable attribute values, ...) are swallowed and counted.
-        """
-        if self.persist_store is None:
-            return False
-        try:
-            payload = snapshot_context(entry.context)
-            self.persist_store.save(persist_key(entry.context.graph), payload)
-        except Exception:
-            self._count_persist(spill_errors=1)
-            return False
-        self._count_persist(spills=1)
-        return True
-
-    def _prewarm_entry(self, entry: _PoolEntry) -> None:
-        """Restore a freshly created context from its spilled/persisted
-        snapshot, if one survives validation (cold start otherwise)."""
-        if self.persist_store is None:
-            return
-        self._count_persist(prewarm_attempts=1)
-        try:
-            payload = self.persist_store.load(persist_key(entry.context.graph))
-            if payload is None:
-                self._count_persist(prewarm_cold=1)
-                return
-            report = restore_context(entry.context, payload)
-        except Exception:
-            self._count_persist(prewarm_errors=1)
-            return
-        self._last_restore = report.as_dict()
-        if report.status == "restored":
-            self._count_persist(
-                prewarm_restored=1, results_restored=report.results_restored
-            )
-        else:
-            self._count_persist(prewarm_cold=1)
-
-    def _restore_slow_log(self) -> None:
-        payload = self.persist_store.load(self._SLOW_LOG_KEY)
-        if (
-            isinstance(payload, dict)
-            and payload.get("kind") == "slowlog"
-            and isinstance(payload.get("entries"), list)
-        ):
-            self._count_persist(
-                slow_log_restored=self.slow_log.restore(payload["entries"])
-            )
-
-    def checkpoint(self) -> Dict[str, int]:
-        """Spill every live pooled context and the slow-query log.
-
-        An explicit durability point: a deployment calls this before a
-        planned restart (``close()`` does it automatically) so the next
-        process starts warm.  Returns ``{"contexts": n, "errors": m}``;
-        a no-op (``persist=None``) returns zeros.
-        """
-        if self.persist_store is None:
-            return {"contexts": 0, "errors": 0}
-        with self._lock:
-            entries = list(self._pool.values())
-        saved = sum(self._spill_entry(entry) for entry in entries)
-        errors = len(entries) - saved
-        try:
-            self.persist_store.save(
-                self._SLOW_LOG_KEY,
-                {"kind": "slowlog", "entries": self.slow_log.export()},
-            )
-        except Exception:
-            errors += 1
-        self._count_persist(checkpoints=1)
-        return {"contexts": saved, "errors": errors}
 
     def _release_entry(self, entry: _PoolEntry) -> None:
         """Drop a request's lease; close a retired entry at drain."""
@@ -938,12 +795,8 @@ class WhyQueryService:
 
         Pooled contexts (and their warm caches) survive ``close()`` --
         only the process pools are torn down; a later request respawns
-        what it needs.  With persistence configured the close
-        also checkpoints, so an orderly shutdown always leaves a warm
-        snapshot behind.
+        what it needs.
         """
-        if self.persist_store is not None:
-            self.checkpoint()
         with self._lock:
             executors = [
                 entry.executor
@@ -979,13 +832,6 @@ class WhyQueryService:
         info = getattr(self.executor, "info", None)
         if callable(info):
             executor_info = info()
-        persistence: Optional[Dict[str, object]] = None
-        if self.persist_store is not None:
-            with self._lock:
-                persistence = dict(self._persist_counters)
-            persistence["store"] = dict(self.persist_store.counters)
-            persistence["directory"] = self.persist_store.directory
-            persistence["last_restore"] = self._last_restore
         with self._lock:
             per_graph: List[Dict[str, object]] = []
             caches = {"results": {"hits": 0, "misses": 0}}
@@ -1047,6 +893,5 @@ class WhyQueryService:
                     "matcher": matcher,
                     "executor": executor_info,
                     "per_graph": per_graph,
-                    "persistence": persistence,
                 },
             )

@@ -1,4 +1,4 @@
-"""Crash-recovery and warm-restart persistence suite.
+"""Crash-recovery suite of the snapshot library.
 
 Covers the :mod:`repro.persist` contract end to end: decayed snapshot
 files (truncated / corrupted / checksum-mismatched / foreign / newer
@@ -10,23 +10,18 @@ entries but never land an invalid count, and a ``"plans"`` list from an
 older writer is ignored; and -- the headline guarantee --
 a restored cache never returns a count that differs from a cold
 compute, asserted differentially over the property-based seeds with a
-persist -> restore round-trip inserted.  The service-level tiering
-(spill on LRU eviction, prewarm on first touch), slow-log survival and
-the slow-log satellite bugfixes are exercised here too.
+persist -> restore round-trip inserted.  The slow-query log's copy and
+coercion fixes are exercised here too.
 """
 
 import copy
 import random
-import threading
 
 import pytest
 
 from repro.core.graph import DELTA_RING_LIMIT, PropertyGraph
 from repro.core.query import GraphQuery
-from repro.datasets import ldbc
 from repro.exec.context import ExecutionContext
-from repro.matching import PatternMatcher
-from repro.metrics.cardinality import CardinalityThreshold
 from repro.obs import SlowQueryLog
 from repro.persist import (
     MAGIC,
@@ -34,10 +29,8 @@ from repro.persist import (
     graph_fingerprint,
     persist_key,
     restore_context,
-    set_persist_name,
     snapshot_context,
 )
-from repro.service import WhyQueryService
 
 from test_property_based import (
     DIFFERENTIAL_SEEDS,
@@ -47,14 +40,12 @@ from test_property_based import (
 )
 
 
-def build_graph(name=None, extra_vertices=0):
+def build_graph(extra_vertices=0):
     g = PropertyGraph()
     for i in range(6 + extra_vertices):
         g.add_vertex(vid=i, kind="person", age=20 + i)
     for i in range(5 + extra_vertices):
         g.add_edge(i, i + 1, "knows", eid=100 + i, since=2000 + i)
-    if name is not None:
-        set_persist_name(g, name)
     return g
 
 
@@ -287,15 +278,41 @@ class TestRestoreValidation:
         assert context.count(query) == counts[id(query)]
         assert context.cache.stats.hits == hits_before + 1
 
-    def test_persist_key_prefers_explicit_name(self):
-        named = build_graph(name="prod")
-        assert persist_key(named) == "g-prod"
-        anon_a = build_graph()
-        anon_b = build_graph()
-        # anonymous graphs key by content: identical content, same key
-        assert persist_key(anon_a) == persist_key(anon_b)
-        anon_b.set_vertex_attribute(0, "age", 99)
-        assert persist_key(anon_a) != persist_key(anon_b)
+    def test_persist_key_is_the_content_key(self):
+        a = build_graph()
+        b = build_graph()
+        # graphs key by content: identical content, same key
+        assert persist_key(a) == persist_key(b)
+        b.set_vertex_attribute(0, "age", 99)
+        assert persist_key(a) != persist_key(b)
+
+    def test_restore_one_delta_behind_loads_by_the_old_key(self, tmp_path):
+        """A graph one edge ahead of the snapshot has another content
+        key, so nothing is stored under it; loaded by the old key, the
+        snapshot replays the delta: the touched entry drops, the
+        untouched one is a hit and both counts equal a cold compute."""
+        store = SnapshotStore(tmp_path)
+        touched, untouched = build_query("knows"), build_query("owns")
+        graph = build_graph()
+        _, _, payload = warm_snapshot(graph, [touched, untouched])
+        key = persist_key(graph)
+        store.save(key, payload)
+
+        ahead = build_graph()
+        ahead.add_edge(0, 2, "knows", eid=900)
+        assert persist_key(ahead) != key
+        assert store.load(persist_key(ahead)) is None
+        context = ExecutionContext(ahead)
+        report = restore_context(context, store.load(key))
+        assert (report.status, report.results_restored, report.results_dropped) == (
+            "restored", 1, 1,
+        )
+        hits_before = context.cache.stats.hits
+        cold = ExecutionContext(build_graph())
+        cold.graph.add_edge(0, 2, "knows", eid=900)
+        assert context.count(touched) == cold.count(touched) == 6
+        assert context.count(untouched) == cold.count(untouched) == 0
+        assert context.cache.stats.hits == hits_before + 1
 
     def test_fingerprint_ignores_version_history(self):
         a = build_graph()
@@ -345,145 +362,6 @@ class TestDifferentialRestore:
         assert warm.count(query) == ExecutionContext(twin).count(query)
 
 
-# -- service tiering and slow-log survival ----------------------------------------
-
-
-class TestServiceTiering:
-    def test_restart_prewarms_and_slow_log_survives(self, tmp_path):
-        graph = build_graph(name="demo")
-        service = WhyQueryService(persist=str(tmp_path))
-        service.explain(graph, build_query("missing_type"))
-        log_before = service.slow_queries()
-        assert log_before
-        service.close()  # checkpoints
-
-        restarted_graph = build_graph(name="demo")
-        restarted = WhyQueryService(persist=str(tmp_path))
-        assert len(restarted.slow_log) == len(log_before)
-        context = restarted.context_for(restarted_graph)
-        stats = restarted.stats()["persistence"]
-        assert stats["prewarm_restored"] == 1
-        assert stats["results_restored"] >= 1
-        assert stats["slow_log_restored"] == len(log_before)
-        hits_before = context.cache.stats.hits
-        restarted.explain(restarted_graph, build_query("missing_type"))
-        assert context.cache.stats.hits > hits_before
-        restarted.close()
-
-    def test_eviction_spills_and_first_touch_prewarms(self, tmp_path):
-        service = WhyQueryService(persist=str(tmp_path), max_contexts=1)
-        graph_a = build_graph(name="a")
-        graph_b = build_graph(name="b")
-        service.explain(graph_a, build_query())
-        service.explain(graph_b, build_query())  # evicts + spills "a"
-        stats = service.stats()["persistence"]
-        assert stats["spills"] >= 1
-        context_a = service.context_for(graph_a)  # prewarms from spill
-        stats = service.stats()["persistence"]
-        assert stats["prewarm_restored"] >= 1
-        hits_before = context_a.cache.stats.hits
-        assert context_a.count(build_query()) is not None
-        assert context_a.cache.stats.hits == hits_before + 1
-        service.close()
-
-    def test_checkpoint_counts_only_its_own_spills(self, tmp_path):
-        """Regression: ``checkpoint()`` inferred each spill's outcome from
-        the shared ``spill_errors`` counter, so an eviction spill failing
-        on another thread meanwhile was reported as a checkpoint error.
-        The checkpoint's own save parks until that eviction has failed."""
-        graph_a, graph_b = build_graph(name="a"), build_graph(name="b")
-        parked, evicted = threading.Event(), threading.Event()
-
-        class ParkingStore(SnapshotStore):
-            def save(self, key, payload):
-                if threading.current_thread() is not checkpointer:
-                    raise OSError("disk full")  # the eviction spill
-                if key == persist_key(graph_a):
-                    parked.set()
-                    assert evicted.wait(30)
-                return super().save(key, payload)
-
-        service = WhyQueryService(persist=ParkingStore(str(tmp_path)), max_contexts=1)
-        service.context_for(graph_a)
-        result = {}
-        checkpointer = threading.Thread(target=lambda: result.update(service.checkpoint()))
-        checkpointer.start()
-        assert parked.wait(30)
-        service.context_for(graph_b)  # evicts "a"; that spill fails
-        evicted.set()
-        checkpointer.join(30)
-        assert result == {"contexts": 1, "errors": 0}
-        stats = service.stats()["persistence"]
-        assert (stats["spills"], stats["spill_errors"]) == (1, 1)
-
-    def test_checkpoint_while_explaining_same_graph(self, tmp_path):
-        """Regression: a checkpoint snapshots a context while a request
-        thread is still evaluating over the same graph; nothing the
-        snapshot iterates may change size under it."""
-        graph = ldbc.generate().graph
-        matcher = PatternMatcher(graph)
-        # the ldbc half of the paper's request mix: both why-empty
-        # variants plus a too-few and a too-many request per query
-        requests = []
-        for name, query in ldbc.queries().items():
-            requests += [(ldbc.empty_variant(name), None), (ldbc.empty_variant_edge(name), None)]
-            count = matcher.count(query)
-            upper = int(0.3 * count)
-            requests += [
-                (query, CardinalityThreshold(2 * count, 4 * count)),
-                (query, CardinalityThreshold(max(1, upper // 2), upper)),
-            ]
-        service = WhyQueryService(persist=str(tmp_path))
-        service.context_for(graph)
-        done = threading.Event()
-        failures = []
-
-        def explain_until_done():
-            try:
-                while not done.is_set():
-                    for query, threshold in requests:
-                        if done.is_set():
-                            break
-                        service.explain(graph, query, threshold)
-            except Exception as exc:  # surfaced by the assert below
-                failures.append(exc)
-
-        worker = threading.Thread(target=explain_until_done)
-        worker.start()
-        try:
-            results = [service.checkpoint() for _ in range(15)]
-        finally:
-            done.set()
-            worker.join(60)
-        assert not failures
-        assert results == [{"contexts": 1, "errors": 0}] * 15
-        assert service.stats()["persistence"]["spill_errors"] == 0
-        service.close()
-
-    def test_no_persist_dir_keeps_historical_behaviour(self):
-        service = WhyQueryService()
-        assert service.persist_store is None
-        assert service.checkpoint() == {"contexts": 0, "errors": 0}
-        assert service.stats()["persistence"] is None
-        service.close()
-
-    def test_corrupt_store_serves_cold_without_raising(self, tmp_path):
-        graph = build_graph(name="demo")
-        service = WhyQueryService(persist=str(tmp_path))
-        cold = service.explain(graph, build_query())
-        service.close()
-        # corrupt every snapshot on disk
-        for snap in tmp_path.glob("*.snap"):
-            snap.write_bytes(b"garbage")
-        restarted = WhyQueryService(persist=str(tmp_path))
-        report = restarted.explain(build_graph(name="demo"), build_query())
-        assert report.problem == cold.problem
-        stats = restarted.stats()["persistence"]
-        assert stats["prewarm_cold"] == 1
-        assert stats["prewarm_errors"] == 0
-        restarted.close()
-
-
 # -- slow-query log satellites ----------------------------------------------------
 
 
@@ -525,16 +403,3 @@ class TestSlowLogBugfixes:
         assert log.record({}) is True
         assert log.record({"elapsed_s": 0.5}) is True  # evicts the 0.0
         assert log.entries()[0]["elapsed_s"] == 0.5
-
-    def test_export_restore_round_trip(self):
-        log = SlowQueryLog(capacity=4)
-        log.record({"elapsed_s": 3.0, "signature": "a"})
-        log.record({"elapsed_s": 1.0, "signature": "b"})
-        clone = SlowQueryLog(capacity=4)
-        assert clone.restore(log.export()) == 2
-        assert clone.entries() == log.entries()
-
-    def test_restore_skips_non_dict_entries(self):
-        log = SlowQueryLog(capacity=4)
-        assert log.restore([{"elapsed_s": 1.0}, "junk", None, 5]) == 1
-        assert len(log) == 1

@@ -6,6 +6,7 @@ the compiled CSR backend every other path now defaults to and the wire
 protocol -- asserting count value-identity, match-set
 permutation-identity and, between the two backends, steps-identity.  Seeds are fixed in-code so every failure reproduces."""
 
+import contextlib
 import random
 from collections import Counter
 from itertools import islice
@@ -48,7 +49,12 @@ from repro.rewrite.operations import (
     fine_relaxations,
 )
 from repro.obs import SPAN_MATCH, SPAN_PLAN, Tracer
+from repro.client import connect
+from repro.server import serve_in_thread
+from repro.server.protocol import report_to_dict
 from repro.service import WhyQueryService
+
+from answers import first_difference
 
 # -- strategies ---------------------------------------------------------------
 
@@ -441,9 +447,6 @@ def traced_count_kinds(matcher_like, query):
 @pytest.fixture(scope="module")
 def wire_client():
     """A protocol client against a live in-process server (the wire path)."""
-    from repro.client import connect
-    from repro.server import serve_in_thread
-
     handle = serve_in_thread()
     client = connect(*handle.address)
     yield client
@@ -777,11 +780,15 @@ def mix_batch(graph, kind: str, rng: random.Random, attrs, types) -> None:
         graph.set_vertex_attribute(vid, attr, graph.vertex_attributes(rng.choice(donors))[attr])
 
 
-def explain_mix_rounds(seed: int) -> None:
+def explain_mix_rounds(seed: int, wire: bool = False) -> list:
     """The 32-request mix, shuffled by ``seed``, explained by one fresh
     service over fresh graphs, then again after each of
     ``DERIVATION_ROUNDS`` write rounds (:func:`mix_batch`, touching and
-    non-touching alternating, on both graphs)."""
+    non-touching alternating, on both graphs).  With ``wire`` every
+    request goes through a client connected to ``serve_in_thread`` over
+    the same service and graphs.  Returns each round's ``(graph name,
+    report dict)`` per request, the dict in its wire form
+    (``report_to_dict``)."""
     rng = random.Random(seed)
     graphs, requests = paper_requests()
     rng.shuffle(requests)
@@ -792,14 +799,26 @@ def explain_mix_rounds(seed: int) -> None:
             sorted(set().union(*(p.vertex_attrs for p in touched))),
             sorted(set().union(*(p.edge_types for p in touched))),
         )
-    with WhyQueryService() as service:
+    rounds = []
+    with contextlib.ExitStack() as stack:
+        service = stack.enter_context(WhyQueryService())
+        if wire:
+            server = stack.enter_context(serve_in_thread(service=service, graphs=graphs))
+            explain = stack.enter_context(connect(*server.address, timeout=120)).explain
+        else:
+
+            def explain(name, query, threshold):
+                return report_to_dict(service.explain(graphs[name], query, threshold))
+
         for round_index in range(DERIVATION_ROUNDS + 1):
             if round_index:
                 kind = ("touching", "non_touching")[(round_index - 1) % 2]
                 for name, graph in graphs.items():
                     mix_batch(graph, kind, rng, *profiles[name])
-            for graph, query, threshold in requests:
-                service.explain(graphs[graph], query, threshold)
+            rounds.append(
+                [(graph, explain(graph, query, threshold)) for graph, query, threshold in requests]
+            )
+    return rounds
 
 
 def twin_frames(frame):
@@ -824,10 +843,11 @@ PARENT_DERIVE = ParentCounts.derive
 
 
 @pytest.fixture(scope="module")
-def derived():
-    """``(kind, rule, derived count, [((injective, compiled), that
-    matcher's derivation or None, its count)])`` per derivation of the
-    mix plus its mutation rounds, ``kind`` the edited element's."""
+def mix_replay():
+    """``(derivations, replays)``: ``(kind, rule, derived count,
+    [((injective, compiled), that matcher's derivation or None, its
+    count)])`` per derivation of the mix plus its mutation rounds,
+    ``kind`` the edited element's, and each seed's in-process reports."""
     records = []
     last = [None, []]  # the frame being expanded and its twins
 
@@ -850,9 +870,24 @@ def derived():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ParentCounts, "derive", spy)
-        for seed in DERIVATION_SEEDS:
-            explain_mix_rounds(seed)
-    return records
+        replays = {seed: explain_mix_rounds(seed) for seed in DERIVATION_SEEDS}
+    return records, replays
+
+
+@pytest.fixture(scope="module")
+def derived(mix_replay):
+    return mix_replay[0]
+
+
+class TestCommittedAnswers:
+    """Every report of the in-process mix replays (seeds 7 and 12, the
+    mix and six write rounds each) hashes to its committed digest
+    (``tests/answers.py``)."""
+
+    @pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+    def test_in_process_answers_are_committed(self, mix_replay, seed):
+        difference = first_difference(seed, False, mix_replay[1][seed])
+        assert difference is None, difference
 
 
 class TestDifferentialDerivedCounts:

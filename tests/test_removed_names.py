@@ -31,6 +31,7 @@ from repro.finegrained import (
 from repro.harness.experiments import PriorityRow, ResourceRow
 from repro.matching import PatternMatcher, csr_stats
 from repro.metrics import CardinalityThreshold
+from repro.obs import SlowQueryLog
 from repro.persist import RestoreReport
 from repro.rewrite import CoarseRewriter, GraphStatistics
 from repro.service import WhyQueryService
@@ -120,6 +121,21 @@ REMOVED_NAMES = (
     "_path1_cache",
     "cache_sizes",
     "memo_report",
+    "set_persist_name",
+    "_PERSIST_NAME_ATTR",
+    "persist_store",
+    "_persist_counters",
+    "_last_restore",
+    "_SLOW_LOG_KEY",
+    "_count_persist",
+    "_spill_entry",
+    "_prewarm_entry",
+    "_restore_slow_log",
+    "keys_on_disk",
+    "persist=",
+    "--persist-dir",
+    "persist_dir",
+    "restart-smoke",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -212,7 +228,7 @@ def test_csr_byte_budget_variable_evicts_nothing(monkeypatch):
 # -- PR 26: plans are built, not cached -----------------------------------------
 
 
-def test_plan_cache_is_gone(tiny_graph, tmp_path):
+def test_plan_cache_is_gone(tiny_graph):
     for name in (
         "plan_cache_stats", "export_plans", "restore_plans", "plan_covers_query",
         "_PLAN_CACHES", "_PlanCache", "_plan_cache",
@@ -225,15 +241,55 @@ def test_plan_cache_is_gone(tiny_graph, tmp_path):
         matcher.cache_info()["caches"]["plan"]
     with pytest.raises(KeyError):
         ExecutionContext(tiny_graph).cache_report()["caches"]["plan"]
-    with WhyQueryService(persist=str(tmp_path)) as service:
+    with WhyQueryService() as service:
         service.explain(tiny_graph, failing_query())
         stats = service.stats()
         with pytest.raises(KeyError):
             stats["caches"]["plan"]
-        with pytest.raises(KeyError):
-            stats["persistence"]["plans_restored"]
     fields = {f.name for f in dataclasses.fields(RestoreReport)}
     assert not {"plans_restored", "plans_dropped"} & fields
+
+
+# -- an evicted context is dropped: no warm-restart tiering -------------------
+
+
+def test_warm_restart_tiering_is_gone(tiny_graph, tmp_path):
+    import repro.persist
+
+    with pytest.raises(TypeError):
+        WhyQueryService(persist=str(tmp_path))
+    for name in (
+        "persist_store", "checkpoint", "_persist_counters", "_last_restore",
+        "_SLOW_LOG_KEY", "_count_persist", "_spill_entry", "_prewarm_entry",
+        "_restore_slow_log",
+    ):
+        assert not hasattr(WhyQueryService, name), name
+    with WhyQueryService(max_contexts=1) as service:
+        service.explain(tiny_graph, failing_query())
+        service.context_for(PropertyGraph())  # evicts tiny_graph's context
+        stats = service.stats()
+        assert not hasattr(service, "persist_store")
+    assert stats["service"]["evictions"] == 1
+    with pytest.raises(KeyError):
+        stats["persistence"]
+    assert not list(tmp_path.iterdir())  # nothing was written anywhere
+    assert not hasattr(repro.persist, "set_persist_name")
+    assert "set_persist_name" not in repro.persist.__all__
+    for name in ("delete", "keys_on_disk"):
+        assert not hasattr(repro.persist.SnapshotStore, name), name
+    for function in (repro.persist.snapshot_context, repro.persist.restore_context):
+        assert "slow_log" not in inspect.signature(function).parameters
+    for name in ("export", "restore"):
+        assert not hasattr(SlowQueryLog, name), name
+
+
+def test_serve_persist_dir_is_a_usage_error(tmp_path, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--persist-dir", str(tmp_path)])
+    assert exit_info.value.code == 2  # argparse: unrecognized arguments
+    assert "--persist-dir" in capsys.readouterr().err
 
 
 # -- the cost-based planner reads degrees, not candidate-count estimates -------
@@ -475,7 +531,7 @@ def test_graph_and_context_must_agree(tiny_graph, entry):
 CONSTRUCTOR_SURFACE = {
     WhyQueryService: (
         "max_contexts", "executor", "budget_pool", "context_factory",
-        "process_workers", "slow_log_capacity", "persist", "engine_options",
+        "process_workers", "slow_log_capacity", "engine_options",
     ),
     ProcessExecutor: (
         "graph", "max_workers", "injective", "start_method", "compiled",

@@ -25,8 +25,8 @@ from repro.matching.csr import PROJECTION_CAP, CSRIndex, csr_for
 from repro.rewrite.statistics import GraphStatistics
 from repro.service import WhyQueryService
 
+from answers import first_difference
 from test_property_based import (
-    DERIVATION_SEEDS,
     DIFFERENTIAL_SEEDS,
     MUTATION_ROUNDS,
     MUTATION_SEEDS,
@@ -184,6 +184,8 @@ class TestEstimates:
 class ReferenceStatistics:
     def __init__(self, graph) -> None:
         self.graph = graph
+        #: ``(graph version, {edge type: rows})`` of :meth:`_edge_rows`
+        self._rows = None
 
     def _edges_of_types(self, types):
         if types is None:
@@ -209,6 +211,25 @@ class ReferenceStatistics:
         qedge = query.edge(eid)
         return self.path1_count(qedge, query.vertex(qedge.source), query.vertex(qedge.target))
 
+    def _edge_rows(self, types):
+        """The edges of ``types`` (``None``: every edge) as plain
+        ``(edge attrs, source attrs, target attrs)`` rows, read from the
+        graph once per graph version."""
+        if self._rows is None or self._rows[0] != self.graph.version:
+            by_type = {}
+            for record in self.graph.edges():
+                by_type.setdefault(record.type, []).append(
+                    (
+                        record.attributes,
+                        self.graph.vertex_attributes(record.source),
+                        self.graph.vertex_attributes(record.target),
+                    )
+                )
+            self._rows = (self.graph.version, by_type)
+        by_type = self._rows[1]
+        for edge_type in by_type if types is None else types:
+            yield from by_type.get(edge_type, ())
+
     def path1_count(self, qedge, source=None, target=None) -> int:
         """:meth:`CSRIndex.path1_count` by the record walk (an absent
         endpoint admits every vertex)."""
@@ -216,23 +237,22 @@ class ReferenceStatistics:
         target_preds = target.predicates if target is not None else {}
         forward = Direction.FORWARD in qedge.directions
         backward = Direction.BACKWARD in qedge.directions
+        rows = self._edge_rows(qedge.types)
+        if qedge.predicates:
+            rows = [row for row in rows if attributes_match(row[0], qedge.predicates)]
         count = 0
-        for record in self._edges_of_types(qedge.types):
-            if not attributes_match(record.attributes, qedge.predicates):
-                continue
-            src_attrs = self.graph.vertex_attributes(record.source)
-            tgt_attrs = self.graph.vertex_attributes(record.target)
+        # an empty predicate map admits every vertex: skip its call
+        for _, src_attrs, tgt_attrs in rows:
             hit = False
             if forward:
-                hit = attributes_match(src_attrs, source_preds) and (
-                    attributes_match(tgt_attrs, target_preds)
+                hit = (not source_preds or attributes_match(src_attrs, source_preds)) and (
+                    not target_preds or attributes_match(tgt_attrs, target_preds)
                 )
             if not hit and backward:
-                hit = attributes_match(src_attrs, target_preds) and (
-                    attributes_match(tgt_attrs, source_preds)
+                hit = (not target_preds or attributes_match(src_attrs, target_preds)) and (
+                    not source_preds or attributes_match(tgt_attrs, source_preds)
                 )
-            if hit:
-                count += 1
+            count += hit
         return count
 
     def estimate_query_cardinality(self, query) -> float:
@@ -704,6 +724,28 @@ class TestPath1Kernel:
         for q in kernel_queries():
             assert_statistics_equal(stats, reference, q)
 
+    def test_reference_rows_follow_the_graph_version(self, tiny_graph):
+        """The record walk reads its edge rows once per graph version: a
+        reference held across writes counts what a fresh one counts."""
+        held = ReferenceStatistics(tiny_graph)
+        queries = list(kernel_queries())
+        before = [held.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) for q in queries]
+        (bob_works,) = (
+            r.eid for r in tiny_graph.edges() if (r.source, r.type) == (1, "workAt")
+        )
+        for write in (
+            lambda g: g.add_edge(2, 5, "studyAt"),
+            lambda g: g.set_vertex_attribute(1, "gender", "female"),
+            lambda g: g.set_edge_attribute(bob_works, "sinceYear", 2003),
+        ):
+            write(tiny_graph)
+            fresh, csr = ReferenceStatistics(tiny_graph), csr_for(tiny_graph)
+            for q in queries:
+                args = (q.edge(0), q.vertex(0), q.vertex(1))
+                assert held.path1_count(*args) == fresh.path1_count(*args) == csr.path1_count(*args)
+        after = [held.path1_count(q.edge(0), q.vertex(0), q.vertex(1)) for q in queries]
+        assert after != before
+
     def test_one_edge_group_and_both_ways_self_loop(self):
         graph = PropertyGraph()
         a = graph.add_vertex(type="person", gender="female")
@@ -897,18 +939,23 @@ def path1_kinds(loops: set, qedge, source, target, count) -> set:
 PATH1_COUNT = CSRIndex.path1_count
 
 
+#: the mix replays the path(1) differential rides on: (seed, over the wire)
+PATH1_REPLAYS = ((7, False), (12, True))
+
+
 class TestDifferentialPath1Projections:
     """Every ``path1_count`` the 32-request mix asks over a fresh service
-    and six write rounds after it (seeds 7 and 12), each one served from
-    the interned projections, equals the record walk's count edge by
-    edge at that version."""
+    and six write rounds after it (seed 7 in-process, seed 12 over the
+    wire), each one served from the interned projections, equals the
+    record walk's count edge by edge at that version."""
 
     @pytest.fixture(scope="class")
-    def counted(self):
-        """``(kinds, count, recount)`` per distinct call and version."""
+    def path1_replay(self):
+        """``(records, replays)``: ``(kinds, count, recount)`` per distinct
+        call and version, and each replay's reports."""
         records = {}
-        #: (id(graph), version) -> (graph, its self-loop types): the graph
-        #: is held, so no id is reused
+        #: (id(graph), version) -> (graph, its self-loop types, its record
+        #: walk): the graph is held, so no id is reused
         loops: dict = {}
 
         def spy(csr, qedge, source=None, target=None):
@@ -920,16 +967,28 @@ class TestDifferentialPath1Projections:
                 target.predicate_signature() if target is not None else None,
             )
             if key not in records:
-                _, types = loops.setdefault(key[:2], (graph, loop_types(graph)))
-                expected = ReferenceStatistics(graph).path1_count(qedge, source, target)
+                if key[:2] not in loops:
+                    loops[key[:2]] = (graph, loop_types(graph), ReferenceStatistics(graph))
+                _, types, reference = loops[key[:2]]
+                expected = reference.path1_count(qedge, source, target)
                 records[key] = (path1_kinds(types, qedge, source, target, count), count, expected)
             return count
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CSRIndex, "path1_count", spy)
-            for seed in DERIVATION_SEEDS:
-                explain_mix_rounds(seed)
-        return list(records.values())
+            replays = {replay: explain_mix_rounds(*replay) for replay in PATH1_REPLAYS}
+        return list(records.values()), replays
+
+    @pytest.fixture(scope="class")
+    def counted(self, path1_replay):
+        return path1_replay[0]
+
+    @pytest.mark.parametrize("replay", PATH1_REPLAYS)
+    def test_answers_are_committed(self, path1_replay, replay):
+        """The same replays' reports, checked against the committed
+        digests (``tests/answers.py``): seed 12 is the wire's."""
+        difference = first_difference(*replay, path1_replay[1][replay])
+        assert difference is None, difference
 
     def test_every_count_equals_the_record_walk(self, counted):
         assert len(counted) > 5_000
