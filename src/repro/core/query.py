@@ -26,12 +26,13 @@ identifies the query -- element and query signatures, the hash, sorted type
 / direction tuples, predicate signatures, ``IN`` / ``OUT`` / neighbour
 sets, the "validated" bit -- is computed once per object, not per lookup.
 
-The rewriting engines work on frozen queries only.  A candidate is derived
-by :meth:`GraphQuery.with_vertex` / :meth:`~GraphQuery.with_edge` /
-:meth:`~GraphQuery.without_edge` / :meth:`~GraphQuery.without_vertex`: a
-new frozen query that *shares* every untouched element object with its
-parent, so ``child.vertex(v) is parent.vertex(v)`` means "did not change"
-(what :class:`repro.metrics.syntactic.DistanceTable` and
+The engines work on frozen queries only.  A candidate is derived by
+:meth:`GraphQuery.with_vertex` / :meth:`~GraphQuery.with_edge` /
+:meth:`~GraphQuery.without_edge` / :meth:`~GraphQuery.without_vertex` /
+:meth:`~GraphQuery.subquery`: a new frozen query that *shares* every
+untouched element object with its parent, so ``child.vertex(v) is
+parent.vertex(v)`` means "did not change" (what
+:class:`repro.metrics.syntactic.DistanceTable` and
 :meth:`repro.rewrite.statistics.GraphStatistics.profile` rely on).
 :meth:`GraphQuery.copy` of a frozen query is a builder again; equality and
 hashing are signature-based, so both, and a wire or pickle round trip,
@@ -540,31 +541,30 @@ class GraphQuery:
 
         When ``edge_ids`` is omitted, all edges with both endpoints inside
         ``vertex_ids`` are kept.  Identifiers are preserved, which is what
-        the comparison metrics of Chapter 3 rely on.
+        the comparison metrics of Chapter 3 rely on.  The subquery is
+        frozen and shares its element objects with (a frozen form of)
+        ``self``; :meth:`copy` it for a builder.
         """
+        base = self.as_frozen()
         keep_v = set(vertex_ids)
-        unknown = keep_v - set(self._vertices)
+        unknown = keep_v - set(base._vertices)
         if unknown:
             raise UnknownQueryVertexError(sorted(unknown)[0])
         if edge_ids is None:
             keep_e = {
                 e.eid
-                for e in self._edges.values()
+                for e in base._edges.values()
                 if e.source in keep_v and e.target in keep_v
             }
         else:
             keep_e = set(edge_ids)
-            for eid in keep_e:
-                edge = self.edge(eid)
-                if edge.source not in keep_v or edge.target not in keep_v:
-                    raise MalformedQueryError(
-                        f"edge {eid} has an endpoint outside the subquery"
-                    )
-        return self._derive(
-            {vid: self._vertices[vid].copy() for vid in keep_v},
-            {eid: self._edges[eid].copy() for eid in keep_e},
-            frozen=False,
-        )
+        edges = {eid: base.edge(eid) for eid in keep_e}
+        for edge in edges.values():
+            if edge.source not in keep_v or edge.target not in keep_v:
+                raise MalformedQueryError(
+                    f"edge {edge.eid} has an endpoint outside the subquery"
+                )
+        return base._derive({vid: base._vertices[vid] for vid in keep_v}, edges)
 
     def weakly_connected_components(self) -> List[FrozenSet[int]]:
         """Vertex sets of the weakly connected components (Sec. 4.3.1).

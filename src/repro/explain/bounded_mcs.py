@@ -15,7 +15,8 @@ lattice search is not existence but a *cardinality bound*:
 
 Counting is always bounded (``limit = bound + 1`` resp. ``limit =
 bound``), so no evaluation enumerates more matches than the decision
-needs.
+needs, and goes through ``ExecutionContext.cache.count`` like every
+other count of an explain.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
+from repro.exec.search import bind_private_context
 from repro.explain.discover_mcs import McsResult, SubgraphLatticeSearch
 from repro.explain.preferences import UserPreferences
-from repro.matching.matcher import PatternMatcher
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
 
 
 def bounded_mcs(
-    graph: PropertyGraph,
+    graph: Optional[PropertyGraph],
     query: GraphQuery,
     threshold: CardinalityThreshold,
     problem: Optional[CardinalityProblem] = None,
@@ -39,7 +40,7 @@ def bounded_mcs(
     edge_order: Optional[Sequence[int]] = None,
     preferences: Optional[UserPreferences] = None,
     max_evaluations: Optional[int] = None,
-    matcher: Optional[PatternMatcher] = None,
+    context=None,
 ) -> McsResult:
     """BOUNDEDMCS (Sec. 4.2.2): subgraph explanation for a cardinality bound.
 
@@ -47,11 +48,13 @@ def bounded_mcs(
     query's own (bounded) cardinality against ``threshold``.  Supported
     problems: ``TOO_MANY``, ``TOO_FEW`` and ``EMPTY`` (the latter equals
     DISCOVERMCS semantics with a lower bound of max(1, threshold.lower)).
+    Every count, the classification's too, goes through ``context``'s
+    result cache (a private context over ``graph`` when none is given).
     """
-    m = matcher if matcher is not None else PatternMatcher(graph)
+    context = bind_private_context(graph, context)
 
     if problem is None:
-        observed = m.count(query, limit=threshold.probe_limit)
+        observed = context.cache.count(query, limit=threshold.probe_limit)
         problem = threshold.classify(observed)
     if problem == CardinalityProblem.EXPECTED:
         raise ValueError(
@@ -65,7 +68,7 @@ def bounded_mcs(
         upper = threshold.upper
 
         def success(subquery: GraphQuery) -> Tuple[bool, int]:
-            card = m.count(subquery, limit=upper + 1)
+            card = context.cache.count(subquery, limit=upper + 1)
             return card <= upper, card
 
     else:  # TOO_FEW or EMPTY
@@ -73,12 +76,12 @@ def bounded_mcs(
         lower = max(1, lower)
 
         def success(subquery: GraphQuery) -> Tuple[bool, int]:
-            card = m.count(subquery, limit=lower)
+            card = context.cache.count(subquery, limit=lower)
             return card >= lower, card
 
     too_many = problem == CardinalityProblem.TOO_MANY
     search = SubgraphLatticeSearch(
-        graph,
+        context.graph,
         query,
         success,
         strategy=strategy,

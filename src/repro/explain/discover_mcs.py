@@ -24,16 +24,20 @@ Strategies (Sec. 4.3):
 Weakly connected components of the query are processed separately
 (Sec. 4.3.1) and merged; remainders disconnected by failures are explored
 as separate seeds (Sec. 4.3.3) because every edge seeds the frontier.
+Each lattice state is a frozen :meth:`GraphQuery.subquery` sharing the
+query's element objects, and every count -- states and failure probes --
+is the one count path of an explain, ``ExecutionContext.cache.count``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.graph import PropertyGraph
-from repro.core.query import GraphQuery
+from repro.core.query import GraphQuery, QueryEdge, QueryVertex
+from repro.exec.search import bind_private_context
 from repro.explain.differential import (
     DifferentialGraph,
     FailureAnnotation,
@@ -45,7 +49,6 @@ from repro.explain.preferences import (
     preferred_traversal_order,
     rank_explanations,
 )
-from repro.matching.matcher import PatternMatcher
 
 #: ``success_fn(subquery) -> (succeeded, bounded_cardinality_probe)``
 SuccessFn = Callable[[GraphQuery], Tuple[bool, int]]
@@ -105,7 +108,7 @@ class SubgraphLatticeSearch:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.failure_verb = failure_verb
         self.graph = graph
-        self.query = query
+        self.query = query.as_frozen()
         self.success_fn = success_fn
         self.strategy = strategy
         self.preferences = preferences
@@ -116,7 +119,7 @@ class SubgraphLatticeSearch:
         self._order = list(
             edge_order
             if edge_order is not None
-            else preferred_traversal_order(query, preferences, graph)
+            else preferred_traversal_order(self.query, preferences, graph)
         )
         self._state_cache: Dict[FrozenSet[int], Tuple[bool, int]] = {}
 
@@ -128,9 +131,6 @@ class SubgraphLatticeSearch:
             or self.stats.evaluations + self.stats.annotation_evaluations
             < self.max_evaluations
         )
-
-    def _subquery(self, edges: FrozenSet[int], vertices: FrozenSet[int]) -> GraphQuery:
-        return self.query.subquery(vertices, edges)
 
     def _vertices_of(self, edges: FrozenSet[int]) -> FrozenSet[int]:
         out: Set[int] = set()
@@ -146,7 +146,7 @@ class SubgraphLatticeSearch:
         if cached is not None:
             return cached
         self.stats.evaluations += 1
-        outcome = self.success_fn(self._subquery(edges, vertices))
+        outcome = self.success_fn(self.query.subquery(vertices, edges))
         self._state_cache[key] = outcome
         return outcome
 
@@ -174,75 +174,53 @@ class SubgraphLatticeSearch:
         if not self.annotate or not self._budget_left():
             return FailureAnnotation(("edge", eid), FailureReason.TOPOLOGY)
         verb = self.failure_verb
+        variant = self.query.subquery(
+            base_vertices | {edge.source, edge.target}, base_edges | {eid}
+        )
 
-        def probe(
-            strip_edge_preds: bool,
-            strip_types: bool,
-            strip_vertices: Tuple[int, ...] = (),
-        ) -> bool:
-            variant = self._subquery(
-                base_edges | {eid}, base_vertices | {edge.source, edge.target}
-            )
-            target = variant.edge(eid)
-            if strip_edge_preds:
-                target.predicates = {}
-            if strip_types:
-                target.types = None
-            for vid in strip_vertices:
-                variant.vertex(vid).predicates = {}
+        def succeeds(*stripped) -> bool:
+            """Does the extension succeed with these elements in place of
+            the query's own (frozen edits of ``variant``)?"""
+            probe = variant
+            for element in stripped:
+                if isinstance(element, QueryEdge):
+                    probe = probe.with_edge(element)
+                else:
+                    probe = probe.with_vertex(element)
             self.stats.annotation_evaluations += 1
-            ok, _ = self.success_fn(variant)
-            return ok
+            return self.success_fn(probe)[0]
 
-        def culprit_attrs(ref: Tuple[str, int]) -> List[str]:
+        def culprit_attrs(element) -> List[str]:
             """Which single predicates suffice to unblock the extension."""
-            kind, ident = ref
-            preds = (
-                self.query.edge(ident).predicates
-                if kind == "edge"
-                else self.query.vertex(ident).predicates
-            )
             culprits = []
-            for attr in sorted(preds):
+            for attr in sorted(element.predicates):
                 if not self._budget_left():
                     break
-                variant = self._subquery(
-                    base_edges | {eid},
-                    base_vertices | {edge.source, edge.target},
-                )
-                holder = (
-                    variant.edge(ident).predicates
-                    if kind == "edge"
-                    else variant.vertex(ident).predicates
-                )
-                del holder[attr]
-                self.stats.annotation_evaluations += 1
-                ok, _ = self.success_fn(variant)
-                if ok:
+                kept = {a: p for a, p in element.predicates.items() if a != attr}
+                if succeeds(replace(element, predicates=kept)):
                     culprits.append(attr)
             return culprits
 
         # Minimal-culprit cascade: each probe strips exactly one constraint
         # class; the first class whose removal unblocks the extension is
         # the diagnosis.
-        if edge.predicates and probe(True, False):
-            attrs = culprit_attrs(("edge", eid)) or sorted(edge.predicates)
+        if edge.predicates and succeeds(replace(edge, predicates={})):
+            attrs = culprit_attrs(edge) or sorted(edge.predicates)
             return FailureAnnotation(
                 ("edge", eid),
                 FailureReason.PREDICATE,
                 f"edge predicates {attrs} {verb}",
             )
         for vid in new_vertices:
-            if self.query.vertex(vid).predicates and probe(False, False, (vid,)):
-                attrs = culprit_attrs(("vertex", vid)) or sorted(
-                    self.query.vertex(vid).predicates
-                )
+            vertex = self.query.vertex(vid)
+            if vertex.predicates and succeeds(QueryVertex(vid)):
+                attrs = culprit_attrs(vertex) or sorted(vertex.predicates)
                 return FailureAnnotation(
                     ("vertex", vid),
                     FailureReason.PREDICATE,
                     f"vertex predicates {attrs} {verb}",
                 )
-        if edge.types is not None and probe(False, True):
+        if edge.types is not None and succeeds(replace(edge, types=None)):
             return FailureAnnotation(
                 ("edge", eid),
                 FailureReason.TYPE,
@@ -254,7 +232,9 @@ class SubgraphLatticeSearch:
             vid for vid in new_vertices if self.query.vertex(vid).predicates
         )
         classes = bool(edge.predicates) + (edge.types is not None) + len(stripable)
-        if classes >= 2 and probe(True, True, stripable):
+        if classes >= 2 and succeeds(
+            replace(edge, predicates={}, types=None), *map(QueryVertex, stripable)
+        ):
             return FailureAnnotation(
                 ("edge", eid),
                 FailureReason.PREDICATE,
@@ -523,30 +503,32 @@ class SubgraphLatticeSearch:
 
 
 def discover_mcs(
-    graph: PropertyGraph,
+    graph: Optional[PropertyGraph],
     query: GraphQuery,
     strategy: str = "frontier",
     edge_order: Optional[Sequence[int]] = None,
     preferences: Optional[UserPreferences] = None,
     annotate: bool = True,
     max_evaluations: Optional[int] = None,
-    matcher: Optional[PatternMatcher] = None,
+    context=None,
 ) -> McsResult:
     """DISCOVERMCS (Sec. 4.2.1): explain a why-empty query.
 
     Success criterion: the subquery delivers at least one result
     (existence probe with ``limit=1`` -- lazy, bounded evaluation).
     Returns the maximum common connected subgraph per query component and
-    the differential graphs describing the failed parts.
+    the differential graphs describing the failed parts.  Counts go
+    through ``context``'s result cache (a private context over ``graph``
+    when none is given).
     """
-    m = matcher if matcher is not None else PatternMatcher(graph)
+    context = bind_private_context(graph, context)
 
     def success(subquery: GraphQuery) -> Tuple[bool, int]:
-        card = m.count(subquery, limit=1)
+        card = context.cache.count(subquery, limit=1)
         return card > 0, card
 
     search = SubgraphLatticeSearch(
-        graph,
+        context.graph,
         query,
         success,
         strategy=strategy,

@@ -1,11 +1,12 @@
-"""Query-result caching for the rewriting engines (Contribution 4, App. B.2).
+"""Query-result caching, the one count path of an explain (App. B.2).
 
-Rewriting engines evaluate many overlapping query variants; different
-search branches frequently reach the *same* relaxed query through
-different modification sequences.  The cache memoises bounded
-cardinalities by canonical query signature so each distinct variant is
-executed at most once, and exports the hit/size counters reported in the
-Appendix B.2 resource-consumption experiment.
+Classification, the subgraph lattice and the rewriting engines all count
+through :meth:`QueryResultCache.count` (Contribution 4); different search
+branches frequently reach the *same* relaxed query through different
+modification sequences.  The cache memoises bounded cardinalities by
+canonical query signature so each distinct variant is executed at most
+once, and exports the hit/size counters reported in the Appendix B.2
+resource-consumption experiment.
 """
 
 from __future__ import annotations

@@ -13,13 +13,12 @@ why-so-few   BOUNDEDMCS (Ch. 4)          TRAVERSESEARCHTREE (Ch. 6)
 why-so-many  BOUNDEDMCS (Ch. 4)          TRAVERSESEARCHTREE (Ch. 6)
 ===========  ==========================  ================================
 
-All engines evaluate through one shared
-:class:`~repro.exec.context.ExecutionContext` (matcher + query-result
-cache + statistics + candidate caches), so the work one debugger performs
-(e.g. the bounded counts of BOUNDEDMCS) is reused by the next (the
-rewriting search), and the cardinality can oscillate around the threshold
-without re-paying for previously evaluated variants.  By default the
-engine binds to the graph's process-wide shared context
+All engines bind one shared :class:`~repro.exec.context.ExecutionContext`,
+and every count of an explain -- classification, the subgraph lattice, the
+rewriting search -- is one call, ``context.cache.count``: the work one
+debugger performs (e.g. the bounded counts of BOUNDEDMCS) is reused by the
+next, and a repeat explain counts nothing.  By default the engine binds
+to the graph's process-wide shared context
 (:meth:`ExecutionContext.for_graph`), so independently constructed
 engines over the same graph reuse each other's evaluation work too;
 :meth:`WhyQueryEngine.cache_report` exposes every layer's counters.
@@ -123,7 +122,6 @@ class WhyQueryEngine:
         # private ``ExecutionContext(graph)`` for isolation
         self.context = ExecutionContext.bind(graph, context, shared=True)
         self.graph = self.context.graph
-        self.matcher = self.context.matcher
         self.cache = self.context.cache
         self.preferences = preferences
         self.preference_model = preference_model
@@ -183,7 +181,7 @@ class WhyQueryEngine:
             strategy=self.mcs_strategy,
             preferences=self.preferences,
             max_evaluations=self.max_explanation_evaluations,
-            matcher=self.matcher,
+            context=self.context,
         )
         if problem == CardinalityProblem.EMPTY:
             with self._tracer().span(SPAN_SUBGRAPH, algorithm="discover_mcs"):

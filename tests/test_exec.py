@@ -293,7 +293,7 @@ class TestEnginesShareOneContext:
     def test_explicit_context_still_isolates(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)
         engine = WhyQueryEngine(context=ctx)
-        assert engine.matcher is ctx.matcher and engine.cache is ctx.cache
+        assert engine.context is ctx and engine.cache is ctx.cache
         assert engine.context is not ExecutionContext.for_graph(tiny_graph)
         assert WhyQueryEngine(tiny_graph).context is ExecutionContext.for_graph(
             tiny_graph

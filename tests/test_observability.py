@@ -97,6 +97,14 @@ def tree_kinds(node, acc=None):
     return acc
 
 
+def find_spans(node, kind):
+    """Every span of ``kind`` in a serialized trace tree, in tree order."""
+    found = [node] if node["kind"] == kind else []
+    for child in node.get("spans", ()):
+        found += find_spans(child, kind)
+    return found
+
+
 # -- tracer mechanics ---------------------------------------------------------
 
 
@@ -407,14 +415,25 @@ class TestWireObservability:
         assert strip_volatile(report_to_dict(local)) == strip_volatile(traced)
 
     def test_streamed_traced_explain(self, wire):
+        # a graph of its own: on "g" the request is warm by now and
+        # counts nothing, so its trace has no match / plan span
         client, _, _ = wire
-        stream = client.explain_stream("g", failing_query(), trace=True)
+        client.put_graph("streamed", obs_graph("streamed"))
+        stream = client.explain_stream("streamed", failing_query(), trace=True)
         candidates = list(stream)
         assert candidates, "the failing query must stream rewrite candidates"
         report = stream.result()
         assert stream.trace is not None
         assert report["trace"] == stream.trace
         assert CORE_EXPLAIN_KINDS <= tree_kinds(stream.trace)
+
+    def test_warm_repeat_counts_nothing_under_subgraph(self, wire):
+        client, _, _ = wire
+        first = client.explain("g", failing_query(), trace=True)
+        repeat = client.explain("g", failing_query(), trace=True)
+        (subgraph,) = find_spans(repeat["trace"], SPAN_SUBGRAPH)
+        assert not {SPAN_MATCH, SPAN_PLAN} & tree_kinds(subgraph)
+        assert strip_volatile(repeat) == strip_volatile(first)
 
     def test_metrics_message(self, wire):
         client, _, _ = wire

@@ -25,15 +25,22 @@ from repro.core import (
     between,
     equals,
     one_of,
+    path_query,
 )
 from repro.core.predicates import predicate_distance
-from repro.core.delta import query_touch_profile
+from repro.core.delta import delta_touch, query_touch_profile, touch_affects_query
 from repro.datasets import dbpedia, ldbc
+from repro.exec import ExecutionContext
 from repro.exec.search import valid_children
+from repro.explain import bounded_mcs, discover_mcs
 from repro.finegrained.propagation import ParentCounts
 from repro.matching import PatternMatcher, build_plan, csr_for, csr_stats
 from repro.metrics.assignment import assignment_cost
-from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
+from repro.metrics.cardinality import (
+    CardinalityProblem,
+    CardinalityThreshold,
+    cardinality_distance,
+)
 from repro.metrics.ged import coarse_ged
 from repro.metrics.hausdorff import modified_hausdorff
 from repro.metrics.result_distance import result_graph_distance
@@ -51,8 +58,9 @@ from repro.rewrite.operations import (
 from repro.obs import SPAN_MATCH, SPAN_PLAN, Tracer
 from repro.client import connect
 from repro.server import serve_in_thread
-from repro.server.protocol import report_to_dict
+from repro.server.protocol import report_to_dict, strip_volatile
 from repro.service import WhyQueryService
+from repro.why import WhyQueryEngine
 
 from answers import first_difference
 
@@ -618,6 +626,125 @@ class TestMutateBetweenQueries:
                 kinds.update(r[0] for r in graph.deltas_since(version))
                 random_differential_query(rng)
         assert kinds == {"v", "e", "va", "ea"}, kinds
+
+
+def lattice_graph(written: bool = False) -> PropertyGraph:
+    """Three persons working at one university, and a country; with
+    ``written``, :func:`lattice_write` applied (a rebuilt graph: the
+    same ids as the write made on the unwritten one)."""
+    g = PropertyGraph()
+    uni = g.add_vertex(type="university", name="TU")
+    g.add_vertex(type="country", name="Germany")
+    for i in range(3):
+        g.add_edge(g.add_vertex(type="person", name=f"p{i}"), uni, "workAt")
+    if written:
+        lattice_write(g)
+    return g
+
+
+def lattice_write(g: PropertyGraph) -> None:
+    """A touching write: a city between the university (0) and the
+    country (1), and two more persons working at the university."""
+    city = g.add_vertex(type="city", name="Dresden")
+    g.add_edge(0, city, "locatedIn")
+    g.add_edge(city, 1, "isPartOf")
+    for i in (3, 4):
+        g.add_edge(g.add_vertex(type="person", name=f"p{i}"), 0, "workAt")
+
+
+def lattice_requests():
+    """``(query, threshold)``: a why-empty chain whose MCS the write
+    grows by ``locatedIn``, and a too-many colleague pair whose MCS the
+    write shrinks from one edge to the university vertex."""
+    chain = path_query(
+        [
+            {"type": equals("person")},
+            {"type": equals("university")},
+            {"type": equals("city")},
+            {"type": equals("country"), "name": equals("Nowhere")},
+        ],
+        [{"workAt"}, {"locatedIn"}, {"isPartOf"}],
+    )
+    pair = GraphQuery()
+    uni = pair.add_vertex(predicates={"type": equals("university")})
+    for _ in range(2):
+        colleague = pair.add_vertex(predicates={"type": equals("person")})
+        pair.add_edge(colleague, uni, types={"workAt"})
+    return [(chain, None), (pair, CardinalityThreshold.at_most(4))]
+
+
+def shares_elements(query: GraphQuery, parent: GraphQuery) -> bool:
+    """Is every element of ``query`` an element object of ``parent``?"""
+    return all(
+        parent.has_vertex(v.vid) and v is parent.vertex(v.vid) for v in query.vertices()
+    ) and all(parent.has_edge(e.eid) and e is parent.edge(e.eid) for e in query.edges())
+
+
+class TestMutateLatticeCounts:
+    """DISCOVERMCS / BOUNDEDMCS count through the context's result cache,
+    so a warm lattice lookup is only as fresh as the cache's delta-scoped
+    invalidation: a write that touches a subquery must be recounted, and
+    one that touches none must not be."""
+
+    @pytest.mark.parametrize("request_index", [0, 1], ids=["why_empty", "too_many"])
+    def test_touching_write_flips_the_mcs_like_a_rebuilt_graph(self, request_index):
+        query, threshold = lattice_requests()[request_index]
+        graph = lattice_graph()
+        engine = WhyQueryEngine(context=ExecutionContext(graph))
+        before = engine.debug(query, threshold)
+        lattice_write(graph)
+        after = engine.debug(query, threshold)
+        rebuilt = WhyQueryEngine(context=ExecutionContext(lattice_graph(written=True)))
+        expected = rebuilt.debug(query, threshold)
+        assert after.problem == before.problem != CardinalityProblem.EXPECTED
+        mcs = [r.subgraph_explanation.differential for r in (before, after)]
+        assert (mcs[0].mcs_edges, mcs[0].mcs_vertices) != (
+            mcs[1].mcs_edges,
+            mcs[1].mcs_vertices,
+        )
+        assert strip_volatile(report_to_dict(after)) == strip_volatile(
+            report_to_dict(expected)
+        )
+
+    def test_non_touching_write_keeps_the_lattice_warm(self, monkeypatch):
+        graph = lattice_graph()
+        context = ExecutionContext(graph)
+        (chain, _), (pair, threshold) = lattice_requests()
+        parents = (chain.freeze(), pair.freeze())
+
+        def explain():
+            return [
+                discover_mcs(None, chain, context=context).differential,
+                bounded_mcs(None, pair, threshold, context=context).differential,
+            ]
+
+        before = explain()
+        version, calls = graph.version, context.matcher.calls
+        mix_batch(graph, "non_touching", random.Random(3), [], [])
+        touch = delta_touch(graph.deltas_since(version))
+        lookups = []
+        count = context.cache.count
+
+        def spy(query, limit=None):
+            hits = context.cache.stats.hits
+            value = count(query, limit=limit)
+            lookups.append((query, context.cache.stats.hits > hits))
+            return value
+
+        monkeypatch.setattr(context.cache, "count", spy)
+        assert explain() == before
+        # a lattice state shares its parent's element objects; only an
+        # annotation probe (a stripped type set or predicate map) can be
+        # one the write may change
+        states = [
+            hit
+            for query, hit in lookups
+            if any(shares_elements(query, parent) for parent in parents)
+        ]
+        assert states and all(states)
+        missed = [query for query, hit in lookups if not hit]
+        assert all(touch_affects_query(touch, query_touch_profile(q)) for q in missed)
+        assert context.matcher.calls - calls == len(missed)
 
 
 class TestDifferentialOracle:

@@ -7,6 +7,7 @@ from repro.core import (
     BOTH_DIRECTIONS,
     Direction,
     FORWARD_ONLY,
+    FrozenQueryError,
     GraphQuery,
     MalformedQueryError,
     UnknownQueryEdgeError,
@@ -132,6 +133,37 @@ class TestSubquery:
     def test_subquery_preserves_identifiers(self, query):
         sub = query.subquery([1, 2])
         assert sub.vertex(2).predicates == query.vertex(2).predicates
+
+    def test_subquery_is_frozen_and_shares_its_parents_elements(self, query):
+        parent = query.freeze()
+        sub = parent.subquery([0, 1, 2], [1])
+        assert sub.frozen
+        assert all(sub.vertex(v) is parent.vertex(v) for v in sub.vertex_ids)
+        assert sub.edge(1) is parent.edge(1)
+        with pytest.raises(FrozenQueryError):
+            sub.add_vertex()
+        with pytest.raises(FrozenQueryError):
+            sub.vertex(0).predicates = {}
+
+    def test_subquery_does_not_alias_an_unfrozen_parent(self, query):
+        sub = query.subquery([0, 1])
+        signature = sub.signature()
+        query.vertex(0).predicates["name"] = equals("Anna")
+        query.edge(0).types = frozenset({"studyAt"})
+        query.remove_edge(0)
+        assert not query.frozen
+        assert sub.signature() == signature
+        assert "name" not in sub.vertex(0).predicates
+        assert sub.edge(0).types == frozenset({"workAt"})
+
+    def test_subquery_copy_is_the_builder(self, query):
+        sub = query.subquery([0, 1])
+        builder = sub.copy()
+        assert not builder.frozen and builder == sub
+        builder.vertex(0).predicates["name"] = equals("Anna")
+        builder.add_vertex()
+        assert builder != sub
+        assert "name" not in sub.vertex(0).predicates
 
 
 class TestStructure:

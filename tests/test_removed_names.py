@@ -23,6 +23,7 @@ import repro.matching
 import repro.matching.plan
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.exec import EvaluationBudget, ExecutionContext
+from repro.explain import McsResult, bounded_mcs, discover_mcs
 from repro.finegrained import (
     GreedyCoarseSearch,
     RandomModificationSearch,
@@ -136,6 +137,7 @@ REMOVED_NAMES = (
     "--persist-dir",
     "persist_dir",
     "restart-smoke",
+    "WhyQueryEngine.matcher",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -480,6 +482,10 @@ ENTRY_POINTS = {
     ),
     "WhyQueryEngine": WhyQueryEngine,
     "DebugSession": lambda *a, **kw: DebugSession(*a, query=failing_query(), **kw),
+    "discover_mcs": lambda graph=None, **kw: discover_mcs(graph, failing_query(), **kw),
+    "bounded_mcs": lambda graph=None, **kw: bounded_mcs(
+        graph, failing_query(), _THRESHOLD, **kw
+    ),
 }
 
 #: the component overrides each class took before PR 24
@@ -489,6 +495,8 @@ REMOVED_OVERRIDES = {
     "RandomModificationSearch": ("matcher", "cache", "domain"),
     "GreedyCoarseSearch": ("matcher", "cache", "domain"),
     "WhyQueryEngine": ("matcher",),
+    "discover_mcs": ("matcher",),
+    "bounded_mcs": ("matcher",),
 }
 
 
@@ -522,9 +530,36 @@ def test_graph_and_context_must_agree(tiny_graph, entry):
         build(tiny_graph, context=ExecutionContext(other))
     with pytest.raises(ValueError, match="graph or context"):
         build()
+    for graph in (tiny_graph, None):
+        context = ExecutionContext(tiny_graph)
+        assert bound_graph(build(graph, context=context), context) is tiny_graph
+
+
+def bound_graph(built, context):
+    """The graph an entry point bound: an engine's ``graph``; for a
+    lattice function, ``context``'s when its counts landed in that
+    context's result cache."""
+    if isinstance(built, McsResult):
+        return context.graph if context.cache.stats.misses else None
+    return built.graph
+
+
+def test_the_lattice_counts_through_the_result_cache(tiny_graph, monkeypatch):
+    """The lattice builds no matcher and takes none: each matcher call
+    under it is a miss of the bound context's result cache."""
     context = ExecutionContext(tiny_graph)
-    assert build(tiny_graph, context=context).graph is tiny_graph
-    assert build(context=context).graph is tiny_graph
+    built = []
+    init = PatternMatcher.__init__
+    monkeypatch.setattr(
+        PatternMatcher,
+        "__init__",
+        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw),
+    )
+    discover_mcs(None, failing_query(), context=context)
+    bounded_mcs(None, failing_query(), CardinalityThreshold.at_least(2), context=context)
+    assert not built
+    assert 0 < context.matcher.calls == context.cache.stats.misses
+    assert not hasattr(WhyQueryEngine(context=context), "matcher")
 
 
 #: every constructor option of the engine stack, in signature order

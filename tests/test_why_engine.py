@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import GraphQuery, equals
+from repro.exec import ExecutionContext
 from repro.metrics.cardinality import CardinalityProblem, CardinalityThreshold
 from repro.rewrite.coarse import CoarseRewriteResult
 from repro.finegrained.traverse_search_tree import FineRewriteResult
+from repro.server.protocol import report_to_dict, strip_volatile
 from repro.why import WhyQueryEngine
 
 
@@ -107,6 +109,27 @@ class TestSharedInfrastructure:
         hits = engine.cache.stats.hits
         engine.debug(poisoned_query())
         assert engine.cache.stats.hits > hits
+
+    @pytest.mark.parametrize(
+        "query, threshold",
+        [(poisoned_query(), None), (person_pattern(), CardinalityThreshold.at_most(2))],
+        ids=["why_empty", "why_so_many"],
+    )
+    def test_repeat_debug_makes_no_matcher_call(self, tiny_graph, query, threshold):
+        """Every count of an explain -- classification, the subgraph
+        lattice and the rewriting search -- goes through the context's
+        result cache, so a warm repeat counts nothing."""
+        context = ExecutionContext(tiny_graph)
+        engine = WhyQueryEngine(context=context)
+        first = engine.debug(query, threshold)
+        assert first.subgraph_explanation is not None
+        calls = context.matcher.calls
+        assert calls > 0
+        repeat = engine.debug(query, threshold)
+        assert context.matcher.calls == calls
+        assert strip_volatile(report_to_dict(repeat)) == strip_volatile(
+            report_to_dict(first)
+        )
 
     def test_end_to_end_on_ldbc(self, ldbc_small):
         from repro.datasets import ldbc
