@@ -3,7 +3,9 @@
 Boots a ``WhyQueryProtocolServer`` on a background thread, connects a
 ``WhyQueryClient``, uploads a graph and debugs a failing query three
 ways: a plain remote ``explain``, a *streamed* explain (rewrite
-candidates arrive while the search runs, and the final report is
+candidates arrive while the search runs, each as its difference from the
+query the request sent; decoded here they equal, in order, the
+candidates an in-process explain finds, and the final report is
 bit-identical to the plain one), and a quota'd tenant whose admission
 rejection surfaces as a protocol-level 429 instead of a stack trace.
 
@@ -18,6 +20,7 @@ from repro import (
     BudgetPool,
     GraphQuery,
     PropertyGraph,
+    WhyQueryService,
     connect,
     equals,
     serve_in_thread,
@@ -70,6 +73,17 @@ with connect(*address) as client:
     streamed_report = stream.result()
     identical = strip_volatile(streamed_report) == strip_volatile(report)
     print(f"streamed final report identical to plain explain: {identical}")
+    assert identical
+
+    # the candidates the search finds in this process, in order
+    with WhyQueryService() as service:
+        local = []
+        service.explain(graph, query, on_candidate=local.append)
+    same = [(c.query.signature(), c.cardinality) for c in stream.candidates] == [
+        (c.query.signature(), c.cardinality) for c in local
+    ]
+    print(f"streamed candidates equal the in-process ones, in order: {same}")
+    assert same
 
     stats = client.stats()
     print(

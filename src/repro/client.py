@@ -26,13 +26,12 @@ from __future__ import annotations
 import itertools
 import socket
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.core.serialize import (
     graph_to_dict,
-    query_from_dict,
     query_to_dict,
     result_set_from_dict,
     threshold_to_dict,
@@ -41,6 +40,7 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     RequestCancelled,
+    candidate_from_dict,
     encode_frame,
 )
 
@@ -68,19 +68,14 @@ class RequestRejected(ServerError):
 
 @dataclass(frozen=True)
 class StreamedCandidate:
-    """One rewrite candidate, streamed while the server's search runs."""
+    """One rewrite candidate, streamed while the server's search runs.
+
+    ``query`` is frozen and shares every element it did not change with
+    the query the request sent."""
 
     seq: int
     query: GraphQuery
     cardinality: int
-
-
-def _candidate(frame: Mapping[str, Any]) -> StreamedCandidate:
-    return StreamedCandidate(
-        seq=frame["seq"],
-        query=query_from_dict(frame["query"]),
-        cardinality=frame["cardinality"],
-    )
 
 
 def _raise_for(frame: Dict[str, Any]) -> None:
@@ -289,7 +284,7 @@ class WhyQueryClient:
                 rid, graph, query, threshold, explain, rewrite, True, trace
             )
         )
-        return ExplainStream(self, rid)
+        return ExplainStream(self, rid, query)
 
     def stats(self) -> Dict[str, Any]:
         """The service's unified stats schema plus the ``server`` section."""
@@ -352,11 +347,18 @@ class ExplainStream:
     :class:`RequestRejected`).  :meth:`result` may also be called
     directly -- it drains the remaining candidates into
     :attr:`candidates`.
+
+    ``query`` is the query the request sent: each ``candidate`` frame
+    carries its difference from it
+    (:func:`~repro.server.protocol.candidate_from_dict`), and a frame
+    that does not apply to it raises
+    :class:`~repro.server.protocol.ProtocolError`.
     """
 
-    def __init__(self, client: WhyQueryClient, rid: Any) -> None:
+    def __init__(self, client: WhyQueryClient, rid: Any, query: GraphQuery) -> None:
         self._client = client
         self.request_id = rid
+        self.query = query.as_frozen()
         self.candidates: List[StreamedCandidate] = []
         #: the span tree of a ``trace=True`` explain (set once the
         #: server's ``trace`` frame arrives, before the final frame)
@@ -372,7 +374,11 @@ class ExplainStream:
         while True:
             frame = self._client._next_frame(self.request_id)
             if frame.get("type") == "candidate":
-                candidate = _candidate(frame)
+                candidate = StreamedCandidate(
+                    seq=frame["seq"],
+                    query=candidate_from_dict(self.query, frame["query"]),
+                    cardinality=frame["cardinality"],
+                )
                 self.candidates.append(candidate)
                 return candidate
             if frame.get("type") == "trace":

@@ -19,9 +19,12 @@ wholesale on every version bump:
 The test is conservative (false positives drop a still-valid entry --
 harmless), never optimistic: any mutation that *could* change a query's
 result intersects its profile.  A new edge can extend any match using
-its type (or any untyped query edge); a new vertex can extend matches
-of unconstrained query vertices and of predicates over its attributes;
-an attribute write can flip any predicate over that attribute.
+its type (or any untyped query edge); an attribute write can flip any
+predicate over that attribute.  A new vertex can only bind a query
+vertex with no incident edge, whatever attributes it carries: until an
+edge reaches it, it binds no query vertex that has one, and the ``"e"``
+record that attaches it touches that edge's type (or any untyped query
+edge).  So a ``"v"`` record adds no attribute to the touch.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class QueryTouchProfile:
     vertex_attrs: FrozenSet[str]
     edge_attrs: FrozenSet[str]
     edge_types: FrozenSet[str]
-    #: the query has a vertex with no predicates: any vertex add matters
+    #: the query has a vertex with no incident edge: any vertex add matters
     unconstrained_vertex: bool
     #: the query has an edge with no type set: any edge add matters
     untyped_edge: bool
@@ -75,7 +78,6 @@ def delta_touch(deltas: Iterable[Tuple]) -> DeltaTouch:
         kind = record[0]
         if kind == "v":
             vertices_added = True
-            vertex_attrs.update(record[2])
         elif kind == "e":
             edges_added = True
             edge_types.add(record[4])
@@ -100,14 +102,12 @@ def query_touch_profile(query: GraphQuery) -> QueryTouchProfile:
     vertex_attrs: set = set()
     edge_attrs: set = set()
     edge_types: set = set()
-    unconstrained_vertex = False
+    attached: set = set()
     untyped_edge = False
     for qvertex in query.vertices():
-        if qvertex.predicates:
-            vertex_attrs.update(qvertex.predicates)
-        else:
-            unconstrained_vertex = True
+        vertex_attrs.update(qvertex.predicates)
     for qedge in query.edges():
+        attached.update(qedge.endpoints())
         edge_attrs.update(qedge.predicates)
         if qedge.types is None:
             untyped_edge = True
@@ -117,7 +117,7 @@ def query_touch_profile(query: GraphQuery) -> QueryTouchProfile:
         frozenset(vertex_attrs),
         frozenset(edge_attrs),
         frozenset(edge_types),
-        unconstrained_vertex,
+        query.num_vertices > len(attached),
         untyped_edge,
     )
 

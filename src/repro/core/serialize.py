@@ -6,7 +6,9 @@ maps the core model onto plain dicts/lists (JSON-compatible when the
 attribute values are) and back, losslessly:
 
 * :func:`graph_to_dict` / :func:`graph_from_dict`
-* :func:`query_to_dict` / :func:`query_from_dict`
+* :func:`query_to_dict` / :func:`query_from_dict`, over the per-element
+  :func:`vertex_to_dict` / :func:`edge_to_dict` and their inverses
+  (the protocol's candidate difference form lists the same elements)
 * :func:`result_set_to_dict` / :func:`result_set_from_dict`
 
 Numeric predicate bounds serialise infinities as the strings ``"inf"`` /
@@ -46,7 +48,7 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.core.errors import MalformedQueryError
 from repro.core.graph import PropertyGraph
 from repro.core.predicates import Interval, Predicate, ValueSet
-from repro.core.query import Direction, GraphQuery
+from repro.core.query import Direction, GraphQuery, QueryEdge, QueryVertex
 from repro.core.result import ResultGraph, ResultSet
 
 #: Format 2 emits vertices/edges in insertion order and carries the
@@ -200,57 +202,83 @@ def query_from_wire(wire: Tuple) -> GraphQuery:
 # -- queries ----------------------------------------------------------------------
 
 
+def _predicates_to_dict(predicates: Mapping[str, Predicate]) -> Dict[str, Any]:
+    return {attr: predicate_to_dict(p) for attr, p in sorted(predicates.items())}
+
+
+def _predicates_from_dict(data: Mapping[str, Any]) -> Dict[str, Predicate]:
+    return {attr: predicate_from_dict(p) for attr, p in data.items()}
+
+
+def _element_id(value: Any) -> int:
+    if type(value) is not int:
+        raise MalformedQueryError(f"element id must be an int, not {value!r}")
+    return value
+
+
+def vertex_to_dict(vertex: QueryVertex) -> Dict[str, Any]:
+    """One query vertex in the element form :func:`query_to_dict` lists."""
+    return {"id": vertex.vid, "predicates": _predicates_to_dict(vertex.predicates)}
+
+
+def edge_to_dict(edge: QueryEdge) -> Dict[str, Any]:
+    """One query edge in the element form :func:`query_to_dict` lists."""
+    return {
+        "id": edge.eid,
+        "source": edge.source,
+        "target": edge.target,
+        "types": sorted(edge.types) if edge.types is not None else None,
+        "directions": sorted(d.value for d in edge.directions),
+        "predicates": _predicates_to_dict(edge.predicates),
+    }
+
+
+def vertex_from_dict(data: Mapping[str, Any]) -> QueryVertex:
+    """Inverse of :func:`vertex_to_dict` (an unfrozen element)."""
+    return QueryVertex(
+        _element_id(data["id"]), _predicates_from_dict(data.get("predicates", {}))
+    )
+
+
+def edge_from_dict(data: Mapping[str, Any]) -> QueryEdge:
+    """Inverse of :func:`edge_to_dict` (an unfrozen element; whether its
+    endpoints exist is the enclosing query's check)."""
+    return QueryEdge(
+        _element_id(data["id"]),
+        _element_id(data["source"]),
+        _element_id(data["target"]),
+        data.get("types"),
+        frozenset(Direction(d) for d in data["directions"]),
+        _predicates_from_dict(data.get("predicates", {})),
+    )
+
+
 def query_to_dict(query: GraphQuery) -> Dict[str, Any]:
     """Serialise a query; element identifiers are preserved."""
     return {
         "format": FORMAT_VERSION,
         "vertices": [
-            {
-                "id": v.vid,
-                "predicates": {
-                    attr: predicate_to_dict(p) for attr, p in sorted(v.predicates.items())
-                },
-            }
-            for v in sorted(query.vertices(), key=lambda v: v.vid)
+            vertex_to_dict(v) for v in sorted(query.vertices(), key=lambda v: v.vid)
         ],
-        "edges": [
-            {
-                "id": e.eid,
-                "source": e.source,
-                "target": e.target,
-                "types": sorted(e.types) if e.types is not None else None,
-                "directions": sorted(d.value for d in e.directions),
-                "predicates": {
-                    attr: predicate_to_dict(p) for attr, p in sorted(e.predicates.items())
-                },
-            }
-            for e in sorted(query.edges(), key=lambda e: e.eid)
-        ],
+        "edges": [edge_to_dict(e) for e in sorted(query.edges(), key=lambda e: e.eid)],
     }
 
 
 def query_from_dict(data: Mapping[str, Any]) -> GraphQuery:
     """Inverse of :func:`query_to_dict`."""
     query = GraphQuery()
-    for vertex in data.get("vertices", ()):
-        query.add_vertex(
-            vid=vertex["id"],
-            predicates={
-                attr: predicate_from_dict(p)
-                for attr, p in vertex.get("predicates", {}).items()
-            },
-        )
-    for edge in data.get("edges", ()):
+    for item in data.get("vertices", ()):
+        vertex = vertex_from_dict(item)
+        query.add_vertex(vid=vertex.vid, predicates=vertex.predicates)
+    for item in data.get("edges", ()):
+        edge = edge_from_dict(item)
         query.add_edge(
-            edge["source"],
-            edge["target"],
-            eid=edge["id"],
-            types=edge.get("types"),
-            directions=frozenset(Direction(d) for d in edge["directions"]),
-            predicates={
-                attr: predicate_from_dict(p)
-                for attr, p in edge.get("predicates", {}).items()
-            },
+            edge.source,
+            edge.target,
+            eid=edge.eid,
+            types=edge.types,
+            directions=edge.directions,
+            predicates=edge.predicates,
         )
     query.validate()
     return query

@@ -638,9 +638,10 @@ class CSRIndex:
         """
         if not self._patchable(deltas):
             return False
-        # a vertex no edge reaches yet moves no row of any type group,
-        # and the "e" record that attaches it drops its group
-        self._drop_touched(delta_touch(r for r in deltas if r[0] != "v"))
+        # a vertex no edge reaches yet moves no row of any type group
+        # (its "v" record touches no attribute), and the "e" record that
+        # attaches it drops its group
+        self._drop_touched(delta_touch(deltas))
         graph = self._graph()
         for record in deltas:
             kind = record[0]

@@ -18,6 +18,10 @@ chosen over a binary layout because every payload the service moves
 :mod:`repro.core.serialize`; the frame prefix is what gives us message
 boundaries over TCP's byte stream.
 
+A streamed ``candidate`` frame carries its query as the difference from
+the request's query (:func:`candidate_to_dict` /
+:func:`candidate_from_dict`), in the same per-element form.
+
 :func:`encode_frame` and the incremental :class:`FrameDecoder` are used
 verbatim by the asyncio server and by the client, so the protocol
 tests' split/coalesced-read cases exercise exactly the production
@@ -45,7 +49,16 @@ import json
 import struct
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.core.serialize import query_to_dict, threshold_to_dict
+from repro.core.errors import ReproError
+from repro.core.query import GraphQuery
+from repro.core.serialize import (
+    edge_from_dict,
+    edge_to_dict,
+    query_to_dict,
+    threshold_to_dict,
+    vertex_from_dict,
+    vertex_to_dict,
+)
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -54,6 +67,8 @@ __all__ = [
     "FrameDecoder",
     "ProtocolError",
     "RequestCancelled",
+    "candidate_from_dict",
+    "candidate_to_dict",
     "encode_frame",
     "report_to_dict",
     "strip_volatile",
@@ -66,9 +81,10 @@ __all__ = [
 #: gate and the protocol round-trips all strip exactly this set.
 VOLATILE_REPORT_FIELDS = frozenset({"elapsed_s", "trace"})
 
-#: bump on incompatible frame/message changes; the server rejects hellos
-#: advertising a *newer* protocol than it speaks, and accepts older ones
-PROTOCOL_VERSION = 1
+#: bump on incompatible frame/message changes; the server answers a hello
+#: advertising any other version with a ``protocol-version`` error
+#: (2: a ``candidate`` frame carries its difference from the request query)
+PROTOCOL_VERSION = 2
 
 #: hard per-frame size bound (guards both sides against corrupt prefixes)
 MAX_FRAME_BYTES = 32 * 1024 * 1024
@@ -137,6 +153,101 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered towards the next (incomplete) frame."""
         return len(self._buffer)
+
+
+# -- streamed candidates ----------------------------------------------------------
+
+
+def _changed(element, base) -> bool:
+    """``element`` differs from the request query's element of its id
+    (``base``, ``None`` when the request lacks the id).  Derived candidates
+    share their untouched elements, so identity answers most lookups."""
+    return base is None or (
+        element is not base and element.signature() != base.signature()
+    )
+
+
+def candidate_to_dict(request_query: GraphQuery, candidate: GraphQuery) -> Dict[str, Any]:
+    """The ``query`` of a ``candidate`` frame: ``candidate`` as its
+    difference from ``request_query``.
+
+    ``vertices`` / ``edges`` list, in the element form of
+    :func:`~repro.core.serialize.query_to_dict`, the candidate's elements
+    that the request lacks or whose signature differs from the request's
+    element of the same id; ``drop_vertices`` / ``drop_edges`` name the
+    request's elements the candidate does not have.  Empty keys are left
+    out.  Freeze ``request_query`` once per request: a frozen query keeps
+    its element signatures.
+    """
+    out: Dict[str, Any] = {}
+    for key, elements, base, encode in (
+        ("vertices", candidate._vertices, request_query._vertices, vertex_to_dict),
+        ("edges", candidate._edges, request_query._edges, edge_to_dict),
+    ):
+        changed = [
+            encode(element)
+            for ident, element in elements.items()
+            if _changed(element, base.get(ident))
+        ]
+        if changed:
+            out[key] = changed
+        dropped = [ident for ident in base if ident not in elements]
+        if dropped:
+            out["drop_" + key] = dropped
+    return out
+
+
+def _apply(elements: Dict[int, Any], data: Mapping[str, Any], key: str, decode) -> int:
+    """Drop and replace the ``key`` (``"vertices"`` / ``"edges"``) of
+    ``elements`` as the frame says; returns one past the largest id the
+    frame names an element for (0 if none)."""
+    dropped = data.get("drop_" + key, [])
+    if not isinstance(dropped, list):
+        raise ProtocolError(f"drop_{key} must be a list, not {dropped!r}")
+    named = set()
+    for ident in dropped:
+        if type(ident) is not int or ident not in elements or ident in named:
+            raise ProtocolError(f"candidate drops an unknown id {ident!r} of {key}")
+        named.add(ident)
+        del elements[ident]
+    top = 0
+    for item in data.get(key, ()):
+        element = decode(item).freeze()
+        ident = element.vid if key == "vertices" else element.eid
+        if ident in named:
+            raise ProtocolError(f"candidate names id {ident} of {key} twice")
+        named.add(ident)
+        elements[ident] = element
+        top = max(top, ident + 1)
+    return top
+
+
+def candidate_from_dict(request_query: GraphQuery, data: Any) -> GraphQuery:
+    """Inverse of :func:`candidate_to_dict`: a frozen query that shares
+    every element the frame leaves out with ``request_query`` (pass it
+    frozen; a builder is copied on every call).
+
+    A frame that drops an id the request lacks, names an id twice, carries
+    a malformed element or leaves an edge dangling raises
+    :class:`ProtocolError`; it never yields a query.
+    """
+    if not isinstance(data, dict):
+        raise ProtocolError(f"candidate query must be an object, not {data!r}")
+    base = request_query.as_frozen()
+    vertices = dict(base._vertices)
+    edges = dict(base._edges)
+    try:
+        top_vid = _apply(vertices, data, "vertices", vertex_from_dict)
+        top_eid = _apply(edges, data, "edges", edge_from_dict)
+        query = base._derive(vertices, edges)
+        query._next_vid = max(query._next_vid, top_vid)
+        query._next_eid = max(query._next_eid, top_eid)
+        query.validate()
+    except ProtocolError:
+        raise
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError(f"malformed candidate query: {exc}") from exc
+    return query
 
 
 # -- report serialisation --------------------------------------------------------

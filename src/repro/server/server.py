@@ -12,7 +12,8 @@ JSON-frame protocol of :mod:`repro.server.protocol`:
 * **streaming partial results** -- an ``explain`` with ``stream: true``
   emits one ``candidate`` frame per evaluated rewrite candidate *while
   the search runs*, through the ``on_candidate`` seam threaded down to
-  :class:`~repro.exec.evaluator.CandidateEvaluator`.  The request's
+  :class:`~repro.exec.evaluator.CandidateEvaluator`.  Each frame carries
+  the candidate as its difference from the request's query.  The request's
   worker encodes each frame and queues it; the loop is woken once per
   burst and writes everything queued in one transport write.  The
   final ``trace`` / ``result`` frames always follow every streamed
@@ -52,7 +53,6 @@ from repro.core.graph import PropertyGraph
 from repro.core.serialize import (
     graph_from_dict,
     query_from_dict,
-    query_to_dict,
     result_set_to_dict,
     threshold_from_dict,
 )
@@ -63,6 +63,7 @@ from repro.server.protocol import (
     FrameDecoder,
     ProtocolError,
     RequestCancelled,
+    candidate_to_dict,
     encode_frame,
     report_to_dict,
 )
@@ -337,7 +338,7 @@ class WhyQueryProtocolServer:
 
     async def _handle_hello(self, conn: _Connection, message: Dict[str, Any]) -> None:
         spoken = message.get("protocol", PROTOCOL_VERSION)
-        if not isinstance(spoken, int) or spoken > PROTOCOL_VERSION:
+        if not isinstance(spoken, int) or spoken != PROTOCOL_VERSION:
             await self._send(
                 conn,
                 {
@@ -345,7 +346,7 @@ class WhyQueryProtocolServer:
                     "code": "protocol-version",
                     "message": (
                         f"client speaks protocol {spoken!r}, server speaks "
-                        f"<= {PROTOCOL_VERSION}"
+                        f"{PROTOCOL_VERSION}"
                     ),
                 },
             )
@@ -494,7 +495,9 @@ class WhyQueryProtocolServer:
     async def _handle_explain(self, conn: _Connection, message: Dict[str, Any]) -> None:
         rid = message.get("id")
         graph = self._graph_named(message["graph"])
-        query = query_from_dict(message["query"])
+        # frozen once: the search derives its candidates from this object,
+        # so a candidate frame finds its unchanged elements by identity
+        query = query_from_dict(message["query"]).freeze()
         threshold = (
             threshold_from_dict(message["threshold"])
             if message.get("threshold") is not None
@@ -540,7 +543,7 @@ class WhyQueryProtocolServer:
                     "type": "candidate",
                     "id": rid,
                     "seq": next(seq),
-                    "query": query_to_dict(candidate.query),
+                    "query": candidate_to_dict(query, candidate.query),
                     "cardinality": candidate.cardinality,
                 }
             )

@@ -72,7 +72,7 @@ class TestDeltaTouch:
         [
             pytest.param(
                 lambda g: g.add_vertex(type="city", name="Dresden"),
-                touch(vertex_attrs={"type", "name"}, vertices=True),
+                touch(vertices=True),
                 id="vertex-with-attributes",
             ),
             pytest.param(
@@ -111,7 +111,7 @@ class TestDeltaTouch:
             g.set_edge_attribute(0, "since", 2004)
 
         assert delta_touch(run_of(mutate)) == touch(
-            vertex_attrs={"type", "age"},
+            vertex_attrs={"age"},
             edge_attrs={"since"},
             edge_types={"locatedIn", "knows"},
             vertices=True,
@@ -174,12 +174,7 @@ class TestQueryTouchProfile:
             ),
             pytest.param(
                 person_to_anything,
-                profile(
-                    vertex_attrs={"type"},
-                    edge_attrs={"since"},
-                    unconstrained=True,
-                    untyped=True,
-                ),
+                profile(vertex_attrs={"type"}, edge_attrs={"since"}, untyped=True),
                 id="unconstrained-and-untyped",
             ),
             pytest.param(
@@ -189,7 +184,9 @@ class TestQueryTouchProfile:
             ),
             pytest.param(lone_vertex, profile(unconstrained=True), id="lone-vertex"),
             pytest.param(
-                typed_lone_vertex, profile(vertex_attrs={"type"}), id="typed-lone-vertex"
+                typed_lone_vertex,
+                profile(vertex_attrs={"type"}, unconstrained=True),
+                id="typed-lone-vertex",
             ),
         ],
     )
@@ -279,32 +276,57 @@ QUERIES = (
 )
 
 
+def add_person(g):
+    g.add_vertex(type="person", age=50)
+
+
+def attach_person(g):
+    g.add_edge(0, 3, "knows")
+
+
+def add_and_attach_person(g):
+    add_person(g)
+    attach_person(g)
+
+
 class TestConservative:
     """Each write changes at least one query's count, and every query
-    whose count it changes intersects its touch."""
+    whose count it changes intersects its touch.  A case is a sequence of
+    runs; each run is checked against the counts before it."""
 
     @pytest.mark.parametrize(
-        "mutate",
+        "runs",
         [
-            pytest.param(lambda g: g.add_vertex(type="city"), id="vertex"),
-            pytest.param(lambda g: g.add_edge(1, 2, "workAt"), id="edge-of-a-type"),
-            pytest.param(lambda g: g.add_edge(1, 2, "studyAt"), id="edge-of-a-new-type"),
-            pytest.param(lambda g: g.add_edge(2, 0, "likes", since=2010), id="typed-out-edge"),
-            pytest.param(lambda g: g.set_vertex_attribute(1, "age", 20), id="age-flip"),
-            pytest.param(lambda g: g.set_vertex_attribute(2, "type", "person"), id="type-flip"),
-            pytest.param(lambda g: g.set_edge_attribute(0, "since", 1990), id="since-flip"),
+            pytest.param((lambda g: g.add_vertex(type="city"),), id="vertex"),
+            pytest.param((lambda g: g.add_edge(1, 2, "workAt"),), id="edge-of-a-type"),
+            pytest.param((lambda g: g.add_edge(1, 2, "studyAt"),), id="edge-of-a-new-type"),
+            pytest.param(
+                (lambda g: g.add_edge(2, 0, "likes", since=2010),), id="typed-out-edge"
+            ),
+            pytest.param((lambda g: g.set_vertex_attribute(1, "age", 20),), id="age-flip"),
+            pytest.param(
+                (lambda g: g.set_vertex_attribute(2, "type", "person"),), id="type-flip"
+            ),
+            pytest.param(
+                (lambda g: g.set_edge_attribute(0, "since", 1990),), id="since-flip"
+            ),
+            # a vertex carrying predicate attributes, attached by a later
+            # run: the edge's run is what touches the edge's queries
+            pytest.param((add_person, attach_person), id="vertex-then-attaching-edge"),
+            pytest.param((add_and_attach_person,), id="vertex-and-attaching-edge"),
         ],
     )
-    def test_every_changed_count_is_touched(self, mutate):
+    def test_every_changed_count_is_touched(self, runs):
         g = base_graph()
         queries = [build() for build in QUERIES]
-        matcher = PatternMatcher(g, compiled=False)
-        before = [matcher.count(q) for q in queries]
-        version = g.version
-        mutate(g)
-        delta = delta_touch(g.deltas_since(version))
-        after = [PatternMatcher(g, compiled=False).count(q) for q in queries]
-        changed = [q for q, b, a in zip(queries, before, after) if b != a]
-        assert changed, "the write must move some count"
-        for q in changed:
-            assert touch_affects_query(delta, query_touch_profile(q)), q
+        before = [PatternMatcher(g, compiled=False).count(q) for q in queries]
+        for mutate in runs:
+            version = g.version
+            mutate(g)
+            delta = delta_touch(g.deltas_since(version))
+            after = [PatternMatcher(g, compiled=False).count(q) for q in queries]
+            changed = [q for q, b, a in zip(queries, before, after) if b != a]
+            assert changed, "the write must move some count"
+            for q in changed:
+                assert touch_affects_query(delta, query_touch_profile(q)), q
+            before = after

@@ -9,6 +9,7 @@ bit-identically (modulo wall-clock fields).
 
 from __future__ import annotations
 
+import json
 import socket
 import sys
 import threading
@@ -19,10 +20,12 @@ import pytest
 from repro.core.graph import PropertyGraph
 from repro.core.predicates import equals
 from repro.core.query import GraphQuery
+from repro.core.serialize import query_to_dict
 from repro.client import (
     ExplainStream,
     RequestRejected,
     ServerError,
+    WhyQueryClient,
     _explain_request,
     connect,
 )
@@ -37,6 +40,8 @@ from repro.server.protocol import (
     FrameDecoder,
     ProtocolError,
     RequestCancelled,
+    candidate_from_dict,
+    candidate_to_dict,
     encode_frame,
     report_to_dict,
     strip_volatile,
@@ -110,6 +115,42 @@ def client(server):
     c.close()
 
 
+def hello_reply(server, spoken) -> dict:
+    """The server's first frame after a raw ``hello`` advertising ``spoken``."""
+    sock = socket.create_connection(server.address)
+    try:
+        sock.sendall(encode_frame({"type": "hello", "protocol": spoken}))
+        decoder = FrameDecoder()
+        frames = []
+        while not frames:
+            frames = decoder.feed(sock.recv(65536))
+        assert frames[0]["type"] == "error"
+        return frames[0]
+    finally:
+        sock.close()
+
+
+def first_candidate_frame(query: GraphQuery) -> bytes:
+    """The first ``candidate`` frame a streamed explain of ``query`` on
+    :func:`small_graph` sends, encoded in-process."""
+    service = WhyQueryService()
+    try:
+        query = query.freeze()
+        candidates = []
+        service.explain(small_graph(), query, on_candidate=candidates.append)
+    finally:
+        service.close()
+    return encode_frame(
+        {
+            "type": "candidate",
+            "id": 2,
+            "seq": 0,
+            "query": candidate_to_dict(query, candidates[0].query),
+            "cardinality": candidates[0].cardinality,
+        }
+    )
+
+
 # -- framing ---------------------------------------------------------------------
 
 
@@ -176,6 +217,143 @@ class TestFraming:
             encode_frame(big)
 
 
+# -- the candidate difference form ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mix_candidates():
+    """``(request query, candidate query)`` for every candidate the
+    32-request mix hands to ``on_candidate`` in one fresh in-process pass."""
+    from test_property_based import paper_requests
+
+    graphs, requests = paper_requests()
+    pairs = []
+    with WhyQueryService() as service:
+        for name, query, threshold in requests:
+            service.explain(
+                graphs[name],
+                query,
+                threshold,
+                on_candidate=lambda item, q=query: pairs.append((q, item.query)),
+            )
+    return pairs
+
+
+def wire_size(data) -> int:
+    return len(json.dumps(data, separators=(",", ":")))
+
+
+class TestCandidateCodec:
+    def test_round_trip_over_the_mix(self, mix_candidates):
+        assert len(mix_candidates) > 500
+        for request, candidate in mix_candidates:
+            diff = candidate_to_dict(request, candidate)
+            back = candidate_from_dict(request, json.loads(json.dumps(diff)))
+            assert back.frozen
+            assert back.signature() == candidate.signature()
+            assert query_to_dict(back) == query_to_dict(candidate)
+            assert wire_size(diff) <= wire_size(query_to_dict(candidate))
+            # what the frame leaves out is the request's own element
+            named = {item["id"] for item in diff.get("vertices", ())}
+            for vertex in back.vertices():
+                if vertex.vid not in named:
+                    assert vertex is request.vertex(vertex.vid)
+            named = {item["id"] for item in diff.get("edges", ())}
+            for edge in back.edges():
+                if edge.eid not in named:
+                    assert edge is request.edge(edge.eid)
+
+    def test_added_and_dropped_elements_round_trip(self):
+        """No rewrite of the mix adds an element; a candidate that does
+        still names every element the request lacks."""
+        request = failing_query().freeze()
+        builder = request.copy()
+        city = builder.add_vertex(predicates={"type": equals("city")})
+        located = builder.add_edge(1, city, types={"locatedIn"})
+        builder.remove_edge(0)
+        candidate = builder.freeze()
+        diff = candidate_to_dict(request, candidate)
+        assert [item["id"] for item in diff["vertices"]] == [city]
+        assert [item["id"] for item in diff["edges"]] == [located]
+        assert diff["drop_edges"] == [0]
+        assert "drop_vertices" not in diff
+        back = candidate_from_dict(request, json.loads(json.dumps(diff)))
+        assert back.signature() == candidate.signature()
+        assert back.frozen and back.vertex(0) is request.vertex(0)
+        # the identifier counters continue past the added elements
+        builder = back.copy()
+        assert builder.add_vertex() == city + 1
+        assert builder.add_edge(0, 1) == located + 1
+
+    def test_unchanged_candidate_is_an_empty_difference(self):
+        query = failing_query().freeze()
+        assert candidate_to_dict(query, query) == {}
+        assert candidate_to_dict(query, failing_query()) == {}
+        assert candidate_from_dict(query, {}) == query
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param({"drop_vertices": [5]}, id="dropped-vertex-the-request-lacks"),
+            pytest.param({"drop_edges": [3]}, id="dropped-edge-the-request-lacks"),
+            pytest.param({"drop_edges": [0, 0]}, id="edge-dropped-twice"),
+            pytest.param({"drop_edges": "0"}, id="drop-list-not-a-list"),
+            pytest.param({"drop_edges": ["0"]}, id="non-int-dropped-id"),
+            pytest.param(
+                {"vertices": [{"id": "0", "predicates": {}}]}, id="non-int-vertex-id"
+            ),
+            pytest.param(
+                {
+                    "edges": [
+                        {"id": 0, "source": 0.0, "target": 1, "directions": ["forward"]}
+                    ]
+                },
+                id="non-int-endpoint",
+            ),
+            pytest.param(
+                {"vertices": [{"id": 0, "predicates": {"type": {"kind": "regex"}}}]},
+                id="unknown-predicate-kind",
+            ),
+            pytest.param(
+                {"vertices": [{"id": 0, "predicates": {"type": {"kind": "values"}}}]},
+                id="predicate-without-values",
+            ),
+            pytest.param(
+                {"vertices": [{"id": 0, "predicates": ["type"]}]},
+                id="predicates-not-a-map",
+            ),
+            pytest.param({"drop_vertices": [1]}, id="edge-left-dangling"),
+            pytest.param(
+                {
+                    "edges": [
+                        {"id": 1, "source": 0, "target": 7, "directions": ["forward"]}
+                    ]
+                },
+                id="new-edge-to-a-missing-vertex",
+            ),
+            pytest.param(
+                {"vertices": [{"id": 1, "predicates": {}}], "drop_vertices": [1]},
+                id="dropped-and-named",
+            ),
+            pytest.param([], id="not-an-object"),
+        ],
+    )
+    def test_hostile_frame_raises(self, frame):
+        with pytest.raises(ProtocolError):
+            candidate_from_dict(failing_query().freeze(), frame)
+
+    def test_stream_raises_on_a_hostile_frame(self):
+        client = WhyQueryClient(sock=None)
+        client._inbox[1] = [
+            {"type": "candidate", "id": 1, "seq": 0, "query": {"drop_vertices": [1]},
+             "cardinality": 0},
+        ]
+        stream = ExplainStream(client, 1, failing_query())
+        with pytest.raises(ProtocolError):
+            next(stream)
+        assert stream.candidates == []
+
+
 # -- sessions and multiplexing ---------------------------------------------------
 
 
@@ -183,20 +361,15 @@ class TestSessions:
     def test_handshake_and_welcome(self, server):
         with connect(*server.address, tenant="alice") as c:
             assert c.welcome["type"] == "welcome"
-            assert c.welcome["protocol"] == 1
+            assert c.welcome["protocol"] == 2
 
     def test_newer_protocol_rejected(self, server):
-        sock = socket.create_connection(server.address)
-        try:
-            sock.sendall(encode_frame({"type": "hello", "protocol": 99}))
-            decoder = FrameDecoder()
-            frames = []
-            while not frames:
-                frames = decoder.feed(sock.recv(65536))
-            assert frames[0]["type"] == "error"
-            assert frames[0]["code"] == "protocol-version"
-        finally:
-            sock.close()
+        assert hello_reply(server, 99)["code"] == "protocol-version"
+
+    def test_older_protocol_rejected(self, server):
+        """A version-1 reader would misparse the difference-form
+        ``candidate`` frames, so an older hello is refused too."""
+        assert hello_reply(server, 1)["code"] == "protocol-version"
 
     def test_count_and_match(self, client):
         assert client.count("g", failing_query()) == 0
@@ -420,14 +593,18 @@ class TestOversizeFrames:
         with connect(*server.address, timeout=10) as c:
             c.put_graph("g", small_graph())
             rid = next(c._ids)
-            # encoded under the real bound; every candidate frame is over
-            # 250 bytes, an error frame well under
+            # encoded under the real bound.  The request fails at its first
+            # candidate frame: 156 bytes measured in-process, its error
+            # reply 111 (a later candidate that only drops a vertex's
+            # predicates is 99), so the bound sits between the two
+            bound = 133
+            assert len(first_candidate_frame(failing_query())) > bound
             request = encode_frame(
                 _explain_request(rid, "g", failing_query(), None, True, True, True)
             )
-            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 250)
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", bound)
             c._sock.sendall(request)
-            explain_stream = ExplainStream(c, rid)
+            explain_stream = ExplainStream(c, rid, failing_query())
             with pytest.raises(ServerError, match="MAX_FRAME_BYTES"):
                 explain_stream.result()
             assert explain_stream.candidates == []
@@ -447,7 +624,7 @@ class TestCancellation:
         client._sock.sendall(
             encode_frame(request) + encode_frame({"type": "cancel", "id": rid})
         )
-        stream = ExplainStream(client, rid)
+        stream = ExplainStream(client, rid, failing_query())
         with pytest.raises(RequestCancelled):
             stream.result()
 
@@ -500,7 +677,7 @@ class TestCancellation:
             encode_frame(request) + encode_frame({"type": "cancel", "id": rid})
         )
         with pytest.raises(RequestCancelled):
-            ExplainStream(client, rid).result()
+            ExplainStream(client, rid, failing_query()).result()
         assert client.count("g", matching_query()) == 2
 
 
@@ -579,7 +756,9 @@ class TestQuotas:
                         for rid in rids
                     )
                 )
-                reports = [ExplainStream(c, rid).result() for rid in rids]
+                reports = [
+                    ExplainStream(c, rid, failing_query()).result() for rid in rids
+                ]
             assert [r["problem"] for r in reports] == ["why-empty"] * 3
             stats = pool.stats()
             assert stats["in_use"] == 0
