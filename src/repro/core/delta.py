@@ -21,10 +21,16 @@ harmless), never optimistic: any mutation that *could* change a query's
 result intersects its profile.  A new edge can extend any match using
 its type (or any untyped query edge); an attribute write can flip any
 predicate over that attribute.  A new vertex can only bind a query
-vertex with no incident edge, whatever attributes it carries: until an
-edge reaches it, it binds no query vertex that has one, and the ``"e"``
-record that attaches it touches that edge's type (or any untyped query
-edge).  So a ``"v"`` record adds no attribute to the touch.
+vertex with no incident edge (a *lone* one): until an edge reaches it, it
+binds no query vertex that has one, and the ``"e"`` record that attaches
+it touches that edge's type (or any untyped query edge).  It binds a
+lone vertex only if it carries every attribute that vertex's predicates
+name (a predicate on a missing attribute fails), so a ``"v"`` record
+touches the queries with a lone vertex whose predicate attributes are
+all among those the run's new vertices carry -- a predicate-free one
+always.  Its attributes go to their own field, not to ``vertex_attrs``:
+they move no existing vertex, and a later ``"va"`` write in the run is
+still caught there.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ class DeltaTouch:
     edge_types: FrozenSet[str]
     vertices_added: bool
     edges_added: bool
+    #: the attribute names the run's new vertices carry (``"v"`` records)
+    new_vertex_attrs: FrozenSet[str]
 
 
 @dataclass(frozen=True)
@@ -61,10 +69,16 @@ class QueryTouchProfile:
     vertex_attrs: FrozenSet[str]
     edge_attrs: FrozenSet[str]
     edge_types: FrozenSet[str]
-    #: the query has a vertex with no incident edge: any vertex add matters
-    unconstrained_vertex: bool
     #: the query has an edge with no type set: any edge add matters
     untyped_edge: bool
+    #: the predicate attribute names of each vertex with no incident
+    #: edge: a vertex add carrying all of one set matters
+    lone_vertices: FrozenSet[FrozenSet[str]]
+
+
+#: the lone vertices of most queries: one shared empty set, not one per
+#: cached profile
+_NO_LONE_VERTICES: FrozenSet[FrozenSet[str]] = frozenset()
 
 
 def delta_touch(deltas: Iterable[Tuple]) -> DeltaTouch:
@@ -72,12 +86,14 @@ def delta_touch(deltas: Iterable[Tuple]) -> DeltaTouch:
     vertex_attrs: set = set()
     edge_attrs: set = set()
     edge_types: set = set()
+    new_vertex_attrs: set = set()
     vertices_added = False
     edges_added = False
     for record in deltas:
         kind = record[0]
         if kind == "v":
             vertices_added = True
+            new_vertex_attrs.update(record[2])
         elif kind == "e":
             edges_added = True
             edge_types.add(record[4])
@@ -94,6 +110,7 @@ def delta_touch(deltas: Iterable[Tuple]) -> DeltaTouch:
         frozenset(edge_types),
         vertices_added,
         edges_added,
+        frozenset(new_vertex_attrs),
     )
 
 
@@ -113,12 +130,13 @@ def query_touch_profile(query: GraphQuery) -> QueryTouchProfile:
             untyped_edge = True
         else:
             edge_types.update(qedge.types)
+    lone = [frozenset(v.predicates) for v in query.vertices() if v.vid not in attached]
     return QueryTouchProfile(
         frozenset(vertex_attrs),
         frozenset(edge_attrs),
         frozenset(edge_types),
-        query.num_vertices > len(attached),
         untyped_edge,
+        frozenset(lone) if lone else _NO_LONE_VERTICES,
     )
 
 
@@ -132,6 +150,8 @@ def touch_affects_query(touch: DeltaTouch, profile: QueryTouchProfile) -> bool:
         return True
     if touch.edges_added and profile.untyped_edge:
         return True
-    if touch.vertices_added and profile.unconstrained_vertex:
+    if touch.vertices_added and any(
+        attrs <= touch.new_vertex_attrs for attrs in profile.lone_vertices
+    ):
         return True
     return False

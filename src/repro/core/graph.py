@@ -8,16 +8,18 @@ edge, Sec. 3.2.2).  Multiple edges may connect the same pair of vertices.
 The implementation favours read-heavy analytical use: adjacency lists in
 both directions, *type-partitioned* adjacency lists
 (``vertex -> edge type -> out/in neighbour lists``), plus secondary
-indexes (vertex-attribute index, edge-type index) that the pattern matcher
-and the statistics provider (Sec. 5.2) use for candidate pruning.  Indexes
-are maintained incrementally, so graphs can be grown after queries have run.
+indexes (vertex-attribute index, edge-attribute index, edge-type index)
+that the pattern matcher and the statistics provider (Sec. 5.2) use for
+candidate pruning.  Indexes are maintained incrementally, so graphs can be
+grown after queries have run.
 
 Storage-layer invariants
 ------------------------
 
 * **Zero-copy read accessors.**  ``out_edges``, ``in_edges``,
   ``out_edges_of_type``, ``in_edges_of_type``, ``vertices_with``,
-  ``vertex_attr_values`` and ``edges_of_type`` return *live views* of the
+  ``vertex_attr_values``, ``edges_with``, ``edge_attr_values`` and
+  ``edges_of_type`` return *live views* of the
   internal containers (lists / sets / key views), not copies.  Callers must
   treat them as read-only and must not hold them across graph mutations
   while iterating.  This is what makes the matcher's expansion loop
@@ -28,6 +30,10 @@ Storage-layer invariants
   and to the global edge-type index.  The typed partitions of a vertex are
   therefore always a disjoint partition of its untyped lists, in insertion
   order.
+* **Lazy value indexes.**  A vertex or edge attribute's value index
+  (``attr -> value -> ids``) is built on its first read and kept current
+  by every later write: an overwrite leaves the old value's bucket, and
+  an emptied bucket is deleted.  Construction builds none.
 * **O(1) counts.**  ``num_edges_of_type``, ``num_vertices_with``,
   ``out_degree_of_type`` and ``in_degree_of_type`` are constant-time reads
   of maintained structures; no histogram dict is rebuilt per call.
@@ -120,6 +126,21 @@ _EMPTY_SET: FrozenSet[int] = frozenset()
 DELTA_RING_LIMIT = 4096
 
 
+def _reindex(
+    index: Dict[Any, Set[int]], attributes: Mapping[str, Any], attr: str, ident: int, value: Any
+) -> None:
+    """Move ``ident`` to ``value``'s bucket of one attribute's value index
+    before ``attributes[attr]`` is overwritten; an emptied bucket goes."""
+    if attr in attributes:
+        old = attributes[attr]
+        bucket = index.get(old)
+        if bucket is not None:
+            bucket.discard(ident)
+            if not bucket:
+                del index[old]
+    index.setdefault(value, set()).add(ident)
+
+
 class PropertyGraph:
     """A directed multigraph with attributed vertices and typed edges.
 
@@ -136,9 +157,13 @@ class PropertyGraph:
         self._edges: Dict[int, EdgeRecord] = {}
         self._next_vid = 0
         self._next_eid = 0
+        # every edge id exceeded all earlier ones (assigned ids always do)
+        self._eids_ascending = True
         # attr -> value -> set of vertex ids
         self._vertex_index: Dict[str, Dict[Any, Set[int]]] = {}
         self._indexed_attrs: Set[str] = set()
+        # attr -> value -> set of edge ids
+        self._edge_index: Dict[str, Dict[Any, Set[int]]] = {}
         # edge type -> set of edge ids
         self._type_index: Dict[str, Set[int]] = {}
         # bumped on every mutation; caches snapshot it to self-invalidate
@@ -225,6 +250,8 @@ class PropertyGraph:
             eid = self._next_eid
         elif eid in self._edges:
             raise DuplicateElementError(f"edge id {eid!r} already exists")
+        elif eid < self._next_eid:
+            self._eids_ascending = False
         self._next_eid = max(self._next_eid, eid + 1)
         record = EdgeRecord(eid, source, target, type, dict(attributes))
         self._edges[eid] = record
@@ -235,6 +262,9 @@ class PropertyGraph:
         source_cell.out_by_type.setdefault(type, []).append(eid)
         target_cell.in_by_type.setdefault(type, []).append(eid)
         self._type_index.setdefault(type, set()).add(eid)
+        if self._edge_index:  # none built: no set to intersect per insert
+            for attr in self._edge_index.keys() & attributes.keys():
+                self._edge_index[attr].setdefault(attributes[attr], set()).add(eid)
         self._version += 1
         self._delta_log.append(("e", eid, source, target, type, dict(attributes)))
         return eid
@@ -251,24 +281,20 @@ class PropertyGraph:
         except KeyError:
             raise UnknownVertexError(vid) from None
         if attr in self._indexed_attrs:
-            index = self._vertex_index[attr]
-            if attr in cell.attributes:
-                bucket = index.get(cell.attributes[attr])
-                if bucket is not None:
-                    bucket.discard(vid)
-                    if not bucket:
-                        del index[cell.attributes[attr]]
-            index.setdefault(value, set()).add(vid)
+            _reindex(self._vertex_index[attr], cell.attributes, attr, vid, value)
         cell.attributes[attr] = value
         self._version += 1
         self._delta_log.append(("va", vid, attr, value))
 
     def set_edge_attribute(self, eid: int, attr: str, value: Any) -> None:
-        """Set (or overwrite) one attribute of an existing edge."""
+        """Set (or overwrite) one attribute of an existing edge; like
+        :meth:`set_vertex_attribute`, index and delta log included."""
         try:
             record = self._edges[eid]
         except KeyError:
             raise UnknownEdgeError(eid) from None
+        if attr in self._edge_index:
+            _reindex(self._edge_index[attr], record.attributes, attr, eid, value)
         # EdgeRecord is frozen but owns its (mutable) attribute dict
         record.attributes[attr] = value  # type: ignore[index]
         self._version += 1
@@ -362,6 +388,13 @@ class PropertyGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    @property
+    def edge_ids_dense(self) -> bool:
+        """Is every edge's id its insertion position (``0, 1, ...``, as
+        ``add_edge`` assigns them)?  O(1): ascending ids, as many as the
+        next free one."""
+        return self._eids_ascending and self._next_eid == len(self._edges)
+
     def edge_types(self) -> FrozenSet[str]:
         """All edge types present in the graph."""
         return frozenset(self._type_index)
@@ -402,6 +435,30 @@ class PropertyGraph:
         if attr not in self._indexed_attrs:
             self.create_vertex_index(attr)
         return {value: len(vids) for value, vids in self._vertex_index[attr].items()}
+
+    def _edge_attr_index(self, attr: str) -> Dict[Any, Set[int]]:
+        """The value index of one edge attribute, built on first use."""
+        index = self._edge_index.get(attr)
+        if index is None:
+            index = {}
+            for eid, record in self._edges.items():
+                if attr in record.attributes:
+                    index.setdefault(record.attributes[attr], set()).add(eid)
+            self._edge_index[attr] = index
+        return index
+
+    def edges_with(self, attr: str, value: Any) -> AbstractSet[int]:
+        """Edges whose attribute ``attr`` equals ``value`` (index-backed
+        live view of the bucket; treat it as read-only)."""
+        return self._edge_attr_index(attr).get(value, _EMPTY_SET)
+
+    def edge_attr_values(self, attr: str) -> KeysView:
+        """Distinct values taken by an edge attribute (live key view)."""
+        return self._edge_attr_index(attr).keys()
+
+    def edge_value_counts(self, attr: str) -> Dict[Any, int]:
+        """Histogram of an edge attribute (used by Sec. 5.2 statistics)."""
+        return {value: len(eids) for value, eids in self._edge_attr_index(attr).items()}
 
     def edges_of_type(self, type: str) -> AbstractSet[int]:
         """Edges carrying the given type (index-backed live view)."""

@@ -25,9 +25,10 @@ compiled backend (:mod:`repro.matching.program`) instead runs over a
   interned per ``(type set, predicate signature)`` and filled over the
   admitted types' edges only: the typed segments a kernel scans and the
   type groups path(1) counts probe no other row.  A fill is set algebra
-  over a value index (the graph's for vertices, per-type columns of the
-  edge records for edges): its Python work grows with the distinct
-  values, not the rows.  A seed pool is the mask ``compress``-ed.  At most
+  over the graph's value index of the predicates' attributes (an edge
+  fill then keeps the admitted types' rows): its Python work grows with
+  the distinct values and the matching rows, never with the other rows.
+  A seed pool is the mask ``compress``-ed.  At most
   :data:`MASK_CAP` masks are interned per table: a long fine-grained
   search (one predicate constant per variant) recycles them instead of
   growing the index without bound;
@@ -219,7 +220,7 @@ class CSRIndex:
         "_degree_sums",
         "_gathers",
         "_projections",
-        "_edge_columns",
+        "_dense_eids",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -240,8 +241,11 @@ class CSRIndex:
             add_tgt(ix_of[record.target])
             by_type[record.type].append(eix)
         self.eid_of = array("q", eids)
-        #: edge id -> dense index; only delta patches ask, so the first
-        #: one builds it (see :meth:`_edge_index`)
+        #: every edge id is its own dense index (the graph's default ids):
+        #: :meth:`_edge_row` needs no dict.  Patches keep it current
+        self._dense_eids: bool = graph.edge_ids_dense
+        #: edge id -> dense index, built by the first :meth:`_edge_row`
+        #: over sparse ids
         self._eix_of: Optional[Dict[int, int]] = None
         self.selfloop = bytearray(map(eq, src, tgt))
         self.src = array(_IX, src)
@@ -270,8 +274,6 @@ class CSRIndex:
         #: (edge type | None, role, predicate signature) -> that mask
         #: gathered over the group as one int, until a write reaches it
         self._projections: Dict[Tuple[Optional[str], int, Hashable], int] = {}
-        #: edge type -> attr -> value -> its rows: edge fills' value index
-        self._edge_columns: Dict[str, Dict[str, Dict[Any, array]]] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
@@ -279,11 +281,14 @@ class CSRIndex:
             raise RuntimeError("CSRIndex outlived its graph")
         return graph
 
-    def _edge_index(self) -> Dict[int, int]:
-        # only apply_deltas asks, and it already holds the catch-up lock
+    def _edge_row(self, eid: int) -> Optional[int]:
+        """Edge ``eid``'s dense index, ``None`` if not interned.  The
+        caller holds the catch-up lock."""
+        if self._dense_eids:
+            return eid if 0 <= eid < len(self.eid_of) else None
         if self._eix_of is None:
             self._eix_of = {eid: eix for eix, eid in enumerate(self.eid_of)}
-        return self._eix_of
+        return self._eix_of.get(eid)
 
     def _intern(
         self, version: int, table: dict, key: Hashable, value: Any, cap: int = 0, drops: Tuple = ()
@@ -411,7 +416,9 @@ class CSRIndex:
         ``None`` when the edge carries none.  Interned per ``(type set,
         predicate signature)`` and filled over the admitted types' edges
         only -- the rows a typed segment or a path(1) type group can
-        probe; every other row reads 0.  Filled from their value columns."""
+        probe; every other row reads 0.  Filled like a vertex mask, from
+        the graph's value index; edges a graph ahead of this index holds
+        are left to the catch-up patch."""
         predicates = qedge.predicates
         if not predicates:
             return None
@@ -421,34 +428,19 @@ class CSRIndex:
         if entry is None:
             version = self.version
             graph = self._graph()
-            eid_of = self.eid_of
-            admitted = list(self._by_type) if types is None else types
-            columns = [self._edge_column(type_key) for type_key in admitted]
-            mask = bytearray(len(eid_of))  # sized after the columns: a patch only appends rows
-            for column in columns:
-                for eix in _matching_rows(
-                    predicates, lambda attr: column.get(attr, {}).keys(),
-                    lambda attr, value: column.get(attr, {}).get(value, ()),
-                    lambda eix: graph.edge(eid_of[eix]).attributes,
-                ):
-                    mask[eix] = 1
+            eids = _matching_rows(
+                predicates, graph.edge_attr_values, graph.edges_with,
+                lambda eid: graph.edge(eid).attributes,
+            )
+            if types is not None:
+                eids = set().union(*[eids.intersection(graph.edges_of_type(t)) for t in types])
+            with _CSR_LOCK:  # rows and length read off one state of the index
+                mask = bytearray(len(self.eid_of))
+                for eix in map(self._edge_row, eids):
+                    if eix is not None:
+                        mask[eix] = 1
             entry = self._intern(version, self._edge_masks, key, (mask, dict(predicates)), MASK_CAP)
         return entry[0]
-
-    def _edge_column(self, type_key: str) -> Dict[str, Dict[Any, array]]:
-        """``attr -> value -> edge indexes`` of one type group, read off
-        its edge records; memoised per type until the next patch."""
-        column = self._edge_columns.get(type_key)
-        if column is None:
-            version = self.version
-            graph = self._graph()
-            eid_of = self.eid_of
-            column = {}
-            for eix in self._group(type_key)[:]:  # copies: patches append, writers add keys
-                for attr, value in graph.edge(eid_of[eix]).attributes.copy().items():
-                    column.setdefault(attr, {}).setdefault(value, array(_IX)).append(eix)
-            self._intern(version, self._edge_columns, type_key, column)
-        return column
 
     # -- planner statistics ------------------------------------------------------
 
@@ -594,7 +586,6 @@ class CSRIndex:
         this index does not understand.
         """
         max_vid = self.vid_of[-1] if self.vid_of else -1
-        eix_of = self._edge_index()
         new_vids: set = set()
         new_eids: set = set()
         for record in deltas:
@@ -607,7 +598,7 @@ class CSRIndex:
                 max_vid = max(max_vid, vid)
             elif kind == "e":
                 eid, source, target = record[1], record[2], record[3]
-                if eid in eix_of or eid in new_eids:
+                if self._edge_row(eid) is not None or eid in new_eids:
                     return False
                 if source not in self.ix_of and source not in new_vids:
                     return False
@@ -618,7 +609,7 @@ class CSRIndex:
                 if record[1] not in self.ix_of and record[1] not in new_vids:
                     return False
             elif kind == "ea":
-                if record[1] not in eix_of and record[1] not in new_eids:
+                if self._edge_row(record[1]) is None and record[1] not in new_eids:
                     return False
             else:
                 return False
@@ -631,8 +622,7 @@ class CSRIndex:
         patchable; the caller falls back to a full rebuild.  On success
         every flat array keeps its object identity and every interned
         mask and seed pool is patched bit by bit; the planner's degree
-        rows and sums and the edge value columns are cleared, and the
-        path(1) gathers and projections the run can change are dropped
+        rows and sums are cleared, and the path(1) gathers and projections the run can change are dropped
         (:meth:`_drop_touched`).  Runs under the catch-up lock
         (:func:`csr_entry`), so nothing here may derive a lazy table.
         """
@@ -657,7 +647,6 @@ class CSRIndex:
                 self._patch_edge_attr(graph, record[1], record[2])
         self._degrees.clear()
         self._degree_sums.clear()
-        self._edge_columns.clear()
         self.version = graph.version
         return True
 
@@ -704,7 +693,10 @@ class CSRIndex:
     ) -> None:
         eix = len(self.eid_of)
         self.eid_of.append(eid)
-        self._edge_index()[eid] = eix
+        if eid != eix:
+            self._dense_eids = False
+        if self._eix_of is not None:
+            self._eix_of[eid] = eix
         six = self.ix_of[source]
         tix = self.ix_of[target]
         self.src.append(six)
@@ -749,7 +741,7 @@ class CSRIndex:
                 pool.pop(pos)
 
     def _patch_edge_attr(self, graph: Any, eid: int, attr: str) -> None:
-        eix = self._edge_index()[eid]
+        eix = self._edge_row(eid)
         record = graph.edge(eid)
         for (types, _sig), (mask, preds) in self._edge_masks.items():
             if attr in preds and (types is None or record.type in types):
@@ -760,7 +752,7 @@ class CSRIndex:
     def nbytes(self) -> int:
         """Bytes held by this index (base tables, type groups, built
         adjacency segments, interned masks and pools, path(1) gathers and
-        projections, edge columns)."""
+        projections)."""
         total = (
             self.vid_of.itemsize * len(self.vid_of)
             + self.eid_of.itemsize * len(self.eid_of)
@@ -789,10 +781,6 @@ class CSRIndex:
             # most projections of a selective mask are 0, and ints up to
             # 256 are the interpreter's shared singletons
             total += sys.getsizeof(key) + (sys.getsizeof(bits) if bits > 256 else 0)
-        for column in list(self._edge_columns.values()):
-            total += sys.getsizeof(column)
-            for buckets in column.values():
-                total += sys.getsizeof(buckets) + sum(map(sys.getsizeof, buckets.values()))
         return total
 
 

@@ -444,8 +444,9 @@ class AttributeDomain:
 
     Relaxing a predicate needs a *new admissible value* that actually
     occurs in the data; concretising needs plausible constraint values.
-    The domain aggregates attribute histograms over vertices and edges
-    lazily and caches them.
+    The domain reads attribute histograms off the graph's value indexes
+    lazily and caches them, with what it derives from each: the values by
+    falling frequency and the numeric step, per ``(kind, attr)``.
     """
 
     def __init__(self, graph: PropertyGraph, max_proposals: int = 3) -> None:
@@ -453,6 +454,8 @@ class AttributeDomain:
         self.max_proposals = max_proposals
         self._vertex_counters: Dict[str, Counter] = {}
         self._edge_counters: Dict[str, Counter] = {}
+        self._by_frequency: Dict[Tuple[str, str], List[Any]] = {}
+        self._steps: Dict[Tuple[str, str], float] = {}
         self._attr_names: Optional[List[str]] = None
 
     def common_vertex_attrs(self, k: int = 4) -> List[str]:
@@ -480,10 +483,7 @@ class AttributeDomain:
         """Histogram of an edge attribute over the whole graph."""
         counter = self._edge_counters.get(attr)
         if counter is None:
-            counter = Counter()
-            for record in self.graph.edges():
-                if attr in record.attributes:
-                    counter[record.attributes[attr]] += 1
+            counter = Counter(self.graph.edge_value_counts(attr))
             self._edge_counters[attr] = counter
         return counter
 
@@ -491,30 +491,37 @@ class AttributeDomain:
         kind, _ = ref
         return self.vertex_values(attr) if kind == "vertex" else self.edge_values(attr)
 
+    def _values_by_frequency(self, ref: ElementRef, attr: str) -> List[Any]:
+        """The attribute's data values, most frequent first (ties in
+        histogram order, as ``Counter.most_common`` breaks them)."""
+        key = (ref[0], attr)
+        values = self._by_frequency.get(key)
+        if values is None:
+            values = [v for v, _ in self.values_for(ref, attr).most_common()]
+            self._by_frequency[key] = values
+        return values
+
     def propose_additional_values(
         self, ref: ElementRef, attr: str, pred: ValueSet
     ) -> List[Any]:
         """Most frequent data values not yet admitted by ``pred``."""
-        counter = self.values_for(ref, attr)
-        proposals = [v for v, _ in counter.most_common() if not pred.matches(v)]
+        proposals = [v for v in self._values_by_frequency(ref, attr) if not pred.matches(v)]
         return proposals[: self.max_proposals]
 
     def propose_constraint_values(self, ref: ElementRef, attr: str) -> List[Any]:
         """Most frequent data values to constrain an attribute to."""
-        counter = self.values_for(ref, attr)
-        return [v for v, _ in counter.most_common(self.max_proposals)]
+        return self._values_by_frequency(ref, attr)[: self.max_proposals]
 
     def numeric_step(self, ref: ElementRef, attr: str) -> float:
         """Typical bound step for interval widening (median gap, >= 1)."""
-        counter = self.values_for(ref, attr)
-        values = sorted(v for v in counter if isinstance(v, (int, float)))
-        if len(values) < 2:
-            return 1.0
-        gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
-        if not gaps:
-            return 1.0
-        gaps.sort()
-        return float(max(1.0, gaps[len(gaps) // 2]))
+        key = (ref[0], attr)
+        step = self._steps.get(key)
+        if step is None:
+            values = sorted(v for v in self.values_for(ref, attr) if isinstance(v, (int, float)))
+            gaps = sorted(b - a for a, b in zip(values, values[1:]) if b > a)
+            step = float(max(1.0, gaps[len(gaps) // 2])) if gaps else 1.0
+            self._steps[key] = step
+        return step
 
 
 # --------------------------------------------------------------------------

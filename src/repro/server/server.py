@@ -75,10 +75,12 @@ __all__ = ["ThreadedServer", "WhyQueryProtocolServer", "serve_in_thread"]
 class _Connection:
     """Per-connection state: writer, identity, in-flight requests."""
 
-    __slots__ = ("writer", "write_lock", "tenant", "tasks", "cancel_tokens")
+    __slots__ = ("writer", "handler", "write_lock", "tenant", "tasks", "cancel_tokens")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
+        #: the task reading this connection (the ``_on_connection`` call)
+        self.handler = asyncio.current_task()
         #: FIFO lock around each reply's write and drain (streamed
         #: candidate bursts are written without it and never drain)
         self.write_lock = asyncio.Lock()
@@ -158,14 +160,22 @@ class WhyQueryProtocolServer:
         return self.address
 
     async def close(self) -> None:
-        """Stop listening and drain every open connection."""
+        """Stop listening, drain every open connection, then close it and
+        wait for its handler to return: a handler still reading when the
+        loop ends would be cancelled, and its cancellation logged as an
+        exception in the stream protocol's callback.  Only then wait for
+        the listener, which on Python 3.12+ waits for every connection."""
         if self._server is not None:
             self._server.close()
+        conns = list(self._connections)
+        for conn in conns:
+            # in-flight requests finish and flush first
+            await self._drain_connection(conn)
+            conn.writer.close()  # the handler reads EOF and returns
+        await asyncio.gather(*[conn.handler for conn in conns], return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        # wait for in-flight requests of every connection to finish
-        for conn in list(self._connections):
-            await self._drain_connection(conn)
         self._pool.shutdown(wait=True)
         self.service.close()
 

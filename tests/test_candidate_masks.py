@@ -3,9 +3,11 @@ candidate masks: zero-copy accessors, per-type counts, plan construction,
 one mask per predicate signature (the only candidate memo), in-place
 patching on writes, the mask cap, the fills' differential oracle (the
 interpreter's ``vertex_candidates`` and a per-edge ``attributes_match``
-scan), the edge value columns' footprint, and the newly exercised matcher
+scan), the graph's edge value index (its maintenance against a walk of
+the edge records, and its footprint), and the newly exercised matcher
 corners (homomorphic matching, self-loops under BOTH, typed expansion)."""
 
+import random
 import tracemalloc
 from array import array
 from collections import Counter
@@ -502,13 +504,14 @@ class TestDifferentialFills:
         csr = csr_for(g)
         before = [vertex_query({"flag": equals(2)}), edge_query({"flag": equals(2)})]
         assert_fills_agree(g, before, csr)
-        assert csr._edge_columns
         leaf = next(v for v in g.vertices() if g.vertex_attributes(v).get("flag") == 0.5)
         edge = next(r.eid for r in g.edges() if r.attributes.get("flag") == 0.5)
         g.set_vertex_attribute(leaf, "flag", 7)
         g.set_edge_attribute(edge, "flag", 7)
-        assert csr_for(g) is csr  # patched in place, columns dropped
-        assert not csr._edge_columns
+        assert csr_for(g) is csr  # patched in place
+        # the fills' value index moved the edge with the write
+        assert g.edges_with("flag", 7) == {edge}
+        assert 0.5 not in g.edge_attr_values("flag")
         queries = [
             vertex_query({"flag": equals(2)}),
             edge_query({"flag": equals(2)}),
@@ -519,6 +522,148 @@ class TestDifferentialFills:
         assert assert_fills_agree(g, queries, csr) == len(queries)
         assert csr.edge_mask(queries[3].edge(0)).count(1) == 1
         assert csr.vertex_mask(queries[2].vertex(0)).count(1) == 1
+
+
+    @pytest.mark.parametrize("ids", ["dense", "sparse", "dense_then_sparse"])
+    def test_untyped_and_multi_type_edges_after_writes(self, ids):
+        """Edge masks filled after rounds of edge inserts and attribute
+        writes, over an index patched through every round and over a
+        fresh one.  Sparse edge ids are not their insertion positions,
+        so rows go through the index's id -> row map; the third graph's
+        ids turn sparse with its first patched insert."""
+        rng = random.Random(54)
+        g = PropertyGraph()
+        for i in range(12):
+            g.add_vertex(kind="even" if i % 2 else "odd")
+        sparse_ids = iter(range(1000, 0, -7))
+
+        def add_edge(sparse: bool):
+            attrs = {"w": rng.randint(0, 5)} if rng.random() < 0.7 else {}
+            if rng.random() < 0.2:
+                attrs["flag"] = rng.choice(COLLIDING)
+            eid = next(sparse_ids) if sparse else None
+            g.add_edge(rng.randrange(12), rng.randrange(12), rng.choice("abc"), eid=eid, **attrs)
+
+        for _ in range(30):
+            add_edge(ids == "sparse")
+        queries = [
+            edge_query({"w": Interval(1, 3)}),
+            edge_query({"w": Interval(1, 3)}, {"a", "b"}),
+            edge_query({"w": equals(4)}, {"c", "ghost"}),
+            edge_query({"w": one_of(0, 5), "flag": Interval(0, 1)}),
+            edge_query({"flag": ValueSet([True, 0.5])}, {"a", "c"}),
+        ]
+        csr = csr_for(g)
+        assert_fills_agree(g, queries, csr)
+        for _ in range(4):
+            for _ in range(5):
+                add_edge(ids != "dense")
+                eid = rng.choice(list(g.edge_ids()))
+                value = rng.choice([*range(7), True, False, 0.5])
+                g.set_edge_attribute(eid, rng.choice(["w", "flag", "w"]), value)
+            assert csr_for(g) is csr  # patched in place
+            assert assert_fills_agree(g, queries, csr) == len(queries)
+            assert assert_fills_agree(g, queries) == len(queries)
+        assert csr._dense_eids is (ids == "dense")
+
+
+@pytest.mark.parametrize(
+    "eids, dense",
+    [
+        ((None, None, None), True),
+        ((0, 1, None), True),
+        ((0, 2, None), False),  # a gap
+        ((1, 0, None), False),  # out of order
+        ((-1, None, None), False),
+        ((), True),
+    ],
+)
+def test_edge_ids_dense_iff_each_id_is_its_position(eids, dense):
+    g = PropertyGraph()
+    a, b = g.add_vertex(), g.add_vertex()
+    for eid in eids:
+        g.add_edge(a, b, "t", eid=eid)
+    assert g.edge_ids_dense is dense
+    assert dense is all(eid == pos for pos, eid in enumerate(g.edge_ids()))
+    assert CSRIndex(g)._dense_eids is dense
+
+
+def walked_edge_index(graph, attr) -> dict:
+    """``value -> edge ids`` of one edge attribute, from the records."""
+    index: dict = {}
+    for record in graph.edges():
+        if attr in record.attributes:
+            index.setdefault(record.attributes[attr], set()).add(record.eid)
+    return index
+
+
+class TestDifferentialEdgeIndex:
+    """The graph's edge value index, kept current by ``add_edge`` and
+    ``set_edge_attribute``, against a fresh walk of the edge records
+    after every write."""
+
+    ATTRS = ("w", "flag", "late")
+
+    def assert_index_current(self, g) -> None:
+        for attr in self.ATTRS:
+            # an emptied bucket left behind would read {} here
+            index = {value: set(g.edges_with(attr, value)) for value in g.edge_attr_values(attr)}
+            assert index == walked_edge_index(g, attr), attr
+            counted = Counter(
+                r.attributes[attr] for r in g.edges() if attr in r.attributes
+            )
+            assert g.edge_value_counts(attr) == counted, attr
+
+    @pytest.mark.parametrize("seed", [7, 12, 54])
+    def test_every_write_keeps_the_index_current(self, seed):
+        rng = random.Random(seed)
+        g = PropertyGraph()
+        for _ in range(8):
+            g.add_vertex()
+        for _ in range(20):
+            g.add_edge(rng.randrange(8), rng.randrange(8), "t", w=rng.randint(0, 3))
+        # built here: every later write is maintenance, not a first build
+        self.assert_index_current(g)
+        writes = Counter()
+        for _ in range(200):
+            eids = list(g.edge_ids())
+            roll = rng.random()
+            if roll < 0.25:
+                attrs = {attr: rng.choice([0, 1, True, 2.0, "x"]) for attr in self.ATTRS
+                         if rng.random() < 0.4}
+                g.add_edge(rng.randrange(8), rng.randrange(8), "t", **attrs)
+                writes["edge-after-build"] += 1
+            else:
+                eid = rng.choice(eids)
+                attr = rng.choice(self.ATTRS)
+                attrs = g.edge(eid).attributes
+                if attr in attrs and roll < 0.45:
+                    value = attrs[attr]
+                    writes["same-value"] += 1
+                else:
+                    value = rng.choice([0, 1, 3, 4.5, True, "x", "y"])
+                    writes["new-attribute" if attr not in attrs else "new-value"] += 1
+                g.set_edge_attribute(eid, attr, value)
+            self.assert_index_current(g)
+        assert min(writes.values()) > 0 and len(writes) == 4, writes
+
+    def test_an_emptied_bucket_is_deleted(self):
+        g = PropertyGraph()
+        a, b = g.add_vertex(), g.add_vertex()
+        e = g.add_edge(a, b, "t", w=1)
+        g.add_edge(b, a, "t", w=2)
+        assert g.edge_value_counts("w") == {1: 1, 2: 1}
+        g.set_edge_attribute(e, "w", 2)
+        assert list(g.edge_attr_values("w")) == [2]
+        assert g.edges_with("w", 1) == frozenset()
+
+    def test_construction_builds_no_index(self, tiny_graph):
+        assert tiny_graph._edge_index == {}
+        tiny_graph.add_edge(0, 1, "knows", since=2001)
+        tiny_graph.set_edge_attribute(0, "sinceYear", 1999)
+        assert tiny_graph._edge_index == {}
+        assert tiny_graph.edges_with("sinceYear", 1999) == {0}
+        assert set(tiny_graph._edge_index) == {"sinceYear"}
 
 
 class TestSeedPools:
@@ -533,24 +678,23 @@ class TestSeedPools:
                 assert csr.seed_pool(qvertex) == wanted
 
 
-class TestEdgeColumns:
-    @pytest.mark.parametrize("dataset", ["ldbc_small", "dbpedia_small"])
-    def test_columns_retain_at_most_32_bytes_an_edge(self, dataset, request):
-        """Every type's value column, as the first untyped fill builds
-        them: the bound is on what they retain, and on ldbc (where edges
-        carry attributes) ``nbytes`` (``csr_bytes``) must account for it."""
-        graph = request.getfixturevalue(dataset).graph
-        csr = CSRIndex(graph)
-        counted = csr.nbytes()
+class TestEdgeValueIndex:
+    @pytest.mark.parametrize("module, scale, seed", [(ldbc, 0.35, 7), (dbpedia, 0.35, 11)],
+                             ids=["ldbc_small", "dbpedia_small"])
+    def test_index_retains_at_most_32_bytes_an_edge(self, module, scale, seed):
+        """The graph's value index over every edge attribute, as fills
+        naming each would build it, on a fresh copy of the fixture's
+        graph (the session fixture's indexes may be built already): the
+        bound is on what it retains."""
+        graph = module.generate(scale=scale, seed=seed).graph
+        attrs = {attr for record in graph.edges() for attr in record.attributes}
+        assert bool(attrs) is (module is ldbc)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            for type_key in csr._by_type:
-                csr._edge_column(type_key)
+            for attr in attrs:
+                graph.edge_attr_values(attr)
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        retained = after - before
-        assert retained <= 32 * graph.num_edges
-        if dataset == "ldbc_small":
-            assert 0.8 * retained <= csr.nbytes() - counted <= 1.25 * retained
+        assert after - before <= 32 * graph.num_edges

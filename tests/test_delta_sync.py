@@ -603,7 +603,7 @@ class TestMutateDuringFill:
             assert csr_for(g) is csr
 
         mask = self.paused_fill(
-            monkeypatch, CSRIndex, "_edge_column", lambda: csr.edge_mask(q.edge(0)), write
+            monkeypatch, csr_module, "_matching_rows", lambda: csr.edge_mask(q.edge(0)), write
         )
         assert list(mask) == [1, 0, 0, 0, 1]
         assert csr.edge_mask(q.edge(0)) == CSRIndex(g).edge_mask(q.edge(0))

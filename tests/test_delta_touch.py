@@ -20,7 +20,7 @@ from repro.core.delta import (
 )
 from repro.matching import PatternMatcher
 
-NOTHING = DeltaTouch(frozenset(), frozenset(), frozenset(), False, False)
+NOTHING = DeltaTouch(frozenset(), frozenset(), frozenset(), False, False, frozenset())
 
 
 def base_graph() -> PropertyGraph:
@@ -41,25 +41,27 @@ def run_of(mutate) -> tuple:
     return g.deltas_since(before)
 
 
-def touch(vertex_attrs=(), edge_attrs=(), edge_types=(), vertices=False, edges=False):
+def touch(
+    vertex_attrs=(), edge_attrs=(), edge_types=(), vertices=False, edges=False, new_attrs=()
+):
     return DeltaTouch(
         frozenset(vertex_attrs),
         frozenset(edge_attrs),
         frozenset(edge_types),
         vertices,
         edges,
+        frozenset(new_attrs),
     )
 
 
-def profile(
-    vertex_attrs=(), edge_attrs=(), edge_types=(), unconstrained=False, untyped=False
-):
+def profile(vertex_attrs=(), edge_attrs=(), edge_types=(), untyped=False, lone=()):
+    """``lone``: the predicate attribute names of each lone vertex."""
     return QueryTouchProfile(
         frozenset(vertex_attrs),
         frozenset(edge_attrs),
         frozenset(edge_types),
-        unconstrained,
         untyped,
+        frozenset(map(frozenset, lone)),
     )
 
 
@@ -72,7 +74,7 @@ class TestDeltaTouch:
         [
             pytest.param(
                 lambda g: g.add_vertex(type="city", name="Dresden"),
-                touch(vertices=True),
+                touch(vertices=True, new_attrs={"type", "name"}),
                 id="vertex-with-attributes",
             ),
             pytest.param(
@@ -116,6 +118,7 @@ class TestDeltaTouch:
             edge_types={"locatedIn", "knows"},
             vertices=True,
             edges=True,
+            new_attrs={"type"},
         )
 
     def test_a_run_is_consumed_once_as_an_iterator(self):
@@ -163,6 +166,13 @@ def typed_lone_vertex() -> GraphQuery:
     return q
 
 
+def knows_beside_a_lone_vertex() -> GraphQuery:
+    """An edge, and a lone vertex constrained on two attributes."""
+    q = person_knows_person()
+    q.add_vertex(predicates={"type": equals("person"), "age": at_least(45)})
+    return q
+
+
 class TestQueryTouchProfile:
     @pytest.mark.parametrize(
         "build, expected",
@@ -182,11 +192,18 @@ class TestQueryTouchProfile:
                 profile(vertex_attrs={"type"}, edge_types={"workAt", "studyAt"}),
                 id="two-edge-types",
             ),
-            pytest.param(lone_vertex, profile(unconstrained=True), id="lone-vertex"),
+            pytest.param(lone_vertex, profile(lone=[()]), id="lone-vertex"),
             pytest.param(
                 typed_lone_vertex,
-                profile(vertex_attrs={"type"}, unconstrained=True),
+                profile(vertex_attrs={"type"}, lone=[{"type"}]),
                 id="typed-lone-vertex",
+            ),
+            pytest.param(
+                knows_beside_a_lone_vertex,
+                profile(
+                    vertex_attrs={"type", "age"}, edge_types={"knows"}, lone=[{"type", "age"}]
+                ),
+                id="lone-vertex-beside-an-edge",
             ),
         ],
     )
@@ -248,9 +265,39 @@ class TestTouchAffectsQuery:
             ),
             pytest.param(
                 touch(vertices=True),
-                profile(vertex_attrs={"type"}, unconstrained=True),
+                profile(vertex_attrs={"type"}, lone=[()]),
                 True,
-                id="any-vertex-extends-an-unconstrained-vertex",
+                id="any-vertex-extends-a-predicate-free-lone-vertex",
+            ),
+            pytest.param(
+                touch(vertices=True, new_attrs={"bench_label", "bench_rank"}),
+                profile(vertex_attrs={"type"}, lone=[{"type"}]),
+                False,
+                id="vertex-lacking-the-lone-vertex-attribute",
+            ),
+            pytest.param(
+                touch(vertices=True, new_attrs={"type", "name"}),
+                profile(vertex_attrs={"type"}, lone=[{"type"}]),
+                True,
+                id="vertex-carrying-the-lone-vertex-attribute",
+            ),
+            pytest.param(
+                touch(vertices=True, new_attrs={"type"}),
+                profile(vertex_attrs={"type", "age"}, lone=[{"type", "age"}]),
+                False,
+                id="vertex-carrying-some-lone-vertex-attributes",
+            ),
+            pytest.param(
+                touch(vertices=True, new_attrs={"type"}),
+                profile(vertex_attrs={"type", "age"}, lone=[{"type", "age"}, {"type"}]),
+                True,
+                id="vertex-carrying-all-of-one-lone-vertex",
+            ),
+            pytest.param(
+                touch(vertex_attrs={"age"}, vertices=True, new_attrs={"type"}),
+                profile(vertex_attrs={"type", "age"}, lone=[{"type", "age"}]),
+                True,
+                id="vertex-then-a-write-of-the-missing-attribute",
             ),
             pytest.param(
                 touch(vertex_attrs={"type"}, vertices=True),
@@ -266,6 +313,20 @@ class TestTouchAffectsQuery:
     def test_nothing_affects_nothing(self):
         assert not touch_affects_query(NOTHING, query_touch_profile(lone_vertex()))
 
+    @pytest.mark.parametrize(
+        "mutate, affected",
+        [
+            pytest.param(lambda g: g.add_vertex(name="Leipzig"), False, id="lacking-type"),
+            pytest.param(lambda g: g.add_vertex(type="person"), False, id="lacking-age"),
+            pytest.param(lambda g: g.add_vertex(type="city", age=50), True, id="carrying-both"),
+        ],
+    )
+    def test_an_insert_touches_a_predicated_lone_vertex_only_with_its_attributes(
+        self, mutate, affected
+    ):
+        q = knows_beside_a_lone_vertex()
+        assert touch_affects_query(delta_touch(run_of(mutate)), query_touch_profile(q)) is affected
+
 
 QUERIES = (
     person_knows_person,
@@ -273,6 +334,7 @@ QUERIES = (
     works_or_studies,
     lone_vertex,
     typed_lone_vertex,
+    knows_beside_a_lone_vertex,
 )
 
 
@@ -314,6 +376,18 @@ class TestConservative:
             # run: the edge's run is what touches the edge's queries
             pytest.param((add_person, attach_person), id="vertex-then-attaching-edge"),
             pytest.param((add_and_attach_person,), id="vertex-and-attaching-edge"),
+            # lone vertices constrained on type, and on type and age: an
+            # insert lacking an attribute binds neither, one carrying it
+            # binds, and a later write of it in the run is a "va" touch
+            pytest.param((lambda g: g.add_vertex(name="Leipzig"),), id="insert-lacking-type"),
+            pytest.param((lambda g: g.add_vertex(type="person"),), id="insert-lacking-age"),
+            pytest.param(
+                (lambda g: g.add_vertex(type="person", age=50),), id="insert-carrying-both"
+            ),
+            pytest.param(
+                (lambda g: g.set_vertex_attribute(g.add_vertex(name="Leipzig"), "type", "city"),),
+                id="insert-then-write-its-type",
+            ),
         ],
     )
     def test_every_changed_count_is_touched(self, runs):

@@ -6,6 +6,7 @@ from repro.core import (
     BOTH_DIRECTIONS,
     Direction,
     GraphQuery,
+    PropertyGraph,
     RewritingError,
     between,
     equals,
@@ -230,3 +231,27 @@ class TestAttributeDomain:
     def test_numeric_step_single_value(self, tiny_graph):
         domain = AttributeDomain(tiny_graph)
         assert domain.numeric_step(("edge", 0), "nonexistent") == 1.0
+
+    def test_steps_and_proposals_memoised_per_kind_and_attribute(self):
+        """A vertex and an edge attribute of one name keep apart, each is
+        derived once per domain, and a memoised answer equals a fresh
+        domain's (ties broken in histogram order)."""
+        g = PropertyGraph()
+        for w in (1, 2, 4, 8, 8, 16):
+            g.add_vertex(w=w)
+        for i, w in enumerate((10, 20, 20, 50, 30, 10)):
+            g.add_edge(i % 6, (i + 1) % 6, "t", w=w)
+        domain = AttributeDomain(g)
+        reads = []
+        values_for = domain.values_for
+        domain.values_for = lambda ref, attr: reads.append(ref[0]) or values_for(ref, attr)
+        vertex, edge = ("vertex", 0), ("edge", 0)
+        for _ in range(3):
+            assert domain.numeric_step(vertex, "w") == 4.0  # gaps 1, 2, 4, 8
+            assert domain.numeric_step(edge, "w") == 10.0  # gaps 10, 10, 20
+            assert domain.propose_constraint_values(vertex, "w") == [8, 1, 2]
+            assert domain.propose_constraint_values(edge, "w") == [10, 20, 50]
+            assert domain.propose_additional_values(edge, "w", equals(10)) == [20, 50, 30]
+        assert sorted(reads) == ["edge", "edge", "vertex", "vertex"]
+        fresh = AttributeDomain(g)
+        assert fresh.propose_additional_values(edge, "w", equals(10)) == [20, 50, 30]

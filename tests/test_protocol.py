@@ -10,6 +10,7 @@ bit-identically (modulo wall-clock fields).
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import sys
 import threading
@@ -868,3 +869,28 @@ class TestShutdownMessage:
             assert ack["type"] == "ok"
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
+
+    def test_shutdown_with_a_connection_open_logs_no_traceback(self):
+        """A second client still connected when the server stops: close()
+        ends its handler, so no task is cancelled under the loop's
+        exception handler at exit."""
+        records: list = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("asyncio")
+        logger.addHandler(handler)
+        try:
+            handle = serve_in_thread(allow_shutdown=True)
+            lingering = connect(*handle.address)  # handshaken: its handler runs
+            try:
+                with connect(*handle.address) as c:
+                    assert c.shutdown_server()["type"] == "ok"
+                handle._thread.join(timeout=30)
+                assert not handle._thread.is_alive()
+            finally:
+                lingering.close()
+        finally:
+            logger.removeHandler(handler)
+        assert not [r for r in records if "Exception in callback" in r.getMessage()], [
+            r.getMessage() for r in records
+        ]

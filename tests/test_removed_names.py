@@ -138,6 +138,8 @@ REMOVED_NAMES = (
     "persist_dir",
     "restart-smoke",
     "WhyQueryEngine.matcher",
+    "_edge_column",
+    "_edge_columns",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
