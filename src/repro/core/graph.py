@@ -126,6 +126,18 @@ _EMPTY_SET: FrozenSet[int] = frozenset()
 DELTA_RING_LIMIT = 4096
 
 
+def _value_index(records: Iterable[Tuple[int, Any]], attr: str) -> Dict[Any, Set[int]]:
+    """The value index of one attribute over ``(id, record)`` pairs.  Each
+    bucket is copied once at the end: a set grown by ``add`` keeps its
+    growth slack, a copy is sized to its members.  Buckets later writes
+    grow are left as they grow."""
+    index: Dict[Any, Set[int]] = {}
+    for ident, record in records:
+        if attr in record.attributes:
+            index.setdefault(record.attributes[attr], set()).add(ident)
+    return {value: set(ids) for value, ids in index.items()}
+
+
 def _reindex(
     index: Dict[Any, Set[int]], attributes: Mapping[str, Any], attr: str, ident: int, value: Any
 ) -> None:
@@ -403,11 +415,7 @@ class PropertyGraph:
 
     def create_vertex_index(self, attr: str) -> None:
         """Build (or rebuild) the value index for one vertex attribute."""
-        index: Dict[Any, Set[int]] = {}
-        for vid, cell in self._vertices.items():
-            if attr in cell.attributes:
-                index.setdefault(cell.attributes[attr], set()).add(vid)
-        self._vertex_index[attr] = index
+        self._vertex_index[attr] = _value_index(self._vertices.items(), attr)
         self._indexed_attrs.add(attr)
 
     def vertices_with(self, attr: str, value: Any) -> AbstractSet[int]:
@@ -440,11 +448,7 @@ class PropertyGraph:
         """The value index of one edge attribute, built on first use."""
         index = self._edge_index.get(attr)
         if index is None:
-            index = {}
-            for eid, record in self._edges.items():
-                if attr in record.attributes:
-                    index.setdefault(record.attributes[attr], set()).add(eid)
-            self._edge_index[attr] = index
+            index = self._edge_index[attr] = _value_index(self._edges.items(), attr)
         return index
 
     def edges_with(self, attr: str, value: Any) -> AbstractSet[int]:

@@ -232,12 +232,6 @@ class Interval(Predicate):
             raise PredicateError("narrowing would empty the interval")
         return candidate
 
-    def shift(self, delta: float) -> "Interval":
-        """Translate the interval by ``delta`` (used by some generators)."""
-        low = self.low + delta if math.isfinite(self.low) else self.low
-        high = self.high + delta if math.isfinite(self.high) else self.high
-        return Interval(low, high, self.low_open, self.high_open, self.integral)
-
     def __repr__(self) -> str:
         bracket_lo = "(" if self.low_open else "["
         bracket_hi = ")" if self.high_open else "]"

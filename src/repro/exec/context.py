@@ -45,7 +45,6 @@ from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
 from repro.explain.preferences import UserPreferences
 from repro.matching.matcher import PatternMatcher
-from repro.obs.tracing import current_tracer
 from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.operations import AttributeDomain
 from repro.rewrite.preference_model import RewritePreferenceModel
@@ -118,15 +117,6 @@ class ExecutionContext:
         return context
 
     # -- evaluation façade ----------------------------------------------------
-
-    @property
-    def tracer(self):
-        """The calling request's tracer (:data:`~repro.obs.NULL_TRACER`
-        when tracing is off).  One context serves *concurrent* requests,
-        so the tracer rides the ambient request context
-        (:func:`repro.obs.current_tracer`) rather than mutable state on
-        the shared context object."""
-        return current_tracer()
 
     def count(self, query: GraphQuery, limit: Optional[int] = None) -> int:
         """Cached bounded cardinality of ``query`` (the hot entry point)."""

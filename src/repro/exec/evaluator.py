@@ -160,7 +160,6 @@ class CandidateEvaluator:
         budget: Optional[EvaluationBudget] = None,
         count_limit: Optional[int] = None,
         on_result: Optional[Callable[[EvaluatedCandidate], None]] = None,
-        tracer=None,
     ) -> None:
         if not hasattr(counter, "count"):
             raise TypeError("counter must expose count(query, limit=...)")
@@ -168,8 +167,6 @@ class CandidateEvaluator:
         self.executor: BatchExecutor = executor if executor is not None else SerialExecutor()
         self.budget = budget if budget is not None else EvaluationBudget(None)
         self.count_limit = count_limit
-        #: request tracer; ``None`` resolves the ambient one per batch
-        self.tracer = tracer
         #: incremental-results seam: called once per admitted candidate,
         #: in submission order, as soon as its batch finishes -- streaming
         #: consumers (the protocol server) see candidates while the search
@@ -197,7 +194,7 @@ class CandidateEvaluator:
         """
         if limit is ...:
             limit = self.count_limit
-        tracer = self.tracer if self.tracer is not None else current_tracer()
+        tracer = current_tracer()
         with tracer.span(SPAN_EVALUATE) as span:
             results = self._evaluate(queries, limit, derive, tracer, span)
         return results

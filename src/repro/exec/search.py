@@ -70,7 +70,6 @@ class BudgetedSearch:
         max_evaluations: int,
         budget: Optional[EvaluationBudget],
         on_candidate: Optional[Callable[..., None]],
-        tracer,
     ) -> None:
         self.context = bind_private_context(graph, context)
         self.graph = self.context.graph
@@ -95,8 +94,6 @@ class BudgetedSearch:
         #: live; exceptions raised here abort the search (cooperative
         #: cancellation)
         self.on_candidate = on_candidate
-        #: request tracer; ``None`` resolves the ambient one per search
-        self.tracer = tracer
 
     def _traced(self, search, query: GraphQuery, count_limit: Optional[int], *args):
         """Run ``search(query, evaluator, *args)`` in the ``rewrite`` span.
@@ -106,7 +103,7 @@ class BudgetedSearch:
         parent's tables); the evaluator counts up to ``count_limit``
         against the engine's budget.
         """
-        tracer = self.tracer if self.tracer is not None else current_tracer()
+        tracer = current_tracer()
         with tracer.span(SPAN_REWRITE, engine=self.span_engine) as span:
             evaluator = CandidateEvaluator(
                 self.cache,
@@ -114,7 +111,6 @@ class BudgetedSearch:
                 budget=self.budget or EvaluationBudget(self.max_evaluations),
                 count_limit=count_limit,
                 on_result=self.on_candidate,
-                tracer=tracer,
             )
             result = search(query.as_frozen(), evaluator, *args)
             if tracer.enabled:

@@ -63,12 +63,6 @@ class SearchStats:
     elapsed: float = 0.0
     budget_exhausted: bool = False
 
-    def merge(self, other: "SearchStats") -> None:
-        self.evaluations += other.evaluations
-        self.annotation_evaluations += other.annotation_evaluations
-        self.elapsed += other.elapsed
-        self.budget_exhausted |= other.budget_exhausted
-
 
 @dataclass
 class McsResult:

@@ -2,7 +2,6 @@
 
 from repro.finegrained.baselines import GreedyCoarseSearch, RandomModificationSearch
 from repro.finegrained.modification_tree import ModificationNode, ModificationTree
-from repro.finegrained.opquery import OperationalQuery, OperatorInfo
 from repro.finegrained.traverse_search_tree import (
     FineRewriteResult,
     TraverseSearchTree,
@@ -13,8 +12,6 @@ __all__ = [
     "GreedyCoarseSearch",
     "ModificationNode",
     "ModificationTree",
-    "OperationalQuery",
-    "OperatorInfo",
     "RandomModificationSearch",
     "TraverseSearchTree",
 ]

@@ -40,6 +40,11 @@ from repro.finegrained.traverse_search_tree import FineRewriteResult, fine_candi
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
 
+#: modifications per random walk before it restarts from the query
+WALK_LENGTH = 6
+#: greedy lattice steps before the greedy search stops
+GREEDY_DEPTH = 6
+
 
 class _ThresholdBaseline:
     """What both baselines bind: a context, a threshold, a budget."""
@@ -92,19 +97,15 @@ class RandomModificationSearch(_ThresholdBaseline):
         self,
         graph: Optional[PropertyGraph] = None,
         threshold: Optional[CardinalityThreshold] = None,
-        include_topology: bool = False,
         constrainable_attrs: Optional[Sequence[str]] = None,
         max_evaluations: int = 300,
-        walk_length: int = 6,
         seed: int = 0,
         context: Optional["ExecutionContext"] = None,
     ) -> None:
         super().__init__(graph, threshold, max_evaluations, context)
-        self.include_topology = include_topology
         self.constrainable_attrs = (
             tuple(constrainable_attrs) if constrainable_attrs else None
         )
-        self.walk_length = walk_length
         self.rng = random.Random(seed)
 
     def search(self, query: GraphQuery) -> FineRewriteResult:
@@ -119,15 +120,15 @@ class RandomModificationSearch(_ThresholdBaseline):
             current, card = query, root_card
             mods: List[Modification] = []
             trace = [root_card]
-            for _ in range(self.walk_length):
+            for _ in range(WALK_LENGTH):
                 if evaluated >= self.max_evaluations:
                     break
                 pool = fine_candidates(
                     current,
                     self.threshold.direction(card),
                     self.domain,
-                    self.include_topology,
-                    self.constrainable_attrs,
+                    include_topology=False,
+                    constrainable_attrs=self.constrainable_attrs,
                 )
                 if not pool:
                     break
@@ -165,11 +166,9 @@ class GreedyCoarseSearch(_ThresholdBaseline):
         graph: Optional[PropertyGraph] = None,
         threshold: Optional[CardinalityThreshold] = None,
         max_evaluations: int = 300,
-        max_depth: int = 6,
         context: Optional["ExecutionContext"] = None,
     ) -> None:
         super().__init__(graph, threshold, max_evaluations, context)
-        self.max_depth = max_depth
 
     def _coarse_concretisations(self, query: GraphQuery) -> List[Modification]:
         """Whole-predicate additions on attributes the query already uses."""
@@ -200,7 +199,7 @@ class GreedyCoarseSearch(_ThresholdBaseline):
         evaluated = 0
         best = (self.threshold.distance(card), 0.0, query, card, ())
 
-        for _ in range(self.max_depth):
+        for _ in range(GREEDY_DEPTH):
             direction = self.threshold.direction(card)
             if direction == 0 or evaluated >= self.max_evaluations:
                 break

@@ -33,7 +33,6 @@ class ModificationNode:
     syntactic: float
     depth: int
     children: List[int] = field(default_factory=list)
-    pruned: bool = False
 
     @property
     def objective(self) -> Tuple[int, float]:
@@ -103,8 +102,6 @@ class ModificationTree:
 
     def _is_dominated(self, distance: int, syntactic: float) -> bool:
         for node in self._nodes.values():
-            if node.pruned:
-                continue
             if (
                 node.distance <= distance
                 and node.syntactic <= syntactic
@@ -123,10 +120,7 @@ class ModificationTree:
 
     def best(self) -> ModificationNode:
         """The node closest to the threshold (ties: most familiar)."""
-        return min(
-            (n for n in self._nodes.values() if not n.pruned),
-            key=lambda n: n.objective + (n.depth,),
-        )
+        return min(self._nodes.values(), key=lambda n: n.objective + (n.depth,))
 
     def path_to(self, node: ModificationNode) -> List[ModificationNode]:
         """Root-to-node chain (the explanation's modification sequence)."""
@@ -146,19 +140,6 @@ class ModificationTree:
             for n in self.path_to(node)
             if n.modification is not None
         ]
-
-    def prune_branch(self, node: ModificationNode) -> int:
-        """Mark a node and all descendants pruned; returns count pruned."""
-        count = 0
-        stack = [node.node_id]
-        while stack:
-            nid = stack.pop()
-            n = self._nodes[nid]
-            if not n.pruned:
-                n.pruned = True
-                count += 1
-            stack.extend(n.children)
-        return count
 
     def cardinality_trace(self, node: ModificationNode) -> List[int]:
         """Cardinalities along the path (the Fig. 3.1 oscillation trace)."""

@@ -19,10 +19,10 @@ that parent on a miss where :mod:`repro.finegrained.propagation` allows
 parent's matches and a vertex relaxation counts only the matches binding
 a newly admitted vertex; an edge edit that gains or loses no data-edge
 pair between its endpoints keeps the parent's count); children whose
-cardinality equals their parent's are discarded as non-contributing,
-dominated variants are rejected, and branches strictly farther from the
-threshold than the incumbent by more than the oscillation allowance are
-pruned.
+cardinality equals their parent's are discarded as non-contributing and
+dominated variants are rejected.  No branch is pruned: every kept child
+stays on the frontier, and a node :data:`MAX_DEPTH` modifications below
+the root is not expanded.
 
 Sibling modifications are evaluated in batches of the executor's
 ``preferred_batch`` (1 serial, the worker count for the process pool) --
@@ -55,6 +55,9 @@ from repro.finegrained.propagation import ParentCounts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
+
+#: a node this many modifications below the root is not expanded
+MAX_DEPTH = 8
 
 
 @dataclass
@@ -119,17 +122,15 @@ class TraverseSearchTree(BudgetedSearch):
         include_topology: bool = False,
         constrainable_attrs: Optional[Sequence[str]] = None,
         max_evaluations: int = 300,
-        max_depth: int = 8,
         context: Optional["ExecutionContext"] = None,
         executor: Optional[BatchExecutor] = None,
         budget: Optional[EvaluationBudget] = None,
         on_candidate: Optional[Callable[..., None]] = None,
-        tracer=None,
     ) -> None:
         if threshold is None:
             raise ValueError("a cardinality threshold is required")
         super().__init__(
-            graph, context, executor, max_evaluations, budget, on_candidate, tracer
+            graph, context, executor, max_evaluations, budget, on_candidate
         )
         self.threshold = threshold
         self.domain = self.context.attribute_domain()
@@ -137,7 +138,6 @@ class TraverseSearchTree(BudgetedSearch):
         self.constrainable_attrs = (
             tuple(constrainable_attrs) if constrainable_attrs else None
         )
-        self.max_depth = max_depth
 
     # -- candidate generation (Sec. 6.2.2) ------------------------------------
 
@@ -215,7 +215,7 @@ class TraverseSearchTree(BudgetedSearch):
         while heap and best.distance > 0 and not budget.exhausted:
             _, node_id = heapq.heappop(heap)
             node = tree.node(node_id)
-            if node.pruned or node.depth >= self.max_depth:
+            if node.depth >= MAX_DEPTH:
                 continue
             # Unseen sibling modifications are evaluated in batches of
             # `batch_size` (truncated to the remaining budget) so a

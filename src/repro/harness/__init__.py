@@ -18,7 +18,6 @@ from repro.harness.experiments import (
     tabA_datasets,
 )
 from repro.harness.reporting import (
-    format_cache_report,
     format_series,
     format_table,
     sparkline,
@@ -38,7 +37,6 @@ __all__ = [
     "fig6_baselines",
     "fig6_scenarios",
     "fig6_topology",
-    "format_cache_report",
     "format_series",
     "format_table",
     "load_dataset",

@@ -7,7 +7,7 @@ EXPERIMENTS.md can quote them directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 
 def format_table(
@@ -50,27 +50,6 @@ def format_series(
         shown = [values[round(i * step)] for i in range(max_points)]
     body = " ".join(f"{v:.2f}" if isinstance(v, float) else str(v) for v in shown)
     return f"{name} (n={len(values)}): {body}"
-
-
-def format_cache_report(report: Dict[str, Dict[str, Any]]) -> str:
-    """Render a nested cache-counter report (one line per cache layer).
-
-    Accepts the unified :mod:`repro.stats` schema produced by
-    ``PatternMatcher.cache_info`` / ``WhyQueryEngine.cache_report``
-    (non-mapping entries such as the ``schema`` tag and empty sections
-    are skipped) as well as any plain ``{layer: {counter: value}}``
-    nesting.
-    """
-    lines = []
-    for layer in sorted(report):
-        counters_map = report[layer]
-        if not isinstance(counters_map, dict) or not counters_map:
-            continue
-        counters = ", ".join(
-            f"{key}={_fmt(value)}" for key, value in sorted(counters_map.items())
-        )
-        lines.append(f"{layer}: {counters}")
-    return "\n".join(lines)
 
 
 def sparkline(values: Sequence[float], width: int = 48) -> str:

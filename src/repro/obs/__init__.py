@@ -14,7 +14,7 @@ Three layers:
   record spans without carrying request state.  The
   :data:`~repro.obs.tracing.NULL_TRACER` fast path makes disabled
   tracing allocation-free.
-- :mod:`repro.obs.metrics` -- counters, gauges and fixed-bucket latency
+- :mod:`repro.obs.metrics` -- counters and fixed-bucket latency
   histograms in a process-wide :data:`~repro.obs.metrics.REGISTRY`,
   renderable as Prometheus text exposition format
   (:mod:`repro.obs.promhttp` serves it over stdlib HTTP).
@@ -25,7 +25,6 @@ Three layers:
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     REGISTRY,
@@ -55,7 +54,6 @@ from repro.obs.tracing import (
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",

@@ -1,5 +1,5 @@
-"""Process-wide metrics: counters, gauges and fixed-bucket latency
-histograms, with Prometheus text exposition.
+"""Process-wide metrics: counters and fixed-bucket latency histograms,
+with Prometheus text exposition.
 
 One :data:`REGISTRY` serves the whole process (the ISSUE's
 "registered process-wide"): the service, the budget pools and the
@@ -24,7 +24,6 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
@@ -76,39 +75,6 @@ class Counter:
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """Set-to-current-value gauge."""
-
-    __slots__ = ("name", "help", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = "", labels: LabelItems = ()):
-        self.name = name
-        self.help = help
-        self.labels = labels
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -208,9 +174,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labels: Optional[Dict[str, Any]] = None) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "", labels: Optional[Dict[str, Any]] = None) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
-
     def histogram(
         self,
         name: str,
@@ -229,35 +192,27 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready snapshot: the unified-stats ``metrics`` section."""
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Any] = {}
         for (name, labels), metric in self._sorted_metrics():
             key = name + _label_suffix(labels)
             if isinstance(metric, Counter):
                 counters[key] = metric.snapshot()
-            elif isinstance(metric, Gauge):
-                gauges[key] = metric.snapshot()
             else:
                 histograms[key] = metric.snapshot()
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def render(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines = []
         seen_headers = set()
         for (name, labels), metric in self._sorted_metrics():
-            if isinstance(metric, Counter):
-                kind = "counter"
-            elif isinstance(metric, Gauge):
-                kind = "gauge"
-            else:
-                kind = "histogram"
+            kind = "counter" if isinstance(metric, Counter) else "histogram"
             if name not in seen_headers:
                 seen_headers.add(name)
                 if metric.help:
                     lines.append(f"# HELP {name} {metric.help}")
                 lines.append(f"# TYPE {name} {kind}")
-            if kind in ("counter", "gauge"):
+            if kind == "counter":
                 lines.append(f"{name}{_label_suffix(labels)} {metric.snapshot()}")
                 continue
             snap = metric.snapshot()

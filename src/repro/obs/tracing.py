@@ -2,12 +2,12 @@
 nested spans and span attributes.
 
 A tracer belongs to one request (one ``service.explain()`` call, one
-matcher invocation in a test, one bench iteration).  Request-scoped
-components (engine, rewriters, evaluator) receive it explicitly;
-*shared* components (the per-graph :class:`PatternMatcher` and its
-compiled backend) read the ambient tracer via
-:func:`current_tracer`, which the request sets for its dynamic extent
-with ``with tracer.activate(): ...``.  The ambient tracer is a
+matcher invocation in a test, one bench iteration).  Every component
+-- the engine, the rewriting searches and their evaluator, the
+per-graph :class:`PatternMatcher` and its compiled backend -- reads the
+ambient tracer via :func:`current_tracer`, which the request sets for
+its dynamic extent with ``with tracer.activate(): ...``; none takes a
+tracer argument.  The ambient tracer is a
 :class:`contextvars.ContextVar`, so concurrent requests on different
 threads (or asyncio tasks) never see each other's spans.  Work handed
 to a thread/async pool does not inherit the activation -- those

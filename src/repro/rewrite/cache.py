@@ -160,12 +160,6 @@ class QueryResultCache:
                 del self._entries[next(iter(self._entries))]
         self.stats.size = len(self._entries)
 
-    def invalidate(self) -> None:
-        """Drop all entries (used when the data graph changes)."""
-        with self._lock:
-            self._entries.clear()
-            self.stats.size = 0
-
     # -- snapshot seam (``snapshot_context`` / ``restore_context``) -----------
 
     def export_entries(self) -> List[Tuple[GraphQuery, int, Optional[int]]]:

@@ -50,6 +50,10 @@ from repro.rewrite.statistics import CardinalityProfile
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.exec.context import ExecutionContext
 
+#: bound of every candidate count: a rewriting only has to be non-empty,
+#: its cardinality is reported up to this many matches
+COUNT_LIMIT = 1000
+
 
 @dataclass(frozen=True)
 class RewrittenQuery:
@@ -127,23 +131,20 @@ class CoarseRewriter(BudgetedSearch):
         preference_model: Optional[RewritePreferenceModel] = None,
         max_evaluations: int = 300,
         max_depth: Optional[int] = None,
-        count_limit: int = 1000,
         op_filter: Optional[Callable[[Modification], bool]] = None,
         context: Optional["ExecutionContext"] = None,
         executor: Optional[BatchExecutor] = None,
         budget: Optional[EvaluationBudget] = None,
         on_candidate: Optional[Callable[..., None]] = None,
-        tracer=None,
     ) -> None:
         super().__init__(
-            graph, context, executor, max_evaluations, budget, on_candidate, tracer
+            graph, context, executor, max_evaluations, budget, on_candidate
         )
         self.preference_model = preference_model
         self.priority_fn = (
             get_priority_function(priority) if isinstance(priority, str) else priority
         )
         self.max_depth = max_depth
-        self.count_limit = count_limit
         #: optional hard constraint on applicable operations (e.g. the
         #: user's immutable elements); rejected operations are never
         #: generated, unlike the soft preference-model re-weighting
@@ -157,7 +158,7 @@ class CoarseRewriter(BudgetedSearch):
         Raises :class:`ValueError` when the input query is not actually
         empty (the holistic engine dispatches those cases elsewhere).
         """
-        return self._traced(self._rewrite, query, self.count_limit, k)
+        return self._traced(self._rewrite, query, COUNT_LIMIT, k)
 
     def _outcome(self, result: CoarseRewriteResult) -> dict:
         return {"found": len(result.explanations)}

@@ -147,21 +147,6 @@ class GraphStatistics:
                 estimate *= self._estimate_component(query, component, path1)
         return CardinalityProfile(query, version, path1, estimate, average)
 
-    def estimate_path_cardinality(self, query: GraphQuery, eids: List[int]) -> float:
-        """Path(n) estimate for a chain of query edges (Sec. 5.2.3).
-
-        ``est(e1..en) = path1(e1) * prod_i path1(ei) / |V(join_i)|`` where
-        ``join_i`` is the query vertex shared between consecutive edges.
-        """
-        if not eids:
-            return 0.0
-        estimate = float(self.path1_cardinality(query, eids[0]))
-        for prev_eid, eid in zip(eids, eids[1:]):
-            shared = self._shared_vertex(query, prev_eid, eid)
-            join_card = max(1, self.vertex_cardinality(query.vertex(shared)))
-            estimate *= self.path1_cardinality(query, eid) / join_card
-        return estimate
-
     def estimate_query_cardinality(self, query: GraphQuery) -> float:
         """Independence-based cardinality estimate of a whole query.
 
@@ -235,13 +220,3 @@ class GraphStatistics:
         for vid in vertices - in_tree:
             estimate *= self.vertex_cardinality(query.vertex(vid))
         return estimate
-
-    # -- helpers -----------------------------------------------------------------
-
-    @staticmethod
-    def _shared_vertex(query: GraphQuery, eid_a: int, eid_b: int) -> int:
-        a, b = query.edge(eid_a), query.edge(eid_b)
-        shared = set(a.endpoints()) & set(b.endpoints())
-        if not shared:
-            raise ValueError(f"edges {eid_a} and {eid_b} share no vertex")
-        return min(shared)

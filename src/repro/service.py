@@ -407,7 +407,6 @@ class WhyQueryService:
             "preferences",
             "evaluation_budget",
             "on_candidate",
-            "tracer",
         }
     )
 
@@ -665,7 +664,6 @@ class WhyQueryService:
                                 None if lease is None else lease.budget
                             ),
                             on_candidate=observed_on_candidate,
-                            tracer=tracer,
                             **self.engine_options,
                         )
                         busy_start = time.perf_counter()

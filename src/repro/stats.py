@@ -25,7 +25,7 @@ needs *one* schema, so this module defines it:
 ``admission``           :class:`~repro.service.BudgetPool` counters
 ``deltas``              delta-sync pipeline (``applied``)
 ``metrics``             process-wide :mod:`repro.obs` registry snapshot
-                        (``counters``, ``gauges``, ``histograms``)
+                        (``counters``, ``histograms``)
 ======================  =====================================================
 
 Every surface emits **all seven sections** (``None``/empty when the surface

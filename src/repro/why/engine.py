@@ -110,12 +110,10 @@ class WhyQueryEngine:
         max_explanation_evaluations: Optional[int] = 200,
         max_rewrite_evaluations: int = 300,
         rewrite_k: int = 3,
-        include_topology: bool = False,
         context: Optional[ExecutionContext] = None,
         executor: Optional[BatchExecutor] = None,
         evaluation_budget: Optional[EvaluationBudget] = None,
         on_candidate: Optional[Callable[..., None]] = None,
-        tracer=None,
     ) -> None:
         # one shared spine per graph: engines constructed independently
         # over the same graph reuse each other's evaluation work; pass a
@@ -129,7 +127,6 @@ class WhyQueryEngine:
         self.max_explanation_evaluations = max_explanation_evaluations
         self.max_rewrite_evaluations = max_rewrite_evaluations
         self.rewrite_k = rewrite_k
-        self.include_topology = include_topology
         self.executor = executor
         #: shared allowance for the rewriting search (e.g. a per-request
         #: lease from a service-level BudgetPool); when set it bounds the
@@ -140,8 +137,6 @@ class WhyQueryEngine:
         #: (how the protocol server streams partial results); exceptions
         #: raised here abort the search (cooperative cancellation)
         self.on_candidate = on_candidate
-        #: request tracer; ``None`` resolves the ambient one per debug()
-        self.tracer = tracer
 
     @property
     def domain(self):
@@ -164,9 +159,6 @@ class WhyQueryEngine:
         observed = self.cache.count(query, limit=thr.probe_limit)
         return thr.classify(observed)
 
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def subgraph(
         self,
         query: GraphQuery,
@@ -184,9 +176,9 @@ class WhyQueryEngine:
             context=self.context,
         )
         if problem == CardinalityProblem.EMPTY:
-            with self._tracer().span(SPAN_SUBGRAPH, algorithm="discover_mcs"):
+            with current_tracer().span(SPAN_SUBGRAPH, algorithm="discover_mcs"):
                 return discover_mcs(self.graph, query, **options)
-        with self._tracer().span(SPAN_SUBGRAPH, algorithm="bounded_mcs"):
+        with current_tracer().span(SPAN_SUBGRAPH, algorithm="bounded_mcs"):
             return bounded_mcs(
                 self.graph, query, threshold, problem=problem, **options
             )
@@ -209,7 +201,6 @@ class WhyQueryEngine:
             executor=self.executor,
             budget=self.evaluation_budget,
             on_candidate=self.on_candidate,
-            tracer=self.tracer,
         )
         if problem == CardinalityProblem.EMPTY:
             rewriter = CoarseRewriter(
@@ -218,7 +209,6 @@ class WhyQueryEngine:
             return rewriter.rewrite(query, k=self.rewrite_k if k is None else k)
         return TraverseSearchTree(
             threshold=threshold,
-            include_topology=self.include_topology,
             constrainable_attrs=self.domain.common_vertex_attrs(),
             **options,
         ).search(query)
@@ -237,7 +227,7 @@ class WhyQueryEngine:
         too-many need a user-provided cardinality expectation.
         """
         start = time.perf_counter()
-        tracer = self._tracer()
+        tracer = current_tracer()
         thr = threshold or CardinalityThreshold.at_least(1)
         with tracer.span(SPAN_CLASSIFY) as span:
             observed = self.cache.count(query, limit=thr.search_probe_limit)

@@ -58,14 +58,6 @@ class TestCaching:
         assert cache.count(q) == 4
         assert cache.stats.hits == 1
 
-    def test_invalidate(self, tiny_graph):
-        cache = QueryResultCache(PatternMatcher(tiny_graph))
-        cache.count(person_query())
-        cache.invalidate()
-        assert len(cache) == 0
-        cache.count(person_query())
-        assert cache.stats.misses == 2
-
     def test_hit_rate(self, tiny_graph):
         cache = QueryResultCache(PatternMatcher(tiny_graph))
         q = person_query()

@@ -88,11 +88,3 @@ class TestQueries:
         b = tree.add_child(a, query.copy(), op("type"), 8, 2, 0.2)
         assert tree.cardinality_trace(b) == [0, 5, 8]
 
-    def test_prune_branch(self, tree, query):
-        root = tree.node(tree.root)
-        a = tree.add_child(root, query.copy(), op(), 5, 5, 0.1)
-        b = tree.add_child(a, query.copy(), op("type"), 8, 2, 0.2)
-        pruned = tree.prune_branch(a)
-        assert pruned == 2
-        assert tree.node(a.node_id).pruned and tree.node(b.node_id).pruned
-        assert tree.best() is root

@@ -21,6 +21,7 @@ import pytest
 
 from repro.client import connect
 from repro.core import GraphQuery, PropertyGraph, equals
+from repro.metrics import CardinalityThreshold
 from repro.obs import (
     NULL_TRACER,
     REGISTRY,
@@ -103,6 +104,23 @@ def find_spans(node, kind):
     for child in node.get("spans", ()):
         found += find_spans(child, kind)
     return found
+
+
+#: the too-few request: ``working_query`` matches 3 of ``obs_graph``'s
+#: edges, so TRAVERSESEARCHTREE relaxes it rather than the coarse rewriter
+TOO_FEW = CardinalityThreshold.at_least(5)
+
+
+def assert_nested(trace, engine):
+    """The request's spans nest whole: each ``rewrite`` span is a child of
+    the ``explain`` root, run by ``engine``, and each ``evaluate`` span
+    sits under a ``rewrite`` span; there is at least one of each."""
+    assert trace["kind"] == SPAN_EXPLAIN
+    rewrites = [s for s in trace.get("spans", ()) if s["kind"] == SPAN_REWRITE]
+    assert rewrites and len(rewrites) == len(find_spans(trace, SPAN_REWRITE))
+    assert {s["attributes"]["engine"] for s in rewrites} == {engine}
+    evaluates = [e for s in rewrites for e in find_spans(s, SPAN_EVALUATE)]
+    assert evaluates and len(evaluates) == len(find_spans(trace, SPAN_EVALUATE))
 
 
 # -- tracer mechanics ---------------------------------------------------------
@@ -265,7 +283,7 @@ class TestHistogram:
         assert registry.counter("c") is a
         assert registry.counter("c", labels={"k": "v"}) is not a
         with pytest.raises(ValueError):
-            registry.gauge("c")
+            registry.histogram("c")
 
     def test_counter_rejects_negative(self):
         registry = MetricsRegistry()
@@ -275,10 +293,8 @@ class TestHistogram:
     def test_labelled_snapshot_keys(self):
         registry = MetricsRegistry()
         registry.histogram("s", labels={"kind": "match"}).observe(0.5)
-        registry.gauge("g").set(3)
         snap = registry.snapshot()
         assert 's{kind="match"}' in snap["histograms"]
-        assert snap["gauges"]["g"] == 3.0
 
 
 # -- slow-query log -----------------------------------------------------------
@@ -326,6 +342,12 @@ class TestServiceTracing:
         assert report.trace["kind"] == SPAN_EXPLAIN
         assert CORE_EXPLAIN_KINDS <= tree_kinds(report.trace)
         assert report.trace["attributes"]["problem"] == report.problem.value
+        assert_nested(report.trace, "coarse")
+        too_few = service.explain(
+            obs_graph("svc-a"), working_query(), TOO_FEW, trace=True
+        )
+        assert too_few.problem.value == "why-so-few"
+        assert_nested(too_few.trace, "search-tree")
 
     def test_untraced_explain_has_no_trace(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
@@ -409,10 +431,16 @@ class TestWireObservability:
         traced = client.explain("g", failing_query(), trace=True)
         untraced = client.explain("g", failing_query())
         assert CORE_EXPLAIN_KINDS <= tree_kinds(traced["trace"])
+        assert_nested(traced["trace"], "coarse")
         assert "trace" not in untraced
         assert strip_volatile(traced) == strip_volatile(untraced)
         local = service.explain(graph, failing_query(), trace=True)
         assert strip_volatile(report_to_dict(local)) == strip_volatile(traced)
+        too_few = client.explain("g", working_query(), TOO_FEW, trace=True)
+        assert too_few["problem"] == "why-so-few"
+        assert_nested(too_few["trace"], "search-tree")
+        local = service.explain(graph, working_query(), TOO_FEW, trace=True)
+        assert strip_volatile(report_to_dict(local)) == strip_volatile(too_few)
 
     def test_streamed_traced_explain(self, wire):
         # a graph of its own: on "g" the request is warm by now and
@@ -426,6 +454,11 @@ class TestWireObservability:
         assert stream.trace is not None
         assert report["trace"] == stream.trace
         assert CORE_EXPLAIN_KINDS <= tree_kinds(stream.trace)
+        assert_nested(stream.trace, "coarse")
+        stream = client.explain_stream("streamed", working_query(), TOO_FEW, trace=True)
+        assert list(stream), "the too-few query must stream rewrite candidates"
+        assert stream.result()["problem"] == "why-so-few"
+        assert_nested(stream.trace, "search-tree")
 
     def test_warm_repeat_counts_nothing_under_subgraph(self, wire):
         client, _, _ = wire
@@ -468,13 +501,13 @@ class TestMetricsEndpoint:
 
     def test_isolated_registry(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_private_gauge").set(42)
+        registry.counter("repro_private_total").inc(42)
         with start_metrics_server(port=0, registry=registry) as handle:
             host, port = handle.address
             body = urllib.request.urlopen(
                 f"http://{host}:{port}/", timeout=5
             ).read().decode("utf-8")
-            assert "repro_private_gauge 42.0" in body
+            assert "repro_private_total 42.0" in body
 
 
 # -- process boundary: worker summaries + the info() torn-read regression ------

@@ -133,10 +133,6 @@ class TestInterval:
     def test_open_degenerate_unsatisfiable(self):
         assert not Interval(5, 5, high_open=True).is_satisfiable()
 
-    def test_shift(self):
-        p = between(10, 20).shift(5)
-        assert p.matches(25) and not p.matches(10)
-
     def test_large_span_uses_bound_descriptors(self):
         p = between(0, 10**7)
         atoms = p.atoms()

@@ -22,7 +22,7 @@ import repro.client
 import repro.matching
 import repro.matching.plan
 from repro.core import GraphQuery, PropertyGraph, equals
-from repro.exec import EvaluationBudget, ExecutionContext
+from repro.exec import CandidateEvaluator, EvaluationBudget, ExecutionContext
 from repro.explain import McsResult, bounded_mcs, discover_mcs
 from repro.finegrained import (
     GreedyCoarseSearch,
@@ -32,7 +32,7 @@ from repro.finegrained import (
 from repro.harness.experiments import PriorityRow, ResourceRow
 from repro.matching import PatternMatcher, csr_stats
 from repro.metrics import CardinalityThreshold
-from repro.obs import SlowQueryLog
+from repro.obs import NULL_TRACER, SlowQueryLog
 from repro.persist import RestoreReport
 from repro.rewrite import CoarseRewriter, GraphStatistics
 from repro.service import WhyQueryService
@@ -140,6 +140,14 @@ REMOVED_NAMES = (
     "WhyQueryEngine.matcher",
     "_edge_column",
     "_edge_columns",
+    "OperationalQuery",
+    "OperatorInfo",
+    "prefix_cardinalities",
+    "first_affected_operator",
+    "estimate_path_cardinality",
+    "prune_branch",
+    "format_cache_report",
+    "walk_length",
 )
 
 #: where a mention would read as a live name.  CHANGES.md, ROADMAP.md
@@ -578,27 +586,25 @@ CONSTRUCTOR_SURFACE = {
     WhyQueryEngine: (
         "graph", "preferences", "preference_model", "mcs_strategy",
         "max_explanation_evaluations", "max_rewrite_evaluations", "rewrite_k",
-        "include_topology", "context", "executor", "evaluation_budget",
-        "on_candidate", "tracer",
+        "context", "executor", "evaluation_budget", "on_candidate",
     ),
     CoarseRewriter: (
         "graph", "priority", "preference_model", "max_evaluations", "max_depth",
-        "count_limit", "op_filter", "context", "executor", "budget",
-        "on_candidate", "tracer",
+        "op_filter", "context", "executor", "budget", "on_candidate",
     ),
     TraverseSearchTree: (
         "graph", "threshold", "include_topology", "constrainable_attrs",
-        "max_evaluations", "max_depth", "context", "executor", "budget",
-        "on_candidate", "tracer",
+        "max_evaluations", "context", "executor", "budget", "on_candidate",
+    ),
+    CandidateEvaluator: (
+        "counter", "executor", "budget", "count_limit", "on_result",
     ),
     ExecutionContext: ("graph", "injective", "compiled", "result_cache_entries"),
     RandomModificationSearch: (
-        "graph", "threshold", "include_topology", "constrainable_attrs",
-        "max_evaluations", "walk_length", "seed", "context",
+        "graph", "threshold", "constrainable_attrs", "max_evaluations", "seed",
+        "context",
     ),
-    GreedyCoarseSearch: (
-        "graph", "threshold", "max_evaluations", "max_depth", "context",
-    ),
+    GreedyCoarseSearch: ("graph", "threshold", "max_evaluations", "context"),
 }
 
 DEBUG_SESSION_FIELDS = (
@@ -616,3 +622,35 @@ def test_constructor_surface_is_pinned():
         tuple(f.name for f in dataclasses.fields(DebugSession))
         == DEBUG_SESSION_FIELDS
     )
+
+
+# -- third cull: one tracer hand-off, no option nobody set -------------------
+
+#: each removed keyword with the value it used to default to
+REMOVED_KEYWORDS = {
+    "WhyQueryEngine": {"tracer": NULL_TRACER, "include_topology": False},
+    "CoarseRewriter": {"tracer": NULL_TRACER, "count_limit": 1000},
+    "TraverseSearchTree": {"tracer": NULL_TRACER, "max_depth": 8},
+    "RandomModificationSearch": {"include_topology": False, "walk_length": 6},
+    "GreedyCoarseSearch": {"max_depth": 6},
+}
+
+
+@pytest.mark.parametrize(
+    "entry, keyword",
+    [(entry, kw) for entry, kws in REMOVED_KEYWORDS.items() for kw in kws],
+)
+def test_removed_keywords_are_type_errors(tiny_graph, entry, keyword):
+    value = REMOVED_KEYWORDS[entry][keyword]
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry](context=ExecutionContext(tiny_graph), **{keyword: value})
+
+
+def test_the_evaluator_and_the_service_take_no_tracer(tiny_graph):
+    """A request's tracer is the ambient one ``explain`` activates."""
+    with pytest.raises(TypeError):
+        CandidateEvaluator(ExecutionContext(tiny_graph).cache, tracer=NULL_TRACER)
+    for keyword, value in (("tracer", NULL_TRACER), ("include_topology", False)):
+        with pytest.raises(TypeError):
+            WhyQueryService(**{keyword: value})
+    assert not hasattr(ExecutionContext(tiny_graph), "tracer")

@@ -125,17 +125,9 @@ class TestEstimates:
         q = work_query()
         c = q.add_vertex(predicates={"type": equals("city")})
         q.add_edge(1, c, types={"locatedIn"})
-        est = stats.estimate_path_cardinality(q, [0, 1])
+        est = stats.estimate_query_cardinality(q)
         # path1(workAt)=3, path1(locatedIn)=2, join on university (2)
         assert est == pytest.approx(3 * 2 / 2)
-
-    def test_estimate_requires_shared_vertex(self, stats):
-        q = GraphQuery()
-        a, b, c, d = (q.add_vertex() for _ in range(4))
-        q.add_edge(a, b)
-        q.add_edge(c, d)
-        with pytest.raises(ValueError):
-            stats.estimate_path_cardinality(q, [0, 1])
 
     def test_query_estimate_positive_for_matching_query(self, stats):
         assert stats.estimate_query_cardinality(work_query()) > 0
