@@ -1,5 +1,7 @@
 """Unit tests for the property-graph storage (Definition 1)."""
 
+import sys
+
 import pytest
 
 from repro.core import (
@@ -128,6 +130,51 @@ class TestIndexes:
 
     def test_edge_type_counts(self, graph):
         assert graph.edge_type_counts() == {"knows": 1, "isLocatedIn": 2}
+
+
+def bucket_graph() -> PropertyGraph:
+    """A hub with one vertex and one edge per member of each ``w`` bucket:
+    value ``n`` is carried by ``n`` vertices and ``n`` edges."""
+    g = PropertyGraph()
+    hub = g.add_vertex()
+    for n in range(1, 41):
+        for _ in range(n):
+            g.add_edge(hub, g.add_vertex(w=n), "t", w=n)
+    return g
+
+
+def bucket(g: PropertyGraph, kind: str, value):
+    return g.vertices_with("w", value) if kind == "vertex" else g.edges_with("w", value)
+
+
+class TestValueIndexBuckets:
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_built_buckets_are_sized_to_their_members(self, kind):
+        """A lazily built value index holds each bucket as one copy, not
+        as the set its ``add`` calls grew, so each bucket is the size a
+        copy of it has."""
+        g = bucket_graph()
+        for n in range(1, 41):
+            ids = bucket(g, kind, n)
+            assert len(ids) == n
+            assert sys.getsizeof(ids) == sys.getsizeof(set(ids))
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_writes_grow_the_built_bucket_in_place(self, kind):
+        """The bucket handed out after the build is the index's own: a
+        later insert shows in it, and a later overwrite leaves it."""
+        g = bucket_graph()
+        live = bucket(g, kind, 5)
+        vid = g.add_vertex(w=5)
+        eid = g.add_edge(0, vid, "t", w=5)
+        new = vid if kind == "vertex" else eid
+        assert new in live and bucket(g, kind, 5) is live
+        if kind == "vertex":
+            g.set_vertex_attribute(vid, "w", 6)
+        else:
+            g.set_edge_attribute(eid, "w", 6)
+        assert new not in live and new in bucket(g, kind, 6)
+        assert len(live) == 5
 
 
 class TestSubgraph:

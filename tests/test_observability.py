@@ -51,6 +51,7 @@ from repro.server import (
 from repro.server.protocol import report_to_dict
 from repro.service import WhyQueryService
 from repro.shard import ProcessExecutor
+from repro.why import WhyQueryEngine
 
 CORE_EXPLAIN_KINDS = {
     SPAN_EXPLAIN,
@@ -406,6 +407,26 @@ class TestServiceTracing:
         service.explain(g, failing_query())
         service.explain(g, working_query())
         assert len(service.slow_queries()) == 1
+
+
+class TestAmbientTracer:
+    """Every layer below ``explain`` reads :func:`current_tracer`: an
+    engine run under an activated tracer, with no service, records the
+    same nested tree, and a tracer nobody activated records nothing."""
+
+    @pytest.mark.parametrize(
+        "query, threshold, engine",
+        [(failing_query, None, "coarse"), (working_query, TOO_FEW, "search-tree")],
+        ids=["coarse", "search-tree"],
+    )
+    def test_engine_spans_nest_under_the_activated_root(self, query, threshold, engine):
+        tracer, idle = Tracer(), Tracer()
+        with tracer.activate(), tracer.span(SPAN_EXPLAIN):
+            report = WhyQueryEngine(obs_graph(f"amb-{engine}")).debug(query(), threshold)
+        assert report.rewriting is not None
+        assert_nested(tracer.to_dict(), engine)
+        assert idle.to_dict() is None
+        assert current_tracer() is NULL_TRACER
 
 
 # -- the wire: trace frame, metrics and slow_queries messages ------------------
